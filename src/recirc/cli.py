@@ -4,11 +4,12 @@ Subcommands: validate, simulate, lift, eigen, study {dt,modes,mesh},
 contract. Every output file carries a header comment with the code version
 and the config hash; identical config and seed give bit-identical CSVs on
 the same platform. Exit codes: 0 success, 1 numerical failure, 2 config
-error. RECIRC_THREADS caps the fan-out of independent study runs.
+error. RECIRC_THREADS caps the fan-out of independent study runs (`study
+modes` and `study mesh`); `study dt` always runs serially, because its runs
+share one ReducedSystem whose per-time data cache is not thread-safe.
 """
 
 import argparse
-import copy
 import json
 import os
 import sys
@@ -79,7 +80,7 @@ def _write_trajectory(path, traj, cfg_hash):
     _write_csv(path, cols, rows, cfg_hash)
 
 
-def _integrate(scenario, quiet):
+def _integrate(scenario):
     cfg = scenario.config
     return scenario.system.integrate(
         scenario.state0,
@@ -96,7 +97,7 @@ def cmd_simulate(args):
     t0 = time.time()
     scenario = build_scenario(cfg)
     try:
-        traj = _integrate(scenario, args.quiet)
+        traj = _integrate(scenario)
     except StepError as exc:
         if exc.trajectory is not None:
             _write_trajectory(out / "trajectory_partial.csv", exc.trajectory, h)
@@ -261,12 +262,12 @@ def cmd_study(args):
         except ValueError:
             raise ConfigError([("--reference", f"expected an integer, got {args.reference!r}")])
         scenario = build_scenario(cfg, modes=n_ref)
-        traj_ref = _integrate(scenario, args.quiet)
+        traj_ref = _integrate(scenario)
 
         def run(n):
             sys_n = ReducedSystem(
                 scenario.space,
-                _truncate_basis(scenario.basis, n),
+                scenario.basis.truncate(n),
                 scenario.lifting,
                 scenario.pumps,
                 scenario.params,
@@ -345,15 +346,6 @@ def cmd_study(args):
     _write_csv(out / "study_mesh.csv", ["mesh", "l2l2_error", "observed_order"], rows, h)
     _say(args.quiet, "study mesh:", [(r[0], f"{r[1]:.3e}") for r in rows])
     return 0
-
-
-def _truncate_basis(basis, n):
-    """View of the first n modes of an EigenBasis (shared fields)."""
-    sub = copy.copy(basis)
-    sub.eigenvalues = basis.eigenvalues[:n]
-    sub.fields = basis.fields[:, :n]
-    sub.rayleigh_residuals = basis.rayleigh_residuals[:n]
-    return sub
 
 
 def cmd_contract(args):

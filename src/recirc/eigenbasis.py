@@ -2,11 +2,9 @@
 
 The generalized symmetric eigenproblem K_grad x = lambda M x is solved on
 the discretely divergence-free boundary-zero subspace by keeping the
-velocity-pressure saddle form and discarding pressure. One pressure DOF is
-pinned to remove the constant-pressure nullspace (constants lie in the
-kernel of the divergence transpose, so the constraint set is unchanged);
-the pencil is then handled by shift-invert Lanczos with the singular
-velocity-only mass, the standard route for constrained pencils.
+velocity-pressure saddle form (`MixedSpace.saddle_matrix`, pressure pinned)
+and discarding pressure; the pencil is handled by shift-invert Lanczos with
+the singular velocity-only mass, the standard route for constrained pencils.
 """
 
 import numpy as np
@@ -33,10 +31,24 @@ class EigenBasis:
         self.eigenvalues = np.asarray(eigenvalues)[order]
         self.fields = np.asarray(fields)[:, order]
         self._orthonormalize()
-        G = self.fields.T @ (space.M @ self.fields)
+        self._diagnose()
+
+    @classmethod
+    def _of(cls, space, eigenvalues, fields):
+        """Basis over sorted, orthonormal modes as given (no re-orthonormalization)."""
+        basis = cls.__new__(cls)
+        basis.space, basis.eigenvalues, basis.fields = space, eigenvalues, fields
+        basis._diagnose()
+        return basis
+
+    def _diagnose(self):
+        """Set the Gram and Rayleigh residuals of the current fields."""
+        space = self.space
+        MV = space.M @ self.fields
+        G = self.fields.T @ MV
         self.gram_residual = float(np.abs(G - np.eye(self.size)).max())
         num = np.einsum("ik,ik->k", self.fields, space.K_grad @ self.fields)
-        den = np.einsum("ik,ik->k", self.fields, space.M @ self.fields)
+        den = np.einsum("ik,ik->k", self.fields, MV)
         self.rayleigh_residuals = np.abs(num / den - self.eigenvalues)
 
     def _orthonormalize(self):
@@ -56,6 +68,10 @@ class EigenBasis:
     @property
     def size(self):
         return self.fields.shape[1]
+
+    def truncate(self, n):
+        """Basis of the first n modes; shares this basis's field storage."""
+        return self._of(self.space, self.eigenvalues[:n], self.fields[:, :n])
 
     def expand(self, coeffs):
         """Velocity coefficient vector of sum_k c_k xi_k."""
@@ -91,16 +107,7 @@ class EigenBasis:
             raise SolverError(
                 "stored eigenbasis belongs to a different mesh (fingerprint mismatch)"
             )
-        basis = cls.__new__(cls)
-        basis.space = space
-        basis.eigenvalues = data["eigenvalues"]
-        basis.fields = data["fields"]
-        G = basis.fields.T @ (space.M @ basis.fields)
-        basis.gram_residual = float(np.abs(G - np.eye(basis.size)).max())
-        num = np.einsum("ik,ik->k", basis.fields, space.K_grad @ basis.fields)
-        den = np.einsum("ik,ik->k", basis.fields, space.M @ basis.fields)
-        basis.rayleigh_residuals = np.abs(num / den - basis.eigenvalues)
-        return basis
+        return cls._of(space, data["eigenvalues"], data["fields"])
 
 
 def subspace_dimension(space):
@@ -118,11 +125,9 @@ def solve_stokes_eigen(space, n_modes, tol=1e-9):
             f"requested {n_modes} modes but the constrained subspace has dimension {cap}"
         )
     I = space.interior_vdofs
-    Kg = space.K_grad.tocsr()[I][:, I]
     M_II = space.M.tocsr()[I][:, I]
-    B_I = space.B[:, I].tocsr()[1:]  # pin pressure DOF 0
-    npr = B_I.shape[0]
-    A = sp.bmat([[Kg, B_I.T], [B_I, None]], format="csc")
+    A = space.saddle_matrix(space.K_grad.tocsr()[I][:, I])
+    npr = A.shape[0] - len(I)
     Msad = sp.bmat(
         [[M_II, None], [None, sp.csr_matrix((npr, npr))]], format="csc"
     )
@@ -138,7 +143,7 @@ def solve_stokes_eigen(space, n_modes, tol=1e-9):
             f"{n_modes} modes found"
         ) from exc
     fields = np.zeros((space.n_velocity, n_modes))
-    fields[I] = vecs[: len(I)]
+    fields[I], _ = space.saddle_split(vecs)
     basis = EigenBasis(space, vals, fields)
     if np.any(basis.eigenvalues <= 0):
         raise SolverError(

@@ -12,7 +12,6 @@ inside the step loop. Convergence is declared on the coefficient increment.
 """
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError, StepError
@@ -32,44 +31,26 @@ class FullSpaceSystem:
 
     # -- saddle factorizations -------------------------------------------------
 
-    def _bordered(self, A_II):
-        I = self.I
-        B_I = self.space.B[:, I]
-        m = self.space.pressure_integral
-        npr = self.space.n_pressure
-        return sp.bmat(
-            [
-                [A_II, B_I.T, None],
-                [B_I, sp.csr_matrix((npr, npr)), m[:, None]],
-                [None, m[None, :], None],
-            ],
-            format="csc",
-        )
-
     def _factor(self, dt, shift):
         key = (float(dt), float(shift))
         if key not in self._dt_factor:
             I = self.I
             A = (self.space.M / dt + (self.params.nu + shift) * self.space.K_eps).tocsr()
             try:
-                self._dt_factor[key] = splu(self._bordered(A[I][:, I]))
+                self._dt_factor[key] = splu(self.space.saddle_matrix(A[I][:, I]))
             except RuntimeError as exc:
                 raise SolverError(f"time-step factorization failed: {exc}") from exc
         return self._dt_factor[key]
 
     def project_divfree(self, v):
         """L2 projection onto the discretely divergence-free zero-trace subspace."""
-        if self._proj_factor is None:
-            I = self.I
-            M_II = self.space.M.tocsr()[I][:, I]
-            self._proj_factor = splu(self._bordered(M_II))
+        space = self.space
         I = self.I
-        rhs = np.concatenate(
-            [(self.space.M @ v)[I], np.zeros(self.space.n_pressure + 1)]
-        )
-        sol = self._proj_factor.solve(rhs)
-        out = np.zeros(self.space.n_velocity)
-        out[I] = sol[: len(I)]
+        if self._proj_factor is None:
+            self._proj_factor = splu(space.saddle_matrix(space.M.tocsr()[I][:, I]))
+        rhs = space.saddle_rhs((space.M @ v)[I], np.zeros(space.n_pressure))
+        out = np.zeros(space.n_velocity)
+        out[I], _ = space.saddle_split(self._proj_factor.solve(rhs))
         return out
 
     # -- weak form -----------------------------------------------------------------
@@ -116,13 +97,13 @@ class FullSpaceSystem:
         L = self.source_load(t_new)
         base = (space.M @ z) / dt
         shift_op = shift * space.K_eps
+        zero_div = np.zeros(space.n_pressure)
         zi = z
         for it in range(1, max_iter + 1):
             rhs_mom = base + L - self.nonlinear_load(zi) + shift_op @ zi
-            rhs = np.concatenate([rhs_mom[I], np.zeros(space.n_pressure + 1)])
-            sol = lu.solve(rhs)
+            rhs = space.saddle_rhs(rhs_mom[I], zero_div)
             z_new = np.zeros(space.n_velocity)
-            z_new[I] = sol[: len(I)]
+            z_new[I], _ = space.saddle_split(lu.solve(rhs))
             inc = np.sqrt(float((z_new - zi) @ (space.M @ (z_new - zi))))
             zi = z_new
             if inc <= tol:

@@ -23,15 +23,13 @@ from .turbulence import convection_load, smagorinsky_load, strain_norm
 
 
 class GalerkinState:
-    """Time, coefficient vector, and the lift fields cached at that time."""
+    """Time and reduced coefficient vector."""
 
-    __slots__ = ("t", "z", "zeta_g", "dzeta_g")
+    __slots__ = ("t", "z")
 
-    def __init__(self, t, z, zeta_g=None, dzeta_g=None):
+    def __init__(self, t, z):
         self.t = float(t)
         self.z = np.asarray(z, dtype=float)
-        self.zeta_g = zeta_g
-        self.dzeta_g = dzeta_g
 
 
 class Trajectory:
@@ -69,15 +67,13 @@ def initial_state(v0, basis, tol=1e-8):
 class ReducedSystem:
     """The right-hand side and time steppers of the reduced equations."""
 
-    def __init__(self, space, basis, lifting, pumps, params, source=None,
-                 include_convection=True):
+    def __init__(self, space, basis, lifting, pumps, params, source=None):
         self.space = space
         self.basis = basis
         self.lifting = lifting
         self.pumps = pumps
         self.params = params
         self.source = source
-        self.include_convection = include_convection
         V = basis.fields
         self.visc = params.nu * (V.T @ (space.K_eps @ V))  # 2 nu (eps(xi_j), eps(xi_k))
         self._t_cache = None
@@ -130,8 +126,6 @@ class ReducedSystem:
 
     def _conv_modal(self, f, data):
         """Modal pairings of c(z; zg+z, .) + c(zg; z, .)."""
-        if not self.include_convection:
-            return np.zeros(self.basis.size)
         space = self.space
         load = convection_load(space, f["z_vals"], f["w_vals"], f["w_grads"])
         if len(self.pumps):
@@ -202,9 +196,7 @@ class ReducedSystem:
             )
             res = float(np.linalg.norm(defect))
             if res <= tol:
-                zg, dzg = self.lift_fields(t_new)
-                state_new = GalerkinState(t_new, z_new, zeta_g=zg, dzeta_g=dzg)
-                return state_new, {"iterations": it, "residual": res}
+                return GalerkinState(t_new, z_new), {"iterations": it, "residual": res}
             if prev_res is not None and res > 0.7 * prev_res:
                 omega = max(0.5 * omega, 0.25)  # damp the frozen-|eps| two-cycle
             prev_res = res
@@ -225,9 +217,7 @@ class ReducedSystem:
         k3 = self.rhs(z + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = self.rhs(z + dt * k3, t_new)
         z_new = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        zg, dzg = self.lift_fields(t_new)
-        return (GalerkinState(t_new, z_new, zeta_g=zg, dzeta_g=dzg),
-                {"iterations": 4, "residual": 0.0})
+        return GalerkinState(t_new, z_new), {"iterations": 4, "residual": 0.0}
 
     def step(self, state, dt, scheme="implicit-euler", **kw):
         if dt <= 0:

@@ -14,7 +14,6 @@ zeta_g(t) = sum_k g_k(t) zeta_k.
 """
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import CompatibilityError, SolverError
@@ -54,25 +53,11 @@ class LiftingBasis:
         return v, g
 
 
-def _saddle_factorization(space, nu):
-    """LU of the bordered Stokes saddle matrix on interior velocity DOFs."""
+def _stokes_lu(space, A):
+    """LU of the pinned Stokes saddle matrix for the velocity stiffness A."""
     I = space.interior_vdofs
-    A = (nu * space.K_eps).tocsr()
-    A_II = A[I][:, I]
-    B_I = space.B[:, I]
-    m = space.pressure_integral
-    npr = space.n_pressure
-    Z = sp.csr_matrix((npr, npr))
-    sys = sp.bmat(
-        [
-            [A_II, B_I.T, None],
-            [B_I, Z, m[:, None]],
-            [None, m[None, :], None],
-        ],
-        format="csc",
-    )
     try:
-        return splu(sys)
+        return splu(space.saddle_matrix(A[I][:, I]))
     except RuntimeError as exc:
         raise SolverError(f"Stokes saddle factorization failed: {exc}") from exc
 
@@ -80,7 +65,8 @@ def _saddle_factorization(space, nu):
 def solve_stokes_lift(space, psi, nu, lu=None):
     """Solve the Stokes lift for one trace field; returns (zeta, p, residual).
 
-    Raises CompatibilityError if the trace has net discrete flux above 1e-8.
+    The pressure p has zero mean. Raises CompatibilityError if the trace has
+    net discrete flux above 1e-8.
     """
     net = float(space.flux_vector @ psi)
     scale = max(1.0, float(np.abs(psi).max()))
@@ -92,18 +78,12 @@ def solve_stokes_lift(space, psi, nu, lu=None):
     Bd = space.boundary_vdofs
     A = (nu * space.K_eps).tocsr()
     psi_B = psi[Bd]
-    rhs_mom = -(A[I][:, Bd] @ psi_B)
-    rhs_div = -(space.B[:, Bd] @ psi_B)
-    rhs = np.concatenate([rhs_mom, rhs_div, [0.0]])
+    rhs = space.saddle_rhs(-(A[I][:, Bd] @ psi_B), -(space.B[:, Bd] @ psi_B))
     if lu is None:
-        lu = _saddle_factorization(space, nu)
-    sol = lu.solve(rhs)
-    nI = len(I)
+        lu = _stokes_lu(space, A)
     zeta = np.zeros(space.n_velocity)
-    zeta[I] = sol[:nI]
+    zeta[I], p = space.saddle_split(lu.solve(rhs))
     zeta[Bd] = psi_B
-    p = sol[nI : nI + space.n_pressure]
-    p = p - (space.pressure_integral @ p) / space.pressure_integral.sum()
 
     res_mom = (A @ zeta + space.B.T @ p)[I]
     res_div = space.B @ zeta
@@ -115,7 +95,7 @@ def solve_stokes_lift(space, psi, nu, lu=None):
 
 def build_lifting(space, pumps, nu):
     """Lift every pump trace of a PumpSet; one factorization, K solves."""
-    lu = _saddle_factorization(space, nu) if len(pumps) else None
+    lu = _stokes_lu(space, (nu * space.K_eps).tocsr()) if len(pumps) else None
     zetas, pressures, residuals = [], [], []
     for pump in pumps.pumps:
         z, p, r = solve_stokes_lift(space, pump.psi, nu, lu=lu)
@@ -123,12 +103,6 @@ def build_lifting(space, pumps, nu):
         pressures.append(p)
         residuals.append(r)
     return LiftingBasis(space, nu, zetas, pressures, residuals)
-
-
-def lift_at(lb, pumps, t):
-    """(zeta_g(t), d zeta_g/dt (t)) as velocity coefficient vectors."""
-    g, gdot = pumps.rates(t)
-    return lb.combine(g), lb.combine(gdot)
 
 
 def convective_qpt(vals, grads):

@@ -15,9 +15,13 @@ from .lifting import convective_qpt
 from .turbulence import strain_norm
 
 
-def _strain_lp(space, u, p):
-    """(int |eps(u)|^p)^(1/p) by cell quadrature."""
-    mag = strain_norm(space.strain_samples(u))
+def _strain_mag(space, u):
+    """|eps(u)| at the cell quadrature points."""
+    return strain_norm(space.strain_samples(u))
+
+
+def _lp(space, mag, p):
+    """(int mag^p)^(1/p) by cell quadrature of samples mag (nt, nq)."""
     return space.integrate(mag**p) ** (1.0 / p)
 
 
@@ -67,21 +71,19 @@ def ledger(system, traj):
         z = traj.states[i]
         zf = system.basis.expand(z)
         zg, dzg = system.lift_fields(t)
-        w = zg + zf
+        ez, ew, edzg = (_strain_mag(space, u) for u in (zf, zg + zf, dzg))
+        ew_l3 = _lp(space, ew, 3)
         rows["z_l2_sq"][i] = space.norm(zf, "L2") ** 2
-        eps_z_sq[i] = _strain_lp(space, zf, 2) ** 2
-        eps_w_cu[i] = _strain_lp(space, w, 3) ** 3
-        eps_z_cu[i] = _strain_lp(space, zf, 3) ** 3
-        rows["psi1"][i] = _strain_lp(space, w, 2) ** 2 + eps_w_cu[i]
+        eps_z_sq[i] = _lp(space, ez, 2) ** 2
+        eps_w_cu[i] = ew_l3**3
+        eps_z_cu[i] = _lp(space, ez, 3) ** 3
+        rows["psi1"][i] = _lp(space, ew, 2) ** 2 + eps_w_cu[i]
         rows["psi2"][i] = (
-            _strain_lp(space, w, 3) ** 2
-            + _strain_lp(space, dzg, 2) ** 2
-            + _strain_lp(space, dzg, 3) ** 1.5
+            ew_l3**2 + _lp(space, edzg, 2) ** 2 + _lp(space, edzg, 3) ** 1.5
         )
         rows["z_w12_sq"][i] = rows["z_l2_sq"][i] + space.norm(zf, "H1semi") ** 2
         rows["z_w13_cu"][i] = space.norm(zf, "L3") ** 3 + eps_z_cu[i]
-        rows["hg_l2_sq"][i] = _hg_l2_sq(system, t)
-        rows["hg_tilde_l2_sq"][i] = _hg_tilde_l2_sq(system, t)
+        rows["hg_l2_sq"][i], rows["hg_tilde_l2_sq"][i] = hg_l2_sq(system, t)
         if i > 0:
             dt = times[i] - times[i - 1]
             dz = (traj.states[i] - traj.states[i - 1]) / dt
@@ -106,50 +108,33 @@ def _trapezoid(times, vals):
     return float(np.trapezoid(vals, times))
 
 
-def _hg_qpt(system, t):
-    """H_g(t) values at quadrature points."""
+def hg_l2_sq(system, t):
+    """(||H_g(t)||^2, ||H~_g(t)||^2) in L2, from one quadrature-point pass.
+
+    H~_g = F - d zeta_g/dt, and H_g = H~_g - (grad zeta_g) zeta_g.
+    """
     space = system.space
-    nt, nq = space.mesh.num_cells, len(space.rule)
-    out = np.zeros((nt, nq, 2))
+    h_tilde = np.zeros((space.mesh.num_cells, len(space.rule), 2))
     if system.source is not None:
         xy = space.qpoints
-        out += np.asarray(
+        h_tilde += np.asarray(
             system.source(xy[..., 0].ravel(), xy[..., 1].ravel(), t)
-        ).reshape(nt, nq, 2)
+        ).reshape(h_tilde.shape)
+    h = h_tilde
     if len(system.pumps):
         g, gdot = system.pumps.rates(t)
-        out -= system.lifting.combine_qpt(gdot)[0]
-        v, G = system.lifting.combine_qpt(g)
-        out -= convective_qpt(v, G)
-    return out
-
-
-def _hg_l2_sq(system, t):
-    h = _hg_qpt(system, t)
-    return system.space.integrate((h * h).sum(axis=-1))
-
-
-def _hg_tilde_l2_sq(system, t):
-    space = system.space
-    nt, nq = space.mesh.num_cells, len(space.rule)
-    out = np.zeros((nt, nq, 2))
-    if system.source is not None:
-        xy = space.qpoints
-        out += np.asarray(
-            system.source(xy[..., 0].ravel(), xy[..., 1].ravel(), t)
-        ).reshape(nt, nq, 2)
-    if len(system.pumps):
-        _, gdot = system.pumps.rates(t)
-        out -= system.lifting.combine_qpt(gdot)[0]
-    return space.integrate((out * out).sum(axis=-1))
+        h_tilde -= system.lifting.combine_qpt(gdot)[0]
+        h = h_tilde - convective_qpt(*system.lifting.combine_qpt(g))
+    return tuple(space.integrate((f * f).sum(axis=-1)) for f in (h, h_tilde))
 
 
 def _midpoint(times, f):
-    """Interval-midpoint quadrature; robust to the piecewise-constant pump
-    rates, whose jumps sit on save-grid nodes."""
+    """Interval-midpoint quadrature of a scalar- or tuple-valued f; robust to
+    the piecewise-constant pump rates, whose jumps sit on save-grid nodes."""
     dt = np.diff(times)
     mids = 0.5 * (times[1:] + times[:-1])
-    return float(np.sum(dt * np.array([f(t) for t in mids])))
+    vals = np.array([f(t) for t in mids], order="F").T  # contiguous per component
+    return np.sum(dt * vals, axis=-1).tolist()
 
 
 def _data_functionals(system, traj, rows):
@@ -160,7 +145,7 @@ def _data_functionals(system, traj, rows):
 
     def zg_w13_cu(t):
         zg, _ = system.lift_fields(t)
-        return space.norm(zg, "L3") ** 3 + _strain_lp(space, zg, 3) ** 3
+        return space.norm(zg, "L3") ** 3 + _lp(space, _strain_mag(space, zg), 3) ** 3
 
     def dzg_h1_sq(t):
         _, dzg = system.lift_fields(t)
@@ -168,14 +153,15 @@ def _data_functionals(system, traj, rows):
 
     def dzg_w13_sq(t):
         _, dzg = system.lift_fields(t)
-        return (space.norm(dzg, "L3") ** 3 + _strain_lp(space, dzg, 3) ** 3) ** (2 / 3)
+        eps_l3 = _lp(space, _strain_mag(space, dzg), 3)
+        return (space.norm(dzg, "L3") ** 3 + eps_l3**3) ** (2 / 3)
 
+    ev0 = _strain_mag(space, v0)
     data = {
         "v0_l2_sq": space.norm(v0, "L2") ** 2,
-        "eps_v0_l2_sq": _strain_lp(space, v0, 2) ** 2,
-        "eps_v0_l3_cu": _strain_lp(space, v0, 3) ** 3,
-        "hg_l2l2_sq": _midpoint(times, lambda t: _hg_l2_sq(system, t)),
-        "hg_tilde_l2l2_sq": _midpoint(times, lambda t: _hg_tilde_l2_sq(system, t)),
+        "eps_v0_l2_sq": _lp(space, ev0, 2) ** 2,
+        "eps_v0_l3_cu": _lp(space, ev0, 3) ** 3,
+        **hg_norms(system, times),
         "zg_l3w13_cu": _midpoint(times, zg_w13_cu),
         "dzg_l2h1_sq": _midpoint(times, dzg_h1_sq),
         "dzg_l2w13_cu": _midpoint(times, dzg_w13_sq) ** 1.5,
@@ -279,8 +265,5 @@ def contraction(system, traj1, traj2, denom_floor=1e-14):
 
 def hg_norms(system, times):
     """Time-quadrature data functionals of H_g and H~_g on a given grid."""
-    times = np.asarray(times, dtype=float)
-    return {
-        "hg_l2l2_sq": _midpoint(times, lambda t: _hg_l2_sq(system, t)),
-        "hg_tilde_l2l2_sq": _midpoint(times, lambda t: _hg_tilde_l2_sq(system, t)),
-    }
+    hg, hg_tilde = _midpoint(np.asarray(times, dtype=float), lambda t: hg_l2_sq(system, t))
+    return {"hg_l2l2_sq": hg, "hg_tilde_l2l2_sq": hg_tilde}

@@ -263,23 +263,41 @@ class MixedSpace:
         ns = self.n_scalar
 
         flux = np.zeros(self.n_velocity)
-        tri_rows, tri_cols, tri_data = [], [], []
         shape_int = qw @ T  # (3,) integrals of trace shape functions on [0,1]
-        Tmass = np.einsum("q,ql,qm->lm", qw, T, T)
         for b, dofs in zip(self.mesh.boundary, self.bnd_edge_dofs):
-            h = b.length
             d = np.array(dofs)
             for comp in range(2):
-                flux[comp * ns + d] += h * shape_int * b.normal[comp]
-            tri_rows.append(np.repeat(d, 3))
-            tri_cols.append(np.tile(d, 3))
-            tri_data.append((h * Tmass).ravel())
+                flux[comp * ns + d] += b.length * shape_int * b.normal[comp]
         self.flux_vector = flux
-        Mb = sp.coo_matrix(
-            (np.concatenate(tri_data), (np.concatenate(tri_rows), np.concatenate(tri_cols))),
-            shape=(ns, ns),
-        ).tocsr()
-        self.Mb_scalar = Mb
+
+    # -- pinned-pressure saddle systems -----------------------------------------
+
+    def saddle_matrix(self, A_II):
+        """Saddle matrix [[A_II, B_I^T], [B_I, 0]] on the interior velocity DOFs
+        with pressure DOF 0 pinned (its row of B dropped), in csc format.
+
+        Constants span the kernel of B_I^T (the hydrostatic pressure null
+        space): the rows of B_I sum to zero, so for divergence data of zero
+        net flux the dropped row is implied by the others, and the pinned
+        matrix is nonsingular. Unlike a border with the dense pressure-mean
+        row and column, the pin keeps the matrix sparse and the LU fill low.
+        `saddle_split` restores the zero-mean gauge.
+        """
+        B_I = self.B[1:, self.interior_vdofs]
+        return sp.bmat([[A_II, B_I.T], [B_I, None]], format="csc")
+
+    def saddle_rhs(self, f_I, g):
+        """Right-hand side of a `saddle_matrix` system: momentum rows f_I on the
+        interior velocity DOFs, divergence rows g over all pressure DOFs."""
+        return np.concatenate([f_I, g[1:]])
+
+    def saddle_split(self, sol):
+        """(interior velocity, zero-mean pressure) of a `saddle_matrix` solution;
+        column-wise for a 2-D block of solutions."""
+        nI = len(self.interior_vdofs)
+        p = np.insert(sol[nI:], 0, 0.0, axis=0)
+        m = self.pressure_integral
+        return sol[:nI], p - (m @ p) / m.sum()
 
     # -- field evaluation ------------------------------------------------------
 

@@ -127,10 +127,12 @@ def test_step_rejects_bad_dt(plain16):
         sys_.step(GalerkinState(0.0, np.zeros(12)), 0.1, scheme="leapfrog")
 
 
-def test_implicit_euler_matches_exponential_in_linear_regime(plain16):
+def test_implicit_euler_matches_exponential_in_linear_regime(plain16, monkeypatch):
     # closed-form oracle: dz/dt = -nu E z  =>  z(t) = expm(-nu E t) z0
     space, basis, _, _ = plain16
-    sys_ = make_system(plain16, nu=0.05, nu_tur=0.0, include_convection=False)
+    monkeypatch.setattr("recirc.galerkin.convection_load",
+                        lambda space, *fields: np.zeros(space.n_velocity))
+    sys_ = make_system(plain16, nu=0.05, nu_tur=0.0)
     E = 0.05 * (basis.fields.T @ (space.K_eps @ basis.fields))
     z0 = np.ones(12) / np.sqrt(12)
     T = 0.1

@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 from conftest import divfree_samples
+from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import CompatibilityError
+from recirc.galerkin import ReducedSystem
 from recirc.lifting import (
     build_lifting,
     compute_Hg,
     compute_Hg_load,
-    lift_at,
     solve_stokes_lift,
 )
 from recirc.mesh import build_rect_mesh, tag_boundary
 from recirc.pumps import Pump, PumpSet, Schedule, build_profile, build_psi
 from recirc.quadrature import duffy_rule
 from recirc.space import MixedSpace, _p2_values, _p2_grads
+from recirc.turbulence import ClosureParams
 
 
 def pumped_space(n):
@@ -146,11 +148,18 @@ def test_stability_ratio_bounded_under_refinement():
     assert max(ratios) <= 2.0 * min(ratios)
 
 
+def lift_at(space, lb, pumps, t):
+    """ReducedSystem.lift_fields at t; the one-mode basis plays no part in it."""
+    system = ReducedSystem(space, solve_stokes_eigen(space, 1), lb, pumps,
+                           ClosureParams(0.01, 0.0))
+    return system.lift_fields(t)
+
+
 def test_lift_at_zero_schedule():
     space = pumped_space(8)
     pumps = one_pump(space)
     lb = build_lifting(space, pumps, nu=0.01)
-    zg, dzg = lift_at(lb, pumps, 0.0)
+    zg, dzg = lift_at(space, lb, pumps, 0.0)
     assert np.abs(zg).max() == 0.0
     assert np.abs(dzg - 2.0 * lb.zetas[0]).max() <= 1e-14  # slope 2 ramp
 
@@ -160,7 +169,7 @@ def test_lift_at_linear_ramp_derivative():
     pumps = one_pump(space, schedule=((0, 0), (1, 2)))
     lb = build_lifting(space, pumps, nu=0.01)
     for t in (0.3, 0.8):
-        zg, dzg = lift_at(lb, pumps, t)
+        zg, dzg = lift_at(space, lb, pumps, t)
         assert np.abs(dzg - 2.0 * lb.zetas[0]).max() <= 1e-14
         assert np.abs(zg - 2.0 * t * lb.zetas[0]).max() <= 1e-14
 
@@ -179,7 +188,7 @@ def test_lift_at_two_pump_combination():
         pumps.append(Pump(inj, col, build_psi(inj, col, space), Schedule(sched)))
     ps = PumpSet(pumps)
     lb = build_lifting(space, ps, nu=0.01)
-    zg, _ = lift_at(lb, ps, 0.5)
+    zg, _ = lift_at(space, lb, ps, 0.5)
     expect = 0.5 * lb.zetas[0] + 1.5 * lb.zetas[1]
     assert np.abs(zg - expect).max() <= 1e-14
 

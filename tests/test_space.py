@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigsh
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh, splu
 
 from recirc.errors import MeshError
 from recirc.mesh import TaggedMesh, build_rect_mesh
@@ -141,3 +142,48 @@ def test_strain_at_point(space8):
     assert np.abs(strain(space8, rot, (0.4, 0.8))).max() <= 1e-12
     vx = space8.interpolate(lambda x, y: np.column_stack([x, -y]))
     assert np.allclose(strain(space8, vx, (0.21, 0.55)), np.diag([1.0, -1.0]), atol=1e-12)
+
+
+def _bordered_saddle(space, A_II):
+    """Reference saddle matrix bordered by the dense pressure-mean row and
+    column instead of a pinned pressure DOF."""
+    I = space.interior_vdofs
+    B_I = space.B[:, I]
+    m = space.pressure_integral
+    npr = space.n_pressure
+    return sp.bmat(
+        [
+            [A_II, B_I.T, None],
+            [B_I, sp.csr_matrix((npr, npr)), m[:, None]],
+            [None, m[None, :], None],
+        ],
+        format="csc",
+    )
+
+
+@pytest.fixture(scope="module")
+def space16():
+    return MixedSpace(build_rect_mesh(1.0, 1.0, 16, 16))
+
+
+@pytest.mark.parametrize("operator", ["stokes", "step", "mass"])
+def test_pinned_saddle_matches_bordered(space16, operator):
+    space = space16
+    nu, dt = 0.01, 0.01
+    A = {
+        "stokes": nu * space.K_eps,
+        "step": space.M / dt + nu * space.K_eps,
+        "mass": space.M,
+    }[operator]
+    I = space.interior_vdofs
+    A_II = A.tocsr()[I][:, I]
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(len(I))
+    g = rng.standard_normal(space.n_pressure)
+    g -= g.mean()  # compatible: constants are in the kernel of B_I^T
+    u, p = space.saddle_split(splu(space.saddle_matrix(A_II)).solve(space.saddle_rhs(f, g)))
+    ref = splu(_bordered_saddle(space, A_II)).solve(np.concatenate([f, g, [0.0]]))
+    u_ref, p_ref = ref[: len(I)], ref[len(I) : len(I) + space.n_pressure]
+    assert abs(space.pressure_integral @ p) <= 1e-12 * np.abs(p).max()
+    assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
