@@ -22,7 +22,7 @@ from .errors import (
     StepError,
 )
 from .galerkin import GalerkinState, ReducedSystem, Trajectory, initial_state
-from .lifting import LiftingBasis, build_lifting, compute_Hg, solve_stokes_lift
+from .lifting import LiftingBasis, build_lifting, solve_stokes_lift
 from .mesh import TaggedMesh, build_rect_mesh, tag_boundary
 from .mms import ManufacturedSolution
 from .monitors import ContractionReport, EnergyLedger, contraction, hg_norms, ledger

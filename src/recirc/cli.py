@@ -4,9 +4,8 @@ Subcommands: validate, simulate, lift, eigen, study {dt,modes,mesh},
 contract. Every output file carries a header comment with the code version
 and the config hash; identical config and seed give bit-identical CSVs on
 the same platform. Exit codes: 0 success, 1 numerical failure, 2 config
-error. RECIRC_THREADS caps the fan-out of independent study runs (`study
-modes` and `study mesh`); `study dt` always runs serially, because its runs
-share one ReducedSystem whose per-time data cache is not thread-safe.
+error. RECIRC_THREADS caps the fan-out of the independent runs of every
+study kind.
 """
 
 import argparse
@@ -61,11 +60,16 @@ def _outdir(args, cfg):
     return out
 
 
-def _threads():
+def _fan_out(fn, items):
+    """[fn(x) for x in items], spread over RECIRC_THREADS threads."""
     try:
-        return max(1, int(os.environ.get("RECIRC_THREADS", "1")))
+        threads = max(1, int(os.environ.get("RECIRC_THREADS", "1")))
     except ValueError:
-        return 1
+        threads = 1
+    if threads == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def _write_trajectory(path, traj, cfg_hash):
@@ -253,7 +257,6 @@ def cmd_study(args):
     cfg = _load_config(args)
     out = _outdir(args, cfg)
     h = cfg.hash()
-    threads = _threads()
 
     if args.kind == "modes":
         levels = _parse_int_list(args.levels, "5,10,20,40", "--levels")
@@ -261,6 +264,9 @@ def cmd_study(args):
             n_ref = int(args.reference or 80)
         except ValueError:
             raise ConfigError([("--reference", f"expected an integer, got {args.reference!r}")])
+        bad = [n for n in levels if not 1 <= n <= n_ref]
+        if bad:
+            raise ConfigError([("--levels", f"mode counts {bad} not in 1..{n_ref} (--reference)")])
         scenario = build_scenario(cfg, modes=n_ref)
         traj_ref = _integrate(scenario)
 
@@ -278,11 +284,7 @@ def cmd_study(args):
                 T=cfg.time["T"], dt=cfg.time["dt"], scheme=cfg.time["scheme"],
             )
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                trajs = list(pool.map(run, levels))
-        else:
-            trajs = [run(n) for n in levels]
+        trajs = _fan_out(run, levels)
         rows = [
             [n, _l2l2_diff(traj_ref.times, t.states, traj_ref.states)]
             for n, t in zip(levels, trajs)
@@ -304,7 +306,7 @@ def cmd_study(args):
                 scenario.state0, T=cfg.time["T"], dt=dt, scheme=cfg.time["scheme"]
             )
 
-        trajs = [run(dt) for dt in dts]
+        trajs = _fan_out(run, dts)
         rows = []
         for k in range(halvings):
             coarse, fine = trajs[k], trajs[k + 1]
@@ -334,11 +336,7 @@ def cmd_study(args):
                      dt=cfg.time["dt"], observer=observer)
         return float(np.sqrt(acc["sum"]))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errs = list(pool.map(run, levels))
-    else:
-        errs = [run(n) for n in levels]
+    errs = _fan_out(run, levels)
     rows = []
     for i, (n, e) in enumerate(zip(levels, errs)):
         order = float(np.log2(errs[i - 1] / e)) if i else float("nan")

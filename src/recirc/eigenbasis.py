@@ -70,7 +70,10 @@ class EigenBasis:
         return self.fields.shape[1]
 
     def truncate(self, n):
-        """Basis of the first n modes; shares this basis's field storage."""
+        """Basis of the first n modes, 1 <= n <= size; shares this basis's
+        field storage."""
+        if not 1 <= n <= self.size:
+            raise ValueError(f"cannot truncate a {self.size}-mode basis to {n} modes")
         return self._of(self.space, self.eigenvalues[:n], self.fields[:, :n])
 
     def expand(self, coeffs):

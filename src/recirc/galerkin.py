@@ -13,13 +13,18 @@ damped Picard iteration whose linear solve carries the full strain-weighted
 stiffness (|eps| frozen at the previous iterate); classical RK4 is
 available for cross-checks. The physical velocity at any time is
 v = zeta_g(t) + sum_k z_k xi_k.
+
+Quadrature-point data come in two bundles, read by the right-hand side, the
+steppers and the energy ledger alike: `lifting.LiftData` (everything that
+depends on t alone, formed by `compute_Hg_load`, one-entry cache) and
+`StateFields` (z and w = zeta_g + z, formed once per state).
 """
 
 import numpy as np
 
 from .errors import StepError
 from .lifting import compute_Hg_load
-from .turbulence import convection_load, smagorinsky_load, strain_norm
+from .turbulence import convection_load, smagorinsky_load, strain_norm, sym_grad
 
 
 class GalerkinState:
@@ -30,6 +35,22 @@ class GalerkinState:
     def __init__(self, t, z):
         self.t = float(t)
         self.z = np.asarray(z, dtype=float)
+
+
+class StateFields:
+    """Quadrature-point tables (nt, nq, ...) of one state: values and
+    gradients of z and of w = zeta_g + z, eps(w) and |eps(w)|. The steppers
+    never read eps(z), so its readers form it from z_grads."""
+
+    __slots__ = ("z_vals", "z_grads", "w_vals", "w_grads", "w_eps", "w_eps_mag")
+
+    def __init__(self, space, zf, data):
+        self.z_vals = space.eval_values(zf)
+        self.z_grads = space.eval_grads(zf)
+        self.w_vals = data.zg_vals + self.z_vals
+        self.w_grads = data.zg_grads + self.z_grads
+        self.w_eps = sym_grad(self.w_grads)
+        self.w_eps_mag = strain_norm(self.w_eps)
 
 
 class Trajectory:
@@ -78,24 +99,19 @@ class ReducedSystem:
         self.visc = params.nu * (V.T @ (space.K_eps @ V))  # 2 nu (eps(xi_j), eps(xi_k))
         self._t_cache = None
 
-    # -- time-dependent data, cached per time value ---------------------------
+    # -- lift data per time (one-entry cache) and fields per state ------------
 
-    def _data_at(self, t):
-        if self._t_cache is not None and self._t_cache[0] == t:
-            return self._t_cache[1]
-        g, gdot = self.pumps.rates(t) if len(self.pumps) else (np.zeros(0), np.zeros(0))
-        zg_vals, zg_grads = self.lifting.combine_qpt(g)
-        hg = self.basis.fields.T @ compute_Hg_load(self.lifting, self.pumps, self.source, t)
-        data = {
-            "g": g,
-            "gdot": gdot,
-            "zg_vals": zg_vals,
-            "zg_grads": zg_grads,
-            "zg_eps": 0.5 * (zg_grads + np.swapaxes(zg_grads, -1, -2)),
-            "hg": hg,
-        }
-        self._t_cache = (t, data)
-        return data
+    def lift_data(self, t):
+        """(LiftData at t, modal pairings (H_g(t), xi_k)).
+
+        The one-entry cache is read into a local before it is checked, so
+        threads sharing this system never see another time's data.
+        """
+        cache = self._t_cache
+        if cache is None or cache[0] != t:
+            data = compute_Hg_load(self.lifting, self.pumps, self.source, t)
+            cache = self._t_cache = (t, data, self.basis.fields.T @ data.load)
+        return cache[1], cache[2]
 
     def lift_fields(self, t):
         """(zeta_g(t), d zeta_g/dt(t)) as velocity coefficient vectors."""
@@ -107,48 +123,32 @@ class ReducedSystem:
         zg, _ = self.lift_fields(t)
         return zg + self.basis.expand(z)
 
-    # -- right-hand side -------------------------------------------------------
+    def state_fields(self, z, data):
+        """StateFields of z and w = zeta_g + z against the LiftData of their time."""
+        return StateFields(self.space, self.basis.expand(z), data)
 
-    def _fields_at(self, z, data):
-        """Quadrature tabulations of z and w = zeta_g + z at one time."""
-        space = self.space
-        zf = self.basis.expand(z)
-        z_vals = space.eval_values(zf)
-        z_grads = space.eval_grads(zf)
-        w_grads = data["zg_grads"] + z_grads
-        return {
-            "z_vals": z_vals,
-            "z_grads": z_grads,
-            "w_vals": data["zg_vals"] + z_vals,
-            "w_grads": w_grads,
-            "w_eps": 0.5 * (w_grads + np.swapaxes(w_grads, -1, -2)),
-        }
+    # -- right-hand side -------------------------------------------------------
 
     def _conv_modal(self, f, data):
         """Modal pairings of c(z; zg+z, .) + c(zg; z, .)."""
         space = self.space
-        load = convection_load(space, f["z_vals"], f["w_vals"], f["w_grads"])
+        load = convection_load(space, f.z_vals, f.w_vals, f.w_grads)
         if len(self.pumps):
-            load = load + convection_load(
-                space, data["zg_vals"], f["z_vals"], f["z_grads"]
-            )
+            load = load + convection_load(space, data.zg_vals, f.z_vals, f.z_grads)
         return self.basis.fields.T @ load
 
     def _smag_modal(self, f):
         """Modal pairings of the Smagorinsky stress at the current fields."""
         if self.params.nu_tur == 0:
             return np.zeros(self.basis.size)
-        load = smagorinsky_load(self.space, f["w_eps"], self.params)
+        load = smagorinsky_load(self.space, f.w_eps, self.params, eps_mag=f.w_eps_mag)
         return self.basis.fields.T @ load
-
-    def _nonlinear(self, z, data):
-        f = self._fields_at(z, data)
-        return self._conv_modal(f, data) + self._smag_modal(f)
 
     def rhs(self, z, t):
         """dz/dt at (z, t)."""
-        data = self._data_at(t)
-        return data["hg"] - self.visc @ z - self._nonlinear(z, data)
+        data, hg = self.lift_data(t)
+        f = self.state_fields(z, data)
+        return hg - self.visc @ z - (self._conv_modal(f, data) + self._smag_modal(f))
 
     # -- steppers ----------------------------------------------------------------
 
@@ -158,41 +158,40 @@ class ReducedSystem:
         The full beta-weighted strain stiffness is kept implicit with |eps|
         frozen at the previous iterate (the classical linearization for
         strain-power closures); convection lags one iterate. The residual is
-        the true fixed-point defect in the coefficient 2-norm.
+        the true fixed-point defect in the coefficient 2-norm; its convection
+        pairing and |eps| serve the next iterate.
         """
         if t_new is None:
             t_new = state.t + dt
-        data = self._data_at(t_new)
+        data, hg = self.lift_data(t_new)
         z_old = state.z
         V = self.basis.fields
         N = self.basis.size
         nu_tur = self.params.nu_tur
         z = z_old
-        f = self._fields_at(z, data)
+        f = self.state_fields(z, data)
+        conv = self._conv_modal(f, data)
         best_res = np.inf
         prev_res = None
         omega = 1.0
         for it in range(1, max_iter + 1):
-            conv = self._conv_modal(f, data)
             if nu_tur > 0:
-                aeps = strain_norm(f["w_eps"])
+                aeps = f.w_eps_mag
                 Kw = self.space.weighted_strain_stiffness(nu_tur * aeps)
                 S = V.T @ (Kw @ V)
                 lift_load = V.T @ self.space.stress_load_vector(
-                    2.0 * nu_tur * aeps[..., None, None] * data["zg_eps"]
+                    2.0 * nu_tur * aeps[..., None, None] * data.zg_eps
                 )
             else:
                 S = 0.0
                 lift_load = 0.0
             A = np.eye(N) + dt * (self.visc + S)
-            b = z_old + dt * (data["hg"] - conv - lift_load)
+            b = z_old + dt * (hg - conv - lift_load)
             z_new = (1.0 - omega) * z + omega * np.linalg.solve(A, b)
-            f_new = self._fields_at(z_new, data)
+            f_new = self.state_fields(z_new, data)
+            conv_new = self._conv_modal(f_new, data)
             defect = z_new - z_old - dt * (
-                data["hg"]
-                - self.visc @ z_new
-                - self._conv_modal(f_new, data)
-                - self._smag_modal(f_new)
+                hg - self.visc @ z_new - conv_new - self._smag_modal(f_new)
             )
             res = float(np.linalg.norm(defect))
             if res <= tol:
@@ -201,7 +200,7 @@ class ReducedSystem:
                 omega = max(0.5 * omega, 0.25)  # damp the frozen-|eps| two-cycle
             prev_res = res
             best_res = min(best_res, res)
-            z, f = z_new, f_new
+            z, f, conv = z_new, f_new, conv_new
         raise StepError(
             f"implicit Euler step at t={t_new:.6g} did not reach residual {tol:.1e} "
             f"in {max_iter} iterations (best {best_res:.3e}); reduce dt",
@@ -259,14 +258,10 @@ class ReducedSystem:
 
     def dissipation_rates(self, z, t):
         """(2 nu ||eps(z)||^2, 2 nu_tur ||eps(zg+z)||^3_L3) at (z, t)."""
-        zf = self.basis.expand(z)
-        data = self._data_at(t)
-        z_grads = self.space.eval_grads(zf)
-        eps_z = 0.5 * (z_grads + np.swapaxes(z_grads, -1, -2))
-        w_grads = data["zg_grads"] + z_grads
-        eps_w = 0.5 * (w_grads + np.swapaxes(w_grads, -1, -2))
+        f = self.state_fields(z, self.lift_data(t)[0])
+        eps_z = sym_grad(f.z_grads)
         visc = 2 * self.params.nu * self.space.integrate(
             np.einsum("cqab,cqab->cq", eps_z, eps_z)
         )
-        smag = 2 * self.params.nu_tur * self.space.integrate(strain_norm(eps_w) ** 3)
+        smag = 2 * self.params.nu_tur * self.space.integrate(f.w_eps_mag**3)
         return visc, smag

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import CompatibilityError, SolverError
+from .turbulence import sym_grad
 
 
 class LiftingBasis:
@@ -110,22 +111,41 @@ def convective_qpt(vals, grads):
     return np.einsum("cqab,cqb->cqa", grads, vals)
 
 
+class LiftData:
+    """Lift data at one time t, formed once and read by every consumer.
+
+    Quadrature-point tables (nt, nq, ...) of zeta_g(t) and d zeta_g/dt(t)
+    (values, gradients, strain), the source F, H~_g = F - d zeta_g/dt,
+    the lift convection (grad zeta_g) zeta_g, H_g = H~_g - (grad zeta_g) zeta_g,
+    and the dual vector load_i = (H_g, phi_i).
+    """
+
+    __slots__ = ("g", "gdot", "source_vals", "zg_vals", "zg_grads", "zg_eps",
+                 "dzg_vals", "dzg_grads", "dzg_eps", "h_tilde", "zg_conv", "h", "load")
+
+    def __init__(self, lb, pumps, source, t):
+        space = lb.space
+        self.g, self.gdot = pumps.rates(t) if len(pumps) else (np.zeros(0), np.zeros(0))
+        self.zg_vals, self.zg_grads = lb.combine_qpt(self.g)
+        self.dzg_vals, self.dzg_grads = lb.combine_qpt(self.gdot)
+        self.zg_eps = sym_grad(self.zg_grads)
+        self.dzg_eps = sym_grad(self.dzg_grads)
+        self.zg_conv = convective_qpt(self.zg_vals, self.zg_grads)
+        self.source_vals = np.zeros_like(self.zg_vals)
+        self.load = np.zeros(space.n_velocity)
+        if source is not None:
+            xy = space.qpoints
+            F = source(xy[..., 0].ravel(), xy[..., 1].ravel(), t)
+            self.source_vals = np.asarray(F).reshape(xy.shape)
+            self.load += space.load_vector(self.source_vals)
+        if len(pumps):
+            self.load -= space.M @ lb.combine(self.gdot)
+            self.load -= space.load_vector(self.zg_conv)
+        self.h_tilde = self.source_vals - self.dzg_vals
+        self.h = self.h_tilde - self.zg_conv
+
+
 def compute_Hg_load(lb, pumps, source, t):
-    """Dual vector L_i = (H_g(t), phi_i) with H_g = F - d zeta_g/dt - grad zeta_g zeta_g."""
-    space = lb.space
-    L = np.zeros(space.n_velocity)
-    if source is not None:
-        xy = space.qpoints
-        F = source(xy[..., 0].ravel(), xy[..., 1].ravel(), t)
-        L += space.load_vector(np.asarray(F).reshape(xy.shape))
-    if len(pumps):
-        g, gdot = pumps.rates(t)
-        L -= space.M @ lb.combine(gdot)
-        v, G = lb.combine_qpt(g)
-        L -= space.load_vector(convective_qpt(v, G))
-    return L
-
-
-def compute_Hg(lb, pumps, source, t):
-    """H_g(t) as an L2-representable velocity field (Riesz representative)."""
-    return lb.space.mass_solve(compute_Hg_load(lb, pumps, source, t))
+    """LiftData at t; its `load` is L_i = (H_g(t), phi_i) with
+    H_g = F - d zeta_g/dt - grad zeta_g zeta_g."""
+    return LiftData(lb, pumps, source, t)

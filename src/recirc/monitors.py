@@ -11,13 +11,7 @@ knots. The time derivative of z is a backward difference on that grid.
 
 import numpy as np
 
-from .lifting import convective_qpt
-from .turbulence import strain_norm
-
-
-def _strain_mag(space, u):
-    """|eps(u)| at the cell quadrature points."""
-    return strain_norm(space.strain_samples(u))
+from .turbulence import strain_norm, sym_grad
 
 
 def _lp(space, mag, p):
@@ -68,22 +62,21 @@ def ledger(system, traj):
     eps_w_cu = np.zeros(n)
     eps_z_cu = np.zeros(n)
     for i, t in enumerate(times):
-        z = traj.states[i]
-        zf = system.basis.expand(z)
-        zg, dzg = system.lift_fields(t)
-        ez, ew, edzg = (_strain_mag(space, u) for u in (zf, zg + zf, dzg))
-        ew_l3 = _lp(space, ew, 3)
-        rows["z_l2_sq"][i] = space.norm(zf, "L2") ** 2
+        lift, _ = system.lift_data(t)
+        f = system.state_fields(traj.states[i], lift)
+        ez, edzg = strain_norm(sym_grad(f.z_grads)), strain_norm(lift.dzg_eps)
+        z_mag = np.linalg.norm(f.z_vals, axis=-1)
+        ew_l3 = _lp(space, f.w_eps_mag, 3)
+        rows["z_l2_sq"][i] = _lp(space, z_mag, 2) ** 2
         eps_z_sq[i] = _lp(space, ez, 2) ** 2
         eps_w_cu[i] = ew_l3**3
         eps_z_cu[i] = _lp(space, ez, 3) ** 3
-        rows["psi1"][i] = _lp(space, ew, 2) ** 2 + eps_w_cu[i]
-        rows["psi2"][i] = (
-            ew_l3**2 + _lp(space, edzg, 2) ** 2 + _lp(space, edzg, 3) ** 1.5
-        )
-        rows["z_w12_sq"][i] = rows["z_l2_sq"][i] + space.norm(zf, "H1semi") ** 2
-        rows["z_w13_cu"][i] = space.norm(zf, "L3") ** 3 + eps_z_cu[i]
-        rows["hg_l2_sq"][i], rows["hg_tilde_l2_sq"][i] = hg_l2_sq(system, t)
+        rows["psi1"][i] = _lp(space, f.w_eps_mag, 2) ** 2 + eps_w_cu[i]
+        rows["psi2"][i] = ew_l3**2 + _lp(space, edzg, 2) ** 2 + _lp(space, edzg, 3) ** 1.5
+        # strain_norm of a gradient table is |grad z|
+        rows["z_w12_sq"][i] = rows["z_l2_sq"][i] + _lp(space, strain_norm(f.z_grads), 2) ** 2
+        rows["z_w13_cu"][i] = _lp(space, z_mag, 3) ** 3 + eps_z_cu[i]
+        rows["hg_l2_sq"][i], rows["hg_tilde_l2_sq"][i] = _hg_sq(space, lift)
         if i > 0:
             dt = times[i] - times[i - 1]
             dz = (traj.states[i] - traj.states[i - 1]) / dt
@@ -93,7 +86,10 @@ def ledger(system, traj):
     rows["int_eps_w_l3_cu"] = _running_trapezoid(times, eps_w_cu)
     rows["int_eps_z_l3_cu"] = _running_trapezoid(times, eps_z_cu)
 
-    data = _data_functionals(system, traj, rows)
+    # g(0) = 0, so v(0) = z(0) and its data terms are the first row's
+    v0 = {"v0_l2_sq": rows["z_l2_sq"][0], "eps_v0_l2_sq": eps_z_sq[0],
+          "eps_v0_l3_cu": eps_z_cu[0]}
+    data = _data_functionals(system, times, rows, v0)
     return EnergyLedger(times, rows, data)
 
 
@@ -108,24 +104,15 @@ def _trapezoid(times, vals):
     return float(np.trapezoid(vals, times))
 
 
-def hg_l2_sq(system, t):
-    """(||H_g(t)||^2, ||H~_g(t)||^2) in L2, from one quadrature-point pass.
+def _hg_sq(space, data):
+    """(||H_g||^2, ||H~_g||^2) in L2 from the tables of one LiftData."""
+    return tuple(space.integrate((f * f).sum(axis=-1)) for f in (data.h, data.h_tilde))
 
-    H~_g = F - d zeta_g/dt, and H_g = H~_g - (grad zeta_g) zeta_g.
-    """
-    space = system.space
-    h_tilde = np.zeros((space.mesh.num_cells, len(space.rule), 2))
-    if system.source is not None:
-        xy = space.qpoints
-        h_tilde += np.asarray(
-            system.source(xy[..., 0].ravel(), xy[..., 1].ravel(), t)
-        ).reshape(h_tilde.shape)
-    h = h_tilde
-    if len(system.pumps):
-        g, gdot = system.pumps.rates(t)
-        h_tilde -= system.lifting.combine_qpt(gdot)[0]
-        h = h_tilde - convective_qpt(*system.lifting.combine_qpt(g))
-    return tuple(space.integrate((f * f).sum(axis=-1)) for f in (h, h_tilde))
+
+def hg_l2_sq(system, t):
+    """(||H_g(t)||^2, ||H~_g(t)||^2) in L2, with H~_g = F - d zeta_g/dt and
+    H_g = H~_g - (grad zeta_g) zeta_g."""
+    return _hg_sq(system.space, system.lift_data(t)[0])
 
 
 def _midpoint(times, f):
@@ -137,42 +124,33 @@ def _midpoint(times, f):
     return np.sum(dt * vals, axis=-1).tolist()
 
 
-def _data_functionals(system, traj, rows):
-    space = system.space
-    times = traj.times
+def _lift_functionals(space, data):
+    """(||H_g||^2, ||H~_g||^2, ||zeta_g||^3_L3 + ||eps(zeta_g)||^3_L3,
+    ||d zeta_g/dt||^2_H1, (||d zeta_g/dt||^3_L3 + ||eps(d zeta_g/dt)||^3_L3)^(2/3))
+    at one time."""
+    zg_mag, dzg_mag = (np.linalg.norm(v, axis=-1) for v in (data.zg_vals, data.dzg_vals))
+    return (
+        *_hg_sq(space, data),
+        _lp(space, zg_mag, 3) ** 3 + _lp(space, strain_norm(data.zg_eps), 3) ** 3,
+        _lp(space, dzg_mag, 2) ** 2 + _lp(space, strain_norm(data.dzg_grads), 2) ** 2,
+        (_lp(space, dzg_mag, 3) ** 3 + _lp(space, strain_norm(data.dzg_eps), 3) ** 3)
+        ** (2 / 3),
+    )
+
+
+def _data_functionals(system, times, rows, v0):
     params = system.params
-    v0 = system.basis.expand(traj.states[0])  # g(0)=0 so v(0) = z(0)
-
-    def zg_w13_cu(t):
-        zg, _ = system.lift_fields(t)
-        return space.norm(zg, "L3") ** 3 + _lp(space, _strain_mag(space, zg), 3) ** 3
-
-    def dzg_h1_sq(t):
-        _, dzg = system.lift_fields(t)
-        return space.norm(dzg, "L2") ** 2 + space.norm(dzg, "H1semi") ** 2
-
-    def dzg_w13_sq(t):
-        _, dzg = system.lift_fields(t)
-        eps_l3 = _lp(space, _strain_mag(space, dzg), 3)
-        return (space.norm(dzg, "L3") ** 3 + eps_l3**3) ** (2 / 3)
-
-    ev0 = _strain_mag(space, v0)
-    data = {
-        "v0_l2_sq": space.norm(v0, "L2") ** 2,
-        "eps_v0_l2_sq": _lp(space, ev0, 2) ** 2,
-        "eps_v0_l3_cu": _lp(space, ev0, 3) ** 3,
-        **hg_norms(system, times),
-        "zg_l3w13_cu": _midpoint(times, zg_w13_cu),
-        "dzg_l2h1_sq": _midpoint(times, dzg_h1_sq),
-        "dzg_l2w13_cu": _midpoint(times, dzg_w13_sq) ** 1.5,
-    }
+    space = system.space
+    keys = ("hg_l2l2_sq", "hg_tilde_l2l2_sq", "zg_l3w13_cu", "dzg_l2h1_sq", "dzg_l2w13_cu")
+    vals = _midpoint(times, lambda t: _lift_functionals(space, system.lift_data(t)[0]))
+    data = {**v0, **dict(zip(keys, vals))}
+    data["dzg_l2w13_cu"] **= 1.5
 
     # first estimate: sup-of-z triple against its data functionals
-    dt_all = times
     lhs1 = (
         rows["z_l2_sq"].max()
-        + _trapezoid(dt_all, rows["z_w12_sq"])
-        + _trapezoid(dt_all, rows["z_w13_cu"])
+        + _trapezoid(times, rows["z_w12_sq"])
+        + _trapezoid(times, rows["z_w13_cu"])
     )
     rhs1 = data["v0_l2_sq"] + data["zg_l3w13_cu"] + data["hg_l2l2_sq"]
     data["estimate1_lhs"] = lhs1

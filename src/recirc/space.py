@@ -107,7 +107,6 @@ class MixedSpace:
         self._boundary_dofs()
         self._assemble()
         self._assemble_boundary()
-        self._factorized_mass = None
 
     # -- tabulation and geometry -------------------------------------------
 
@@ -442,14 +441,6 @@ class MixedSpace:
         return out
 
     # -- misc ----------------------------------------------------------------------
-
-    def mass_solve(self, rhs):
-        """Solve M x = rhs (cached factorization)."""
-        if self._factorized_mass is None:
-            from scipy.sparse.linalg import factorized
-
-            self._factorized_mass = factorized(self.M.tocsc())
-        return self._factorized_mass(rhs)
 
     def korn_constant(self):
         """Mesh-level constant c_K with (grad v, grad v) <= c_K 2(eps v, eps v)

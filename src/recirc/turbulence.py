@@ -42,6 +42,11 @@ def strain(space, v, point):
     return 0.5 * (G + G.T)
 
 
+def sym_grad(grads):
+    """Strain tables eps = sym grad from gradient tables (..., d, d)."""
+    return 0.5 * (grads + np.swapaxes(grads, -1, -2))
+
+
 def strain_norm(eps):
     """|eps| = (eps:eps)^(1/2); works on (..., d, d) arrays."""
     return np.sqrt((eps * eps).sum(axis=(-2, -1)))
@@ -63,9 +68,11 @@ def stress(eps, params):
     return beta(eps, params)[..., None, None] * eps
 
 
-def smagorinsky_load(space, eps_qpt, params):
-    """Dual vector of the closure term: L_i = int 2 nu_tur |eps| eps : eps(phi_i)."""
-    S = 2.0 * params.nu_tur * strain_norm(eps_qpt)[..., None, None] * eps_qpt
+def smagorinsky_load(space, eps_qpt, params, eps_mag=None):
+    """Dual vector of the closure term: L_i = int 2 nu_tur |eps| eps : eps(phi_i);
+    eps_mag is strain_norm(eps_qpt) when the caller already has it."""
+    mag = strain_norm(eps_qpt) if eps_mag is None else eps_mag
+    S = 2.0 * params.nu_tur * mag[..., None, None] * eps_qpt
     return space.stress_load_vector(S)
 
 

@@ -185,3 +185,27 @@ def test_build_scenario_vortex_initial(tmp_path):
     assert np.linalg.norm(scn.state0.z) > 0
     v0 = scn.basis.expand(scn.state0.z)
     assert np.linalg.norm(scn.space.B @ v0) <= 1e-8
+
+
+def test_cli_study_modes_level_above_reference(tmp_path):
+    out = tmp_path / "sm"
+    code = main(["study", "modes", "--config", "preset:four_pumps", "--output-dir",
+                 str(out), "--levels", "4,12", "--reference", "10", "--quiet"])
+    assert code == 2
+    assert not (out / "study_modes.csv").exists()
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("dt", ["--reference", "2"]),
+    ("modes", ["--levels", "2,4,6", "--reference", "6"]),
+])
+def test_cli_study_independent_of_threads(tmp_path, monkeypatch, kind, extra):
+    path, _ = small_config(tmp_path)
+    texts = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RECIRC_THREADS", threads)
+        out = tmp_path / f"t{threads}"
+        assert main(["study", kind, "--config", str(path), "--output-dir", str(out),
+                     *extra, "--quiet"]) == 0
+        texts.append((out / f"study_{kind}.csv").read_bytes())
+    assert texts[0] == texts[1]

@@ -105,3 +105,11 @@ def test_load_rejects_wrong_mesh(tmp_path, basis8):
     other = MixedSpace(build_rect_mesh(1, 1, 4, 4))
     with pytest.raises(SolverError):
         EigenBasis.load(path, other)
+
+
+def test_truncate_range(basis8):
+    assert basis8.truncate(basis8.size).size == basis8.size
+    assert basis8.truncate(1).size == 1
+    for n in (0, -1, basis8.size + 1):
+        with pytest.raises(ValueError):
+            basis8.truncate(n)

@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import StepError
 from recirc.galerkin import GalerkinState, ReducedSystem, initial_state
-from recirc.lifting import build_lifting, compute_Hg
+from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
 from recirc.pumps import PumpSet
 from recirc.space import MixedSpace
@@ -104,7 +104,7 @@ def test_rhs_consistency_with_independent_assembly(preset16):
         zg, _ = sys_.lift_fields(t)
         zf = basis.expand(z)
         w = zg + zf
-        hg = (space.M @ compute_Hg(scn.lifting, scn.pumps, None, t)) @ basis.fields
+        hg = compute_Hg_load(scn.lifting, scn.pumps, None, t).load @ basis.fields
         conv = convect(space, zf, w, basis.fields) + convect(space, zg, zf, basis.fields)
         a_all = apply_A(space, zf, zg, scn.params, basis.fields)
         visc_zg = (scn.params.nu * (space.K_eps @ zg)) @ basis.fields
@@ -218,3 +218,23 @@ def test_step_error_carries_partial_trajectory(plain16):
     assert err.value.trajectory is not None
     assert err.value.trajectory.completed is False
     assert err.value.residual is not None
+
+
+def test_picard_step_convection_load_count(preset16, monkeypatch):
+    # the defect's convection pairing is reused by the next iterate: with
+    # pumps each pairing is two loads, one before the loop and one per iterate
+    import recirc.galerkin as galerkin
+
+    calls = []
+    load = galerkin.convection_load
+
+    def counted(*args):
+        calls.append(1)
+        return load(*args)
+
+    monkeypatch.setattr(galerkin, "convection_load", counted)
+    scn = preset16
+    state = GalerkinState(0.2, 0.01 * np.ones(scn.basis.size))
+    _, diag = scn.system.step(state, 0.01)
+    assert diag["iterations"] >= 2
+    assert len(calls) == 2 * (diag["iterations"] + 1)

@@ -5,7 +5,7 @@ from recirc.eigenbasis import solve_stokes_eigen
 from recirc.galerkin import GalerkinState, ReducedSystem
 from recirc.lifting import build_lifting
 from recirc.mesh import build_rect_mesh
-from recirc.monitors import contraction, hg_l2_sq, hg_norms, ledger
+from recirc.monitors import EnergyLedger, contraction, hg_l2_sq, hg_norms, ledger
 from recirc.pumps import PumpSet
 from recirc.space import MixedSpace
 from recirc.turbulence import ClosureParams
@@ -133,3 +133,71 @@ def test_adjusted_norm_monotone_under_fitted_constant(preset16):
     rep = contraction(scn.system, base, pert)
     adj = rep.adjusted()
     assert np.all(np.diff(adj) <= 1e-12 * max(adj.max(), 1e-30))
+
+
+def _reference_rows(sys_, traj):
+    """Ledger rows and lift functionals rebuilt from space.norm,
+    space.strain_samples and lift_fields, without the ledger's tables."""
+    space = sys_.space
+    times = traj.times
+    n = len(times)
+
+    def lp_eps(u, p):
+        mag = np.sqrt((space.strain_samples(u) ** 2).sum(axis=(-2, -1)))
+        return space.integrate(mag**p) ** (1.0 / p)
+
+    def hg_sq(t):
+        zg, dzg = sys_.lift_fields(t)
+        v, G, dv = space.eval_values(zg), space.eval_grads(zg), space.eval_values(dzg)
+        h = -dv - np.einsum("cqab,cqb->cqa", G, v)  # F = 0 in the preset
+        return space.integrate((h * h).sum(axis=-1)), space.norm(dzg, "L2") ** 2
+
+    ref = {k: np.zeros(n) for k in EnergyLedger.COLUMNS}
+    ez2, ew3, ez3 = np.zeros(n), np.zeros(n), np.zeros(n)
+    for i, t in enumerate(times):
+        zf = sys_.basis.expand(traj.states[i])
+        zg, dzg = sys_.lift_fields(t)
+        w = zg + zf
+        ref["z_l2_sq"][i] = space.norm(zf, "L2") ** 2
+        ez2[i], ew3[i], ez3[i] = lp_eps(zf, 2) ** 2, lp_eps(w, 3) ** 3, lp_eps(zf, 3) ** 3
+        ref["psi1"][i] = lp_eps(w, 2) ** 2 + ew3[i]
+        ref["psi2"][i] = lp_eps(w, 3) ** 2 + lp_eps(dzg, 2) ** 2 + lp_eps(dzg, 3) ** 1.5
+        ref["hg_l2_sq"][i], ref["hg_tilde_l2_sq"][i] = hg_sq(t)
+        ref["z_w12_sq"][i] = ref["z_l2_sq"][i] + space.norm(zf, "H1semi") ** 2
+        ref["z_w13_cu"][i] = space.norm(zf, "L3") ** 3 + space.norm(zf, "W13semi") ** 3
+        if i > 0:
+            dz = (traj.states[i] - traj.states[i - 1]) / (times[i] - times[i - 1])
+            ref["dzdt_l2_sq"][i] = space.norm(sys_.basis.expand(dz), "L2") ** 2
+    for key, vals in (("int_eps_z_l2_sq", ez2), ("int_eps_w_l3_cu", ew3),
+                      ("int_eps_z_l3_cu", ez3)):
+        ref[key][1:] = np.cumsum(0.5 * np.diff(times) * (vals[1:] + vals[:-1]))
+
+    data = {"zg_l3w13_cu": 0.0, "dzg_l2h1_sq": 0.0, "dzg_l2w13_cu": 0.0}
+    for a, b in zip(times[:-1], times[1:]):
+        zg, dzg = sys_.lift_fields(0.5 * (a + b))
+        data["zg_l3w13_cu"] += (b - a) * (space.norm(zg, "L3") ** 3 + lp_eps(zg, 3) ** 3)
+        data["dzg_l2h1_sq"] += (b - a) * (
+            space.norm(dzg, "L2") ** 2 + space.norm(dzg, "H1semi") ** 2
+        )
+        data["dzg_l2w13_cu"] += (b - a) * (
+            space.norm(dzg, "L3") ** 3 + lp_eps(dzg, 3) ** 3
+        ) ** (2 / 3)
+    data["dzg_l2w13_cu"] **= 1.5
+    return ref, data
+
+
+def test_ledger_matches_independent_norms_with_pumps(preset16):
+    # every column at several saved times, pumps ramping, against tables
+    # rebuilt from the public field evaluators
+    sys_ = preset16.system
+    traj = sys_.integrate(preset16.state0, T=0.1, dt=0.01)
+    led = ledger(sys_, traj)
+    ref, data = _reference_rows(sys_, traj)
+    for i in (3, 6, 10):
+        for key in EnergyLedger.COLUMNS:
+            expect = ref[key][i]
+            assert expect > 0.0, key
+            assert abs(led.rows[key][i] - expect) <= 1e-12 * expect, (key, i)
+    for key, expect in data.items():
+        assert expect > 0.0, key
+        assert abs(led.data[key] - expect) <= 1e-12 * expect, key
