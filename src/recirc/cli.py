@@ -298,6 +298,8 @@ def cmd_study(args):
             halvings = int(args.reference or 3)
         except ValueError:
             raise ConfigError([("--reference", f"expected an integer, got {args.reference!r}")])
+        if halvings < 1:
+            raise ConfigError([("--reference", f"halving count {halvings} < 1")])
         scenario = build_scenario(cfg)
         dts = [cfg.time["dt"] / 2**k for k in range(halvings + 1)]
 
@@ -318,6 +320,9 @@ def cmd_study(args):
 
     # mesh study: manufactured-solution verification on the full space
     levels = _parse_int_list(args.levels, "8,16,32", "--levels")
+    bad = [n for n in levels if n < 1]
+    if bad:
+        raise ConfigError([("--levels", f"mesh sizes {bad} < 1")])
     params = ClosureParams(cfg.fluid["nu"], cfg.fluid["nu_tur"])
     mms = ManufacturedSolution(params.nu, params.nu_tur)
 

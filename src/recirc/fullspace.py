@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError, StepError
-from .turbulence import convection_load, smagorinsky_load, strain_norm
+from .turbulence import convection_load, smagorinsky_load, strain_norm, sym_grad
 
 
 class FullSpaceSystem:
@@ -69,8 +69,7 @@ class FullSpaceSystem:
         grads = space.eval_grads(z)
         load = convection_load(space, vals, vals, grads)
         if self.params.nu_tur > 0:
-            eps = 0.5 * (grads + np.swapaxes(grads, -1, -2))
-            load = load + smagorinsky_load(space, eps, self.params)
+            load = load + smagorinsky_load(space, sym_grad(grads), self.params)
         return load
 
     def residual_load(self, z, t):

@@ -10,9 +10,12 @@ where c is the skew-symmetrized convection form. Because the basis is
 L2-orthonormal the mass matrix is the identity and pairings are the
 coefficient derivatives directly. Implicit Euler solves each step with a
 damped Picard iteration whose linear solve carries the full strain-weighted
-stiffness (|eps| frozen at the previous iterate); classical RK4 is
-available for cross-checks. The physical velocity at any time is
-v = zeta_g(t) + sum_k z_k xi_k.
+stiffness (|eps| frozen at the previous iterate). That stiffness is
+projected onto U = [xi_1..xi_N | zeta_g] cell by cell
+(`MixedSpace.weighted_strain_stiffness`), which gives the modal matrix and
+the lift coupling in one call without assembling a mesh-sized matrix.
+Classical RK4 is available for cross-checks. The physical velocity at any
+time is v = zeta_g(t) + sum_k z_k xi_k.
 
 Quadrature-point data come in two bundles, read by the right-hand side, the
 steppers and the energy ledger alike: `lifting.LiftData` (everything that
@@ -165,9 +168,10 @@ class ReducedSystem:
             t_new = state.t + dt
         data, hg = self.lift_data(t_new)
         z_old = state.z
-        V = self.basis.fields
         N = self.basis.size
         nu_tur = self.params.nu_tur
+        if nu_tur > 0:  # the modes and the lift: one projection per iteration
+            U = np.column_stack([self.basis.fields, self.lifting.combine(data.g)])
         z = z_old
         f = self.state_fields(z, data)
         conv = self._conv_modal(f, data)
@@ -176,12 +180,8 @@ class ReducedSystem:
         omega = 1.0
         for it in range(1, max_iter + 1):
             if nu_tur > 0:
-                aeps = f.w_eps_mag
-                Kw = self.space.weighted_strain_stiffness(nu_tur * aeps)
-                S = V.T @ (Kw @ V)
-                lift_load = V.T @ self.space.stress_load_vector(
-                    2.0 * nu_tur * aeps[..., None, None] * data.zg_eps
-                )
+                SU = self.space.weighted_strain_stiffness(nu_tur * f.w_eps_mag, U)
+                S, lift_load = SU[:N, :N], SU[:N, N]
             else:
                 S = 0.0
                 lift_load = 0.0

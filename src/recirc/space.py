@@ -12,6 +12,13 @@ Assembled operators:
     K_grad gradient stiffness            (grad u, grad v)
     B      divergence                    (q, div u), pressure rows
 
+Each cell's 12 velocity DOFs are `cell_vdofs` = [cell_dofs, n_scalar +
+cell_dofs]: the six x components, then the six y components. One cell
+kernel, `_strain_cells(w)`, gives the (nt, 12, 12) cell matrices of
+int 2 w eps(phi_i):eps(phi_j) over them. K_eps is its assembly at w = 1;
+`weighted_strain_stiffness(w, U)` reduces it to U^T K_w U cell by cell,
+without forming the global matrix.
+
 Norm conventions (kind argument of `norm`):
     L2, L3, L4  : Lebesgue norms of |u|
     H1semi      : (int |grad u|^2)^(1/2)
@@ -24,6 +31,7 @@ import scipy.sparse as sp
 
 from .errors import MeshError
 from .quadrature import edge_rule, triangle_rule
+from .turbulence import sym_grad
 
 NORM_KINDS = ("L2", "L3", "L4", "H1semi", "W13semi", "L2boundary")
 
@@ -97,6 +105,8 @@ class MixedSpace:
 
         # cell -> scalar P2 DOFs (3 vertices, 3 opposite-edge midpoints)
         self.cell_dofs = np.hstack([mesh.cells, nv + mesh.cell_edges])
+        # cell -> velocity DOFs: the x components, then the y components
+        self.cell_vdofs = np.hstack([self.cell_dofs, self.n_scalar + self.cell_dofs])
 
         # coordinates of scalar DOFs (vertices then edge midpoints)
         mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
@@ -113,6 +123,8 @@ class MixedSpace:
     def _tabulate(self):
         pts = self.rule.points
         self.N = _p2_values(pts)          # (nq, 6)
+        # vector shape functions over cell_vdofs: [a*6 + l, q*2 + b] = delta_ab N_l(q)
+        self.N_vec = np.einsum("ab,ql->alqb", np.eye(2), self.N).reshape(12, -1)
         self.Nhat_grad = _p2_grads(pts)   # (nq, 6, 2)
         self.P1 = _p1_values(pts)         # (nq, 3)
 
@@ -189,31 +201,17 @@ class MixedSpace:
         self.M = sp.block_diag([Ms, Ms]).tocsr()
         self.K_grad = sp.block_diag([Ks, Ks]).tocsr()
 
-        # strain stiffness 2 (eps(u), eps(v)): component blocks
-        gx = G[:, :, :, 0]
-        gy = G[:, :, :, 1]
-        A11 = np.einsum("q,c,cql,cqm->clm", w, a, gx, gx) * 2 + np.einsum(
-            "q,c,cql,cqm->clm", w, a, gy, gy
-        )
-        A22 = np.einsum("q,c,cql,cqm->clm", w, a, gy, gy) * 2 + np.einsum(
-            "q,c,cql,cqm->clm", w, a, gx, gx
-        )
-        A12 = np.einsum("q,c,cql,cqm->clm", w, a, gy, gx)
-        A21 = np.einsum("q,c,cql,cqm->clm", w, a, gx, gy)
-        Keps = (
-            self._coo(rows, cols, A11, (nu, nu))
-            + self._coo(rows, cols + ns, A12, (nu, nu))
-            + self._coo(rows + ns, cols, A21, (nu, nu))
-            + self._coo(rows + ns, cols + ns, A22, (nu, nu))
-        )
-        self.K_eps = Keps.tocsr()
+        # strain stiffness 2 (eps(u), eps(v)): the cell kernel at w = 1
+        vdofs = self.cell_vdofs
+        self.K_eps = self._coo(np.repeat(vdofs, 12, axis=1), np.tile(vdofs, (1, 12)),
+                               self._strain_cells(1.0), (nu, nu))
 
         # divergence (q, div u): pressure rows, velocity columns
         pdofs = self.mesh.cells
         prow = np.repeat(pdofs, 6, axis=1)           # (nt, 18)
         vcol = np.tile(dofs, (1, 3))                 # (nt, 18)
-        Bx = np.einsum("q,c,qi,cqj->cij", w, a, P1, gx)
-        By = np.einsum("q,c,qi,cqj->cij", w, a, P1, gy)
+        Bx = np.einsum("q,c,qi,cqj->cij", w, a, P1, G[..., 0])
+        By = np.einsum("q,c,qi,cqj->cij", w, a, P1, G[..., 1])
         B = self._coo(prow, vcol, Bx, (npr, nu)) + self._coo(
             prow, vcol + ns, By, (npr, nu)
         )
@@ -229,31 +227,30 @@ class MixedSpace:
         np.add.at(mvec, pdofs.ravel(), np.repeat(a / 3.0, 3))
         self.pressure_integral = mvec
 
-    def weighted_strain_stiffness(self, weight):
-        """Assemble int 2 w(x) eps(u):eps(v) for quadrature-point weights (nt, nq).
+    def _strain_cells(self, weight):
+        """Cell matrices (nt, 12, 12) of int 2 w(x) eps(phi_i):eps(phi_j) over
+        `cell_vdofs`, for quadrature-point weights w (nt, nq) or a scalar."""
+        wq = (self.qweights * weight)[:, :, None]
+        gx, gy = self.grad[..., 0], self.grad[..., 1]  # (nt, nq, 6)
+        xx = (wq * gx).transpose(0, 2, 1) @ gx
+        yy = (wq * gy).transpose(0, 2, 1) @ gy
+        xy = (wq * gy).transpose(0, 2, 1) @ gx
+        return np.block([[2 * xx + yy, xy], [xy.transpose(0, 2, 1), 2 * yy + xx]])
 
-        Same block structure as K_eps; used for Picard linearizations of the
-        strain-dependent closure.
+    def weighted_strain_stiffness(self, weight, U):
+        """U^T K_w U for K_w = int 2 w(x) eps(u):eps(v), with quadrature-point
+        weights w (nt, nq) and columns U (n_velocity, m).
+
+        The Picard matrix of the strain-dependent closure: with U = [V | zeta_g]
+        it holds the modal stiffness and its pairing with the lift. The
+        `_strain_cells` matrices are reduced cell by cell and summed over the
+        cells in one GEMM; the global K_w is never formed. (A batched
+        (nt, m, m) product summed afterwards would hold nt m^2 doubles,
+        27 MB at 32x32 cells and m = 41.)
         """
-        wq = self.qweights * weight
-        G = self.grad
-        gx = G[:, :, :, 0]
-        gy = G[:, :, :, 1]
-        dofs = self.cell_dofs
-        ns, nu = self.n_scalar, self.n_velocity
-        rows = np.repeat(dofs, 6, axis=1)
-        cols = np.tile(dofs, (1, 6))
-        wgx = wq[:, :, None] * gx
-        xx = wgx.transpose(0, 2, 1) @ gx
-        yy = (wq[:, :, None] * gy).transpose(0, 2, 1) @ gy
-        xy = (wq[:, :, None] * gy).transpose(0, 2, 1) @ gx
-        K = (
-            self._coo(rows, cols, 2 * xx + yy, (nu, nu))
-            + self._coo(rows, cols + ns, xy, (nu, nu))
-            + self._coo(rows + ns, cols, np.swapaxes(xy, 1, 2), (nu, nu))
-            + self._coo(rows + ns, cols + ns, 2 * yy + xx, (nu, nu))
-        )
-        return K.tocsr()
+        m = U.shape[1]
+        Uc = U[self.cell_vdofs]  # (nt, 12, m)
+        return Uc.reshape(-1, m).T @ (self._strain_cells(weight) @ Uc).reshape(-1, m)
 
     def _assemble_boundary(self):
         qs = self.edge_quad.points
@@ -302,12 +299,7 @@ class MixedSpace:
 
     def eval_values(self, u):
         """Velocity field values at all cell quadrature points -> (nt, nq, 2)."""
-        ns = self.n_scalar
-        out = np.empty((self.mesh.num_cells, len(self.rule), 2))
-        for comp in range(2):
-            Uc = u[comp * ns + self.cell_dofs]
-            out[:, :, comp] = Uc @ self.N.T
-        return out
+        return (u[self.cell_vdofs] @ self.N_vec).reshape(-1, len(self.rule), 2)
 
     def eval_grads(self, u):
         """Velocity gradients at quadrature points -> (nt, nq, 2, 2), [a,b]=d u_a/d x_b."""
@@ -322,21 +314,14 @@ class MixedSpace:
         return out
 
     def _scatter(self, contrib):
-        """Accumulate per-cell DOF contributions (nt, 6, 2) into a velocity vector."""
-        ns = self.n_scalar
-        flat = self.cell_dofs.ravel()
-        return np.concatenate(
-            [
-                np.bincount(flat, weights=contrib[:, :, comp].ravel(), minlength=ns)
-                for comp in range(2)
-            ]
-        )
+        """Accumulate per-cell DOF contributions (nt, 2, 6) into a velocity vector."""
+        return np.bincount(self.cell_vdofs.ravel(), weights=contrib.ravel(),
+                           minlength=self.n_velocity)
 
     def load_vector(self, fvals):
         """Assemble L_i = int f . phi_i from values fvals (nt, nq, 2)."""
         wf = self.qweights[:, :, None] * fvals
-        contrib = wf.transpose(0, 2, 1) @ self.N  # (nt, 2, 6)
-        return self._scatter(contrib.transpose(0, 2, 1))
+        return self._scatter(wf.transpose(0, 2, 1) @ self.N)
 
     def stress_load_vector(self, Svals):
         """Assemble L_i = int S : grad phi_i from tensor values (nt, nq, 2, 2).
@@ -347,8 +332,7 @@ class MixedSpace:
         WS = self.qweights[:, :, None, None] * Svals
         A = WS.transpose(0, 2, 1, 3).reshape(nt, 2, nq * 2)
         Bm = self.grad.transpose(0, 1, 3, 2).reshape(nt, nq * 2, 6)
-        contrib = A @ Bm  # (nt, 2, 6)
-        return self._scatter(contrib.transpose(0, 2, 1))
+        return self._scatter(A @ Bm)
 
     def integrate(self, gvals):
         """Integrate scalar quadrature-point values (nt, nq) over the domain."""
@@ -376,7 +360,7 @@ class MixedSpace:
         if kind == "H1semi":
             return np.sqrt(self.integrate(np.einsum("cqab,cqab->cq", G, G)))
         # W13semi
-        E = 0.5 * (G + np.swapaxes(G, -1, -2))
+        E = sym_grad(G)
         mag2 = np.einsum("cqab,cqab->cq", E, E)
         return self.integrate(mag2 ** 1.5) ** (1.0 / 3.0)
 
@@ -395,8 +379,7 @@ class MixedSpace:
 
     def strain_samples(self, u):
         """Strain tensors eps(u) at all quadrature points -> (nt, nq, 2, 2)."""
-        G = self.eval_grads(u)
-        return 0.5 * (G + np.swapaxes(G, -1, -2))
+        return sym_grad(self.eval_grads(u))
 
     # -- interpolation and point evaluation --------------------------------------
 

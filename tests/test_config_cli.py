@@ -195,6 +195,20 @@ def test_cli_study_modes_level_above_reference(tmp_path):
     assert not (out / "study_modes.csv").exists()
 
 
+@pytest.mark.parametrize("kind, preset, extra", [
+    ("mesh", "manufactured", ["--levels", "0"]),
+    ("mesh", "manufactured", ["--levels", "8,-4"]),
+    ("dt", "zero", ["--reference", "0"]),
+    ("dt", "zero", ["--reference", "-1"]),
+])
+def test_cli_study_size_that_builds_nothing(tmp_path, kind, preset, extra):
+    out = tmp_path / "st"
+    code = main(["study", kind, "--config", f"preset:{preset}", "--output-dir", str(out),
+                 *extra, "--quiet"])
+    assert code == 2
+    assert not (out / f"study_{kind}.csv").exists()
+
+
 @pytest.mark.parametrize("kind, extra", [
     ("dt", ["--reference", "2"]),
     ("modes", ["--levels", "2,4,6", "--reference", "6"]),

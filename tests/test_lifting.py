@@ -220,6 +220,32 @@ def test_hg_pure_convection_after_ramp():
     assert np.abs(load - expect).max() <= 1e-14
 
 
+def test_hg_load_matches_three_term_formula_during_ramp():
+    """One quadrature of H_g against (F, phi) - M d zeta_g/dt - ((grad zeta_g) zeta_g, phi)
+    while the schedule ramps, so that d zeta_g/dt does not vanish."""
+    space = pumped_space(8)
+    pumps = one_pump(space)
+    lb = build_lifting(space, pumps, nu=0.01)
+    t = 0.3
+
+    def F(x, y, t):
+        return np.column_stack([np.sin(3 * x) * y, x - t * y**2])
+
+    load = compute_Hg_load(lb, pumps, F, t).load
+    g, gdot = pumps.rates(t)
+    assert gdot[0] != 0.0
+    from recirc.lifting import convective_qpt
+
+    xy = space.qpoints
+    Fq = F(xy[..., 0].ravel(), xy[..., 1].ravel(), t).reshape(xy.shape)
+    expect = (
+        space.load_vector(Fq)
+        - space.M @ lb.combine(gdot)
+        - space.load_vector(convective_qpt(*lb.combine_qpt(g)))
+    )
+    assert np.abs(load - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
 def test_hg_pairing_matches_refined_quadrature():
     space = pumped_space(8)
     pumps = one_pump(space)

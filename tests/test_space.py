@@ -48,6 +48,32 @@ def test_mass_matrix_matches_quadrature_oracle(space8):
         assert abs(uMu - _oracle_l2_sq(space8, u)) <= 1e-10 * uMu
 
 
+def _strain_pairings(space, weight, U):
+    """Independent 2 int w eps(u_i):eps(u_j) from strain samples, column by column."""
+    E = [space.strain_samples(u) for u in U.T]
+    wq = 2.0 * space.qweights * weight
+    return np.array([[np.einsum("cq,cqab,cqab->", wq, a, b) for b in E] for a in E])
+
+
+def test_strain_stiffness_matches_quadrature(space8):
+    rng = np.random.default_rng(23)
+    u, v = rng.standard_normal((2, space8.n_velocity))
+    ref = _strain_pairings(space8, 1.0, np.column_stack([u, v]))[0, 1]
+    assert abs(u @ space8.K_eps @ v - ref) <= 1e-12 * abs(ref)
+
+
+def test_weighted_strain_stiffness_matches_quadrature(space8):
+    rng = np.random.default_rng(29)
+    weight = rng.uniform(0.1, 2.0, space8.qweights.shape)
+    U = np.zeros((space8.n_velocity, 4))
+    I = space8.interior_vdofs
+    U[I, :3] = rng.standard_normal((len(I), 3))
+    U[:, 3] = rng.standard_normal(space8.n_velocity)  # nonzero trace, as zeta_g has
+    S = space8.weighted_strain_stiffness(weight, U)
+    ref = _strain_pairings(space8, weight, U)
+    assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_degenerate_cell_rejected():
     m = build_rect_mesh(1, 1, 2, 2)
     vertices = m.vertices.copy()
