@@ -28,5 +28,5 @@ from .mms import ManufacturedSolution
 from .monitors import ContractionReport, EnergyLedger, contraction, hg_norms, ledger
 from .pumps import PumpProfile, PumpSet, Schedule, build_profile, build_psi
 from .space import MixedSpace
-from .turbulence import ClosureParams, apply_A, beta, convect, potential_D, strain
+from .turbulence import ClosureParams, apply_A, beta, convect, potential_D
 from .vtk import write_vtk

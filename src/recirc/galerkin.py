@@ -2,11 +2,15 @@
 
 The homogenized unknown z(t) evolves by dz/dt = F(z, t) with components
 
-    F_k = (H_g, xi_k) - [ c(z; zeta_g + z, xi_k) + c(zeta_g; z, xi_k)
-                          + 2 nu (eps(z), eps(xi_k))
-                          + 2 nu_tur (|eps(zeta_g+z)| eps(zeta_g+z), eps(xi_k)) ],
+    F_k = (H_g, xi_k) + c(zeta_g; zeta_g, xi_k)
+          - [ c(w; w, xi_k) + 2 nu (eps(z), eps(xi_k))
+              + 2 nu_tur (|eps(w)| eps(w), eps(xi_k)) ],   w = zeta_g + z,
 
-where c is the skew-symmetrized convection form. Because the basis is
+where c is the skew-symmetrized convection form. Since c is bilinear,
+c(w; w, .) - c(zeta_g; zeta_g, .) = c(z; zeta_g + z, .) + c(zeta_g; z, .),
+so each state pairs the whole velocity once and the lift's self-convection
+is paired once per time. For z small against zeta_g the two pairings
+cancel, to the roundoff of c(zeta_g; zeta_g, .). Because the basis is
 L2-orthonormal the mass matrix is the identity and pairings are the
 coefficient derivatives directly. Implicit Euler solves each step with a
 damped Picard iteration whose linear solve carries the full strain-weighted
@@ -19,7 +23,8 @@ time is v = zeta_g(t) + sum_k z_k xi_k.
 
 Quadrature-point data come in two bundles, read by the right-hand side, the
 steppers and the energy ledger alike: `lifting.LiftData` (everything that
-depends on t alone, formed by `compute_Hg_load`, one-entry cache) and
+depends on t alone, formed by `compute_Hg_load`; the steppers read it with
+its modal load through the one-entry cache of `lift_data`) and
 `StateFields` (z and w = zeta_g + z, formed once per state).
 """
 
@@ -105,7 +110,7 @@ class ReducedSystem:
     # -- lift data per time (one-entry cache) and fields per state ------------
 
     def lift_data(self, t):
-        """(LiftData at t, modal pairings (H_g(t), xi_k)).
+        """(LiftData at t, modal pairings (H_g(t), xi_k) + c(zeta_g; zeta_g, xi_k)).
 
         The one-entry cache is read into a local before it is checked, so
         threads sharing this system never see another time's data.
@@ -113,7 +118,11 @@ class ReducedSystem:
         cache = self._t_cache
         if cache is None or cache[0] != t:
             data = compute_Hg_load(self.lifting, self.pumps, self.source, t)
-            cache = self._t_cache = (t, data, self.basis.fields.T @ data.load)
+            load = data.load
+            if len(self.pumps):
+                load = load + convection_load(self.space, data.zg_vals, data.zg_vals,
+                                              data.zg_grads)
+            cache = self._t_cache = (t, data, self.basis.fields.T @ load)
         return cache[1], cache[2]
 
     def lift_fields(self, t):
@@ -132,13 +141,10 @@ class ReducedSystem:
 
     # -- right-hand side -------------------------------------------------------
 
-    def _conv_modal(self, f, data):
-        """Modal pairings of c(z; zg+z, .) + c(zg; z, .)."""
-        space = self.space
-        load = convection_load(space, f.z_vals, f.w_vals, f.w_grads)
-        if len(self.pumps):
-            load = load + convection_load(space, data.zg_vals, f.z_vals, f.z_grads)
-        return self.basis.fields.T @ load
+    def _conv_modal(self, f):
+        """Modal pairings of c(w; w, .), w = zeta_g + z; `lift_data` adds back
+        the lift's self-convection c(zeta_g; zeta_g, .)."""
+        return self.basis.fields.T @ convection_load(self.space, f.w_vals, f.w_vals, f.w_grads)
 
     def _smag_modal(self, f):
         """Modal pairings of the Smagorinsky stress at the current fields."""
@@ -151,7 +157,7 @@ class ReducedSystem:
         """dz/dt at (z, t)."""
         data, hg = self.lift_data(t)
         f = self.state_fields(z, data)
-        return hg - self.visc @ z - (self._conv_modal(f, data) + self._smag_modal(f))
+        return hg - self.visc @ z - (self._conv_modal(f) + self._smag_modal(f))
 
     # -- steppers ----------------------------------------------------------------
 
@@ -174,7 +180,7 @@ class ReducedSystem:
             U = np.column_stack([self.basis.fields, self.lifting.combine(data.g)])
         z = z_old
         f = self.state_fields(z, data)
-        conv = self._conv_modal(f, data)
+        conv = self._conv_modal(f)
         best_res = np.inf
         prev_res = None
         omega = 1.0
@@ -189,7 +195,7 @@ class ReducedSystem:
             b = z_old + dt * (hg - conv - lift_load)
             z_new = (1.0 - omega) * z + omega * np.linalg.solve(A, b)
             f_new = self.state_fields(z_new, data)
-            conv_new = self._conv_modal(f_new, data)
+            conv_new = self._conv_modal(f_new)
             defect = z_new - z_old - dt * (
                 hg - self.visc @ z_new - conv_new - self._smag_modal(f_new)
             )

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import CompatibilityError, SolverError
-from .turbulence import sym_grad
 
 
 class LiftingBasis:
@@ -115,21 +114,19 @@ class LiftData:
     """Lift data at one time t, formed once and read by every consumer.
 
     Quadrature-point tables (nt, nq, ...) of zeta_g(t) and d zeta_g/dt(t)
-    (values, gradients, strain), the source F, H~_g = F - d zeta_g/dt,
+    (values and gradients), the source F, H~_g = F - d zeta_g/dt,
     the lift convection (grad zeta_g) zeta_g, H_g = H~_g - (grad zeta_g) zeta_g,
     and the dual vector load_i = (H_g, phi_i).
     """
 
-    __slots__ = ("g", "gdot", "source_vals", "zg_vals", "zg_grads", "zg_eps",
-                 "dzg_vals", "dzg_grads", "dzg_eps", "h_tilde", "zg_conv", "h", "load")
+    __slots__ = ("g", "gdot", "source_vals", "zg_vals", "zg_grads", "dzg_vals",
+                 "dzg_grads", "h_tilde", "zg_conv", "h", "load")
 
     def __init__(self, lb, pumps, source, t):
         space = lb.space
         self.g, self.gdot = pumps.rates(t) if len(pumps) else (np.zeros(0), np.zeros(0))
         self.zg_vals, self.zg_grads = lb.combine_qpt(self.g)
         self.dzg_vals, self.dzg_grads = lb.combine_qpt(self.gdot)
-        self.zg_eps = sym_grad(self.zg_grads)
-        self.dzg_eps = sym_grad(self.dzg_grads)
         self.zg_conv = convective_qpt(self.zg_vals, self.zg_grads)
         self.source_vals = np.zeros_like(self.zg_vals)
         if source is not None:

@@ -11,6 +11,7 @@ knots. The time derivative of z is a backward difference on that grid.
 
 import numpy as np
 
+from .lifting import compute_Hg_load
 from .turbulence import strain_norm, sym_grad
 
 
@@ -62,9 +63,10 @@ def ledger(system, traj):
     eps_w_cu = np.zeros(n)
     eps_z_cu = np.zeros(n)
     for i, t in enumerate(times):
-        lift, _ = system.lift_data(t)
+        # the tables only, not the modal load `ReducedSystem.lift_data` adds
+        lift = compute_Hg_load(system.lifting, system.pumps, system.source, t)
         f = system.state_fields(traj.states[i], lift)
-        ez, edzg = strain_norm(sym_grad(f.z_grads)), strain_norm(lift.dzg_eps)
+        ez, edzg = strain_norm(sym_grad(f.z_grads)), strain_norm(sym_grad(lift.dzg_grads))
         z_mag = np.linalg.norm(f.z_vals, axis=-1)
         ew_l3 = _lp(space, f.w_eps_mag, 3)
         rows["z_l2_sq"][i] = _lp(space, z_mag, 2) ** 2
@@ -112,7 +114,7 @@ def _hg_sq(space, data):
 def hg_l2_sq(system, t):
     """(||H_g(t)||^2, ||H~_g(t)||^2) in L2, with H~_g = F - d zeta_g/dt and
     H_g = H~_g - (grad zeta_g) zeta_g."""
-    return _hg_sq(system.space, system.lift_data(t)[0])
+    return _hg_sq(system.space, compute_Hg_load(system.lifting, system.pumps, system.source, t))
 
 
 def _midpoint(times, f):
@@ -129,12 +131,12 @@ def _lift_functionals(space, data):
     ||d zeta_g/dt||^2_H1, (||d zeta_g/dt||^3_L3 + ||eps(d zeta_g/dt)||^3_L3)^(2/3))
     at one time."""
     zg_mag, dzg_mag = (np.linalg.norm(v, axis=-1) for v in (data.zg_vals, data.dzg_vals))
+    ezg, edzg = (strain_norm(sym_grad(g)) for g in (data.zg_grads, data.dzg_grads))
     return (
         *_hg_sq(space, data),
-        _lp(space, zg_mag, 3) ** 3 + _lp(space, strain_norm(data.zg_eps), 3) ** 3,
+        _lp(space, zg_mag, 3) ** 3 + _lp(space, ezg, 3) ** 3,
         _lp(space, dzg_mag, 2) ** 2 + _lp(space, strain_norm(data.dzg_grads), 2) ** 2,
-        (_lp(space, dzg_mag, 3) ** 3 + _lp(space, strain_norm(data.dzg_eps), 3) ** 3)
-        ** (2 / 3),
+        (_lp(space, dzg_mag, 3) ** 3 + _lp(space, edzg, 3) ** 3) ** (2 / 3),
     )
 
 
@@ -142,7 +144,8 @@ def _data_functionals(system, times, rows, v0):
     params = system.params
     space = system.space
     keys = ("hg_l2l2_sq", "hg_tilde_l2l2_sq", "zg_l3w13_cu", "dzg_l2h1_sq", "dzg_l2w13_cu")
-    vals = _midpoint(times, lambda t: _lift_functionals(space, system.lift_data(t)[0]))
+    vals = _midpoint(times, lambda t: _lift_functionals(
+        space, compute_Hg_load(system.lifting, system.pumps, system.source, t)))
     data = {**v0, **dict(zip(keys, vals))}
     data["dzg_l2w13_cu"] **= 1.5
 

@@ -58,12 +58,6 @@ class PumpProfile:
         inside = (s >= 0) & (s <= self.mu)
         return np.where(inside, self._closure(np.clip(s, 0.0, self.mu)), 0.0)
 
-    def scalar_field(self, n_scalar):
-        """Nodal values scattered into a full scalar-DOF vector."""
-        out = np.zeros(n_scalar)
-        out[self.sdofs] = self.values
-        return out
-
 
 def _mollified_closure(mu, delta):
     scale = mu / (mu - delta)

@@ -138,9 +138,10 @@ class MixedSpace:
         invJT[:, 1, 0] = -J[:, 0, 1]
         invJT[:, 1, 1] = J[:, 0, 0]
         invJT /= det[:, None, None]
-        self.jac = J
-        # physical P2 gradients per cell and quadrature point: (nt, nq, 6, 2)
-        self.grad = np.einsum("cab,qlb->cqla", invJT, self.Nhat_grad)
+        # physical P2 gradients per cell and quadrature point, (nt, nq, 2, 6):
+        # [c, q, b, l] = d phi_l / d x_b, so that (nt, 2 nq, 6) is a free reshape
+        G = np.einsum("cab,qlb->cqla", invJT, self.Nhat_grad)
+        self.grad = np.ascontiguousarray(G.transpose(0, 1, 3, 2))
         # physical quadrature points (nt, nq, 2) and weights (nt, nq)
         self.qpoints = p[:, None, 0, :] + np.einsum(
             "cab,qb->cqa", J, self.rule.points
@@ -181,7 +182,11 @@ class MixedSpace:
     def _assemble(self):
         w = self.rule.weights
         a = self.areas
-        N, G, P1 = self.N, self.grad, self.P1
+        N, P1 = self.N, self.P1
+        # a copy in the (nt, nq, 6, 2) order keeps K_grad's einsum bit for bit:
+        # the Stokes eigenvalues form degenerate clusters, and a roundoff change
+        # of K_grad rotates the eigenvectors inside them
+        G = np.ascontiguousarray(self.grad.transpose(0, 1, 3, 2))
         dofs = self.cell_dofs
         ns, nu, npr = self.n_scalar, self.n_velocity, self.n_pressure
 
@@ -197,7 +202,6 @@ class MixedSpace:
         Ks_data = np.einsum("q,c,cqlb,cqmb->clm", w, a, G, G)
         Ks = self._coo(rows, cols, Ks_data, (ns, ns))
 
-        self.Ms = Ms
         self.M = sp.block_diag([Ms, Ms]).tocsr()
         self.K_grad = sp.block_diag([Ks, Ks]).tocsr()
 
@@ -231,7 +235,7 @@ class MixedSpace:
         """Cell matrices (nt, 12, 12) of int 2 w(x) eps(phi_i):eps(phi_j) over
         `cell_vdofs`, for quadrature-point weights w (nt, nq) or a scalar."""
         wq = (self.qweights * weight)[:, :, None]
-        gx, gy = self.grad[..., 0], self.grad[..., 1]  # (nt, nq, 6)
+        gx, gy = self.grad[:, :, 0], self.grad[:, :, 1]  # (nt, nq, 6)
         xx = (wq * gx).transpose(0, 2, 1) @ gx
         yy = (wq * gy).transpose(0, 2, 1) @ gy
         xy = (wq * gy).transpose(0, 2, 1) @ gx
@@ -305,12 +309,11 @@ class MixedSpace:
         """Velocity gradients at quadrature points -> (nt, nq, 2, 2), [a,b]=d u_a/d x_b."""
         ns = self.n_scalar
         nt, nq = self.mesh.num_cells, len(self.rule)
-        # grad (nt, nq, 6, 2) -> (nt, 6, nq*2) so the dof contraction is a matmul
-        G = self.grad.transpose(0, 2, 1, 3).reshape(nt, 6, nq * 2)
+        G = self.grad.reshape(nt, nq * 2, 6)
         out = np.empty((nt, nq, 2, 2))
         for comp in range(2):
             Uc = u[comp * ns + self.cell_dofs]
-            out[:, :, comp, :] = (Uc[:, None, :] @ G).reshape(nt, nq, 2)
+            out[:, :, comp, :] = (G @ Uc[..., None]).reshape(nt, nq, 2)
         return out
 
     def _scatter(self, contrib):
@@ -331,8 +334,7 @@ class MixedSpace:
         nt, nq = self.mesh.num_cells, len(self.rule)
         WS = self.qweights[:, :, None, None] * Svals
         A = WS.transpose(0, 2, 1, 3).reshape(nt, 2, nq * 2)
-        Bm = self.grad.transpose(0, 1, 3, 2).reshape(nt, nq * 2, 6)
-        return self._scatter(A @ Bm)
+        return self._scatter(A @ self.grad.reshape(nt, nq * 2, 6))
 
     def integrate(self, gvals):
         """Integrate scalar quadrature-point values (nt, nq) over the domain."""
@@ -381,7 +383,7 @@ class MixedSpace:
         """Strain tensors eps(u) at all quadrature points -> (nt, nq, 2, 2)."""
         return sym_grad(self.eval_grads(u))
 
-    # -- interpolation and point evaluation --------------------------------------
+    # -- interpolation -------------------------------------------------------------
 
     def interpolate(self, f):
         """Nodal interpolant of a callable f(x, y) -> (2,) or vectorized (n,2)."""
@@ -392,36 +394,6 @@ class MixedSpace:
         if vals.shape != (len(xy), 2):
             raise ValueError("interpoland must return one 2-vector per point")
         return np.concatenate([vals[:, 0], vals[:, 1]])
-
-    def locate(self, point):
-        """Index of a cell containing `point` (brute force; desk scale)."""
-        p = np.asarray(point, dtype=float)
-        v0 = self.mesh.vertices[self.mesh.cells[:, 0]]
-        rhs = p[None, :] - v0
-        J = self.jac
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        lam1 = (J[:, 1, 1] * rhs[:, 0] - J[:, 0, 1] * rhs[:, 1]) / det
-        lam2 = (-J[:, 1, 0] * rhs[:, 0] + J[:, 0, 0] * rhs[:, 1]) / det
-        ok = (lam1 >= -1e-12) & (lam2 >= -1e-12) & (lam1 + lam2 <= 1 + 1e-12)
-        idx = np.flatnonzero(ok)
-        if len(idx) == 0:
-            raise ValueError(f"point {point} lies outside the mesh")
-        return int(idx[0]), float(lam1[idx[0]]), float(lam2[idx[0]])
-
-    def grad_at(self, u, point):
-        """Velocity gradient at an arbitrary point -> (2, 2)."""
-        c, l1, l2 = self.locate(point)
-        ref = np.array([[l1, l2]])
-        ghat = _p2_grads(ref)[0]  # (6, 2)
-        p = self.mesh.vertices[self.mesh.cells[c]]
-        J = np.stack([p[1] - p[0], p[2] - p[0]], axis=-1)
-        invJT = np.linalg.inv(J).T
-        g = ghat @ invJT.T
-        ns = self.n_scalar
-        out = np.empty((2, 2))
-        for comp in range(2):
-            out[comp] = u[comp * ns + self.cell_dofs[c]] @ g
-        return out
 
     # -- misc ----------------------------------------------------------------------
 

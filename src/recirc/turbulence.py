@@ -36,12 +36,6 @@ class ClosureParams:
         return f"ClosureParams(nu={self.nu}, nu_tur={self.nu_tur})"
 
 
-def strain(space, v, point):
-    """Strain tensor eps(v) = sym grad v of a discrete field at a point."""
-    G = space.grad_at(v, point)
-    return 0.5 * (G + G.T)
-
-
 def sym_grad(grads):
     """Strain tables eps = sym grad from gradient tables (..., d, d)."""
     return 0.5 * (grads + np.swapaxes(grads, -1, -2))

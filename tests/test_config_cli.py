@@ -212,6 +212,7 @@ def test_cli_study_size_that_builds_nothing(tmp_path, kind, preset, extra):
 @pytest.mark.parametrize("kind, extra", [
     ("dt", ["--reference", "2"]),
     ("modes", ["--levels", "2,4,6", "--reference", "6"]),
+    ("mesh", ["--levels", "4,8"]),
 ])
 def test_cli_study_independent_of_threads(tmp_path, monkeypatch, kind, extra):
     path, _ = small_config(tmp_path)

@@ -158,18 +158,6 @@ def test_boundary_flux_vector(space8):
     assert abs(space8.flux_vector @ v) <= 1e-12
 
 
-def test_strain_at_point(space8):
-    from recirc.turbulence import strain
-
-    v = space8.interpolate(lambda x, y: np.column_stack([y, np.zeros_like(x)]))
-    E = strain(space8, v, (0.37, 0.61))
-    assert np.allclose(E, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
-    rot = space8.interpolate(lambda x, y: np.column_stack([-y, x]))
-    assert np.abs(strain(space8, rot, (0.4, 0.8))).max() <= 1e-12
-    vx = space8.interpolate(lambda x, y: np.column_stack([x, -y]))
-    assert np.allclose(strain(space8, vx, (0.21, 0.55)), np.diag([1.0, -1.0]), atol=1e-12)
-
-
 def _bordered_saddle(space, A_II):
     """Reference saddle matrix bordered by the dense pressure-mean row and
     column instead of a pinned pressure DOF."""
