@@ -25,7 +25,7 @@ from .galerkin import GalerkinState, ReducedSystem, Trajectory, initial_state
 from .lifting import LiftingBasis, build_lifting, solve_stokes_lift
 from .mesh import TaggedMesh, build_rect_mesh, tag_boundary
 from .mms import ManufacturedSolution
-from .monitors import ContractionReport, EnergyLedger, contraction, hg_norms, ledger
+from .monitors import ContractionReport, EnergyLedger, contraction, ledger
 from .pumps import PumpProfile, PumpSet, Schedule, build_profile, build_psi
 from .space import MixedSpace
 from .turbulence import ClosureParams, apply_A, beta, convect, potential_D

@@ -25,29 +25,24 @@ class LiftingBasis:
     def __init__(self, space, nu, zetas, pressures, residuals):
         self.space = space
         self.nu = nu
-        self.zetas = np.asarray(zetas)          # (K, n_velocity)
-        self.pressures = np.asarray(pressures)  # (K, n_pressure)
+        # every table has a leading pump axis of length K, K = 0 included
+        K, nt, nq = len(zetas), space.mesh.num_cells, len(space.rule)
+        self.zetas = np.array(zetas, dtype=float).reshape(K, space.n_velocity)
+        self.pressures = np.array(pressures, dtype=float).reshape(K, space.n_pressure)
         self.residuals = np.asarray(residuals)
         # quadrature-point tabulations for fast combination in the rhs path
-        self.vals = np.stack([space.eval_values(z) for z in self.zetas]) \
-            if len(self.zetas) else np.zeros((0, space.mesh.num_cells, len(space.rule), 2))
-        self.grads = np.stack([space.eval_grads(z) for z in self.zetas]) \
-            if len(self.zetas) else np.zeros((0, space.mesh.num_cells, len(space.rule), 2, 2))
+        self.vals = np.array([space.eval_values(z) for z in self.zetas]).reshape(K, nt, nq, 2)
+        self.grads = np.array([space.eval_grads(z) for z in self.zetas]).reshape(K, nt, nq, 2, 2)
 
     def __len__(self):
         return len(self.zetas)
 
     def combine(self, weights):
         """Coefficient-level combination sum_k w_k zeta_k."""
-        if len(self) == 0:
-            return np.zeros(self.space.n_velocity)
         return weights @ self.zetas
 
     def combine_qpt(self, weights):
         """(values, gradients) of sum_k w_k zeta_k at quadrature points."""
-        if len(self) == 0:
-            nt, nq = self.space.mesh.num_cells, len(self.space.rule)
-            return np.zeros((nt, nq, 2)), np.zeros((nt, nq, 2, 2))
         v = np.einsum("k,kcqa->cqa", weights, self.vals)
         g = np.einsum("k,kcqab->cqab", weights, self.grads)
         return v, g
@@ -115,16 +110,16 @@ class LiftData:
 
     Quadrature-point tables (nt, nq, ...) of zeta_g(t) and d zeta_g/dt(t)
     (values and gradients), the source F, H~_g = F - d zeta_g/dt,
-    the lift convection (grad zeta_g) zeta_g, H_g = H~_g - (grad zeta_g) zeta_g,
-    and the dual vector load_i = (H_g, phi_i).
+    the lift convection (grad zeta_g) zeta_g and H_g = H~_g - (grad zeta_g) zeta_g.
+    The dual vector load_i = (H_g, phi_i) is assembled only when read.
     """
 
-    __slots__ = ("g", "gdot", "source_vals", "zg_vals", "zg_grads", "dzg_vals",
-                 "dzg_grads", "h_tilde", "zg_conv", "h", "load")
+    __slots__ = ("space", "g", "gdot", "source_vals", "zg_vals", "zg_grads", "dzg_vals",
+                 "dzg_grads", "h_tilde", "zg_conv", "h")
 
     def __init__(self, lb, pumps, source, t):
-        space = lb.space
-        self.g, self.gdot = pumps.rates(t) if len(pumps) else (np.zeros(0), np.zeros(0))
+        self.space = space = lb.space
+        self.g, self.gdot = pumps.rates(t)
         self.zg_vals, self.zg_grads = lb.combine_qpt(self.g)
         self.dzg_vals, self.dzg_grads = lb.combine_qpt(self.gdot)
         self.zg_conv = convective_qpt(self.zg_vals, self.zg_grads)
@@ -135,9 +130,12 @@ class LiftData:
             self.source_vals = np.asarray(F).reshape(xy.shape)
         self.h_tilde = self.source_vals - self.dzg_vals
         self.h = self.h_tilde - self.zg_conv
+
+    @property
+    def load(self):
         # one quadrature of H_g: exact for the d zeta_g/dt part, a P2 field
         # whose pairing with P2 tests (degree 4) is within the rule's degree
-        self.load = space.load_vector(self.h)
+        return self.space.load_vector(self.h)
 
 
 def compute_Hg_load(lb, pumps, source, t):

@@ -82,7 +82,7 @@ def ledger(system, traj):
         if i > 0:
             dt = times[i] - times[i - 1]
             dz = (traj.states[i] - traj.states[i - 1]) / dt
-            rows["dzdt_l2_sq"][i] = space.norm(system.basis.expand(dz), "L2") ** 2
+            rows["dzdt_l2_sq"][i] = dz @ dz  # the basis is L2-orthonormal
 
     rows["int_eps_z_l2_sq"] = _running_trapezoid(times, eps_z_sq)
     rows["int_eps_w_l3_cu"] = _running_trapezoid(times, eps_w_cu)
@@ -109,12 +109,6 @@ def _trapezoid(times, vals):
 def _hg_sq(space, data):
     """(||H_g||^2, ||H~_g||^2) in L2 from the tables of one LiftData."""
     return tuple(space.integrate((f * f).sum(axis=-1)) for f in (data.h, data.h_tilde))
-
-
-def hg_l2_sq(system, t):
-    """(||H_g(t)||^2, ||H~_g(t)||^2) in L2, with H~_g = F - d zeta_g/dt and
-    H_g = H~_g - (grad zeta_g) zeta_g."""
-    return _hg_sq(system.space, compute_Hg_load(system.lifting, system.pumps, system.source, t))
 
 
 def _midpoint(times, f):
@@ -228,7 +222,7 @@ def contraction(system, traj1, traj2, denom_floor=1e-14):
     space = system.space
     for i, t in enumerate(times):
         dz = traj1.states[i] - traj2.states[i]
-        diff_sq[i] = space.norm(system.basis.expand(dz), "L2") ** 2
+        diff_sq[i] = dz @ dz  # the basis is L2-orthonormal
         v1 = system.velocity(traj1.states[i], t)
         w8[i] = space.norm(v1, "L4") ** 8
 
@@ -243,8 +237,3 @@ def contraction(system, traj1, traj2, denom_floor=1e-14):
     fitted = max(raw, 0.0)
     return ContractionReport(times, diff_sq, w8, fitted, raw, identical)
 
-
-def hg_norms(system, times):
-    """Time-quadrature data functionals of H_g and H~_g on a given grid."""
-    hg, hg_tilde = _midpoint(np.asarray(times, dtype=float), lambda t: hg_l2_sq(system, t))
-    return {"hg_l2l2_sq": hg, "hg_tilde_l2l2_sq": hg_tilde}

@@ -221,12 +221,7 @@ class MixedSpace:
         )
         self.B = B.tocsr()
 
-        # pressure mass (for pressure norms) and the zero-mean gauge vector
-        prow_p = np.repeat(pdofs, 3, axis=1)
-        pcol_p = np.tile(pdofs, (1, 3))
-        Mp_ref = np.einsum("q,qi,qj->ij", w, P1, P1)
-        Mp_data = a[:, None, None] * Mp_ref[None, :, :]
-        self.Mp = self._coo(prow_p, pcol_p, Mp_data, (npr, npr))
+        # the zero-mean gauge vector: each vertex carries a third of its cells' area
         mvec = np.zeros(npr)
         np.add.at(mvec, pdofs.ravel(), np.repeat(a / 3.0, 3))
         self.pressure_integral = mvec

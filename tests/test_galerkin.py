@@ -222,20 +222,36 @@ def test_step_error_carries_partial_trajectory(plain16):
 
 
 def test_picard_step_convection_load_count(preset16, monkeypatch):
-    # one load per state, before the loop and per iterate (the defect's pairing
-    # serves the next iterate), plus the lift's self-convection at the new time
+    # one state pairing and one strain kernel per iterate, z_old included (the
+    # linearization's residual judges the iterate it was built at), plus the
+    # lift's self-convection at the new time; no closure-load call
     import recirc.galerkin as galerkin
 
-    calls = []
-    load = galerkin.convection_load
+    calls = {"convection": 0, "smagorinsky": 0, "strain": 0}
 
-    def counted(*args):
-        calls.append(1)
-        return load(*args)
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
 
-    monkeypatch.setattr(galerkin, "convection_load", counted)
+    monkeypatch.setattr(galerkin, "convection_load",
+                        counted("convection", galerkin.convection_load))
+    monkeypatch.setattr(galerkin, "smagorinsky_load",
+                        counted("smagorinsky", galerkin.smagorinsky_load))
     scn = preset16
-    state = GalerkinState(0.2, 0.01 * np.ones(scn.basis.size))
-    _, diag = scn.system.step(state, 0.01)
-    assert diag["iterations"] >= 2
-    assert len(calls) == diag["iterations"] + 2
+    space = scn.system.space
+    monkeypatch.setattr(space, "weighted_strain_stiffness",
+                        counted("strain", space.weighted_strain_stiffness))
+    dt = 0.01
+    for t, tol in ((0.2, 1e-10), (0.3, 1e-6)):  # a new time each, so lift data are formed
+        calls.update(convection=0, smagorinsky=0, strain=0)
+        state = GalerkinState(t, 0.01 * np.ones(scn.basis.size))
+        new, diag = scn.system.step(state, dt, tol=tol)
+        assert diag["iterations"] >= 2
+        assert calls["convection"] == diag["iterations"] + 2
+        assert calls["smagorinsky"] == 0
+        assert calls["strain"] == diag["iterations"] + 1
+        # the linearization's own residual is the true fixed-point defect
+        defect = new.z - state.z - dt * scn.system.rhs(new.z, new.t)
+        assert abs(diag["residual"] - np.linalg.norm(defect)) <= 1e-15

@@ -3,9 +3,9 @@ import pytest
 
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.galerkin import GalerkinState, ReducedSystem
-from recirc.lifting import build_lifting
+from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
-from recirc.monitors import EnergyLedger, contraction, hg_l2_sq, hg_norms, ledger
+from recirc.monitors import EnergyLedger, _hg_sq, _midpoint, contraction, ledger
 from recirc.pumps import PumpSet
 from recirc.space import MixedSpace
 from recirc.turbulence import ClosureParams
@@ -68,6 +68,7 @@ def test_identical_runs_flagged(quiet12):
     traj = quiet12.integrate(GalerkinState(0.0, z0.copy()), T=0.1, dt=0.02)
     rep = contraction(quiet12, traj, traj)
     assert rep.identical
+    assert np.all(rep.diff_sq == 0.0)
     assert rep.fitted_C2 == 0.0
     assert rep.bound_holds(rep.fitted_C2)
 
@@ -81,6 +82,11 @@ def test_zero_data_difference_nonincreasing(quiet12):
         tol=1e-12,
     )
     rep = contraction(quiet12, t1, t2)
+    # the modal |dz|^2 is the mesh L2 norm of the expanded difference
+    for i in (0, 5, 10):
+        dz = quiet12.basis.expand(t1.states[i] - t2.states[i])
+        ref = quiet12.space.norm(dz, "L2") ** 2
+        assert abs(rep.diff_sq[i] - ref) <= 1e-12 * ref
     assert np.all(np.diff(rep.diff_sq) <= 1e-16)
     assert rep.adjusted()[0] >= rep.adjusted()[-1] - 1e-20
     # adjusted norm is non-increasing under the fitted constant
@@ -97,9 +103,14 @@ def test_contraction_grid_mismatch_rejected(quiet12):
 
 
 def test_hg_norms_zero_case(quiet12):
-    vals = hg_norms(quiet12, np.linspace(0, 1, 11))
-    assert vals["hg_l2l2_sq"] == 0.0
-    assert vals["hg_tilde_l2l2_sq"] == 0.0
+    traj = quiet12.integrate(GalerkinState(0.0, np.zeros(10)), T=1.0, dt=0.1)
+    data = ledger(quiet12, traj).data
+    assert data["hg_l2l2_sq"] == 0.0
+    assert data["hg_tilde_l2l2_sq"] == 0.0
+
+
+def _hg_norms(sys_, t):
+    return _hg_sq(sys_.space, compute_Hg_load(sys_.lifting, sys_.pumps, sys_.source, t))
 
 
 def test_hg_tilde_equals_lift_rate_norm(preset16):
@@ -109,16 +120,16 @@ def test_hg_tilde_equals_lift_rate_norm(preset16):
     for t in (0.1, 0.5):
         _, dzg = sys_.lift_fields(t)
         snorm = space.norm(dzg, "L2") ** 2
-        _, val = hg_l2_sq(sys_, t)
+        _, val = _hg_norms(sys_, t)
         assert abs(val - snorm) <= 1e-10 * max(1.0, snorm)
 
 
 def test_hg_norms_refined_grid_agreement(preset16):
     sys_ = preset16.system
-    coarse = hg_norms(sys_, np.linspace(0, 1, 51))
-    fine = hg_norms(sys_, np.linspace(0, 1, 101))
-    for key in coarse:
-        assert abs(coarse[key] - fine[key]) <= 0.01 * max(1e-30, abs(fine[key])), key
+    coarse = _midpoint(np.linspace(0, 1, 51), lambda t: _hg_norms(sys_, t))
+    fine = _midpoint(np.linspace(0, 1, 101), lambda t: _hg_norms(sys_, t))
+    for c, f in zip(coarse, fine):
+        assert abs(c - f) <= 0.01 * max(1e-30, abs(f))
 
 
 def test_adjusted_norm_monotone_under_fitted_constant(preset16):
