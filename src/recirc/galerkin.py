@@ -1,22 +1,32 @@
 """Reduced time integration on the Stokes eigenbasis.
 
-The homogenized unknown z(t) evolves by dz/dt = F(z, t) with components
+The homogenized unknown z(t) evolves by dz/dt = F(z, t). On the fixed basis
+U = [zeta_1..zeta_K | xi_1..xi_N] of lifts and modes, with y = [g(t); z],
+the velocity is w = zeta_g + z = sum_a y_a u_a, and
 
-    F_k = (H_g, xi_k) + c(zeta_g; zeta_g, xi_k)
-          - [ c(w; w, xi_k) + 2 nu (eps(z), eps(xi_k))
-              + 2 nu_tur (|eps(w)| eps(w), eps(xi_k)) ],   w = zeta_g + z,
+    F_k = (H_g, xi_k) - sum_ab C[k, a, b] y_a y_b
+          - [ 2 nu (eps(z), eps(xi_k)) + 2 nu_tur (|eps(w)| eps(w), eps(xi_k)) ],
 
-where c is the skew-symmetrized convection form. Since c is bilinear,
-c(w; w, .) - c(zeta_g; zeta_g, .) = c(z; zeta_g + z, .) + c(zeta_g; z, .),
-so each state pairs the whole velocity once and the lift's self-convection
-is paired once per time. For z small against zeta_g the two pairings
-cancel, to the roundoff of c(zeta_g; zeta_g, .). Because the basis is
-L2-orthonormal the mass matrix is the identity and pairings are the
-coefficient derivatives directly. Implicit Euler solves each step with a
-damped Picard iteration z <- z - omega A(z)^{-1} d(z). Each iterate builds
-one linearization A z = b whose matrix carries the full strain-weighted
-stiffness with |eps(w)| frozen at that iterate. That stiffness is projected
-onto U = [xi_1..xi_N | zeta_g] cell by cell
+where C[k, a, b] = c(u_a; u_b, xi_k) is the skew-symmetrized convection form
+with its lift-lift block (a, b < K) set to zero, so that the contraction is
+c(w; w, xi_k) - c(zeta_g; zeta_g, xi_k); the lift's own convection enters
+through H_g = F - d zeta_g/dt - (grad zeta_g) zeta_g. The mode-mode block of
+C is antisymmetric in (k, b), so the self-pairing c(w; z, z) vanishes to
+roundoff for every w. Because the basis is L2-orthonormal the mass matrix is
+the identity and pairings are the coefficient derivatives directly.
+
+Convection is quadratic in y, so it is split offline/online. Once per basis
+the constructor forms T[a, y, z] = int ((u_a . grad) u_y) . u_z
+(`MixedSpace.convection_tensor`), keeps C, R[k, p, q] = ((grad zeta_q)
+zeta_p, xi_k) and P[k, p] = (zeta_p, xi_k), and checks C against one
+quadrature pairing. Online, a time costs (H_g, xi_k) = (F, xi_k) - P gdot -
+(R g) g, with a quadrature only for a source F, and a state costs (C y) y,
+N (K + N)^2 multiply-adds. The Smagorinsky closure is the only term that
+still reads the mesh. Implicit Euler solves each step with a damped Picard
+iteration z <- z - omega A(z)^{-1} d(z). Each iterate builds one
+linearization A z = b whose matrix carries the full strain-weighted
+stiffness with |eps(w)| frozen at that iterate, convection lagged there.
+That stiffness is projected onto [xi_1..xi_N | zeta_g] cell by cell
 (`MixedSpace.weighted_strain_stiffness`), which gives the modal matrix and
 the lift coupling in one call without assembling a mesh-sized matrix.
 Applied to the iterate it was frozen at, it is the closure load there, so
@@ -27,14 +37,15 @@ time is v = zeta_g(t) + sum_k z_k xi_k.
 
 Quadrature-point data come in two bundles, read by the right-hand side, the
 steppers and the energy ledger alike: `lifting.LiftData` (everything that
-depends on t alone, formed by `compute_Hg_load`; the steppers read it with
-its modal load through the one-entry cache of `lift_data`) and
-`StateFields` (z and w = zeta_g + z, formed once per state).
+depends on t alone, formed by `compute_Hg_load`; the steppers read g, gdot
+and the gradients of zeta_g from it, with the modal (H_g, xi_k), through the
+one-entry cache of `lift_data`) and `StateFields` (the closure's fields of
+one state).
 """
 
 import numpy as np
 
-from .errors import StepError
+from .errors import SolverError, StepError
 from .lifting import compute_Hg_load
 from .turbulence import convection_load, smagorinsky_load, strain_norm, sym_grad
 
@@ -51,15 +62,15 @@ class GalerkinState:
 
 class StateFields:
     """Quadrature-point tables (nt, nq, ...) of one state: values and
-    gradients of z and of w = zeta_g + z, eps(w) and |eps(w)|. The steppers
-    never read eps(z), so its readers form it from z_grads."""
+    gradients of z, gradients of w = zeta_g + z, eps(w) and |eps(w)|. The
+    steppers read only eps(w) and |eps(w)|; the ledger forms eps(z) from
+    z_grads."""
 
-    __slots__ = ("z_vals", "z_grads", "w_vals", "w_grads", "w_eps", "w_eps_mag")
+    __slots__ = ("z_vals", "z_grads", "w_grads", "w_eps", "w_eps_mag")
 
     def __init__(self, space, zf, data):
         self.z_vals = space.eval_values(zf)
         self.z_grads = space.eval_grads(zf)
-        self.w_vals = data.zg_vals + self.z_vals
         self.w_grads = data.zg_grads + self.z_grads
         self.w_eps = sym_grad(self.w_grads)
         self.w_eps_mag = strain_norm(self.w_eps)
@@ -108,25 +119,55 @@ class ReducedSystem:
         self.params = params
         self.source = source
         V = basis.fields
+        Z = lifting.zetas.T
+        K = len(lifting)
         self.visc = params.nu * (V.T @ (space.K_eps @ V))  # 2 nu (eps(xi_j), eps(xi_k))
+        W = np.column_stack([Z, V])
+        T = space.convection_tensor(W)  # [a, y, z] = ((u_a . grad) u_y, u_z)
+        # C[k, a, b] = c(u_a; u_b, xi_k) = (T[a, b, K+k] - T[a, K+k, b]) / 2
+        C = 0.5 * (T[:, :, K:] - T[:, K:, :].transpose(0, 2, 1))
+        self.C = np.ascontiguousarray(C.transpose(2, 0, 1))
+        self._check_convection(W)
+        self.C[:, :K, :K] = 0.0  # the lift's self-convection is carried by H_g
+        self.R = np.ascontiguousarray(T[:K, :K, K:].transpose(2, 0, 1))  # ((grad zeta_q) zeta_p, xi_k)
+        self.P = V.T @ (space.M @ Z)  # (zeta_p, xi_k)
         self._t_cache = None
+
+    def _check_convection(self, W):
+        """The full contraction at y = 1 against one quadrature pairing of
+        c(w; w, xi_k), w = W 1. Raises SolverError when they differ by more
+        than 1e-10 times the largest sum_i |xi_k,i L_i| over the dual vector L
+        of c(w; w, .), the size of the terms the pairing sums (a pairing can
+        vanish by symmetry)."""
+        y = np.ones(W.shape[1])
+        w = W @ y
+        vals, grads = self.space.eval_values(w), self.space.eval_grads(w)
+        load = convection_load(self.space, vals, vals, grads)
+        V = self.basis.fields
+        gap = float(np.abs((self.C @ y) @ y - V.T @ load).max())
+        scale = float((np.abs(V).T @ np.abs(load)).max())
+        if not gap <= 1e-10 * scale:
+            raise SolverError(
+                f"modal convection tensor is off its quadrature pairing by {gap:.3e} "
+                f"(term scale {scale:.3e}, tolerance 1e-10 relative)"
+            )
 
     # -- lift data per time (one-entry cache) and fields per state ------------
 
     def lift_data(self, t):
-        """(LiftData at t, modal pairings (H_g(t), xi_k) + c(zeta_g; zeta_g, xi_k)).
+        """(LiftData at t, modal pairings (H_g(t), xi_k)).
 
-        The one-entry cache is read into a local before it is checked, so
-        threads sharing this system never see another time's data.
+        (H_g, xi_k) = (F, xi_k) - P gdot - (R g) g: only a source needs a
+        quadrature. The one-entry cache is read into a local before it is
+        checked, so threads sharing this system never see another time's data.
         """
         cache = self._t_cache
         if cache is None or cache[0] != t:
             data = compute_Hg_load(self.lifting, self.pumps, self.source, t)
-            load = data.load
-            if len(self.pumps):
-                load = load + convection_load(self.space, data.zg_vals, data.zg_vals,
-                                              data.zg_grads)
-            cache = self._t_cache = (t, data, self.basis.fields.T @ load)
+            hg = -(self.P @ data.gdot) - (self.R @ data.g) @ data.g
+            if self.source is not None:
+                hg = hg + self.basis.fields.T @ self.space.load_vector(data.source_vals)
+            cache = self._t_cache = (t, data, hg)
         return cache[1], cache[2]
 
     def lift_fields(self, t):
@@ -145,23 +186,23 @@ class ReducedSystem:
 
     # -- right-hand side -------------------------------------------------------
 
-    def _conv_modal(self, f):
-        """Modal pairings of c(w; w, .), w = zeta_g + z; `lift_data` adds back
-        the lift's self-convection c(zeta_g; zeta_g, .)."""
-        return self.basis.fields.T @ convection_load(self.space, f.w_vals, f.w_vals, f.w_grads)
+    def _conv_modal(self, z, data):
+        """Modal pairings c(w; w, xi_k) - c(zeta_g; zeta_g, xi_k), w = zeta_g + z."""
+        y = np.concatenate([data.g, z])
+        return (self.C @ y) @ y
 
-    def _smag_modal(self, f):
-        """Modal pairings of the Smagorinsky stress at the current fields."""
+    def _smag_modal(self, z, data):
+        """Modal pairings of the Smagorinsky stress at w = zeta_g + z."""
         if self.params.nu_tur == 0:
             return np.zeros(self.basis.size)
+        f = self.state_fields(z, data)
         load = smagorinsky_load(self.space, f.w_eps, self.params, eps_mag=f.w_eps_mag)
         return self.basis.fields.T @ load
 
     def rhs(self, z, t):
         """dz/dt at (z, t)."""
         data, hg = self.lift_data(t)
-        f = self.state_fields(z, data)
-        return hg - self.visc @ z - (self._conv_modal(f) + self._smag_modal(f))
+        return hg - self.visc @ z - (self._conv_modal(z, data) + self._smag_modal(z, data))
 
     # -- steppers ----------------------------------------------------------------
 
@@ -192,15 +233,15 @@ class ReducedSystem:
         prev_res = None
         omega = 1.0
         for it in range(max_iter + 1):
-            f = self.state_fields(z, data)
             if nu_tur > 0:
+                f = self.state_fields(z, data)
                 SU = self.space.weighted_strain_stiffness(nu_tur * f.w_eps_mag, U)
                 S, lift_load = SU[:N, :N], SU[:N, N]
             else:
                 S = 0.0
                 lift_load = 0.0
             A = np.eye(N) + dt * (self.visc + S)
-            b = z_old + dt * (hg - self._conv_modal(f) - lift_load)
+            b = z_old + dt * (hg - self._conv_modal(z, data) - lift_load)
             res = float(np.linalg.norm(A @ z - b))
             if res <= tol:
                 return GalerkinState(t_new, z), {"iterations": it, "residual": res}

@@ -110,35 +110,30 @@ class LiftData:
 
     Quadrature-point tables (nt, nq, ...) of zeta_g(t) and d zeta_g/dt(t)
     (values and gradients), the source F, H~_g = F - d zeta_g/dt,
-    the lift convection (grad zeta_g) zeta_g and H_g = H~_g - (grad zeta_g) zeta_g.
-    The dual vector load_i = (H_g, phi_i) is assembled only when read.
+    the lift convection (grad zeta_g) zeta_g and H_g = H~_g - (grad zeta_g) zeta_g,
+    with the rates g(t) and gdot(t) they combine. Its dual vector
+    (H_g, phi_i) is `space.load_vector(h)`; the reduced system pairs H_g
+    with its modes from offline tables and reads only the source's table.
     """
 
-    __slots__ = ("space", "g", "gdot", "source_vals", "zg_vals", "zg_grads", "dzg_vals",
+    __slots__ = ("g", "gdot", "source_vals", "zg_vals", "zg_grads", "dzg_vals",
                  "dzg_grads", "h_tilde", "zg_conv", "h")
 
     def __init__(self, lb, pumps, source, t):
-        self.space = space = lb.space
         self.g, self.gdot = pumps.rates(t)
         self.zg_vals, self.zg_grads = lb.combine_qpt(self.g)
         self.dzg_vals, self.dzg_grads = lb.combine_qpt(self.gdot)
         self.zg_conv = convective_qpt(self.zg_vals, self.zg_grads)
         self.source_vals = np.zeros_like(self.zg_vals)
         if source is not None:
-            xy = space.qpoints
+            xy = lb.space.qpoints
             F = source(xy[..., 0].ravel(), xy[..., 1].ravel(), t)
             self.source_vals = np.asarray(F).reshape(xy.shape)
         self.h_tilde = self.source_vals - self.dzg_vals
         self.h = self.h_tilde - self.zg_conv
 
-    @property
-    def load(self):
-        # one quadrature of H_g: exact for the d zeta_g/dt part, a P2 field
-        # whose pairing with P2 tests (degree 4) is within the rule's degree
-        return self.space.load_vector(self.h)
-
 
 def compute_Hg_load(lb, pumps, source, t):
-    """LiftData at t; its `load` is L_i = (H_g(t), phi_i) with
-    H_g = F - d zeta_g/dt - grad zeta_g zeta_g."""
+    """LiftData at t: the quadrature-point tables of
+    H_g = F - d zeta_g/dt - grad zeta_g zeta_g and of its parts."""
     return LiftData(lb, pumps, source, t)

@@ -37,8 +37,17 @@ class ClosureParams:
 
 
 def sym_grad(grads):
-    """Strain tables eps = sym grad from gradient tables (..., d, d)."""
-    return 0.5 * (grads + np.swapaxes(grads, -1, -2))
+    """Strain tables eps = sym grad from gradient tables (..., 2, 2).
+
+    Bit for bit 0.5 (G + G^T): the diagonal is kept, since 0.5 (x + x) = x
+    exactly, and the off-diagonal mean is formed once, without a transposed
+    sum over the strided 2x2 axes.
+    """
+    eps = grads.copy()
+    off = 0.5 * (grads[..., 0, 1] + grads[..., 1, 0])
+    eps[..., 0, 1] = off
+    eps[..., 1, 0] = off
+    return eps
 
 
 def strain_norm(eps):

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from recirc.eigenbasis import solve_stokes_eigen
-from recirc.errors import StepError
+from recirc.errors import SolverError, StepError
 from recirc.galerkin import GalerkinState, ReducedSystem, initial_state
 from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
@@ -105,7 +105,7 @@ def test_rhs_consistency_with_independent_assembly(preset16):
         zg, _ = sys_.lift_fields(t)
         zf = basis.expand(z)
         w = zg + zf
-        hg = compute_Hg_load(scn.lifting, scn.pumps, None, t).load @ basis.fields
+        hg = space.load_vector(compute_Hg_load(scn.lifting, scn.pumps, None, t).h) @ basis.fields
         conv = convect(space, zf, w, basis.fields) + convect(space, zg, zf, basis.fields)
         a_all = apply_A(space, zf, zg, scn.params, basis.fields)
         visc_zg = (scn.params.nu * (space.K_eps @ zg)) @ basis.fields
@@ -128,12 +128,11 @@ def test_step_rejects_bad_dt(plain16):
         sys_.step(GalerkinState(0.0, np.zeros(12)), 0.1, scheme="leapfrog")
 
 
-def test_implicit_euler_matches_exponential_in_linear_regime(plain16, monkeypatch):
+def test_implicit_euler_matches_exponential_in_linear_regime(plain16):
     # closed-form oracle: dz/dt = -nu E z  =>  z(t) = expm(-nu E t) z0
     space, basis, _, _ = plain16
-    monkeypatch.setattr("recirc.galerkin.convection_load",
-                        lambda space, *fields: np.zeros(space.n_velocity))
     sys_ = make_system(plain16, nu=0.05, nu_tur=0.0)
+    sys_.C[:] = 0.0  # convection off
     E = 0.05 * (basis.fields.T @ (space.K_eps @ basis.fields))
     z0 = np.ones(12) / np.sqrt(12)
     T = 0.1
@@ -222,9 +221,10 @@ def test_step_error_carries_partial_trajectory(plain16):
 
 
 def test_picard_step_convection_load_count(preset16, monkeypatch):
-    # one state pairing and one strain kernel per iterate, z_old included (the
-    # linearization's residual judges the iterate it was built at), plus the
-    # lift's self-convection at the new time; no closure-load call
+    # one strain kernel per iterate, z_old included (the linearization's
+    # residual judges the iterate it was built at); convection is the modal
+    # contraction and H_g comes from offline tables, so no convection pairing
+    # on the mesh and no closure-load call
     import recirc.galerkin as galerkin
 
     calls = {"convection": 0, "smagorinsky": 0, "strain": 0}
@@ -249,9 +249,81 @@ def test_picard_step_convection_load_count(preset16, monkeypatch):
         state = GalerkinState(t, 0.01 * np.ones(scn.basis.size))
         new, diag = scn.system.step(state, dt, tol=tol)
         assert diag["iterations"] >= 2
-        assert calls["convection"] == diag["iterations"] + 2
+        assert calls["convection"] == 0
         assert calls["smagorinsky"] == 0
         assert calls["strain"] == diag["iterations"] + 1
         # the linearization's own residual is the true fixed-point defect
         defect = new.z - state.z - dt * scn.system.rhs(new.z, new.t)
         assert abs(diag["residual"] - np.linalg.norm(defect)) <= 1e-15
+
+
+def _conv_oracle(space, basis, zg, z):
+    """c(w; w, xi_k) - c(zeta_g; zeta_g, xi_k), w = zeta_g + z, by quadrature."""
+    zf = basis.expand(z)
+    return convect(space, zf, zg + zf, basis.fields) + convect(space, zg, zf, basis.fields)
+
+
+@pytest.mark.parametrize("case", ["preset16", "plain16"])
+def test_convection_contraction_matches_quadrature(case, request):
+    if case == "preset16":
+        scn = request.getfixturevalue("preset16")
+        sys_ = scn.system
+    else:
+        sys_ = make_system(request.getfixturevalue("plain16"))
+    space, basis = sys_.space, sys_.basis
+    rng = np.random.default_rng(31)
+    for scale in [0.3] * 4 + [0.0, 1e-8]:
+        z = scale * rng.standard_normal(basis.size)
+        t = float(rng.uniform(0.05, 1.0))
+        data, _ = sys_.lift_data(t)
+        zg, _ = sys_.lift_fields(t)
+        got = sys_._conv_modal(z, data)
+        oracle = _conv_oracle(space, basis, zg, z)
+        assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_convection_tensor_skew_self_pairing(preset16):
+    # c(u_a; z, z) = 0 for every a: the mode-mode block is antisymmetric in (k, b)
+    sys_ = preset16.system
+    K = len(sys_.lifting)
+    Cmm = sys_.C[:, :, K:]
+    assert np.array_equal(Cmm, -Cmm.transpose(2, 1, 0))
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        z = rng.standard_normal(sys_.basis.size)
+        pair = np.einsum("k,kab,b->a", z, Cmm, z)
+        terms = np.einsum("k,kab,b->a", np.abs(z), np.abs(Cmm), np.abs(z))
+        assert np.all(np.abs(pair) <= 1e-14 * terms.max())
+    assert np.abs(sys_.C[:, :K, :K]).max(initial=0.0) == 0.0
+
+
+def test_lift_data_modal_hg_matches_quadrature(preset16):
+    # inside the ramp (gdot != 0) and with a source: only the source is paired
+    # by quadrature, the rest comes from the offline tables
+    scn = preset16
+
+    def F(x, y, t):
+        return np.column_stack([np.sin(3 * x) * y, x - t * y**2])
+
+    sys_ = ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, scn.params, source=F)
+    t = 0.1
+    data, hg = sys_.lift_data(t)
+    assert np.abs(data.gdot).max() > 0.0
+    oracle = scn.basis.fields.T @ scn.space.load_vector(
+        compute_Hg_load(scn.lifting, scn.pumps, F, t).h)
+    assert np.abs(hg - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_perturbed_convection_tensor_rejected(preset16, monkeypatch):
+    scn = preset16
+    space = scn.space
+    exact = space.convection_tensor
+    rng = np.random.default_rng(33)
+
+    def perturbed(W):
+        T = exact(W)
+        return T + 1e-6 * np.abs(T).max() * rng.standard_normal(T.shape)
+
+    monkeypatch.setattr(space, "convection_tensor", perturbed)
+    with pytest.raises(SolverError, match="convection tensor"):
+        ReducedSystem(space, scn.basis, scn.lifting, scn.pumps, scn.params)

@@ -200,7 +200,7 @@ def test_hg_equals_source_without_pumps():
     def F(x, y, t):
         return np.column_stack([x * y, x - y])  # in the P2 space exactly
 
-    load = compute_Hg_load(lb, PumpSet([]), F, 0.3).load
+    load = space.load_vector(compute_Hg_load(lb, PumpSet([]), F, 0.3).h)
     expect = space.M @ space.interpolate(lambda x, y: F(x, y, 0.3))
     assert np.abs(load - expect).max() <= 1e-10 * np.abs(expect).max()
 
@@ -210,7 +210,7 @@ def test_hg_pure_convection_after_ramp():
     pumps = one_pump(space)  # flat schedule after t = 0.5
     lb = build_lifting(space, pumps, nu=0.01)
     t = 0.75
-    load = compute_Hg_load(lb, pumps, None, t).load
+    load = space.load_vector(compute_Hg_load(lb, pumps, None, t).h)
     g, gdot = pumps.rates(t)
     assert gdot[0] == 0.0
     from recirc.lifting import convective_qpt
@@ -231,7 +231,7 @@ def test_hg_load_matches_three_term_formula_during_ramp():
     def F(x, y, t):
         return np.column_stack([np.sin(3 * x) * y, x - t * y**2])
 
-    load = compute_Hg_load(lb, pumps, F, t).load
+    load = space.load_vector(compute_Hg_load(lb, pumps, F, t).h)
     g, gdot = pumps.rates(t)
     assert gdot[0] != 0.0
     from recirc.lifting import convective_qpt
@@ -251,7 +251,7 @@ def test_hg_pairing_matches_refined_quadrature():
     pumps = one_pump(space)
     lb = build_lifting(space, pumps, nu=0.01)
     t = 0.75
-    load = compute_Hg_load(lb, pumps, None, t).load
+    load = space.load_vector(compute_Hg_load(lb, pumps, None, t).h)
 
     # independent oracle: assemble (H_g, xi) with a degree-10 collapsed rule
     rule = duffy_rule(6)

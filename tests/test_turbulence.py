@@ -12,6 +12,7 @@ from recirc.turbulence import (
     potential_D,
     strain_norm,
     stress,
+    sym_grad,
 )
 
 
@@ -215,3 +216,11 @@ def test_params_validation():
         ClosureParams(nu=0.0)
     with pytest.raises(ValueError):
         ClosureParams(nu=0.1, nu_tur=-1.0)
+
+
+def test_sym_grad_bit_identical_to_transposed_mean():
+    # the diagonal is kept (0.5 (x + x) = x) and the off-diagonal mean commutes
+    rng = np.random.default_rng(21)
+    for shape in [(2, 2), (7, 12, 2, 2), (3, 5, 6, 2, 2)]:
+        G = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        assert np.array_equal(sym_grad(G), 0.5 * (G + G.swapaxes(-1, -2)))
