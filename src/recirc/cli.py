@@ -25,7 +25,6 @@ from .errors import ConfigError, RecircError, StepError
 from .fullspace import FullSpaceSystem
 from .galerkin import GalerkinState, ReducedSystem
 from .mesh import build_rect_mesh
-from .mms import ManufacturedSolution
 from .monitors import contraction, ledger
 from .space import MixedSpace
 from .turbulence import ClosureParams
@@ -145,6 +144,12 @@ def cmd_simulate(args):
         "C1_empirical": finite(led.data["C1_empirical"]),
         "C2_empirical": finite(led.data["C2_empirical"]),
         "wall_time_s": time.time() - t0,
+        "solver": {
+            "iterations_total": int(traj.iterations.sum()),
+            "iterations_max": int(traj.iterations.max()),
+            "backtracks_total": int(traj.backtracks.sum()),
+            "worst_residual": float(traj.step_residuals.max()),
+        },
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _say(args.quiet, f"simulate: max ||v|| = {summary['max_v_l2']:.6g}, "
@@ -323,6 +328,8 @@ def cmd_study(args):
     bad = [n for n in levels if n < 1]
     if bad:
         raise ConfigError([("--levels", f"mesh sizes {bad} < 1")])
+    from .mms import ManufacturedSolution  # sympy: imported only when needed
+
     params = ClosureParams(cfg.fluid["nu"], cfg.fluid["nu_tur"])
     mms = ManufacturedSolution(params.nu, params.nu_tur)
 

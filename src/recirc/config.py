@@ -18,7 +18,6 @@ from .eigenbasis import solve_stokes_eigen
 from .galerkin import GalerkinState, ReducedSystem, initial_state
 from .lifting import build_lifting
 from .mesh import SIDES, build_rect_mesh, tag_boundary
-from .mms import ManufacturedSolution
 from .pumps import PROFILE_KINDS, Pump, PumpSet, Schedule, build_profile, build_psi
 from .space import MixedSpace
 from .turbulence import ClosureParams
@@ -295,6 +294,8 @@ def build_scenario(config, modes=None):
 
     source = None
     if cfg.source == "manufactured":
+        from .mms import ManufacturedSolution  # sympy: imported only when needed
+
         source = ManufacturedSolution(params.nu, params.nu_tur).forcing
 
     if cfg.initial["preset"] == "zero":

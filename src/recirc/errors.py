@@ -36,9 +36,18 @@ class CapacityError(RecircError):
 
 
 class StepError(RecircError):
-    """Nonlinear time-step solve failed to converge."""
+    """Nonlinear time-step solve failed to converge.
 
-    def __init__(self, message, residual=None, trajectory=None):
+    Carries the best residual, the time t of the failed step, its iteration
+    count and residual history where the solver knows them, and the partial
+    trajectory once the integrator has attached it.
+    """
+
+    def __init__(self, message, residual=None, trajectory=None, t=None, iterations=None,
+                 history=None):
         super().__init__(message)
         self.residual = residual
         self.trajectory = trajectory
+        self.t = t
+        self.iterations = iterations
+        self.history = history

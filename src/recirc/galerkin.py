@@ -22,16 +22,16 @@ zeta_p, xi_k) and P[k, p] = (zeta_p, xi_k), and checks C against one
 quadrature pairing. Online, a time costs (H_g, xi_k) = (F, xi_k) - P gdot -
 (R g) g, with a quadrature only for a source F, and a state costs (C y) y,
 N (K + N)^2 multiply-adds. The Smagorinsky closure is the only term that
-still reads the mesh. Implicit Euler solves each step with a damped Picard
-iteration z <- z - omega A(z)^{-1} d(z). Each iterate builds one
-linearization A z = b whose matrix carries the full strain-weighted
-stiffness with |eps(w)| frozen at that iterate, convection lagged there.
-That stiffness is projected onto [xi_1..xi_N | zeta_g] cell by cell
-(`MixedSpace.weighted_strain_stiffness`), which gives the modal matrix and
-the lift coupling in one call without assembling a mesh-sized matrix.
-Applied to the iterate it was frozen at, it is the closure load there, so
-the linearization's own residual d = A z - b is the true defect and the
-step makes no closure-load call.
+still reads the mesh. Implicit Euler solves each step by Newton's method,
+with a step-length halving whenever the defect norm does not fall. The
+Jacobian's convection part is a contraction of C; its closure part is the
+tangent 2 nu_tur (|e| I + e (x) e / |e|) of the stress 2 nu_tur |e| e, the
+strain-weighted stiffness plus one rank-one term per quadrature point,
+projected onto [xi_1..xi_N | zeta_g] cell by cell
+(`MixedSpace.weighted_strain_stiffness`) without assembling a mesh-sized
+matrix. The closure is homogeneous of degree 2, so that projection applied
+to [z; 1] is twice the closure load: one kernel call per iterate gives the
+defect and the Jacobian, and the step makes no closure-load call.
 Classical RK4 is available for cross-checks. The physical velocity at any
 time is v = zeta_g(t) + sum_k z_k xi_k.
 
@@ -48,6 +48,8 @@ import numpy as np
 from .errors import SolverError, StepError
 from .lifting import compute_Hg_load
 from .turbulence import convection_load, smagorinsky_load, strain_norm, sym_grad
+
+MAX_HALVINGS = 20  # step-length halvings per Newton update before a step fails
 
 
 class GalerkinState:
@@ -77,13 +79,16 @@ class StateFields:
 
 
 class Trajectory:
-    """Uniform-step trajectory of reduced coefficients with step diagnostics."""
+    """Uniform-step trajectory of reduced coefficients with step diagnostics:
+    per time level the solver's iterations, final residual and step-length
+    halvings (backtracks), 0 at the initial state."""
 
-    def __init__(self, times, states, iterations, step_residuals, completed=True):
+    def __init__(self, times, states, iterations, step_residuals, backtracks, completed=True):
         self.times = np.asarray(times)
         self.states = np.asarray(states)  # (n_times, N)
         self.iterations = np.asarray(iterations)
         self.step_residuals = np.asarray(step_residuals)
+        self.backtracks = np.asarray(backtracks)
         self.completed = completed
 
     def __len__(self):
@@ -206,55 +211,103 @@ class ReducedSystem:
 
     # -- steppers ----------------------------------------------------------------
 
-    def step_implicit_euler(self, state, dt, tol=1e-10, max_iter=50, t_new=None):
-        """Solve z+ = z + dt rhs(z+, t+dt) by Picard iteration.
+    def implicit_euler_newton(self, z_old, dt, t_new):
+        """The map z -> (d, ||d||_2, J) of the implicit-Euler step from z_old
+        to t_new: its defect, residual and Jacobian.
 
-        Each iterate z (z_old first) builds one linearization A z = b: the
-        full strain-weighted stiffness with |eps(w)| frozen at z (the
-        classical linearization for strain-power closures), convection
-        lagged at z. Applied to z itself, that frozen stiffness is the
-        closure load at w exactly, so A z - b is the true fixed-point defect
-        and its coefficient 2-norm is the residual; the step makes no
-        closure-load call. Above `tol` the iterate moves to
-        z <- (1 - omega) z + omega A^{-1} b. The damping test compares each
-        residual with the one before it, z_old's included, and a start that
-        already meets `tol` returns after 0 iterations.
+        d(z) = z - z_old + dt (visc z + conv(z) + closure(z) - H_g) and
+        J = I + dt (visc + J_conv + T_VV):
+
+        - J_conv[k, j] = sum_b (C[k, K+j, b] + C[k, b, K+j]) y_b, the
+          derivative of the modal contraction (C y) y;
+        - T = U^T K_T U, U = [xi_1..xi_N | zeta_g], is the closure tangent
+          2 nu_tur (|e| I + e (x) e / |e|), e = eps(w), from one
+          `weighted_strain_stiffness` call; T_VV is its N x N block. The
+          rank-one weight nu_tur / |e| is 0 where |e| = 0.
+
+        The closure is homogeneous of degree 2 in w, so K_T w is twice its
+        load: half the first N rows of T applied to [z; 1] are the closure
+        pairings. One kernel call per evaluation thus gives the defect and
+        the Jacobian, with no closure-load call.
+        """
+        data, hg = self.lift_data(t_new)
+        N = self.basis.size
+        K = len(self.lifting)
+        nu_tur = self.params.nu_tur
+        if nu_tur > 0:  # the modes and the lift: one projection per evaluation
+            U = np.column_stack([self.basis.fields, self.lifting.combine(data.g)])
+        base = np.eye(N) + dt * self.visc
+
+        def evaluate(z):
+            y = np.concatenate([data.g, z])
+            Cy = self.C @ y
+            jac = base + dt * (Cy[:, K:] + y @ self.C[:, :, K:])
+            force = self.visc @ z + Cy @ y - hg
+            if nu_tur > 0:
+                f = self.state_fields(z, data)
+                mag = f.w_eps_mag
+                inv = np.divide(nu_tur, mag, out=np.zeros_like(mag), where=mag > 0)
+                T = self.space.weighted_strain_stiffness(nu_tur * mag, U,
+                                                         rank_one=(inv, f.w_eps))
+                jac += dt * T[:N, :N]
+                force += 0.5 * (T[:N] @ np.append(z, 1.0))
+            d = z - z_old + dt * force
+            return d, float(np.linalg.norm(d)), jac
+
+        return evaluate
+
+    def step_implicit_euler(self, state, dt, tol=1e-10, max_iter=50, t_new=None):
+        """Solve z+ = z + dt rhs(z+, t+dt) by Newton's method on the defect of
+        `implicit_euler_newton`.
+
+        The residual is the defect's coefficient 2-norm, and the first
+        iterate (z_old first) at or below `tol` is the result. An update
+        z <- z - lambda J^{-1} d starts at lambda = 1 and halves lambda while
+        the residual does not fall (the line search of Kelley, Iterative
+        Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 8, with
+        simple decrease), at most MAX_HALVINGS times; the diag counts the
+        halvings as "backtracks". The trial's evaluation is the next
+        iterate's, so an accepted update costs one evaluation. A failure
+        raises StepError with the time, the iteration count and the
+        residuals of the accepted iterates.
         """
         if t_new is None:
             t_new = state.t + dt
-        data, hg = self.lift_data(t_new)
-        z_old = state.z
-        N = self.basis.size
-        nu_tur = self.params.nu_tur
-        if nu_tur > 0:  # the modes and the lift: one projection per iteration
-            U = np.column_stack([self.basis.fields, self.lifting.combine(data.g)])
-        z = z_old
-        best_res = np.inf
-        prev_res = None
-        omega = 1.0
-        for it in range(max_iter + 1):
-            if nu_tur > 0:
-                f = self.state_fields(z, data)
-                SU = self.space.weighted_strain_stiffness(nu_tur * f.w_eps_mag, U)
-                S, lift_load = SU[:N, :N], SU[:N, N]
+        evaluate = self.implicit_euler_newton(state.z, dt, t_new)
+
+        def fail(why):
+            raise StepError(
+                f"implicit Euler step at t={t_new:.6g} {why} "
+                f"(best residual {min(history):.3e}, target {tol:.1e}); reduce dt",
+                residual=min(history), t=t_new, iterations=len(history) - 1,
+                history=history,
+            )
+
+        z = state.z
+        d, res, jac = evaluate(z)
+        history = [res]
+        backtracks = 0
+        while not res <= tol:
+            if len(history) > max_iter:
+                fail(f"did not converge in {max_iter} Newton iterations")
+            try:
+                dz = np.linalg.solve(jac, d)
+            except np.linalg.LinAlgError:
+                fail("met a singular Newton matrix")
+            lam = 1.0
+            for halvings in range(MAX_HALVINGS + 1):
+                z_try = z - lam * dz
+                d_try, res_try, jac_try = evaluate(z_try)
+                if res_try < res:
+                    break
+                lam *= 0.5
             else:
-                S = 0.0
-                lift_load = 0.0
-            A = np.eye(N) + dt * (self.visc + S)
-            b = z_old + dt * (hg - self._conv_modal(z, data) - lift_load)
-            res = float(np.linalg.norm(A @ z - b))
-            if res <= tol:
-                return GalerkinState(t_new, z), {"iterations": it, "residual": res}
-            best_res = min(best_res, res)
-            if prev_res is not None and res > 0.7 * prev_res:
-                omega = max(0.5 * omega, 0.25)  # damp the frozen-|eps| two-cycle
-            prev_res = res
-            z = (1.0 - omega) * z + omega * np.linalg.solve(A, b)
-        raise StepError(
-            f"implicit Euler step at t={t_new:.6g} did not reach residual {tol:.1e} "
-            f"in {max_iter} iterations (best {best_res:.3e}); reduce dt",
-            residual=best_res,
-        )
+                fail(f"found no decrease of the residual in {MAX_HALVINGS} halvings")
+            backtracks += halvings
+            z, d, res, jac = z_try, d_try, res_try, jac_try
+            history.append(res)
+        diag = {"iterations": len(history) - 1, "residual": res, "backtracks": backtracks}
+        return GalerkinState(t_new, z), diag
 
     def step_rk4(self, state, dt, t_new=None):
         t, z = state.t, state.z
@@ -265,7 +318,7 @@ class ReducedSystem:
         k3 = self.rhs(z + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = self.rhs(z + dt * k3, t_new)
         z_new = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return GalerkinState(t_new, z_new), {"iterations": 4, "residual": 0.0}
+        return GalerkinState(t_new, z_new), {"iterations": 4, "residual": 0.0, "backtracks": 0}
 
     def step(self, state, dt, scheme="implicit-euler", **kw):
         if dt <= 0:
@@ -286,6 +339,7 @@ class ReducedSystem:
         states = [state0.z.copy()]
         iters = [0]
         residuals = [0.0]
+        backtracks = [0]
         state = state0
         kw = {"tol": tol} if scheme == "implicit-euler" else {}
         for k in range(n_steps):
@@ -293,15 +347,17 @@ class ReducedSystem:
             try:
                 state, diag = self.step(state, dt, scheme=scheme, **kw)
             except StepError as exc:
-                exc.trajectory = Trajectory(times, states, iters, residuals, completed=False)
+                exc.trajectory = Trajectory(times, states, iters, residuals, backtracks,
+                                            completed=False)
                 raise
             times.append(state.t)
             states.append(state.z.copy())
             iters.append(diag["iterations"])
             residuals.append(diag["residual"])
+            backtracks.append(diag["backtracks"])
             if on_step is not None:
                 on_step(state)
-        return Trajectory(times, states, iters, residuals)
+        return Trajectory(times, states, iters, residuals, backtracks)
 
     # -- quadrature-level energy rates (used by the ledger and energy tests) -----
 

@@ -15,10 +15,12 @@ Assembled operators:
 Each cell's 12 velocity DOFs are `cell_vdofs` = [cell_dofs, n_scalar +
 cell_dofs]: the six x components, then the six y components. One cell
 kernel, `_strain_cells(w)`, gives the (nt, 12, 12) cell matrices of
-int 2 w eps(phi_i):eps(phi_j) over them. K_eps is its assembly at w = 1;
-`weighted_strain_stiffness(w, U)` reduces it to U^T K_w U cell by cell,
-without forming the global matrix. `convection_tensor(W)` likewise reduces
-the trilinear convection form to the columns of W cell by cell.
+int 2 w eps(phi_i):eps(phi_j) over them, plus an optional rank-one term
+int 2 a (e:eps(phi_i)) (e:eps(phi_j)) that makes it the Smagorinsky
+tangent. K_eps is its assembly at w = 1; `weighted_strain_stiffness(w, U)`
+reduces it to U^T K_w U cell by cell, without forming the global matrix.
+`convection_tensor(W)` likewise reduces the trilinear convection form to
+the columns of W cell by cell.
 
 Norm conventions (kind argument of `norm`):
     L2, L3, L4  : Lebesgue norms of |u|
@@ -234,30 +236,47 @@ class MixedSpace:
         np.add.at(mvec, pdofs.ravel(), np.repeat(a / 3.0, 3))
         self.pressure_integral = mvec
 
-    def _strain_cells(self, weight):
+    def _strain_cells(self, weight, rank_one=None):
         """Cell matrices (nt, 12, 12) of int 2 w(x) eps(phi_i):eps(phi_j) over
-        `cell_vdofs`, for quadrature-point weights w (nt, nq) or a scalar."""
+        `cell_vdofs`, for quadrature-point weights w (nt, nq) or a scalar.
+
+        rank_one = (a, e), quadrature-point weights a (nt, nq) and symmetric
+        tensors e (nt, nq, 2, 2), adds int 2 a (e:eps(phi_i)) (e:eps(phi_j)).
+        With w = nu_tur |e| and a = nu_tur / |e| the sum is the tangent of
+        the closure stress 2 nu_tur |e| e at e.
+        """
         wq = (self.qweights * weight)[:, :, None]
         gx, gy = self.grad[:, :, 0], self.grad[:, :, 1]  # (nt, nq, 6)
         xx = (wq * gx).transpose(0, 2, 1) @ gx
         yy = (wq * gy).transpose(0, 2, 1) @ gy
         xy = (wq * gy).transpose(0, 2, 1) @ gx
-        return np.block([[2 * xx + yy, xy], [xy.transpose(0, 2, 1), 2 * yy + xx]])
+        cells = np.empty((len(xx), 12, 12))
+        cells[:, :6, :6] = 2 * xx + yy
+        cells[:, :6, 6:] = xy
+        cells[:, 6:, :6] = xy.transpose(0, 2, 1)
+        cells[:, 6:, 6:] = 2 * yy + xx
+        if rank_one is not None:
+            a, e = rank_one
+            r = (e @ self.grad).reshape(gx.shape[:2] + (12,))  # [c, q, i] = e : grad phi_i
+            cells += ((2 * self.qweights * a)[:, :, None] * r).transpose(0, 2, 1) @ r
+        return cells
 
-    def weighted_strain_stiffness(self, weight, U):
+    def weighted_strain_stiffness(self, weight, U, rank_one=None):
         """U^T K_w U for K_w = int 2 w(x) eps(u):eps(v), with quadrature-point
-        weights w (nt, nq) and columns U (n_velocity, m).
+        weights w (nt, nq) and columns U (n_velocity, m); `rank_one` adds
+        its term of `_strain_cells`.
 
-        The Picard matrix of the strain-dependent closure: with U = [V | zeta_g]
-        it holds the modal stiffness and its pairing with the lift. The
-        `_strain_cells` matrices are reduced cell by cell and summed over the
-        cells in one GEMM; the global K_w is never formed. (A batched
-        (nt, m, m) product summed afterwards would hold nt m^2 doubles,
-        27 MB at 32x32 cells and m = 41.)
+        The Newton matrix of the strain-dependent closure: with
+        U = [V | zeta_g] and the closure tangent's weights it holds the
+        modal tangent and its pairing with the lift. The `_strain_cells`
+        matrices are reduced cell by cell and summed over the cells in one
+        GEMM; the global K_w is never formed. (A batched (nt, m, m) product
+        summed afterwards would hold nt m^2 doubles, 27 MB at 32x32 cells
+        and m = 41.)
         """
         m = U.shape[1]
         Uc = U[self.cell_vdofs]  # (nt, 12, m)
-        return Uc.reshape(-1, m).T @ (self._strain_cells(weight) @ Uc).reshape(-1, m)
+        return Uc.reshape(-1, m).T @ (self._strain_cells(weight, rank_one) @ Uc).reshape(-1, m)
 
     def convection_tensor(self, W):
         """T[a, y, z] = int ((u_a . grad) u_y) . u_z for the columns u of W

@@ -51,8 +51,14 @@ def sym_grad(grads):
 
 
 def strain_norm(eps):
-    """|eps| = (eps:eps)^(1/2); works on (..., d, d) arrays."""
-    return np.sqrt((eps * eps).sum(axis=(-2, -1)))
+    """|eps| = (eps:eps)^(1/2) of (..., 2, 2) tables.
+
+    Bit for bit np.sqrt((eps * eps).sum(axis=(-2, -1))): the four squares are
+    added in the order that reduction takes, without a reduction over the
+    strided 2x2 axes.
+    """
+    e00, e01, e10, e11 = eps[..., 0, 0], eps[..., 0, 1], eps[..., 1, 0], eps[..., 1, 1]
+    return np.sqrt(e00 * e00 + e01 * e01 + e10 * e10 + e11 * e11)
 
 
 def potential_D(eps, params):

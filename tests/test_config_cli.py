@@ -122,6 +122,41 @@ def test_cli_simulate_deterministic(tmp_path):
     assert (out1 / "ledger.csv").read_text() == (out2 / "ledger.csv").read_text()
 
 
+def test_cli_simulate_solver_summary(tmp_path):
+    # summary.json's solver block totals the trajectory's step diagnostics
+    path, _ = small_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output-dir", str(out),
+                 "--quiet"]) == 0
+    solver = json.loads((out / "summary.json").read_text())["solver"]
+    lines = [ln for ln in (out / "trajectory.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    cols = lines[0].split(",")
+    rows = [dict(zip(cols, ln.split(","))) for ln in lines[1:]]
+    iters = [int(r["iterations"]) for r in rows]
+    assert solver["iterations_total"] == sum(iters) > 0
+    assert solver["iterations_max"] == max(iters)
+    assert solver["worst_residual"] == max(float(r["residual"]) for r in rows) <= 1e-10
+    assert solver["backtracks_total"] >= 0
+
+
+def test_import_cli_leaves_sympy_unloaded():
+    # sympy is loaded only by a manufactured source or `study mesh`
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import recirc
+
+    src = str(Path(recirc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, recirc.cli; print('sympy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env)
+    assert done.stdout.strip() == "False"
+
+
 def test_cli_eigen_artifacts(tmp_path):
     path, _ = small_config(tmp_path, pumps=[])
     out = tmp_path / "eig"

@@ -215,16 +215,47 @@ def test_step_error_carries_partial_trajectory(plain16):
     z0 = 0.5 * np.ones(12)
     with pytest.raises(StepError) as err:
         sys_.integrate(GalerkinState(0.0, z0), T=1.0, dt=0.5, tol=0.0)
-    assert err.value.trajectory is not None
-    assert err.value.trajectory.completed is False
-    assert err.value.residual is not None
+    exc = err.value
+    assert exc.trajectory is not None
+    assert exc.trajectory.completed is False
+    assert exc.residual is not None
+    # the failed step names its time, its iterations and their residuals
+    assert exc.t == 0.5
+    assert len(exc.history) == exc.iterations + 1 >= 2
+    assert exc.residual == min(exc.history)
+    assert all(b < a for a, b in zip(exc.history, exc.history[1:]))
+    assert "t=0.5" in str(exc)
+
+
+def test_step_error_on_iteration_budget(preset16):
+    scn = preset16
+    state = GalerkinState(0.2, 0.01 * np.ones(scn.basis.size))
+    with pytest.raises(StepError, match="did not converge in 1 Newton") as err:
+        scn.system.step(state, 0.01, tol=1e-14, max_iter=1)
+    assert err.value.iterations == 1 and len(err.value.history) == 2
+    assert err.value.t == pytest.approx(0.21)
+
+
+def test_step_error_on_singular_newton_matrix(preset16, monkeypatch):
+    sys_ = preset16.system
+    newton = sys_.implicit_euler_newton
+
+    def singular(*args):
+        evaluate = newton(*args)
+        return lambda z: evaluate(z)[:2] + (np.zeros((len(z), len(z))),)
+
+    monkeypatch.setattr(sys_, "implicit_euler_newton", singular)
+    state = GalerkinState(0.2, 0.01 * np.ones(preset16.basis.size))
+    with pytest.raises(StepError, match="singular Newton matrix") as err:
+        sys_.step(state, 0.01)
+    assert err.value.iterations == 0 and len(err.value.history) == 1
 
 
 def test_picard_step_convection_load_count(preset16, monkeypatch):
-    # one strain kernel per iterate, z_old included (the linearization's
-    # residual judges the iterate it was built at); convection is the modal
-    # contraction and H_g comes from offline tables, so no convection pairing
-    # on the mesh and no closure-load call
+    # one strain kernel per defect evaluation, z_old's included (each
+    # evaluation gives the Newton matrix and the defect); convection is the
+    # modal contraction and H_g comes from offline tables, so no convection
+    # pairing on the mesh and no closure-load call
     import recirc.galerkin as galerkin
 
     calls = {"convection": 0, "smagorinsky": 0, "strain": 0}
@@ -251,10 +282,68 @@ def test_picard_step_convection_load_count(preset16, monkeypatch):
         assert diag["iterations"] >= 2
         assert calls["convection"] == 0
         assert calls["smagorinsky"] == 0
-        assert calls["strain"] == diag["iterations"] + 1
-        # the linearization's own residual is the true fixed-point defect
+        assert calls["strain"] == diag["iterations"] + diag["backtracks"] + 1
+        # the step's residual is the true fixed-point defect
         defect = new.z - state.z - dt * scn.system.rhs(new.z, new.t)
         assert abs(diag["residual"] - np.linalg.norm(defect)) <= 1e-15
+
+
+@pytest.mark.parametrize("nu_tur", [0.1, 0.0])
+def test_newton_jacobian_matches_central_difference(preset16, nu_tur):
+    # J = I + dt (visc + J_conv + T_VV) against central differences of the
+    # defect, with pumps (t inside the plateau) and without the closure
+    scn = preset16
+    params = ClosureParams(scn.params.nu, nu_tur)
+    sys_ = ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, params)
+    rng = np.random.default_rng(41)
+    dt, h = 0.01, 1e-5  # at h = 1e-5 the observed gap is at most 5e-10 of max|J - I|
+    for t in (0.3, 0.9):
+        evaluate = sys_.implicit_euler_newton(rng.standard_normal(scn.basis.size), dt, t)
+        z = 0.5 * rng.standard_normal(scn.basis.size)
+        jac = evaluate(z)[2]
+        fd = np.column_stack([
+            (evaluate(z + h * e)[0] - evaluate(z - h * e)[0]) / (2 * h)
+            for e in np.eye(len(z))
+        ])
+        part = jac - np.eye(len(z))  # the dt (...) part; I is exact in both
+        assert np.abs(fd - np.eye(len(z)) - part).max() <= 1e-8 * np.abs(part).max()
+
+
+def test_closure_tangent_is_twice_the_load(preset16):
+    # the closure is homogeneous of degree 2: 1/2 T(w) w is the closure load
+    from recirc.turbulence import smagorinsky_load
+
+    scn = preset16
+    sys_, space, V = scn.system, scn.space, scn.basis.fields
+    nu_tur = scn.params.nu_tur
+    rng = np.random.default_rng(43)
+    for t in (0.1, 0.6):
+        data, _ = sys_.lift_data(t)
+        z = 0.3 * rng.standard_normal(scn.basis.size)
+        f = sys_.state_fields(z, data)
+        mag = f.w_eps_mag
+        U = np.column_stack([V, scn.lifting.combine(data.g)])
+        T = space.weighted_strain_stiffness(nu_tur * mag, U,
+                                            rank_one=(nu_tur / mag, f.w_eps))
+        got = 0.5 * (T[:-1] @ np.append(z, 1.0))
+        load = V.T @ smagorinsky_load(space, f.w_eps, scn.params)
+        assert np.abs(got - load).max() <= 1e-12 * np.abs(load).max()
+
+
+def test_closure_tangent_guard_at_zero_strain(preset16):
+    # at w = 0 (g = 0 at t = 0, z = 0) every |e| is 0: the rank-one weight is
+    # guarded to 0, so the tangent block is exactly zero and nothing warns;
+    # convection's Jacobian vanishes at y = 0, which leaves I + dt visc
+    scn = preset16
+    sys_ = scn.system
+    data, _ = sys_.lift_data(0.0)
+    assert np.abs(data.g).max() == 0.0
+    N, dt = scn.basis.size, 0.01
+    z = np.zeros(N)
+    with np.errstate(all="raise"):
+        d, res, jac = sys_.implicit_euler_newton(z, dt, 0.0)(z)
+    assert np.all(np.isfinite(jac)) and np.isfinite(res)
+    assert np.array_equal(jac, np.eye(N) + dt * sys_.visc)
 
 
 def _conv_oracle(space, basis, zg, z):

@@ -75,6 +75,35 @@ def test_weighted_strain_stiffness_matches_quadrature(space8):
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_strain_cells_bit_identical_to_block_formula(space8):
+    # the cells are written block by block into one array; K_eps, its
+    # assembly at w = 1, keeps the bits of the np.block formula
+    rng = np.random.default_rng(53)
+    for weight in (1.0, rng.uniform(0.1, 2.0, space8.qweights.shape)):
+        wq = (space8.qweights * weight)[:, :, None]
+        gx, gy = space8.grad[:, :, 0], space8.grad[:, :, 1]
+        xx = (wq * gx).transpose(0, 2, 1) @ gx
+        yy = (wq * gy).transpose(0, 2, 1) @ gy
+        xy = (wq * gy).transpose(0, 2, 1) @ gx
+        ref = np.block([[2 * xx + yy, xy], [xy.transpose(0, 2, 1), 2 * yy + xx]])
+        assert np.array_equal(space8._strain_cells(weight), ref)
+
+
+def test_strain_stiffness_rank_one_term_matches_quadrature(space8):
+    # int 2 w eps(u):eps(v) + 2 a (e:eps(u)) (e:eps(v)), column by column
+    rng = np.random.default_rng(59)
+    weight = rng.uniform(0.1, 2.0, space8.qweights.shape)
+    a = rng.uniform(0.1, 2.0, space8.qweights.shape)
+    e = space8.strain_samples(rng.standard_normal(space8.n_velocity))
+    U = rng.standard_normal((space8.n_velocity, 4))
+    S = space8.weighted_strain_stiffness(weight, U, rank_one=(a, e))
+    E = [np.einsum("cqab,cqab->cq", e, space8.strain_samples(u)) for u in U.T]
+    ref = _strain_pairings(space8, weight, U) + np.array(
+        [[np.einsum("cq,cq,cq->", 2.0 * space8.qweights * a, ei, ej) for ej in E] for ei in E]
+    )
+    assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_degenerate_cell_rejected():
     m = build_rect_mesh(1, 1, 2, 2)
     vertices = m.vertices.copy()

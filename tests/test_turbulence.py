@@ -224,3 +224,10 @@ def test_sym_grad_bit_identical_to_transposed_mean():
     for shape in [(2, 2), (7, 12, 2, 2), (3, 5, 6, 2, 2)]:
         G = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
         assert np.array_equal(sym_grad(G), 0.5 * (G + G.swapaxes(-1, -2)))
+
+
+def test_strain_norm_bit_identical_to_axis_reduction():
+    rng = np.random.default_rng(47)
+    for shape in [(2, 2), (7, 2, 2), (64, 12, 2, 2)]:
+        eps = rng.standard_normal(shape) * rng.uniform(1e-3, 1e3, shape)
+        assert np.array_equal(strain_norm(eps), np.sqrt((eps * eps).sum(axis=(-2, -1))))
