@@ -149,6 +149,9 @@ def cmd_simulate(args):
             "iterations_max": int(traj.iterations.max()),
             "backtracks_total": int(traj.backtracks.sum()),
             "worst_residual": float(traj.step_residuals.max()),
+            "tangents_total": int(traj.tangents.sum()),
+            # [n] = the number of steps that took n iterations
+            "iterations_histogram": np.bincount(traj.iterations[1:]).tolist(),
         },
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -22,16 +22,21 @@ zeta_p, xi_k) and P[k, p] = (zeta_p, xi_k), and checks C against one
 quadrature pairing. Online, a time costs (H_g, xi_k) = (F, xi_k) - P gdot -
 (R g) g, with a quadrature only for a source F, and a state costs (C y) y,
 N (K + N)^2 multiply-adds. The Smagorinsky closure is the only term that
-still reads the mesh. Implicit Euler solves each step by Newton's method,
-with a step-length halving whenever the defect norm does not fall. The
-Jacobian's convection part is a contraction of C; its closure part is the
-tangent 2 nu_tur (|e| I + e (x) e / |e|) of the stress 2 nu_tur |e| e, the
+still reads the mesh. Implicit Euler solves each step by a simplified
+Newton iteration (the chord method of implicit integrators: Hairer &
+Wanner, Solving ODEs II, IV.8; Kelley, Iterative Methods for Linear and
+Nonlinear Equations, SIAM 1995, 5.4). Every iterate's defect is the light
+path of the right-hand side: one `StateFields`, one closure load and a
+product with V^T. The Jacobian's convection part, a contraction of C, is
+refreshed at every iterate; its closure part is the tangent
+2 nu_tur (|e| I + e (x) e / |e|) of the stress 2 nu_tur |e| e, the
 strain-weighted stiffness plus one rank-one term per quadrature point,
-projected onto [xi_1..xi_N | zeta_g] cell by cell
-(`MixedSpace.weighted_strain_stiffness`) without assembling a mesh-sized
-matrix. The closure is homogeneous of degree 2, so that projection applied
-to [z; 1] is twice the closure load: one kernel call per iterate gives the
-defect and the Jacobian, and the step makes no closure-load call.
+projected onto the modes cell by cell (`MixedSpace.weighted_strain_stiffness`)
+without assembling a mesh-sized matrix. That projection is the heavy half of
+an iteration, and the monotone closure's tangent moves by O(dt) over a
+step, so it is formed once per step and frozen. It is formed again at the
+current iterate only when a frozen-tangent update finds no decrease, or
+when an accepted update shrinks the residual by less than CHORD_RATE.
 Classical RK4 is available for cross-checks. The physical velocity at any
 time is v = zeta_g(t) + sum_k z_k xi_k.
 
@@ -50,6 +55,7 @@ from .lifting import compute_Hg_load
 from .turbulence import convection_load, smagorinsky_load, strain_norm, sym_grad
 
 MAX_HALVINGS = 20  # step-length halvings per Newton update before a step fails
+CHORD_RATE = 0.1  # an accepted update that shrinks the residual less refreshes the tangent
 
 
 class GalerkinState:
@@ -63,15 +69,13 @@ class GalerkinState:
 
 
 class StateFields:
-    """Quadrature-point tables (nt, nq, ...) of one state: values and
-    gradients of z, gradients of w = zeta_g + z, eps(w) and |eps(w)|. The
-    steppers read only eps(w) and |eps(w)|; the ledger forms eps(z) from
-    z_grads."""
+    """Quadrature-point tables (nt, nq, ...) of one state: gradients of z
+    and of w = zeta_g + z, eps(w) and |eps(w)|. The steppers read only
+    eps(w) and |eps(w)|; the ledger forms eps(z) from z_grads."""
 
-    __slots__ = ("z_vals", "z_grads", "w_grads", "w_eps", "w_eps_mag")
+    __slots__ = ("z_grads", "w_grads", "w_eps", "w_eps_mag")
 
     def __init__(self, space, zf, data):
-        self.z_vals = space.eval_values(zf)
         self.z_grads = space.eval_grads(zf)
         self.w_grads = data.zg_grads + self.z_grads
         self.w_eps = sym_grad(self.w_grads)
@@ -80,15 +84,18 @@ class StateFields:
 
 class Trajectory:
     """Uniform-step trajectory of reduced coefficients with step diagnostics:
-    per time level the solver's iterations, final residual and step-length
-    halvings (backtracks), 0 at the initial state."""
+    per time level the solver's iterations, final residual, step-length
+    halvings (backtracks) and closure-tangent kernel calls (tangents), 0 at
+    the initial state."""
 
-    def __init__(self, times, states, iterations, step_residuals, backtracks, completed=True):
+    def __init__(self, times, states, iterations, step_residuals, backtracks, tangents,
+                 completed=True):
         self.times = np.asarray(times)
         self.states = np.asarray(states)  # (n_times, N)
         self.iterations = np.asarray(iterations)
         self.step_residuals = np.asarray(step_residuals)
         self.backtracks = np.asarray(backtracks)
+        self.tangents = np.asarray(tangents)
         self.completed = completed
 
     def __len__(self):
@@ -196,84 +203,94 @@ class ReducedSystem:
         y = np.concatenate([data.g, z])
         return (self.C @ y) @ y
 
-    def _smag_modal(self, z, data):
-        """Modal pairings of the Smagorinsky stress at w = zeta_g + z."""
+    def _closure(self, z, data):
+        """(modal pairings of the Smagorinsky stress at w = zeta_g + z, the
+        StateFields of z); (0, None) without the closure."""
         if self.params.nu_tur == 0:
-            return np.zeros(self.basis.size)
+            return np.zeros(self.basis.size), None
         f = self.state_fields(z, data)
         load = smagorinsky_load(self.space, f.w_eps, self.params, eps_mag=f.w_eps_mag)
-        return self.basis.fields.T @ load
+        return self.basis.fields.T @ load, f
 
     def rhs(self, z, t):
         """dz/dt at (z, t)."""
         data, hg = self.lift_data(t)
-        return hg - self.visc @ z - (self._conv_modal(z, data) + self._smag_modal(z, data))
+        return hg - self.visc @ z - (self._conv_modal(z, data) + self._closure(z, data)[0])
 
     # -- steppers ----------------------------------------------------------------
 
     def implicit_euler_newton(self, z_old, dt, t_new):
-        """The map z -> (d, ||d||_2, J) of the implicit-Euler step from z_old
-        to t_new: its defect, residual and Jacobian.
+        """The functions (defect, tangent, jacobian) of the implicit-Euler
+        step from z_old to t_new.
 
-        d(z) = z - z_old + dt (visc z + conv(z) + closure(z) - H_g) and
-        J = I + dt (visc + J_conv + T_VV):
-
-        - J_conv[k, j] = sum_b (C[k, K+j, b] + C[k, b, K+j]) y_b, the
-          derivative of the modal contraction (C y) y;
-        - T = U^T K_T U, U = [xi_1..xi_N | zeta_g], is the closure tangent
-          2 nu_tur (|e| I + e (x) e / |e|), e = eps(w), from one
-          `weighted_strain_stiffness` call; T_VV is its N x N block. The
+        - defect(z) -> (d, ||d||_2, f): d = z - z_old + dt (visc z + (C y) y
+          + closure(z) - H_g), y = [g; z], with the closure pairings formed
+          as in `rhs` from f, the StateFields of z (None when nu_tur = 0).
+        - tangent(f) -> T_VV = V^T K_T V, the closure tangent
+          2 nu_tur (|e| I + e (x) e / |e|), e = eps(w), at the state whose
+          StateFields are f, from one `weighted_strain_stiffness` call. The
           rank-one weight nu_tur / |e| is 0 where |e| = 0.
-
-        The closure is homogeneous of degree 2 in w, so K_T w is twice its
-        load: half the first N rows of T applied to [z; 1] are the closure
-        pairings. One kernel call per evaluation thus gives the defect and
-        the Jacobian, with no closure-load call.
+        - jacobian(z, T_VV) -> I + dt (visc + J_conv + T_VV), where
+          J_conv[k, j] = sum_b (C[k, K+j, b] + C[k, b, K+j]) y_b is the
+          derivative of (C y) y at z; T_VV None leaves the closure out.
         """
         data, hg = self.lift_data(t_new)
-        N = self.basis.size
         K = len(self.lifting)
+        V = self.basis.fields
         nu_tur = self.params.nu_tur
-        if nu_tur > 0:  # the modes and the lift: one projection per evaluation
-            U = np.column_stack([self.basis.fields, self.lifting.combine(data.g)])
-        base = np.eye(N) + dt * self.visc
+        base = np.eye(self.basis.size) + dt * self.visc
 
-        def evaluate(z):
+        def defect(z):
             y = np.concatenate([data.g, z])
-            Cy = self.C @ y
-            jac = base + dt * (Cy[:, K:] + y @ self.C[:, :, K:])
-            force = self.visc @ z + Cy @ y - hg
-            if nu_tur > 0:
-                f = self.state_fields(z, data)
-                mag = f.w_eps_mag
-                inv = np.divide(nu_tur, mag, out=np.zeros_like(mag), where=mag > 0)
-                T = self.space.weighted_strain_stiffness(nu_tur * mag, U,
-                                                         rank_one=(inv, f.w_eps))
-                jac += dt * T[:N, :N]
-                force += 0.5 * (T[:N] @ np.append(z, 1.0))
-            d = z - z_old + dt * force
-            return d, float(np.linalg.norm(d)), jac
+            closure, f = self._closure(z, data)
+            d = z - z_old + dt * (self.visc @ z + (self.C @ y) @ y + closure - hg)
+            return d, float(np.linalg.norm(d)), f
 
-        return evaluate
+        def tangent(f):
+            mag = f.w_eps_mag
+            inv = np.divide(nu_tur, mag, out=np.zeros_like(mag), where=mag > 0)
+            return self.space.weighted_strain_stiffness(nu_tur * mag, V, rank_one=(inv, f.w_eps))
+
+        def jacobian(z, T_VV):
+            y = np.concatenate([data.g, z])
+            jac = base + dt * ((self.C @ y)[:, K:] + y @ self.C[:, :, K:])
+            if T_VV is not None:
+                jac += dt * T_VV
+            return jac
+
+        return defect, tangent, jacobian
 
     def step_implicit_euler(self, state, dt, tol=1e-10, max_iter=50, t_new=None):
-        """Solve z+ = z + dt rhs(z+, t+dt) by Newton's method on the defect of
-        `implicit_euler_newton`.
+        """Solve z+ = z + dt rhs(z+, t+dt) by a simplified Newton iteration on
+        the functions of `implicit_euler_newton`.
 
         The residual is the defect's coefficient 2-norm, and the first
-        iterate (z_old first) at or below `tol` is the result. An update
-        z <- z - lambda J^{-1} d starts at lambda = 1 and halves lambda while
-        the residual does not fall (the line search of Kelley, Iterative
-        Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 8, with
-        simple decrease), at most MAX_HALVINGS times; the diag counts the
-        halvings as "backtracks". The trial's evaluation is the next
-        iterate's, so an accepted update costs one evaluation. A failure
-        raises StepError with the time, the iteration count and the
-        residuals of the accepted iterates.
+        iterate (z_old first) at or below `tol` is the result. An update is
+        z <- z - lambda J^{-1} d, with J's convection part taken at the
+        current iterate and its closure tangent T_VV frozen: T_VV is formed
+        at the first update from the StateFields of z_old's defect, and
+        formed again at the current iterate (from its defect's StateFields)
+        in two cases:
+
+        - an update with a frozen tangent from an earlier iterate finds no
+          decrease at lambda = 1; that trial is dropped;
+        - an accepted update shrinks the residual by less than a factor
+          CHORD_RATE.
+
+        An update with a tangent formed at its own iterate (every update
+        without the closure, which is then Newton's method) starts at
+        lambda = 1 and halves lambda while the residual does not fall (the
+        line search of Kelley, ch. 8, with simple decrease), at most
+        MAX_HALVINGS times; the diag counts the halvings as "backtracks"
+        and the kernel calls as "tangents". The tangent lives in this call
+        only, so threads sharing the system never share one. A trial's
+        defect is the next iterate's, so an accepted update costs one
+        defect evaluation. A failure raises StepError with the time, the
+        iteration count and the residuals of the accepted iterates.
         """
         if t_new is None:
             t_new = state.t + dt
-        evaluate = self.implicit_euler_newton(state.z, dt, t_new)
+        defect, tangent, jacobian = self.implicit_euler_newton(state.z, dt, t_new)
 
         def fail(why):
             raise StepError(
@@ -284,29 +301,42 @@ class ReducedSystem:
             )
 
         z = state.z
-        d, res, jac = evaluate(z)
+        d, res, f = defect(z)
         history = [res]
-        backtracks = 0
+        backtracks = tangents = 0
+        T_VV = None
+        stale = False  # T_VV was formed at an earlier iterate
         while not res <= tol:
             if len(history) > max_iter:
                 fail(f"did not converge in {max_iter} Newton iterations")
+            if T_VV is None and f is not None:
+                T_VV = tangent(f)
+                tangents += 1
+                stale = False
             try:
-                dz = np.linalg.solve(jac, d)
+                dz = np.linalg.solve(jacobian(z, T_VV), d)
             except np.linalg.LinAlgError:
                 fail("met a singular Newton matrix")
             lam = 1.0
             for halvings in range(MAX_HALVINGS + 1):
                 z_try = z - lam * dz
-                d_try, res_try, jac_try = evaluate(z_try)
-                if res_try < res:
+                d_try, res_try, f_try = defect(z_try)
+                if res_try < res or stale:  # a frozen tangent gets one trial
                     break
                 lam *= 0.5
             else:
                 fail(f"found no decrease of the residual in {MAX_HALVINGS} halvings")
+            if not res_try < res:  # refresh the frozen tangent at z
+                T_VV = None
+                continue
             backtracks += halvings
-            z, d, res, jac = z_try, d_try, res_try, jac_try
+            if res_try > CHORD_RATE * res:
+                T_VV = None
+            stale = T_VV is not None
+            z, d, res, f = z_try, d_try, res_try, f_try
             history.append(res)
-        diag = {"iterations": len(history) - 1, "residual": res, "backtracks": backtracks}
+        diag = {"iterations": len(history) - 1, "residual": res, "backtracks": backtracks,
+                "tangents": tangents}
         return GalerkinState(t_new, z), diag
 
     def step_rk4(self, state, dt, t_new=None):
@@ -318,7 +348,8 @@ class ReducedSystem:
         k3 = self.rhs(z + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = self.rhs(z + dt * k3, t_new)
         z_new = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return GalerkinState(t_new, z_new), {"iterations": 4, "residual": 0.0, "backtracks": 0}
+        return GalerkinState(t_new, z_new), {"iterations": 4, "residual": 0.0, "backtracks": 0,
+                                             "tangents": 0}
 
     def step(self, state, dt, scheme="implicit-euler", **kw):
         if dt <= 0:
@@ -340,6 +371,7 @@ class ReducedSystem:
         iters = [0]
         residuals = [0.0]
         backtracks = [0]
+        tangents = [0]
         state = state0
         kw = {"tol": tol} if scheme == "implicit-euler" else {}
         for k in range(n_steps):
@@ -348,16 +380,17 @@ class ReducedSystem:
                 state, diag = self.step(state, dt, scheme=scheme, **kw)
             except StepError as exc:
                 exc.trajectory = Trajectory(times, states, iters, residuals, backtracks,
-                                            completed=False)
+                                            tangents, completed=False)
                 raise
             times.append(state.t)
             states.append(state.z.copy())
             iters.append(diag["iterations"])
             residuals.append(diag["residual"])
             backtracks.append(diag["backtracks"])
+            tangents.append(diag["tangents"])
             if on_step is not None:
                 on_step(state)
-        return Trajectory(times, states, iters, residuals, backtracks)
+        return Trajectory(times, states, iters, residuals, backtracks, tangents)
 
     # -- quadrature-level energy rates (used by the ledger and energy tests) -----
 

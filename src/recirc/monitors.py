@@ -11,6 +11,7 @@ knots. The time derivative of z is a backward difference on that grid.
 
 import numpy as np
 
+from .galerkin import StateFields
 from .lifting import compute_Hg_load
 from .turbulence import strain_norm, sym_grad
 
@@ -65,9 +66,10 @@ def ledger(system, traj):
     for i, t in enumerate(times):
         # the tables only, not the modal load `ReducedSystem.lift_data` adds
         lift = compute_Hg_load(system.lifting, system.pumps, system.source, t)
-        f = system.state_fields(traj.states[i], lift)
+        zf = system.basis.expand(traj.states[i])
+        f = StateFields(space, zf, lift)
         ez, edzg = strain_norm(sym_grad(f.z_grads)), strain_norm(sym_grad(lift.dzg_grads))
-        z_mag = np.linalg.norm(f.z_vals, axis=-1)
+        z_mag = np.linalg.norm(space.eval_values(zf), axis=-1)
         ew_l3 = _lp(space, f.w_eps_mag, 3)
         rows["z_l2_sq"][i] = _lp(space, z_mag, 2) ** 2
         eps_z_sq[i] = _lp(space, ez, 2) ** 2

@@ -266,13 +266,13 @@ class MixedSpace:
         weights w (nt, nq) and columns U (n_velocity, m); `rank_one` adds
         its term of `_strain_cells`.
 
-        The Newton matrix of the strain-dependent closure: with
-        U = [V | zeta_g] and the closure tangent's weights it holds the
-        modal tangent and its pairing with the lift. The `_strain_cells`
-        matrices are reduced cell by cell and summed over the cells in one
-        GEMM; the global K_w is never formed. (A batched (nt, m, m) product
-        summed afterwards would hold nt m^2 doubles, 27 MB at 32x32 cells
-        and m = 41.)
+        The Newton matrix of the strain-dependent closure: the implicit
+        step passes U = V, the modes, with the closure tangent's weights,
+        and gets the modal tangent V^T K_T V. The `_strain_cells` matrices
+        are reduced cell by cell and summed over the cells in one GEMM; the
+        global K_w is never formed. (A batched (nt, m, m) product summed
+        afterwards would hold nt m^2 doubles, 26 MB at 32x32 cells and
+        m = 40.)
         """
         m = U.shape[1]
         Uc = U[self.cell_vdofs]  # (nt, 12, m)

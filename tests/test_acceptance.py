@@ -161,6 +161,7 @@ def test_criterion_06_eigenbasis_quality():
            time.time() - t0, 120.0)
 
 
+@pytest.mark.slow
 def test_criterion_07_galerkin_mode_convergence(preset16):
     t0 = time.time()
     scn = preset16
@@ -184,6 +185,7 @@ def test_criterion_07_galerkin_mode_convergence(preset16):
            time.time() - t0, 600.0)
 
 
+@pytest.mark.slow
 def test_criterion_08_manufactured_solution_order():
     t0 = time.time()
     params = ClosureParams(nu=0.05, nu_tur=0.02)
@@ -236,6 +238,7 @@ def test_criterion_09_energy_dissipation():
            time.time() - t0, 60.0)
 
 
+@pytest.mark.slow
 def test_criterion_10_uniqueness_contraction():
     t0 = time.time()
     cfg = preset_variant(fluid={"nu": 0.005, "nu_tur": 0.01})
@@ -278,6 +281,7 @@ def test_criterion_10_uniqueness_contraction():
            time.time() - t0, 300.0)
 
 
+@pytest.mark.slow
 def test_criterion_11_apriori_ledger_stability():
     t0 = time.time()
     c1s = {}

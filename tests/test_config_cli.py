@@ -138,6 +138,11 @@ def test_cli_simulate_solver_summary(tmp_path):
     assert solver["iterations_max"] == max(iters)
     assert solver["worst_residual"] == max(float(r["residual"]) for r in rows) <= 1e-10
     assert solver["backtracks_total"] >= 0
+    # each closure tangent is followed by an accepted update; the histogram
+    # counts the steps (not the initial row) per iteration number
+    assert 0 < solver["tangents_total"] <= solver["iterations_total"]
+    hist = solver["iterations_histogram"]
+    assert hist == [iters[1:].count(n) for n in range(max(iters) + 1)]
 
 
 def test_import_cli_leaves_sympy_unloaded():
@@ -259,3 +264,47 @@ def test_cli_study_independent_of_threads(tmp_path, monkeypatch, kind, extra):
                      *extra, "--quiet"]) == 0
         texts.append((out / f"study_{kind}.csv").read_bytes())
     assert texts[0] == texts[1]
+
+
+def _nonfinite(value):
+    """The non-finite numbers (and JSON nulls) anywhere in a parsed JSON value."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _nonfinite(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _nonfinite(v)]
+    if value is None or (isinstance(value, float) and not np.isfinite(value)):
+        return [value]
+    return []
+
+
+@pytest.mark.parametrize("variant", ["no_pumps", "no_closure"])
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["contract"],
+    ["lift"],
+    ["eigen"],
+    ["validate"],
+    ["study", "dt", "--reference", "2"],
+    ["study", "modes", "--levels", "2,4", "--reference", "6"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_cli_degenerate_config_through_every_subcommand(tmp_path, capsys, argv, variant):
+    # no pumps (a vortex start, so the runs are not all zero) or no closure:
+    # every subcommand exits 0 with finite outputs and never raises
+    if variant == "no_pumps":
+        overrides = {"pumps": [], "initial": {"preset": "vortex", "amplitude": 1.0}}
+    else:
+        overrides = {"fluid": {"nu": 0.02, "nu_tur": 0.0}}
+    path, _ = small_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(path), "--output-dir", str(out), "--quiet"]) == 0
+    bad = []
+    if argv[0] == "validate":
+        bad += _nonfinite(json.loads(capsys.readouterr().out))
+    for p in out.glob("*.json"):
+        bad += [(p.name, x) for x in _nonfinite(json.loads(p.read_text()))]
+    for p in out.glob("*.csv"):
+        for line in p.read_text().splitlines()[2:]:
+            bad += [(p.name, v) for v in line.split(",") if not np.isfinite(float(v))]
+    assert not bad
+    if argv[0] in ("simulate", "contract", "study"):
+        assert list(out.glob("*.csv"))

@@ -241,8 +241,8 @@ def test_step_error_on_singular_newton_matrix(preset16, monkeypatch):
     newton = sys_.implicit_euler_newton
 
     def singular(*args):
-        evaluate = newton(*args)
-        return lambda z: evaluate(z)[:2] + (np.zeros((len(z), len(z))),)
+        defect, tangent, _ = newton(*args)
+        return defect, tangent, lambda z, T_VV: np.zeros((len(z), len(z)))
 
     monkeypatch.setattr(sys_, "implicit_euler_newton", singular)
     state = GalerkinState(0.2, 0.01 * np.ones(preset16.basis.size))
@@ -251,11 +251,33 @@ def test_step_error_on_singular_newton_matrix(preset16, monkeypatch):
     assert err.value.iterations == 0 and len(err.value.history) == 1
 
 
+def _logged_newton(sys_, monkeypatch, events):
+    """Patch sys_.implicit_euler_newton to append ("defect", residual) and
+    ("tangent", None) to events, in the order the step calls them."""
+    newton = sys_.implicit_euler_newton
+
+    def logged(*args):
+        defect, tangent, jacobian = newton(*args)
+
+        def logged_defect(z):
+            out = defect(z)
+            events.append(("defect", out[1]))
+            return out
+
+        def logged_tangent(f):
+            events.append(("tangent", None))
+            return tangent(f)
+
+        return logged_defect, logged_tangent, jacobian
+
+    monkeypatch.setattr(sys_, "implicit_euler_newton", logged)
+
+
 def test_picard_step_convection_load_count(preset16, monkeypatch):
-    # one strain kernel per defect evaluation, z_old's included (each
-    # evaluation gives the Newton matrix and the defect); convection is the
-    # modal contraction and H_g comes from offline tables, so no convection
-    # pairing on the mesh and no closure-load call
+    # one closure load per defect evaluation, z_old's included, and one
+    # strain kernel per step: the tangent is formed once and frozen;
+    # convection is the modal contraction and H_g comes from offline
+    # tables, so no convection pairing on the mesh
     import recirc.galerkin as galerkin
 
     calls = {"convection": 0, "smagorinsky": 0, "strain": 0}
@@ -274,18 +296,121 @@ def test_picard_step_convection_load_count(preset16, monkeypatch):
     space = scn.system.space
     monkeypatch.setattr(space, "weighted_strain_stiffness",
                         counted("strain", space.weighted_strain_stiffness))
+    events = []
+    _logged_newton(scn.system, monkeypatch, events)
     dt = 0.01
     for t, tol in ((0.2, 1e-10), (0.3, 1e-6)):  # a new time each, so lift data are formed
         calls.update(convection=0, smagorinsky=0, strain=0)
+        events.clear()
         state = GalerkinState(t, 0.01 * np.ones(scn.basis.size))
         new, diag = scn.system.step(state, dt, tol=tol)
+        defects = sum(kind == "defect" for kind, _ in events)
         assert diag["iterations"] >= 2
         assert calls["convection"] == 0
-        assert calls["smagorinsky"] == 0
-        assert calls["strain"] == diag["iterations"] + diag["backtracks"] + 1
+        assert calls["strain"] == diag["tangents"] == 1
+        assert calls["smagorinsky"] == defects == diag["iterations"] + diag["backtracks"] + 1
         # the step's residual is the true fixed-point defect
         defect = new.z - state.z - dt * scn.system.rhs(new.z, new.t)
         assert abs(diag["residual"] - np.linalg.norm(defect)) <= 1e-15
+
+
+def test_stiff_step_refreshes_the_tangent(plain16, monkeypatch):
+    # test_energy_nonincreasing_and_identity's first step: far from the
+    # solution a frozen tangent contracts slowly, so the rate rule forms it
+    # again after every update that shrank the residual by less than
+    # CHORD_RATE, and every frozen-tangent update that kept its tangent
+    # shrank it by CHORD_RATE or more
+    from recirc.galerkin import CHORD_RATE
+
+    sys_ = make_system(plain16, nu=0.01, nu_tur=0.2)
+    events = []
+    _logged_newton(sys_, monkeypatch, events)
+    z0 = 0.3 * np.random.default_rng(14).standard_normal(12)
+    _, diag = sys_.step(GalerkinState(0.0, z0), 0.01, tol=1e-12)
+    assert diag["tangents"] >= 2
+    assert diag["tangents"] == sum(kind == "tangent" for kind, _ in events)
+    assert diag["residual"] <= 1e-12 and diag["backtracks"] == 0
+    # replay the log: per update [residual before, after, tangent frozen,
+    # tangent formed next]
+    updates, res, stale = [], None, False
+    for kind, value in events:
+        if kind == "tangent":
+            stale = False
+            if updates:
+                updates[-1][3] = True
+        elif res is None:
+            res = value
+        else:
+            assert value < res  # no trial was dropped
+            updates.append([res, value, stale, False])
+            res, stale = value, True
+    assert any(frozen for _, _, frozen, _ in updates)
+    for before, after, frozen, refreshed in updates:
+        if after > 1e-12:  # the last update ends the step
+            assert refreshed == (after > CHORD_RATE * before)
+        if frozen and not refreshed:
+            assert after <= CHORD_RATE * before
+
+
+def test_frozen_tangent_without_decrease_is_refreshed(preset16, monkeypatch):
+    # the first frozen-tangent update gets a reversed Newton matrix, so its
+    # trial raises the residual: the trial is dropped (no iteration, no
+    # backtrack) and the tangent is formed again at the same iterate
+    sys_ = preset16.system
+    events = []
+    _logged_newton(sys_, monkeypatch, events)
+    logged = sys_.implicit_euler_newton
+    jacobians = []
+
+    def reversed_second(*args):
+        defect, tangent, jacobian = logged(*args)
+
+        def jac(z, T_VV):
+            jacobians.append(1)
+            return -jacobian(z, T_VV) if len(jacobians) == 2 else jacobian(z, T_VV)
+
+        return defect, tangent, jac
+
+    monkeypatch.setattr(sys_, "implicit_euler_newton", reversed_second)
+    state = GalerkinState(0.2, 0.01 * np.ones(preset16.basis.size))
+    new, diag = sys_.step(state, 0.01)
+    kinds = [kind for kind, _ in events]
+    assert kinds[:6] == ["defect", "tangent", "defect", "defect", "tangent", "defect"]
+    res = [value for _, value in events]
+    assert res[3] > res[2] and res[5] < res[2]  # dropped, then a fresh decrease
+    assert diag["tangents"] == 2 and diag["backtracks"] == 0
+    assert diag["iterations"] == kinds.count("defect") - 2  # z_old's and the dropped trial
+    assert diag["residual"] <= 1e-10
+    defect = new.z - state.z - 0.01 * sys_.rhs(new.z, new.t)
+    assert abs(diag["residual"] - np.linalg.norm(defect)) <= 1e-15
+
+
+def test_newton_without_closure_is_exact(preset16, monkeypatch):
+    # nu_tur = 0: no kernel call, and every update is Newton's
+    # z - J(z)^-1 d(z) with the Jacobian at the current iterate
+    scn = preset16
+    sys_ = ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps,
+                         ClosureParams(scn.params.nu, 0.0))
+    calls = []
+    kernel = scn.space.weighted_strain_stiffness
+    monkeypatch.setattr(scn.space, "weighted_strain_stiffness",
+                        lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
+    newton = sys_.implicit_euler_newton
+    points = []
+
+    def logged(*args):
+        defect, tangent, jacobian = newton(*args)
+        return (lambda z: points.append(z) or defect(z)), tangent, jacobian
+
+    monkeypatch.setattr(sys_, "implicit_euler_newton", logged)
+    state = GalerkinState(0.3, 0.5 * np.random.default_rng(44).standard_normal(scn.basis.size))
+    dt = 0.05
+    _, diag = sys_.step(state, dt, tol=1e-13)
+    assert diag["tangents"] == 0 and not calls
+    assert diag["iterations"] >= 2 and diag["backtracks"] == 0
+    defect, _, jacobian = newton(state.z, dt, state.t + dt)
+    for z, z_next in zip(points, points[1:]):
+        assert np.array_equal(z_next, z - np.linalg.solve(jacobian(z, None), defect(z)[0]))
 
 
 @pytest.mark.parametrize("nu_tur", [0.1, 0.0])
@@ -298,11 +423,14 @@ def test_newton_jacobian_matches_central_difference(preset16, nu_tur):
     rng = np.random.default_rng(41)
     dt, h = 0.01, 1e-5  # at h = 1e-5 the observed gap is at most 5e-10 of max|J - I|
     for t in (0.3, 0.9):
-        evaluate = sys_.implicit_euler_newton(rng.standard_normal(scn.basis.size), dt, t)
+        defect, tangent, jacobian = sys_.implicit_euler_newton(
+            rng.standard_normal(scn.basis.size), dt, t)
         z = 0.5 * rng.standard_normal(scn.basis.size)
-        jac = evaluate(z)[2]
+        f = defect(z)[2]
+        assert (f is None) == (nu_tur == 0)
+        jac = jacobian(z, None if f is None else tangent(f))
         fd = np.column_stack([
-            (evaluate(z + h * e)[0] - evaluate(z - h * e)[0]) / (2 * h)
+            (defect(z + h * e)[0] - defect(z - h * e)[0]) / (2 * h)
             for e in np.eye(len(z))
         ])
         part = jac - np.eye(len(z))  # the dt (...) part; I is exact in both
@@ -340,9 +468,13 @@ def test_closure_tangent_guard_at_zero_strain(preset16):
     assert np.abs(data.g).max() == 0.0
     N, dt = scn.basis.size, 0.01
     z = np.zeros(N)
+    defect, tangent, jacobian = sys_.implicit_euler_newton(z, dt, 0.0)
     with np.errstate(all="raise"):
-        d, res, jac = sys_.implicit_euler_newton(z, dt, 0.0)(z)
+        d, res, f = defect(z)
+        T_VV = tangent(f)
+        jac = jacobian(z, T_VV)
     assert np.all(np.isfinite(jac)) and np.isfinite(res)
+    assert np.array_equal(T_VV, np.zeros((N, N)))
     assert np.array_equal(jac, np.eye(N) + dt * sys_.visc)
 
 

@@ -153,6 +153,7 @@ def test_operator_signs_on_random_fields(space8):
         assert v @ space8.M @ v > 0.0
 
 
+@pytest.mark.slow
 def test_korn_constant_holds_for_fresh_batch(space8):
     # mesh-level constant: largest eigenvalue of (K_grad, K_eps) on the
     # boundary-zero subspace; then a fresh batch must satisfy the inequality
