@@ -34,7 +34,7 @@ def preset_path(name):
     p = _PRESET_DIR / f"{name}.json"
     if not p.exists():
         names = sorted(q.stem for q in _PRESET_DIR.glob("*.json"))
-        raise ValueError(f"unknown preset {name!r}; shipped presets: {names}")
+        raise ConfigError([("--config", f"unknown preset {name!r}; shipped presets: {names}")])
     return p
 
 
@@ -67,14 +67,19 @@ _DEFAULTS = {
 }
 
 
+def _is_finite_number(v):
+    """A number, not a bool, NaN or +-Infinity (floats end below 2**1024)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < 2**1024
+
+
 def _check_number(issues, obj, path, key, *, positive=False, nonnegative=False,
                   integer=False, minimum=None):
     if key not in obj:
         issues.append((f"{path}.{key}", "missing"))
         return None
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        issues.append((f"{path}.{key}", f"must be a number, got {v!r}"))
+    if not _is_finite_number(v):
+        issues.append((f"{path}.{key}", f"must be a finite number, got {v!r}"))
         return None
     if integer and int(v) != v:
         issues.append((f"{path}.{key}", f"must be an integer, got {v!r}"))
@@ -118,7 +123,7 @@ def validate(config):
                 config = json.load(fh)
         except OSError as exc:
             raise ConfigError([("", f"cannot read config file: {exc}")])
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
             raise ConfigError([("", f"config is not well-formed JSON: {exc}")])
     if not isinstance(config, dict):
         raise ConfigError([("", "config root must be a JSON object")])
@@ -142,7 +147,9 @@ def validate(config):
     raw["time"]["scheme"] = scheme
     if scheme not in SCHEMES:
         issues.append(("time.scheme", f"must be one of {SCHEMES}, got {scheme!r}"))
-    if T and dt and abs(round(T / dt) * dt - T) > 1e-9 * max(1.0, T):
+    if T and dt and not (
+        np.isfinite(T / dt) and abs(round(T / dt) * dt - T) <= 1e-9 * max(1.0, T)
+    ):
         issues.append(("time", f"T={T} is not an integer multiple of dt={dt}"))
     _check_number(issues, raw["galerkin"], "galerkin", "modes", positive=True, integer=True)
 
@@ -161,6 +168,8 @@ def validate(config):
         raw["output"] = out = dict(_DEFAULTS["output"])
     out.setdefault("dir", "out")
     out.setdefault("every", 10)
+    if not isinstance(out["dir"], str):
+        issues.append(("output.dir", f"must be a string, got {out['dir']!r}"))
     _check_number(issues, out, "output", "every", positive=True, integer=True)
     _check_number(issues, raw, "", "seed", nonnegative=True, integer=True)
 
@@ -207,9 +216,9 @@ def validate(config):
                     )
         sched = pump.get("schedule")
         if not isinstance(sched, list) or len(sched) < 2 or not all(
-            isinstance(s, list) and len(s) == 2 for s in sched
+            isinstance(s, list) and len(s) == 2 and all(map(_is_finite_number, s)) for s in sched
         ):
-            issues.append((f"{p}.schedule", "must be a list of [t, g] pairs (>= 2)"))
+            issues.append((f"{p}.schedule", "must be a list of [t, g] finite-number pairs (>= 2)"))
         else:
             ts = [s[0] for s in sched]
             gs = [s[1] for s in sched]

@@ -58,9 +58,7 @@ class FullSpaceSystem:
     def source_load(self, t):
         if self.source is None:
             return np.zeros(self.space.n_velocity)
-        xy = self.space.qpoints
-        F = self.source(xy[..., 0].ravel(), xy[..., 1].ravel(), t)
-        return self.space.load_vector(np.asarray(F).reshape(xy.shape))
+        return self.space.load_vector(self.space.sample(self.source, t))
 
     def nonlinear_load(self, z):
         """Dual vector of skew convection c(z; z, .) plus the closure term."""

@@ -40,12 +40,12 @@ when an accepted update shrinks the residual by less than CHORD_RATE.
 Classical RK4 is available for cross-checks. The physical velocity at any
 time is v = zeta_g(t) + sum_k z_k xi_k.
 
-Quadrature-point data come in two bundles, read by the right-hand side, the
-steppers and the energy ledger alike: `lifting.LiftData` (everything that
-depends on t alone, formed by `compute_Hg_load`; the steppers read g, gdot
-and the gradients of zeta_g from it, with the modal (H_g, xi_k), through the
-one-entry cache of `lift_data`) and `StateFields` (the closure's fields of
-one state).
+Time data are split by who reads them. The right-hand side and the steppers
+read the rates g(t) and (H_g, xi_k) from `lift_modal`; the energy ledger reads
+the quadrature-point tables of `lifting.LiftData` (zeta_g, its rate, H_g) from
+`lift_data`. Both read a state's closure fields from `StateFields`, which the
+steppers form from one gradient evaluation of w = zeta_g + z and the ledger
+from its tables. The system holds no mutable state while it steps.
 """
 
 import numpy as np
@@ -69,16 +69,13 @@ class GalerkinState:
 
 
 class StateFields:
-    """Quadrature-point tables (nt, nq, ...) of one state: gradients of z
-    and of w = zeta_g + z, eps(w) and |eps(w)|. The steppers read only
-    eps(w) and |eps(w)|; the ledger forms eps(z) from z_grads."""
+    """Quadrature-point tables (nt, nq, ...) of one state's closure fields:
+    eps(w) and |eps(w)| from the gradient table of w = zeta_g + z."""
 
-    __slots__ = ("z_grads", "w_grads", "w_eps", "w_eps_mag")
+    __slots__ = ("w_eps", "w_eps_mag")
 
-    def __init__(self, space, zf, data):
-        self.z_grads = space.eval_grads(zf)
-        self.w_grads = data.zg_grads + self.z_grads
-        self.w_eps = sym_grad(self.w_grads)
+    def __init__(self, w_grads):
+        self.w_eps = sym_grad(w_grads)
         self.w_eps_mag = strain_norm(self.w_eps)
 
 
@@ -143,7 +140,6 @@ class ReducedSystem:
         self.C[:, :K, :K] = 0.0  # the lift's self-convection is carried by H_g
         self.R = np.ascontiguousarray(T[:K, :K, K:].transpose(2, 0, 1))  # ((grad zeta_q) zeta_p, xi_k)
         self.P = V.T @ (space.M @ Z)  # (zeta_p, xi_k)
-        self._t_cache = None
 
     def _check_convection(self, W):
         """The full contraction at y = 1 against one quadrature pairing of
@@ -164,23 +160,21 @@ class ReducedSystem:
                 f"(term scale {scale:.3e}, tolerance 1e-10 relative)"
             )
 
-    # -- lift data per time (one-entry cache) and fields per state ------------
+    # -- lift data per time and fields per state --------------------------------
+
+    def lift_modal(self, t):
+        """(g(t), (H_g(t), xi_k)), where (H_g, xi_k) = (F, xi_k) - P gdot - (R g) g:
+        only a source needs a quadrature."""
+        g, gdot = self.pumps.rates(t)
+        hg = -(self.P @ gdot) - (self.R @ g) @ g
+        if self.source is not None:
+            F = self.space.sample(self.source, t)
+            hg = hg + self.basis.fields.T @ self.space.load_vector(F)
+        return g, hg
 
     def lift_data(self, t):
-        """(LiftData at t, modal pairings (H_g(t), xi_k)).
-
-        (H_g, xi_k) = (F, xi_k) - P gdot - (R g) g: only a source needs a
-        quadrature. The one-entry cache is read into a local before it is
-        checked, so threads sharing this system never see another time's data.
-        """
-        cache = self._t_cache
-        if cache is None or cache[0] != t:
-            data = compute_Hg_load(self.lifting, self.pumps, self.source, t)
-            hg = -(self.P @ data.gdot) - (self.R @ data.g) @ data.g
-            if self.source is not None:
-                hg = hg + self.basis.fields.T @ self.space.load_vector(data.source_vals)
-            cache = self._t_cache = (t, data, hg)
-        return cache[1], cache[2]
+        """LiftData at t: the quadrature-point tables of zeta_g and H_g."""
+        return compute_Hg_load(self.lifting, self.pumps, self.source, t)
 
     def lift_fields(self, t):
         """(zeta_g(t), d zeta_g/dt(t)) as velocity coefficient vectors."""
@@ -192,30 +186,31 @@ class ReducedSystem:
         zg, _ = self.lift_fields(t)
         return zg + self.basis.expand(z)
 
-    def state_fields(self, z, data):
-        """StateFields of z and w = zeta_g + z against the LiftData of their time."""
-        return StateFields(self.space, self.basis.expand(z), data)
+    def state_fields(self, z, g):
+        """StateFields of w = zeta_g + z at the lift rates g."""
+        w = self.lifting.combine(g) + self.basis.expand(z)
+        return StateFields(self.space.eval_grads(w))
 
     # -- right-hand side -------------------------------------------------------
 
-    def _conv_modal(self, z, data):
+    def _conv_modal(self, z, g):
         """Modal pairings c(w; w, xi_k) - c(zeta_g; zeta_g, xi_k), w = zeta_g + z."""
-        y = np.concatenate([data.g, z])
+        y = np.concatenate([g, z])
         return (self.C @ y) @ y
 
-    def _closure(self, z, data):
+    def _closure(self, z, g):
         """(modal pairings of the Smagorinsky stress at w = zeta_g + z, the
-        StateFields of z); (0, None) without the closure."""
+        StateFields of w); (0, None) without the closure."""
         if self.params.nu_tur == 0:
             return np.zeros(self.basis.size), None
-        f = self.state_fields(z, data)
+        f = self.state_fields(z, g)
         load = smagorinsky_load(self.space, f.w_eps, self.params, eps_mag=f.w_eps_mag)
         return self.basis.fields.T @ load, f
 
     def rhs(self, z, t):
         """dz/dt at (z, t)."""
-        data, hg = self.lift_data(t)
-        return hg - self.visc @ z - (self._conv_modal(z, data) + self._closure(z, data)[0])
+        g, hg = self.lift_modal(t)
+        return hg - self.visc @ z - (self._conv_modal(z, g) + self._closure(z, g)[0])
 
     # -- steppers ----------------------------------------------------------------
 
@@ -234,15 +229,15 @@ class ReducedSystem:
           J_conv[k, j] = sum_b (C[k, K+j, b] + C[k, b, K+j]) y_b is the
           derivative of (C y) y at z; T_VV None leaves the closure out.
         """
-        data, hg = self.lift_data(t_new)
+        g, hg = self.lift_modal(t_new)
         K = len(self.lifting)
         V = self.basis.fields
         nu_tur = self.params.nu_tur
         base = np.eye(self.basis.size) + dt * self.visc
 
         def defect(z):
-            y = np.concatenate([data.g, z])
-            closure, f = self._closure(z, data)
+            y = np.concatenate([g, z])
+            closure, f = self._closure(z, g)
             d = z - z_old + dt * (self.visc @ z + (self.C @ y) @ y + closure - hg)
             return d, float(np.linalg.norm(d)), f
 
@@ -252,7 +247,7 @@ class ReducedSystem:
             return self.space.weighted_strain_stiffness(nu_tur * mag, V, rank_one=(inv, f.w_eps))
 
         def jacobian(z, T_VV):
-            y = np.concatenate([data.g, z])
+            y = np.concatenate([g, z])
             jac = base + dt * ((self.C @ y)[:, K:] + y @ self.C[:, :, K:])
             if T_VV is not None:
                 jac += dt * T_VV
@@ -396,8 +391,9 @@ class ReducedSystem:
 
     def dissipation_rates(self, z, t):
         """(2 nu ||eps(z)||^2, 2 nu_tur ||eps(zg+z)||^3_L3) at (z, t)."""
-        f = self.state_fields(z, self.lift_data(t)[0])
-        eps_z = sym_grad(f.z_grads)
+        z_grads = self.space.eval_grads(self.basis.expand(z))
+        f = StateFields(self.lift_data(t).zg_grads + z_grads)
+        eps_z = sym_grad(z_grads)
         visc = 2 * self.params.nu * self.space.integrate(
             np.einsum("cqab,cqab->cq", eps_z, eps_z)
         )

@@ -30,7 +30,7 @@ class LiftingBasis:
         self.zetas = np.array(zetas, dtype=float).reshape(K, space.n_velocity)
         self.pressures = np.array(pressures, dtype=float).reshape(K, space.n_pressure)
         self.residuals = np.asarray(residuals)
-        # quadrature-point tabulations for fast combination in the rhs path
+        # quadrature-point tabulations combined into the tables of LiftData
         self.vals = np.array([space.eval_values(z) for z in self.zetas]).reshape(K, nt, nq, 2)
         self.grads = np.array([space.eval_grads(z) for z in self.zetas]).reshape(K, nt, nq, 2, 2)
 
@@ -106,31 +106,24 @@ def convective_qpt(vals, grads):
 
 
 class LiftData:
-    """Lift data at one time t, formed once and read by every consumer.
+    """Quadrature-point lift data at one time t, read by the energy ledger.
 
     Quadrature-point tables (nt, nq, ...) of zeta_g(t) and d zeta_g/dt(t)
-    (values and gradients), the source F, H~_g = F - d zeta_g/dt,
-    the lift convection (grad zeta_g) zeta_g and H_g = H~_g - (grad zeta_g) zeta_g,
-    with the rates g(t) and gdot(t) they combine. Its dual vector
-    (H_g, phi_i) is `space.load_vector(h)`; the reduced system pairs H_g
-    with its modes from offline tables and reads only the source's table.
+    (values and gradients), H~_g = F - d zeta_g/dt and
+    H_g = H~_g - (grad zeta_g) zeta_g. Its dual vector (H_g, phi_i) is
+    `space.load_vector(h)`; the reduced system pairs H_g with its modes
+    from offline tables and the rates g(t) alone.
     """
 
-    __slots__ = ("g", "gdot", "source_vals", "zg_vals", "zg_grads", "dzg_vals",
-                 "dzg_grads", "h_tilde", "zg_conv", "h")
+    __slots__ = ("zg_vals", "zg_grads", "dzg_vals", "dzg_grads", "h_tilde", "h")
 
     def __init__(self, lb, pumps, source, t):
-        self.g, self.gdot = pumps.rates(t)
-        self.zg_vals, self.zg_grads = lb.combine_qpt(self.g)
-        self.dzg_vals, self.dzg_grads = lb.combine_qpt(self.gdot)
-        self.zg_conv = convective_qpt(self.zg_vals, self.zg_grads)
-        self.source_vals = np.zeros_like(self.zg_vals)
-        if source is not None:
-            xy = lb.space.qpoints
-            F = source(xy[..., 0].ravel(), xy[..., 1].ravel(), t)
-            self.source_vals = np.asarray(F).reshape(xy.shape)
-        self.h_tilde = self.source_vals - self.dzg_vals
-        self.h = self.h_tilde - self.zg_conv
+        g, gdot = pumps.rates(t)
+        self.zg_vals, self.zg_grads = lb.combine_qpt(g)
+        self.dzg_vals, self.dzg_grads = lb.combine_qpt(gdot)
+        source_vals = np.zeros_like(self.zg_vals) if source is None else lb.space.sample(source, t)
+        self.h_tilde = source_vals - self.dzg_vals
+        self.h = self.h_tilde - convective_qpt(self.zg_vals, self.zg_grads)
 
 
 def compute_Hg_load(lb, pumps, source, t):

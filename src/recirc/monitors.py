@@ -12,7 +12,6 @@ knots. The time derivative of z is a backward difference on that grid.
 import numpy as np
 
 from .galerkin import StateFields
-from .lifting import compute_Hg_load
 from .turbulence import strain_norm, sym_grad
 
 
@@ -64,11 +63,11 @@ def ledger(system, traj):
     eps_w_cu = np.zeros(n)
     eps_z_cu = np.zeros(n)
     for i, t in enumerate(times):
-        # the tables only, not the modal load `ReducedSystem.lift_data` adds
-        lift = compute_Hg_load(system.lifting, system.pumps, system.source, t)
+        lift = system.lift_data(t)
         zf = system.basis.expand(traj.states[i])
-        f = StateFields(space, zf, lift)
-        ez, edzg = strain_norm(sym_grad(f.z_grads)), strain_norm(sym_grad(lift.dzg_grads))
+        z_grads = space.eval_grads(zf)
+        f = StateFields(lift.zg_grads + z_grads)
+        ez, edzg = strain_norm(sym_grad(z_grads)), strain_norm(sym_grad(lift.dzg_grads))
         z_mag = np.linalg.norm(space.eval_values(zf), axis=-1)
         ew_l3 = _lp(space, f.w_eps_mag, 3)
         rows["z_l2_sq"][i] = _lp(space, z_mag, 2) ** 2
@@ -78,7 +77,7 @@ def ledger(system, traj):
         rows["psi1"][i] = _lp(space, f.w_eps_mag, 2) ** 2 + eps_w_cu[i]
         rows["psi2"][i] = ew_l3**2 + _lp(space, edzg, 2) ** 2 + _lp(space, edzg, 3) ** 1.5
         # strain_norm of a gradient table is |grad z|
-        rows["z_w12_sq"][i] = rows["z_l2_sq"][i] + _lp(space, strain_norm(f.z_grads), 2) ** 2
+        rows["z_w12_sq"][i] = rows["z_l2_sq"][i] + _lp(space, strain_norm(z_grads), 2) ** 2
         rows["z_w13_cu"][i] = _lp(space, z_mag, 3) ** 3 + eps_z_cu[i]
         rows["hg_l2_sq"][i], rows["hg_tilde_l2_sq"][i] = _hg_sq(space, lift)
         if i > 0:
@@ -140,8 +139,7 @@ def _data_functionals(system, times, rows, v0):
     params = system.params
     space = system.space
     keys = ("hg_l2l2_sq", "hg_tilde_l2l2_sq", "zg_l3w13_cu", "dzg_l2h1_sq", "dzg_l2w13_cu")
-    vals = _midpoint(times, lambda t: _lift_functionals(
-        space, compute_Hg_load(system.lifting, system.pumps, system.source, t)))
+    vals = _midpoint(times, lambda t: _lift_functionals(space, system.lift_data(t)))
     data = {**v0, **dict(zip(keys, vals))}
     data["dzg_l2w13_cu"] **= 1.5
 

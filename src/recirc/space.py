@@ -380,6 +380,11 @@ class MixedSpace:
             out[:, :, comp, :] = (G @ Uc[..., None]).reshape(nt, nq, 2)
         return out
 
+    def sample(self, f, t):
+        """A callable f(x, y, t) -> (n, 2) at all quadrature points -> (nt, nq, 2)."""
+        xy = self.qpoints
+        return np.asarray(f(xy[..., 0].ravel(), xy[..., 1].ravel(), t)).reshape(xy.shape)
+
     def _scatter(self, contrib):
         """Accumulate per-cell DOF contributions (nt, 2, 6) into a velocity vector."""
         return np.bincount(self.cell_vdofs.ravel(), weights=contrib.ravel(),

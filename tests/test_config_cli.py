@@ -80,6 +80,9 @@ def test_malformed_json_rejected(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         validate(path)
+    path.write_bytes(b'{"seed": "\xff"}')  # not UTF-8
+    with pytest.raises(ConfigError):
+        validate(path)
 
 
 def test_cli_validate_exit_codes(tmp_path, capsys):
@@ -308,3 +311,86 @@ def test_cli_degenerate_config_through_every_subcommand(tmp_path, capsys, argv, 
     assert not bad
     if argv[0] in ("simulate", "contract", "study"):
         assert list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("section, key, value, where", [
+    ("pumps", "schedule", [[0, 0], ["a", 1]], "pumps[0].schedule"),
+    ("pumps", "schedule", [[0, 0], [0.1, None], [0.2, 0.05]], "pumps[0].schedule"),
+    ("pumps", "schedule", [[0, 0], [float("nan"), 0.05]], "pumps[0].schedule"),
+    ("time", "T", float("inf"), "time.T"),
+    ("time", "dt", 5e-324, "time"),  # T / dt overflows
+    ("fluid", "nu_tur", float("nan"), "fluid.nu_tur"),
+    ("mesh", "nx", float("inf"), "mesh.nx"),
+    ("output", "dir", 3, "output.dir"),
+])
+def test_cli_validate_malformed_values(tmp_path, capsys, section, key, value, where):
+    # each used to escape validate as a traceback, or to pass it
+    path, cfg = small_config(tmp_path)
+    target = cfg["pumps"][0] if section == "pumps" else cfg[section]
+    target[key] = value
+    path.write_text(json.dumps(cfg))  # NaN and Infinity as Python's json writes them
+    assert main(["validate", "--config", str(path)]) == 2
+    errors = json.loads(capsys.readouterr().out)["errors"]
+    assert where in [e["path"] for e in errors]
+
+
+def test_cli_unknown_preset_is_config_error(tmp_path, capsys):
+    assert main(["validate", "--config", "preset:nope"]) == 2
+    errors = json.loads(capsys.readouterr().out)["errors"]
+    assert errors[0]["path"] == "--config"
+    assert "'nope'" in errors[0]["message"] and "four_pumps" in errors[0]["message"]
+    assert main(["simulate", "--config", "preset:nope", "--output-dir", str(tmp_path),
+                 "--quiet"]) == 2
+
+
+def _json_paths(value, path=()):
+    """The path of every value inside a parsed JSON value, the root's excluded."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [p for k, v in items for p in [(*path, k), *_json_paths(v, (*path, k))]]
+
+
+def _mutate(cfg, path, kind, rng):
+    parent = cfg
+    for k in path[:-1]:
+        parent = parent[k]
+    key, old = path[-1], parent[path[-1]]
+    if kind == "delete":
+        del parent[key]
+    elif kind == "type":
+        others = [x for x in ("a", True, {"k": 1}, [1, 2], 1.5) if type(x) is not type(old)]
+        parent[key] = others[rng.integers(len(others))]
+    elif kind == "negative":
+        number = isinstance(old, (int, float)) and not isinstance(old, bool)
+        parent[key] = -(abs(old) or 1) if number else -1
+    else:
+        parent[key] = {"null": None, "nan": float("nan"), "inf": float("inf"),
+                       "-inf": float("-inf"), "empty": []}[kind]
+
+
+def test_validate_fuzz_never_raises(tmp_path, capsys):
+    # seeded batches of 1-3 mutations of the four_pumps preset at random JSON
+    # paths: validate exits 0, or 2 with a non-empty list of located errors
+    base = json.loads(preset_path("four_pumps").read_text())
+    rng = np.random.default_rng(20261018)
+    kinds = ("type", "null", "nan", "inf", "-inf", "negative", "delete", "empty")
+    path = tmp_path / "fuzz.json"
+    codes = []
+    for case in range(400):
+        cfg = json.loads(json.dumps(base))
+        for _ in range(rng.integers(1, 4)):
+            paths = _json_paths(cfg)
+            _mutate(cfg, paths[rng.integers(len(paths))], kinds[rng.integers(len(kinds))], rng)
+        path.write_text(json.dumps(cfg))
+        code = main(["validate", "--config", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code in (0, 2), (case, cfg)
+        if code == 2:
+            assert out["valid"] is False and out["errors"], (case, cfg)
+            assert all(isinstance(e["path"], str) and e["message"] for e in out["errors"])
+        codes.append(code)
+    assert 2 in codes and 0 in codes

@@ -446,11 +446,11 @@ def test_closure_tangent_is_twice_the_load(preset16):
     nu_tur = scn.params.nu_tur
     rng = np.random.default_rng(43)
     for t in (0.1, 0.6):
-        data, _ = sys_.lift_data(t)
+        g, _ = sys_.lift_modal(t)
         z = 0.3 * rng.standard_normal(scn.basis.size)
-        f = sys_.state_fields(z, data)
+        f = sys_.state_fields(z, g)
         mag = f.w_eps_mag
-        U = np.column_stack([V, scn.lifting.combine(data.g)])
+        U = np.column_stack([V, scn.lifting.combine(g)])
         T = space.weighted_strain_stiffness(nu_tur * mag, U,
                                             rank_one=(nu_tur / mag, f.w_eps))
         got = 0.5 * (T[:-1] @ np.append(z, 1.0))
@@ -464,8 +464,8 @@ def test_closure_tangent_guard_at_zero_strain(preset16):
     # convection's Jacobian vanishes at y = 0, which leaves I + dt visc
     scn = preset16
     sys_ = scn.system
-    data, _ = sys_.lift_data(0.0)
-    assert np.abs(data.g).max() == 0.0
+    g, _ = sys_.lift_modal(0.0)
+    assert np.abs(g).max() == 0.0
     N, dt = scn.basis.size, 0.01
     z = np.zeros(N)
     defect, tangent, jacobian = sys_.implicit_euler_newton(z, dt, 0.0)
@@ -496,9 +496,9 @@ def test_convection_contraction_matches_quadrature(case, request):
     for scale in [0.3] * 4 + [0.0, 1e-8]:
         z = scale * rng.standard_normal(basis.size)
         t = float(rng.uniform(0.05, 1.0))
-        data, _ = sys_.lift_data(t)
+        g, _ = sys_.lift_modal(t)
         zg, _ = sys_.lift_fields(t)
-        got = sys_._conv_modal(z, data)
+        got = sys_._conv_modal(z, g)
         oracle = _conv_oracle(space, basis, zg, z)
         assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
@@ -528,11 +528,47 @@ def test_lift_data_modal_hg_matches_quadrature(preset16):
 
     sys_ = ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, scn.params, source=F)
     t = 0.1
-    data, hg = sys_.lift_data(t)
-    assert np.abs(data.gdot).max() > 0.0
-    oracle = scn.basis.fields.T @ scn.space.load_vector(
-        compute_Hg_load(scn.lifting, scn.pumps, F, t).h)
+    _, hg = sys_.lift_modal(t)
+    assert np.abs(scn.pumps.rates(t)[1]).max() > 0.0
+    oracle = scn.basis.fields.T @ scn.space.load_vector(sys_.lift_data(t).h)
     assert np.abs(hg - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_steppers_form_no_lift_tables(preset16, monkeypatch):
+    # without a source the right-hand side and both steppers read the rates
+    # g and the offline H_g tables only, never a quadrature-point LiftData
+    import recirc.galerkin as galerkin
+
+    calls = []
+    build = galerkin.compute_Hg_load
+    monkeypatch.setattr(galerkin, "compute_Hg_load", lambda *a: calls.append(a) or build(*a))
+    sys_ = preset16.system
+    assert sys_.source is None
+    state = GalerkinState(0.1, 0.01 * np.ones(preset16.basis.size))  # inside the ramp
+    sys_.rhs(state.z, state.t)
+    sys_.step(state, 0.01)
+    sys_.step(state, 0.01, scheme="explicit-rk4")
+    assert not calls
+    sys_.lift_data(state.t)  # the counter sees the ledger's route
+    assert len(calls) == 1
+
+
+def test_step_fields_match_ledger_tables(preset16):
+    # the steppers' StateFields, from one gradient evaluation of w = zeta_g + z,
+    # against the ledger's route, the lift's gradient table plus z's
+    from recirc.galerkin import StateFields
+
+    scn = preset16
+    sys_, space = scn.system, scn.space
+    rng = np.random.default_rng(46)
+    for t, ramp in ((0.1, True), (0.6, False)):
+        g, gdot = scn.pumps.rates(t)
+        assert (np.abs(gdot).max() > 0) == ramp and np.abs(g).max() > 0
+        z = 0.3 * rng.standard_normal(scn.basis.size)
+        got = sys_.state_fields(z, g)
+        ref = StateFields(sys_.lift_data(t).zg_grads + space.eval_grads(scn.basis.expand(z)))
+        for a, b in ((got.w_eps, ref.w_eps), (got.w_eps_mag, ref.w_eps_mag)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_perturbed_convection_tensor_rejected(preset16, monkeypatch):
