@@ -27,7 +27,7 @@ from .mesh import TaggedMesh, build_rect_mesh, tag_boundary
 from .monitors import ContractionReport, EnergyLedger, contraction, ledger
 from .pumps import PumpProfile, PumpSet, Schedule, build_profile, build_psi
 from .space import MixedSpace
-from .turbulence import ClosureParams, apply_A, beta, convect, potential_D
+from .turbulence import ClosureParams, convect
 from .vtk import write_vtk
 
 

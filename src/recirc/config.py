@@ -74,24 +74,25 @@ def _is_finite_number(v):
 
 def _check_number(issues, obj, path, key, *, positive=False, nonnegative=False,
                   integer=False, minimum=None):
+    where = f"{path}.{key}" if path else key
     if key not in obj:
-        issues.append((f"{path}.{key}", "missing"))
+        issues.append((where, "missing"))
         return None
     v = obj[key]
     if not _is_finite_number(v):
-        issues.append((f"{path}.{key}", f"must be a finite number, got {v!r}"))
+        issues.append((where, f"must be a finite number, got {v!r}"))
         return None
     if integer and int(v) != v:
-        issues.append((f"{path}.{key}", f"must be an integer, got {v!r}"))
+        issues.append((where, f"must be an integer, got {v!r}"))
         return None
     if positive and not v > 0:
-        issues.append((f"{path}.{key}", f"must be positive, got {v!r}"))
+        issues.append((where, f"must be positive, got {v!r}"))
         return None
     if nonnegative and v < 0:
-        issues.append((f"{path}.{key}", f"must be nonnegative, got {v!r}"))
+        issues.append((where, f"must be nonnegative, got {v!r}"))
         return None
     if minimum is not None and v < minimum:
-        issues.append((f"{path}.{key}", f"must be >= {minimum}, got {v!r}"))
+        issues.append((where, f"must be >= {minimum}, got {v!r}"))
         return None
     return v
 

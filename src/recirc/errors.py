@@ -38,9 +38,10 @@ class CapacityError(RecircError):
 class StepError(RecircError):
     """Nonlinear time-step solve failed to converge.
 
-    Carries the best residual, the time t of the failed step, its iteration
-    count and residual history where the solver knows them, and the partial
-    trajectory once the integrator has attached it.
+    Carries the residual (the reduced step's best, the full-space step's last
+    increment), the time t of the failed step, its iteration count and
+    residual history, and the partial trajectory once the integrator has
+    attached it.
     """
 
     def __init__(self, message, residual=None, trajectory=None, t=None, iterations=None,

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError, StepError
-from .turbulence import convection_load, smagorinsky_load, strain_norm, sym_grad
+from .turbulence import closure_tangent, convection_load, smagorinsky_load, strain_norm, sym_grad
 
 
 class FullSpaceSystem:
@@ -79,11 +79,11 @@ class FullSpaceSystem:
         )
 
     def closure_shift(self, z, safety=2.0):
-        """Viscosity shift bounding the closure coefficient nu_tur |eps(z)|."""
+        """Viscosity shift bounding the closure weight w of `closure_tangent` at z."""
         if self.params.nu_tur == 0:
             return 0.0
-        eps = self.space.strain_samples(z)
-        return safety * self.params.nu_tur * float(strain_norm(eps).max())
+        w, _ = closure_tangent(strain_norm(self.space.strain_samples(z)), self.params)
+        return safety * float(w.max())
 
     # -- stepping --------------------------------------------------------------------
 
@@ -96,19 +96,21 @@ class FullSpaceSystem:
         shift_op = shift * space.K_eps
         zero_div = np.zeros(space.n_pressure)
         zi = z
+        history = []  # increment of each iteration
         for it in range(1, max_iter + 1):
             rhs_mom = base + L - self.nonlinear_load(zi) + shift_op @ zi
             rhs = space.saddle_rhs(rhs_mom[I], zero_div)
             z_new = np.zeros(space.n_velocity)
             z_new[I], _ = space.saddle_split(lu.solve(rhs))
             inc = np.sqrt(float((z_new - zi) @ (space.M @ (z_new - zi))))
+            history.append(inc)
             zi = z_new
             if inc <= tol:
                 return zi, it
         raise StepError(
             f"full-space step at t={t_new:.6g} stalled at increment {inc:.3e}; "
             "reduce dt or raise the closure shift",
-            residual=inc,
+            residual=inc, t=t_new, iterations=max_iter, history=history,
         )
 
     def integrate(self, v0, T, dt, tol=1e-10, observer=None):

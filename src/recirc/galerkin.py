@@ -29,16 +29,18 @@ Nonlinear Equations, SIAM 1995, 5.4). Every iterate's defect is the light
 path of the right-hand side: one `StateFields`, one closure load and a
 product with V^T. The Jacobian's convection part, a contraction of C, is
 refreshed at every iterate; its closure part is the tangent
-2 nu_tur (|e| I + e (x) e / |e|) of the stress 2 nu_tur |e| e, the
-strain-weighted stiffness plus one rank-one term per quadrature point,
-projected onto the modes cell by cell (`MixedSpace.weighted_strain_stiffness`)
-without assembling a mesh-sized matrix. That projection is the heavy half of
-an iteration, and the monotone closure's tangent moves by O(dt) over a
-step, so it is formed once per step and frozen. It is formed again at the
-current iterate only when a frozen-tangent update finds no decrease, or
-when an accepted update shrinks the residual by less than CHORD_RATE.
-Classical RK4 is available for cross-checks. The physical velocity at any
-time is v = zeta_g(t) + sum_k z_k xi_k.
+2 nu_tur (|e| I + e (x) e / |e|) of the stress 2 nu_tur |e| e (the pair
+`turbulence.closure_stress`, `closure_tangent`, which the defect's load and
+the tangent read): the strain-weighted stiffness plus one rank-one term per
+quadrature point, projected onto the modes cell by cell
+(`MixedSpace.weighted_strain_stiffness`) without assembling a mesh-sized
+matrix. That projection is the heavy half of an iteration, and the monotone
+closure's tangent moves by O(dt) over a step, so it is formed once per step
+and frozen. It is formed again at the current iterate only when a
+frozen-tangent update finds no decrease, or when an accepted update shrinks
+the residual by less than CHORD_RATE. Classical RK4 is available for
+cross-checks. The physical velocity at any time is v = zeta_g(t) + sum_k
+z_k xi_k.
 
 Time data are split by who reads them. The right-hand side and the steppers
 read the rates g(t) and (H_g, xi_k) from `lift_modal`; the energy ledger reads
@@ -52,7 +54,7 @@ import numpy as np
 
 from .errors import SolverError, StepError
 from .lifting import compute_Hg_load
-from .turbulence import convection_load, smagorinsky_load, strain_norm, sym_grad
+from .turbulence import closure_tangent, convection_load, smagorinsky_load, strain_norm, sym_grad
 
 MAX_HALVINGS = 20  # step-length halvings per Newton update before a step fails
 CHORD_RATE = 0.1  # an accepted update that shrinks the residual less refreshes the tangent
@@ -223,8 +225,8 @@ class ReducedSystem:
           as in `rhs` from f, the StateFields of z (None when nu_tur = 0).
         - tangent(f) -> T_VV = V^T K_T V, the closure tangent
           2 nu_tur (|e| I + e (x) e / |e|), e = eps(w), at the state whose
-          StateFields are f, from one `weighted_strain_stiffness` call. The
-          rank-one weight nu_tur / |e| is 0 where |e| = 0.
+          StateFields are f, from one `weighted_strain_stiffness` call with
+          the weights of `closure_tangent`.
         - jacobian(z, T_VV) -> I + dt (visc + J_conv + T_VV), where
           J_conv[k, j] = sum_b (C[k, K+j, b] + C[k, b, K+j]) y_b is the
           derivative of (C y) y at z; T_VV None leaves the closure out.
@@ -232,7 +234,6 @@ class ReducedSystem:
         g, hg = self.lift_modal(t_new)
         K = len(self.lifting)
         V = self.basis.fields
-        nu_tur = self.params.nu_tur
         base = np.eye(self.basis.size) + dt * self.visc
 
         def defect(z):
@@ -242,9 +243,8 @@ class ReducedSystem:
             return d, float(np.linalg.norm(d)), f
 
         def tangent(f):
-            mag = f.w_eps_mag
-            inv = np.divide(nu_tur, mag, out=np.zeros_like(mag), where=mag > 0)
-            return self.space.weighted_strain_stiffness(nu_tur * mag, V, rank_one=(inv, f.w_eps))
+            w, a = closure_tangent(f.w_eps_mag, self.params)
+            return self.space.weighted_strain_stiffness(w, V, rank_one=(a, f.w_eps))
 
         def jacobian(z, T_VV):
             y = np.concatenate([g, z])

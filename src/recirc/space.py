@@ -242,8 +242,8 @@ class MixedSpace:
 
         rank_one = (a, e), quadrature-point weights a (nt, nq) and symmetric
         tensors e (nt, nq, 2, 2), adds int 2 a (e:eps(phi_i)) (e:eps(phi_j)).
-        With w = nu_tur |e| and a = nu_tur / |e| the sum is the tangent of
-        the closure stress 2 nu_tur |e| e at e.
+        With the weights of `turbulence.closure_tangent` the sum is the
+        tangent of the closure stress at e.
         """
         wq = (self.qweights * weight)[:, :, None]
         gx, gy = self.grad[:, :, 0], self.grad[:, :, 1]  # (nt, nq, 6)

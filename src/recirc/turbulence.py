@@ -1,13 +1,15 @@
-"""Smagorinsky closure: strain, dissipation potential, stress, weak operators.
+"""Smagorinsky closure and skew convection at quadrature points.
 
-The potential is D(e) = nu [e:e] + (2/3) nu_tur [e:e]^(3/2); its strain
-derivative is the stress Xi(e) = beta(e) e with beta(e) = 2 nu + 2 nu_tur |e|,
-|e| = (e:e)^(1/2). The weak nonlinear operator is
+The closure stress is 2 nu_tur |e| e, |e| = (e:e)^(1/2), the strain
+derivative of the convex potential (2/3) nu_tur [e:e]^(3/2). Added to the
+molecular stress 2 nu e it keeps the weak operator monotone, with constant
+2 nu in the strain seminorm. Its tangent is
 
-    <A(z), xi> = int beta(eps(zeta_g + z)) eps(zeta_g + z) : eps(xi),
+    2 nu_tur (|e| I + e (x) e / |e|) = 2 (w I + a e (x) e),
 
-monotone with constant 2 nu in the strain seminorm (the strengthening that
-is provable pointwise: (beta(e1)e1 - beta(e2)e2):(e1-e2) >= 2 nu |e1-e2|^2).
+with the weights w = nu_tur |e| and a = nu_tur / |e|. `closure_stress` and
+`closure_tangent` are that pointwise pair, the only place either is written;
+`smagorinsky_load` and the implicit step's tangent read them.
 
 Convection is assembled in the skew-symmetric form
 
@@ -61,46 +63,24 @@ def strain_norm(eps):
     return np.sqrt(e00 * e00 + e01 * e01 + e10 * e10 + e11 * e11)
 
 
-def potential_D(eps, params):
-    """Dissipation potential D(eps); vectorized over leading axes."""
-    ee = np.einsum("...ab,...ab->...", eps, eps)
-    return params.nu * ee + (2.0 / 3.0) * params.nu_tur * ee**1.5
+def closure_stress(eps, mag, params):
+    """Smagorinsky stress 2 nu_tur |e| e of strain tables eps (..., 2, 2),
+    with mag = strain_norm(eps)."""
+    return 2.0 * params.nu_tur * mag[..., None, None] * eps
 
 
-def beta(eps, params):
-    """Effective viscosity beta(eps) = 2 nu + 2 nu_tur |eps|."""
-    return 2.0 * params.nu + 2.0 * params.nu_tur * strain_norm(eps)
-
-
-def stress(eps, params):
-    """Stress Xi(eps) = beta(eps) eps = dD/deps."""
-    return beta(eps, params)[..., None, None] * eps
+def closure_tangent(mag, params):
+    """Weights (nu_tur |e|, nu_tur / |e|) of the closure tangent
+    2 (w I + a e (x) e) at strain norms mag; a is 0 where |e| = 0."""
+    nu_tur = params.nu_tur
+    return nu_tur * mag, np.divide(nu_tur, mag, out=np.zeros_like(mag), where=mag > 0)
 
 
 def smagorinsky_load(space, eps_qpt, params, eps_mag=None):
     """Dual vector of the closure term: L_i = int 2 nu_tur |eps| eps : eps(phi_i);
     eps_mag is strain_norm(eps_qpt) when the caller already has it."""
     mag = strain_norm(eps_qpt) if eps_mag is None else eps_mag
-    S = 2.0 * params.nu_tur * mag[..., None, None] * eps_qpt
-    return space.stress_load_vector(S)
-
-
-def apply_A(space, z, zeta_g, params, test):
-    """<A(z), xi> for every test column xi: quadrature of the nonlinear form.
-
-    Parameters
-    ----------
-    z, zeta_g : velocity coefficient vectors (test fields vanish on the boundary)
-    test : (n_velocity, m) matrix of test-field columns
-
-    Returns
-    -------
-    (m,) array of pairings int beta(eps(w)) eps(w) : eps(xi), w = zeta_g + z
-    """
-    w = z + zeta_g
-    E = space.strain_samples(w)
-    S = beta(E, params)[..., None, None] * E
-    return space.stress_load_vector(S) @ test
+    return space.stress_load_vector(closure_stress(eps_qpt, mag, params))
 
 
 def convection_load(space, w_vals, u_vals, u_grads):

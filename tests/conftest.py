@@ -4,6 +4,7 @@ import pytest
 from recirc.config import build_scenario, preset_path, validate
 from recirc.mesh import build_rect_mesh
 from recirc.space import MixedSpace
+from recirc.turbulence import closure_stress, strain_norm
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +30,21 @@ def divfree_samples(space, count, seed=0):
         w = rng.standard_normal(space.n_velocity)
         out.append(fs.project_divfree(w))
     return out
+
+
+def potential_D(eps, params):
+    """Dissipation potential D(eps) = nu [e:e] + (2/3) nu_tur [e:e]^(3/2), the
+    oracle whose strain derivative the stress must be; vectorized."""
+    ee = np.einsum("...ab,...ab->...", eps, eps)
+    return params.nu * ee + (2.0 / 3.0) * params.nu_tur * ee**1.5
+
+
+def full_stress(eps, params):
+    """The stress 2 nu e + closure_stress(e) of strain tables (..., 2, 2)."""
+    return 2 * params.nu * eps + closure_stress(eps, strain_norm(eps), params)
+
+
+def apply_A(space, z, zeta_g, params, test):
+    """<A(z), xi> = int full_stress(e) : eps(xi), e = eps(zeta_g + z), for every
+    test column xi: quadrature of the nonlinear form."""
+    return space.stress_load_vector(full_stress(space.strain_samples(z + zeta_g), params)) @ test

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import divfree_samples
+from conftest import divfree_samples, full_stress, potential_D
 from recirc.config import build_scenario, preset_path, validate, vortex_field
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.fullspace import FullSpaceSystem
@@ -22,7 +22,7 @@ from recirc.mms import ManufacturedSolution
 from recirc.monitors import contraction, ledger
 from recirc.pumps import PumpSet
 from recirc.space import MixedSpace
-from recirc.turbulence import ClosureParams, potential_D, stress, strain_norm
+from recirc.turbulence import ClosureParams, strain_norm
 
 
 def report(num, name, ok, detail, elapsed, budget):
@@ -66,8 +66,7 @@ def test_criterion_02_operator_monotonicity(preset16):
         z2 = basis.expand(0.5 * rng.standard_normal(basis.size))
         e1 = eps_zg + space.strain_samples(z1)
         e2 = eps_zg + space.strain_samples(z2)
-        s1 = (2 * params.nu + 2 * params.nu_tur * strain_norm(e1))[..., None, None] * e1
-        s2 = (2 * params.nu + 2 * params.nu_tur * strain_norm(e2))[..., None, None] * e2
+        s1, s2 = full_stress(e1, params), full_stress(e2, params)
         de = e1 - e2
         lhs = space.integrate(((s1 - s2) * de).sum(axis=(-2, -1)))
         lower = 2 * params.nu * space.integrate((de * de).sum(axis=(-2, -1)))
@@ -91,7 +90,7 @@ def test_criterion_03_potential_derivative_consistency():
                 break
         d = rng.standard_normal((2, 2))
         d = 0.5 * (d + d.T)
-        exact = float((stress(e, params) * d).sum())
+        exact = float((full_stress(e, params) * d).sum())
         errs = [
             abs((potential_D(e + h * d, params) - potential_D(e - h * d, params))
                 / (2 * h) - exact)
@@ -139,6 +138,7 @@ def test_criterion_05_lifting_orthogonality(preset16):
            time.time() - t0, 30.0)
 
 
+@pytest.mark.slow
 def test_criterion_06_eigenbasis_quality():
     t0 = time.time()
     lams = {}

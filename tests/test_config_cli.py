@@ -322,11 +322,12 @@ def test_cli_degenerate_config_through_every_subcommand(tmp_path, capsys, argv, 
     ("fluid", "nu_tur", float("nan"), "fluid.nu_tur"),
     ("mesh", "nx", float("inf"), "mesh.nx"),
     ("output", "dir", 3, "output.dir"),
+    (None, "seed", -1, "seed"),  # a root key has no leading dot
 ])
 def test_cli_validate_malformed_values(tmp_path, capsys, section, key, value, where):
     # each used to escape validate as a traceback, or to pass it
     path, cfg = small_config(tmp_path)
-    target = cfg["pumps"][0] if section == "pumps" else cfg[section]
+    target = cfg if section is None else cfg["pumps"][0] if section == "pumps" else cfg[section]
     target[key] = value
     path.write_text(json.dumps(cfg))  # NaN and Infinity as Python's json writes them
     assert main(["validate", "--config", str(path)]) == 2

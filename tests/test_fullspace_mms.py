@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from recirc.errors import StepError
 from recirc.fullspace import FullSpaceSystem
 from recirc.mms import ManufacturedSolution
 from recirc.turbulence import ClosureParams
@@ -89,6 +90,26 @@ def test_short_mms_run_error_magnitude(mms, space8):
     # stays at the interpolation-error level, no blowup
     assert max(errs) <= 5 * errs[0] + 1e-12
     assert all(np.isfinite(errs))
+
+
+def test_step_error_names_time_iterations_and_increments(mms, space8):
+    # tol = 0 cannot be met: the stalled step names its time, its iteration
+    # budget and the increment of each iteration, the last as its residual
+    fs = FullSpaceSystem(space8, ClosureParams(mms.nu, mms.nu_tur), source=mms.forcing)
+    z0 = fs.project_divfree(mms.initial_velocity(space8))
+    dt, shift = 1e-3, 1.5 * fs.closure_shift(z0)
+    errs = []
+    for max_iter in (1, 2):
+        with pytest.raises(StepError, match="t=0.001 stalled") as err:
+            fs.step(z0, dt, dt, shift, tol=0.0, max_iter=max_iter)
+        errs.append(err.value)
+    for max_iter, exc in enumerate(errs, start=1):
+        assert exc.t == dt and exc.iterations == max_iter
+        assert len(exc.history) == max_iter and exc.residual == exc.history[-1]
+    assert errs[1].history[0] == errs[0].history[0] > errs[1].history[1] > 0.0
+    # the first increment is the M-norm of the first iterate's update
+    z1, it = fs.step(z0, dt, dt, shift, tol=errs[0].history[0], max_iter=1)
+    assert it == 1 and np.sqrt((z1 - z0) @ (space8.M @ (z1 - z0))) == errs[0].history[0]
 
 
 def test_residual_load_matches_reduced_rhs_structure(space8):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import apply_A
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import SolverError, StepError
 from recirc.galerkin import GalerkinState, ReducedSystem, initial_state
@@ -9,7 +10,7 @@ from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
 from recirc.pumps import PumpSet
 from recirc.space import MixedSpace
-from recirc.turbulence import ClosureParams, apply_A, convect
+from recirc.turbulence import ClosureParams, convect
 
 
 @pytest.fixture(scope="module")
@@ -439,20 +440,18 @@ def test_newton_jacobian_matches_central_difference(preset16, nu_tur):
 
 def test_closure_tangent_is_twice_the_load(preset16):
     # the closure is homogeneous of degree 2: 1/2 T(w) w is the closure load
-    from recirc.turbulence import smagorinsky_load
+    from recirc.turbulence import closure_tangent, smagorinsky_load
 
     scn = preset16
     sys_, space, V = scn.system, scn.space, scn.basis.fields
-    nu_tur = scn.params.nu_tur
     rng = np.random.default_rng(43)
     for t in (0.1, 0.6):
         g, _ = sys_.lift_modal(t)
         z = 0.3 * rng.standard_normal(scn.basis.size)
         f = sys_.state_fields(z, g)
-        mag = f.w_eps_mag
+        w, a = closure_tangent(f.w_eps_mag, scn.params)
         U = np.column_stack([V, scn.lifting.combine(g)])
-        T = space.weighted_strain_stiffness(nu_tur * mag, U,
-                                            rank_one=(nu_tur / mag, f.w_eps))
+        T = space.weighted_strain_stiffness(w, U, rank_one=(a, f.w_eps))
         got = 0.5 * (T[:-1] @ np.append(z, 1.0))
         load = V.T @ smagorinsky_load(space, f.w_eps, scn.params)
         assert np.abs(got - load).max() <= 1e-12 * np.abs(load).max()

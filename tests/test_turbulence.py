@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
+from conftest import apply_A, full_stress, potential_D
 from recirc.mesh import build_rect_mesh
 from recirc.quadrature import duffy_rule
 from recirc.space import MixedSpace, _p2_values, _p2_grads
 from recirc.turbulence import (
     ClosureParams,
-    apply_A,
-    beta,
+    closure_stress,
+    closure_tangent,
     convect,
-    potential_D,
+    smagorinsky_load,
     strain_norm,
-    stress,
     sym_grad,
 )
 
@@ -39,19 +39,26 @@ def test_potential_values():
     assert abs(potential_D(e, p) - 16.0 / 3.0) <= 1e-12
 
 
+def beta(e, params):
+    """Effective viscosity 2 nu + 2 w, w the closure weight nu_tur |e|."""
+    return 2 * params.nu + 2 * closure_tangent(strain_norm(e), params)[0]
+
+
 def test_beta_values():
     p = ClosureParams(nu=0.7, nu_tur=5.0)
     assert abs(beta(np.zeros((2, 2)), p) - 1.4) <= 1e-15
     p = ClosureParams(nu=1.0, nu_tur=1.0)
     e = np.diag([3.0 / np.sqrt(2), -3.0 / np.sqrt(2)])  # e:e = 9
     assert abs(beta(e, p) - 8.0) <= 1e-12
+    # the stress is beta e
+    assert np.abs(full_stress(e, p) - 8.0 * e).max() <= 1e-12
 
 
 def test_stress_reduces_to_newtonian():
     p = ClosureParams(nu=0.3, nu_tur=0.0)
     rng = np.random.default_rng(0)
     for e in random_strains(rng, 10):
-        assert np.allclose(stress(e, p), 2 * 0.3 * e, atol=1e-15)
+        assert np.allclose(full_stress(e, p), 2 * 0.3 * e, atol=1e-15)
 
 
 def test_beta_lower_bound():
@@ -68,7 +75,7 @@ def test_stress_is_potential_derivative_order2():
     hs = [1e-2 / 2**k for k in range(5)]
     for e in random_strains(rng, 100, min_norm=0.1):
         d = sym(rng.standard_normal((2, 2)))
-        exact = float((stress(e, p) * d).sum())
+        exact = float((full_stress(e, p) * d).sum())
         errs = [
             abs((potential_D(e + h * d, p) - potential_D(e - h * d, p)) / (2 * h) - exact)
             for h in hs
@@ -86,14 +93,64 @@ def test_pointwise_monotonicity():
     for _ in range(200):
         e1 = sym(rng.standard_normal((2, 2)))
         e2 = sym(rng.standard_normal((2, 2)))
-        gap = float(((stress(e1, p) - stress(e2, p)) * (e1 - e2)).sum())
+        gap = float(((full_stress(e1, p) - full_stress(e2, p)) * (e1 - e2)).sum())
         lower = 2 * p.nu * float(((e1 - e2) ** 2).sum())
         assert gap >= lower - 1e-12 * (1 + abs(gap))
+
+
+def test_closure_tangent_is_the_stress_derivative():
+    # d/dh closure_stress(e + h d) at h = 0 is 2 w d + 2 a (e:d) e
+    p = ClosureParams(nu=0.4, nu_tur=0.8)
+    rng = np.random.default_rng(53)
+    h = 1e-5
+    for e in random_strains(rng, 100, min_norm=0.1):
+        d = sym(rng.standard_normal((2, 2)))
+        w, a = closure_tangent(strain_norm(e), p)
+        exact = 2 * w * d + 2 * a * float((e * d).sum()) * e
+        fd = [closure_stress(x, strain_norm(x), p) for x in (e + h * d, e - h * d)]
+        fd = (fd[0] - fd[1]) / (2 * h)
+        assert np.abs(fd - exact).max() <= 1e-8 * max(1.0, np.abs(exact).max())
+
+
+def test_closure_stress_dissipation_is_cubic():
+    # closure_stress(e) : e = 2 nu_tur |e|^3
+    p = ClosureParams(nu=0.1, nu_tur=0.6)
+    rng = np.random.default_rng(59)
+    E = rng.standard_normal((40, 7, 2, 2)) * rng.uniform(1e-3, 1e3, (40, 7, 1, 1))
+    E = 0.5 * (E + E.swapaxes(-1, -2))
+    mag = strain_norm(E)
+    got = (closure_stress(E, mag, p) * E).sum(axis=(-2, -1))
+    cubic = 2 * p.nu_tur * mag**3
+    assert np.all(np.abs(got - cubic) <= 1e-13 * cubic)
+
+
+def test_closure_tangent_guard_at_zero_strain():
+    # |e| = 0 gives the weights (0, 0), finite and without a warning
+    p = ClosureParams(nu=0.1, nu_tur=0.6)
+    mag = np.array([[0.0, 2.0], [0.5, 0.0]])
+    with np.errstate(all="raise"):
+        w, a = closure_tangent(mag, p)
+    assert np.array_equal(w, p.nu_tur * mag)
+    assert np.array_equal(a, np.array([[0.0, 0.3], [1.2, 0.0]]))
+    with np.errstate(all="raise"):
+        w, a = closure_tangent(np.zeros(()), p)
+    assert w == 0.0 and a == 0.0
 
 
 @pytest.fixture(scope="module")
 def space4():
     return MixedSpace(build_rect_mesh(1, 1, 4, 4))
+
+
+def test_closure_stress_bit_identical_to_the_load_expression(space4):
+    # closure_stress keeps the order of operations smagorinsky_load had
+    p = ClosureParams(nu=0.1, nu_tur=0.37)
+    rng = np.random.default_rng(61)
+    E = sym_grad(rng.standard_normal(space4.qweights.shape + (2, 2)))
+    mag = strain_norm(E)
+    old = 2.0 * p.nu_tur * mag[..., None, None] * E
+    assert np.array_equal(closure_stress(E, mag, p), old)
+    assert np.array_equal(smagorinsky_load(space4, E, p), space4.stress_load_vector(old))
 
 
 def test_apply_A_zero_strain(space4):
