@@ -338,7 +338,7 @@ def cmd_study(args):
 
     def run(n):
         space = MixedSpace(build_rect_mesh(cfg.domain["Lx"], cfg.domain["Ly"], n, n))
-        fs = FullSpaceSystem(space, params, source=mms.forcing)
+        fs = FullSpaceSystem(space, params, source=mms)
         acc = {"sum": 0.0, "prev": None}
 
         def observer(t, z):
@@ -347,16 +347,18 @@ def cmd_study(args):
                 acc["sum"] += 0.5 * (acc["prev"] + e2) * cfg.time["dt"]
             acc["prev"] = e2
 
-        fs.integrate(mms.initial_velocity(space), T=cfg.time["T"],
-                     dt=cfg.time["dt"], observer=observer)
-        return float(np.sqrt(acc["sum"]))
+        _, iterations = fs.integrate(mms.initial_velocity(space), T=cfg.time["T"],
+                                     dt=cfg.time["dt"], observer=observer)
+        return float(np.sqrt(acc["sum"])), sum(iterations)
 
-    errs = _fan_out(run, levels)
+    results = _fan_out(run, levels)
+    errs = [e for e, _ in results]
     rows = []
-    for i, (n, e) in enumerate(zip(levels, errs)):
+    for i, (n, (e, iters)) in enumerate(zip(levels, results)):
         order = float(np.log2(errs[i - 1] / e)) if i else float("nan")
-        rows.append([n, e, order])
-    _write_csv(out / "study_mesh.csv", ["mesh", "l2l2_error", "observed_order"], rows, h)
+        rows.append([n, e, order, iters])
+    _write_csv(out / "study_mesh.csv",
+               ["mesh", "l2l2_error", "observed_order", "iterations_total"], rows, h)
     _say(args.quiet, "study mesh:", [(r[0], f"{r[1]:.3e}") for r in rows])
     return 0
 

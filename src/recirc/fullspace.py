@@ -9,6 +9,14 @@ Implicit Euler with a shifted Picard iteration: the saddle matrix carries
 the molecular viscosity plus a constant shift bounding the closure
 coefficient, so the lagged closure terms contract without refactorizing
 inside the step loop. Convergence is declared on the coefficient increment.
+The system holds one step factorization at a time, that of the current
+(dt, shift); the projection's mass-saddle factorization lives only for its
+one solve.
+
+A source is a manufactured solution (`recirc.mms`) whose forcing is the
+time polynomial F0 + a(t) F1 + a(t)^2 F2. Its three parts are tabulated and
+assembled into three load vectors once, when the system is built, so a
+step's source load is two axpys.
 """
 
 import numpy as np
@@ -22,43 +30,50 @@ class FullSpaceSystem:
     """Implicit Euler on the full Taylor-Hood space with zero velocity trace."""
 
     def __init__(self, space, params, source=None):
+        """source: None, or a ManufacturedSolution (anything with its
+        `forcing_parts(x, y)` and `time_factor(t)`)."""
         self.space = space
         self.params = params
         self.source = source
         self.I = space.interior_vdofs
-        self._dt_factor = {}
-        self._proj_factor = None
+        self._step_factor = (None, None)  # ((dt, shift), LU) of the last step
+        if source is not None:
+            F = space.sample(source.forcing_parts)  # (nt, nq, 3, 2)
+            self._source_loads = [space.load_vector(F[..., k, :]) for k in range(3)]
 
     # -- saddle factorizations -------------------------------------------------
 
     def _factor(self, dt, shift):
         key = (float(dt), float(shift))
-        if key not in self._dt_factor:
+        if self._step_factor[0] != key:
+            self._step_factor = (None, None)  # release the old LU before the new fill
             I = self.I
             A = (self.space.M / dt + (self.params.nu + shift) * self.space.K_eps).tocsr()
             try:
-                self._dt_factor[key] = splu(self.space.saddle_matrix(A[I][:, I]))
+                self._step_factor = (key, splu(self.space.saddle_matrix(A[I][:, I])))
             except RuntimeError as exc:
                 raise SolverError(f"time-step factorization failed: {exc}") from exc
-        return self._dt_factor[key]
+        return self._step_factor[1]
 
     def project_divfree(self, v):
         """L2 projection onto the discretely divergence-free zero-trace subspace."""
         space = self.space
         I = self.I
-        if self._proj_factor is None:
-            self._proj_factor = splu(space.saddle_matrix(space.M.tocsr()[I][:, I]))
+        lu = splu(space.saddle_matrix(space.M.tocsr()[I][:, I]))
         rhs = space.saddle_rhs((space.M @ v)[I], np.zeros(space.n_pressure))
         out = np.zeros(space.n_velocity)
-        out[I], _ = space.saddle_split(self._proj_factor.solve(rhs))
+        out[I], _ = space.saddle_split(lu.solve(rhs))
         return out
 
     # -- weak form -----------------------------------------------------------------
 
     def source_load(self, t):
+        """Dual vector of F(t): L0 + a (L1 + a L2) from the tabulated parts."""
         if self.source is None:
             return np.zeros(self.space.n_velocity)
-        return self.space.load_vector(self.space.sample(self.source, t))
+        L0, L1, L2 = self._source_loads
+        a = self.source.time_factor(t)
+        return L0 + a * (L1 + a * L2)
 
     def nonlinear_load(self, z):
         """Dual vector of skew convection c(z; z, .) plus the closure term."""
@@ -114,18 +129,21 @@ class FullSpaceSystem:
         )
 
     def integrate(self, v0, T, dt, tol=1e-10, observer=None):
-        """Step from the projected v0 to T; observer(t, z) runs after each step."""
+        """Step from the projected v0 to T; observer(t, z) runs after each step.
+        Returns (z at T, the Picard iteration count of each step)."""
         n_steps = int(round(T / dt))
         z = self.project_divfree(v0)
         shift = self.closure_shift(z) * 1.5
+        iterations = []
         if observer is not None:
             observer(0.0, z)
         for n in range(1, n_steps + 1):
             t_new = n * dt
-            z, _ = self.step(z, t_new, dt, shift, tol=tol)
+            z, it = self.step(z, t_new, dt, shift, tol=tol)
+            iterations.append(it)
             current = self.closure_shift(z)
             if current > 2 * shift:  # strain grew past the contraction bound
                 shift = 1.5 * current
             if observer is not None:
                 observer(t_new, z)
-        return z
+        return z, iterations

@@ -3,8 +3,9 @@
 The velocity is the curl of a smooth stream function vanishing to second
 order on the boundary of the unit square, with a linear-in-time amplitude:
 
-    psi(x, y, t) = A (1 + t/2) [x (1-x) y (1-y)]^2,
-    v = (d psi / d y, -d psi / d x),    p = P sin(pi x) cos(pi y).
+    psi(x, y, t) = a(t) psihat,  psihat = A [x (1-x) y (1-y)]^2,  a(t) = 1 + t/2,
+    v = a(t) vhat,  vhat = (d psihat / d y, -d psihat / d x),
+    p = P sin(pi x) cos(pi y).
 
 The field is exactly divergence free, vanishes on the boundary, and its
 linear time dependence keeps the implicit-Euler time error far below the
@@ -13,8 +14,18 @@ closure-modified momentum equation,
 
     F = dv/dt + (grad v) v - div( 2 nu eps(v) + 2 nu_tur |eps(v)| eps(v) ) + grad p,
 
-is derived symbolically and lambdified once per parameter set; no value in
-it is hand-written.
+is, since |eps(a vhat)| = a |eps(vhat)| for a > 0 (t > -2), exactly the
+polynomial F = F0 + a F1 + a^2 F2 in a with the time-independent parts
+
+    F0 = vhat / 2 + grad p,
+    F1 = -div 2 nu eps(vhat),
+    F2 = (grad vhat) vhat - div 2 nu_tur |eps(vhat)| eps(vhat).
+
+vhat and the parts are derived symbolically and lambdified once per
+parameter set; no value in them is hand-written. `velocity` and `forcing`
+evaluate them at any (x, y, t); `FullSpaceSystem` tabulates the parts once
+per space (`forcing_parts`) and then forms each step's load from three load
+vectors.
 """
 
 import numpy as np
@@ -36,64 +47,62 @@ class ManufacturedSolution:
         self._build()
 
     def _build(self):
-        x, y, t = sym.symbols("x y t", real=True)
-        A = self.amplitude
-        psi = A * (1 + t / 2) * (x * (1 - x) * y * (1 - y)) ** 2
-        v1 = sym.diff(psi, y)
-        v2 = -sym.diff(psi, x)
+        x, y = sym.symbols("x y", real=True)
+        psi = self.amplitude * (x * (1 - x) * y * (1 - y)) ** 2
+        v = sym.Matrix([sym.diff(psi, y), -sym.diff(psi, x)])
         p = self.pressure_amplitude * sym.sin(sym.pi * x) * sym.cos(sym.pi * y)
 
-        e11 = sym.diff(v1, x)
-        e22 = sym.diff(v2, y)
-        e12 = (sym.diff(v1, y) + sym.diff(v2, x)) / 2
-        mag = sym.sqrt(2 * e12**2 + e11**2 + e22**2)
-        beta = 2 * self.nu + 2 * self.nu_tur * mag
-        s11, s12, s22 = beta * e11, beta * e12, beta * e22
+        G = v.jacobian([x, y])  # G[a, b] = d vhat_a / d x_b
+        E = (G + G.T) / 2
+        mag = sym.sqrt(E[0, 0] ** 2 + 2 * E[0, 1] ** 2 + E[1, 1] ** 2)
 
-        f1 = (
-            sym.diff(v1, t)
-            + v1 * sym.diff(v1, x) + v2 * sym.diff(v1, y)
-            - sym.diff(s11, x) - sym.diff(s12, y)
-            + sym.diff(p, x)
-        )
-        f2 = (
-            sym.diff(v2, t)
-            + v1 * sym.diff(v2, x) + v2 * sym.diff(v2, y)
-            - sym.diff(s12, x) - sym.diff(s22, y)
-            + sym.diff(p, y)
-        )
+        def div(S):
+            return sym.Matrix([sym.diff(S[a, 0], x) + sym.diff(S[a, 1], y) for a in (0, 1)])
+
+        # the viscosities multiply after differentiation: a float factor
+        # distributes over a sum, and differentiating the spread-out sum is slower
+        F0 = v / 2 + sym.Matrix([sym.diff(p, x), sym.diff(p, y)])
+        F1 = -2 * self.nu * div(E)
+        F2 = G * v - 2 * self.nu_tur * div(mag * E)
         mods = ["numpy"]
-        self._v1 = sym.lambdify((x, y, t), v1, modules=mods, cse=True)
-        self._v2 = sym.lambdify((x, y, t), v2, modules=mods, cse=True)
-        self._p = sym.lambdify((x, y, t), p, modules=mods, cse=True)
-        self._f1 = sym.lambdify((x, y, t), f1, modules=mods, cse=True)
-        self._f2 = sym.lambdify((x, y, t), f2, modules=mods, cse=True)
-        self._sym = {"v1": v1, "v2": v2, "f1": f1, "f2": f2, "vars": (x, y, t)}
+        self._vhat = sym.lambdify((x, y), list(v), modules=mods, cse=True)
+        self._parts = sym.lambdify((x, y), [*F0, *F1, *F2], modules=mods, cse=True)
+
+    @staticmethod
+    def time_factor(t):
+        """The amplitude a(t) = 1 + t/2 of v = a vhat; the split needs a > 0."""
+        a = 1.0 + 0.5 * t
+        if not a > 0:
+            raise ValueError(f"the forcing split needs a(t) = 1 + t/2 > 0, got t = {t}")
+        return a
+
+    @staticmethod
+    def _table(f, x, y, width):
+        x = np.asarray(x, dtype=float)
+        vals = np.broadcast_arrays(x, *f(x, y))[1:]  # a constant entry comes back a scalar
+        return np.stack(vals, axis=-1).reshape(x.shape + width)
 
     def velocity(self, x, y, t):
-        """Exact velocity -> (n, 2)."""
-        x = np.asarray(x, dtype=float)
-        shape = x.shape
-        out = np.empty(shape + (2,))
-        out[..., 0] = self._v1(x, y, t)
-        out[..., 1] = self._v2(x, y, t)
-        return out
+        """Exact velocity a(t) vhat -> (n, 2)."""
+        return self.time_factor(t) * self._table(self._vhat, x, y, (2,))
 
-    def forcing(self, x, y, t):
-        """Exact forcing -> (n, 2); finite everywhere the strain is nonzero."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape + (2,))
+    def forcing_parts(self, x, y):
+        """(F0, F1, F2) -> (n, 3, 2); finite everywhere the strain is nonzero."""
         with np.errstate(invalid="ignore", divide="ignore"):
-            out[..., 0] = self._f1(x, y, t)
-            out[..., 1] = self._f2(x, y, t)
-        bad = ~np.isfinite(out)
-        if bad.any():
+            out = self._table(self._parts, x, y, (3, 2))
+        if not np.isfinite(out).all():
             # |eps| = 0 points: the closure term and its derivative vanish
             # there, so the offending contribution is zero
             raise FloatingPointError(
                 "manufactured forcing hit a strain zero at a quadrature point"
             )
         return out
+
+    def forcing(self, x, y, t):
+        """Exact forcing F0 + a (F1 + a F2) -> (n, 2)."""
+        F = self.forcing_parts(x, y)
+        a = self.time_factor(t)
+        return F[..., 0, :] + a * (F[..., 1, :] + a * F[..., 2, :])
 
     def initial_velocity(self, space):
         """Nodal interpolant of v(., 0) on a MixedSpace."""

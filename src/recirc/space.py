@@ -380,10 +380,12 @@ class MixedSpace:
             out[:, :, comp, :] = (G @ Uc[..., None]).reshape(nt, nq, 2)
         return out
 
-    def sample(self, f, t):
-        """A callable f(x, y, t) -> (n, 2) at all quadrature points -> (nt, nq, 2)."""
+    def sample(self, f, *args):
+        """A callable f(x, y, *args) -> (n, ...) at all quadrature points
+        -> (nt, nq, ...), e.g. f(x, y, t) -> (n, 2) gives (nt, nq, 2)."""
         xy = self.qpoints
-        return np.asarray(f(xy[..., 0].ravel(), xy[..., 1].ravel(), t)).reshape(xy.shape)
+        vals = np.asarray(f(xy[..., 0].ravel(), xy[..., 1].ravel(), *args))
+        return vals.reshape(xy.shape[:-1] + vals.shape[1:])
 
     def _scatter(self, contrib):
         """Accumulate per-cell DOF contributions (nt, 2, 6) into a velocity vector."""

@@ -193,7 +193,7 @@ def test_criterion_08_manufactured_solution_order():
     errors = []
     for n in (8, 16, 32):
         space = MixedSpace(build_rect_mesh(1, 1, n, n))
-        fs = FullSpaceSystem(space, params, source=mms.forcing)
+        fs = FullSpaceSystem(space, params, source=mms)
         acc = {"sum": 0.0, "prev": None}
 
         def observer(t, z, acc=acc, space=space):

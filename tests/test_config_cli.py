@@ -209,6 +209,29 @@ def test_cli_study_dt(tmp_path):
     assert len(diffs) == 2 and diffs[1] <= diffs[0]
 
 
+def test_cli_study_mesh_iterations_column(tmp_path, monkeypatch):
+    # the appended column is each level's total of the full-space step counts
+    from recirc.fullspace import FullSpaceSystem
+
+    totals = []
+    integrate = FullSpaceSystem.integrate
+
+    def counted(self, *args, **kwargs):
+        z, iterations = integrate(self, *args, **kwargs)
+        totals.append(sum(iterations))
+        return z, iterations
+
+    monkeypatch.setattr(FullSpaceSystem, "integrate", counted)
+    path, _ = small_config(tmp_path)
+    out = tmp_path / "mesh"
+    assert main(["study", "mesh", "--config", str(path), "--output-dir", str(out),
+                 "--levels", "4,8", "--quiet"]) == 0
+    lines = (out / "study_mesh.csv").read_text().splitlines()[1:]
+    assert lines[0] == "mesh,l2l2_error,observed_order,iterations_total"
+    assert [int(line.split(",")[3]) for line in lines[1:]] == totals
+    assert len(totals) == 2 and min(totals) >= 20  # 20 steps of at least one iteration
+
+
 def test_cli_contract_small(tmp_path):
     path, _ = small_config(tmp_path)
     out = tmp_path / "ct"

@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from recirc import fullspace
 from recirc.errors import StepError
 from recirc.fullspace import FullSpaceSystem
 from recirc.mms import ManufacturedSolution
@@ -81,21 +84,66 @@ def test_project_divfree(space8):
 
 def test_short_mms_run_error_magnitude(mms, space8):
     params = ClosureParams(mms.nu, mms.nu_tur)
-    fs = FullSpaceSystem(space8, params, source=mms.forcing)
+    fs = FullSpaceSystem(space8, params, source=mms)
     errs = []
-    fs.integrate(
+    _, iterations = fs.integrate(
         mms.initial_velocity(space8), T=0.05, dt=1e-3,
         observer=lambda t, z: errs.append(mms.velocity_error(space8, z, t)),
     )
     # stays at the interpolation-error level, no blowup
     assert max(errs) <= 5 * errs[0] + 1e-12
     assert all(np.isfinite(errs))
+    # the shifted Picard count of every step, as the sampled per-step forcing
+    # and the batched convection products gave it
+    assert iterations == [8, 8] + [7] * 7 + [6] * 12 + [5] * 20 + [4] * 9
+
+
+def test_source_loads_match_sampled_forcing(mms, space8):
+    # the three tabulated part loads against the load of the forcing sampled at t
+    fs = FullSpaceSystem(space8, ClosureParams(mms.nu, mms.nu_tur), source=mms)
+    for t in (0.0, 1e-3, 0.5, 1.0):
+        ref = space8.load_vector(space8.sample(mms.forcing, t))
+        assert np.abs(fs.source_load(t) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_forcing_is_its_time_polynomial(mms):
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(0.05, 0.95, (2, 30))
+    F0, F1, F2 = np.moveaxis(mms.forcing_parts(x, y), -2, 0)
+    for t in (0.0, 0.3, 2.0):
+        a = 1 + t / 2
+        assert np.array_equal(mms.forcing(x, y, t), F0 + a * (F1 + a * F2))
+        assert np.array_equal(mms.velocity(x, y, t), a * mms.velocity(x, y, 0.0))
+    with pytest.raises(ValueError, match="a\\(t\\) = 1 \\+ t/2 > 0"):
+        mms.forcing(x, y, -2.0)
+
+
+def test_one_step_factorization_held(mms, space8, monkeypatch):
+    # from rest the closure shift starts at 0 and is raised after the first
+    # step: the stale step LU and the projection's LU must not outlive their use
+    made = []
+
+    class Factor:
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    real = fullspace.splu
+
+    def splu(A):
+        made.append(weakref.ref(f := Factor(real(A))))
+        return f
+
+    monkeypatch.setattr(fullspace, "splu", splu)
+    fs = FullSpaceSystem(space8, ClosureParams(mms.nu, mms.nu_tur), source=mms)
+    z, iterations = fs.integrate(np.zeros(space8.n_velocity), T=0.003, dt=1e-3)
+    assert len(iterations) == 3 and len(made) == 3  # projection, shift 0, raised shift
+    assert [ref() is not None for ref in made] == [False, False, True]
 
 
 def test_step_error_names_time_iterations_and_increments(mms, space8):
     # tol = 0 cannot be met: the stalled step names its time, its iteration
     # budget and the increment of each iteration, the last as its residual
-    fs = FullSpaceSystem(space8, ClosureParams(mms.nu, mms.nu_tur), source=mms.forcing)
+    fs = FullSpaceSystem(space8, ClosureParams(mms.nu, mms.nu_tur), source=mms)
     z0 = fs.project_divfree(mms.initial_velocity(space8))
     dt, shift = 1e-3, 1.5 * fs.closure_shift(z0)
     errs = []

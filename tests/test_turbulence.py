@@ -10,6 +10,7 @@ from recirc.turbulence import (
     closure_stress,
     closure_tangent,
     convect,
+    convection_load,
     smagorinsky_load,
     strain_norm,
     sym_grad,
@@ -201,6 +202,28 @@ def test_convect_self_pairing_vanishes(space4):
         val = float(convect(space4, w, u, u[:, None])[0])
         scale = np.abs(u).max() ** 2 * np.abs(w).max()
         assert abs(val) <= 1e-12 * max(1.0, scale)
+
+
+def test_convection_products_written_out():
+    # the two tables convection_load assembles, against the batched (grad u) w
+    # and the broadcast outer product u (x) w, on random tables
+    class Tables:
+        def load_vector(self, f):
+            self.f = f
+            return 0.0
+
+        def stress_load_vector(self, S):
+            self.S = S
+            return 0.0
+
+    rng = np.random.default_rng(37)
+    w, u = rng.standard_normal((2, 64, 12, 2))
+    g = rng.standard_normal((64, 12, 2, 2))
+    tables = Tables()
+    convection_load(tables, w, u, g)
+    batched = (g @ w[..., None])[..., 0]
+    assert np.abs(tables.f - batched).max() <= 1e-15 * np.abs(batched).max()
+    assert np.array_equal(tables.S, u[..., :, None] * w[..., None, :])
 
 
 def test_convect_zero_advected(space4):
