@@ -73,11 +73,11 @@ def _fan_out(fn, items):
 
 def _write_trajectory(path, traj, cfg_hash):
     n = traj.states.shape[1]
-    cols = ["t"] + [f"z{k + 1}" for k in range(n)] + ["iterations", "residual"]
+    cols = ["t"] + [f"z{k + 1}" for k in range(n)] + ["iterations", "residual", "tangents"]
     rows = [
         [float(traj.times[i])]
         + [float(z) for z in traj.states[i]]
-        + [int(traj.iterations[i]), float(traj.step_residuals[i])]
+        + [int(traj.iterations[i]), float(traj.step_residuals[i]), int(traj.tangents[i])]
         for i in range(len(traj))
     ]
     _write_csv(path, cols, rows, cfg_hash)
@@ -98,7 +98,9 @@ def cmd_simulate(args):
     out = _outdir(args, cfg)
     h = cfg.hash()
     t0 = time.time()
+    marks = [time.perf_counter()]  # phase boundaries
     scenario = build_scenario(cfg)
+    marks.append(time.perf_counter())
     try:
         traj = _integrate(scenario)
     except StepError as exc:
@@ -106,9 +108,12 @@ def cmd_simulate(args):
             _write_trajectory(out / "trajectory_partial.csv", exc.trajectory, h)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    marks.append(time.perf_counter())
     _write_trajectory(out / "trajectory.csv", traj, h)
+    marks.append(time.perf_counter())
 
     led = ledger(scenario.system, traj)
+    marks.append(time.perf_counter())
     cols = ["t"] + list(led.rows.keys())
     rows = [
         [float(led.times[i])] + [float(led.rows[k][i]) for k in led.rows]
@@ -129,6 +134,9 @@ def cmd_simulate(args):
                 point_vectors={"velocity": space.vertex_velocity(v)},
                 title=f"recirc {__version__} config={h} t={traj.times[i]:.6g}",
             )
+    marks.append(time.perf_counter())
+    lap = np.diff(marks).tolist()
+
     def finite(x):
         x = float(x)
         return x if np.isfinite(x) else None  # strict JSON has no Infinity
@@ -153,6 +161,10 @@ def cmd_simulate(args):
             # [n] = the number of steps that took n iterations
             "iterations_histogram": np.bincount(traj.iterations[1:]).tolist(),
         },
+        # wall time per phase; output is the CSVs, the velocity norms and the
+        # VTK files, not summary.json itself
+        "phases": {"setup_s": lap[0], "integrate_s": lap[1], "ledger_s": lap[3],
+                   "output_s": lap[2] + lap[4]},
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _say(args.quiet, f"simulate: max ||v|| = {summary['max_v_l2']:.6g}, "

@@ -35,10 +35,13 @@ the tangent read): the strain-weighted stiffness plus one rank-one term per
 quadrature point, projected onto the modes cell by cell
 (`MixedSpace.weighted_strain_stiffness`) without assembling a mesh-sized
 matrix. That projection is the heavy half of an iteration, and the monotone
-closure's tangent moves by O(dt) over a step, so it is formed once per step
-and frozen. It is formed again at the current iterate only when a
-frozen-tangent update finds no decrease, or when an accepted update shrinks
-the residual by less than CHORD_RATE. Classical RK4 is available for
+closure's tangent moves by O(dt) over a step, so it is frozen, and
+`integrate` carries it from step to step, starting each step from the linear
+extrapolation of the last two states. It is formed again at the current
+iterate only when a frozen-tangent update finds no decrease, or when an
+accepted update shrinks the residual by less than CHORD_RATE; a carried
+tangent that shrinks it by less than CARRY_RATE serves out its step and the
+next step forms its own at its start. Classical RK4 is available for
 cross-checks. The physical velocity at any time is v = zeta_g(t) + sum_k
 z_k xi_k.
 
@@ -58,6 +61,7 @@ from .turbulence import closure_tangent, convection_load, smagorinsky_load, stra
 
 MAX_HALVINGS = 20  # step-length halvings per Newton update before a step fails
 CHORD_RATE = 0.1  # an accepted update that shrinks the residual less refreshes the tangent
+CARRY_RATE = CHORD_RATE / 2  # a carried tangent contracting less is not carried further
 
 
 class GalerkinState:
@@ -255,20 +259,23 @@ class ReducedSystem:
 
         return defect, tangent, jacobian
 
-    def step_implicit_euler(self, state, dt, tol=1e-10, max_iter=50, t_new=None):
+    def step_implicit_euler(self, state, dt, tol=1e-10, max_iter=50, t_new=None,
+                            start=None, T_VV=None):
         """Solve z+ = z + dt rhs(z+, t+dt) by a simplified Newton iteration on
         the functions of `implicit_euler_newton`.
 
         The residual is the defect's coefficient 2-norm, and the first
-        iterate (z_old first) at or below `tol` is the result. An update is
+        iterate (`start`, default z_old, first) at or below `tol` is the
+        result; the defect is always taken against z_old. An update is
         z <- z - lambda J^{-1} d, with J's convection part taken at the
-        current iterate and its closure tangent T_VV frozen: T_VV is formed
-        at the first update from the StateFields of z_old's defect, and
-        formed again at the current iterate (from its defect's StateFields)
-        in two cases:
+        current iterate and its closure tangent T_VV frozen. T_VV is the
+        tangent carried in from an earlier step when one is passed, else it
+        is formed at the first update from the StateFields of the first
+        iterate's defect. It is formed again at the current iterate (from
+        its defect's StateFields) in two cases:
 
-        - an update with a frozen tangent from an earlier iterate finds no
-          decrease at lambda = 1; that trial is dropped;
+        - an update with a frozen tangent from an earlier iterate or step
+          finds no decrease at lambda = 1; that trial is dropped;
         - an accepted update shrinks the residual by less than a factor
           CHORD_RATE.
 
@@ -276,12 +283,17 @@ class ReducedSystem:
         without the closure, which is then Newton's method) starts at
         lambda = 1 and halves lambda while the residual does not fall (the
         line search of Kelley, ch. 8, with simple decrease), at most
-        MAX_HALVINGS times; the diag counts the halvings as "backtracks"
-        and the kernel calls as "tangents". The tangent lives in this call
-        only, so threads sharing the system never share one. A trial's
-        defect is the next iterate's, so an accepted update costs one
-        defect evaluation. A failure raises StepError with the time, the
-        iteration count and the residuals of the accepted iterates.
+        MAX_HALVINGS times. The diag counts the halvings as "backtracks"
+        and the kernel calls as "tangents", and hands on as "T_VV" the
+        tangent for a next step to carry: the one in use at the end, or
+        None (the next step forms its own at its first iterate) once an
+        accepted update since it was formed or carried in shrank the
+        residual by less than CHORD_RATE, or by less than CARRY_RATE if it
+        was carried in. Without the closure it is None. The tangent lives
+        in the caller only, so threads sharing the system never share one.
+        A trial's defect is the next iterate's, so an accepted update costs
+        one defect evaluation. A failure raises StepError with the time,
+        the iteration count and the residuals of the accepted iterates.
         """
         if t_new is None:
             t_new = state.t + dt
@@ -295,19 +307,22 @@ class ReducedSystem:
                 history=history,
             )
 
-        z = state.z
+        z = state.z if start is None else start
         d, res, f = defect(z)
         history = [res]
         backtracks = tangents = 0
-        T_VV = None
-        stale = False  # T_VV was formed at an earlier iterate
+        refresh = T_VV is None  # form T_VV at the next update
+        stale = not refresh  # T_VV was formed at an earlier iterate or step
+        rate = CARRY_RATE  # the least contraction with which T_VV is handed on
+        renew = False  # hand on None: the next step forms its own tangent
         while not res <= tol:
             if len(history) > max_iter:
                 fail(f"did not converge in {max_iter} Newton iterations")
-            if T_VV is None and f is not None:
+            if refresh and f is not None:
                 T_VV = tangent(f)
                 tangents += 1
-                stale = False
+                refresh = stale = renew = False
+                rate = CHORD_RATE
             try:
                 dz = np.linalg.solve(jacobian(z, T_VV), d)
             except np.linalg.LinAlgError:
@@ -322,16 +337,16 @@ class ReducedSystem:
             else:
                 fail(f"found no decrease of the residual in {MAX_HALVINGS} halvings")
             if not res_try < res:  # refresh the frozen tangent at z
-                T_VV = None
+                refresh = True
                 continue
             backtracks += halvings
-            if res_try > CHORD_RATE * res:
-                T_VV = None
+            refresh = res_try > CHORD_RATE * res
+            renew = renew or res_try > rate * res
             stale = T_VV is not None
             z, d, res, f = z_try, d_try, res_try, f_try
             history.append(res)
         diag = {"iterations": len(history) - 1, "residual": res, "backtracks": backtracks,
-                "tangents": tangents}
+                "tangents": tangents, "T_VV": None if renew else T_VV}
         return GalerkinState(t_new, z), diag
 
     def step_rk4(self, state, dt, t_new=None):
@@ -357,7 +372,14 @@ class ReducedSystem:
 
     def integrate(self, state0, T, dt, scheme="implicit-euler", tol=1e-10,
                   on_step=None):
-        """Step from state0 to T; on failure the partial trajectory is attached."""
+        """Step from state0 to T; on failure the partial trajectory is attached.
+
+        Implicit Euler carries Newton data from one step to the next, as
+        stiff integrators keep their Jacobian (Hairer & Wanner, IV.8): each
+        step starts from the linear extrapolation 2 z_n - z_{n-1} (z_0 at
+        the first step) and carries the closure tangent the previous step
+        hands on. They are locals of this call, never state of the system.
+        """
         n_steps = int(round(T / dt))
         if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
             raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
@@ -368,15 +390,19 @@ class ReducedSystem:
         backtracks = [0]
         tangents = [0]
         state = state0
-        kw = {"tol": tol} if scheme == "implicit-euler" else {}
+        implicit = scheme == "implicit-euler"
+        kw = {"tol": tol} if implicit else {}
         for k in range(n_steps):
             kw["t_new"] = state0.t + (k + 1) * dt  # exact grid, no accumulation
             try:
-                state, diag = self.step(state, dt, scheme=scheme, **kw)
+                new, diag = self.step(state, dt, scheme=scheme, **kw)
             except StepError as exc:
                 exc.trajectory = Trajectory(times, states, iters, residuals, backtracks,
                                             tangents, completed=False)
                 raise
+            if implicit:  # the next step starts from the linear extrapolation
+                kw.update(start=2.0 * new.z - state.z, T_VV=diag["T_VV"])
+            state = new
             times.append(state.t)
             states.append(state.z.copy())
             iters.append(diag["iterations"])

@@ -28,6 +28,8 @@ per space (`forcing_parts`) and then forms each step's load from three load
 vectors.
 """
 
+import weakref
+
 import numpy as np
 import sympy as sym
 
@@ -67,6 +69,7 @@ class ManufacturedSolution:
         mods = ["numpy"]
         self._vhat = sym.lambdify((x, y), list(v), modules=mods, cse=True)
         self._parts = sym.lambdify((x, y), [*F0, *F1, *F2], modules=mods, cse=True)
+        self._vhat_tables = weakref.WeakKeyDictionary()  # space -> vhat (nt, nq, 2)
 
     @staticmethod
     def time_factor(t):
@@ -111,6 +114,12 @@ class ManufacturedSolution:
         )
 
     def velocity_error(self, space, z, t):
-        """L2 distance between a discrete field and the exact velocity at t."""
-        diff = space.eval_values(z) - space.sample(self.velocity, t)
+        """L2 distance between a discrete field and the exact velocity
+        a(t) vhat at t; vhat is tabulated at the quadrature points once per
+        space."""
+        vhat = self._vhat_tables.get(space)
+        if vhat is None:
+            vhat = space.sample(lambda x, y: self._table(self._vhat, x, y, (2,)))
+            self._vhat_tables[space] = vhat
+        diff = space.eval_values(z) - self.time_factor(t) * vhat
         return np.sqrt(space.integrate((diff * diff).sum(axis=-1)))

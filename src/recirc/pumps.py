@@ -19,6 +19,8 @@ interpolated trace has a spurious net flux at segment junctions and the
 discrete Stokes lift is inconsistent.
 """
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .errors import CompatibilityError
@@ -176,25 +178,33 @@ class Schedule:
         self.ts = ts
         self.gs = gs
         self.T = float(ts[-1])
+        # Python floats for `eval`, which runs at every stage time: on a few
+        # knots numpy's per-call overhead outweighs the arithmetic
+        self._knots = ts.tolist()
+        self._values = gs.tolist()
+        self._slopes = (np.diff(gs) / np.diff(ts)).tolist()
 
     def eval(self, t):
         """(g(t), dg/dt(t)); the derivative takes the left limit at knots.
 
         Times within 1e-9 of a knot snap to it, so a time step landing on a
         knot sees the same one-sided derivative regardless of how its time
-        accumulated in floating point.
+        accumulated in floating point. g is np.interp's value, bit for bit:
+        the knot value at a knot, else slope * (t - t_j) + g_j.
         """
         if not (0.0 <= t <= self.T + 1e-12):
             raise ValueError(f"t = {t} outside the schedule horizon [0, {self.T}]")
         t = min(float(t), self.T)
-        near = int(np.argmin(np.abs(self.ts - t)))
-        if abs(self.ts[near] - t) <= 1e-9 * max(1.0, self.T):
-            t = float(self.ts[near])
-        g = float(np.interp(t, self.ts, self.gs))
-        idx = int(np.searchsorted(self.ts, t, side="left"))
-        idx = max(idx, 1)
-        slope = (self.gs[idx] - self.gs[idx - 1]) / (self.ts[idx] - self.ts[idx - 1])
-        return g, float(slope)
+        ts = self._knots
+        i = bisect_left(ts, t)  # ts[i - 1] < t <= ts[i]
+        near = i - 1 if i > 0 and t - ts[i - 1] <= ts[i] - t else i  # the first on a tie
+        if abs(ts[near] - t) <= 1e-9 * max(1.0, self.T):
+            t, i = ts[near], near
+        if ts[i] == t:
+            g = self._values[i]
+        else:
+            g = self._slopes[i - 1] * (t - ts[i - 1]) + self._values[i - 1]
+        return g, self._slopes[max(i, 1) - 1]
 
 
 class Pump:

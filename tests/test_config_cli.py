@@ -123,6 +123,11 @@ def test_cli_simulate_deterministic(tmp_path):
                  "--quiet"]) == 0
     assert (out1 / "trajectory.csv").read_text() == (out2 / "trajectory.csv").read_text()
     assert (out1 / "ledger.csv").read_text() == (out2 / "ledger.csv").read_text()
+    # only the clock readings differ between the summaries
+    s1, s2 = (json.loads((o / "summary.json").read_text()) for o in (out1, out2))
+    for s in (s1, s2):
+        del s["wall_time_s"], s["phases"]
+    assert s1 == s2
 
 
 def test_cli_simulate_solver_summary(tmp_path):
@@ -131,12 +136,16 @@ def test_cli_simulate_solver_summary(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(path), "--output-dir", str(out),
                  "--quiet"]) == 0
-    solver = json.loads((out / "summary.json").read_text())["solver"]
+    summary = json.loads((out / "summary.json").read_text())
+    solver = summary["solver"]
     lines = [ln for ln in (out / "trajectory.csv").read_text().splitlines()
              if not ln.startswith("#")]
     cols = lines[0].split(",")
+    assert cols[-3:] == ["iterations", "residual", "tangents"]
     rows = [dict(zip(cols, ln.split(","))) for ln in lines[1:]]
     iters = [int(r["iterations"]) for r in rows]
+    assert solver["tangents_total"] == sum(int(r["tangents"]) for r in rows)
+    assert int(rows[0]["tangents"]) == 0
     assert solver["iterations_total"] == sum(iters) > 0
     assert solver["iterations_max"] == max(iters)
     assert solver["worst_residual"] == max(float(r["residual"]) for r in rows) <= 1e-10
@@ -146,6 +155,11 @@ def test_cli_simulate_solver_summary(tmp_path):
     assert 0 < solver["tangents_total"] <= solver["iterations_total"]
     hist = solver["iterations_histogram"]
     assert hist == [iters[1:].count(n) for n in range(max(iters) + 1)]
+    # the phases are disjoint parts of the run's wall time
+    phases = summary["phases"]
+    assert sorted(phases) == ["integrate_s", "ledger_s", "output_s", "setup_s"]
+    assert all(v >= 0.0 for v in phases.values())
+    assert sum(phases.values()) <= summary["wall_time_s"] + 1e-3
 
 
 def test_import_cli_leaves_sympy_unloaded():

@@ -6,7 +6,9 @@ import pytest
 from recirc import fullspace
 from recirc.errors import StepError
 from recirc.fullspace import FullSpaceSystem
+from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
+from recirc.space import MixedSpace
 from recirc.turbulence import ClosureParams
 
 
@@ -104,6 +106,22 @@ def test_source_loads_match_sampled_forcing(mms, space8):
     for t in (0.0, 1e-3, 0.5, 1.0):
         ref = space8.load_vector(space8.sample(mms.forcing, t))
         assert np.abs(fs.source_load(t) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_velocity_error_tabulates_vhat_once(mms, monkeypatch):
+    # vhat is evaluated once per space and scaled by a(t): the same bits as
+    # sampling the exact velocity at every call
+    space = MixedSpace(build_rect_mesh(1, 1, 4, 4))
+    calls = []
+    vhat = mms._vhat
+    monkeypatch.setattr(mms, "_vhat", lambda x, y: calls.append(1) or vhat(x, y))
+    z = np.random.default_rng(2).standard_normal(space.n_velocity)
+    for t in (0.0, 0.01, 0.5):
+        diff = space.eval_values(z) - space.sample(mms.velocity, t)
+        ref = np.sqrt(space.integrate((diff * diff).sum(axis=-1)))
+        before = len(calls)
+        assert mms.velocity_error(space, z, t) == ref
+        assert len(calls) - before == (t == 0.0)
 
 
 def test_forcing_is_its_time_polynomial(mms):

@@ -386,6 +386,162 @@ def test_frozen_tangent_without_decrease_is_refreshed(preset16, monkeypatch):
     assert abs(diag["residual"] - np.linalg.norm(defect)) <= 1e-15
 
 
+def test_integrate_agrees_with_fresh_steps(preset16):
+    # integrate's extrapolated starts and carried tangents change only where
+    # Newton stops inside its tolerance: a loop of bare steps (each from
+    # z_n with a tangent formed there) agrees in every state, and forms a
+    # tangent in every step
+    scn, dt = preset16, 0.01
+    traj = scn.system.integrate(scn.state0, T=0.4, dt=dt)
+    assert traj.completed and traj.step_residuals.max() <= 1e-10
+    state, fresh = scn.state0, 0
+    for k in range(1, len(traj)):
+        state, diag = scn.system.step(state, dt, t_new=k * dt)
+        fresh += diag["tangents"]
+        assert np.linalg.norm(traj.states[k] - state.z) <= 1e-7 * np.linalg.norm(state.z)
+    assert fresh == len(traj) - 1
+    assert 0 < traj.tangents.sum() <= fresh / 3
+
+
+@pytest.fixture(scope="module")
+def plateau_step(preset16):
+    """(z_{n-1}, z_n, t_n, T) on the four_pumps plateau, T the closure
+    tangent at z_n of the step that ends there."""
+    sys_, dt = preset16.system, 0.01
+    traj = sys_.integrate(preset16.state0, T=0.25, dt=dt)
+    (zm, z), t = traj.states[-2:], traj.times[-1]
+    defect, tangent, _ = sys_.implicit_euler_newton(zm, dt, t)
+    return zm, z, t, tangent(defect(z)[2])
+
+
+def _updates(events):
+    """[residual before, after, tangent formed next] per accepted update of
+    a logged step without dropped trials."""
+    updates, res = [], None
+    for kind, value in events:
+        if kind == "tangent":
+            if updates:
+                updates[-1][2] = True
+        elif res is None:
+            res = value
+        else:
+            assert value < res
+            updates.append([res, value, False])
+            res = value
+    return updates
+
+
+@pytest.mark.parametrize("scale, case", [(1.0, "kept"), (1.25, "not handed on"),
+                                         (2.0, "formed")])
+def test_carried_tangent_rates(preset16, plateau_step, monkeypatch, scale, case):
+    # a plateau step from the extrapolated start, carrying scale times the
+    # tangent at z_old: a carried tangent that shrinks the residual by at
+    # least CARRY_RATE per update is handed on as it is; by less than
+    # CARRY_RATE but at least CHORD_RATE, it serves out the step and is not
+    # handed on; by less than CHORD_RATE, it is formed at the next iterate
+    from recirc.galerkin import CARRY_RATE, CHORD_RATE
+
+    sys_, dt = preset16.system, 0.01
+    zm, z, t, T = plateau_step
+    carried = scale * T
+    events = []
+    _logged_newton(sys_, monkeypatch, events)
+    new, diag = sys_.step(GalerkinState(t, z), dt, start=2 * z - zm, T_VV=carried)
+    updates = _updates(events)
+    rates = [after / before for before, after, _ in updates]
+    for before, after, formed in updates[:-1]:
+        assert formed == (after > CHORD_RATE * before)
+    if case == "kept":
+        assert max(rates) <= CARRY_RATE
+        assert diag["tangents"] == 0 and diag["T_VV"] is carried
+    elif case == "not handed on":
+        assert CARRY_RATE < max(rates) <= CHORD_RATE
+        assert diag["tangents"] == 0 and diag["T_VV"] is None
+    else:
+        assert rates[0] > CHORD_RATE and updates[0][2]
+        assert diag["tangents"] == 1
+        assert diag["T_VV"] is not None and diag["T_VV"] is not carried
+    assert diag["residual"] <= 1e-10 and diag["backtracks"] == 0
+    defect = new.z - z - dt * sys_.rhs(new.z, new.t)
+    assert abs(diag["residual"] - np.linalg.norm(defect)) <= 1e-15
+
+
+def test_carried_tangent_without_decrease_is_refreshed(preset16, plateau_step, monkeypatch):
+    # the carried tangent's one trial gets a reversed Newton matrix, so it
+    # raises the residual: the trial is dropped and the tangent is formed at
+    # the extrapolated start, whose fresh tangent the step then hands on
+    sys_, dt = preset16.system, 0.01
+    zm, z, t, T = plateau_step
+    start = 2 * z - zm
+    events = []
+    _logged_newton(sys_, monkeypatch, events)
+    logged = sys_.implicit_euler_newton
+    jacobians = []
+
+    def reversed_first(*args):
+        defect, tangent, jacobian = logged(*args)
+
+        def jac(z, T_VV):
+            jacobians.append(T_VV)
+            return -jacobian(z, T_VV) if len(jacobians) == 1 else jacobian(z, T_VV)
+
+        return defect, tangent, jac
+
+    monkeypatch.setattr(sys_, "implicit_euler_newton", reversed_first)
+    new, diag = sys_.step(GalerkinState(t, z), dt, start=start, T_VV=T)
+    kinds = [kind for kind, _ in events]
+    res = [value for _, value in events]
+    assert kinds[:4] == ["defect", "defect", "tangent", "defect"]
+    assert res[1] > res[0] and res[3] < res[0]
+    assert jacobians[0] is T and all(J is diag["T_VV"] for J in jacobians[1:])
+    assert diag["tangents"] == 1 and diag["backtracks"] == 0
+    assert diag["iterations"] == kinds.count("defect") - 2  # the start's and the dropped trial
+    defect, tangent, _ = sys_.implicit_euler_newton(z, dt, t + dt)
+    assert np.array_equal(diag["T_VV"], tangent(defect(start)[2]))
+    assert diag["residual"] <= 1e-10
+
+
+def test_step_after_a_refresh_carries_its_tangent(preset16, monkeypatch):
+    # in integrate, a step after one that formed a tangent and handed it on
+    # makes no kernel call: every update uses that tangent
+    sys_ = preset16.system
+    newton = sys_.implicit_euler_newton
+    log, steps = [], []
+
+    def logged(*args):
+        defect, tangent, jacobian = newton(*args)
+
+        def logged_tangent(f):
+            log.append(("tangent", tangent(f)))
+            return log[-1][1]
+
+        def logged_jacobian(z, T_VV):
+            log.append(("jacobian", T_VV))
+            return jacobian(z, T_VV)
+
+        return defect, logged_tangent, logged_jacobian
+
+    monkeypatch.setattr(sys_, "implicit_euler_newton", logged)
+    kernel, calls = sys_.space.weighted_strain_stiffness, []
+    monkeypatch.setattr(sys_.space, "weighted_strain_stiffness",
+                        lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
+
+    def on_step(state):
+        steps.append((list(log), len(calls)))
+        log.clear()
+        calls.clear()
+
+    traj = sys_.integrate(preset16.state0, T=0.3, dt=0.01, on_step=on_step)
+    assert [n for _, n in steps] == traj.tangents[1:].tolist()
+    carried = 0
+    for (before, _), (after, n) in zip(steps, steps[1:]):
+        formed = [T for kind, T in before if kind == "tangent"]
+        if formed and n == 0:
+            assert all(T is formed[-1] for kind, T in after if kind == "jacobian")
+            carried += 1
+    assert carried >= 3
+
+
 def test_newton_without_closure_is_exact(preset16, monkeypatch):
     # nu_tur = 0: no kernel call, and every update is Newton's
     # z - J(z)^-1 d(z) with the Jacobian at the current iterate

@@ -115,6 +115,43 @@ def test_schedule_flat_segment_left_limit():
     assert s.eval(0.5) == (1.0, 2.0)
 
 
+def _numpy_eval(s, t):
+    """The numpy form of Schedule.eval: nearest-knot snap by argmin, np.interp
+    for g and searchsorted for the left-limit slope."""
+    t = min(float(t), s.T)
+    near = int(np.argmin(np.abs(s.ts - t)))
+    if abs(s.ts[near] - t) <= 1e-9 * max(1.0, s.T):
+        t = float(s.ts[near])
+    idx = max(int(np.searchsorted(s.ts, t, side="left")), 1)
+    slope = (s.gs[idx] - s.gs[idx - 1]) / (s.ts[idx] - s.ts[idx - 1])
+    return float(np.interp(t, s.ts, s.gs)), float(slope)
+
+
+@pytest.mark.parametrize("samples", [
+    [(0, 0), (0.2, 0.05), (1.0, 0.05)],  # the preset ramp
+    [(0, 0), (0.1, 0.3), (0.35, 0.3), (0.6, 0.0), (0.7, 1.7), (2.5, 0.2)],
+    [(0, 0), (1.0, 1.0), (1.0 + 2**-30, 2.0), (3.0, 0.5)],  # two knots in one snap window
+])
+def test_schedule_eval_matches_numpy_form(samples):
+    # at the knots, within and just outside the 1e-9 snap window around
+    # them, on step grids and at random times: (g, gdot) bit for bit
+    s = Schedule(samples)
+    rng = np.random.default_rng(3)
+    win = 1e-9 * max(1.0, s.T)
+    times = [0.0, s.T, s.T + 5e-13, 0.5 * win, 1.5 * win]
+    for tk in s.ts:
+        for off in (0.0, 0.3 * win, 0.999 * win, 1.001 * win, 2.0 * win, 1e-6):
+            times += [tk - off, tk + off]
+    times += list(rng.uniform(0.0, s.T, 500))
+    times += [k * 0.01 for k in range(int(s.T / 0.01) + 1)]  # accumulated-free grid
+    times += list(np.cumsum(np.full(int(s.T / 0.01), 0.01)))  # accumulated grid
+    times += [(t1 + t2) / 2 for t1, t2 in zip(s.ts, s.ts[1:])]  # exact ties between two knots
+    for t in times:
+        if 0.0 <= t <= s.T + 1e-12:
+            got = s.eval(t)
+            assert [x.hex() for x in got] == [x.hex() for x in _numpy_eval(s, t)], t
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule([(0, 1), (1, 2)])  # g(0) != 0
