@@ -71,26 +71,45 @@ def _fan_out(fn, items):
         return list(pool.map(fn, items))
 
 
-def _write_trajectory(path, traj, cfg_hash):
+def _write_trajectory(path, traj, system, cfg_hash):
+    """trajectory.csv; its last column, net_flux, is the discrete net boundary
+    flux of zeta_g(t), which the lifts' traces make zero up to roundoff."""
     n = traj.states.shape[1]
-    cols = ["t"] + [f"z{k + 1}" for k in range(n)] + ["iterations", "residual", "tangents"]
+    cols = (["t"] + [f"z{k + 1}" for k in range(n)]
+            + ["iterations", "residual", "tangents", "net_flux"])
+    lift_flux = system.lifting.zetas @ system.space.flux_vector  # (K,)
     rows = [
         [float(traj.times[i])]
         + [float(z) for z in traj.states[i]]
-        + [int(traj.iterations[i]), float(traj.step_residuals[i]), int(traj.tangents[i])]
+        + [int(traj.iterations[i]), float(traj.step_residuals[i]), int(traj.tangents[i]),
+           float(lift_flux @ system.pumps.rates(traj.times[i])[0])]
         for i in range(len(traj))
     ]
     _write_csv(path, cols, rows, cfg_hash)
 
 
-def _integrate(scenario):
+def _integrate(scenario, on_step=None):
     cfg = scenario.config
     return scenario.system.integrate(
         scenario.state0,
         T=cfg.time["T"],
         dt=cfg.time["dt"],
         scheme=cfg.time["scheme"],
+        on_step=on_step,
     )
+
+
+def _progress(cfg):
+    """An on_step hook printing one line per step to stderr."""
+    n = int(round(cfg.time["T"] / cfg.time["dt"]))
+    done = [0]
+
+    def on_step(state):
+        done[0] += 1
+        print(f"step {done[0]}/{n} t={state.t:.6g} iterations={state.diag['iterations']} "
+              f"residual={state.diag['residual']:.3e}", file=sys.stderr)
+
+    return on_step
 
 
 def cmd_simulate(args):
@@ -102,14 +121,15 @@ def cmd_simulate(args):
     scenario = build_scenario(cfg)
     marks.append(time.perf_counter())
     try:
-        traj = _integrate(scenario)
+        traj = _integrate(scenario, _progress(cfg) if args.progress and not args.quiet else None)
     except StepError as exc:
         if exc.trajectory is not None:
-            _write_trajectory(out / "trajectory_partial.csv", exc.trajectory, h)
+            _write_trajectory(out / "trajectory_partial.csv", exc.trajectory, scenario.system,
+                              h)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     marks.append(time.perf_counter())
-    _write_trajectory(out / "trajectory.csv", traj, h)
+    _write_trajectory(out / "trajectory.csv", traj, scenario.system, h)
     marks.append(time.perf_counter())
 
     led = ledger(scenario.system, traj)
@@ -440,6 +460,9 @@ def main(argv=None):
         p = sub.add_parser(name)
         common(p)
         p.set_defaults(fn=fn)
+        if name == "simulate":
+            p.add_argument("--progress", action="store_true",
+                           help="print each step's time, iterations and residual to stderr")
 
     p = sub.add_parser("study")
     p.add_argument("kind", choices=("dt", "modes", "mesh"))

@@ -48,9 +48,11 @@ z_k xi_k.
 Time data are split by who reads them. The right-hand side and the steppers
 read the rates g(t) and (H_g, xi_k) from `lift_modal`; the energy ledger reads
 the quadrature-point tables of `lifting.LiftData` (zeta_g, its rate, H_g) from
-`lift_data`. Both read a state's closure fields from `StateFields`, which the
-steppers form from one gradient evaluation of w = zeta_g + z and the ledger
-from its tables. The system holds no mutable state while it steps.
+`lift_data`, which nothing else here reads: `dissipation_rates` takes the one
+table it needs, the gradients of zeta_g, from `LiftingBasis.combine_qpt`. Both
+read a state's closure fields from `StateFields`, which the steppers form
+from one gradient evaluation of w = zeta_g + z and the ledger from its
+tables. The system holds no mutable state while it steps.
 """
 
 import numpy as np
@@ -65,13 +67,16 @@ CARRY_RATE = CHORD_RATE / 2  # a carried tangent contracting less is not carried
 
 
 class GalerkinState:
-    """Time and reduced coefficient vector."""
+    """Time and reduced coefficient vector; `diag` holds the diagnostics of
+    the step that made the state (iterations, residual, backtracks,
+    tangents) when `integrate` hands it to its on_step hook, else None."""
 
-    __slots__ = ("t", "z")
+    __slots__ = ("t", "z", "diag")
 
     def __init__(self, t, z):
         self.t = float(t)
         self.z = np.asarray(z, dtype=float)
+        self.diag = None
 
 
 class StateFields:
@@ -373,6 +378,8 @@ class ReducedSystem:
     def integrate(self, state0, T, dt, scheme="implicit-euler", tol=1e-10,
                   on_step=None):
         """Step from state0 to T; on failure the partial trajectory is attached.
+        After each step, on_step(state) receives the new state with its
+        step's diagnostics as `state.diag`.
 
         Implicit Euler carries Newton data from one step to the next, as
         stiff integrators keep their Jacobian (Hairer & Wanner, IV.8): each
@@ -401,7 +408,8 @@ class ReducedSystem:
                                             tangents, completed=False)
                 raise
             if implicit:  # the next step starts from the linear extrapolation
-                kw.update(start=2.0 * new.z - state.z, T_VV=diag["T_VV"])
+                kw.update(start=2.0 * new.z - state.z, T_VV=diag.pop("T_VV"))
+            new.diag = diag
             state = new
             times.append(state.t)
             states.append(state.z.copy())
@@ -413,12 +421,12 @@ class ReducedSystem:
                 on_step(state)
         return Trajectory(times, states, iters, residuals, backtracks, tangents)
 
-    # -- quadrature-level energy rates (used by the ledger and energy tests) -----
+    # -- quadrature-level energy rates (read by the energy tests) ----------------
 
     def dissipation_rates(self, z, t):
         """(2 nu ||eps(z)||^2, 2 nu_tur ||eps(zg+z)||^3_L3) at (z, t)."""
         z_grads = self.space.eval_grads(self.basis.expand(z))
-        f = StateFields(self.lift_data(t).zg_grads + z_grads)
+        f = StateFields(self.lifting.combine_qpt(self.pumps.rates(t)[0])[1] + z_grads)
         eps_z = sym_grad(z_grads)
         visc = 2 * self.params.nu * self.space.integrate(
             np.einsum("cqab,cqab->cq", eps_z, eps_z)

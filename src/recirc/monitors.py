@@ -7,6 +7,17 @@ here asserts an inequality with an unknown constant as pass/fail. State
 integrals are trapezoid sums on the trajectory save grid; pure lift-data
 integrals use interval midpoints because the pump rates jump at schedule
 knots. The time derivative of z is a backward difference on that grid.
+
+The lift side of the ledger (H_g, the strain and L3 norms of zeta_g and its
+rate) depends on t only through the pump rates (g, gdot), and through the
+source samples at t when a source exists. So one `ledger` call evaluates it
+once per distinct lift state, keyed by the exact bytes of (g, gdot), plus t
+with a source, and reads the kept scalars at every save time and midpoint
+with that key; on a rate plateau that is one evaluation for all of it. The
+key is exact, not rounded or given a tolerance: equal keys give the same
+`LiftData` bit for bit, so reuse changes no digit, while a tolerant key
+could merge states that differ. Only scalars are kept, never quadrature
+tables, so memory does not grow with the save count.
 """
 
 import numpy as np
@@ -62,12 +73,14 @@ def ledger(system, traj):
     eps_z_sq = np.zeros(n)
     eps_w_cu = np.zeros(n)
     eps_z_cu = np.zeros(n)
+    lift = _lift_scalars(system)
     for i, t in enumerate(times):
-        lift = system.lift_data(t)
+        g, _ = system.pumps.rates(t)
+        hg, hg_tilde, edzg_l2_sq, edzg_l3_32 = lift(t)[0]
         zf = system.basis.expand(traj.states[i])
         z_grads = space.eval_grads(zf)
-        f = StateFields(lift.zg_grads + z_grads)
-        ez, edzg = strain_norm(sym_grad(z_grads)), strain_norm(sym_grad(lift.dzg_grads))
+        f = StateFields(system.lifting.combine_qpt(g)[1] + z_grads)  # LiftData's zg_grads
+        ez = strain_norm(sym_grad(z_grads))
         z_mag = np.linalg.norm(space.eval_values(zf), axis=-1)
         ew_l3 = _lp(space, f.w_eps_mag, 3)
         rows["z_l2_sq"][i] = _lp(space, z_mag, 2) ** 2
@@ -75,11 +88,11 @@ def ledger(system, traj):
         eps_w_cu[i] = ew_l3**3
         eps_z_cu[i] = _lp(space, ez, 3) ** 3
         rows["psi1"][i] = _lp(space, f.w_eps_mag, 2) ** 2 + eps_w_cu[i]
-        rows["psi2"][i] = ew_l3**2 + _lp(space, edzg, 2) ** 2 + _lp(space, edzg, 3) ** 1.5
+        rows["psi2"][i] = ew_l3**2 + edzg_l2_sq + edzg_l3_32
         # strain_norm of a gradient table is |grad z|
         rows["z_w12_sq"][i] = rows["z_l2_sq"][i] + _lp(space, strain_norm(z_grads), 2) ** 2
         rows["z_w13_cu"][i] = _lp(space, z_mag, 3) ** 3 + eps_z_cu[i]
-        rows["hg_l2_sq"][i], rows["hg_tilde_l2_sq"][i] = _hg_sq(space, lift)
+        rows["hg_l2_sq"][i], rows["hg_tilde_l2_sq"][i] = hg, hg_tilde
         if i > 0:
             dt = times[i] - times[i - 1]
             dz = (traj.states[i] - traj.states[i - 1]) / dt
@@ -90,10 +103,34 @@ def ledger(system, traj):
     rows["int_eps_z_l3_cu"] = _running_trapezoid(times, eps_z_cu)
 
     # g(0) = 0, so v(0) = z(0) and its data terms are the first row's
-    v0 = {"v0_l2_sq": rows["z_l2_sq"][0], "eps_v0_l2_sq": eps_z_sq[0],
-          "eps_v0_l3_cu": eps_z_cu[0]}
-    data = _data_functionals(system, times, rows, v0)
+    data = {"v0_l2_sq": rows["z_l2_sq"][0], "eps_v0_l2_sq": eps_z_sq[0],
+            "eps_v0_l3_cu": eps_z_cu[0]}
+    keys = ("hg_l2l2_sq", "hg_tilde_l2l2_sq", "zg_l3w13_cu", "dzg_l2h1_sq", "dzg_l2w13_cu")
+    data.update(zip(keys, _midpoint(times, lambda t: lift(t)[1])))
+    data["dzg_l2w13_cu"] **= 1.5
+    _estimates(system.params, times, rows, data)
     return EnergyLedger(times, rows, data)
+
+
+def _lift_scalars(system):
+    """The map t -> `_lift_functionals` of LiftData(t) for one ledger call.
+
+    It builds one LiftData per distinct lift state, keyed by the exact bytes
+    of the rates (g, gdot), plus t when the system has a source, and keeps
+    only the scalars.
+    """
+    memo = {}
+
+    def scalars(t):
+        g, gdot = system.pumps.rates(t)
+        key = (g.tobytes(), gdot.tobytes())
+        if system.source is not None:
+            key += (float(t),)
+        if key not in memo:
+            memo[key] = _lift_functionals(system.space, system.lift_data(t))
+        return memo[key]
+
+    return scalars
 
 
 def _running_trapezoid(times, vals):
@@ -122,27 +159,30 @@ def _midpoint(times, f):
 
 
 def _lift_functionals(space, data):
-    """(||H_g||^2, ||H~_g||^2, ||zeta_g||^3_L3 + ||eps(zeta_g)||^3_L3,
-    ||d zeta_g/dt||^2_H1, (||d zeta_g/dt||^3_L3 + ||eps(d zeta_g/dt)||^3_L3)^(2/3))
-    at one time."""
+    """The lift scalars of one LiftData, as (row terms, midpoint integrands).
+
+    Row terms, read at save times: ||H_g||^2, ||H~_g||^2, ||eps(d zeta_g/dt)||^2_L2
+    and ||eps(d zeta_g/dt)||^{3/2}_L3. Midpoint integrands of the data
+    functionals: ||H_g||^2, ||H~_g||^2, ||zeta_g||^3_L3 + ||eps(zeta_g)||^3_L3,
+    ||d zeta_g/dt||^2_H1 and (||d zeta_g/dt||^3_L3 + ||eps(d zeta_g/dt)||^3_L3)^(2/3).
+    """
+    hg = _hg_sq(space, data)
     zg_mag, dzg_mag = (np.linalg.norm(v, axis=-1) for v in (data.zg_vals, data.dzg_vals))
     ezg, edzg = (strain_norm(sym_grad(g)) for g in (data.zg_grads, data.dzg_grads))
-    return (
-        *_hg_sq(space, data),
+    edzg_l3 = _lp(space, edzg, 3)
+    row = (*hg, _lp(space, edzg, 2) ** 2, edzg_l3**1.5)
+    mid = (
+        *hg,
         _lp(space, zg_mag, 3) ** 3 + _lp(space, ezg, 3) ** 3,
         _lp(space, dzg_mag, 2) ** 2 + _lp(space, strain_norm(data.dzg_grads), 2) ** 2,
-        (_lp(space, dzg_mag, 3) ** 3 + _lp(space, edzg, 3) ** 3) ** (2 / 3),
+        (_lp(space, dzg_mag, 3) ** 3 + edzg_l3**3) ** (2 / 3),
     )
+    return row, mid
 
 
-def _data_functionals(system, times, rows, v0):
-    params = system.params
-    space = system.space
-    keys = ("hg_l2l2_sq", "hg_tilde_l2l2_sq", "zg_l3w13_cu", "dzg_l2h1_sq", "dzg_l2w13_cu")
-    vals = _midpoint(times, lambda t: _lift_functionals(space, system.lift_data(t)))
-    data = {**v0, **dict(zip(keys, vals))}
-    data["dzg_l2w13_cu"] **= 1.5
-
+def _estimates(params, times, rows, data):
+    """Add the two estimates' sides and fitted constants to data, which holds
+    the initial-state terms and the data functionals."""
     # first estimate: sup-of-z triple against its data functionals
     lhs1 = (
         rows["z_l2_sq"].max()
@@ -177,7 +217,6 @@ def _data_functionals(system, times, rows, v0):
     data["estimate2_rhs"] = rhs2
     data["estimate2_exponent"] = expo  # the Gronwall data factor can be huge
     data["C2_empirical"] = lhs2 / rhs2 if rhs2 > 0 else np.inf
-    return data
 
 
 class ContractionReport:

@@ -130,6 +130,76 @@ def test_cli_simulate_deterministic(tmp_path):
     assert s1 == s2
 
 
+def test_cli_simulate_progress(tmp_path, capsys):
+    # --progress prints one stderr line per step and changes no output
+    path, cfg = small_config(tmp_path)
+    outs = {}
+    for flags in ([], ["--progress"], ["--progress", "--quiet"]):
+        out = outs[tuple(flags)] = tmp_path / ("run" + "".join(flags))
+        assert main(["simulate", "--config", str(path), "--output-dir", str(out),
+                     *flags]) == 0
+        err = capsys.readouterr().err.splitlines()
+        if flags == ["--progress"]:
+            steps = round(cfg["time"]["T"] / cfg["time"]["dt"])
+            assert len(err) == steps
+            assert err[0].startswith(f"step 1/{steps} t=0.01 iterations=")
+            assert err[-1].startswith(f"step {steps}/{steps} t=0.2 iterations=")
+            assert all("residual=" in line for line in err)
+        else:
+            assert err == []
+    plain = outs[()]
+    for out in outs.values():
+        for name in ("trajectory.csv", "ledger.csv"):
+            assert (out / name).read_bytes() == (plain / name).read_bytes()
+        s1, s2 = (json.loads((o / "summary.json").read_text()) for o in (plain, out))
+        for s in (s1, s2):
+            del s["wall_time_s"], s["phases"]
+        assert s1 == s2
+
+
+def _csv_columns(path):
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    cols = lines[0].split(",")
+    return {c: [float(r.split(",")[j]) for r in lines[1:]] for j, c in enumerate(cols)}
+
+
+def test_trajectory_net_flux_is_roundoff(preset16, tmp_path):
+    # the appended net_flux column, flux_vector @ zeta_g(t), is zero up to
+    # roundoff on four_pumps, ramp and plateau
+    from recirc.cli import _write_trajectory
+
+    sys_ = preset16.system
+    traj = sys_.integrate(preset16.state0, T=0.3, dt=0.01)
+    _write_trajectory(tmp_path / "t.csv", traj, sys_, "test")
+    cols = _csv_columns(tmp_path / "t.csv")
+    assert list(cols)[-1] == "net_flux" and cols["t"] == traj.times.tolist()
+    g_max = max(np.abs(sys_.pumps.rates(t)[0]).max() for t in traj.times)
+    bound = 1e-12 * g_max * np.abs(preset16.space.flux_vector).sum()
+    assert g_max > 0.0 and max(np.abs(cols["net_flux"])) <= bound
+
+
+def test_cli_partial_trajectory_has_net_flux(tmp_path, monkeypatch):
+    # a failed step leaves trajectory_partial.csv with every column
+    from recirc.errors import StepError
+    from recirc.galerkin import ReducedSystem
+
+    step = ReducedSystem.step
+
+    def failing(self, state, dt, **kw):
+        if state.t >= 0.025:
+            raise StepError("injected failure", residual=1.0, t=state.t + dt)
+        return step(self, state, dt, **kw)
+
+    monkeypatch.setattr(ReducedSystem, "step", failing)
+    path, cfg = small_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output-dir", str(out),
+                 "--quiet"]) == 1
+    cols = _csv_columns(out / "trajectory_partial.csv")
+    assert list(cols)[-4:] == ["iterations", "residual", "tangents", "net_flux"]
+    assert len(cols["t"]) == len(cols["net_flux"]) == 4  # t = 0 and three steps
+
+
 def test_cli_simulate_solver_summary(tmp_path):
     # summary.json's solver block totals the trajectory's step diagnostics
     path, _ = small_config(tmp_path)
@@ -141,7 +211,7 @@ def test_cli_simulate_solver_summary(tmp_path):
     lines = [ln for ln in (out / "trajectory.csv").read_text().splitlines()
              if not ln.startswith("#")]
     cols = lines[0].split(",")
-    assert cols[-3:] == ["iterations", "residual", "tangents"]
+    assert cols[-4:] == ["iterations", "residual", "tangents", "net_flux"]
     rows = [dict(zip(cols, ln.split(","))) for ln in lines[1:]]
     iters = [int(r["iterations"]) for r in rows]
     assert solver["tangents_total"] == sum(int(r["tangents"]) for r in rows)

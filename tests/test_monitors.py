@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from recirc.eigenbasis import solve_stokes_eigen
-from recirc.galerkin import GalerkinState, ReducedSystem
+from recirc.galerkin import GalerkinState, ReducedSystem, StateFields
 from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
-from recirc.monitors import EnergyLedger, _hg_sq, _midpoint, contraction, ledger
+from recirc.monitors import (EnergyLedger, _estimates, _hg_sq, _lp, _midpoint, contraction,
+                             ledger)
 from recirc.pumps import PumpSet
 from recirc.space import MixedSpace
-from recirc.turbulence import ClosureParams
+from recirc.turbulence import ClosureParams, strain_norm, sym_grad
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +213,111 @@ def test_ledger_matches_independent_norms_with_pumps(preset16):
     for key, expect in data.items():
         assert expect > 0.0, key
         assert abs(led.data[key] - expect) <= 1e-12 * expect, key
+
+
+def _ledger_oracle(sys_, traj):
+    """Ledger rows and data with one LiftData per save time and per interval
+    midpoint (compute_Hg_load at every time), each term in the ledger's
+    arithmetic, so that an exact match shows that reusing lift evaluations
+    changes no bit."""
+    space = sys_.space
+    times = traj.times
+    n = len(times)
+
+    def lift(t):
+        return compute_Hg_load(sys_.lifting, sys_.pumps, sys_.source, t)
+
+    rows = {k: np.zeros(n) for k in EnergyLedger.COLUMNS}
+    ez2, ew3, ez3 = np.zeros(n), np.zeros(n), np.zeros(n)
+    for i, t in enumerate(times):
+        data = lift(t)
+        zf = sys_.basis.expand(traj.states[i])
+        z_grads = space.eval_grads(zf)
+        f = StateFields(data.zg_grads + z_grads)
+        ez, edzg = strain_norm(sym_grad(z_grads)), strain_norm(sym_grad(data.dzg_grads))
+        z_mag = np.linalg.norm(space.eval_values(zf), axis=-1)
+        ew_l3 = _lp(space, f.w_eps_mag, 3)
+        rows["z_l2_sq"][i] = _lp(space, z_mag, 2) ** 2
+        ez2[i], ew3[i], ez3[i] = _lp(space, ez, 2) ** 2, ew_l3**3, _lp(space, ez, 3) ** 3
+        rows["psi1"][i] = _lp(space, f.w_eps_mag, 2) ** 2 + ew3[i]
+        rows["psi2"][i] = ew_l3**2 + _lp(space, edzg, 2) ** 2 + _lp(space, edzg, 3) ** 1.5
+        rows["z_w12_sq"][i] = rows["z_l2_sq"][i] + _lp(space, strain_norm(z_grads), 2) ** 2
+        rows["z_w13_cu"][i] = _lp(space, z_mag, 3) ** 3 + ez3[i]
+        rows["hg_l2_sq"][i], rows["hg_tilde_l2_sq"][i] = _hg_sq(space, data)
+        if i > 0:
+            dz = (traj.states[i] - traj.states[i - 1]) / (times[i] - times[i - 1])
+            rows["dzdt_l2_sq"][i] = dz @ dz
+    for key, vals in (("int_eps_z_l2_sq", ez2), ("int_eps_w_l3_cu", ew3),
+                      ("int_eps_z_l3_cu", ez3)):
+        rows[key][1:] = np.cumsum(0.5 * np.diff(times) * (vals[1:] + vals[:-1]))
+
+    def functionals(t):
+        data = lift(t)
+        zg_mag, dzg_mag = (np.linalg.norm(v, axis=-1) for v in (data.zg_vals, data.dzg_vals))
+        ezg, edzg = (strain_norm(sym_grad(g)) for g in (data.zg_grads, data.dzg_grads))
+        return (
+            *_hg_sq(space, data),
+            _lp(space, zg_mag, 3) ** 3 + _lp(space, ezg, 3) ** 3,
+            _lp(space, dzg_mag, 2) ** 2 + _lp(space, strain_norm(data.dzg_grads), 2) ** 2,
+            (_lp(space, dzg_mag, 3) ** 3 + _lp(space, edzg, 3) ** 3) ** (2 / 3),
+        )
+
+    data = {"v0_l2_sq": rows["z_l2_sq"][0], "eps_v0_l2_sq": ez2[0], "eps_v0_l3_cu": ez3[0]}
+    keys = ("hg_l2l2_sq", "hg_tilde_l2l2_sq", "zg_l3w13_cu", "dzg_l2h1_sq", "dzg_l2w13_cu")
+    data.update(zip(keys, _midpoint(times, functionals)))
+    data["dzg_l2w13_cu"] **= 1.5
+    _estimates(sys_.params, times, rows, data)
+    return rows, data
+
+
+def _counted_ledger(sys_, traj, monkeypatch):
+    """(ledger, the number of LiftData it built)."""
+    import recirc.galerkin as galerkin
+
+    calls = []
+    build = galerkin.compute_Hg_load
+    monkeypatch.setattr(galerkin, "compute_Hg_load",
+                        lambda *a: calls.append(1) or build(*a))
+    return ledger(sys_, traj), len(calls)
+
+
+def _assert_equals_oracle(led, sys_, traj):
+    rows, data = _ledger_oracle(sys_, traj)
+    for key in EnergyLedger.COLUMNS:
+        assert np.array_equal(led.rows[key], rows[key]), key
+    assert list(led.rows) == list(rows)
+    assert led.data == data
+
+
+def test_ledger_one_lift_evaluation_per_rate_state(preset16, monkeypatch):
+    # four_pumps ramps its rates up to t = 0.2 and holds them to T = 1: the
+    # 101 save times and 100 midpoints have 42 distinct (g, gdot), and the
+    # ledger is bit-identical to one LiftData per time
+    sys_ = preset16.system
+    traj = sys_.integrate(preset16.state0, T=1.0, dt=0.01)
+    times = traj.times
+    mids = 0.5 * (times[1:] + times[:-1])
+    keys = {tuple(r.tobytes() for r in sys_.pumps.rates(t)) for t in (*times, *mids)}
+    assert len(times) + len(mids) == 201 and len(keys) == 42
+    led, built = _counted_ledger(sys_, traj, monkeypatch)
+    assert built == len(keys)
+    _assert_equals_oracle(led, sys_, traj)
+
+
+def test_ledger_with_source_evaluates_every_time(preset16, monkeypatch):
+    # a time-dependent source makes LiftData depend on t itself: on the rate
+    # plateau (t > 0.2) equal rates must not share a lift evaluation
+    scn = preset16
+
+    def source(x, y, t):
+        return np.column_stack([np.sin(np.pi * y) * (1.0 + t), x * y * np.cos(3.0 * t)])
+
+    sys_ = ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, scn.params,
+                         source=source)
+    traj = sys_.integrate(scn.state0, T=0.3, dt=0.02)
+    times = traj.times
+    assert sys_.pumps.rates(times[-1])[0].tobytes() == sys_.pumps.rates(times[-2])[0].tobytes()
+    led, built = _counted_ledger(sys_, traj, monkeypatch)
+    assert built == 2 * len(times) - 1  # every save time and every midpoint
+    assert led.data["hg_l2l2_sq"] > 0.0
+    _assert_equals_oracle(led, sys_, traj)
