@@ -2,9 +2,19 @@
 
 The generalized symmetric eigenproblem K_grad x = lambda M x is solved on
 the discretely divergence-free boundary-zero subspace by keeping the
-velocity-pressure saddle form (`MixedSpace.saddle_matrix`, pressure pinned)
-and discarding pressure; the pencil is handled by shift-invert Lanczos with
-the singular velocity-only mass, the standard route for constrained pencils.
+velocity-pressure saddle form (pressure DOF 0 pinned) and discarding
+pressure; the pencil is handled by shift-invert Lanczos with the singular
+velocity-only mass, the standard route for constrained pencils.
+
+The eigensolver builds its own pinned saddle matrix in the natural unknown
+order, velocities then pressures, and leaves its factorization to scipy's
+shift-invert (COLAMD); it does not use `MixedSpace.saddle_matrix` and its
+nested-dissection order. The Stokes eigenvalues come in exactly degenerate
+pairs and clusters, where any roundoff change of the factor rotates the
+Lanczos vectors inside the cluster: on the 32x32 pumps config the N = 40
+mode sits in such a pair, so a different order moves the reduced solution
+far beyond roundoff. Keeping this matrix and its factorization fixed keeps
+the basis bit for bit.
 """
 
 import numpy as np
@@ -129,7 +139,9 @@ def solve_stokes_eigen(space, n_modes, tol=1e-9):
         )
     I = space.interior_vdofs
     M_II = space.M.tocsr()[I][:, I]
-    A = space.saddle_matrix(space.K_grad.tocsr()[I][:, I])
+    B_I = space.B[1:, I]
+    # unordered on purpose: see the module docstring
+    A = sp.bmat([[space.K_grad.tocsr()[I][:, I], B_I.T], [B_I, None]], format="csc")
     npr = A.shape[0] - len(I)
     Msad = sp.bmat(
         [[M_II, None], [None, sp.csr_matrix((npr, npr))]], format="csc"
@@ -146,7 +158,7 @@ def solve_stokes_eigen(space, n_modes, tol=1e-9):
             f"{n_modes} modes found"
         ) from exc
     fields = np.zeros((space.n_velocity, n_modes))
-    fields[I], _ = space.saddle_split(vecs)
+    fields[I] = vecs[: len(I)]
     basis = EigenBasis(space, vals, fields)
     if np.any(basis.eigenvalues <= 0):
         raise SolverError(

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError, StepError
+from .space import SADDLE_LU
 from .turbulence import closure_tangent, convection_load, smagorinsky_load, strain_norm, sym_grad
 
 
@@ -50,7 +51,7 @@ class FullSpaceSystem:
             I = self.I
             A = (self.space.M / dt + (self.params.nu + shift) * self.space.K_eps).tocsr()
             try:
-                self._step_factor = (key, splu(self.space.saddle_matrix(A[I][:, I])))
+                self._step_factor = (key, splu(self.space.saddle_matrix(A[I][:, I]), **SADDLE_LU))
             except RuntimeError as exc:
                 raise SolverError(f"time-step factorization failed: {exc}") from exc
         return self._step_factor[1]
@@ -59,7 +60,7 @@ class FullSpaceSystem:
         """L2 projection onto the discretely divergence-free zero-trace subspace."""
         space = self.space
         I = self.I
-        lu = splu(space.saddle_matrix(space.M.tocsr()[I][:, I]))
+        lu = splu(space.saddle_matrix(space.M.tocsr()[I][:, I]), **SADDLE_LU)
         rhs = space.saddle_rhs((space.M @ v)[I], np.zeros(space.n_pressure))
         out = np.zeros(space.n_velocity)
         out[I], _ = space.saddle_split(lu.solve(rhs))

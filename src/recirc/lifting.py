@@ -17,6 +17,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import CompatibilityError, SolverError
+from .space import SADDLE_LU
 
 
 class LiftingBasis:
@@ -52,7 +53,7 @@ def _stokes_lu(space, A):
     """LU of the pinned Stokes saddle matrix for the velocity stiffness A."""
     I = space.interior_vdofs
     try:
-        return splu(space.saddle_matrix(A[I][:, I]))
+        return splu(space.saddle_matrix(A[I][:, I]), **SADDLE_LU)
     except RuntimeError as exc:
         raise SolverError(f"Stokes saddle factorization failed: {exc}") from exc
 

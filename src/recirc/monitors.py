@@ -13,11 +13,13 @@ rate) depends on t only through the pump rates (g, gdot), and through the
 source samples at t when a source exists. So one `ledger` call evaluates it
 once per distinct lift state, keyed by the exact bytes of (g, gdot), plus t
 with a source, and reads the kept scalars at every save time and midpoint
-with that key; on a rate plateau that is one evaluation for all of it. The
-key is exact, not rounded or given a tolerance: equal keys give the same
-`LiftData` bit for bit, so reuse changes no digit, while a tolerant key
-could merge states that differ. Only scalars are kept, never quadrature
-tables, so memory does not grow with the save count.
+with that key; on a rate plateau that is one evaluation for all of it. A
+state gets the row terms only if a save time reads it, and the midpoint
+integrands only if a midpoint does. The key is exact, not rounded or given
+a tolerance: equal keys give the same `LiftData` bit for bit, so reuse
+changes no digit, while a tolerant key could merge states that differ. Only
+scalars are kept, never quadrature tables, so memory does not grow with the
+save count.
 """
 
 import numpy as np
@@ -73,10 +75,10 @@ def ledger(system, traj):
     eps_z_sq = np.zeros(n)
     eps_w_cu = np.zeros(n)
     eps_z_cu = np.zeros(n)
-    lift = _lift_scalars(system)
+    row_terms, integrands = _lift_scalars(system, times)
     for i, t in enumerate(times):
         g, _ = system.pumps.rates(t)
-        hg, hg_tilde, edzg_l2_sq, edzg_l3_32 = lift(t)[0]
+        hg, hg_tilde, edzg_l2_sq, edzg_l3_32 = row_terms(t)
         zf = system.basis.expand(traj.states[i])
         z_grads = space.eval_grads(zf)
         f = StateFields(system.lifting.combine_qpt(g)[1] + z_grads)  # LiftData's zg_grads
@@ -106,31 +108,41 @@ def ledger(system, traj):
     data = {"v0_l2_sq": rows["z_l2_sq"][0], "eps_v0_l2_sq": eps_z_sq[0],
             "eps_v0_l3_cu": eps_z_cu[0]}
     keys = ("hg_l2l2_sq", "hg_tilde_l2l2_sq", "zg_l3w13_cu", "dzg_l2h1_sq", "dzg_l2w13_cu")
-    data.update(zip(keys, _midpoint(times, lambda t: lift(t)[1])))
+    data.update(zip(keys, _midpoint(times, integrands)))
     data["dzg_l2w13_cu"] **= 1.5
     _estimates(system.params, times, rows, data)
     return EnergyLedger(times, rows, data)
 
 
-def _lift_scalars(system):
-    """The map t -> `_lift_functionals` of LiftData(t) for one ledger call.
+def _lift_scalars(system, times):
+    """The lift scalars of one ledger call on the save grid `times`, as the
+    maps t -> `_row_terms` at a save time and t -> `_midpoint_integrands` at
+    an interval midpoint of `_midpoint`.
 
     It builds one LiftData per distinct lift state, keyed by the exact bytes
-    of the rates (g, gdot), plus t when the system has a source, and keeps
-    only the scalars.
+    of the rates (g, gdot), plus t when the system has a source, evaluates
+    on it only the scalars that its save times and midpoints read, and keeps
+    only those.
     """
-    memo = {}
 
-    def scalars(t):
+    def key(t):
         g, gdot = system.pumps.rates(t)
-        key = (g.tobytes(), gdot.tobytes())
-        if system.source is not None:
-            key += (float(t),)
-        if key not in memo:
-            memo[key] = _lift_functionals(system.space, system.lift_data(t))
-        return memo[key]
+        k = (g.tobytes(), gdot.tobytes())
+        return k + (float(t),) if system.source is not None else k
 
-    return scalars
+    mids = 0.5 * (times[1:] + times[:-1])
+    readers = {}  # key -> [a time of the state, read at a save time, at a midpoint]
+    for t, at_mid in [(t, False) for t in times] + [(t, True) for t in mids]:
+        r = readers.setdefault(key(t), [t, False, False])
+        r[1 + at_mid] = True
+    rows, mid_vals = {}, {}
+    for k, (t, at_save, at_mid) in readers.items():
+        data = system.lift_data(t)
+        if at_save:
+            rows[k] = _row_terms(system.space, data)
+        if at_mid:
+            mid_vals[k] = _midpoint_integrands(system.space, data)
+    return (lambda t: rows[key(t)]), (lambda t: mid_vals[key(t)])
 
 
 def _running_trapezoid(times, vals):
@@ -158,26 +170,25 @@ def _midpoint(times, f):
     return np.sum(dt * vals, axis=-1).tolist()
 
 
-def _lift_functionals(space, data):
-    """The lift scalars of one LiftData, as (row terms, midpoint integrands).
+def _row_terms(space, data):
+    """The save-time lift terms of one LiftData: ||H_g||^2, ||H~_g||^2,
+    ||eps(d zeta_g/dt)||^2_L2 and ||eps(d zeta_g/dt)||^{3/2}_L3."""
+    edzg = strain_norm(sym_grad(data.dzg_grads))
+    return (*_hg_sq(space, data), _lp(space, edzg, 2) ** 2, _lp(space, edzg, 3) ** 1.5)
 
-    Row terms, read at save times: ||H_g||^2, ||H~_g||^2, ||eps(d zeta_g/dt)||^2_L2
-    and ||eps(d zeta_g/dt)||^{3/2}_L3. Midpoint integrands of the data
-    functionals: ||H_g||^2, ||H~_g||^2, ||zeta_g||^3_L3 + ||eps(zeta_g)||^3_L3,
-    ||d zeta_g/dt||^2_H1 and (||d zeta_g/dt||^3_L3 + ||eps(d zeta_g/dt)||^3_L3)^(2/3).
-    """
-    hg = _hg_sq(space, data)
+
+def _midpoint_integrands(space, data):
+    """The data functionals' integrands at one LiftData: ||H_g||^2, ||H~_g||^2,
+    ||zeta_g||^3_L3 + ||eps(zeta_g)||^3_L3, ||d zeta_g/dt||^2_H1 and
+    (||d zeta_g/dt||^3_L3 + ||eps(d zeta_g/dt)||^3_L3)^(2/3)."""
     zg_mag, dzg_mag = (np.linalg.norm(v, axis=-1) for v in (data.zg_vals, data.dzg_vals))
     ezg, edzg = (strain_norm(sym_grad(g)) for g in (data.zg_grads, data.dzg_grads))
-    edzg_l3 = _lp(space, edzg, 3)
-    row = (*hg, _lp(space, edzg, 2) ** 2, edzg_l3**1.5)
-    mid = (
-        *hg,
+    return (
+        *_hg_sq(space, data),
         _lp(space, zg_mag, 3) ** 3 + _lp(space, ezg, 3) ** 3,
         _lp(space, dzg_mag, 2) ** 2 + _lp(space, strain_norm(data.dzg_grads), 2) ** 2,
-        (_lp(space, dzg_mag, 3) ** 3 + edzg_l3**3) ** (2 / 3),
+        (_lp(space, dzg_mag, 3) ** 3 + _lp(space, edzg, 3) ** 3) ** (2 / 3),
     )
-    return row, mid
 
 
 def _estimates(params, times, rows, data):

@@ -22,12 +22,21 @@ reduces it to U^T K_w U cell by cell, without forming the global matrix.
 `convection_tensor(W)` likewise reduces the trilinear convection form to
 the columns of W cell by cell.
 
+Pinned saddle systems: `saddle_matrix` couples a velocity operator on the
+interior DOFs with B, pressure DOF 0 pinned, and orders the unknowns by
+`nested_dissection` of their coordinates, computed once per space;
+`saddle_rhs` and `saddle_split` apply and undo that order, so callers never
+see it. Factor such a matrix with `splu(S, **SADDLE_LU)`, which keeps the
+order and pivots on the diagonal.
+
 Norm conventions (kind argument of `norm`):
     L2, L3, L4  : Lebesgue norms of |u|
     H1semi      : (int |grad u|^2)^(1/2)
     W13semi     : (int |eps(u)|^3)^(1/3), the strain-based convention
     L2boundary  : (int_bnd |u|^2)^(1/2)
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +46,76 @@ from .quadrature import edge_rule, triangle_rule
 from .turbulence import sym_grad
 
 NORM_KINDS = ("L2", "L3", "L4", "H1semi", "W13semi", "L2boundary")
+
+# splu keywords for a `saddle_matrix`: its own order (NATURAL column order,
+# the same row order), and the diagonal pivot unless it is below
+# diag_pivot_thresh of its column's largest entry. Measured on the ordered
+# lift, step and mass saddle matrices: the fill is the same at thresholds 0,
+# 1e-4 and 1e-3 on every mesh from 2x2 to 64x64 cells and on a 1x2 domain,
+# and at 3e-3 on the 64x64 mass matrix. Larger thresholds swap diagonal
+# pivots of the mass matrix for off-diagonal ones: 1e-1 multiplies its fill
+# by 2.1 at 8x8, 3.3 at 16x16 and 4.8 at 32x32 cells, and at 64x64 1e-2 ran
+# past a minute and 1.7 GB against 0.35 s at 1e-3. 1e-3, the largest value
+# that kept the fill everywhere, still refuses the tiny diagonal pivots that
+# 0 would accept.
+SADDLE_LU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 1e-3,
+             "options": {"SymmetricMode": True}}
+# nested dissection stops splitting a group of at most this many unknowns
+DISSECTION_LEAF = 16
+_MAX_LEVELS = 32  # 3^33 < 2^63 bounds the order keys
+
+
+def nested_dissection(xy, pressure):
+    """Geometric nested-dissection order of unknowns at points xy (n, 2), of
+    which the flagged `pressure` ones sit on mesh vertices.
+
+    A group of unknowns is split across its longer coordinate axis, at the
+    vertex line (a coordinate some pressure unknown of the group has) nearest
+    the median: no P2 or P1 cell of an axis-aligned structured mesh crosses a
+    line of vertices, so the unknowns on the line separate the two sides.
+    Both sides are split again, down to groups of at most `DISSECTION_LEAF`
+    unknowns or groups whose line leaves a side empty. The order is left, right, then
+    separator, and inside every leaf and separator velocities come before
+    pressures, so each pressure pivot meets the Schur complement of the
+    velocities before it, not the zero block. Any order gives a correct LU; a
+    line that does not separate only costs fill.
+
+    All groups of one tree level are split at once: the active unknowns are
+    kept contiguous by group and sorted along each group's axis, so a split
+    is three ranges. Returns `order`, order[k] = the unknown placed k-th.
+    """
+    n = len(xy)
+    coord = np.ascontiguousarray(xy.T).ravel()  # x of every unknown, then y
+    rank = np.empty(2 * n, dtype=np.int64)      # rank along x, then along y
+    for k in range(2):
+        rank[k * n + np.argsort(xy[:, k], kind="stable")] = np.arange(n)
+    key = np.zeros(n, dtype=np.int64)  # base-3 path: 0 left, 1 right, 2 stopped
+    p = np.arange(n)                   # active unknowns, contiguous by group
+    start, count = np.array([0]), np.array([n])
+    for _ in range(_MAX_LEVELS):
+        if not len(p):
+            break
+        grp = np.repeat(np.arange(len(start)), count)
+        ext = [np.maximum.reduceat(c, start) - np.minimum.reduceat(c, start)
+               for c in (coord[p], coord[n + p])]
+        q = p + n * (ext[1] > ext[0])[grp]  # index of the split coordinate
+        o = np.argsort(grp * n + rank[q])
+        p, a = p[o], coord[q[o]]
+        med = a[start + count // 2]
+        dist = np.where(pressure[p], np.abs(a - med[grp]), np.inf)
+        dmin = np.minimum.reduceat(dist, start)
+        line = np.maximum.reduceat(np.where(dist == dmin[grp], a, -np.inf), start)
+        line = np.where(np.isfinite(dmin), line, med)[grp]
+        nl = np.add.reduceat(a < line, start)
+        nr = np.add.reduceat(a > line, start)
+        split = (count > DISSECTION_LEAF) & (nl > 0) & (nr > 0)
+        digit = np.where(split[grp], (a > line) + 2 * (a == line), 2)
+        key = 3 * key + 2
+        key[p] += digit - 2
+        p = p[digit != 2]
+        count = np.column_stack([nl, nr])[split].ravel()
+        start = np.concatenate([[0], np.cumsum(count)[:-1]])
+    return np.lexsort((pressure, key))
 
 
 def _p2_values(pts):
@@ -336,9 +415,18 @@ class MixedSpace:
 
     # -- pinned-pressure saddle systems -----------------------------------------
 
+    @cached_property
+    def saddle_order(self):
+        """`nested_dissection` order of the pinned saddle unknowns: interior
+        velocities at their scalar DOF points, pressures 1.. at their vertices."""
+        I = self.interior_vdofs
+        xy = np.vstack([self.dof_coords[I % self.n_scalar], self.mesh.vertices[1:]])
+        return nested_dissection(xy, np.arange(len(xy)) >= len(I))
+
     def saddle_matrix(self, A_II):
         """Saddle matrix [[A_II, B_I^T], [B_I, 0]] on the interior velocity DOFs
-        with pressure DOF 0 pinned (its row of B dropped), in csc format.
+        with pressure DOF 0 pinned (its row of B dropped), its unknowns in
+        `saddle_order`, in csc format; factor it with `splu(S, **SADDLE_LU)`.
 
         Constants span the kernel of B_I^T (the hydrostatic pressure null
         space): the rows of B_I sum to zero, so for divergence data of zero
@@ -346,22 +434,34 @@ class MixedSpace:
         matrix is nonsingular. Unlike a border with the dense pressure-mean
         row and column, the pin keeps the matrix sparse and the LU fill low.
         `saddle_split` restores the zero-mean gauge.
+
+        In the nested-dissection order, velocities before pressures, SuperLU
+        takes every pivot on the diagonal (its row permutation is the
+        identity from 2x2 to 32x32 cells) and so keeps the order, and the
+        L+U fill is less than COLAMD's on the unordered matrix (lift
+        nu K_eps, step M/dt + c K_eps, mass M): at 32x32 cells 2.3-3.3 M ->
+        1.1-1.2 M entries, at 64x64 15-22 M -> 5.8-6.3 M. The pivot
+        threshold of `SADDLE_LU`, 1e-3, is the largest measured one that
+        keeps the order; its comment gives the measurements.
         """
         B_I = self.B[1:, self.interior_vdofs]
-        return sp.bmat([[A_II, B_I.T], [B_I, None]], format="csc")
+        S = sp.bmat([[A_II, B_I.T], [B_I, None]], format="csc")
+        return S[:, self.saddle_order][self.saddle_order]
 
     def saddle_rhs(self, f_I, g):
         """Right-hand side of a `saddle_matrix` system: momentum rows f_I on the
         interior velocity DOFs, divergence rows g over all pressure DOFs."""
-        return np.concatenate([f_I, g[1:]])
+        return np.concatenate([f_I, g[1:]])[self.saddle_order]
 
     def saddle_split(self, sol):
         """(interior velocity, zero-mean pressure) of a `saddle_matrix` solution;
         column-wise for a 2-D block of solutions."""
         nI = len(self.interior_vdofs)
-        p = np.insert(sol[nI:], 0, 0.0, axis=0)
+        x = np.empty_like(sol)
+        x[self.saddle_order] = sol
+        p = np.insert(x[nI:], 0, 0.0, axis=0)
         m = self.pressure_integral
-        return sol[:nI], p - (m @ p) / m.sum()
+        return x[:nI], p - (m @ p) / m.sum()
 
     # -- field evaluation ------------------------------------------------------
 

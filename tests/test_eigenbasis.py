@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from recirc.eigenbasis import EigenBasis, solve_stokes_eigen, subspace_dimension
 from recirc.errors import CapacityError, SolverError
@@ -10,6 +12,26 @@ from recirc.space import MixedSpace
 @pytest.fixture(scope="module")
 def basis8(space8):
     return solve_stokes_eigen(space8, 12)
+
+
+def test_eigen_path_keeps_the_unordered_pinned_matrix(space8, basis8):
+    # the Stokes spectrum has exactly degenerate pairs, inside which any
+    # roundoff change rotates the modes: the eigensolver keeps its unordered
+    # pinned saddle matrix and scipy's own shift-invert factorization, bit
+    # for bit, whatever order `MixedSpace.saddle_matrix` uses
+    I = space8.interior_vdofs
+    B_I = space8.B[1:, I]
+    A = sp.bmat([[space8.K_grad.tocsr()[I][:, I], B_I.T], [B_I, None]], format="csc")
+    npr = A.shape[0] - len(I)
+    Msad = sp.bmat([[space8.M.tocsr()[I][:, I], None], [None, sp.csr_matrix((npr, npr))]],
+                   format="csc")
+    start = np.sin(np.arange(1, A.shape[0] + 1, dtype=float))
+    vals, vecs = eigsh(A, k=basis8.size, M=Msad, sigma=0.0, which="LM", tol=1e-9, v0=start)
+    fields = np.zeros((space8.n_velocity, basis8.size))
+    fields[I] = vecs[: len(I)]
+    ref = EigenBasis(space8, vals, fields)
+    assert np.array_equal(basis8.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(basis8.fields, ref.fields)
 
 
 def test_eigenvalues_positive_and_sorted(basis8):

@@ -147,8 +147,8 @@ def test_one_step_factorization_held(mms, space8, monkeypatch):
 
     real = fullspace.splu
 
-    def splu(A):
-        made.append(weakref.ref(f := Factor(real(A))))
+    def splu(A, **kw):
+        made.append(weakref.ref(f := Factor(real(A, **kw))))
         return f
 
     monkeypatch.setattr(fullspace, "splu", splu)

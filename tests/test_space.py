@@ -7,7 +7,7 @@ from scipy.sparse.linalg import splu
 from recirc.errors import MeshError
 from recirc.mesh import TaggedMesh, build_rect_mesh
 from recirc.quadrature import duffy_rule
-from recirc.space import MixedSpace, _p2_values
+from recirc.space import SADDLE_LU, MixedSpace, _p2_values, nested_dissection
 
 
 def const_field(space, cx, cy):
@@ -212,9 +212,8 @@ def space16():
     return MixedSpace(build_rect_mesh(1.0, 1.0, 16, 16))
 
 
-@pytest.mark.parametrize("operator", ["stokes", "step", "mass"])
-def test_pinned_saddle_matches_bordered(space16, operator):
-    space = space16
+def _saddle_operator(space, operator):
+    """Interior block of a lift, step or mass velocity operator."""
     nu, dt = 0.01, 0.01
     A = {
         "stokes": nu * space.K_eps,
@@ -222,14 +221,83 @@ def test_pinned_saddle_matches_bordered(space16, operator):
         "mass": space.M,
     }[operator]
     I = space.interior_vdofs
-    A_II = A.tocsr()[I][:, I]
+    return A.tocsr()[I][:, I]
+
+
+def _check_pinned_saddle_against_bordered(space, operator):
+    I = space.interior_vdofs
+    A_II = _saddle_operator(space, operator)
     rng = np.random.default_rng(5)
     f = rng.standard_normal(len(I))
     g = rng.standard_normal(space.n_pressure)
     g -= g.mean()  # compatible: constants are in the kernel of B_I^T
-    u, p = space.saddle_split(splu(space.saddle_matrix(A_II)).solve(space.saddle_rhs(f, g)))
+    lu = splu(space.saddle_matrix(A_II), **SADDLE_LU)
+    u, p = space.saddle_split(lu.solve(space.saddle_rhs(f, g)))
     ref = splu(_bordered_saddle(space, A_II)).solve(np.concatenate([f, g, [0.0]]))
     u_ref, p_ref = ref[: len(I)], ref[len(I) : len(I) + space.n_pressure]
     assert abs(space.pressure_integral @ p) <= 1e-12 * np.abs(p).max()
     assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
     assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+
+
+@pytest.mark.parametrize("operator", ["stokes", "step", "mass"])
+def test_pinned_saddle_matches_bordered(space16, operator):
+    _check_pinned_saddle_against_bordered(space16, operator)
+
+
+# the 2x2 mesh is the smallest with a nonsingular pinned saddle matrix: on
+# 1x1 only the diagonal's midpoint is interior, 2 velocity unknowns against
+# 3 pressure rows
+@pytest.mark.parametrize("dims", [(1.0, 1.0, 2, 2), (1.0, 2.0, 3, 5)], ids=["2x2", "1x2_3x5"])
+@pytest.mark.parametrize("operator", ["stokes", "step", "mass"])
+def test_pinned_saddle_matches_bordered_small_and_non_square(dims, operator):
+    _check_pinned_saddle_against_bordered(MixedSpace(build_rect_mesh(*dims)), operator)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_ordered_saddle_factor_fills_less_than_colamd(n):
+    # the ordered factor keeps its diagonal pivots; a pivot threshold that
+    # trades them for off-diagonal ones multiplies the fill past COLAMD's
+    space = MixedSpace(build_rect_mesh(1.0, 1.0, n, n))
+    B_I = space.B[1:, space.interior_vdofs]
+    for operator in ("stokes", "step", "mass"):
+        A_II = _saddle_operator(space, operator)
+        ordered = splu(space.saddle_matrix(A_II), **SADDLE_LU)
+        plain = splu(sp.bmat([[A_II, B_I.T], [B_I, None]], format="csc"))
+        assert ordered.L.nnz + ordered.U.nnz < plain.L.nnz + plain.U.nnz, operator
+        assert np.array_equal(ordered.perm_r, np.arange(ordered.shape[0])), operator
+
+
+def test_saddle_order_is_a_permutation():
+    jittered = build_rect_mesh(1.0, 1.0, 6, 6)
+    rng = np.random.default_rng(3)
+    inner = np.all((jittered.vertices > 0) & (jittered.vertices < 1), axis=1)
+    jittered.vertices[inner] += rng.uniform(-0.03, 0.03, (inner.sum(), 2))
+    for mesh in (build_rect_mesh(1, 1, 1, 1), build_rect_mesh(1.0, 2.0, 3, 5), jittered):
+        space = MixedSpace(mesh)
+        order = space.saddle_order
+        nI = len(space.interior_vdofs)
+        assert np.array_equal(np.sort(order), np.arange(nI + space.n_pressure - 1))
+
+
+def test_nested_dissection_on_a_grid():
+    # the P2 node points of a 4x4-cell grid, vertices (pressures) at even
+    # coordinates. The square splits across x (the y extent is not longer)
+    # at the vertex line x = 4, each 4x9 half across y at y = 4, and the 4x4
+    # quarters are leaves of DISSECTION_LEAF = 16 points
+    x, y = np.meshgrid(np.arange(9.0), np.arange(9.0), indexing="ij")
+    xy = np.column_stack([x.ravel(), y.ravel()])
+    pressure = (xy[:, 0] % 2 == 0) & (xy[:, 1] % 2 == 0)
+    order = nested_dissection(xy, pressure)
+    placed = xy[order]
+    assert np.array_equal(np.sort(order), np.arange(81))
+    # left half, right half, then the separator x = 4
+    assert np.all(placed[:36, 0] < 4) and np.all(placed[36:72, 0] > 4)
+    assert np.all(placed[72:, 0] == 4)
+    # inside each half: y < 4, y > 4, then the line y = 4
+    for h in (0, 36):
+        assert np.all(placed[h : h + 16, 1] < 4) and np.all(placed[h + 16 : h + 32, 1] > 4)
+        assert np.all(placed[h + 32 : h + 36, 1] == 4)
+    # velocities before pressures inside every leaf and separator
+    for lo, hi in ((0, 16), (16, 32), (32, 36), (36, 52), (52, 68), (68, 72), (72, 81)):
+        assert np.all(np.diff(pressure[order[lo:hi]].astype(int)) >= 0)
