@@ -88,12 +88,15 @@ def _write_trajectory(path, traj, system, cfg_hash):
     _write_csv(path, cols, rows, cfg_hash)
 
 
-def _integrate(scenario, on_step=None):
+def _integrate(scenario, state0=None, system=None, dt=None, on_step=None):
+    """Run a reduced system (the scenario's by default) from state0 (the
+    scenario's) to the config's T with its scheme, at dt (the config's)."""
     cfg = scenario.config
-    return scenario.system.integrate(
-        scenario.state0,
+    system = scenario.system if system is None else system
+    return system.integrate(
+        scenario.state0 if state0 is None else state0,
         T=cfg.time["T"],
-        dt=cfg.time["dt"],
+        dt=cfg.time["dt"] if dt is None else dt,
         scheme=cfg.time["scheme"],
         on_step=on_step,
     )
@@ -121,7 +124,8 @@ def cmd_simulate(args):
     scenario = build_scenario(cfg)
     marks.append(time.perf_counter())
     try:
-        traj = _integrate(scenario, _progress(cfg) if args.progress and not args.quiet else None)
+        traj = _integrate(scenario,
+                          on_step=_progress(cfg) if args.progress and not args.quiet else None)
     except StepError as exc:
         if exc.trajectory is not None:
             _write_trajectory(out / "trajectory_partial.csv", exc.trajectory, scenario.system,
@@ -319,10 +323,7 @@ def cmd_study(args):
                 scenario.params,
                 source=scenario.source,
             )
-            return sys_n.integrate(
-                GalerkinState(0.0, scenario.state0.z[:n].copy()),
-                T=cfg.time["T"], dt=cfg.time["dt"], scheme=cfg.time["scheme"],
-            )
+            return _integrate(scenario, GalerkinState(0.0, scenario.state0.z[:n].copy()), sys_n)
 
         trajs = _fan_out(run, levels)
         rows = [
@@ -343,12 +344,7 @@ def cmd_study(args):
         scenario = build_scenario(cfg)
         dts = [cfg.time["dt"] / 2**k for k in range(halvings + 1)]
 
-        def run(dt):
-            return scenario.system.integrate(
-                scenario.state0, T=cfg.time["T"], dt=dt, scheme=cfg.time["scheme"]
-            )
-
-        trajs = _fan_out(run, dts)
+        trajs = _fan_out(lambda dt: _integrate(scenario, dt=dt), dts)
         rows = []
         for k in range(halvings):
             coarse, fine = trajs[k], trajs[k + 1]
@@ -397,6 +393,8 @@ def cmd_study(args):
 
 def cmd_contract(args):
     cfg = _load_config(args)
+    if not (np.isfinite(args.eps) and args.eps != 0):
+        raise ConfigError([("--eps", f"expected a nonzero finite perturbation, got {args.eps}")])
     out = _outdir(args, cfg)
     h = cfg.hash()
     scenario = build_scenario(cfg)
@@ -405,10 +403,7 @@ def cmd_contract(args):
     direction /= np.linalg.norm(direction)
 
     def run(z0):
-        return scenario.system.integrate(
-            GalerkinState(0.0, z0), T=cfg.time["T"], dt=cfg.time["dt"],
-            scheme=cfg.time["scheme"],
-        )
+        return _integrate(scenario, GalerkinState(0.0, z0))
 
     base = run(scenario.state0.z)
     eps_fit, eps_check = args.eps, args.eps / 10.0

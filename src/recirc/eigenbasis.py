@@ -6,9 +6,9 @@ velocity-pressure saddle form (pressure DOF 0 pinned) and discarding
 pressure; the pencil is handled by shift-invert Lanczos with the singular
 velocity-only mass, the standard route for constrained pencils.
 
-The eigensolver builds its own pinned saddle matrix in the natural unknown
-order, velocities then pressures, and leaves its factorization to scipy's
-shift-invert (COLAMD); it does not use `MixedSpace.saddle_matrix` and its
+The eigensolver hands `MixedSpace.pinned_saddle(K_grad)`, in its natural
+unknown order (velocities, then pressures), to scipy's shift-invert, which
+factors it with COLAMD; it does not use `saddle_matrix` and its
 nested-dissection order. The Stokes eigenvalues come in exactly degenerate
 pairs and clusters, where any roundoff change of the factor rotates the
 Lanczos vectors inside the cluster: on the 32x32 pumps config the N = 40
@@ -19,6 +19,7 @@ the basis bit for bit.
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import CapacityError, SolverError
@@ -62,18 +63,16 @@ class EigenBasis:
         self.rayleigh_residuals = np.abs(num / den - self.eigenvalues)
 
     def _orthonormalize(self):
-        # modified Gram-Schmidt in the M inner product; ARPACK vectors are
-        # already near-orthonormal, this tightens the Gram residual to roundoff
-        M = self.space.M
+        # one Cholesky step in the M inner product, V <- V L^-T with
+        # V^T M V = L L^T: the modified Gram-Schmidt map in the same column
+        # order, so no mode turns inside a degenerate pair. ARPACK vectors are
+        # already near-orthonormal; this tightens the Gram residual to roundoff
         V = self.fields
-        for j in range(V.shape[1]):
-            Mv = M @ V[:, j]
-            for i in range(j):
-                V[:, j] -= (V[:, i] @ Mv) * V[:, i]
-                Mv = M @ V[:, j]
-            V[:, j] /= np.sqrt(V[:, j] @ Mv)
-            if V[np.argmax(np.abs(V[:, j])), j] < 0:  # sign convention
-                V[:, j] *= -1.0
+        L = np.linalg.cholesky(V.T @ (self.space.M @ V))
+        V = np.ascontiguousarray(solve_triangular(L, V.T, lower=True).T)
+        # sign convention: the largest entry of each mode is positive
+        V *= np.where(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0, -1.0, 1.0)
+        self.fields = V
 
     @property
     def size(self):
@@ -139,9 +138,7 @@ def solve_stokes_eigen(space, n_modes, tol=1e-9):
         )
     I = space.interior_vdofs
     M_II = space.M.tocsr()[I][:, I]
-    B_I = space.B[1:, I]
-    # unordered on purpose: see the module docstring
-    A = sp.bmat([[space.K_grad.tocsr()[I][:, I], B_I.T], [B_I, None]], format="csc")
+    A = space.pinned_saddle(space.K_grad)  # unordered on purpose: see the module docstring
     npr = A.shape[0] - len(I)
     Msad = sp.bmat(
         [[M_II, None], [None, sp.csr_matrix((npr, npr))]], format="csc"

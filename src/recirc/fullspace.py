@@ -36,7 +36,6 @@ class FullSpaceSystem:
         self.space = space
         self.params = params
         self.source = source
-        self.I = space.interior_vdofs
         self._step_factor = (None, None)  # ((dt, shift), LU) of the last step
         if source is not None:
             F = space.sample(source.forcing_parts)  # (nt, nq, 3, 2)
@@ -44,27 +43,25 @@ class FullSpaceSystem:
 
     # -- saddle factorizations -------------------------------------------------
 
+    def _saddle_lu(self, A, what):
+        """LU of the space's pinned saddle matrix for the velocity operator A."""
+        try:
+            return splu(self.space.saddle_matrix(A), **SADDLE_LU)
+        except RuntimeError as exc:
+            raise SolverError(f"{what} factorization failed: {exc}") from exc
+
     def _factor(self, dt, shift):
         key = (float(dt), float(shift))
         if self._step_factor[0] != key:
             self._step_factor = (None, None)  # release the old LU before the new fill
-            I = self.I
-            A = (self.space.M / dt + (self.params.nu + shift) * self.space.K_eps).tocsr()
-            try:
-                self._step_factor = (key, splu(self.space.saddle_matrix(A[I][:, I]), **SADDLE_LU))
-            except RuntimeError as exc:
-                raise SolverError(f"time-step factorization failed: {exc}") from exc
+            A = self.space.M / dt + (self.params.nu + shift) * self.space.K_eps
+            self._step_factor = (key, self._saddle_lu(A, "time-step"))
         return self._step_factor[1]
 
     def project_divfree(self, v):
         """L2 projection onto the discretely divergence-free zero-trace subspace."""
-        space = self.space
-        I = self.I
-        lu = splu(space.saddle_matrix(space.M.tocsr()[I][:, I]), **SADDLE_LU)
-        rhs = space.saddle_rhs((space.M @ v)[I], np.zeros(space.n_pressure))
-        out = np.zeros(space.n_velocity)
-        out[I], _ = space.saddle_split(lu.solve(rhs))
-        return out
+        M = self.space.M
+        return self.space.saddle_solve(self._saddle_lu(M, "projection"), M @ v)[0]
 
     # -- weak form -----------------------------------------------------------------
 
@@ -105,19 +102,15 @@ class FullSpaceSystem:
 
     def step(self, z, t_new, dt, shift, tol=1e-10, max_iter=60):
         space = self.space
-        I = self.I
         lu = self._factor(dt, shift)
         L = self.source_load(t_new)
         base = (space.M @ z) / dt
         shift_op = shift * space.K_eps
-        zero_div = np.zeros(space.n_pressure)
         zi = z
         history = []  # increment of each iteration
         for it in range(1, max_iter + 1):
             rhs_mom = base + L - self.nonlinear_load(zi) + shift_op @ zi
-            rhs = space.saddle_rhs(rhs_mom[I], zero_div)
-            z_new = np.zeros(space.n_velocity)
-            z_new[I], _ = space.saddle_split(lu.solve(rhs))
+            z_new, _ = space.saddle_solve(lu, rhs_mom)
             inc = np.sqrt(float((z_new - zi) @ (space.M @ (z_new - zi))))
             history.append(inc)
             zi = z_new

@@ -51,9 +51,8 @@ class LiftingBasis:
 
 def _stokes_lu(space, A):
     """LU of the pinned Stokes saddle matrix for the velocity stiffness A."""
-    I = space.interior_vdofs
     try:
-        return splu(space.saddle_matrix(A[I][:, I]), **SADDLE_LU)
+        return splu(space.saddle_matrix(A), **SADDLE_LU)
     except RuntimeError as exc:
         raise SolverError(f"Stokes saddle factorization failed: {exc}") from exc
 
@@ -70,18 +69,15 @@ def solve_stokes_lift(space, psi, nu, lu=None):
         raise CompatibilityError(
             f"trace field has net boundary flux {net:.3e}; Stokes lift unsolvable"
         )
-    I = space.interior_vdofs
     Bd = space.boundary_vdofs
     A = (nu * space.K_eps).tocsr()
     psi_B = psi[Bd]
-    rhs = space.saddle_rhs(-(A[I][:, Bd] @ psi_B), -(space.B[:, Bd] @ psi_B))
     if lu is None:
         lu = _stokes_lu(space, A)
-    zeta = np.zeros(space.n_velocity)
-    zeta[I], p = space.saddle_split(lu.solve(rhs))
+    zeta, p = space.saddle_solve(lu, -(A[:, Bd] @ psi_B), -(space.B[:, Bd] @ psi_B))
     zeta[Bd] = psi_B
 
-    res_mom = (A @ zeta + space.B.T @ p)[I]
+    res_mom = (A @ zeta + space.B.T @ p)[space.interior_vdofs]
     res_div = space.B @ zeta
     residual = float(np.sqrt(res_mom @ res_mom + res_div @ res_div))
     if not np.isfinite(residual) or residual > 1e-6 * max(1.0, abs(psi_B).max()):

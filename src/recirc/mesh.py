@@ -52,8 +52,6 @@ class TaggedMesh:
     tag_kinds : dict tag -> "C" | "T" | "N"
     """
 
-    dimension = 2
-
     def __init__(self, Lx, Ly, vertices, cells):
         self.Lx = float(Lx)
         self.Ly = float(Ly)
@@ -79,10 +77,8 @@ class TaggedMesh:
 
     def _build_boundary(self):
         counts = np.bincount(self.cell_edges.ravel(), minlength=len(self.edges))
-        bnd_edge_ids = np.flatnonzero(counts == 1)
         self.boundary = []
-        self.boundary_edge_ids = bnd_edge_ids
-        for e in bnd_edge_ids:
+        for e in np.flatnonzero(counts == 1):
             v0, v1 = self.edges[e]
             p0, p1 = self.vertices[v0], self.vertices[v1]
             mid = 0.5 * (p0 + p1)

@@ -22,12 +22,12 @@ reduces it to U^T K_w U cell by cell, without forming the global matrix.
 `convection_tensor(W)` likewise reduces the trilinear convection form to
 the columns of W cell by cell.
 
-Pinned saddle systems: `saddle_matrix` couples a velocity operator on the
-interior DOFs with B, pressure DOF 0 pinned, and orders the unknowns by
-`nested_dissection` of their coordinates, computed once per space;
-`saddle_rhs` and `saddle_split` apply and undo that order, so callers never
-see it. Factor such a matrix with `splu(S, **SADDLE_LU)`, which keeps the
-order and pivots on the diagonal.
+Pinned saddle systems: `pinned_saddle(A)` couples the interior block of a
+velocity operator A with B, pressure DOF 0 pinned; `saddle_matrix(A)`
+orders its unknowns by `nested_dissection` of their coordinates, computed
+once per space, for `splu(S, **SADDLE_LU)`, which keeps the order and
+pivots on the diagonal; `saddle_solve` undoes the order, the pin and the
+gauge. Callers never see the interior DOFs, the pin or the order.
 
 Norm conventions (kind argument of `norm`):
     L2, L3, L4  : Lebesgue norms of |u|
@@ -423,17 +423,25 @@ class MixedSpace:
         xy = np.vstack([self.dof_coords[I % self.n_scalar], self.mesh.vertices[1:]])
         return nested_dissection(xy, np.arange(len(xy)) >= len(I))
 
-    def saddle_matrix(self, A_II):
-        """Saddle matrix [[A_II, B_I^T], [B_I, 0]] on the interior velocity DOFs
-        with pressure DOF 0 pinned (its row of B dropped), its unknowns in
-        `saddle_order`, in csc format; factor it with `splu(S, **SADDLE_LU)`.
+    def pinned_saddle(self, A):
+        """Saddle matrix [[A_II, B_I^T], [B_I, 0]] of the velocity operator A:
+        its block on the interior velocity DOFs, coupled with B with pressure
+        DOF 0 pinned (its row dropped), in the natural order (velocities, then
+        pressures 1..), csc format.
 
         Constants span the kernel of B_I^T (the hydrostatic pressure null
         space): the rows of B_I sum to zero, so for divergence data of zero
         net flux the dropped row is implied by the others, and the pinned
         matrix is nonsingular. Unlike a border with the dense pressure-mean
         row and column, the pin keeps the matrix sparse and the LU fill low.
-        `saddle_split` restores the zero-mean gauge.
+        """
+        I = self.interior_vdofs
+        B_I = self.B[1:, I]
+        return sp.bmat([[A.tocsr()[I][:, I], B_I.T], [B_I, None]], format="csc")
+
+    def saddle_matrix(self, A):
+        """`pinned_saddle(A)` with its unknowns in `saddle_order`; factor it
+        with `splu(S, **SADDLE_LU)` and solve with `saddle_solve`.
 
         In the nested-dissection order, velocities before pressures, SuperLU
         takes every pivot on the diagonal (its row permutation is the
@@ -444,24 +452,22 @@ class MixedSpace:
         threshold of `SADDLE_LU`, 1e-3, is the largest measured one that
         keeps the order; its comment gives the measurements.
         """
-        B_I = self.B[1:, self.interior_vdofs]
-        S = sp.bmat([[A_II, B_I.T], [B_I, None]], format="csc")
-        return S[:, self.saddle_order][self.saddle_order]
+        return self.pinned_saddle(A)[:, self.saddle_order][self.saddle_order]
 
-    def saddle_rhs(self, f_I, g):
-        """Right-hand side of a `saddle_matrix` system: momentum rows f_I on the
-        interior velocity DOFs, divergence rows g over all pressure DOFs."""
-        return np.concatenate([f_I, g[1:]])[self.saddle_order]
-
-    def saddle_split(self, sol):
-        """(interior velocity, zero-mean pressure) of a `saddle_matrix` solution;
-        column-wise for a 2-D block of solutions."""
-        nI = len(self.interior_vdofs)
-        x = np.empty_like(sol)
-        x[self.saddle_order] = sol
-        p = np.insert(x[nI:], 0, 0.0, axis=0)
+    def saddle_solve(self, lu, f, g=None):
+        """(u, p) from the factor `lu` of a `saddle_matrix`, for momentum rows f
+        (n_velocity,), whose boundary rows are not read, and divergence rows g
+        over all pressure DOFs (zero when None). u is zero on the boundary and
+        p has zero mean."""
+        I = self.interior_vdofs
+        g = np.zeros(self.n_pressure) if g is None else g
+        x = np.empty(len(self.saddle_order))
+        x[self.saddle_order] = lu.solve(np.concatenate([f[I], g[1:]])[self.saddle_order])
+        u = np.zeros(self.n_velocity)
+        u[I] = x[: len(I)]
+        p = np.insert(x[len(I):], 0, 0.0)
         m = self.pressure_integral
-        return x[:nI], p - (m @ p) / m.sum()
+        return u, p - (m @ p) / m.sum()
 
     # -- field evaluation ------------------------------------------------------
 

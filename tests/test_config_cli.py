@@ -178,6 +178,20 @@ def test_trajectory_net_flux_is_roundoff(preset16, tmp_path):
     assert g_max > 0.0 and max(np.abs(cols["net_flux"])) <= bound
 
 
+def test_cli_lift_factor_failure_exits_1(tmp_path, monkeypatch, capsys):
+    # a SuperLU failure in the lift factor, `lifting.splu`, is a numerical failure
+    from recirc import lifting
+
+    def singular(A, **kw):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(lifting, "splu", singular)
+    path, cfg = small_config(tmp_path)
+    assert main(["simulate", "--config", str(path), "--output-dir", str(tmp_path / "run"),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: Stokes saddle factorization failed")
+
+
 def test_cli_partial_trajectory_has_net_flux(tmp_path, monkeypatch):
     # a failed step leaves trajectory_partial.csv with every column
     from recirc.errors import StepError
@@ -350,13 +364,26 @@ def test_cli_study_modes_level_above_reference(tmp_path):
     ("mesh", "manufactured", ["--levels", "8,-4"]),
     ("dt", "zero", ["--reference", "0"]),
     ("dt", "zero", ["--reference", "-1"]),
+    ("contract", "zero", ["--eps", "0"]),
+    ("contract", "zero", ["--eps", "nan"]),
 ])
-def test_cli_study_size_that_builds_nothing(tmp_path, kind, preset, extra):
+def test_cli_study_size_that_builds_nothing(tmp_path, monkeypatch, capsys, kind, preset, extra):
+    # a study size that builds nothing, or a contract pair that is not a
+    # perturbation, is a config error raised before anything is built
+    from recirc import cli
+
+    def build(*args, **kw):
+        raise AssertionError("built before the argument check")
+
+    monkeypatch.setattr(cli, "build_scenario", build)
+    monkeypatch.setattr(cli, "MixedSpace", build)
     out = tmp_path / "st"
-    code = main(["study", kind, "--config", f"preset:{preset}", "--output-dir", str(out),
-                 *extra, "--quiet"])
+    argv = ["contract"] if kind == "contract" else ["study", kind]
+    code = main([*argv, "--config", f"preset:{preset}", "--output-dir", str(out), *extra,
+                 "--quiet"])
     assert code == 2
-    assert not (out / f"study_{kind}.csv").exists()
+    assert json.loads(capsys.readouterr().err)["errors"][0]["path"] == extra[0]
+    assert not any(out.glob("*.csv"))
 
 
 @pytest.mark.parametrize("kind, extra", [

@@ -34,6 +34,34 @@ def test_eigen_path_keeps_the_unordered_pinned_matrix(space8, basis8):
     assert np.array_equal(basis8.fields, ref.fields)
 
 
+def _gram_schmidt(M, V):
+    """Modified Gram-Schmidt in the M inner product, largest entry of each
+    column made positive: the loop the Cholesky step replaced."""
+    V = V.copy()
+    for j in range(V.shape[1]):
+        Mv = M @ V[:, j]
+        for i in range(j):
+            V[:, j] -= (V[:, i] @ Mv) * V[:, i]
+            Mv = M @ V[:, j]
+        V[:, j] /= np.sqrt(V[:, j] @ Mv)
+        if V[np.argmax(np.abs(V[:, j])), j] < 0:
+            V[:, j] *= -1.0
+    return V
+
+
+def test_orthonormalization_is_gram_schmidt(space8, basis8):
+    # ARPACK-like input: near-orthonormal modes with arbitrary signs. The
+    # Cholesky step and Gram-Schmidt in the same column order are one map in
+    # exact arithmetic; in floating point they agree to roundoff
+    rng = np.random.default_rng(4)
+    signs = rng.choice([-1.0, 1.0], basis8.size)
+    raw = basis8.fields * signs + 1e-8 * rng.standard_normal(basis8.fields.shape)
+    raw[space8.boundary_vdofs] = 0.0
+    ref = _gram_schmidt(space8.M, raw)
+    got = EigenBasis(space8, basis8.eigenvalues, raw).fields
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_eigenvalues_positive_and_sorted(basis8):
     lam = basis8.eigenvalues
     assert lam[0] > 0

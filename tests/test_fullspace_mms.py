@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from recirc import fullspace
-from recirc.errors import StepError
+from recirc.errors import SolverError, StepError
 from recirc.fullspace import FullSpaceSystem
 from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
@@ -156,6 +156,26 @@ def test_one_step_factorization_held(mms, space8, monkeypatch):
     z, iterations = fs.integrate(np.zeros(space8.n_velocity), T=0.003, dt=1e-3)
     assert len(iterations) == 3 and len(made) == 3  # projection, shift 0, raised shift
     assert [ref() is not None for ref in made] == [False, False, True]
+
+
+def _singular(A, **kw):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def test_step_factor_failure_is_a_solver_error(mms, space8, monkeypatch):
+    # `fullspace.splu` is the one call that factors the steps and the projection
+    fs = FullSpaceSystem(space8, ClosureParams(mms.nu, mms.nu_tur), source=mms)
+    z0 = fs.project_divfree(mms.initial_velocity(space8))
+    monkeypatch.setattr(fullspace, "splu", _singular)
+    with pytest.raises(SolverError, match="^time-step factorization failed: Factor is"):
+        fs.step(z0, 1e-3, 1e-3, 0.0)
+
+
+def test_projection_factor_failure_is_a_solver_error(mms, space8, monkeypatch):
+    fs = FullSpaceSystem(space8, ClosureParams(mms.nu, mms.nu_tur), source=mms)
+    monkeypatch.setattr(fullspace, "splu", _singular)
+    with pytest.raises(SolverError, match="^projection factorization failed: Factor is"):
+        fs.project_divfree(mms.initial_velocity(space8))
 
 
 def test_step_error_names_time_iterations_and_increments(mms, space8):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import divfree_samples
+from recirc import lifting
 from recirc.eigenbasis import solve_stokes_eigen
-from recirc.errors import CompatibilityError
+from recirc.errors import CompatibilityError, SolverError
 from recirc.galerkin import ReducedSystem
 from recirc.lifting import (
     build_lifting,
@@ -286,3 +287,15 @@ def test_hg_pairing_matches_refined_quadrature():
         xivals = vals_of(xi)
         oracle = float(np.einsum("cq,cqa,cqa->", w, hvals, xivals))
         assert abs(pairing - oracle) <= 1e-9 * max(1.0, abs(oracle))
+
+
+def test_lift_factor_failure_is_a_solver_error(monkeypatch):
+    # `lifting.splu` is the one call that factors the lifts
+    def singular(A, **kw):
+        raise RuntimeError("Factor is exactly singular")
+
+    space = pumped_space(4)
+    pumps = one_pump(space)
+    monkeypatch.setattr(lifting, "splu", singular)
+    with pytest.raises(SolverError, match="^Stokes saddle factorization failed: Factor is"):
+        build_lifting(space, pumps, 0.01)
