@@ -24,17 +24,10 @@ from .errors import (
 from .galerkin import GalerkinState, ReducedSystem, Trajectory, initial_state
 from .lifting import LiftingBasis, build_lifting, solve_stokes_lift
 from .mesh import TaggedMesh, build_rect_mesh, tag_boundary
+from .mms import ManufacturedSolution
 from .monitors import ContractionReport, EnergyLedger, contraction, ledger
 from .pumps import PumpProfile, PumpSet, Schedule, build_profile, build_psi
 from .space import MixedSpace
 from .turbulence import ClosureParams, convect
 from .vtk import write_vtk
 
-
-def __getattr__(name):
-    # ManufacturedSolution needs sympy, which only its users should pay for
-    if name == "ManufacturedSolution":
-        from .mms import ManufacturedSolution
-
-        return ManufacturedSolution
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,6 +25,7 @@ from .errors import ConfigError, RecircError, StepError
 from .fullspace import FullSpaceSystem
 from .galerkin import GalerkinState, ReducedSystem
 from .mesh import build_rect_mesh
+from .mms import ManufacturedSolution
 from .monitors import contraction, ledger
 from .space import MixedSpace
 from .turbulence import ClosureParams
@@ -359,8 +360,6 @@ def cmd_study(args):
     bad = [n for n in levels if n < 1]
     if bad:
         raise ConfigError([("--levels", f"mesh sizes {bad} < 1")])
-    from .mms import ManufacturedSolution  # sympy: imported only when needed
-
     params = ClosureParams(cfg.fluid["nu"], cfg.fluid["nu_tur"])
     mms = ManufacturedSolution(params.nu, params.nu_tur)
 

@@ -3,9 +3,9 @@
 The velocity is the curl of a smooth stream function vanishing to second
 order on the boundary of the unit square, with a linear-in-time amplitude:
 
-    psi(x, y, t) = a(t) psihat,  psihat = A [x (1-x) y (1-y)]^2,  a(t) = 1 + t/2,
-    v = a(t) vhat,  vhat = (d psihat / d y, -d psihat / d x),
-    p = P sin(pi x) cos(pi y).
+    psi(x, y, t) = a(t) psihat,  psihat = A P(x) P(y),  P(s) = s^2 (1-s)^2,
+    a(t) = 1 + t/2,  v = a(t) vhat,  vhat = (d psihat / d y, -d psihat / d x),
+    p = P0 sin(pi x) cos(pi y).
 
 The field is exactly divergence free, vanishes on the boundary, and its
 linear time dependence keeps the implicit-Euler time error far below the
@@ -21,20 +21,32 @@ polynomial F = F0 + a F1 + a^2 F2 in a with the time-independent parts
     F1 = -div 2 nu eps(vhat),
     F2 = (grad vhat) vhat - div 2 nu_tur |eps(vhat)| eps(vhat).
 
-vhat and the parts are derived symbolically and lambdified once per
-parameter set; no value in them is hand-written. `velocity` and `forcing`
-evaluate them at any (x, y, t); `FullSpaceSystem` tabulates the parts once
-per space (`forcing_parts`) and then forms each step's load from three load
-vectors.
+Every derivative of psihat is separable, d^i/dx^i d^j/dy^j psihat =
+A P^(i)(x) P^(j)(y), so vhat, grad vhat and the strain derivatives are
+products of the polynomial derivatives of P (`numpy.polynomial` coefficient
+arrays). The closure part is pointwise: div(|e| e) = |e| div e + e grad|e|
+with grad|e| = (e : grad e) / |e|, finite wherever the strain is nonzero.
+The tests check these closed forms against a symbolic derivation.
+`velocity` and `forcing` evaluate them at any (x, y, t); `FullSpaceSystem`
+tabulates the parts once per space (`forcing_parts`) and then forms each
+step's load from three load vectors.
 """
 
 import weakref
 
 import numpy as np
-import sympy as sym
+from numpy.polynomial import polynomial as poly
 
 DEFAULT_AMPLITUDE = 8.0
 DEFAULT_PRESSURE = 0.2
+
+# P(s) = s^2 (1 - s)^2 and its first three derivatives
+_P_DERIVS = [poly.polyder([0.0, 0.0, 1.0, -2.0, 1.0], k) for k in range(4)]
+
+
+def _derivatives(s):
+    """[P(s), P'(s), P''(s), P'''(s)]."""
+    return [poly.polyval(s, c) for c in _P_DERIVS]
 
 
 class ManufacturedSolution:
@@ -46,29 +58,6 @@ class ManufacturedSolution:
         self.nu_tur = float(nu_tur)
         self.amplitude = float(amplitude)
         self.pressure_amplitude = float(pressure_amplitude)
-        self._build()
-
-    def _build(self):
-        x, y = sym.symbols("x y", real=True)
-        psi = self.amplitude * (x * (1 - x) * y * (1 - y)) ** 2
-        v = sym.Matrix([sym.diff(psi, y), -sym.diff(psi, x)])
-        p = self.pressure_amplitude * sym.sin(sym.pi * x) * sym.cos(sym.pi * y)
-
-        G = v.jacobian([x, y])  # G[a, b] = d vhat_a / d x_b
-        E = (G + G.T) / 2
-        mag = sym.sqrt(E[0, 0] ** 2 + 2 * E[0, 1] ** 2 + E[1, 1] ** 2)
-
-        def div(S):
-            return sym.Matrix([sym.diff(S[a, 0], x) + sym.diff(S[a, 1], y) for a in (0, 1)])
-
-        # the viscosities multiply after differentiation: a float factor
-        # distributes over a sum, and differentiating the spread-out sum is slower
-        F0 = v / 2 + sym.Matrix([sym.diff(p, x), sym.diff(p, y)])
-        F1 = -2 * self.nu * div(E)
-        F2 = G * v - 2 * self.nu_tur * div(mag * E)
-        mods = ["numpy"]
-        self._vhat = sym.lambdify((x, y), list(v), modules=mods, cse=True)
-        self._parts = sym.lambdify((x, y), [*F0, *F1, *F2], modules=mods, cse=True)
         self._vhat_tables = weakref.WeakKeyDictionary()  # space -> vhat (nt, nq, 2)
 
     @staticmethod
@@ -79,20 +68,44 @@ class ManufacturedSolution:
             raise ValueError(f"the forcing split needs a(t) = 1 + t/2 > 0, got t = {t}")
         return a
 
-    @staticmethod
-    def _table(f, x, y, width):
-        x = np.asarray(x, dtype=float)
-        vals = np.broadcast_arrays(x, *f(x, y))[1:]  # a constant entry comes back a scalar
-        return np.stack(vals, axis=-1).reshape(x.shape + width)
+    def _vhat(self, x, y):
+        """vhat = A (P(x) P'(y), -P'(x) P(y)) -> (..., 2)."""
+        X, Y = _derivatives(x), _derivatives(y)
+        A = self.amplitude
+        return np.stack([A * X[0] * Y[1], -A * X[1] * Y[0]], axis=-1)
 
     def velocity(self, x, y, t):
         """Exact velocity a(t) vhat -> (n, 2)."""
-        return self.time_factor(t) * self._table(self._vhat, x, y, (2,))
+        return self.time_factor(t) * self._vhat(x, y)
 
     def forcing_parts(self, x, y):
         """(F0, F1, F2) -> (n, 3, 2); finite everywhere the strain is nonzero."""
+        X, Y = _derivatives(x), _derivatives(y)
+        A = self.amplitude
+        v0, v1 = A * X[0] * Y[1], -A * X[1] * Y[0]
+        # grad vhat = [[e, g01], [g10, -e]], eps(vhat) = [[e, s], [s, -e]]
+        e = A * X[1] * Y[1]
+        g01, g10 = A * X[0] * Y[2], -A * X[2] * Y[0]
+        s = 0.5 * (g01 + g10)
+        e_x, e_y = A * X[2] * Y[1], A * X[1] * Y[2]
+        s_x = 0.5 * A * (X[1] * Y[2] - X[3] * Y[0])
+        s_y = 0.5 * A * (X[0] * Y[3] - X[2] * Y[1])
+        div0, div1 = e_x + s_y, s_x - e_y  # div eps
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = self._table(self._parts, x, y, (3, 2))
+            mag = np.sqrt(2.0 * (e * e + s * s))
+            mag_x = 2.0 * (e * e_x + s * s_x) / mag
+            mag_y = 2.0 * (e * e_y + s * s_y) / mag
+        # div(|e| e) = |e| div e + e grad|e|
+        c0 = mag * div0 + e * mag_x + s * mag_y
+        c1 = mag * div1 + s * mag_x - e * mag_y
+        px, py = np.pi * x, np.pi * y
+        p0 = np.pi * self.pressure_amplitude
+        two_nu, two_nut = 2.0 * self.nu, 2.0 * self.nu_tur
+        out = np.stack([
+            0.5 * v0 + p0 * np.cos(px) * np.cos(py), 0.5 * v1 - p0 * np.sin(px) * np.sin(py),
+            -two_nu * div0, -two_nu * div1,
+            e * v0 + g01 * v1 - two_nut * c0, g10 * v0 - e * v1 - two_nut * c1,
+        ], axis=-1).reshape(np.shape(e) + (3, 2))
         if not np.isfinite(out).all():
             # |eps| = 0 points: the closure term and its derivative vanish
             # there, so the offending contribution is zero
@@ -119,7 +132,7 @@ class ManufacturedSolution:
         space."""
         vhat = self._vhat_tables.get(space)
         if vhat is None:
-            vhat = space.sample(lambda x, y: self._table(self._vhat, x, y, (2,)))
+            vhat = space.sample(self._vhat)
             self._vhat_tables[space] = vhat
         diff = space.eval_values(z) - self.time_factor(t) * vhat
         return np.sqrt(space.integrate((diff * diff).sum(axis=-1)))

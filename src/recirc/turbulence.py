@@ -9,7 +9,8 @@ molecular stress 2 nu e it keeps the weak operator monotone, with constant
 
 with the weights w = nu_tur |e| and a = nu_tur / |e|. `closure_stress` and
 `closure_tangent` are that pointwise pair, the only place either is written;
-`smagorinsky_load` and the implicit step's tangent read them.
+`smagorinsky_load`, the full-space nonlinear load and the implicit step's
+tangent read them.
 
 Convection is assembled in the skew-symmetric form
 
@@ -17,7 +18,10 @@ Convection is assembled in the skew-symmetric form
 
 whose self-pairing c(w; u, u) vanishes at coefficient level, so the discrete
 energy balance reproduces the continuous cancellations even though discrete
-fields are only approximately divergence free.
+fields are only approximately divergence free. `convection_tables` writes
+its pointwise products once, for `convection_load` and for the full-space
+load, which adds its convection stress to the closure stress before one
+stress assembly.
 """
 
 import numpy as np
@@ -83,27 +87,38 @@ def smagorinsky_load(space, eps_qpt, params, eps_mag=None):
     return space.stress_load_vector(closure_stress(eps_qpt, mag, params))
 
 
+def convection_tables(w_vals, u_vals, u_grads):
+    """Body-force and stress tables (f, S) of the skew convection form,
+    c(w; u, phi) = int f . phi + S : grad phi, with
+
+        f = 1/2 (grad u) w,   S = -1/2 u (x) w.
+
+    The 2x2 products are written out component by component, several times
+    faster than a batched (2,2) @ (2,1) matmul or a broadcast outer product
+    over the point tables. The 1/2 is applied to w first: a power of two
+    scales every product exactly, so f and S are bit for bit the halves of
+    (grad u) w and u (x) w.
+    """
+    h0, h1 = 0.5 * w_vals[..., 0], 0.5 * w_vals[..., 1]
+    f = np.empty(u_grads.shape[:-1])
+    f[..., 0] = u_grads[..., 0, 0] * h0 + u_grads[..., 0, 1] * h1
+    f[..., 1] = u_grads[..., 1, 0] * h0 + u_grads[..., 1, 1] * h1
+    # (grad phi_i w) . u = phi_(i,b) w_b u_a for component a
+    m0, m1 = -h0, -h1
+    S = np.empty(u_vals.shape + (2,))
+    for a in range(2):
+        S[..., a, 0] = u_vals[..., a] * m0
+        S[..., a, 1] = u_vals[..., a] * m1
+    return f, S
+
+
 def convection_load(space, w_vals, u_vals, u_grads):
     """Dual vector of the skew convection form c(w; u, .).
 
     L_i = 1/2 [ int ((grad u) w) . phi_i  -  int (grad phi_i  w) . u ].
-
-    The 2x2 products are written out component by component, several times
-    faster than a batched (2,2) @ (2,1) matmul or a broadcast outer product
-    over the point tables; u (x) w keeps the broadcast product's bits.
     """
-    w0, w1 = w_vals[..., 0], w_vals[..., 1]
-    f = np.empty(u_grads.shape[:-1])
-    f[..., 0] = u_grads[..., 0, 0] * w0 + u_grads[..., 0, 1] * w1
-    f[..., 1] = u_grads[..., 1, 0] * w0 + u_grads[..., 1, 1] * w1
-    first = space.load_vector(f)
-    # second term: (grad phi_i w) . u = phi_(i,b) w_b u_a for component a
-    S = np.empty(u_vals.shape + (2,))
-    for a in range(2):
-        S[..., a, 0] = u_vals[..., a] * w0
-        S[..., a, 1] = u_vals[..., a] * w1
-    second = space.stress_load_vector(S)
-    return 0.5 * (first - second)
+    f, S = convection_tables(w_vals, u_vals, u_grads)
+    return space.load_vector(f) + space.stress_load_vector(S)
 
 
 def convect(space, w, u, test):

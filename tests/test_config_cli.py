@@ -246,8 +246,9 @@ def test_cli_simulate_solver_summary(tmp_path):
     assert sum(phases.values()) <= summary["wall_time_s"] + 1e-3
 
 
-def test_import_cli_leaves_sympy_unloaded():
-    # sympy is loaded only by a manufactured source or `study mesh`
+def test_import_cli_leaves_sympy_unloaded(tmp_path):
+    # recirc never imports sympy: not on import of any of its modules, not
+    # for `study mesh`, not for a manufactured-source `simulate`
     import os
     import subprocess
     import sys
@@ -257,10 +258,25 @@ def test_import_cli_leaves_sympy_unloaded():
 
     src = str(Path(recirc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, recirc.cli; print('sympy' in sys.modules)"
+    path, _ = small_config(tmp_path, pumps=[], source="manufactured",
+                           time={"T": 0.02, "dt": 0.01, "scheme": "implicit-euler"})
+    code = f"""
+import pkgutil, sys
+import recirc
+from recirc.cli import main
+for mod in pkgutil.walk_packages(recirc.__path__, "recirc."):
+    __import__(mod.name)
+print("import", "sympy" in sys.modules)
+for name, argv in [("study", ["study", "mesh", "--levels", "4"]), ("simulate", ["simulate"])]:
+    code = main([*argv, "--config", {str(path)!r}, "--output-dir", {str(tmp_path)!r} + "/" + name,
+                 "--quiet"])
+    print(name, code, "sympy" in sys.modules)
+"""
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=env)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split("\n")[:3] == ["import False", "study 0 False", "simulate 0 False"]
+    assert (tmp_path / "study" / "study_mesh.csv").exists()
+    assert (tmp_path / "simulate" / "summary.json").exists()
 
 
 def test_cli_eigen_artifacts(tmp_path):

@@ -70,6 +70,58 @@ def test_forcing_matches_finite_difference_operator(mms):
         assert np.abs(F - oracle).max() <= 5e-5
 
 
+def _symbolic_parts(mms):
+    """vhat, F0, F1, F2 derived in sympy from the strong equations and
+    lambdified: the oracle of the closed forms in recirc.mms."""
+    import sympy as sym
+
+    x, y = sym.symbols("x y", real=True)
+    psi = mms.amplitude * (x * (1 - x) * y * (1 - y)) ** 2
+    v = sym.Matrix([sym.diff(psi, y), -sym.diff(psi, x)])
+    p = mms.pressure_amplitude * sym.sin(sym.pi * x) * sym.cos(sym.pi * y)
+    G = v.jacobian([x, y])  # G[a, b] = d vhat_a / d x_b
+    E = (G + G.T) / 2
+    mag = sym.sqrt(E[0, 0] ** 2 + 2 * E[0, 1] ** 2 + E[1, 1] ** 2)
+
+    def div(S):
+        return sym.Matrix([sym.diff(S[a, 0], x) + sym.diff(S[a, 1], y) for a in (0, 1)])
+
+    F0 = v / 2 + sym.Matrix([sym.diff(p, x), sym.diff(p, y)])
+    F1 = -2 * mms.nu * div(E)
+    F2 = G * v - 2 * mms.nu_tur * div(mag * E)
+    f = sym.lambdify((x, y), [*v, *F0, *F1, *F2], modules="numpy", cse=True)
+    # a constant entry comes back a scalar
+    return lambda x, y: np.stack(np.broadcast_arrays(x, *f(x, y))[1:], axis=-1).reshape(-1, 4, 2)
+
+
+@pytest.mark.parametrize("params", [(0.05, 0.02, 8.0, 0.2), (0.01, 0.3, -3.0, 0.7)])
+def test_closed_form_matches_symbolic_derivation(params):
+    # vhat and the three forcing parts at the 16^2 quadrature points and at
+    # random interior points, each to 1e-13 of its largest |value|
+    mms = ManufacturedSolution(*params)
+    oracle = _symbolic_parts(mms)
+    space = MixedSpace(build_rect_mesh(1, 1, 16, 16))
+    rng = np.random.default_rng(13)
+    for xy in (space.qpoints.reshape(-1, 2), rng.uniform(0.0, 1.0, (2000, 2))):
+        x, y = xy.T
+        got = np.concatenate([mms._vhat(x, y)[:, None], mms.forcing_parts(x, y)], axis=1)
+        ref = oracle(x, y)
+        for k in range(4):
+            scale = np.abs(ref[:, k]).max()
+            assert np.abs(got[:, k] - ref[:, k]).max() <= 1e-13 * scale
+
+
+def test_forcing_parts_strain_zero_guard(mms):
+    # |eps(vhat)| = 0 at the corners and the centre, where grad |eps| is 0/0;
+    # no quadrature point is one, so every mesh's table is finite
+    for x, y in ((0.0, 0.0), (1.0, 0.0), (0.5, 0.5)):
+        with pytest.raises(FloatingPointError, match="strain zero"):
+            mms.forcing_parts(np.array([x, 0.3]), np.array([y, 0.6]))
+    for n in (8, 16, 32):
+        space = MixedSpace(build_rect_mesh(1, 1, n, n))
+        assert np.isfinite(space.sample(mms.forcing_parts)).all()
+
+
 def test_project_divfree(space8):
     fs = FullSpaceSystem(space8, ClosureParams(0.05, 0.0))
     rng = np.random.default_rng(3)

@@ -11,6 +11,7 @@ from recirc.turbulence import (
     closure_tangent,
     convect,
     convection_load,
+    convection_tables,
     smagorinsky_load,
     strain_norm,
     sym_grad,
@@ -204,26 +205,26 @@ def test_convect_self_pairing_vanishes(space4):
         assert abs(val) <= 1e-12 * max(1.0, scale)
 
 
-def test_convection_products_written_out():
-    # the two tables convection_load assembles, against the batched (grad u) w
-    # and the broadcast outer product u (x) w, on random tables
-    class Tables:
-        def load_vector(self, f):
-            self.f = f
-            return 0.0
-
-        def stress_load_vector(self, S):
-            self.S = S
-            return 0.0
-
+def test_convection_products_written_out(space4):
+    # the tables of convection_tables against the batched (grad u) w and the
+    # broadcast outer product u (x) w, on random tables; the 1/2 scales them
+    # exactly, so convection_load keeps the bits of
+    # 1/2 [load((grad u) w) - stress(u (x) w)] with the products written out
     rng = np.random.default_rng(37)
     w, u = rng.standard_normal((2, 64, 12, 2))
     g = rng.standard_normal((64, 12, 2, 2))
-    tables = Tables()
-    convection_load(tables, w, u, g)
+    f, S = convection_tables(w, u, g)
     batched = (g @ w[..., None])[..., 0]
-    assert np.abs(tables.f - batched).max() <= 1e-15 * np.abs(batched).max()
-    assert np.array_equal(tables.S, u[..., :, None] * w[..., None, :])
+    assert np.abs(2 * f - batched).max() <= 1e-15 * np.abs(batched).max()
+    assert np.array_equal(-2 * S, u[..., :, None] * w[..., None, :])
+
+    w, u = rng.standard_normal((2, space4.n_velocity))
+    wv, uv, ug = space4.eval_values(w), space4.eval_values(u), space4.eval_grads(u)
+    gw = np.stack([ug[..., a, 0] * wv[..., 0] + ug[..., a, 1] * wv[..., 1] for a in range(2)],
+                  axis=-1)
+    assert np.array_equal(2 * convection_tables(wv, uv, ug)[0], gw)
+    halves = space4.load_vector(gw) - space4.stress_load_vector(uv[..., :, None] * wv[..., None, :])
+    assert np.array_equal(convection_load(space4, wv, uv, ug), 0.5 * halves)
 
 
 def test_convect_zero_advected(space4):
