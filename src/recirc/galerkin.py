@@ -48,11 +48,11 @@ z_k xi_k.
 Time data are split by who reads them. The right-hand side and the steppers
 read the rates g(t) and (H_g, xi_k) from `lift_modal`; the energy ledger reads
 the quadrature-point tables of `lifting.LiftData` (zeta_g, its rate, H_g) from
-`lift_data`, which nothing else here reads: `dissipation_rates` takes the one
-table it needs, the gradients of zeta_g, from `LiftingBasis.combine_qpt`. Both
-read a state's closure fields from `StateFields`, which the steppers form
-from one gradient evaluation of w = zeta_g + z and the ledger from its
-tables. The system holds no mutable state while it steps.
+`lift_data`, which nothing else here reads; every lift field is formed from
+`LiftingBasis.combine`. The steppers, the ledger and `dissipation_rates` read
+a state's closure fields from `state_fields(z, g)`, one `StateFields` from
+one gradient evaluation of w = zeta_g + z. The system holds no mutable state
+while it steps.
 """
 
 import numpy as np
@@ -426,7 +426,7 @@ class ReducedSystem:
     def dissipation_rates(self, z, t):
         """(2 nu ||eps(z)||^2, 2 nu_tur ||eps(zg+z)||^3_L3) at (z, t)."""
         z_grads = self.space.eval_grads(self.basis.expand(z))
-        f = StateFields(self.lifting.combine_qpt(self.pumps.rates(t)[0])[1] + z_grads)
+        f = self.state_fields(z, self.pumps.rates(t)[0])
         eps_z = sym_grad(z_grads)
         visc = 2 * self.params.nu * self.space.integrate(
             np.einsum("cqab,cqab->cq", eps_z, eps_z)

@@ -21,19 +21,16 @@ from .space import SADDLE_LU
 
 
 class LiftingBasis:
-    """Per-pump Stokes lifts: velocity fields, pressures, solve residuals."""
+    """Per-pump Stokes lifts: velocity fields, pressures, solve residuals. The
+    lift at rates g is the coefficient vector `combine(g)`, its only form."""
 
-    def __init__(self, space, nu, zetas, pressures, residuals):
+    def __init__(self, space, zetas, pressures, residuals):
         self.space = space
-        self.nu = nu
         # every table has a leading pump axis of length K, K = 0 included
-        K, nt, nq = len(zetas), space.mesh.num_cells, len(space.rule)
+        K = len(zetas)
         self.zetas = np.array(zetas, dtype=float).reshape(K, space.n_velocity)
         self.pressures = np.array(pressures, dtype=float).reshape(K, space.n_pressure)
         self.residuals = np.asarray(residuals)
-        # quadrature-point tabulations combined into the tables of LiftData
-        self.vals = np.array([space.eval_values(z) for z in self.zetas]).reshape(K, nt, nq, 2)
-        self.grads = np.array([space.eval_grads(z) for z in self.zetas]).reshape(K, nt, nq, 2, 2)
 
     def __len__(self):
         return len(self.zetas)
@@ -41,12 +38,6 @@ class LiftingBasis:
     def combine(self, weights):
         """Coefficient-level combination sum_k w_k zeta_k."""
         return weights @ self.zetas
-
-    def combine_qpt(self, weights):
-        """(values, gradients) of sum_k w_k zeta_k at quadrature points."""
-        v = np.einsum("k,kcqa->cqa", weights, self.vals)
-        g = np.einsum("k,kcqab->cqab", weights, self.grads)
-        return v, g
 
 
 def _stokes_lu(space, A):
@@ -94,7 +85,7 @@ def build_lifting(space, pumps, nu):
         zetas.append(z)
         pressures.append(p)
         residuals.append(r)
-    return LiftingBasis(space, nu, zetas, pressures, residuals)
+    return LiftingBasis(space, zetas, pressures, residuals)
 
 
 def convective_qpt(vals, grads):
@@ -106,19 +97,20 @@ class LiftData:
     """Quadrature-point lift data at one time t, read by the energy ledger.
 
     Quadrature-point tables (nt, nq, ...) of zeta_g(t) and d zeta_g/dt(t)
-    (values and gradients), H~_g = F - d zeta_g/dt and
-    H_g = H~_g - (grad zeta_g) zeta_g. Its dual vector (H_g, phi_i) is
-    `space.load_vector(h)`; the reduced system pairs H_g with its modes
-    from offline tables and the rates g(t) alone.
+    (values and gradients of `LiftingBasis.combine` at g(t) and gdot(t)),
+    H~_g = F - d zeta_g/dt and H_g = H~_g - (grad zeta_g) zeta_g. Its dual
+    vector (H_g, phi_i) is `space.load_vector(h)`; the reduced system pairs
+    H_g with its modes from offline tables and the rates g(t) alone.
     """
 
     __slots__ = ("zg_vals", "zg_grads", "dzg_vals", "dzg_grads", "h_tilde", "h")
 
     def __init__(self, lb, pumps, source, t):
-        g, gdot = pumps.rates(t)
-        self.zg_vals, self.zg_grads = lb.combine_qpt(g)
-        self.dzg_vals, self.dzg_grads = lb.combine_qpt(gdot)
-        source_vals = np.zeros_like(self.zg_vals) if source is None else lb.space.sample(source, t)
+        space = lb.space
+        zg, dzg = (lb.combine(r) for r in pumps.rates(t))
+        self.zg_vals, self.zg_grads = space.eval_values(zg), space.eval_grads(zg)
+        self.dzg_vals, self.dzg_grads = space.eval_values(dzg), space.eval_grads(dzg)
+        source_vals = np.zeros_like(self.zg_vals) if source is None else space.sample(source, t)
         self.h_tilde = source_vals - self.dzg_vals
         self.h = self.h_tilde - convective_qpt(self.zg_vals, self.zg_grads)
 

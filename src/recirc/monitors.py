@@ -24,7 +24,6 @@ save count.
 
 import numpy as np
 
-from .galerkin import StateFields
 from .turbulence import strain_norm, sym_grad
 
 
@@ -81,7 +80,7 @@ def ledger(system, traj):
         hg, hg_tilde, edzg_l2_sq, edzg_l3_32 = row_terms(t)
         zf = system.basis.expand(traj.states[i])
         z_grads = space.eval_grads(zf)
-        f = StateFields(system.lifting.combine_qpt(g)[1] + z_grads)  # LiftData's zg_grads
+        f = system.state_fields(traj.states[i], g)
         ez = strain_norm(sym_grad(z_grads))
         z_mag = np.linalg.norm(space.eval_values(zf), axis=-1)
         ew_l3 = _lp(space, f.w_eps_mag, 3)

@@ -62,6 +62,7 @@ SADDLE_LU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 1e-3,
              "options": {"SymmetricMode": True}}
 # nested dissection stops splitting a group of at most this many unknowns
 DISSECTION_LEAF = 16
+QUAD_DEGREE = 6  # the cell quadrature rule's degree of exactness
 _MAX_LEVELS = 32  # 3^33 < 2^63 bounds the order keys
 
 
@@ -168,10 +169,9 @@ def _edge_trace(s):
 class MixedSpace:
     """Taylor-Hood P2/P1 space with assembled operators and norm evaluators."""
 
-    def __init__(self, mesh, quad_degree=6):
+    def __init__(self, mesh):
         self.mesh = mesh
-        self.rule = triangle_rule(quad_degree)
-        self.quad_degree = self.rule.degree
+        self.rule = triangle_rule(QUAD_DEGREE)
         self.edge_quad = edge_rule(7)
 
         areas = mesh.cell_areas()
@@ -476,15 +476,15 @@ class MixedSpace:
         return (u[self.cell_vdofs] @ self.N_vec).reshape(-1, len(self.rule), 2)
 
     def eval_grads(self, u):
-        """Velocity gradients at quadrature points -> (nt, nq, 2, 2), [a,b]=d u_a/d x_b."""
-        ns = self.n_scalar
+        """Velocity gradients at quadrature points -> (nt, nq, 2, 2), [a,b]=d u_a/d x_b:
+        one product of `grad`'s rows [c, q, (b, l)] and the block-diagonal factor
+        [c, (b', l), (a, b)] = u_(a,l) delta_(b b'), contiguous in [a, b] order."""
         nt, nq = self.mesh.num_cells, len(self.rule)
-        G = self.grad.reshape(nt, nq * 2, 6)
-        out = np.empty((nt, nq, 2, 2))
-        for comp in range(2):
-            Uc = u[comp * ns + self.cell_dofs]
-            out[:, :, comp, :] = (G @ Uc[..., None]).reshape(nt, nq, 2)
-        return out
+        UT = u[self.cell_vdofs].reshape(nt, 2, 6).transpose(0, 2, 1)  # [c, l, a]
+        B = np.zeros((nt, 2, 6, 2, 2))
+        B[:, 0, :, :, 0] = UT
+        B[:, 1, :, :, 1] = UT
+        return (self.grad.reshape(nt, nq, 12) @ B.reshape(nt, 12, 4)).reshape(nt, nq, 2, 2)
 
     def sample(self, f, *args):
         """A callable f(x, y, *args) -> (n, ...) at all quadrature points

@@ -233,7 +233,7 @@ def _ledger_oracle(sys_, traj):
         data = lift(t)
         zf = sys_.basis.expand(traj.states[i])
         z_grads = space.eval_grads(zf)
-        f = StateFields(data.zg_grads + z_grads)
+        f = StateFields(space.eval_grads(sys_.lifting.combine(sys_.pumps.rates(t)[0]) + zf))
         ez, edzg = strain_norm(sym_grad(z_grads)), strain_norm(sym_grad(data.dzg_grads))
         z_mag = np.linalg.norm(space.eval_values(zf), axis=-1)
         ew_l3 = _lp(space, f.w_eps_mag, 3)
@@ -321,3 +321,23 @@ def test_ledger_with_source_evaluates_every_time(preset16, monkeypatch):
     assert built == 2 * len(times) - 1  # every save time and every midpoint
     assert led.data["hg_l2l2_sq"] > 0.0
     _assert_equals_oracle(led, sys_, traj)
+
+
+def test_ledger_reads_the_steppers_state_fields(preset16, monkeypatch):
+    # at every save time the ledger's closure fields of w = zeta_g + z are,
+    # bit for bit, those of the last defect of the step that made the state
+    sys_ = preset16.system
+    formed = []
+    fields = sys_.state_fields
+    monkeypatch.setattr(sys_, "state_fields",
+                        lambda z, g: formed.append(fields(z, g)) or formed[-1])
+    steps = []
+    traj = sys_.integrate(preset16.state0, T=0.3, dt=0.01,
+                          on_step=lambda state: steps.append(formed[-1]))
+    assert len(steps) == len(traj) - 1 == 30
+    del formed[:]
+    ledger(sys_, traj)
+    assert len(formed) == len(traj)
+    for i, (f, g) in enumerate(zip(formed[1:], steps), start=1):
+        assert np.array_equal(f.w_eps, g.w_eps), i
+        assert np.array_equal(f.w_eps_mag, g.w_eps_mag), i

@@ -104,6 +104,28 @@ def test_strain_stiffness_rank_one_term_matches_quadrature(space8):
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_eval_grads_exact_on_quadratic_field():
+    # a P2 field on a non-square, non-unit mesh: every entry [a, b] of the
+    # gradient differs, so a swapped component or axis shows
+    space = MixedSpace(build_rect_mesh(1.0, 2.0, 3, 5))
+
+    def u(x, y):
+        return np.column_stack([1 + 2 * x - 3 * y + 0.5 * x * x + 4 * x * y - y * y,
+                                -2 + 5 * x + 7 * y - 3 * x * x + x * y + 2 * y * y])
+
+    x, y = space.qpoints[..., 0], space.qpoints[..., 1]
+    exact = np.empty(x.shape + (2, 2))
+    exact[..., 0, 0] = 2 + x + 4 * y
+    exact[..., 0, 1] = -3 + 4 * x - 2 * y
+    exact[..., 1, 0] = 5 - 6 * x + y
+    exact[..., 1, 1] = 7 + x + 4 * y
+    G = space.eval_grads(space.interpolate(u))
+    assert G.shape == exact.shape
+    for a in range(2):
+        for b in range(2):
+            assert np.abs(G[..., a, b] - exact[..., a, b]).max() <= 1e-12, (a, b)
+
+
 def test_degenerate_cell_rejected():
     m = build_rect_mesh(1, 1, 2, 2)
     vertices = m.vertices.copy()
