@@ -305,7 +305,7 @@ def build_scenario(config, modes=None):
 
     source = None
     if cfg.source == "manufactured":
-        source = ManufacturedSolution(params.nu, params.nu_tur).forcing
+        source = ManufacturedSolution(params.nu, params.nu_tur)
 
     if cfg.initial["preset"] == "zero":
         state0 = GalerkinState(0.0, np.zeros(n_modes))

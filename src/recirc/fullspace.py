@@ -14,15 +14,16 @@ The system holds one step factorization at a time, that of the current
 one solve.
 
 A source is a manufactured solution (`recirc.mms`) whose forcing is the
-time polynomial F0 + a(t) F1 + a(t)^2 F2. Its three parts are tabulated and
-assembled into three load vectors once, when the system is built, so a
-step's source load is two axpys.
+time polynomial F0 + a(t) F1 + a(t)^2 F2. The source forms the three part
+loads once per space, when the system is built, so a step's source load is
+two axpys on them.
 """
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError, StepError
+from .galerkin import step_count
 from .space import SADDLE_LU
 from .turbulence import closure_stress, closure_tangent, convection_tables, strain_norm, sym_grad
 # unused here; imported only so that the benchmark's traced names resolve
@@ -33,15 +34,14 @@ class FullSpaceSystem:
     """Implicit Euler on the full Taylor-Hood space with zero velocity trace."""
 
     def __init__(self, space, params, source=None):
-        """source: None, or a ManufacturedSolution (anything with its
-        `forcing_parts(x, y)` and `time_factor(t)`)."""
+        """source: None, or a ManufacturedSolution (or a subclass with its
+        own `forcing_parts(x, y)` and `time_factor(t)`)."""
         self.space = space
         self.params = params
         self.source = source
         self._step_factor = (None, None)  # ((dt, shift), LU) of the last step
         if source is not None:
-            F = space.sample(source.forcing_parts)  # (nt, nq, 3, 2)
-            self._source_loads = [space.load_vector(F[..., k, :]) for k in range(3)]
+            source.part_loads(space)  # formed here, so that stepping only reads it
 
     # -- saddle factorizations -------------------------------------------------
 
@@ -68,12 +68,10 @@ class FullSpaceSystem:
     # -- weak form -----------------------------------------------------------------
 
     def source_load(self, t):
-        """Dual vector of F(t): L0 + a (L1 + a L2) from the tabulated parts."""
+        """Dual vector of F(t): L0 + a (L1 + a L2) from the source's part loads."""
         if self.source is None:
             return np.zeros(self.space.n_velocity)
-        L0, L1, L2 = self._source_loads
-        a = self.source.time_factor(t)
-        return L0 + a * (L1 + a * L2)
+        return self.source.combine(self.source.part_loads(self.space), t)
 
     def nonlinear_load(self, z):
         """Dual vector of skew convection c(z; z, .) plus the closure term:
@@ -96,12 +94,13 @@ class FullSpaceSystem:
             - self.params.nu * (self.space.K_eps @ z)
         )
 
-    def closure_shift(self, z, safety=2.0):
-        """Viscosity shift bounding the closure weight w of `closure_tangent` at z."""
+    def closure_shift(self, z):
+        """Viscosity shift bounding the closure weight w of `closure_tangent` at
+        z: twice its largest value."""
         if self.params.nu_tur == 0:
             return 0.0
         w, _ = closure_tangent(strain_norm(self.space.strain_samples(z)), self.params)
-        return safety * float(w.max())
+        return 2.0 * float(w.max())
 
     # -- stepping --------------------------------------------------------------------
 
@@ -130,7 +129,7 @@ class FullSpaceSystem:
     def integrate(self, v0, T, dt, tol=1e-10, observer=None):
         """Step from the projected v0 to T; observer(t, z) runs after each step.
         Returns (z at T, the Picard iteration count of each step)."""
-        n_steps = int(round(T / dt))
+        n_steps = step_count(T, dt)
         z = self.project_divfree(v0)
         shift = self.closure_shift(z) * 1.5
         iterations = []

@@ -19,8 +19,10 @@ Convection is quadratic in y, so it is split offline/online. Once per basis
 the constructor forms T[a, y, z] = int ((u_a . grad) u_y) . u_z
 (`MixedSpace.convection_tensor`), keeps C, R[k, p, q] = ((grad zeta_q)
 zeta_p, xi_k) and P[k, p] = (zeta_p, xi_k), and checks C against one
-quadrature pairing. Online, a time costs (H_g, xi_k) = (F, xi_k) - P gdot -
-(R g) g, with a quadrature only for a source F, and a state costs (C y) y,
+quadrature pairing. A source F = F0 + a(t) F1 + a(t)^2 F2 (`recirc.mms`) is
+split the same way: the constructor keeps S[j, k] = (F_j, xi_k) from the
+source's part loads. Online, a time costs (H_g, xi_k) = S0 + a (S1 + a S2) -
+P gdot - (R g) g, no quadrature at all, and a state costs (C y) y,
 N (K + N)^2 multiply-adds. The Smagorinsky closure is the only term that
 still reads the mesh. Implicit Euler solves each step by a simplified
 Newton iteration (the chord method of implicit integrators: Hairer &
@@ -50,9 +52,11 @@ read the rates g(t) and (H_g, xi_k) from `lift_modal`; the energy ledger reads
 the quadrature-point tables of `lifting.LiftData` (zeta_g, its rate, H_g) from
 `lift_data`, which nothing else here reads; every lift field is formed from
 `LiftingBasis.combine`. The steppers, the ledger and `dissipation_rates` read
-a state's closure fields from `state_fields(z, g)`, one `StateFields` from
-one gradient evaluation of w = zeta_g + z. The system holds no mutable state
-while it steps.
+a state's closure fields from `state_fields(zf, g)`, one `StateFields` from
+one gradient evaluation of w = zeta_g + z, where zf = `basis.expand(z)` is
+the caller's, so that the ledger expands each state once. The system holds
+no mutable state while it steps: every table, the source's included, is
+formed when it is built.
 """
 
 import numpy as np
@@ -64,6 +68,15 @@ from .turbulence import closure_tangent, convection_load, smagorinsky_load, stra
 MAX_HALVINGS = 20  # step-length halvings per Newton update before a step fails
 CHORD_RATE = 0.1  # an accepted update that shrinks the residual less refreshes the tangent
 CARRY_RATE = CHORD_RATE / 2  # a carried tangent contracting less is not carried further
+
+
+def step_count(T, dt):
+    """The number of steps of length dt to T; ValueError unless T is an
+    integer multiple of dt."""
+    n_steps = int(round(T / dt))
+    if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+        raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
+    return n_steps
 
 
 class GalerkinState:
@@ -151,6 +164,8 @@ class ReducedSystem:
         self.C[:, :K, :K] = 0.0  # the lift's self-convection is carried by H_g
         self.R = np.ascontiguousarray(T[:K, :K, K:].transpose(2, 0, 1))  # ((grad zeta_q) zeta_p, xi_k)
         self.P = V.T @ (space.M @ Z)  # (zeta_p, xi_k)
+        if source is not None:
+            self.S = source.part_loads(space) @ V  # S[j, k] = (F_j, xi_k)
 
     def _check_convection(self, W):
         """The full contraction at y = 1 against one quadrature pairing of
@@ -174,13 +189,12 @@ class ReducedSystem:
     # -- lift data per time and fields per state --------------------------------
 
     def lift_modal(self, t):
-        """(g(t), (H_g(t), xi_k)), where (H_g, xi_k) = (F, xi_k) - P gdot - (R g) g:
-        only a source needs a quadrature."""
+        """(g(t), (H_g(t), xi_k)), where (H_g, xi_k) = (F, xi_k) - P gdot - (R g) g
+        and (F, xi_k) = S0 + a (S1 + a S2): offline tables only."""
         g, gdot = self.pumps.rates(t)
         hg = -(self.P @ gdot) - (self.R @ g) @ g
         if self.source is not None:
-            F = self.space.sample(self.source, t)
-            hg = hg + self.basis.fields.T @ self.space.load_vector(F)
+            hg = hg + self.source.combine(self.S, t)
         return g, hg
 
     def lift_data(self, t):
@@ -197,10 +211,10 @@ class ReducedSystem:
         zg, _ = self.lift_fields(t)
         return zg + self.basis.expand(z)
 
-    def state_fields(self, z, g):
-        """StateFields of w = zeta_g + z at the lift rates g."""
-        w = self.lifting.combine(g) + self.basis.expand(z)
-        return StateFields(self.space.eval_grads(w))
+    def state_fields(self, zf, g):
+        """StateFields of w = zeta_g + z at the lift rates g, from z's
+        velocity coefficients zf = basis.expand(z)."""
+        return StateFields(self.space.eval_grads(self.lifting.combine(g) + zf))
 
     # -- right-hand side -------------------------------------------------------
 
@@ -214,7 +228,7 @@ class ReducedSystem:
         StateFields of w); (0, None) without the closure."""
         if self.params.nu_tur == 0:
             return np.zeros(self.basis.size), None
-        f = self.state_fields(z, g)
+        f = self.state_fields(self.basis.expand(z), g)
         load = smagorinsky_load(self.space, f.w_eps, self.params, eps_mag=f.w_eps_mag)
         return self.basis.fields.T @ load, f
 
@@ -387,9 +401,7 @@ class ReducedSystem:
         the first step) and carries the closure tangent the previous step
         hands on. They are locals of this call, never state of the system.
         """
-        n_steps = int(round(T / dt))
-        if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
-            raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
+        n_steps = step_count(T, dt)
         times = [state0.t]
         states = [state0.z.copy()]
         iters = [0]
@@ -425,8 +437,9 @@ class ReducedSystem:
 
     def dissipation_rates(self, z, t):
         """(2 nu ||eps(z)||^2, 2 nu_tur ||eps(zg+z)||^3_L3) at (z, t)."""
-        z_grads = self.space.eval_grads(self.basis.expand(z))
-        f = self.state_fields(z, self.pumps.rates(t)[0])
+        zf = self.basis.expand(z)
+        z_grads = self.space.eval_grads(zf)
+        f = self.state_fields(zf, self.pumps.rates(t)[0])
         eps_z = sym_grad(z_grads)
         visc = 2 * self.params.nu * self.space.integrate(
             np.einsum("cqab,cqab->cq", eps_z, eps_z)

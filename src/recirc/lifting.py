@@ -10,7 +10,9 @@ The symmetric-gradient form makes the lifted fields orthogonal to every
 discretely divergence-free boundary-zero field in the 2 nu (eps, eps) inner
 product, which is what removes the viscous lifting term from the reduced
 equations. The time-dependent lift is the schedule-weighted combination
-zeta_g(t) = sum_k g_k(t) zeta_k.
+zeta_g(t) = sum_k g_k(t) zeta_k. `LiftData` tabulates it, its rate and H_g
+at the quadrature points for the energy ledger; a source's values there come
+from the source's own parts table (`recirc.mms`), never from sampling it.
 """
 
 import numpy as np
@@ -98,7 +100,8 @@ class LiftData:
 
     Quadrature-point tables (nt, nq, ...) of zeta_g(t) and d zeta_g/dt(t)
     (values and gradients of `LiftingBasis.combine` at g(t) and gdot(t)),
-    H~_g = F - d zeta_g/dt and H_g = H~_g - (grad zeta_g) zeta_g. Its dual
+    H~_g = F - d zeta_g/dt and H_g = H~_g - (grad zeta_g) zeta_g, with F
+    formed by the source's `combine` on its `parts_table`. Its dual
     vector (H_g, phi_i) is `space.load_vector(h)`; the reduced system pairs
     H_g with its modes from offline tables and the rates g(t) alone.
     """
@@ -110,7 +113,8 @@ class LiftData:
         zg, dzg = (lb.combine(r) for r in pumps.rates(t))
         self.zg_vals, self.zg_grads = space.eval_values(zg), space.eval_grads(zg)
         self.dzg_vals, self.dzg_grads = space.eval_values(dzg), space.eval_grads(dzg)
-        source_vals = np.zeros_like(self.zg_vals) if source is None else space.sample(source, t)
+        source_vals = (np.zeros_like(self.zg_vals) if source is None
+                       else source.combine(source.parts_table(space), t))
         self.h_tilde = source_vals - self.dzg_vals
         self.h = self.h_tilde - convective_qpt(self.zg_vals, self.zg_grads)
 

@@ -27,9 +27,15 @@ products of the polynomial derivatives of P (`numpy.polynomial` coefficient
 arrays). The closure part is pointwise: div(|e| e) = |e| div e + e grad|e|
 with grad|e| = (e : grad e) / |e|, finite wherever the strain is nonzero.
 The tests check these closed forms against a symbolic derivation.
-`velocity` and `forcing` evaluate them at any (x, y, t); `FullSpaceSystem`
-tabulates the parts once per space (`forcing_parts`) and then forms each
-step's load from three load vectors.
+
+`velocity` and `forcing` evaluate them at any (x, y, t). Only this module
+turns the forcing into numbers on a space: one cache per space holds the
+parts at the quadrature points (`parts_table`), their three load vectors
+(`part_loads`) and the vhat table of `velocity_error`, each formed on first
+use, and `combine` evaluates F0 + a (F1 + a F2) on any stack of the parts.
+The full-space step reads the loads, the reduced system their modal
+projections and the energy ledger the parts table. A subclass with its own
+`forcing_parts` is a source too.
 """
 
 import weakref
@@ -58,7 +64,7 @@ class ManufacturedSolution:
         self.nu_tur = float(nu_tur)
         self.amplitude = float(amplitude)
         self.pressure_amplitude = float(pressure_amplitude)
-        self._vhat_tables = weakref.WeakKeyDictionary()  # space -> vhat (nt, nq, 2)
+        self._tables = weakref.WeakKeyDictionary()  # space -> {name: table}
 
     @staticmethod
     def time_factor(t):
@@ -114,11 +120,32 @@ class ManufacturedSolution:
             )
         return out
 
+    def combine(self, parts, t):
+        """parts[0] + a (parts[1] + a parts[2]), a = a(t), for any stack of
+        the three parts along a leading axis: values, loads or pairings."""
+        a = self.time_factor(t)
+        return parts[0] + a * (parts[1] + a * parts[2])
+
     def forcing(self, x, y, t):
         """Exact forcing F0 + a (F1 + a F2) -> (n, 2)."""
-        F = self.forcing_parts(x, y)
-        a = self.time_factor(t)
-        return F[..., 0, :] + a * (F[..., 1, :] + a * F[..., 2, :])
+        return self.combine(np.moveaxis(self.forcing_parts(x, y), -2, 0), t)
+
+    def _table(self, space, name, build):
+        """The space's table `name`, formed by build() on first use."""
+        tables = self._tables.setdefault(space, {})
+        if name not in tables:
+            tables[name] = build()
+        return tables[name]
+
+    def parts_table(self, space):
+        """(F0, F1, F2) at the quadrature points of a space -> (3, nt, nq, 2)."""
+        return self._table(space, "parts",
+                           lambda: np.moveaxis(space.sample(self.forcing_parts), -2, 0))
+
+    def part_loads(self, space):
+        """The dual vectors (F_j, phi_i) of the three parts -> (3, n_velocity)."""
+        return self._table(space, "loads", lambda: np.array(
+            [space.load_vector(F) for F in self.parts_table(space)]))
 
     def initial_velocity(self, space):
         """Nodal interpolant of v(., 0) on a MixedSpace."""
@@ -130,9 +157,6 @@ class ManufacturedSolution:
         """L2 distance between a discrete field and the exact velocity
         a(t) vhat at t; vhat is tabulated at the quadrature points once per
         space."""
-        vhat = self._vhat_tables.get(space)
-        if vhat is None:
-            vhat = space.sample(self._vhat)
-            self._vhat_tables[space] = vhat
+        vhat = self._table(space, "vhat", lambda: space.sample(self._vhat))
         diff = space.eval_values(z) - self.time_factor(t) * vhat
         return np.sqrt(space.integrate((diff * diff).sum(axis=-1)))

@@ -10,16 +10,19 @@ knots. The time derivative of z is a backward difference on that grid.
 
 The lift side of the ledger (H_g, the strain and L3 norms of zeta_g and its
 rate) depends on t only through the pump rates (g, gdot), and through the
-source samples at t when a source exists. So one `ledger` call evaluates it
-once per distinct lift state, keyed by the exact bytes of (g, gdot), plus t
-with a source, and reads the kept scalars at every save time and midpoint
-with that key; on a rate plateau that is one evaluation for all of it. A
-state gets the row terms only if a save time reads it, and the midpoint
-integrands only if a midpoint does. The key is exact, not rounded or given
-a tolerance: equal keys give the same `LiftData` bit for bit, so reuse
-changes no digit, while a tolerant key could merge states that differ. Only
-scalars are kept, never quadrature tables, so memory does not grow with the
-save count.
+source's time factor a(t) when a source exists (its values come from the
+source's parts table, formed once per space). So one `ledger` call
+evaluates it once per distinct lift state, keyed by the exact bytes of
+(g, gdot), plus t with a source, and reads the kept scalars at every save
+time and midpoint with that key; on a rate plateau that is one evaluation
+for all of it. A state gets the row terms only if a save time reads it, and
+the midpoint integrands only if a midpoint does. The key is exact, not
+rounded or given a tolerance: equal keys give the same `LiftData` bit for
+bit, so reuse changes no digit, while a tolerant key could merge states
+that differ. Only scalars are kept, never quadrature tables, so memory does
+not grow with the save count. The state side expands each saved state once and hands the
+expansion to `ReducedSystem.state_fields`, so the ledger reads the closure
+fields the steppers formed.
 """
 
 import numpy as np
@@ -80,7 +83,7 @@ def ledger(system, traj):
         hg, hg_tilde, edzg_l2_sq, edzg_l3_32 = row_terms(t)
         zf = system.basis.expand(traj.states[i])
         z_grads = space.eval_grads(zf)
-        f = system.state_fields(traj.states[i], g)
+        f = system.state_fields(zf, g)
         ez = strain_norm(sym_grad(z_grads))
         z_mag = np.linalg.norm(space.eval_values(zf), axis=-1)
         ew_l3 = _lp(space, f.w_eps_mag, 3)

@@ -3,6 +3,7 @@ import pytest
 
 from recirc.config import build_scenario, preset_path, validate
 from recirc.mesh import build_rect_mesh
+from recirc.mms import ManufacturedSolution
 from recirc.space import MixedSpace
 from recirc.turbulence import closure_stress, strain_norm
 
@@ -16,6 +17,29 @@ def space8():
 def preset16():
     """The shipped 4-pump scenario: 16^2 mesh, 20 modes, mollified profiles."""
     return build_scenario(validate(preset_path("four_pumps")))
+
+
+class PartsSource(ManufacturedSolution):
+    """A source with its own parts: F = F0 + a F1 + a^2 F2, a = 1 + t/2, from
+    parts(x, y) -> (F0, F1, F2), each (n, 2); the tables, loads and time
+    polynomial are ManufacturedSolution's."""
+
+    def __init__(self, parts):
+        super().__init__(nu=0.0, nu_tur=0.0)
+        self.parts = parts
+
+    def forcing_parts(self, x, y):
+        return np.stack(self.parts(x, y), axis=-2)
+
+
+def ramp_source():
+    """F = (sin(3x) y, x - t y^2), as parts in a = 1 + t/2 (t = 2a - 2)."""
+    def parts(x, y):
+        zero = np.zeros_like(x)
+        return (np.column_stack([np.sin(3 * x) * y, x + 2 * y**2]),
+                np.column_stack([zero, -2 * y**2]), np.column_stack([zero, zero]))
+
+    return PartsSource(parts)
 
 
 def divfree_samples(space, count, seed=0):

@@ -160,6 +160,13 @@ def test_source_loads_match_sampled_forcing(mms, space8):
         assert np.abs(fs.source_load(t) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_integrate_rejects_T_off_the_step_grid(mms, space8):
+    # 0.015 / 0.01 rounds to 2 steps, which would end at t = 0.02
+    fs = FullSpaceSystem(space8, ClosureParams(mms.nu, mms.nu_tur), source=mms)
+    with pytest.raises(ValueError, match="T = 0.015 is not an integer multiple of dt = 0.01"):
+        fs.integrate(mms.initial_velocity(space8), T=0.015, dt=0.01)
+
+
 def test_velocity_error_tabulates_vhat_once(mms, monkeypatch):
     # vhat is evaluated once per space and scaled by a(t): the same bits as
     # sampling the exact velocity at every call

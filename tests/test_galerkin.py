@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import apply_A
+from conftest import apply_A, ramp_source
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import SolverError, StepError
 from recirc.galerkin import GalerkinState, ReducedSystem, initial_state
@@ -604,7 +604,7 @@ def test_closure_tangent_is_twice_the_load(preset16):
     for t in (0.1, 0.6):
         g, _ = sys_.lift_modal(t)
         z = 0.3 * rng.standard_normal(scn.basis.size)
-        f = sys_.state_fields(z, g)
+        f = sys_.state_fields(scn.basis.expand(z), g)
         w, a = closure_tangent(f.w_eps_mag, scn.params)
         U = np.column_stack([V, scn.lifting.combine(g)])
         T = space.weighted_strain_stiffness(w, U, rank_one=(a, f.w_eps))
@@ -674,14 +674,11 @@ def test_convection_tensor_skew_self_pairing(preset16):
 
 
 def test_lift_data_modal_hg_matches_quadrature(preset16):
-    # inside the ramp (gdot != 0) and with a source: only the source is paired
-    # by quadrature, the rest comes from the offline tables
+    # inside the ramp (gdot != 0) and with a source: every term comes from
+    # the offline tables, the source's from its modal part pairings
     scn = preset16
-
-    def F(x, y, t):
-        return np.column_stack([np.sin(3 * x) * y, x - t * y**2])
-
-    sys_ = ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, scn.params, source=F)
+    sys_ = ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, scn.params,
+                         source=ramp_source())
     t = 0.1
     _, hg = sys_.lift_modal(t)
     assert np.abs(scn.pumps.rates(t)[1]).max() > 0.0
@@ -708,6 +705,31 @@ def test_steppers_form_no_lift_tables(preset16, monkeypatch):
     assert len(calls) == 1
 
 
+def test_manufactured_source_is_evaluated_only_at_construction(preset16, monkeypatch):
+    # the source's tables are formed when the system is built: an implicit
+    # run, an RK4 run and a ledger then never evaluate the forcing, and the
+    # modal part pairings give the quadrature pairing of F(t) with the modes
+    from recirc.mms import ManufacturedSolution
+    from recirc.monitors import ledger
+
+    scn = preset16
+    mms = ManufacturedSolution(scn.params.nu, scn.params.nu_tur)
+    sys_ = ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, scn.params, source=mms)
+    calls = []
+    for name in ("forcing", "forcing_parts"):
+        real = getattr(mms, name)
+        monkeypatch.setattr(mms, name, lambda *a, real=real: calls.append(1) or real(*a))
+    traj = sys_.integrate(scn.state0, T=0.1, dt=0.02)
+    sys_.integrate(scn.state0, T=0.1, dt=0.02, scheme="explicit-rk4")
+    ledger(sys_, traj)
+    assert not calls
+    monkeypatch.undo()
+    space, V = scn.space, scn.basis.fields
+    for t in (0.0, 0.1, 0.5, 1.0):
+        ref = V.T @ space.load_vector(space.sample(mms.forcing, t))
+        assert np.abs(mms.combine(sys_.S, t) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_step_fields_match_ledger_tables(preset16):
     # the steppers' StateFields, from one gradient evaluation of w = zeta_g + z,
     # against the ledger's route, the lift's gradient table plus z's
@@ -720,7 +742,7 @@ def test_step_fields_match_ledger_tables(preset16):
         g, gdot = scn.pumps.rates(t)
         assert (np.abs(gdot).max() > 0) == ramp and np.abs(g).max() > 0
         z = 0.3 * rng.standard_normal(scn.basis.size)
-        got = sys_.state_fields(z, g)
+        got = sys_.state_fields(scn.basis.expand(z), g)
         ref = StateFields(sys_.lift_data(t).zg_grads + space.eval_grads(scn.basis.expand(z)))
         for a, b in ((got.w_eps, ref.w_eps), (got.w_eps_mag, ref.w_eps_mag)):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()

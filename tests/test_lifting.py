@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import divfree_samples
+from conftest import PartsSource, divfree_samples, ramp_source
 from recirc import lifting
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import CompatibilityError, SolverError
@@ -197,12 +197,12 @@ def test_hg_equals_source_without_pumps():
     m = build_rect_mesh(1, 1, 8, 8)
     space = MixedSpace(m)
     lb = build_lifting(space, PumpSet([]), nu=0.01)
-
-    def F(x, y, t):
-        return np.column_stack([x * y, x - y])  # in the P2 space exactly
+    # a time-independent F, in the P2 space exactly
+    F = PartsSource(lambda x, y: (np.column_stack([x * y, x - y]),
+                                  np.zeros((len(x), 2)), np.zeros((len(x), 2))))
 
     load = space.load_vector(compute_Hg_load(lb, PumpSet([]), F, 0.3).h)
-    expect = space.M @ space.interpolate(lambda x, y: F(x, y, 0.3))
+    expect = space.M @ space.interpolate(lambda x, y: F.forcing(x, y, 0.3))
     assert np.abs(load - expect).max() <= 1e-10 * np.abs(expect).max()
 
 
@@ -229,16 +229,13 @@ def test_hg_load_matches_three_term_formula_during_ramp():
     lb = build_lifting(space, pumps, nu=0.01)
     t = 0.3
 
-    def F(x, y, t):
-        return np.column_stack([np.sin(3 * x) * y, x - t * y**2])
-
-    load = space.load_vector(compute_Hg_load(lb, pumps, F, t).h)
+    load = space.load_vector(compute_Hg_load(lb, pumps, ramp_source(), t).h)
     g, gdot = pumps.rates(t)
     assert gdot[0] != 0.0
     from recirc.lifting import convective_qpt
 
-    xy = space.qpoints
-    Fq = F(xy[..., 0].ravel(), xy[..., 1].ravel(), t).reshape(xy.shape)
+    x, y = space.qpoints[..., 0].ravel(), space.qpoints[..., 1].ravel()
+    Fq = np.column_stack([np.sin(3 * x) * y, x - t * y**2]).reshape(space.qpoints.shape)
     zg = lb.combine(g)
     expect = (
         space.load_vector(Fq)

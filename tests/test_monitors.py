@@ -5,6 +5,7 @@ from recirc.eigenbasis import solve_stokes_eigen
 from recirc.galerkin import GalerkinState, ReducedSystem, StateFields
 from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
+from recirc.mms import ManufacturedSolution
 from recirc.monitors import (EnergyLedger, _estimates, _hg_sq, _lp, _midpoint, contraction,
                              ledger)
 from recirc.pumps import PumpSet
@@ -308,12 +309,8 @@ def test_ledger_with_source_evaluates_every_time(preset16, monkeypatch):
     # a time-dependent source makes LiftData depend on t itself: on the rate
     # plateau (t > 0.2) equal rates must not share a lift evaluation
     scn = preset16
-
-    def source(x, y, t):
-        return np.column_stack([np.sin(np.pi * y) * (1.0 + t), x * y * np.cos(3.0 * t)])
-
     sys_ = ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, scn.params,
-                         source=source)
+                         source=ManufacturedSolution(scn.params.nu, scn.params.nu_tur))
     traj = sys_.integrate(scn.state0, T=0.3, dt=0.02)
     times = traj.times
     assert sys_.pumps.rates(times[-1])[0].tobytes() == sys_.pumps.rates(times[-2])[0].tobytes()
