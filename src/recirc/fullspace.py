@@ -76,7 +76,9 @@ class FullSpaceSystem:
     def nonlinear_load(self, z):
         """Dual vector of skew convection c(z; z, .) plus the closure term:
         the closure stress joins the convection stress, so one body-force
-        and one stress assembly."""
+        and one stress assembly. The convection stress is in the [b, a]
+        layout of `stress_load_vector`; the closure stress is symmetric, so
+        it reads the same in either."""
         space = self.space
         vals = space.eval_values(z)
         grads = space.eval_grads(z)

@@ -53,17 +53,17 @@ the quadrature-point tables of `lifting.LiftData` (zeta_g, its rate, H_g) from
 `lift_data`, which nothing else here reads; every lift field is formed from
 `LiftingBasis.combine`. The steppers, the ledger and `dissipation_rates` read
 a state's closure fields from `state_fields(zf, g)`, one `StateFields` from
-one gradient evaluation of w = zeta_g + z, where zf = `basis.expand(z)` is
-the caller's, so that the ledger expands each state once. The system holds
-no mutable state while it steps: every table, the source's included, is
-formed when it is built.
+one strain evaluation (`MixedSpace.strain_samples`) of w = zeta_g + z, where
+zf = `basis.expand(z)` is the caller's, so that the ledger expands each state
+once. The system holds no mutable state while it steps: every table, the
+source's included, is formed when it is built.
 """
 
 import numpy as np
 
 from .errors import SolverError, StepError
 from .lifting import compute_Hg_load
-from .turbulence import closure_tangent, convection_load, smagorinsky_load, strain_norm, sym_grad
+from .turbulence import closure_tangent, convection_load, smagorinsky_load, strain_norm
 
 MAX_HALVINGS = 20  # step-length halvings per Newton update before a step fails
 CHORD_RATE = 0.1  # an accepted update that shrinks the residual less refreshes the tangent
@@ -71,8 +71,13 @@ CARRY_RATE = CHORD_RATE / 2  # a carried tangent contracting less is not carried
 
 
 def step_count(T, dt):
-    """The number of steps of length dt to T; ValueError unless T is an
-    integer multiple of dt."""
+    """The number of steps of length dt to T; ValueError unless dt and T are
+    positive and finite and T is an integer multiple of dt."""
+    for name, value in (("dt", dt), ("T", T)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not np.isfinite(T / dt):
+        raise ValueError(f"T = {T} takes too many steps of dt = {dt}")
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
@@ -94,13 +99,14 @@ class GalerkinState:
 
 class StateFields:
     """Quadrature-point tables (nt, nq, ...) of one state's closure fields:
-    eps(w) and |eps(w)| from the gradient table of w = zeta_g + z."""
+    eps(w) and |eps(w)| from the strain table (`MixedSpace.strain_samples`)
+    of w = zeta_g + z."""
 
     __slots__ = ("w_eps", "w_eps_mag")
 
-    def __init__(self, w_grads):
-        self.w_eps = sym_grad(w_grads)
-        self.w_eps_mag = strain_norm(self.w_eps)
+    def __init__(self, w_eps):
+        self.w_eps = w_eps
+        self.w_eps_mag = strain_norm(w_eps)
 
 
 class Trajectory:
@@ -214,7 +220,7 @@ class ReducedSystem:
     def state_fields(self, zf, g):
         """StateFields of w = zeta_g + z at the lift rates g, from z's
         velocity coefficients zf = basis.expand(z)."""
-        return StateFields(self.space.eval_grads(self.lifting.combine(g) + zf))
+        return StateFields(self.space.strain_samples(self.lifting.combine(g) + zf))
 
     # -- right-hand side -------------------------------------------------------
 
@@ -438,9 +444,8 @@ class ReducedSystem:
     def dissipation_rates(self, z, t):
         """(2 nu ||eps(z)||^2, 2 nu_tur ||eps(zg+z)||^3_L3) at (z, t)."""
         zf = self.basis.expand(z)
-        z_grads = self.space.eval_grads(zf)
         f = self.state_fields(zf, self.pumps.rates(t)[0])
-        eps_z = sym_grad(z_grads)
+        eps_z = self.space.strain_samples(zf)
         visc = 2 * self.params.nu * self.space.integrate(
             np.einsum("cqab,cqab->cq", eps_z, eps_z)
         )

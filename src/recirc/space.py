@@ -22,6 +22,17 @@ reduces it to U^T K_w U cell by cell, without forming the global matrix.
 `convection_tensor(W)` likewise reduces the trilinear convection form to
 the columns of W cell by cell.
 
+Quadrature-point fields and loads read the physical gradient table `grad`
+as rows [c, (q, b), l] = d phi_l/d x_b. `strain_samples(u)` is one batched
+product of those rows with the cell coefficients u[cell_vdofs_la], in
+[cell, shape function, component] order, symmetrized in place;
+`stress_load_vector(S)` is one batched product of the same rows, read
+transposed, with a stress table in [c, q, b, a] layout, derivative index
+first, scattered over `cell_vdofs_la`. Neither copies `grad`, and the closure
+reads no gradient table of its own: a reduced closure defect is one strain
+product and one stress contraction. `eval_grads` gives the gradient
+[c, q, a, b] = d u_a/d x_b where the convection or a norm needs all of it.
+
 Pinned saddle systems: `pinned_saddle(A)` couples the interior block of a
 velocity operator A with B, pressure DOF 0 pinned; `saddle_matrix(A)`
 orders its unknowns by `nested_dissection` of their coordinates, computed
@@ -189,6 +200,8 @@ class MixedSpace:
         self.cell_dofs = np.hstack([mesh.cells, nv + mesh.cell_edges])
         # cell -> velocity DOFs: the x components, then the y components
         self.cell_vdofs = np.hstack([self.cell_dofs, self.n_scalar + self.cell_dofs])
+        # the same DOFs in [cell, shape function, component] order, (nt, 6, 2)
+        self.cell_vdofs_la = np.stack([self.cell_dofs, self.n_scalar + self.cell_dofs], axis=-1)
 
         # coordinates of scalar DOFs (vertices then edge midpoints)
         mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
@@ -493,25 +506,31 @@ class MixedSpace:
         vals = np.asarray(f(xy[..., 0].ravel(), xy[..., 1].ravel(), *args))
         return vals.reshape(xy.shape[:-1] + vals.shape[1:])
 
-    def _scatter(self, contrib):
-        """Accumulate per-cell DOF contributions (nt, 2, 6) into a velocity vector."""
-        return np.bincount(self.cell_vdofs.ravel(), weights=contrib.ravel(),
-                           minlength=self.n_velocity)
+    def _scatter(self, dofs, contrib):
+        """Accumulate per-cell contributions to the velocity DOFs `dofs` (a
+        table of the same shape) into a velocity vector."""
+        return np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=self.n_velocity)
 
     def load_vector(self, fvals):
         """Assemble L_i = int f . phi_i from values fvals (nt, nq, 2)."""
         wf = self.qweights[:, :, None] * fvals
-        return self._scatter(wf.transpose(0, 2, 1) @ self.N)
+        return self._scatter(self.cell_vdofs, wf.transpose(0, 2, 1) @ self.N)
 
     def stress_load_vector(self, Svals):
-        """Assemble L_i = int S : grad phi_i from tensor values (nt, nq, 2, 2).
+        """Assemble L_(a,l) = int sum_b S[b, a] d phi_l/d x_b from tensor values
+        Svals (nt, nq, 2, 2) in [c, q, b, a] layout, derivative index first:
+        the int S^T : grad phi of the usual [a, b] layout. A symmetric S reads
+        the same in both, and then L_i = int S : eps(phi_i).
 
-        For symmetric S this equals int S : eps(phi_i).
+        One batched product of `grad`'s rows [c, (q, b), l], read transposed,
+        with the weighted table as (nt, 2 nq, 2) gives the cell loads in
+        [c, l, a] order, scattered with `cell_vdofs_la`: neither operand is
+        copied.
         """
         nt, nq = self.mesh.num_cells, len(self.rule)
-        WS = self.qweights[:, :, None, None] * Svals
-        A = WS.transpose(0, 2, 1, 3).reshape(nt, 2, nq * 2)
-        return self._scatter(A @ self.grad.reshape(nt, nq * 2, 6))
+        WS = (self.qweights[:, :, None, None] * Svals).reshape(nt, nq * 2, 2)
+        return self._scatter(self.cell_vdofs_la,
+                             self.grad.reshape(nt, nq * 2, 6).transpose(0, 2, 1) @ WS)
 
     def integrate(self, gvals):
         """Integrate scalar quadrature-point values (nt, nq) over the domain."""
@@ -535,11 +554,11 @@ class MixedSpace:
             vals = self.eval_values(u)
             mag2 = np.einsum("cqa,cqa->cq", vals, vals)
             return self.integrate(mag2 ** (p / 2.0)) ** (1.0 / p)
-        G = self.eval_grads(u)
         if kind == "H1semi":
+            G = self.eval_grads(u)
             return np.sqrt(self.integrate(np.einsum("cqab,cqab->cq", G, G)))
         # W13semi
-        E = sym_grad(G)
+        E = self.strain_samples(u)
         mag2 = np.einsum("cqab,cqab->cq", E, E)
         return self.integrate(mag2 ** 1.5) ** (1.0 / 3.0)
 
@@ -557,8 +576,17 @@ class MixedSpace:
         return np.sqrt(total)
 
     def strain_samples(self, u):
-        """Strain tensors eps(u) at all quadrature points -> (nt, nq, 2, 2)."""
-        return sym_grad(self.eval_grads(u))
+        """Strain tensors eps(u) at all quadrature points -> (nt, nq, 2, 2).
+
+        One batched product of `grad`'s rows [c, (q, b), l] with the cell
+        coefficients u[cell_vdofs_la] gives the gradient in [c, q, b, a]
+        order, d u_a/d x_b: a strain is symmetric, so that layout does not
+        matter, and the fresh product is symmetrized in place. Bit for bit
+        sym_grad(eval_grads(u)).
+        """
+        nt, nq = self.mesh.num_cells, len(self.rule)
+        G = self.grad.reshape(nt, nq * 2, 6) @ u[self.cell_vdofs_la]
+        return sym_grad(G.reshape(nt, nq, 2, 2), inplace=True)
 
     # -- interpolation -------------------------------------------------------------
 

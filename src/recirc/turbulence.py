@@ -42,14 +42,15 @@ class ClosureParams:
         return f"ClosureParams(nu={self.nu}, nu_tur={self.nu_tur})"
 
 
-def sym_grad(grads):
-    """Strain tables eps = sym grad from gradient tables (..., 2, 2).
+def sym_grad(grads, inplace=False):
+    """Strain tables eps = sym grad from gradient tables (..., 2, 2), in
+    either index order; `inplace` overwrites and returns `grads`.
 
     Bit for bit 0.5 (G + G^T): the diagonal is kept, since 0.5 (x + x) = x
     exactly, and the off-diagonal mean is formed once, without a transposed
     sum over the strided 2x2 axes.
     """
-    eps = grads.copy()
+    eps = grads if inplace else grads.copy()
     off = 0.5 * (grads[..., 0, 1] + grads[..., 1, 0])
     eps[..., 0, 1] = off
     eps[..., 1, 0] = off
@@ -89,26 +90,30 @@ def smagorinsky_load(space, eps_qpt, params, eps_mag=None):
 
 def convection_tables(w_vals, u_vals, u_grads):
     """Body-force and stress tables (f, S) of the skew convection form,
-    c(w; u, phi) = int f . phi + S : grad phi, with
+    c(w; u, phi) = int f . phi + S^T : grad phi, with
 
-        f = 1/2 (grad u) w,   S = -1/2 u (x) w.
+        f = 1/2 (grad u) w,   S = -1/2 w (x) u,
+
+    S in the [b, a] layout that `stress_load_vector` reads (S^T = -1/2 u (x) w
+    is the stress of the usual [a, b] layout), so that the full-space load can
+    add the symmetric closure stress to it before one stress assembly.
 
     The 2x2 products are written out component by component, several times
     faster than a batched (2,2) @ (2,1) matmul or a broadcast outer product
     over the point tables. The 1/2 is applied to w first: a power of two
     scales every product exactly, so f and S are bit for bit the halves of
-    (grad u) w and u (x) w.
+    (grad u) w and w (x) u.
     """
     h0, h1 = 0.5 * w_vals[..., 0], 0.5 * w_vals[..., 1]
     f = np.empty(u_grads.shape[:-1])
     f[..., 0] = u_grads[..., 0, 0] * h0 + u_grads[..., 0, 1] * h1
     f[..., 1] = u_grads[..., 1, 0] * h0 + u_grads[..., 1, 1] * h1
-    # (grad phi_i w) . u = phi_(i,b) w_b u_a for component a
-    m0, m1 = -h0, -h1
+    # (grad phi_i w) . u = phi_(i,b) w_b u_a for component a, so S is
+    # written in `stress_load_vector`'s [b, a] layout: S[b, a] = -1/2 w_b u_a
     S = np.empty(u_vals.shape + (2,))
-    for a in range(2):
-        S[..., a, 0] = u_vals[..., a] * m0
-        S[..., a, 1] = u_vals[..., a] * m1
+    for b, m in enumerate((-h0, -h1)):
+        S[..., b, 0] = u_vals[..., 0] * m
+        S[..., b, 1] = u_vals[..., 1] * m
     return f, S
 
 

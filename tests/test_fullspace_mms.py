@@ -167,6 +167,20 @@ def test_integrate_rejects_T_off_the_step_grid(mms, space8):
         fs.integrate(mms.initial_velocity(space8), T=0.015, dt=0.01)
 
 
+@pytest.mark.parametrize("T, dt, match", [
+    (1.0, -0.1, "dt must be positive"), (1.0, 0.0, "dt must be positive"),
+    (1.0, np.nan, "dt must be positive"), (-1.0, 0.1, "T must be positive"),
+    (np.inf, 0.1, "T must be positive"), (1.0, 5e-324, "too many steps"),
+])
+def test_integrate_rejects_nonpositive_or_nonfinite_step(mms, space8, T, dt, match):
+    fs = FullSpaceSystem(space8, ClosureParams(mms.nu, mms.nu_tur), source=mms)
+    observed = []
+    with pytest.raises(ValueError, match=match):
+        fs.integrate(mms.initial_velocity(space8), T=T, dt=dt,
+                     observer=lambda t, z: observed.append(t))
+    assert not observed  # rejected before the projection and the first step
+
+
 def test_velocity_error_tabulates_vhat_once(mms, monkeypatch):
     # vhat is evaluated once per space and scaled by a(t): the same bits as
     # sampling the exact velocity at every call

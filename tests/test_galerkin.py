@@ -173,6 +173,20 @@ def test_integrate_grid_mismatch_rejected(plain16):
         sys_.integrate(GalerkinState(0.0, np.zeros(12)), T=1.0, dt=0.3)
 
 
+@pytest.mark.parametrize("T, dt, match", [
+    (1.0, -0.1, "dt must be positive"), (1.0, 0.0, "dt must be positive"),
+    (1.0, np.nan, "dt must be positive"), (1.0, np.inf, "dt must be positive"),
+    (-1.0, 0.1, "T must be positive"), (0.0, 0.1, "T must be positive"),
+    (np.inf, 0.1, "T must be positive"), (1.0, 5e-324, "too many steps"),
+])
+def test_integrate_rejects_nonpositive_or_nonfinite_step(plain16, T, dt, match):
+    # a negative dt used to return after no step, dt = 0 to divide by zero and
+    # dt = 5e-324 to overflow the step count
+    sys_ = make_system(plain16)
+    with pytest.raises(ValueError, match=match):
+        sys_.integrate(GalerkinState(0.0, np.zeros(12)), T=T, dt=dt)
+
+
 def test_dt_halving_self_convergence(plain16):
     sys_ = make_system(plain16, nu=0.02, nu_tur=0.1)
     z0 = 0.4 * np.eye(12)[0] + 0.2 * np.eye(12)[3]
@@ -275,13 +289,15 @@ def _logged_newton(sys_, monkeypatch, events):
 
 
 def test_picard_step_convection_load_count(preset16, monkeypatch):
-    # one closure load per defect evaluation, z_old's included, and one
+    # one closure load and one stress assembly per defect evaluation, z_old's
+    # included, with its strain from strain_samples, not eval_grads, and one
     # strain kernel per step: the tangent is formed once and frozen;
     # convection is the modal contraction and H_g comes from offline
     # tables, so no convection pairing on the mesh
     import recirc.galerkin as galerkin
 
-    calls = {"convection": 0, "smagorinsky": 0, "strain": 0}
+    names = ("convection", "smagorinsky", "strain", "stress", "grads")
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args, **kw):
@@ -297,11 +313,14 @@ def test_picard_step_convection_load_count(preset16, monkeypatch):
     space = scn.system.space
     monkeypatch.setattr(space, "weighted_strain_stiffness",
                         counted("strain", space.weighted_strain_stiffness))
+    monkeypatch.setattr(space, "stress_load_vector",
+                        counted("stress", space.stress_load_vector))
+    monkeypatch.setattr(space, "eval_grads", counted("grads", space.eval_grads))
     events = []
     _logged_newton(scn.system, monkeypatch, events)
     dt = 0.01
     for t, tol in ((0.2, 1e-10), (0.3, 1e-6)):  # a new time each, so lift data are formed
-        calls.update(convection=0, smagorinsky=0, strain=0)
+        calls.update(dict.fromkeys(names, 0))
         events.clear()
         state = GalerkinState(t, 0.01 * np.ones(scn.basis.size))
         new, diag = scn.system.step(state, dt, tol=tol)
@@ -310,6 +329,7 @@ def test_picard_step_convection_load_count(preset16, monkeypatch):
         assert calls["convection"] == 0
         assert calls["strain"] == diag["tangents"] == 1
         assert calls["smagorinsky"] == defects == diag["iterations"] + diag["backtracks"] + 1
+        assert calls["stress"] == defects and calls["grads"] == 0
         # the step's residual is the true fixed-point defect
         defect = new.z - state.z - dt * scn.system.rhs(new.z, new.t)
         assert abs(diag["residual"] - np.linalg.norm(defect)) <= 1e-15
@@ -731,9 +751,10 @@ def test_manufactured_source_is_evaluated_only_at_construction(preset16, monkeyp
 
 
 def test_step_fields_match_ledger_tables(preset16):
-    # the steppers' StateFields, from one gradient evaluation of w = zeta_g + z,
+    # the steppers' StateFields, from one strain evaluation of w = zeta_g + z,
     # against the ledger's route, the lift's gradient table plus z's
     from recirc.galerkin import StateFields
+    from recirc.turbulence import sym_grad
 
     scn = preset16
     sys_, space = scn.system, scn.space
@@ -743,7 +764,8 @@ def test_step_fields_match_ledger_tables(preset16):
         assert (np.abs(gdot).max() > 0) == ramp and np.abs(g).max() > 0
         z = 0.3 * rng.standard_normal(scn.basis.size)
         got = sys_.state_fields(scn.basis.expand(z), g)
-        ref = StateFields(sys_.lift_data(t).zg_grads + space.eval_grads(scn.basis.expand(z)))
+        ref = StateFields(sym_grad(sys_.lift_data(t).zg_grads
+                                   + space.eval_grads(scn.basis.expand(z))))
         for a, b in ((got.w_eps, ref.w_eps), (got.w_eps_mag, ref.w_eps_mag)):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 

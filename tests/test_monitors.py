@@ -234,7 +234,7 @@ def _ledger_oracle(sys_, traj):
         data = lift(t)
         zf = sys_.basis.expand(traj.states[i])
         z_grads = space.eval_grads(zf)
-        f = StateFields(space.eval_grads(sys_.lifting.combine(sys_.pumps.rates(t)[0]) + zf))
+        f = StateFields(space.strain_samples(sys_.lifting.combine(sys_.pumps.rates(t)[0]) + zf))
         ez, edzg = strain_norm(sym_grad(z_grads)), strain_norm(sym_grad(data.dzg_grads))
         z_mag = np.linalg.norm(space.eval_values(zf), axis=-1)
         ew_l3 = _lp(space, f.w_eps_mag, 3)

@@ -8,6 +8,7 @@ from recirc.errors import MeshError
 from recirc.mesh import TaggedMesh, build_rect_mesh
 from recirc.quadrature import duffy_rule
 from recirc.space import SADDLE_LU, MixedSpace, _p2_values, nested_dissection
+from recirc.turbulence import sym_grad
 
 
 def const_field(space, cx, cy):
@@ -124,6 +125,34 @@ def test_eval_grads_exact_on_quadratic_field():
     for a in range(2):
         for b in range(2):
             assert np.abs(G[..., a, b] - exact[..., a, b]).max() <= 1e-12, (a, b)
+
+
+def _stress_load_by_transposed_copy(space, S):
+    """The stress load of [c, q, b, a] tables S as it was formed before the
+    copy-free contraction: the weighted table copied into [c, a, (q, b)] rows,
+    times grad's rows [c, (q, b), l], scattered over cell_vdofs."""
+    nt, nq = space.mesh.num_cells, len(space.rule)
+    WS = space.qweights[:, :, None, None] * S.swapaxes(-1, -2)
+    A = WS.transpose(0, 2, 1, 3).reshape(nt, 2, nq * 2)
+    return np.bincount(space.cell_vdofs.ravel(),
+                       weights=(A @ space.grad.reshape(nt, nq * 2, 6)).ravel(),
+                       minlength=space.n_velocity)
+
+
+@pytest.mark.parametrize("dims", [(1.0, 1.0, 4, 4), (1.0, 1.0, 8, 8), (1.0, 2.0, 3, 5)])
+def test_strain_and_stress_contractions_match_the_slow_path(dims):
+    # strain_samples against sym_grad(eval_grads(u)) and stress_load_vector
+    # against the transposed-copy contraction, on random fields and on
+    # symmetric and non-symmetric random tables: the same bits
+    space = MixedSpace(build_rect_mesh(*dims))
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        u = rng.standard_normal(space.n_velocity)
+        assert np.array_equal(space.strain_samples(u), sym_grad(space.eval_grads(u)))
+        S = rng.standard_normal(space.qweights.shape + (2, 2))
+        for table in (S, sym_grad(S)):
+            assert np.array_equal(space.stress_load_vector(table),
+                                  _stress_load_by_transposed_copy(space, table))
 
 
 def test_degenerate_cell_rejected():

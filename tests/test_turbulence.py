@@ -207,24 +207,42 @@ def test_convect_self_pairing_vanishes(space4):
 
 def test_convection_products_written_out(space4):
     # the tables of convection_tables against the batched (grad u) w and the
-    # broadcast outer product u (x) w, on random tables; the 1/2 scales them
-    # exactly, so convection_load keeps the bits of
-    # 1/2 [load((grad u) w) - stress(u (x) w)] with the products written out
+    # broadcast outer product w (x) u (the [b, a] layout of u (x) w), on
+    # random tables; the 1/2 scales them exactly, so convection_load keeps
+    # the bits of 1/2 [load((grad u) w) - stress(w (x) u)] with the products
+    # written out
     rng = np.random.default_rng(37)
     w, u = rng.standard_normal((2, 64, 12, 2))
     g = rng.standard_normal((64, 12, 2, 2))
     f, S = convection_tables(w, u, g)
     batched = (g @ w[..., None])[..., 0]
     assert np.abs(2 * f - batched).max() <= 1e-15 * np.abs(batched).max()
-    assert np.array_equal(-2 * S, u[..., :, None] * w[..., None, :])
+    assert np.array_equal(-2 * S, w[..., :, None] * u[..., None, :])  # [b, a] layout
 
     w, u = rng.standard_normal((2, space4.n_velocity))
     wv, uv, ug = space4.eval_values(w), space4.eval_values(u), space4.eval_grads(u)
     gw = np.stack([ug[..., a, 0] * wv[..., 0] + ug[..., a, 1] * wv[..., 1] for a in range(2)],
                   axis=-1)
     assert np.array_equal(2 * convection_tables(wv, uv, ug)[0], gw)
-    halves = space4.load_vector(gw) - space4.stress_load_vector(uv[..., :, None] * wv[..., None, :])
+    halves = space4.load_vector(gw) - space4.stress_load_vector(wv[..., :, None] * uv[..., None, :])
     assert np.array_equal(convection_load(space4, wv, uv, ug), 0.5 * halves)
+
+
+def test_convection_load_matches_independent_quadrature():
+    # the [b, a] layout of the convection stress pinned on a non-square mesh:
+    # convection_load against an einsum of 1/2 [((grad u) w) . phi - (grad phi w) . u]
+    # over space.grad, [c, q, b, l] = d phi_l/d x_b
+    space = MixedSpace(build_rect_mesh(1.0, 2.0, 3, 5))
+    rng = np.random.default_rng(83)
+    w, u = rng.standard_normal((2, space.n_velocity))
+    wv, uv, ug = space.eval_values(w), space.eval_values(u), space.eval_grads(u)
+    qw = space.qweights
+    body = np.einsum("cq,cqab,cqb,ql->cal", qw, ug, wv, space.N)
+    adv = np.einsum("cq,cqbl,cqb,cqa->cal", qw, space.grad, wv, uv)
+    ref = np.zeros(space.n_velocity)
+    np.add.at(ref, space.cell_vdofs, 0.5 * (body - adv).reshape(-1, 12))
+    got = convection_load(space, wv, uv, ug)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_convect_zero_advected(space4):
