@@ -28,6 +28,6 @@ from .mms import ManufacturedSolution
 from .monitors import ContractionReport, EnergyLedger, contraction, ledger
 from .pumps import PumpProfile, PumpSet, Schedule, build_profile, build_psi
 from .space import MixedSpace
-from .turbulence import ClosureParams, convect
+from .turbulence import ClosureParams
 from .vtk import write_vtk
 

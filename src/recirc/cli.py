@@ -23,7 +23,7 @@ from .config import build_scenario, preset_path, validate
 from .eigenbasis import subspace_dimension
 from .errors import ConfigError, RecircError, StepError
 from .fullspace import FullSpaceSystem
-from .galerkin import GalerkinState, ReducedSystem
+from .galerkin import GalerkinState, step_count
 from .mesh import build_rect_mesh
 from .mms import ManufacturedSolution
 from .monitors import contraction, ledger
@@ -105,7 +105,7 @@ def _integrate(scenario, state0=None, system=None, dt=None, on_step=None):
 
 def _progress(cfg):
     """An on_step hook printing one line per step to stderr."""
-    n = int(round(cfg.time["T"] / cfg.time["dt"]))
+    n = step_count(cfg.time["T"], cfg.time["dt"])
     done = [0]
 
     def on_step(state):
@@ -316,15 +316,8 @@ def cmd_study(args):
         traj_ref = _integrate(scenario)
 
         def run(n):
-            sys_n = ReducedSystem(
-                scenario.space,
-                scenario.basis.truncate(n),
-                scenario.lifting,
-                scenario.pumps,
-                scenario.params,
-                source=scenario.source,
-            )
-            return _integrate(scenario, GalerkinState(0.0, scenario.state0.z[:n].copy()), sys_n)
+            return _integrate(scenario, GalerkinState(0.0, scenario.state0.z[:n].copy()),
+                              scenario.system.truncate(n))
 
         trajs = _fan_out(run, levels)
         rows = [
@@ -411,7 +404,7 @@ def cmd_contract(args):
 
     rep = contraction(scenario.system, base, pair_fit)
     rep_check = contraction(scenario.system, base, pair_check)
-    holds = rep_check.bound_holds(rep.fitted_C2, slack=1.05)
+    holds = rep_check.bound_holds(rep.fitted_C2)
 
     rows = [
         [float(rep.times[i]), float(rep.diff_sq[i]), float(rep.w8[i]),

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .eigenbasis import solve_stokes_eigen
-from .galerkin import GalerkinState, ReducedSystem, initial_state
+from .galerkin import GalerkinState, ReducedSystem, initial_state, step_count
 from .lifting import build_lifting
 from .mesh import SIDES, build_rect_mesh, tag_boundary
 from .mms import ManufacturedSolution
@@ -149,10 +149,11 @@ def validate(config):
     raw["time"]["scheme"] = scheme
     if scheme not in SCHEMES:
         issues.append(("time.scheme", f"must be one of {SCHEMES}, got {scheme!r}"))
-    if T and dt and not (
-        np.isfinite(T / dt) and abs(round(T / dt) * dt - T) <= 1e-9 * max(1.0, T)
-    ):
-        issues.append(("time", f"T={T} is not an integer multiple of dt={dt}"))
+    if T and dt:
+        try:
+            step_count(T, dt)
+        except ValueError as exc:
+            issues.append(("time", str(exc)))
     _check_number(issues, raw["galerkin"], "galerkin", "modes", positive=True, integer=True)
 
     if raw["source"] not in SOURCES:

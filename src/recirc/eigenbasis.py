@@ -24,6 +24,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import CapacityError, SolverError
 
+EIGEN_TOL = 1e-9  # ARPACK's relative eigenvalue tolerance
+
 
 class EigenBasis:
     """Stokes eigenpairs (lambda_n, xi_n), M-orthonormal velocity columns.
@@ -127,7 +129,7 @@ def subspace_dimension(space):
     return len(space.interior_vdofs) - (space.n_pressure - 1)
 
 
-def solve_stokes_eigen(space, n_modes, tol=1e-9):
+def solve_stokes_eigen(space, n_modes):
     """First n_modes Stokes eigenpairs on the constrained subspace."""
     cap = subspace_dimension(space)
     if n_modes < 1:
@@ -147,7 +149,7 @@ def solve_stokes_eigen(space, n_modes, tol=1e-9):
     # degenerate eigenvalue clusters, keeping outputs bit-reproducible
     start = np.sin(np.arange(1, A.shape[0] + 1, dtype=float))
     try:
-        vals, vecs = eigsh(A, k=n_modes, M=Msad, sigma=0.0, which="LM", tol=tol,
+        vals, vecs = eigsh(A, k=n_modes, M=Msad, sigma=0.0, which="LM", tol=EIGEN_TOL,
                            v0=start)
     except ArpackNoConvergence as exc:
         raise SolverError(

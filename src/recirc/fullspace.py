@@ -29,6 +29,8 @@ from .turbulence import closure_stress, closure_tangent, convection_tables, stra
 # unused here; imported only so that the benchmark's traced names resolve
 from .turbulence import convection_load, smagorinsky_load  # noqa: F401
 
+PICARD_TOL = 1e-10  # M-norm coefficient increment at which a step's Picard iteration stops
+
 
 class FullSpaceSystem:
     """Implicit Euler on the full Taylor-Hood space with zero velocity trace."""
@@ -106,7 +108,7 @@ class FullSpaceSystem:
 
     # -- stepping --------------------------------------------------------------------
 
-    def step(self, z, t_new, dt, shift, tol=1e-10, max_iter=60):
+    def step(self, z, t_new, dt, shift, tol=PICARD_TOL, max_iter=60):
         space = self.space
         lu = self._factor(dt, shift)
         L = self.source_load(t_new)
@@ -128,7 +130,7 @@ class FullSpaceSystem:
             residual=inc, t=t_new, iterations=max_iter, history=history,
         )
 
-    def integrate(self, v0, T, dt, tol=1e-10, observer=None):
+    def integrate(self, v0, T, dt, observer=None):
         """Step from the projected v0 to T; observer(t, z) runs after each step.
         Returns (z at T, the Picard iteration count of each step)."""
         n_steps = step_count(T, dt)
@@ -139,7 +141,7 @@ class FullSpaceSystem:
             observer(0.0, z)
         for n in range(1, n_steps + 1):
             t_new = n * dt
-            z, it = self.step(z, t_new, dt, shift, tol=tol)
+            z, it = self.step(z, t_new, dt, shift)
             iterations.append(it)
             current = self.closure_shift(z)
             if current > 2 * shift:  # strain grew past the contraction bound

@@ -21,10 +21,13 @@ the constructor forms T[a, y, z] = int ((u_a . grad) u_y) . u_z
 zeta_p, xi_k) and P[k, p] = (zeta_p, xi_k), and checks C against one
 quadrature pairing. A source F = F0 + a(t) F1 + a(t)^2 F2 (`recirc.mms`) is
 split the same way: the constructor keeps S[j, k] = (F_j, xi_k) from the
-source's part loads. Online, a time costs (H_g, xi_k) = S0 + a (S1 + a S2) -
-P gdot - (R g) g, no quadrature at all, and a state costs (C y) y,
-N (K + N)^2 multiply-adds. The Smagorinsky closure is the only term that
-still reads the mesh. Implicit Euler solves each step by a simplified
+source's part loads. The spaces nest as in Faedo-Galerkin: W = [Z | V_n] is
+a prefix of W, so the tables of the first n modes are leading blocks of
+these, and `truncate(n)` slices them without forming or checking any again.
+Online, a time costs (H_g, xi_k) = S0 + a (S1 + a S2) - P gdot - (R g) g, no
+quadrature at all, and a state costs (C y) y, N (K + N)^2 multiply-adds. The
+Smagorinsky closure is the only term that still reads the mesh. Implicit
+Euler solves each step by a simplified
 Newton iteration (the chord method of implicit integrators: Hairer &
 Wanner, Solving ODEs II, IV.8; Kelley, Iterative Methods for Linear and
 Nonlinear Equations, SIAM 1995, 5.4). Every iterate's defect is the light
@@ -68,6 +71,7 @@ from .turbulence import closure_tangent, convection_load, smagorinsky_load, stra
 MAX_HALVINGS = 20  # step-length halvings per Newton update before a step fails
 CHORD_RATE = 0.1  # an accepted update that shrinks the residual less refreshes the tangent
 CARRY_RATE = CHORD_RATE / 2  # a carried tangent contracting less is not carried further
+INITIAL_TOL = 1e-8  # relative trace and divergence an initial velocity may carry
 
 
 def step_count(T, dt):
@@ -129,20 +133,20 @@ class Trajectory:
         return len(self.times)
 
 
-def initial_state(v0, basis, tol=1e-8):
+def initial_state(v0, basis):
     """Project an initial velocity onto the basis after trace/divergence checks."""
     space = basis.space
     v0 = np.asarray(v0, dtype=float)
-    scale = max(1.0, float(np.abs(v0).max()) if v0.size else 1.0)
+    tol = INITIAL_TOL * max(1.0, float(np.abs(v0).max()) if v0.size else 1.0)
     trace = float(np.abs(v0[space.boundary_vdofs]).max()) if len(space.boundary_vdofs) else 0.0
-    if trace > tol * scale:
+    if trace > tol:
         raise ValueError(
             f"initial velocity has boundary trace {trace:.3e}; must vanish on the wall"
         )
     div = float(np.linalg.norm(space.B @ v0))
-    if div > tol * scale:
+    if div > tol:
         raise ValueError(
-            f"initial velocity has discrete divergence {div:.3e} (tolerance {tol * scale:.1e})"
+            f"initial velocity has discrete divergence {div:.3e} (tolerance {tol:.1e})"
         )
     return GalerkinState(0.0, basis.project(v0))
 
@@ -172,6 +176,23 @@ class ReducedSystem:
         self.P = V.T @ (space.M @ Z)  # (zeta_p, xi_k)
         if source is not None:
             self.S = source.part_loads(space) @ V  # S[j, k] = (F_j, xi_k)
+
+    def truncate(self, n):
+        """The system on the first n modes, 1 <= n <= size, from the leading
+        blocks of this one's tables; it shares the space, lifting, pumps,
+        params and source, and threads may truncate one system at once."""
+        sub = ReducedSystem.__new__(ReducedSystem)
+        sub.space, sub.lifting, sub.pumps = self.space, self.lifting, self.pumps
+        sub.params, sub.source = self.params, self.source
+        sub.basis = self.basis.truncate(n)
+        K = len(self.lifting)
+        sub.visc = self.visc[:n, :n]
+        sub.C = np.ascontiguousarray(self.C[:n, :K + n, :K + n])
+        sub.R = self.R[:n]
+        sub.P = self.P[:n]
+        if self.source is not None:
+            sub.S = self.S[:, :n]
+        return sub
 
     def _check_convection(self, W):
         """The full contraction at y = 1 against one quadrature pairing of

@@ -127,11 +127,6 @@ class TaggedMesh:
         """Boundary measure mu(S) of all edges carrying `tag`."""
         return sum(b.length for b in self.boundary if b.tag == tag)
 
-    def measure_kind(self, kind):
-        """Total boundary measure of all tags of a kind ("C", "T" or "N")."""
-        tags = {t for t, k in self.tag_kinds.items() if k == kind}
-        return sum(b.length for b in self.boundary if b.tag in tags)
-
     def edges_of_tag(self, tag):
         return [b for b in self.boundary if b.tag == tag]
 

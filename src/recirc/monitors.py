@@ -29,6 +29,9 @@ import numpy as np
 
 from .turbulence import strain_norm, sym_grad
 
+BOUND_SLACK = 1.05  # relative room the contraction bound allows the measured difference
+DENOM_FLOOR = 1e-14  # smallest ||v1 - v2||^2 ||v1||^8_L4 a contraction ratio is taken at
+
 
 def _lp(space, mag, p):
     """(int mag^p)^(1/p) by cell quadrature of samples mag (nt, nq)."""
@@ -251,15 +254,15 @@ class ContractionReport:
         c = self.fitted_C2 if C2 is None else C2
         return np.exp(-c * self.cum_w8) * self.diff_sq
 
-    def bound_holds(self, C2, slack=1.05):
-        """Check ||v(t)||^2 <= slack * ||v(0)||^2 exp(C2 int ||v1||^8)."""
+    def bound_holds(self, C2):
+        """Check ||v(t)||^2 <= BOUND_SLACK ||v(0)||^2 exp(C2 int ||v1||^8)."""
         if self.diff_sq[0] == 0.0:
             return bool(np.all(self.diff_sq <= 1e-28))
-        bound = slack * self.diff_sq[0] * np.exp(C2 * self.cum_w8)
+        bound = BOUND_SLACK * self.diff_sq[0] * np.exp(C2 * self.cum_w8)
         return bool(np.all(self.diff_sq <= bound))
 
 
-def contraction(system, traj1, traj2, denom_floor=1e-14):
+def contraction(system, traj1, traj2):
     """Fit the Gronwall constant from a perturbation pair.
 
     traj1 is the base run whose velocity enters ||v1||^8_{L4}; both runs
@@ -283,7 +286,7 @@ def contraction(system, traj1, traj2, denom_floor=1e-14):
     for i in range(n - 1):
         dt = times[i + 1] - times[i]
         denom = diff_sq[i] * w8[i]
-        if denom > denom_floor:
+        if denom > DENOM_FLOOR:
             ratios.append((diff_sq[i + 1] - diff_sq[i]) / dt / denom)
     raw = max(ratios) if ratios else 0.0
     fitted = max(raw, 0.0)

@@ -218,7 +218,7 @@ class Pump:
 
 
 class PumpSet:
-    """All pump pairs of a configuration; evaluates the boundary field phi_g."""
+    """All pump pairs of a configuration and their rates g(t)."""
 
     def __init__(self, pumps):
         self.pumps = list(pumps)
@@ -230,16 +230,3 @@ class PumpSet:
         """Arrays (g_k(t), dg_k/dt(t)) over pumps."""
         pairs = [p.schedule.eval(t) for p in self.pumps]
         return np.array([g for g, _ in pairs]), np.array([d for _, d in pairs])
-
-    def phi_g(self, t, space):
-        """Boundary velocity field at time t (velocity coefficient vector)."""
-        g, _ = self.rates(t)
-        out = np.zeros(space.n_velocity)
-        for gk, p in zip(g, self.pumps):
-            if gk != 0.0:
-                out += gk * p.psi
-        return out
-
-    def net_flux(self, t, space):
-        """Discrete net boundary flux of phi_g(t) (compatibility check)."""
-        return float(space.flux_vector @ self.phi_g(t, space))

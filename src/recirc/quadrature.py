@@ -4,10 +4,6 @@ Triangle rules are symmetric Gauss rules given in barycentric coordinates
 with weights normalized to sum to 1 (multiply by the physical cell area).
 Edge rules are Gauss-Legendre on [0, 1] with weights summing to 1
 (multiply by the physical edge length).
-
-The Duffy-collapsed tensor rule serves as an independent high-order oracle
-for verifying the tabulated symmetric rules and for refined-quadrature
-cross-checks in tests.
 """
 
 import numpy as np
@@ -93,29 +89,7 @@ def triangle_rule(degree):
         if d >= degree:
             bary, w = _TRI_RULES[d]
             return TriangleRule(bary[:, 1:], w, d)
-    raise ValueError(
-        f"no tabulated symmetric triangle rule of degree >= {degree}; "
-        "use duffy_rule for higher orders"
-    )
-
-
-def duffy_rule(n):
-    """Collapsed n x n Gauss product rule on the reference triangle.
-
-    Exact for total degree <= 2n - 2; used as the independent oracle
-    against which the symmetric rules and assembled integrals are checked.
-    """
-    x_1d, w_1d = leggauss(n)
-    x_1d = 0.5 * (x_1d + 1.0)
-    w_1d = 0.5 * w_1d
-    u, v = np.meshgrid(x_1d, x_1d, indexing="ij")
-    wu, wv = np.meshgrid(w_1d, w_1d, indexing="ij")
-    # (u, v) in the unit square -> (x, y) = (u, v(1-u)), Jacobian (1-u)
-    x = u.ravel()
-    y = (v * (1.0 - u)).ravel()
-    w = (wu * wv * (1.0 - u)).ravel()
-    # weights of TriangleRule sum to 1 = area-normalized; |T_ref| = 1/2
-    return TriangleRule(np.column_stack([x, y]), 2.0 * w, 2 * n - 2)
+    raise ValueError(f"no tabulated symmetric triangle rule of degree >= {degree}")
 
 
 class EdgeRule:

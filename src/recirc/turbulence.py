@@ -124,11 +124,3 @@ def convection_load(space, w_vals, u_vals, u_grads):
     """
     f, S = convection_tables(w_vals, u_vals, u_grads)
     return space.load_vector(f) + space.stress_load_vector(S)
-
-
-def convect(space, w, u, test):
-    """Skew convection pairings c(w; u, xi) for every test column xi."""
-    w_vals = space.eval_values(w)
-    u_vals = space.eval_values(u)
-    u_grads = space.eval_grads(u)
-    return convection_load(space, w_vals, u_vals, u_grads) @ test

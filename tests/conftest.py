@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from recirc.config import build_scenario, preset_path, validate
 from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
+from recirc.quadrature import TriangleRule
 from recirc.space import MixedSpace
-from recirc.turbulence import closure_stress, strain_norm
+from recirc.turbulence import closure_stress, convection_load, strain_norm
 
 
 @pytest.fixture(scope="session")
@@ -72,3 +74,45 @@ def apply_A(space, z, zeta_g, params, test):
     """<A(z), xi> = int full_stress(e) : eps(xi), e = eps(zeta_g + z), for every
     test column xi: quadrature of the nonlinear form."""
     return space.stress_load_vector(full_stress(space.strain_samples(z + zeta_g), params)) @ test
+
+
+def convect(space, w, u, test):
+    """Skew convection pairings c(w; u, xi) for every test column xi."""
+    w_vals = space.eval_values(w)
+    u_vals = space.eval_values(u)
+    u_grads = space.eval_grads(u)
+    return convection_load(space, w_vals, u_vals, u_grads) @ test
+
+
+def phi_g(pumps, t, space):
+    """Boundary velocity field sum_k g_k(t) psi_k (velocity coefficient vector)."""
+    g, _ = pumps.rates(t)
+    out = np.zeros(space.n_velocity)
+    for gk, p in zip(g, pumps.pumps):
+        if gk != 0.0:
+            out += gk * p.psi
+    return out
+
+
+def net_flux(pumps, t, space):
+    """Discrete net boundary flux of phi_g(t) (compatibility check)."""
+    return float(space.flux_vector @ phi_g(pumps, t, space))
+
+
+def duffy_rule(n):
+    """Collapsed n x n Gauss product rule on the reference triangle.
+
+    Exact for total degree <= 2n - 2; the independent oracle against which
+    the symmetric rules and assembled integrals are checked.
+    """
+    x_1d, w_1d = leggauss(n)
+    x_1d = 0.5 * (x_1d + 1.0)
+    w_1d = 0.5 * w_1d
+    u, v = np.meshgrid(x_1d, x_1d, indexing="ij")
+    wu, wv = np.meshgrid(w_1d, w_1d, indexing="ij")
+    # (u, v) in the unit square -> (x, y) = (u, v(1-u)), Jacobian (1-u)
+    x = u.ravel()
+    y = (v * (1.0 - u)).ravel()
+    w = (wu * wv * (1.0 - u)).ravel()
+    # weights of TriangleRule sum to 1 = area-normalized; |T_ref| = 1/2
+    return TriangleRule(np.column_stack([x, y]), 2.0 * w, 2 * n - 2)

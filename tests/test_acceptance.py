@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import divfree_samples, full_stress, potential_D
+from conftest import divfree_samples, full_stress, net_flux, potential_D
 from recirc.config import build_scenario, preset_path, validate, vortex_field
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.fullspace import FullSpaceSystem
@@ -48,7 +48,7 @@ def test_criterion_01_boundary_compatibility(preset16):
     for t in rng.uniform(0.0, 1.0, size=20):
         g, _ = pumps.rates(t)
         bound = 1e-10 * max(1.0, float(np.abs(g).sum()))
-        worst = max(worst, abs(pumps.net_flux(t, space)) / bound)
+        worst = max(worst, abs(net_flux(pumps, t, space)) / bound)
     report(1, "pump trace compatibility", worst <= 1.0,
            f"max |flux|/bound = {worst:.2e}", time.time() - t0, 1.0)
 
@@ -165,12 +165,11 @@ def test_criterion_06_eigenbasis_quality():
 def test_criterion_07_galerkin_mode_convergence(preset16):
     t0 = time.time()
     scn = preset16
-    ref_basis = solve_stokes_eigen(scn.space, 80)
+    sys80 = ReducedSystem(scn.space, solve_stokes_eigen(scn.space, 80), scn.lifting, scn.pumps,
+                          scn.params)
     runs = {}
     for n in (5, 10, 20, 40, 80):
-        sys_n = ReducedSystem(scn.space, ref_basis.truncate(n), scn.lifting, scn.pumps,
-                              scn.params)
-        runs[n] = sys_n.integrate(GalerkinState(0.0, np.zeros(n)), T=1.0, dt=1e-2)
+        runs[n] = sys80.truncate(n).integrate(GalerkinState(0.0, np.zeros(n)), T=1.0, dt=1e-2)
     ref = runs[80]
     errs = []
     for n in (5, 10, 20, 40):
@@ -258,7 +257,7 @@ def test_criterion_10_uniqueness_contraction():
     fit_ok = np.isfinite(rep.fitted_C2) and rep.fitted_C2 >= 0.0
     adj = rep.adjusted()
     fit_ok &= bool(np.all(np.diff(adj) <= 1e-12 * max(1.0, adj.max())))
-    bound_ok = rep4.bound_holds(rep.fitted_C2, slack=1.05)
+    bound_ok = rep4.bound_holds(rep.fitted_C2)
 
     # g == 0: pure dissipation, raw difference norm non-increasing
     space0 = MixedSpace(build_rect_mesh(1, 1, 16, 16))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import apply_A, ramp_source
+from conftest import apply_A, convect, phi_g, ramp_source
+from recirc.config import build_scenario, preset_path, validate
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import SolverError, StepError
 from recirc.galerkin import GalerkinState, ReducedSystem, initial_state
@@ -10,7 +11,7 @@ from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
 from recirc.pumps import PumpSet
 from recirc.space import MixedSpace
-from recirc.turbulence import ClosureParams, convect
+from recirc.turbulence import ClosureParams
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +221,7 @@ def test_reconstruction_trace_and_divergence(preset16):
     for i in (2, 5):
         t = traj.times[i]
         v = scn.system.velocity(traj.states[i], t)
-        pg = scn.pumps.phi_g(t, scn.space)
+        pg = phi_g(scn.pumps, t, scn.space)
         assert np.array_equal(v[scn.space.boundary_vdofs], pg[scn.space.boundary_vdofs])
         assert np.linalg.norm(scn.space.B @ v) <= 1e-8
 
@@ -783,3 +784,46 @@ def test_perturbed_convection_tensor_rejected(preset16, monkeypatch):
     monkeypatch.setattr(space, "convection_tensor", perturbed)
     with pytest.raises(SolverError, match="convection tensor"):
         ReducedSystem(space, scn.basis, scn.lifting, scn.pumps, scn.params)
+
+
+def _fresh_truncation(scn, n):
+    return ReducedSystem(scn.space, scn.basis.truncate(n), scn.lifting, scn.pumps, scn.params,
+                         source=scn.source)
+
+
+def _rel_gap(a, b):
+    assert a.shape == b.shape
+    return np.abs(a - b).max(initial=0.0) / max(np.abs(b).max(initial=0.0), 1e-300)
+
+
+@pytest.mark.parametrize("preset", ["four_pumps", "manufactured"])
+def test_truncate_slices_a_fresh_build(preset, preset16):
+    # the convection tables of a truncation are the checked tables of the
+    # full system, bit for bit; the Gram products differ by GEMM blocking
+    scn = preset16 if preset == "four_pumps" else build_scenario(validate(preset_path(preset)))
+    full = scn.system
+    for n in (1, 5, scn.basis.size):
+        sub, fresh = full.truncate(n), _fresh_truncation(scn, n)
+        assert sub.basis.size == n and np.array_equal(sub.basis.fields, fresh.basis.fields)
+        assert np.array_equal(sub.C, fresh.C) and sub.C.flags.c_contiguous
+        assert np.array_equal(sub.R, fresh.R) and sub.R.flags.c_contiguous
+        tables = ("visc", "P", "S") if scn.source is not None else ("visc", "P")
+        for name in tables:
+            assert _rel_gap(getattr(sub, name), getattr(fresh, name)) <= 1e-14, name
+        for name in ("space", "lifting", "pumps", "params", "source"):
+            assert getattr(sub, name) is getattr(full, name)
+    for n in (0, scn.basis.size + 1):
+        with pytest.raises(ValueError, match="cannot truncate"):
+            full.truncate(n)
+
+
+@pytest.mark.parametrize("scheme", ["implicit-euler", "explicit-rk4"])
+def test_truncated_runs_match_a_fresh_build(preset16, scheme):
+    scn = preset16
+    for n in (5, 10):
+        state0 = GalerkinState(0.0, scn.state0.z[:n].copy())
+        got = scn.system.truncate(n).integrate(state0, T=0.3, dt=0.01, scheme=scheme)
+        ref = _fresh_truncation(scn, n).integrate(state0, T=0.3, dt=0.01, scheme=scheme)
+        assert _rel_gap(got.states, ref.states) <= 1e-14
+        assert np.array_equal(got.iterations, ref.iterations)
+        assert np.array_equal(got.tangents, ref.tangents)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import PartsSource, divfree_samples, ramp_source
+from conftest import PartsSource, divfree_samples, duffy_rule, ramp_source
 from recirc import lifting
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import CompatibilityError, SolverError
@@ -13,7 +13,6 @@ from recirc.lifting import (
 )
 from recirc.mesh import build_rect_mesh, tag_boundary
 from recirc.pumps import Pump, PumpSet, Schedule, build_profile, build_psi
-from recirc.quadrature import duffy_rule
 from recirc.space import MixedSpace, _p2_values, _p2_grads
 from recirc.turbulence import ClosureParams
 

@@ -51,6 +51,14 @@ def test_normals_are_unit_and_outward():
         assert not (0 < outside[0] < 2 and 0 < outside[1] < 1)
 
 
+def kind_measures(m):
+    """Total boundary measure of each tag kind ("C", "T", "N")."""
+    kinds = {"C": 0.0, "T": 0.0, "N": 0.0}
+    for b in m.boundary:
+        kinds[m.tag_kinds[b.tag]] += b.length
+    return kinds
+
+
 def test_tag_single_segment_measure():
     m = build_rect_mesh(1, 1, 8, 8)
     tag_boundary(m, [("bottom", 0.25, 0.5, "T1")])
@@ -66,26 +74,25 @@ def test_four_pump_pairs_wall_measure():
         segs.append(("bottom", c, c + 0.1, f"T{k}"))
         segs.append(("top", c, c + 0.1, f"C{k}"))
     tag_boundary(m, segs)
-    assert abs(m.measure_kind("N") - 3.2) <= 1e-12
-    assert abs(m.measure_kind("T") - 0.4) <= 1e-12
-    assert abs(m.measure_kind("C") - 0.4) <= 1e-12
+    kinds = kind_measures(m)
+    assert abs(kinds["N"] - 3.2) <= 1e-12
+    assert abs(kinds["T"] - 0.4) <= 1e-12
+    assert abs(kinds["C"] - 0.4) <= 1e-12
 
 
 def test_empty_segment_list():
     m = build_rect_mesh(1, 1, 4, 4)
     tag_boundary(m, [])
-    assert m.measure_kind("C") == 0.0
-    assert m.measure_kind("T") == 0.0
-    assert abs(m.measure_kind("N") - 4.0) <= 1e-12
+    kinds = kind_measures(m)
+    assert kinds["C"] == 0.0
+    assert kinds["T"] == 0.0
+    assert abs(kinds["N"] - 4.0) <= 1e-12
 
 
 def test_every_boundary_edge_has_one_tag():
     m = build_rect_mesh(1, 1, 8, 8)
     tag_boundary(m, [("bottom", 0.25, 0.5, "T1"), ("top", 0.0, 0.25, "C1")])
-    kinds = {"C": 0.0, "T": 0.0, "N": 0.0}
-    for b in m.boundary:
-        kinds[m.tag_kinds[b.tag]] += b.length
-    assert abs(sum(kinds.values()) - 4.0) <= 1e-12
+    assert abs(sum(kind_measures(m).values()) - 4.0) <= 1e-12
 
 
 def test_overlapping_segments_conflict():

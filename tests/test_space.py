@@ -4,9 +4,9 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
+from conftest import duffy_rule
 from recirc.errors import MeshError
 from recirc.mesh import TaggedMesh, build_rect_mesh
-from recirc.quadrature import duffy_rule
 from recirc.space import SADDLE_LU, MixedSpace, _p2_values, nested_dissection
 from recirc.turbulence import sym_grad
 

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import apply_A, full_stress, potential_D
+from conftest import apply_A, convect, duffy_rule, full_stress, potential_D
 from recirc.mesh import build_rect_mesh
-from recirc.quadrature import duffy_rule
 from recirc.space import MixedSpace, _p2_values, _p2_grads
 from recirc.turbulence import (
     ClosureParams,
     closure_stress,
     closure_tangent,
-    convect,
     convection_load,
     convection_tables,
     smagorinsky_load,
