@@ -17,6 +17,12 @@ A source is a manufactured solution (`recirc.mms`) whose forcing is the
 time polynomial F0 + a(t) F1 + a(t)^2 F2. The source forms the three part
 loads once per space, when the system is built, so a step's source load is
 two axpys on them.
+
+A Picard iterate evaluates convection and closure in one pass over the
+quadrature points: the iterate's values and one gradient product, the
+weighted convection body force, the convection and closure stresses written
+plane by plane into one weighted table (the quadrature weight folded into
+the pointwise scalars), and one `MixedSpace.weighted_load` of the two.
 """
 
 import numpy as np
@@ -25,7 +31,7 @@ from scipy.sparse.linalg import splu
 from .errors import SolverError, StepError
 from .galerkin import step_count
 from .space import SADDLE_LU
-from .turbulence import closure_stress, closure_tangent, convection_tables, strain_norm, sym_grad
+from .turbulence import convection_force, strain_norm, sym_norm, weighted_stress
 # unused here; imported only so that the benchmark's traced names resolve
 from .turbulence import convection_load, smagorinsky_load  # noqa: F401
 
@@ -76,19 +82,19 @@ class FullSpaceSystem:
         return self.source.combine(self.source.part_loads(self.space), t)
 
     def nonlinear_load(self, z):
-        """Dual vector of skew convection c(z; z, .) plus the closure term:
-        the closure stress joins the convection stress, so one body-force
-        and one stress assembly. The convection stress is in the [b, a]
-        layout of `stress_load_vector`; the closure stress is symmetric, so
-        it reads the same in either."""
-        space = self.space
-        vals = space.eval_values(z)
-        grads = space.eval_grads(z)
-        f, S = convection_tables(vals, vals, grads)
+        """Dual vector of skew convection c(z; z, .) plus the closure term, in
+        one pass over the quadrature points: the values and one gradient
+        product of z, the weighted body force of `convection_force`, the
+        convection and closure stresses written into one weighted table
+        (`weighted_stress`), and one `weighted_load` of the two."""
+        space, qw = self.space, self.space.qweights
+        u, G = space.eval_values(z), space.eval_grads(z)
+        f, h = convection_force(u, G, qw)
+        closure = None
         if self.params.nu_tur > 0:
-            eps = sym_grad(grads)
-            S += closure_stress(eps, strain_norm(eps), self.params)
-        return space.load_vector(f) + space.stress_load_vector(S)
+            eps = (G[..., 0, 0], 0.5 * (G[..., 0, 1] + G[..., 1, 0]), G[..., 1, 1])
+            closure = (eps, sym_norm(*eps), self.params)
+        return space.weighted_load(weighted_stress(qw, closure, conv=(h, u)), f)
 
     def residual_load(self, z, t):
         """Dual vector of F-load minus all spatial terms; the rhs oracle."""
@@ -99,12 +105,11 @@ class FullSpaceSystem:
         )
 
     def closure_shift(self, z):
-        """Viscosity shift bounding the closure weight w of `closure_tangent` at
-        z: twice its largest value."""
+        """Viscosity shift bounding the closure weight nu_tur |e| of
+        `closure_tangent` at z: twice its largest value, 2 nu_tur max |e|."""
         if self.params.nu_tur == 0:
             return 0.0
-        w, _ = closure_tangent(strain_norm(self.space.strain_samples(z)), self.params)
-        return 2.0 * float(w.max())
+        return 2.0 * self.params.nu_tur * float(strain_norm(self.space.strain_samples(z)).max())
 
     # -- stepping --------------------------------------------------------------------
 

@@ -31,24 +31,25 @@ Euler solves each step by a simplified
 Newton iteration (the chord method of implicit integrators: Hairer &
 Wanner, Solving ODEs II, IV.8; Kelley, Iterative Methods for Linear and
 Nonlinear Equations, SIAM 1995, 5.4). Every iterate's defect is the light
-path of the right-hand side: one `StateFields`, one closure load and a
-product with V^T. The Jacobian's convection part, a contraction of C, is
-refreshed at every iterate; its closure part is the tangent
-2 nu_tur (|e| I + e (x) e / |e|) of the stress 2 nu_tur |e| e (the pair
-`turbulence.closure_stress`, `closure_tangent`, which the defect's load and
-the tangent read): the strain-weighted stiffness plus one rank-one term per
-quadrature point, projected onto the modes cell by cell
-(`MixedSpace.weighted_strain_stiffness`) without assembling a mesh-sized
-matrix. That projection is the heavy half of an iteration, and the monotone
-closure's tangent moves by O(dt) over a step, so it is frozen, and
-`integrate` carries it from step to step, starting each step from the linear
-extrapolation of the last two states. It is formed again at the current
-iterate only when a frozen-tangent update finds no decrease, or when an
-accepted update shrinks the residual by less than CHORD_RATE; a carried
-tangent that shrinks it by less than CARRY_RATE serves out its step and the
-next step forms its own at its start. Classical RK4 is available for
-cross-checks. The physical velocity at any time is v = zeta_g(t) + sum_k
-z_k xi_k.
+path of the right-hand side: one `StateFields`, one closure load (the
+weighted stress table of `turbulence.weighted_stress` and one
+`MixedSpace.weighted_load`) and a product with V^T. The Jacobian's
+convection part, a contraction of C, is refreshed at every iterate; its
+closure part is the tangent 2 nu_tur (|e| I + e (x) e / |e|) of the stress
+2 nu_tur |e| e (the pair `turbulence.weighted_stress`, `closure_tangent`,
+which the defect's load and the tangent read): the strain-weighted
+stiffness plus one rank-one term per quadrature point, projected onto the
+modes cell by cell (`MixedSpace.weighted_strain_stiffness`) without
+assembling a mesh-sized matrix. That projection is the heavy half of an
+iteration, and the monotone closure's tangent moves by O(dt) over a step,
+so it is frozen, and `integrate` carries it from step to step, starting
+each step from the linear extrapolation of the last two states. It is
+formed again at the current iterate only when a frozen-tangent update finds
+no decrease, or when an accepted update shrinks the residual by less than
+CHORD_RATE; a carried tangent that shrinks it by less than CARRY_RATE
+serves out its step and the next step forms its own at its start. Classical
+RK4 is available for cross-checks. The physical velocity at any time is
+v = zeta_g(t) + sum_k z_k xi_k.
 
 Time data are split by who reads them. The right-hand side and the steppers
 read the rates g(t) and (H_g, xi_k) from `lift_modal`; the energy ledger reads
@@ -66,7 +67,7 @@ import numpy as np
 
 from .errors import SolverError, StepError
 from .lifting import compute_Hg_load
-from .turbulence import closure_tangent, convection_load, smagorinsky_load, strain_norm
+from .turbulence import closure_tangent, convection_load, planes, smagorinsky_load, sym_norm
 
 MAX_HALVINGS = 20  # step-length halvings per Newton update before a step fails
 CHORD_RATE = 0.1  # an accepted update that shrinks the residual less refreshes the tangent
@@ -103,14 +104,15 @@ class GalerkinState:
 
 class StateFields:
     """Quadrature-point tables (nt, nq, ...) of one state's closure fields:
-    eps(w) and |eps(w)| from the strain table (`MixedSpace.strain_samples`)
-    of w = zeta_g + z."""
+    eps(w) and |eps(w)| (`sym_norm`) from the strain table
+    (`MixedSpace.strain_samples`) of w = zeta_g + z, without quadrature
+    weights, which the closure load folds into its own scalar."""
 
     __slots__ = ("w_eps", "w_eps_mag")
 
     def __init__(self, w_eps):
         self.w_eps = w_eps
-        self.w_eps_mag = strain_norm(w_eps)
+        self.w_eps_mag = sym_norm(*planes(w_eps))
 
 
 class Trajectory:

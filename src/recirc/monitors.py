@@ -238,21 +238,19 @@ def _estimates(params, times, rows, data):
 class ContractionReport:
     """Gronwall diagnostics for a pair of runs differing in z0 only."""
 
-    def __init__(self, times, diff_sq, w8, fitted_C2, raw_max_ratio, identical):
+    def __init__(self, times, diff_sq, w8, fitted_C2, identical):
         self.times = times
         self.diff_sq = diff_sq          # ||v1 - v2||^2_{L2} per time
         self.w8 = w8                    # ||v1||^8_{L4} per time
         self.fitted_C2 = fitted_C2
-        self.raw_max_ratio = raw_max_ratio
         self.identical = identical
         # left-Riemann cumulative of w8 makes the adjusted norm telescope
         dt = np.diff(times)
         self.cum_w8 = np.concatenate([[0.0], np.cumsum(dt * w8[:-1])])
 
-    def adjusted(self, C2=None):
-        """exp(-C2 cum_w8) ||v1-v2||^2; non-increasing under the fitted C2."""
-        c = self.fitted_C2 if C2 is None else C2
-        return np.exp(-c * self.cum_w8) * self.diff_sq
+    def adjusted(self):
+        """exp(-C2 cum_w8) ||v1-v2||^2 at the fitted C2; non-increasing."""
+        return np.exp(-self.fitted_C2 * self.cum_w8) * self.diff_sq
 
     def bound_holds(self, C2):
         """Check ||v(t)||^2 <= BOUND_SLACK ||v(0)||^2 exp(C2 int ||v1||^8)."""
@@ -288,7 +286,6 @@ def contraction(system, traj1, traj2):
         denom = diff_sq[i] * w8[i]
         if denom > DENOM_FLOOR:
             ratios.append((diff_sq[i + 1] - diff_sq[i]) / dt / denom)
-    raw = max(ratios) if ratios else 0.0
-    fitted = max(raw, 0.0)
-    return ContractionReport(times, diff_sq, w8, fitted, raw, identical)
+    fitted = max(max(ratios, default=0.0), 0.0)
+    return ContractionReport(times, diff_sq, w8, fitted, identical)
 

@@ -23,15 +23,20 @@ reduces it to U^T K_w U cell by cell, without forming the global matrix.
 the columns of W cell by cell.
 
 Quadrature-point fields and loads read the physical gradient table `grad`
-as rows [c, (q, b), l] = d phi_l/d x_b. `strain_samples(u)` is one batched
+as rows [c, (q, b), l] = d phi_l/d x_b. A field's gradient is one batched
 product of those rows with the cell coefficients u[cell_vdofs_la], in
-[cell, shape function, component] order, symmetrized in place;
-`stress_load_vector(S)` is one batched product of the same rows, read
-transposed, with a stress table in [c, q, b, a] layout, derivative index
-first, scattered over `cell_vdofs_la`. Neither copies `grad`, and the closure
-reads no gradient table of its own: a reduced closure defect is one strain
-product and one stress contraction. `eval_grads` gives the gradient
-[c, q, a, b] = d u_a/d x_b where the convection or a norm needs all of it.
+[cell, shape function, component] order: [c, q, b, a] = d u_a/d x_b.
+`strain_samples(u)` symmetrizes it in place, and `eval_grads(u)` is its
+transposed view, [c, q, a, b]. `weighted_load(S, f)` contracts a stress
+table in [c, q, b, a] layout, derivative index first, and a body-force
+table, both carrying the quadrature weight already: one batched product of
+the same rows, read transposed, with S, plus N^T f, summed and scattered
+over `cell_vdofs_la` in one bincount. `stress_load_vector(S)` is its
+contraction of qweights * S. Nothing copies `grad`, and the closure reads
+no gradient table of its own: a reduced closure defect is one strain
+product, one weighted stress table and one contraction, and a full-space
+Picard iterate's nonlinear load is one value product, one gradient product,
+two weighted tables and one contraction.
 
 Pinned saddle systems: `pinned_saddle(A)` couples the interior block of a
 velocity operator A with B, pressure DOF 0 pinned; `saddle_matrix(A)`
@@ -489,15 +494,16 @@ class MixedSpace:
         return (u[self.cell_vdofs] @ self.N_vec).reshape(-1, len(self.rule), 2)
 
     def eval_grads(self, u):
-        """Velocity gradients at quadrature points -> (nt, nq, 2, 2), [a,b]=d u_a/d x_b:
-        one product of `grad`'s rows [c, q, (b, l)] and the block-diagonal factor
-        [c, (b', l), (a, b)] = u_(a,l) delta_(b b'), contiguous in [a, b] order."""
+        """Velocity gradients at quadrature points -> (nt, nq, 2, 2), [a, b] =
+        d u_a/d x_b: the transposed view of `_grad_product(u)`."""
+        return self._grad_product(u).swapaxes(-1, -2)
+
+    def _grad_product(self, u):
+        """The gradient (nt, nq, 2, 2) in [c, q, b, a] order, d u_a/d x_b: one
+        batched product of `grad`'s rows [c, (q, b), l] with the cell
+        coefficients u[cell_vdofs_la]."""
         nt, nq = self.mesh.num_cells, len(self.rule)
-        UT = u[self.cell_vdofs].reshape(nt, 2, 6).transpose(0, 2, 1)  # [c, l, a]
-        B = np.zeros((nt, 2, 6, 2, 2))
-        B[:, 0, :, :, 0] = UT
-        B[:, 1, :, :, 1] = UT
-        return (self.grad.reshape(nt, nq, 12) @ B.reshape(nt, 12, 4)).reshape(nt, nq, 2, 2)
+        return (self.grad.reshape(nt, nq * 2, 6) @ u[self.cell_vdofs_la]).reshape(nt, nq, 2, 2)
 
     def sample(self, f, *args):
         """A callable f(x, y, *args) -> (n, ...) at all quadrature points
@@ -520,17 +526,27 @@ class MixedSpace:
         """Assemble L_(a,l) = int sum_b S[b, a] d phi_l/d x_b from tensor values
         Svals (nt, nq, 2, 2) in [c, q, b, a] layout, derivative index first:
         the int S^T : grad phi of the usual [a, b] layout. A symmetric S reads
-        the same in both, and then L_i = int S : eps(phi_i).
+        the same in both, and then L_i = int S : eps(phi_i). It is
+        `weighted_load` of qweights * S.
+        """
+        return self.weighted_load(self.qweights[:, :, None, None] * Svals)
+
+    def weighted_load(self, S, f=None):
+        """Assemble L_(a,l) = sum_(c,q) [sum_b S[b, a] d phi_l/d x_b + f_a phi_l]
+        from tables that carry the quadrature weight already: a stress S
+        (nt, nq, 2, 2) in the [c, q, b, a] layout of `stress_load_vector` and
+        an optional body force f (nt, nq, 2).
 
         One batched product of `grad`'s rows [c, (q, b), l], read transposed,
-        with the weighted table as (nt, 2 nq, 2) gives the cell loads in
-        [c, l, a] order, scattered with `cell_vdofs_la`: neither operand is
-        copied.
+        with S as (nt, 2 nq, 2) gives the cell loads in [c, l, a] order, and
+        N^T f adds the body force's in the same order; the sum is scattered
+        with `cell_vdofs_la` in one bincount. Neither `grad` nor S is copied.
         """
         nt, nq = self.mesh.num_cells, len(self.rule)
-        WS = (self.qweights[:, :, None, None] * Svals).reshape(nt, nq * 2, 2)
-        return self._scatter(self.cell_vdofs_la,
-                             self.grad.reshape(nt, nq * 2, 6).transpose(0, 2, 1) @ WS)
+        cells = self.grad.reshape(nt, nq * 2, 6).transpose(0, 2, 1) @ S.reshape(nt, nq * 2, 2)
+        if f is not None:
+            cells += self.N.T @ f
+        return self._scatter(self.cell_vdofs_la, cells)
 
     def integrate(self, gvals):
         """Integrate scalar quadrature-point values (nt, nq) over the domain."""
@@ -576,17 +592,11 @@ class MixedSpace:
         return np.sqrt(total)
 
     def strain_samples(self, u):
-        """Strain tensors eps(u) at all quadrature points -> (nt, nq, 2, 2).
-
-        One batched product of `grad`'s rows [c, (q, b), l] with the cell
-        coefficients u[cell_vdofs_la] gives the gradient in [c, q, b, a]
-        order, d u_a/d x_b: a strain is symmetric, so that layout does not
-        matter, and the fresh product is symmetrized in place. Bit for bit
-        sym_grad(eval_grads(u)).
-        """
-        nt, nq = self.mesh.num_cells, len(self.rule)
-        G = self.grad.reshape(nt, nq * 2, 6) @ u[self.cell_vdofs_la]
-        return sym_grad(G.reshape(nt, nq, 2, 2), inplace=True)
+        """Strain tensors eps(u) at all quadrature points -> (nt, nq, 2, 2):
+        the fresh `_grad_product(u)` symmetrized in place, so
+        sym_grad(eval_grads(u)) bit for bit. A strain is symmetric, so its
+        [b, a] and [a, b] layouts are one table."""
+        return sym_grad(self._grad_product(u), inplace=True)
 
     # -- interpolation -------------------------------------------------------------
 

@@ -7,10 +7,12 @@ molecular stress 2 nu e it keeps the weak operator monotone, with constant
 
     2 nu_tur (|e| I + e (x) e / |e|) = 2 (w I + a e (x) e),
 
-with the weights w = nu_tur |e| and a = nu_tur / |e|. `closure_stress` and
-`closure_tangent` are that pointwise pair, the only place either is written;
-`smagorinsky_load`, the full-space nonlinear load and the implicit step's
-tangent read them.
+with the weights w = nu_tur |e| and a = nu_tur / |e|. `weighted_stress`
+writes the stress, with a quadrature weight folded into its scalar
+2 nu_tur w_q |e| (`closure_stress` is it at weight 1), and `closure_tangent`
+the tangent's weights; neither is written anywhere else. `smagorinsky_load`,
+the full-space nonlinear load and the implicit step's tangent read them.
+For symmetric tables |e| = (e00^2 + 2 e01^2 + e11^2)^(1/2) (`sym_norm`).
 
 Convection is assembled in the skew-symmetric form
 
@@ -18,10 +20,11 @@ Convection is assembled in the skew-symmetric form
 
 whose self-pairing c(w; u, u) vanishes at coefficient level, so the discrete
 energy balance reproduces the continuous cancellations even though discrete
-fields are only approximately divergence free. `convection_tables` writes
-its pointwise products once, for `convection_load` and for the full-space
-load, which adds its convection stress to the closure stress before one
-stress assembly.
+fields are only approximately divergence free. `convection_force` writes
+its body force and the weighted half velocity, from which `weighted_stress`
+writes its stress, for `convection_tables` (weight 1) and for the full-space
+load, whose one weighted stress table holds the convection and the closure
+stress.
 """
 
 import numpy as np
@@ -44,13 +47,15 @@ class ClosureParams:
 
 def sym_grad(grads, inplace=False):
     """Strain tables eps = sym grad from gradient tables (..., 2, 2), in
-    either index order; `inplace` overwrites and returns `grads`.
+    either index order; `inplace` overwrites and returns `grads`, else the
+    copy keeps the memory order of `grads`, so that the transposed view
+    `MixedSpace.eval_grads` returns is copied without a transposition.
 
     Bit for bit 0.5 (G + G^T): the diagonal is kept, since 0.5 (x + x) = x
     exactly, and the off-diagonal mean is formed once, without a transposed
     sum over the strided 2x2 axes.
     """
-    eps = grads if inplace else grads.copy()
+    eps = grads if inplace else grads.copy(order="K")
     off = 0.5 * (grads[..., 0, 1] + grads[..., 1, 0])
     eps[..., 0, 1] = off
     eps[..., 1, 0] = off
@@ -68,10 +73,54 @@ def strain_norm(eps):
     return np.sqrt(e00 * e00 + e01 * e01 + e10 * e10 + e11 * e11)
 
 
+def planes(eps):
+    """The planes (e00, e01, e11) of symmetric tables eps (..., 2, 2)."""
+    return eps[..., 0, 0], eps[..., 0, 1], eps[..., 1, 1]
+
+
+def sym_norm(e00, e01, e11):
+    """|e| = (e00^2 + 2 e01^2 + e11^2)^(1/2) of symmetric tensors given by
+    their planes, e10 = e01."""
+    return np.sqrt(e00 * e00 + 2.0 * (e01 * e01) + e11 * e11)
+
+
+def weighted_stress(weights, closure=None, conv=None):
+    """The stress table weights (2 nu_tur |e| e + S_c) (..., 2, 2) in the
+    [b, a] layout of `MixedSpace.weighted_load`, for quadrature weights (or
+    1.0 for the bare stress).
+
+    closure = (eps, mag, params): strain planes (e00, e01, e11), their norms
+    |e| and the closure's parameters; None leaves the closure out. conv =
+    (h, u): the weighted half velocity h = (h0, h1) = weights w / 2 as planes
+    and the values u (..., 2); it adds the convection stress
+    S_c[b, a] = -w_b u_a / 2, else S_c = 0.
+
+    This is the one place the closure stress is written. The weight is folded
+    into the closure's scalar 2 nu_tur weights |e|, and each plane of the
+    table is written once: no pass multiplies a 2x2 table by the weights or
+    broadcasts over the strided 2x2 axes. At weights 1.0 the closure is bit
+    for bit 2.0 * nu_tur * |e| * e.
+    """
+    S = [[0.0, 0.0], [0.0, 0.0]]
+    if closure is not None:
+        (e00, e01, e11), mag, params = closure
+        s = 2.0 * params.nu_tur * weights * mag
+        s01 = s * e01
+        S = [[s * e00, s01], [s01, s * e11]]
+    if conv is not None:
+        h, u = conv
+        S = [[S[b][a] - h[b] * u[..., a] for a in range(2)] for b in range(2)]
+    out = np.empty(np.shape(S[0][0]) + (2, 2))
+    for b in range(2):
+        for a in range(2):
+            out[..., b, a] = S[b][a]
+    return out
+
+
 def closure_stress(eps, mag, params):
     """Smagorinsky stress 2 nu_tur |e| e of strain tables eps (..., 2, 2),
-    with mag = strain_norm(eps)."""
-    return 2.0 * params.nu_tur * mag[..., None, None] * eps
+    with mag their norms: `weighted_stress` at weight 1."""
+    return weighted_stress(1.0, (planes(eps), mag, params))
 
 
 def closure_tangent(mag, params):
@@ -82,10 +131,31 @@ def closure_tangent(mag, params):
 
 
 def smagorinsky_load(space, eps_qpt, params, eps_mag=None):
-    """Dual vector of the closure term: L_i = int 2 nu_tur |eps| eps : eps(phi_i);
-    eps_mag is strain_norm(eps_qpt) when the caller already has it."""
-    mag = strain_norm(eps_qpt) if eps_mag is None else eps_mag
-    return space.stress_load_vector(closure_stress(eps_qpt, mag, params))
+    """Dual vector of the closure term: L_i = int 2 nu_tur |eps| eps : eps(phi_i),
+    from the weighted stress table and one `weighted_load`; eps_mag is
+    |eps_qpt| when the caller already has it."""
+    eps = planes(eps_qpt)
+    mag = sym_norm(*eps) if eps_mag is None else eps_mag
+    return space.weighted_load(weighted_stress(space.qweights, (eps, mag, params)))
+
+
+def convection_force(w_vals, u_grads, weights):
+    """(f, h) of the skew convection form c(w; u, .): the body force
+    f = weights (grad u) w / 2 (..., 2) and the weighted half velocity
+    h = weights w / 2 as planes (h0, h1), which `weighted_stress` reads for
+    the convection stress. u_grads is [a, b] = d u_a/d x_b.
+
+    The 2x2 products are written out component by component, several times
+    faster than a batched (2,2) @ (2,1) matmul over the point tables. At
+    weights 1.0 the 1/2 scales w exactly, so f is bit for bit the half of
+    (grad u) w.
+    """
+    hq = 0.5 * weights
+    h = (hq * w_vals[..., 0], hq * w_vals[..., 1])
+    f = np.empty(u_grads.shape[:-1])
+    f[..., 0] = u_grads[..., 0, 0] * h[0] + u_grads[..., 0, 1] * h[1]
+    f[..., 1] = u_grads[..., 1, 0] * h[0] + u_grads[..., 1, 1] * h[1]
+    return f, h
 
 
 def convection_tables(w_vals, u_vals, u_grads):
@@ -95,26 +165,12 @@ def convection_tables(w_vals, u_vals, u_grads):
         f = 1/2 (grad u) w,   S = -1/2 w (x) u,
 
     S in the [b, a] layout that `stress_load_vector` reads (S^T = -1/2 u (x) w
-    is the stress of the usual [a, b] layout), so that the full-space load can
-    add the symmetric closure stress to it before one stress assembly.
-
-    The 2x2 products are written out component by component, several times
-    faster than a batched (2,2) @ (2,1) matmul or a broadcast outer product
-    over the point tables. The 1/2 is applied to w first: a power of two
-    scales every product exactly, so f and S are bit for bit the halves of
-    (grad u) w and w (x) u.
+    is the stress of the usual [a, b] layout): `convection_force` and
+    `weighted_stress` at weight 1, bit for bit the halves of (grad u) w and
+    w (x) u.
     """
-    h0, h1 = 0.5 * w_vals[..., 0], 0.5 * w_vals[..., 1]
-    f = np.empty(u_grads.shape[:-1])
-    f[..., 0] = u_grads[..., 0, 0] * h0 + u_grads[..., 0, 1] * h1
-    f[..., 1] = u_grads[..., 1, 0] * h0 + u_grads[..., 1, 1] * h1
-    # (grad phi_i w) . u = phi_(i,b) w_b u_a for component a, so S is
-    # written in `stress_load_vector`'s [b, a] layout: S[b, a] = -1/2 w_b u_a
-    S = np.empty(u_vals.shape + (2,))
-    for b, m in enumerate((-h0, -h1)):
-        S[..., b, 0] = u_vals[..., 0] * m
-        S[..., b, 1] = u_vals[..., 1] * m
-    return f, S
+    f, h = convection_force(w_vals, u_grads, 1.0)
+    return f, weighted_stress(1.0, conv=(h, u_vals))
 
 
 def convection_load(space, w_vals, u_vals, u_grads):

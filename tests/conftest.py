@@ -84,6 +84,59 @@ def convect(space, w, u, test):
     return convection_load(space, w_vals, u_vals, u_grads) @ test
 
 
+def grads_oracle(space, u):
+    """Velocity gradients [c, q, a, b] = d u_a/d x_b by a product of `grad`'s
+    rows [c, q, (b, l)] with the zero-padded block factor [c, (b', l), (a, b)]
+    = u_(a,l) delta_(b b'), the form eval_grads took before it became a view
+    of the strain product."""
+    nt, nq = space.mesh.num_cells, len(space.rule)
+    UT = u[space.cell_vdofs].reshape(nt, 2, 6).transpose(0, 2, 1)  # [c, l, a]
+    B = np.zeros((nt, 2, 6, 2, 2))
+    B[:, 0, :, :, 0] = UT
+    B[:, 1, :, :, 1] = UT
+    return (space.grad.reshape(nt, nq, 12) @ B.reshape(nt, 12, 4)).reshape(nt, nq, 2, 2)
+
+
+def convection_tables_oracle(w_vals, u_vals, u_grads):
+    """(f, S) = (1/2 (grad u) w, -1/2 w (x) u), S in the [b, a] layout, by
+    broadcast products."""
+    f = 0.5 * np.einsum("...ab,...b->...a", u_grads, w_vals)
+    return f, -0.5 * w_vals[..., :, None] * u_vals[..., None, :]
+
+
+def closure_stress_oracle(eps, params):
+    """2 nu_tur |e| e by a broadcast product, |e| from the 2x2 axis reduction."""
+    mag = np.sqrt((eps * eps).sum(axis=(-2, -1)))
+    return 2.0 * params.nu_tur * mag[..., None, None] * eps
+
+
+def stress_load_oracle(space, S):
+    """int S^T : grad phi_i of S in the [c, q, b, a] layout: the quadrature
+    weight multiplies the table, then an einsum over `grad`, scattered with
+    np.add.at over `cell_vdofs`."""
+    cells = np.einsum("cq,cqbl,cqba->cal", space.qweights, space.grad, S)
+    out = np.zeros(space.n_velocity)
+    np.add.at(out, space.cell_vdofs, cells.reshape(len(cells), 12))
+    return out
+
+
+def nonlinear_load_oracle(space, z, params):
+    """c(z; z, .) plus the closure load, composed as the full-space load was
+    before its fused pass: values, the block-product gradient, the convection
+    tables and the closure stress, then one body-force and one stress load."""
+    vals, grads = space.eval_values(z), grads_oracle(space, z)
+    f, S = convection_tables_oracle(vals, vals, grads)
+    if params.nu_tur > 0:
+        S = S + closure_stress_oracle(0.5 * (grads + grads.swapaxes(-1, -2)), params)
+    return space.load_vector(f) + stress_load_oracle(space, S)
+
+
+def closure_pairing_oracle(space, V, eps, params):
+    """V^T of the closure load of strain tables eps, through the stress table
+    and the weight multiplying it: V.T @ smagorinsky_load as it was."""
+    return V.T @ stress_load_oracle(space, closure_stress_oracle(eps, params))
+
+
 def phi_g(pumps, t, space):
     """Boundary velocity field sum_k g_k(t) psi_k (velocity coefficient vector)."""
     g, _ = pumps.rates(t)

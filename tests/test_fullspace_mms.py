@@ -3,13 +3,14 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import nonlinear_load_oracle
 from recirc import fullspace
 from recirc.errors import SolverError, StepError
 from recirc.fullspace import FullSpaceSystem
 from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
 from recirc.space import MixedSpace
-from recirc.turbulence import ClosureParams
+from recirc.turbulence import ClosureParams, closure_tangent, strain_norm
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +290,53 @@ def test_residual_load_matches_reduced_rhs_structure(space8):
         modal = sys_.rhs(z, 0.2)
         oracle = basis.fields.T @ fs.residual_load(basis.expand(z), 0.2)
         assert np.abs(modal - oracle).max() <= 1e-11 * max(1.0, np.abs(oracle).max())
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("nu_tur", [0.0, 0.3])
+def test_fused_nonlinear_load_matches_oracle(n, nu_tur):
+    # the one-pass load against the old composition (block-product gradient,
+    # convection tables, closure stress, a body-force and a stress load), on
+    # random fields that are neither divergence free nor zero on the wall
+    space = MixedSpace(build_rect_mesh(1, 1, n, n))
+    params = ClosureParams(0.05, nu_tur)
+    fs = FullSpaceSystem(space, params)
+    rng = np.random.default_rng(n + 97)
+    for scale in (1.0, 1e-4, 30.0):
+        z = scale * rng.standard_normal(space.n_velocity)
+        ref = nonlinear_load_oracle(space, z, params)
+        assert np.abs(fs.nonlinear_load(z) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_closure_shift_is_the_old_expression(n):
+    # 2 nu_tur max|e| from the strain norm alone, bit for bit twice the
+    # largest closure-tangent weight nu_tur |e|
+    space = MixedSpace(build_rect_mesh(1, 1, n, n))
+    rng = np.random.default_rng(n)
+    for nu_tur in (0.02, 0.37, 3.0):
+        params = ClosureParams(0.05, nu_tur)
+        fs = FullSpaceSystem(space, params)
+        for scale in (1e-3, 1.0, 40.0):
+            z = scale * rng.standard_normal(space.n_velocity)
+            w, _ = closure_tangent(strain_norm(space.strain_samples(z)), params)
+            assert fs.closure_shift(z) == 2.0 * float(w.max())
+
+
+def test_fused_load_keeps_picard_counts(mms, space8):
+    # 50 manufactured steps on the fused load and on the old composition:
+    # the same Picard count at every step and the same states to roundoff
+    params = ClosureParams(mms.nu, mms.nu_tur)
+    runs = []
+    for oracle in (False, True):
+        fs = FullSpaceSystem(space8, params, source=mms)
+        if oracle:
+            fs.nonlinear_load = lambda z: nonlinear_load_oracle(space8, z, params)
+        states = []
+        _, iterations = fs.integrate(mms.initial_velocity(space8), T=0.05, dt=1e-3,
+                                     observer=lambda t, z: states.append(z))
+        runs.append((iterations, np.array(states)))
+    (it_fused, fused), (it_oracle, oracle) = runs
+    assert len(it_fused) == 50 and it_fused == it_oracle
+    assert np.abs(fused - oracle).max() <= 1e-12 * np.abs(oracle).max()
+

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import apply_A, convect, phi_g, ramp_source
+from conftest import apply_A, closure_pairing_oracle, convect, phi_g, ramp_source
 from recirc.config import build_scenario, preset_path, validate
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import SolverError, StepError
@@ -252,29 +252,31 @@ def test_step_error_on_iteration_budget(preset16):
     assert err.value.t == pytest.approx(0.21)
 
 
+def _patch_newton(monkeypatch, wrap):
+    """Patch ReducedSystem.implicit_euler_newton on the class to return
+    wrap(defect, tangent, jacobian) of the method in place before. The
+    class, not an instance: undoing an instance patch leaves a bound method
+    in the instance's __dict__, on the session-wide preset16.system too."""
+    newton = ReducedSystem.implicit_euler_newton
+    monkeypatch.setattr(ReducedSystem, "implicit_euler_newton",
+                        lambda self, *args: wrap(*newton(self, *args)))
+
+
 def test_step_error_on_singular_newton_matrix(preset16, monkeypatch):
     sys_ = preset16.system
-    newton = sys_.implicit_euler_newton
-
-    def singular(*args):
-        defect, tangent, _ = newton(*args)
-        return defect, tangent, lambda z, T_VV: np.zeros((len(z), len(z)))
-
-    monkeypatch.setattr(sys_, "implicit_euler_newton", singular)
+    _patch_newton(monkeypatch, lambda defect, tangent, _: (
+        defect, tangent, lambda z, T_VV: np.zeros((len(z), len(z)))))
     state = GalerkinState(0.2, 0.01 * np.ones(preset16.basis.size))
     with pytest.raises(StepError, match="singular Newton matrix") as err:
         sys_.step(state, 0.01)
     assert err.value.iterations == 0 and len(err.value.history) == 1
 
 
-def _logged_newton(sys_, monkeypatch, events):
-    """Patch sys_.implicit_euler_newton to append ("defect", residual) and
+def _logged_newton(monkeypatch, events):
+    """Patch implicit_euler_newton to append ("defect", residual) and
     ("tangent", None) to events, in the order the step calls them."""
-    newton = sys_.implicit_euler_newton
 
-    def logged(*args):
-        defect, tangent, jacobian = newton(*args)
-
+    def logged(defect, tangent, jacobian):
         def logged_defect(z):
             out = defect(z)
             events.append(("defect", out[1]))
@@ -286,11 +288,11 @@ def _logged_newton(sys_, monkeypatch, events):
 
         return logged_defect, logged_tangent, jacobian
 
-    monkeypatch.setattr(sys_, "implicit_euler_newton", logged)
+    _patch_newton(monkeypatch, logged)
 
 
 def test_picard_step_convection_load_count(preset16, monkeypatch):
-    # one closure load and one stress assembly per defect evaluation, z_old's
+    # one closure load and one weighted stress assembly per defect evaluation, z_old's
     # included, with its strain from strain_samples, not eval_grads, and one
     # strain kernel per step: the tangent is formed once and frozen;
     # convection is the modal contraction and H_g comes from offline
@@ -314,11 +316,10 @@ def test_picard_step_convection_load_count(preset16, monkeypatch):
     space = scn.system.space
     monkeypatch.setattr(space, "weighted_strain_stiffness",
                         counted("strain", space.weighted_strain_stiffness))
-    monkeypatch.setattr(space, "stress_load_vector",
-                        counted("stress", space.stress_load_vector))
+    monkeypatch.setattr(space, "weighted_load", counted("stress", space.weighted_load))
     monkeypatch.setattr(space, "eval_grads", counted("grads", space.eval_grads))
     events = []
-    _logged_newton(scn.system, monkeypatch, events)
+    _logged_newton(monkeypatch, events)
     dt = 0.01
     for t, tol in ((0.2, 1e-10), (0.3, 1e-6)):  # a new time each, so lift data are formed
         calls.update(dict.fromkeys(names, 0))
@@ -346,7 +347,7 @@ def test_stiff_step_refreshes_the_tangent(plain16, monkeypatch):
 
     sys_ = make_system(plain16, nu=0.01, nu_tur=0.2)
     events = []
-    _logged_newton(sys_, monkeypatch, events)
+    _logged_newton(monkeypatch, events)
     z0 = 0.3 * np.random.default_rng(14).standard_normal(12)
     _, diag = sys_.step(GalerkinState(0.0, z0), 0.01, tol=1e-12)
     assert diag["tangents"] >= 2
@@ -380,20 +381,17 @@ def test_frozen_tangent_without_decrease_is_refreshed(preset16, monkeypatch):
     # backtrack) and the tangent is formed again at the same iterate
     sys_ = preset16.system
     events = []
-    _logged_newton(sys_, monkeypatch, events)
-    logged = sys_.implicit_euler_newton
+    _logged_newton(monkeypatch, events)
     jacobians = []
 
-    def reversed_second(*args):
-        defect, tangent, jacobian = logged(*args)
-
+    def reversed_second(defect, tangent, jacobian):
         def jac(z, T_VV):
             jacobians.append(1)
             return -jacobian(z, T_VV) if len(jacobians) == 2 else jacobian(z, T_VV)
 
         return defect, tangent, jac
 
-    monkeypatch.setattr(sys_, "implicit_euler_newton", reversed_second)
+    _patch_newton(monkeypatch, reversed_second)
     state = GalerkinState(0.2, 0.01 * np.ones(preset16.basis.size))
     new, diag = sys_.step(state, 0.01)
     kinds = [kind for kind, _ in events]
@@ -466,7 +464,7 @@ def test_carried_tangent_rates(preset16, plateau_step, monkeypatch, scale, case)
     zm, z, t, T = plateau_step
     carried = scale * T
     events = []
-    _logged_newton(sys_, monkeypatch, events)
+    _logged_newton(monkeypatch, events)
     new, diag = sys_.step(GalerkinState(t, z), dt, start=2 * z - zm, T_VV=carried)
     updates = _updates(events)
     rates = [after / before for before, after, _ in updates]
@@ -495,20 +493,17 @@ def test_carried_tangent_without_decrease_is_refreshed(preset16, plateau_step, m
     zm, z, t, T = plateau_step
     start = 2 * z - zm
     events = []
-    _logged_newton(sys_, monkeypatch, events)
-    logged = sys_.implicit_euler_newton
+    _logged_newton(monkeypatch, events)
     jacobians = []
 
-    def reversed_first(*args):
-        defect, tangent, jacobian = logged(*args)
-
+    def reversed_first(defect, tangent, jacobian):
         def jac(z, T_VV):
             jacobians.append(T_VV)
             return -jacobian(z, T_VV) if len(jacobians) == 1 else jacobian(z, T_VV)
 
         return defect, tangent, jac
 
-    monkeypatch.setattr(sys_, "implicit_euler_newton", reversed_first)
+    _patch_newton(monkeypatch, reversed_first)
     new, diag = sys_.step(GalerkinState(t, z), dt, start=start, T_VV=T)
     kinds = [kind for kind, _ in events]
     res = [value for _, value in events]
@@ -526,12 +521,9 @@ def test_step_after_a_refresh_carries_its_tangent(preset16, monkeypatch):
     # in integrate, a step after one that formed a tangent and handed it on
     # makes no kernel call: every update uses that tangent
     sys_ = preset16.system
-    newton = sys_.implicit_euler_newton
     log, steps = [], []
 
-    def logged(*args):
-        defect, tangent, jacobian = newton(*args)
-
+    def logged(defect, tangent, jacobian):
         def logged_tangent(f):
             log.append(("tangent", tangent(f)))
             return log[-1][1]
@@ -542,7 +534,7 @@ def test_step_after_a_refresh_carries_its_tangent(preset16, monkeypatch):
 
         return defect, logged_tangent, logged_jacobian
 
-    monkeypatch.setattr(sys_, "implicit_euler_newton", logged)
+    _patch_newton(monkeypatch, logged)
     kernel, calls = sys_.space.weighted_strain_stiffness, []
     monkeypatch.setattr(sys_.space, "weighted_strain_stiffness",
                         lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
@@ -575,12 +567,8 @@ def test_newton_without_closure_is_exact(preset16, monkeypatch):
                         lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
     newton = sys_.implicit_euler_newton
     points = []
-
-    def logged(*args):
-        defect, tangent, jacobian = newton(*args)
-        return (lambda z: points.append(z) or defect(z)), tangent, jacobian
-
-    monkeypatch.setattr(sys_, "implicit_euler_newton", logged)
+    _patch_newton(monkeypatch, lambda defect, tangent, jacobian: (
+        lambda z: points.append(z) or defect(z), tangent, jacobian))
     state = GalerkinState(0.3, 0.5 * np.random.default_rng(44).standard_normal(scn.basis.size))
     dt = 0.05
     _, diag = sys_.step(state, dt, tol=1e-13)
@@ -827,3 +815,23 @@ def test_truncated_runs_match_a_fresh_build(preset16, scheme):
         assert _rel_gap(got.states, ref.states) <= 1e-14
         assert np.array_equal(got.iterations, ref.iterations)
         assert np.array_equal(got.tangents, ref.tangents)
+
+
+def test_closure_defect_matches_oracle(preset16):
+    # the defect's closure pairings (weighted stress, one weighted load, V^T)
+    # against the old composition at the same StateFields, with pumps
+    scn = preset16
+    sys_, V = scn.system, scn.basis.fields
+    rng = np.random.default_rng(107)
+    for t, scale in ((0.1, 0.01), (0.5, 0.2), (0.5, 0.0)):
+        z = scale * rng.standard_normal(scn.basis.size)
+        g, _ = scn.pumps.rates(t)
+        got, f = sys_._closure(z, g)
+        ref = closure_pairing_oracle(scn.space, V, f.w_eps, scn.params)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_newton_patches_leave_no_instance_residue(preset16):
+    # run after the tests above that patch implicit_euler_newton: each patched
+    # the class, so the session-wide system still steps with the class method
+    assert "implicit_euler_newton" not in vars(preset16.system)

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
-from conftest import duffy_rule
+from conftest import duffy_rule, grads_oracle, stress_load_oracle
 from recirc.errors import MeshError
 from recirc.mesh import TaggedMesh, build_rect_mesh
 from recirc.space import SADDLE_LU, MixedSpace, _p2_values, nested_dissection
@@ -153,6 +153,32 @@ def test_strain_and_stress_contractions_match_the_slow_path(dims):
         for table in (S, sym_grad(S)):
             assert np.array_equal(space.stress_load_vector(table),
                                   _stress_load_by_transposed_copy(space, table))
+
+
+@pytest.mark.parametrize("dims", [(1.0, 1.0, 4, 4), (1.0, 1.0, 8, 8), (1.0, 2.0, 3, 5)])
+def test_eval_grads_is_the_block_product(dims):
+    # eval_grads, the transposed view of the strain product's gradient,
+    # keeps the bits of the zero-padded block product it replaced
+    space = MixedSpace(build_rect_mesh(*dims))
+    rng = np.random.default_rng(73)
+    for scale in (1.0, 1e-6, 1e5):
+        u = scale * rng.standard_normal(space.n_velocity)
+        assert np.array_equal(space.eval_grads(u), grads_oracle(space, u))
+
+
+@pytest.mark.parametrize("dims", [(1.0, 1.0, 4, 4), (1.0, 2.0, 3, 5)])
+def test_weighted_load_matches_quadrature(dims):
+    # weighted tables (the weight already folded in) against the body-force
+    # load and an einsum stress load of the unweighted tables
+    space = MixedSpace(build_rect_mesh(*dims))
+    rng = np.random.default_rng(79)
+    f = rng.standard_normal(space.qweights.shape + (2,))
+    S = rng.standard_normal(space.qweights.shape + (2, 2))
+    qw, ref = space.qweights, stress_load_oracle(space, S)
+    for got, want in ((space.weighted_load(qw[..., None, None] * S), ref),
+                      (space.weighted_load(qw[..., None, None] * S, qw[..., None] * f),
+                       ref + space.load_vector(f))):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_degenerate_cell_rejected():

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import apply_A, convect, duffy_rule, full_stress, potential_D
+from conftest import (
+    apply_A,
+    closure_pairing_oracle,
+    convect,
+    duffy_rule,
+    full_stress,
+    potential_D,
+)
 from recirc.mesh import build_rect_mesh
 from recirc.space import MixedSpace, _p2_values, _p2_grads
 from recirc.turbulence import (
@@ -10,9 +17,11 @@ from recirc.turbulence import (
     closure_tangent,
     convection_load,
     convection_tables,
+    planes,
     smagorinsky_load,
     strain_norm,
     sym_grad,
+    sym_norm,
 )
 
 
@@ -143,14 +152,17 @@ def space4():
 
 
 def test_closure_stress_bit_identical_to_the_load_expression(space4):
-    # closure_stress keeps the order of operations smagorinsky_load had
+    # closure_stress keeps the order of operations smagorinsky_load had;
+    # smagorinsky_load folds the quadrature weight into the scalar
+    # 2 nu_tur w_q |e|, which moves it by roundoff from the old expression
     p = ClosureParams(nu=0.1, nu_tur=0.37)
     rng = np.random.default_rng(61)
     E = sym_grad(rng.standard_normal(space4.qweights.shape + (2, 2)))
     mag = strain_norm(E)
     old = 2.0 * p.nu_tur * mag[..., None, None] * E
     assert np.array_equal(closure_stress(E, mag, p), old)
-    assert np.array_equal(smagorinsky_load(space4, E, p), space4.stress_load_vector(old))
+    ref = space4.stress_load_vector(old)
+    assert np.abs(smagorinsky_load(space4, E, p) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_apply_A_zero_strain(space4):
@@ -328,3 +340,35 @@ def test_strain_norm_bit_identical_to_axis_reduction():
     for shape in [(2, 2), (7, 2, 2), (64, 12, 2, 2)]:
         eps = rng.standard_normal(shape) * rng.uniform(1e-3, 1e3, shape)
         assert np.array_equal(strain_norm(eps), np.sqrt((eps * eps).sum(axis=(-2, -1))))
+
+
+def test_sym_norm_matches_axis_reduction():
+    # |e| from the three planes of a symmetric table: sqrt(e00^2 + 2 e01^2 +
+    # e11^2) adds the squares in another order than the 2x2 reduction, so
+    # the two agree to roundoff, not bit for bit
+    rng = np.random.default_rng(89)
+    for shape in [(2, 2), (7, 2, 2), (64, 12, 2, 2)]:
+        eps = sym_grad(rng.standard_normal(shape) * rng.uniform(1e-3, 1e3, shape))
+        ref = np.sqrt((eps * eps).sum(axis=(-2, -1)))
+        assert np.all(np.abs(sym_norm(*planes(eps)) - ref) <= 4 * np.finfo(float).eps * ref)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("nu_tur", [0.0, 0.37])
+def test_fused_closure_pairing_matches_oracle(n, nu_tur):
+    # V^T of the weighted-stress load against V^T of the stress table times
+    # the quadrature weights, on strains of random fields that are not
+    # divergence free
+    space = MixedSpace(build_rect_mesh(1, 1, n, n))
+    p = ClosureParams(nu=0.1, nu_tur=nu_tur)
+    rng = np.random.default_rng(n + 101)
+    V = rng.standard_normal((space.n_velocity, 6))
+    for scale in (1.0, 1e-4, 30.0):
+        E = space.strain_samples(scale * rng.standard_normal(space.n_velocity))
+        ref = closure_pairing_oracle(space, V, E, p)
+        got = V.T @ smagorinsky_load(space, E, p)
+        if nu_tur == 0:
+            assert not got.any() and not ref.any()
+        else:
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
