@@ -52,10 +52,12 @@ RK4 is available for cross-checks. The physical velocity at any time is
 v = zeta_g(t) + sum_k z_k xi_k.
 
 Time data are split by who reads them. The right-hand side and the steppers
-read the rates g(t) and (H_g, xi_k) from `lift_modal`; the energy ledger reads
-the quadrature-point tables of `lifting.LiftData` (zeta_g, its rate, H_g) from
-`lift_data`, which nothing else here reads; every lift field is formed from
-`LiftingBasis.combine`. The steppers, the ledger and `dissipation_rates` read
+read the rates g(t) and (H_g, xi_k) from `lift_modal`; the energy ledger
+reads the rates and forms its own Gram matrices and lift tables
+(`recirc.monitors`). `lift_data` gives the quadrature-point tables of
+`lifting.LiftData` (zeta_g, its rate, H_g), which no run path reads: they are
+the quadrature oracle of the modal and Gram forms. Every lift field is formed
+from `LiftingBasis.combine`. The steppers, the ledger and `dissipation_rates` read
 a state's closure fields from `state_fields(zf, g)`, one `StateFields` from
 one strain evaluation (`MixedSpace.strain_samples`) of w = zeta_g + z, where
 zf = `basis.expand(z)` is the caller's, so that the ledger expands each state
@@ -227,7 +229,8 @@ class ReducedSystem:
         return g, hg
 
     def lift_data(self, t):
-        """LiftData at t: the quadrature-point tables of zeta_g and H_g."""
+        """LiftData at t: the quadrature-point tables of zeta_g and H_g, the
+        quadrature form of the modal H_g and of the ledger's Gram forms."""
         return compute_Hg_load(self.lifting, self.pumps, self.source, t)
 
     def lift_fields(self, t):

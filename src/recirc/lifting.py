@@ -11,8 +11,10 @@ discretely divergence-free boundary-zero field in the 2 nu (eps, eps) inner
 product, which is what removes the viscous lifting term from the reduced
 equations. The time-dependent lift is the schedule-weighted combination
 zeta_g(t) = sum_k g_k(t) zeta_k. `LiftData` tabulates it, its rate and H_g
-at the quadrature points for the energy ledger; a source's values there come
-from the source's own parts table (`recirc.mms`), never from sampling it.
+at the quadrature points, the quadrature form against which the reduced
+system's modal H_g and the energy ledger's Gram forms are checked; a source's
+values there come from the source's own parts table (`recirc.mms`), never
+from sampling it.
 """
 
 import numpy as np
@@ -96,7 +98,7 @@ def convective_qpt(vals, grads):
 
 
 class LiftData:
-    """Quadrature-point lift data at one time t, read by the energy ledger.
+    """Quadrature-point lift data at one time t, the quadrature form of H_g.
 
     Quadrature-point tables (nt, nq, ...) of zeta_g(t) and d zeta_g/dt(t)
     (values and gradients of `LiftingBasis.combine` at g(t) and gdot(t)),

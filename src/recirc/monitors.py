@@ -8,34 +8,42 @@ integrals are trapezoid sums on the trajectory save grid; pure lift-data
 integrals use interval midpoints because the pump rates jump at schedule
 knots. The time derivative of z is a backward difference on that grid.
 
-The lift side of the ledger (H_g, the strain and L3 norms of zeta_g and its
-rate) depends on t only through the pump rates (g, gdot), and through the
-source's time factor a(t) when a source exists (its values come from the
-source's parts table, formed once per space). So one `ledger` call
-evaluates it once per distinct lift state, keyed by the exact bytes of
-(g, gdot), plus t with a source, and reads the kept scalars at every save
-time and midpoint with that key; on a rate plateau that is one evaluation
-for all of it. A state gets the row terms only if a save time reads it, and
-the midpoint integrands only if a midpoint does. The key is exact, not
-rounded or given a tolerance: equal keys give the same `LiftData` bit for
-bit, so reuse changes no digit, while a tolerant key could merge states
-that differ. Only scalars are kept, never quadrature tables, so memory does
-not grow with the save count. The state side expands each saved state once and hands the
-expansion to `ReducedSystem.state_fields`, so the ledger reads the closure
-fields the steppers formed.
+Every L2 term is a quadratic form in coefficients, the offline/online split
+of quadratic outputs (Rozza, Huynh & Patera, ARCME 15, 2008). On the columns
+W = [Z | V] of lifts and modes, with y = [g; z] and the Gram matrices that
+one `ledger` call forms once,
+
+    ||z||^2 = z . z (the basis is L2-orthonormal),
+    ||eps(sum y_a u_a)||^2 = y^T E y,  E = W^T K_eps W / 2,
+    ||grad z||^2 = z^T (V^T K_grad V) z,  ||d zeta_g/dt||^2_H1 = gdot^T Z^T (M + K_grad) Z gdot,
+    ||H_g||^2 = c^T G c,  H_g = sum_i c_i(t) phi_i,
+
+over the fixed fields phi = [F0, F1, F2, zeta_k, (grad zeta_q) zeta_p] (the
+source's parts only when it exists) with c(t) = [1, a, a^2, -gdot, -g (x) g],
+a = a(t) the source's time factor; ||H~_g||^2 = ||F - d zeta_g/dt||^2 is the
+same form without the g (x) g block. G is the quadrature Gram matrix of phi
+(`_hg_gram`), built one block of fields at a time. Each form is the
+quadrature sum it replaces, regrouped, so it agrees with it to roundoff.
+
+Only the L3 terms read quadrature-point tables. At a save time the ledger
+reads |eps(w)| from `ReducedSystem.state_fields`, the bundle the steppers
+form, and |eps(z)| and |z| from one strain and one value table of the
+expanded state. The lift's L3 terms read one value and one strain table of
+`LiftingBasis.combine(r)` per distinct rate vector r, keyed by its exact
+bytes: g at the midpoints for zeta_g, gdot at the save times and the
+midpoints for its rate. A source enters through G alone, so nothing is keyed
+by t; without pumps there is no lift table at all. The key is exact, not
+rounded or given a tolerance: equal keys give the same field bit for bit,
+while a tolerant key could merge rates that differ. Only scalars are kept,
+never a table, so memory does not grow with the save count.
 """
 
 import numpy as np
 
-from .turbulence import strain_norm, sym_grad
+from .turbulence import planes, sym_norm
 
 BOUND_SLACK = 1.05  # relative room the contraction bound allows the measured difference
 DENOM_FLOOR = 1e-14  # smallest ||v1 - v2||^2 ||v1||^8_L4 a contraction ratio is taken at
-
-
-def _lp(space, mag, p):
-    """(int mag^p)^(1/p) by cell quadrature of samples mag (nt, nq)."""
-    return space.integrate(mag**p) ** (1.0 / p)
 
 
 class EnergyLedger:
@@ -68,6 +76,21 @@ class EnergyLedger:
         self.data = data
 
 
+def _lift_mode_columns(system):
+    """W = [Z | V]: the lifts' and the modes' velocity coefficient columns."""
+    return np.column_stack([system.lifting.zetas.T, system.basis.fields])
+
+
+def velocity_l2(system, traj):
+    """||v||_L2 of v = zeta_g + V z at every save time, from the Gram form
+    y^T (W^T M W) y with y = [g; z]."""
+    W = _lift_mode_columns(system)
+    gram = W.T @ (system.space.M @ W)
+    y = np.array([np.concatenate([system.pumps.rates(t)[0], z])
+                  for t, z in zip(traj.times, traj.states)])
+    return np.sqrt(np.einsum("ia,ab,ib->i", y, gram, y))
+
+
 def ledger(system, traj):
     """Evaluate the energy ledger of a reduced trajectory."""
     if len(traj) < 2:
@@ -77,29 +100,34 @@ def ledger(system, traj):
     n = len(times)
     rows = {k: np.zeros(n) for k in EnergyLedger.COLUMNS}
 
+    K = len(system.lifting)
+    W = _lift_mode_columns(system)
+    Z, V = W[:, :K], W[:, K:]
+    E = 0.5 * (W.T @ (space.K_eps @ W))  # ||eps(W y)||^2 = y^T E y
+    E_ZZ, E_VV = E[:K, :K], E[K:, K:]
+    grad_VV = V.T @ (space.K_grad @ V)
+    h1_ZZ = Z.T @ ((space.M + space.K_grad) @ Z)
+    hg_sq = _hg_form(system)
+    cubes = _lift_cubes(system)
+
     eps_z_sq = np.zeros(n)
     eps_w_cu = np.zeros(n)
     eps_z_cu = np.zeros(n)
-    row_terms, integrands = _lift_scalars(system, times)
     for i, t in enumerate(times):
-        g, _ = system.pumps.rates(t)
-        hg, hg_tilde, edzg_l2_sq, edzg_l3_32 = row_terms(t)
-        zf = system.basis.expand(traj.states[i])
-        z_grads = space.eval_grads(zf)
-        f = system.state_fields(zf, g)
-        ez = strain_norm(sym_grad(z_grads))
-        z_mag = np.linalg.norm(space.eval_values(zf), axis=-1)
-        ew_l3 = _lp(space, f.w_eps_mag, 3)
-        rows["z_l2_sq"][i] = _lp(space, z_mag, 2) ** 2
-        eps_z_sq[i] = _lp(space, ez, 2) ** 2
-        eps_w_cu[i] = ew_l3**3
-        eps_z_cu[i] = _lp(space, ez, 3) ** 3
-        rows["psi1"][i] = _lp(space, f.w_eps_mag, 2) ** 2 + eps_w_cu[i]
-        rows["psi2"][i] = ew_l3**2 + edzg_l2_sq + edzg_l3_32
-        # strain_norm of a gradient table is |grad z|
-        rows["z_w12_sq"][i] = rows["z_l2_sq"][i] + _lp(space, strain_norm(z_grads), 2) ** 2
-        rows["z_w13_cu"][i] = _lp(space, z_mag, 3) ** 3 + eps_z_cu[i]
-        rows["hg_l2_sq"][i], rows["hg_tilde_l2_sq"][i] = hg, hg_tilde
+        g, gdot = system.pumps.rates(t)
+        z = traj.states[i]
+        y = np.concatenate([g, z])
+        zf = system.basis.expand(z)
+        eps_w_cu[i] = _cube(space, system.state_fields(zf, g).w_eps_mag)
+        eps_z_cu[i] = _cube(space, sym_norm(*planes(space.strain_samples(zf))))
+        eps_z_sq[i] = z @ E_VV @ z
+        rows["z_l2_sq"][i] = z @ z
+        rows["psi1"][i] = y @ E @ y + eps_w_cu[i]
+        rows["psi2"][i] = (eps_w_cu[i] ** (2 / 3) + gdot @ E_ZZ @ gdot
+                           + cubes(gdot)[1] ** 0.5)
+        rows["z_w12_sq"][i] = rows["z_l2_sq"][i] + z @ grad_VV @ z
+        rows["z_w13_cu"][i] = _cube(space, _magnitude(space.eval_values(zf))) + eps_z_cu[i]
+        rows["hg_l2_sq"][i], rows["hg_tilde_l2_sq"][i] = hg_sq(t, g, gdot)
         if i > 0:
             dt = times[i] - times[i - 1]
             dz = (traj.states[i] - traj.states[i - 1]) / dt
@@ -108,6 +136,14 @@ def ledger(system, traj):
     rows["int_eps_z_l2_sq"] = _running_trapezoid(times, eps_z_sq)
     rows["int_eps_w_l3_cu"] = _running_trapezoid(times, eps_w_cu)
     rows["int_eps_z_l3_cu"] = _running_trapezoid(times, eps_z_cu)
+
+    def integrands(t):
+        """The data functionals' integrands at an interval midpoint t:
+        ||H_g||^2, ||H~_g||^2, ||zeta_g||^3_L3 + ||eps(zeta_g)||^3_L3,
+        ||d zeta_g/dt||^2_H1 and (||d zeta_g/dt||^3_L3 + ||eps(d zeta_g/dt)||^3_L3)^(2/3)."""
+        g, gdot = system.pumps.rates(t)
+        return (*hg_sq(t, g, gdot), sum(cubes(g)), gdot @ h1_ZZ @ gdot,
+                sum(cubes(gdot)) ** (2 / 3))
 
     # g(0) = 0, so v(0) = z(0) and its data terms are the first row's
     data = {"v0_l2_sq": rows["z_l2_sq"][0], "eps_v0_l2_sq": eps_z_sq[0],
@@ -119,35 +155,95 @@ def ledger(system, traj):
     return EnergyLedger(times, rows, data)
 
 
-def _lift_scalars(system, times):
-    """The lift scalars of one ledger call on the save grid `times`, as the
-    maps t -> `_row_terms` at a save time and t -> `_midpoint_integrands` at
-    an interval midpoint of `_midpoint`.
+def _cube(space, mag):
+    """int mag^3 by cell quadrature of samples mag (nt, nq)."""
+    return space.integrate(mag * mag * mag)
 
-    It builds one LiftData per distinct lift state, keyed by the exact bytes
-    of the rates (g, gdot), plus t when the system has a source, evaluates
-    on it only the scalars that its save times and midpoints read, and keeps
-    only those.
+
+def _magnitude(vals):
+    """|u| of value tables (..., 2)."""
+    u0, u1 = vals[..., 0], vals[..., 1]
+    return np.sqrt(u0 * u0 + u1 * u1)
+
+
+def _lift_cubes(system):
+    """The map r -> (int |u|^3, int |eps(u)|^3) of u = lifting.combine(r),
+    each from one value and one strain table, formed once per distinct rate
+    vector r of one ledger call (keyed by its exact bytes), and (0, 0)
+    without pumps."""
+    space, lifting = system.space, system.lifting
+    kept = {}
+
+    def cubes(r):
+        key = r.tobytes()
+        if key not in kept:
+            u = lifting.combine(r)
+            kept[key] = ((_cube(space, _magnitude(space.eval_values(u))),
+                          _cube(space, sym_norm(*planes(space.strain_samples(u)))))
+                         if len(r) else (0.0, 0.0))
+        return kept[key]
+
+    return cubes
+
+
+def _hg_gram(system):
+    """G[i, j] = int phi_i . phi_j by cell quadrature, over the fields
+    phi = [F0, F1, F2, zeta_k, (grad zeta_q) zeta_p]: the source's parts
+    table (none without a source), the K lifts, and the K^2 lift convection
+    fields, index K q + p.
+
+    The fields are formed a block at a time, the parts, the lifts, and the
+    K fields of each q, as component planes (m, 2, nt, nq), and each pair of
+    blocks gives one block of G. A convection block is formed again for
+    every block it is paired with, so at most two are held at once, never
+    all K^2 fields.
     """
+    space, zetas = system.space, system.lifting.zetas
+    K = len(zetas)
+    vals = np.reshape([np.moveaxis(space.eval_values(z), -1, 0) for z in zetas],
+                      (K, 2) + space.qweights.shape)
+    parts = (vals[:0] if system.source is None
+             else np.moveaxis(system.source.parts_table(space), -1, 1))
 
-    def key(t):
-        g, gdot = system.pumps.rates(t)
-        k = (g.tobytes(), gdot.tobytes())
-        return k + (float(t),) if system.source is not None else k
+    def block(b):
+        if b == 0:
+            return parts
+        if b == 1:
+            return vals
+        grads = space.eval_grads(zetas[b - 2])  # [a, c] = d zeta_q,a / d x_c
+        conv = np.empty_like(vals)
+        for a in range(2):
+            conv[:, a] = grads[..., a, 0] * vals[:, 0] + grads[..., a, 1] * vals[:, 1]
+        return conv
 
-    mids = 0.5 * (times[1:] + times[:-1])
-    readers = {}  # key -> [a time of the state, read at a save time, at a midpoint]
-    for t, at_mid in [(t, False) for t in times] + [(t, True) for t in mids]:
-        r = readers.setdefault(key(t), [t, False, False])
-        r[1 + at_mid] = True
-    rows, mid_vals = {}, {}
-    for k, (t, at_save, at_mid) in readers.items():
-        data = system.lift_data(t)
-        if at_save:
-            rows[k] = _row_terms(system.space, data)
-        if at_mid:
-            mid_vals[k] = _midpoint_integrands(system.space, data)
-    return (lambda t: rows[key(t)]), (lambda t: mid_vals[key(t)])
+    ends = np.cumsum([0, len(parts), K] + [K] * K)
+    spans = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+    G = np.zeros((ends[-1], ends[-1]))
+    for i, si in enumerate(spans):
+        a = block(i)
+        wa = space.qweights * a
+        for j in range(i, len(spans)):
+            sj = spans[j]
+            G[si, sj] = np.tensordot(wa, a if j == i else block(j), ([1, 2, 3],) * 2)
+            G[sj, si] = G[si, sj].T
+    return G
+
+
+def _hg_form(system):
+    """The map (t, g, gdot) -> (||H_g||^2, ||H~_g||^2) at rates (g, gdot) =
+    pumps.rates(t), as the quadratic forms c^T G c of `_hg_gram` with
+    c = [1, a, a^2, -gdot, -g (x) g] (a from the source's own `combine`), and
+    with the g (x) g block left out."""
+    G = _hg_gram(system)
+    source = system.source
+    m = len(G) - len(system.lifting) ** 2  # the parts and the lifts
+
+    def form(t, g, gdot):
+        c = np.concatenate([[] if source is None else source.combine(np.eye(3), t),
+                            -gdot, -np.outer(g, g).ravel()])
+        return c @ G @ c, c[:m] @ G[:m, :m] @ c[:m]
+
+    return form
 
 
 def _running_trapezoid(times, vals):
@@ -161,11 +257,6 @@ def _trapezoid(times, vals):
     return float(np.trapezoid(vals, times))
 
 
-def _hg_sq(space, data):
-    """(||H_g||^2, ||H~_g||^2) in L2 from the tables of one LiftData."""
-    return tuple(space.integrate((f * f).sum(axis=-1)) for f in (data.h, data.h_tilde))
-
-
 def _midpoint(times, f):
     """Interval-midpoint quadrature of a scalar- or tuple-valued f; robust to
     the piecewise-constant pump rates, whose jumps sit on save-grid nodes."""
@@ -173,27 +264,6 @@ def _midpoint(times, f):
     mids = 0.5 * (times[1:] + times[:-1])
     vals = np.array([f(t) for t in mids], order="F").T  # contiguous per component
     return np.sum(dt * vals, axis=-1).tolist()
-
-
-def _row_terms(space, data):
-    """The save-time lift terms of one LiftData: ||H_g||^2, ||H~_g||^2,
-    ||eps(d zeta_g/dt)||^2_L2 and ||eps(d zeta_g/dt)||^{3/2}_L3."""
-    edzg = strain_norm(sym_grad(data.dzg_grads))
-    return (*_hg_sq(space, data), _lp(space, edzg, 2) ** 2, _lp(space, edzg, 3) ** 1.5)
-
-
-def _midpoint_integrands(space, data):
-    """The data functionals' integrands at one LiftData: ||H_g||^2, ||H~_g||^2,
-    ||zeta_g||^3_L3 + ||eps(zeta_g)||^3_L3, ||d zeta_g/dt||^2_H1 and
-    (||d zeta_g/dt||^3_L3 + ||eps(d zeta_g/dt)||^3_L3)^(2/3)."""
-    zg_mag, dzg_mag = (np.linalg.norm(v, axis=-1) for v in (data.zg_vals, data.dzg_vals))
-    ezg, edzg = (strain_norm(sym_grad(g)) for g in (data.zg_grads, data.dzg_grads))
-    return (
-        *_hg_sq(space, data),
-        _lp(space, zg_mag, 3) ** 3 + _lp(space, ezg, 3) ** 3,
-        _lp(space, dzg_mag, 2) ** 2 + _lp(space, strain_norm(data.dzg_grads), 2) ** 2,
-        (_lp(space, dzg_mag, 3) ** 3 + _lp(space, edzg, 3) ** 3) ** (2 / 3),
-    )
 
 
 def _estimates(params, times, rows, data):

@@ -3,23 +3,12 @@
 import numpy as np
 
 
-def write_vtk(path, mesh, point_vectors=None, point_scalars=None, title="recirc"):
-    """Write an unstructured-grid VTK file.
-
-    Parameters
-    ----------
-    point_vectors : dict name -> (nv, 2) vertex vectors (z-padded to 3D)
-    point_scalars : dict name -> (nv,) vertex scalars
-    """
+def vtk_geometry(mesh):
+    """The POINTS, CELLS and CELL_TYPES sections of a mesh as one string,
+    which `write_vtk` writes into every file of that mesh."""
     nv = mesh.num_vertices
     nt = mesh.num_cells
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {nv} double",
-    ]
+    lines = [f"POINTS {nv} double"]
     for p in mesh.vertices:
         lines.append(f"{p[0]:.17g} {p[1]:.17g} 0")
     lines.append(f"CELLS {nt} {4 * nt}")
@@ -27,6 +16,28 @@ def write_vtk(path, mesh, point_vectors=None, point_scalars=None, title="recirc"
         lines.append(f"3 {c[0]} {c[1]} {c[2]}")
     lines.append(f"CELL_TYPES {nt}")
     lines.extend(["5"] * nt)  # VTK_TRIANGLE
+    return "\n".join(lines)
+
+
+def write_vtk(path, mesh, point_vectors=None, point_scalars=None, title="recirc",
+              geometry=None):
+    """Write an unstructured-grid VTK file.
+
+    Parameters
+    ----------
+    point_vectors : dict name -> (nv, 2) vertex vectors (z-padded to 3D)
+    point_scalars : dict name -> (nv,) vertex scalars
+    geometry : `vtk_geometry(mesh)`, formatted once by a caller that writes
+        many files of one mesh; formatted here when None
+    """
+    nv = mesh.num_vertices
+    lines = [
+        "# vtk DataFile Version 3.0",
+        title,
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        vtk_geometry(mesh) if geometry is None else geometry,
+    ]
 
     point_vectors = point_vectors or {}
     point_scalars = point_scalars or {}

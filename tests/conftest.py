@@ -7,7 +7,7 @@ from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
 from recirc.quadrature import TriangleRule
 from recirc.space import MixedSpace
-from recirc.turbulence import closure_stress, convection_load, strain_norm
+from recirc.turbulence import closure_stress, convection_load, strain_norm, sym_grad
 
 
 @pytest.fixture(scope="session")
@@ -150,6 +150,45 @@ def phi_g(pumps, t, space):
 def net_flux(pumps, t, space):
     """Discrete net boundary flux of phi_g(t) (compatibility check)."""
     return float(space.flux_vector @ phi_g(pumps, t, space))
+
+
+def lp(space, mag, p):
+    """(int mag^p)^(1/p) by cell quadrature of samples mag (nt, nq)."""
+    return space.integrate(mag**p) ** (1.0 / p)
+
+
+def hg_sq(space, data):
+    """(||H_g||^2, ||H~_g||^2) in L2 by quadrature of the tables of one LiftData."""
+    return tuple(space.integrate((f * f).sum(axis=-1)) for f in (data.h, data.h_tilde))
+
+
+def lift_row_terms(space, data):
+    """The save-time lift terms of one LiftData by quadrature: ||H_g||^2,
+    ||H~_g||^2, ||eps(d zeta_g/dt)||^2_L2 and ||eps(d zeta_g/dt)||^{3/2}_L3."""
+    edzg = strain_norm(sym_grad(data.dzg_grads))
+    return (*hg_sq(space, data), lp(space, edzg, 2) ** 2, lp(space, edzg, 3) ** 1.5)
+
+
+def lift_midpoint_integrands(space, data):
+    """The data functionals' integrands at one LiftData by quadrature:
+    ||H_g||^2, ||H~_g||^2, ||zeta_g||^3_L3 + ||eps(zeta_g)||^3_L3,
+    ||d zeta_g/dt||^2_H1 and (||d zeta_g/dt||^3_L3 + ||eps(d zeta_g/dt)||^3_L3)^(2/3)."""
+    zg_mag, dzg_mag = (np.linalg.norm(v, axis=-1) for v in (data.zg_vals, data.dzg_vals))
+    ezg, edzg = (strain_norm(sym_grad(g)) for g in (data.zg_grads, data.dzg_grads))
+    return (
+        *hg_sq(space, data),
+        lp(space, zg_mag, 3) ** 3 + lp(space, ezg, 3) ** 3,
+        lp(space, dzg_mag, 2) ** 2 + lp(space, strain_norm(data.dzg_grads), 2) ** 2,
+        (lp(space, dzg_mag, 3) ** 3 + lp(space, edzg, 3) ** 3) ** (2 / 3),
+    )
+
+
+def assert_no_instance_patches(obj):
+    """No callable sits in obj's instance __dict__: undoing a monkeypatch of
+    an instance's method leaves the bound method there, so a session-wide
+    object is patched on its class or replaced by a fresh one."""
+    patched = sorted(k for k, v in vars(obj).items() if callable(v))
+    assert not patched, patched
 
 
 def duffy_rule(n):

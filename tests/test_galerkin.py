@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import apply_A, closure_pairing_oracle, convect, phi_g, ramp_source
+from conftest import (apply_A, assert_no_instance_patches, closure_pairing_oracle, convect, phi_g,
+                      ramp_source)
 from recirc.config import build_scenario, preset_path, validate
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import SolverError, StepError
@@ -313,11 +314,9 @@ def test_picard_step_convection_load_count(preset16, monkeypatch):
     monkeypatch.setattr(galerkin, "smagorinsky_load",
                         counted("smagorinsky", galerkin.smagorinsky_load))
     scn = preset16
-    space = scn.system.space
-    monkeypatch.setattr(space, "weighted_strain_stiffness",
-                        counted("strain", space.weighted_strain_stiffness))
-    monkeypatch.setattr(space, "weighted_load", counted("stress", space.weighted_load))
-    monkeypatch.setattr(space, "eval_grads", counted("grads", space.eval_grads))
+    for name, method in (("strain", "weighted_strain_stiffness"), ("stress", "weighted_load"),
+                         ("grads", "eval_grads")):
+        monkeypatch.setattr(MixedSpace, method, counted(name, getattr(MixedSpace, method)))
     events = []
     _logged_newton(monkeypatch, events)
     dt = 0.01
@@ -535,8 +534,8 @@ def test_step_after_a_refresh_carries_its_tangent(preset16, monkeypatch):
         return defect, logged_tangent, logged_jacobian
 
     _patch_newton(monkeypatch, logged)
-    kernel, calls = sys_.space.weighted_strain_stiffness, []
-    monkeypatch.setattr(sys_.space, "weighted_strain_stiffness",
+    kernel, calls = MixedSpace.weighted_strain_stiffness, []
+    monkeypatch.setattr(MixedSpace, "weighted_strain_stiffness",
                         lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
 
     def on_step(state):
@@ -562,8 +561,8 @@ def test_newton_without_closure_is_exact(preset16, monkeypatch):
     sys_ = ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps,
                          ClosureParams(scn.params.nu, 0.0))
     calls = []
-    kernel = scn.space.weighted_strain_stiffness
-    monkeypatch.setattr(scn.space, "weighted_strain_stiffness",
+    kernel = MixedSpace.weighted_strain_stiffness
+    monkeypatch.setattr(MixedSpace, "weighted_strain_stiffness",
                         lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
     newton = sys_.implicit_euler_newton
     points = []
@@ -710,7 +709,7 @@ def test_steppers_form_no_lift_tables(preset16, monkeypatch):
     sys_.step(state, 0.01)
     sys_.step(state, 0.01, scheme="explicit-rk4")
     assert not calls
-    sys_.lift_data(state.t)  # the counter sees the ledger's route
+    sys_.lift_data(state.t)  # the counter sees the oracle's route
     assert len(calls) == 1
 
 
@@ -761,17 +760,16 @@ def test_step_fields_match_ledger_tables(preset16):
 
 def test_perturbed_convection_tensor_rejected(preset16, monkeypatch):
     scn = preset16
-    space = scn.space
-    exact = space.convection_tensor
+    exact = MixedSpace.convection_tensor
     rng = np.random.default_rng(33)
 
-    def perturbed(W):
-        T = exact(W)
+    def perturbed(space, W):
+        T = exact(space, W)
         return T + 1e-6 * np.abs(T).max() * rng.standard_normal(T.shape)
 
-    monkeypatch.setattr(space, "convection_tensor", perturbed)
+    monkeypatch.setattr(MixedSpace, "convection_tensor", perturbed)
     with pytest.raises(SolverError, match="convection tensor"):
-        ReducedSystem(space, scn.basis, scn.lifting, scn.pumps, scn.params)
+        ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, scn.params)
 
 
 def _fresh_truncation(scn, n):
@@ -835,3 +833,10 @@ def test_newton_patches_leave_no_instance_residue(preset16):
     # run after the tests above that patch implicit_euler_newton: each patched
     # the class, so the session-wide system still steps with the class method
     assert "implicit_euler_newton" not in vars(preset16.system)
+
+
+def test_space_patches_leave_no_instance_residue(preset16):
+    # run after the tests above that count or perturb MixedSpace methods: each
+    # patched the class, so the session-wide space and system keep theirs
+    assert_no_instance_patches(preset16.space)
+    assert_no_instance_patches(preset16.system)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import (assert_no_instance_patches, hg_sq, lift_midpoint_integrands,
+                      lift_row_terms, lp, ramp_source)
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.galerkin import GalerkinState, ReducedSystem, StateFields
 from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
-from recirc.monitors import (EnergyLedger, _estimates, _hg_sq, _lp, _midpoint, contraction,
-                             ledger)
+from recirc.monitors import (EnergyLedger, _estimates, _hg_form, _midpoint, contraction, ledger,
+                             velocity_l2)
 from recirc.pumps import PumpSet
 from recirc.space import MixedSpace
 from recirc.turbulence import ClosureParams, strain_norm, sym_grad
@@ -112,7 +114,7 @@ def test_hg_norms_zero_case(quiet12):
 
 
 def _hg_norms(sys_, t):
-    return _hg_sq(sys_.space, compute_Hg_load(sys_.lifting, sys_.pumps, sys_.source, t))
+    return hg_sq(sys_.space, compute_Hg_load(sys_.lifting, sys_.pumps, sys_.source, t))
 
 
 def test_hg_tilde_equals_lift_rate_norm(preset16):
@@ -217,10 +219,10 @@ def test_ledger_matches_independent_norms_with_pumps(preset16):
 
 
 def _ledger_oracle(sys_, traj):
-    """Ledger rows and data with one LiftData per save time and per interval
-    midpoint (compute_Hg_load at every time), each term in the ledger's
-    arithmetic, so that an exact match shows that reusing lift evaluations
-    changes no bit."""
+    """Ledger rows and data by quadrature, with one LiftData per save time
+    and per interval midpoint (compute_Hg_load at every time) and every
+    term from quadrature-point tables, the ledger's form before its Gram
+    matrices."""
     space = sys_.space
     times = traj.times
     n = len(times)
@@ -231,20 +233,20 @@ def _ledger_oracle(sys_, traj):
     rows = {k: np.zeros(n) for k in EnergyLedger.COLUMNS}
     ez2, ew3, ez3 = np.zeros(n), np.zeros(n), np.zeros(n)
     for i, t in enumerate(times):
-        data = lift(t)
+        hg, hg_tilde, edzg_l2_sq, edzg_l3_32 = lift_row_terms(space, lift(t))
         zf = sys_.basis.expand(traj.states[i])
         z_grads = space.eval_grads(zf)
         f = StateFields(space.strain_samples(sys_.lifting.combine(sys_.pumps.rates(t)[0]) + zf))
-        ez, edzg = strain_norm(sym_grad(z_grads)), strain_norm(sym_grad(data.dzg_grads))
+        ez = strain_norm(sym_grad(z_grads))
         z_mag = np.linalg.norm(space.eval_values(zf), axis=-1)
-        ew_l3 = _lp(space, f.w_eps_mag, 3)
-        rows["z_l2_sq"][i] = _lp(space, z_mag, 2) ** 2
-        ez2[i], ew3[i], ez3[i] = _lp(space, ez, 2) ** 2, ew_l3**3, _lp(space, ez, 3) ** 3
-        rows["psi1"][i] = _lp(space, f.w_eps_mag, 2) ** 2 + ew3[i]
-        rows["psi2"][i] = ew_l3**2 + _lp(space, edzg, 2) ** 2 + _lp(space, edzg, 3) ** 1.5
-        rows["z_w12_sq"][i] = rows["z_l2_sq"][i] + _lp(space, strain_norm(z_grads), 2) ** 2
-        rows["z_w13_cu"][i] = _lp(space, z_mag, 3) ** 3 + ez3[i]
-        rows["hg_l2_sq"][i], rows["hg_tilde_l2_sq"][i] = _hg_sq(space, data)
+        ew_l3 = lp(space, f.w_eps_mag, 3)
+        rows["z_l2_sq"][i] = lp(space, z_mag, 2) ** 2
+        ez2[i], ew3[i], ez3[i] = lp(space, ez, 2) ** 2, ew_l3**3, lp(space, ez, 3) ** 3
+        rows["psi1"][i] = lp(space, f.w_eps_mag, 2) ** 2 + ew3[i]
+        rows["psi2"][i] = ew_l3**2 + edzg_l2_sq + edzg_l3_32
+        rows["z_w12_sq"][i] = rows["z_l2_sq"][i] + lp(space, strain_norm(z_grads), 2) ** 2
+        rows["z_w13_cu"][i] = lp(space, z_mag, 3) ** 3 + ez3[i]
+        rows["hg_l2_sq"][i], rows["hg_tilde_l2_sq"][i] = hg, hg_tilde
         if i > 0:
             dz = (traj.states[i] - traj.states[i - 1]) / (times[i] - times[i - 1])
             rows["dzdt_l2_sq"][i] = dz @ dz
@@ -252,72 +254,149 @@ def _ledger_oracle(sys_, traj):
                       ("int_eps_z_l3_cu", ez3)):
         rows[key][1:] = np.cumsum(0.5 * np.diff(times) * (vals[1:] + vals[:-1]))
 
-    def functionals(t):
-        data = lift(t)
-        zg_mag, dzg_mag = (np.linalg.norm(v, axis=-1) for v in (data.zg_vals, data.dzg_vals))
-        ezg, edzg = (strain_norm(sym_grad(g)) for g in (data.zg_grads, data.dzg_grads))
-        return (
-            *_hg_sq(space, data),
-            _lp(space, zg_mag, 3) ** 3 + _lp(space, ezg, 3) ** 3,
-            _lp(space, dzg_mag, 2) ** 2 + _lp(space, strain_norm(data.dzg_grads), 2) ** 2,
-            (_lp(space, dzg_mag, 3) ** 3 + _lp(space, edzg, 3) ** 3) ** (2 / 3),
-        )
-
     data = {"v0_l2_sq": rows["z_l2_sq"][0], "eps_v0_l2_sq": ez2[0], "eps_v0_l3_cu": ez3[0]}
     keys = ("hg_l2l2_sq", "hg_tilde_l2l2_sq", "zg_l3w13_cu", "dzg_l2h1_sq", "dzg_l2w13_cu")
-    data.update(zip(keys, _midpoint(times, functionals)))
+    data.update(zip(keys, _midpoint(times, lambda t: lift_midpoint_integrands(space, lift(t)))))
     data["dzg_l2w13_cu"] **= 1.5
     _estimates(sys_.params, times, rows, data)
     return rows, data
 
 
 def _counted_ledger(sys_, traj, monkeypatch):
-    """(ledger, the number of LiftData it built)."""
+    """(ledger, the LiftData it built, the lift fields it tabulated): the
+    fields are the `combine` calls beyond the one per save time that
+    `state_fields` makes."""
     import recirc.galerkin as galerkin
+    from recirc.lifting import LiftingBasis
 
-    calls = []
-    build = galerkin.compute_Hg_load
-    monkeypatch.setattr(galerkin, "compute_Hg_load",
-                        lambda *a: calls.append(1) or build(*a))
-    return ledger(sys_, traj), len(calls)
+    built, combined = [], []
+    build, combine = galerkin.compute_Hg_load, LiftingBasis.combine
+    monkeypatch.setattr(galerkin, "compute_Hg_load", lambda *a: built.append(1) or build(*a))
+    monkeypatch.setattr(LiftingBasis, "combine",
+                        lambda self, r: combined.append(1) or combine(self, r))
+    led = ledger(sys_, traj)
+    monkeypatch.undo()
+    return led, len(built), len(combined) - len(traj)
 
 
-def _assert_equals_oracle(led, sys_, traj):
+# the exponential factor of estimate 2 multiplies its exponent's relative
+# roundoff by the exponent: measured 2.3e-13 relative at an exponent of 322
+EXP_AMPLIFIED = ("estimate2_rhs", "C2_empirical")
+
+
+def _assert_matches_oracle(led, sys_, traj):
+    """Every column within 1e-12 of its largest entry of the quadrature
+    oracle, every datum within 1e-12 relative, and the exponentially
+    amplified ones within 1e-14 times the exponent."""
     rows, data = _ledger_oracle(sys_, traj)
-    for key in EnergyLedger.COLUMNS:
-        assert np.array_equal(led.rows[key], rows[key]), key
     assert list(led.rows) == list(rows)
-    assert led.data == data
+    for key in EnergyLedger.COLUMNS:
+        gap = np.abs(led.rows[key] - rows[key]).max()
+        assert gap <= 1e-12 * np.abs(rows[key]).max(), key
+    assert led.data.keys() == data.keys()
+    for key, expect in data.items():
+        rtol = 1e-14 * max(1.0, data["estimate2_exponent"]) if key in EXP_AMPLIFIED else 1e-12
+        assert abs(led.data[key] - expect) <= rtol * abs(expect), key
+
+
+def _lift_keys(pumps, times):
+    """(the distinct g at the interval midpoints, the distinct gdot at the
+    save times and midpoints), as exact bytes."""
+    mids = 0.5 * (times[1:] + times[:-1])
+    g_keys = {pumps.rates(t)[0].tobytes() for t in mids}
+    gdot_keys = {pumps.rates(t)[1].tobytes() for t in (*times, *mids)}
+    return g_keys, gdot_keys
 
 
 def test_ledger_one_lift_evaluation_per_rate_state(preset16, monkeypatch):
     # four_pumps ramps its rates up to t = 0.2 and holds them to T = 1: the
-    # 101 save times and 100 midpoints have 42 distinct (g, gdot), and the
-    # ledger is bit-identical to one LiftData per time
+    # 100 midpoints have 21 distinct g and the 201 save times and midpoints
+    # 2 distinct gdot, and the ledger tabulates one lift field for each,
+    # builds no LiftData, and matches the oracle with one LiftData per time
     sys_ = preset16.system
     traj = sys_.integrate(preset16.state0, T=1.0, dt=0.01)
-    times = traj.times
-    mids = 0.5 * (times[1:] + times[:-1])
-    keys = {tuple(r.tobytes() for r in sys_.pumps.rates(t)) for t in (*times, *mids)}
-    assert len(times) + len(mids) == 201 and len(keys) == 42
-    led, built = _counted_ledger(sys_, traj, monkeypatch)
-    assert built == len(keys)
-    _assert_equals_oracle(led, sys_, traj)
+    g_keys, gdot_keys = _lift_keys(sys_.pumps, traj.times)
+    assert len(g_keys) == 21 and len(gdot_keys) == 2
+    led, built, tables = _counted_ledger(sys_, traj, monkeypatch)
+    assert built == 0
+    assert tables == len(g_keys) + len(gdot_keys)
+    _assert_matches_oracle(led, sys_, traj)
 
 
 def test_ledger_with_source_evaluates_every_time(preset16, monkeypatch):
-    # a time-dependent source makes LiftData depend on t itself: on the rate
-    # plateau (t > 0.2) equal rates must not share a lift evaluation
+    # a time-dependent source enters through the Gram matrix of H_g alone:
+    # on the rate plateau (t > 0.2) equal rates share a lift field although
+    # the source differs, and the ledger matches the oracle, which
+    # evaluates every save time and every midpoint
     scn = preset16
     sys_ = ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, scn.params,
                          source=ManufacturedSolution(scn.params.nu, scn.params.nu_tur))
     traj = sys_.integrate(scn.state0, T=0.3, dt=0.02)
     times = traj.times
     assert sys_.pumps.rates(times[-1])[0].tobytes() == sys_.pumps.rates(times[-2])[0].tobytes()
-    led, built = _counted_ledger(sys_, traj, monkeypatch)
-    assert built == 2 * len(times) - 1  # every save time and every midpoint
+    g_keys, gdot_keys = _lift_keys(sys_.pumps, times)
+    assert len(g_keys) == 11 and len(gdot_keys) == 2
+    led, built, tables = _counted_ledger(sys_, traj, monkeypatch)
+    assert built == 0
+    assert tables == len(g_keys) + len(gdot_keys) < 2 * len(times) - 1
     assert led.data["hg_l2l2_sq"] > 0.0
-    _assert_equals_oracle(led, sys_, traj)
+    _assert_matches_oracle(led, sys_, traj)
+
+
+def _gram_system(kind, preset16, quiet12):
+    """The systems whose Gram forms are pinned: pumps alone, pumps with the
+    manufactured source, pumps with the ramp source, and the manufactured
+    source without pumps (K = 0)."""
+    scn = preset16
+    if kind == "pumps":
+        return scn.system
+    if kind == "no_pumps":
+        q = quiet12
+        return ReducedSystem(q.space, q.basis, q.lifting, q.pumps, q.params,
+                             source=ManufacturedSolution(q.params.nu, q.params.nu_tur))
+    source = ramp_source() if kind == "ramp" else ManufacturedSolution(scn.params.nu,
+                                                                      scn.params.nu_tur)
+    return ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, scn.params, source=source)
+
+
+GRAM_KINDS = ["pumps", "mms", "ramp", "no_pumps"]
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_hg_gram_form_matches_quadrature(kind, preset16, quiet12):
+    # c^T G c against the quadrature of the LiftData tables of H_g and H~_g,
+    # on the ramp, at its end knot and on the plateau
+    sys_ = _gram_system(kind, preset16, quiet12)
+    assert (len(sys_.lifting) == 0) == (kind == "no_pumps")
+    form = _hg_form(sys_)
+    for t in (0.0, 0.05, 0.2, 0.5):
+        g, gdot = sys_.pumps.rates(t)
+        got = form(t, g, gdot)
+        ref = hg_sq(sys_.space, sys_.lift_data(t))
+        assert ref[0] > 0.0 or (kind == "pumps" and t == 0.0)
+        for a, b in zip(got, ref):
+            assert abs(a - b) <= 1e-12 * b
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_ledger_gram_terms_match_quadrature(kind, preset16, quiet12):
+    # every L2 term of the rows and data, a Gram form in the ledger, against
+    # its quadrature in the oracle, with and without pumps and sources
+    sys_ = _gram_system(kind, preset16, quiet12)
+    z0 = 0.05 * np.random.default_rng(21).standard_normal(sys_.basis.size)
+    traj = sys_.integrate(GalerkinState(0.0, z0), T=0.3, dt=0.05)
+    _assert_matches_oracle(ledger(sys_, traj), sys_, traj)
+
+
+def test_velocity_l2_matches_space_norm(preset16):
+    # the Gram form y^T (W^T M W) y against the quadrature norm of the
+    # reconstructed velocity, on the ramp and on the plateau
+    sys_ = preset16.system
+    traj = sys_.integrate(preset16.state0, T=0.3, dt=0.01)
+    got = velocity_l2(sys_, traj)
+    for i in (0, 5, 20, 30):
+        ref = sys_.space.norm(sys_.velocity(traj.states[i], traj.times[i]), "L2")
+        assert abs(got[i] - ref) <= 1e-12 * ref
 
 
 def test_ledger_reads_the_steppers_state_fields(preset16, monkeypatch):
@@ -325,9 +404,9 @@ def test_ledger_reads_the_steppers_state_fields(preset16, monkeypatch):
     # bit for bit, those of the last defect of the step that made the state
     sys_ = preset16.system
     formed = []
-    fields = sys_.state_fields
-    monkeypatch.setattr(sys_, "state_fields",
-                        lambda z, g: formed.append(fields(z, g)) or formed[-1])
+    fields = ReducedSystem.state_fields
+    monkeypatch.setattr(ReducedSystem, "state_fields",
+                        lambda self, z, g: formed.append(fields(self, z, g)) or formed[-1])
     steps = []
     traj = sys_.integrate(preset16.state0, T=0.3, dt=0.01,
                           on_step=lambda state: steps.append(formed[-1]))
@@ -338,3 +417,10 @@ def test_ledger_reads_the_steppers_state_fields(preset16, monkeypatch):
     for i, (f, g) in enumerate(zip(formed[1:], steps), start=1):
         assert np.array_equal(f.w_eps, g.w_eps), i
         assert np.array_equal(f.w_eps_mag, g.w_eps_mag), i
+
+
+def test_ledger_patches_leave_no_instance_residue(preset16):
+    # run after the tests above: they patch classes, so the session-wide
+    # space and system keep their class methods
+    assert_no_instance_patches(preset16.space)
+    assert_no_instance_patches(preset16.system)

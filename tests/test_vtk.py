@@ -2,7 +2,7 @@ import numpy as np
 
 from recirc.mesh import build_rect_mesh
 from recirc.space import MixedSpace
-from recirc.vtk import write_vtk
+from recirc.vtk import vtk_geometry, write_vtk
 
 
 def test_vtk_file_structure(tmp_path):
@@ -39,3 +39,14 @@ def test_vtk_file_structure(tmp_path):
     row = list(map(float, lines[iv + 1].split()))
     assert row == [m.vertices[0][0], -m.vertices[0][1], 0.0]
     assert "SCALARS speed double 1" in lines
+
+
+def test_vtk_geometry_formatted_once_gives_the_same_file(tmp_path):
+    # a caller writing many files of one mesh formats its geometry once
+    m = build_rect_mesh(1, 1, 3, 2)
+    space = MixedSpace(m)
+    v = space.vertex_velocity(space.interpolate(lambda x, y: np.column_stack([y, x * x])))
+    geometry = vtk_geometry(m)
+    for name, kw in (("fresh.vtk", {}), ("kept.vtk", {"geometry": geometry})):
+        write_vtk(tmp_path / name, m, point_vectors={"velocity": v}, title="t", **kw)
+    assert (tmp_path / "fresh.vtk").read_bytes() == (tmp_path / "kept.vtk").read_bytes()
