@@ -186,6 +186,7 @@ def cmd_simulate(args):
             "tangents_total": int(traj.tangents.sum()),
             # [n] = the number of steps that took n iterations
             "iterations_histogram": np.bincount(traj.iterations[1:]).tolist(),
+            "evaluations_total": int(traj.evaluations.sum()),
         },
         # wall time per phase; output is the CSVs, the velocity norms and the
         # VTK files, not summary.json itself

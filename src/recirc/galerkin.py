@@ -43,12 +43,16 @@ modes cell by cell (`MixedSpace.weighted_strain_stiffness`) without
 assembling a mesh-sized matrix. That projection is the heavy half of an
 iteration, and the monotone closure's tangent moves by O(dt) over a step,
 so it is frozen, and `integrate` carries it from step to step, starting
-each step from the linear extrapolation of the last two states. It is
-formed again at the current iterate only when a frozen-tangent update finds
-no decrease, or when an accepted update shrinks the residual by less than
-CHORD_RATE; a carried tangent that shrinks it by less than CARRY_RATE
-serves out its step and the next step forms its own at its start. Classical
-RK4 is available for cross-checks. The physical velocity at any time is
+each step from the quadratic extrapolation of the last three states. Every
+accepted update corrects the frozen tangent by Broyden's rank-one secant
+update (Broyden, Math. Comp. 19, 1965), from the two defects the update has
+already evaluated, so the next update's Newton matrix maps the step just
+taken onto the change of the defect it made. The tangent is formed again at
+the current iterate only when a frozen-tangent update finds no decrease, or
+when an accepted update shrinks the residual by less than CHORD_RATE; a
+carried tangent that shrinks it by less than CARRY_RATE serves out its step
+and the next step forms its own at its start. Classical RK4 is available
+for cross-checks. The physical velocity at any time is
 v = zeta_g(t) + sum_k z_k xi_k.
 
 Time data are split by who reads them. The right-hand side and the steppers
@@ -77,12 +81,17 @@ CARRY_RATE = CHORD_RATE / 2  # a carried tangent contracting less is not carried
 INITIAL_TOL = 1e-8  # relative trace and divergence an initial velocity may carry
 
 
+def _check_positive(name, value):
+    """ValueError unless value is positive and finite (not NaN)."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def step_count(T, dt):
     """The number of steps of length dt to T; ValueError unless dt and T are
     positive and finite and T is an integer multiple of dt."""
-    for name, value in (("dt", dt), ("T", T)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    _check_positive("dt", dt)
+    _check_positive("T", T)
     if not np.isfinite(T / dt):
         raise ValueError(f"T = {T} takes too many steps of dt = {dt}")
     n_steps = int(round(T / dt))
@@ -94,7 +103,8 @@ def step_count(T, dt):
 class GalerkinState:
     """Time and reduced coefficient vector; `diag` holds the diagnostics of
     the step that made the state (iterations, residual, backtracks,
-    tangents) when `integrate` hands it to its on_step hook, else None."""
+    tangents, evaluations) when `integrate` hands it to its on_step hook,
+    else None."""
 
     __slots__ = ("t", "z", "diag")
 
@@ -120,17 +130,18 @@ class StateFields:
 class Trajectory:
     """Uniform-step trajectory of reduced coefficients with step diagnostics:
     per time level the solver's iterations, final residual, step-length
-    halvings (backtracks) and closure-tangent kernel calls (tangents), 0 at
-    the initial state."""
+    halvings (backtracks), closure-tangent kernel calls (tangents) and
+    closure evaluations (evaluations), 0 at the initial state."""
 
     def __init__(self, times, states, iterations, step_residuals, backtracks, tangents,
-                 completed=True):
+                 evaluations, completed=True):
         self.times = np.asarray(times)
         self.states = np.asarray(states)  # (n_times, N)
         self.iterations = np.asarray(iterations)
         self.step_residuals = np.asarray(step_residuals)
         self.backtracks = np.asarray(backtracks)
         self.tangents = np.asarray(tangents)
+        self.evaluations = np.asarray(evaluations)
         self.completed = completed
 
     def __len__(self):
@@ -330,21 +341,30 @@ class ReducedSystem:
         - an accepted update shrinks the residual by less than a factor
           CHORD_RATE.
 
+        Every accepted update z+ = z - lambda dz (J dz = d) corrects the
+        tangent by Broyden's secant update T_VV + r s^T / (dt s^T s), with
+        s = z+ - z and r = d(z+) - (1 - lambda) d(z), so that the Newton
+        matrix at z with the updated tangent maps s onto d(z+) - d(z). It
+        reads only the two defects in hand and builds a new array, never
+        writing into the one passed in; it is skipped when s = 0.
+
         An update with a tangent formed at its own iterate (every update
         without the closure, which is then Newton's method) starts at
         lambda = 1 and halves lambda while the residual does not fall (the
         line search of Kelley, ch. 8, with simple decrease), at most
         MAX_HALVINGS times. The diag counts the halvings as "backtracks"
         and the kernel calls as "tangents", and hands on as "T_VV" the
-        tangent for a next step to carry: the one in use at the end, or
-        None (the next step forms its own at its first iterate) once an
-        accepted update since it was formed or carried in shrank the
-        residual by less than CHORD_RATE, or by less than CARRY_RATE if it
-        was carried in. Without the closure it is None. The tangent lives
-        in the caller only, so threads sharing the system never share one.
-        A trial's defect is the next iterate's, so an accepted update costs
-        one defect evaluation. A failure raises StepError with the time,
-        the iteration count and the residuals of the accepted iterates.
+        tangent for a next step to carry: the one in use at the end, with
+        its secant updates, or None (the next step forms its own at its
+        first iterate) once an accepted update since it was formed or
+        carried in shrank the residual by less than CHORD_RATE, or by less
+        than CARRY_RATE if it was carried in. Without the closure it is
+        None. The tangent lives in the caller only, so threads sharing the
+        system never share one. A trial's defect is the next iterate's, so
+        an accepted update costs one defect evaluation; the diag counts the
+        start's defect and every trial, dropped or accepted, as
+        "evaluations". A failure raises StepError with the time, the
+        iteration count and the residuals of the accepted iterates.
         """
         if t_new is None:
             t_new = state.t + dt
@@ -362,6 +382,7 @@ class ReducedSystem:
         d, res, f = defect(z)
         history = [res]
         backtracks = tangents = 0
+        evaluations = 1
         refresh = T_VV is None  # form T_VV at the next update
         stale = not refresh  # T_VV was formed at an earlier iterate or step
         rate = CARRY_RATE  # the least contraction with which T_VV is handed on
@@ -382,6 +403,7 @@ class ReducedSystem:
             for halvings in range(MAX_HALVINGS + 1):
                 z_try = z - lam * dz
                 d_try, res_try, f_try = defect(z_try)
+                evaluations += 1
                 if res_try < res or stale:  # a frozen tangent gets one trial
                     break
                 lam *= 0.5
@@ -394,10 +416,15 @@ class ReducedSystem:
             refresh = res_try > CHORD_RATE * res
             renew = renew or res_try > rate * res
             stale = T_VV is not None
+            s = z_try - z
+            ss = s @ s
+            if stale and ss > 0:  # Broyden: the Newton matrix at z now maps s to d_try - d
+                T_VV = T_VV + np.outer(d_try - (1.0 - lam) * d, s) / (dt * ss)
             z, d, res, f = z_try, d_try, res_try, f_try
             history.append(res)
         diag = {"iterations": len(history) - 1, "residual": res, "backtracks": backtracks,
-                "tangents": tangents, "T_VV": None if renew else T_VV}
+                "tangents": tangents, "evaluations": evaluations,
+                "T_VV": None if renew else T_VV}
         return GalerkinState(t_new, z), diag
 
     def step_rk4(self, state, dt, t_new=None):
@@ -410,11 +437,10 @@ class ReducedSystem:
         k4 = self.rhs(z + dt * k3, t_new)
         z_new = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return GalerkinState(t_new, z_new), {"iterations": 4, "residual": 0.0, "backtracks": 0,
-                                             "tangents": 0}
+                                             "tangents": 0, "evaluations": 4}
 
     def step(self, state, dt, scheme="implicit-euler", **kw):
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        _check_positive("dt", dt)
         if scheme == "implicit-euler":
             return self.step_implicit_euler(state, dt, **kw)
         if scheme == "explicit-rk4":
@@ -429,9 +455,11 @@ class ReducedSystem:
 
         Implicit Euler carries Newton data from one step to the next, as
         stiff integrators keep their Jacobian (Hairer & Wanner, IV.8): each
-        step starts from the linear extrapolation 2 z_n - z_{n-1} (z_0 at
-        the first step) and carries the closure tangent the previous step
-        hands on. They are locals of this call, never state of the system.
+        step starts from the quadratic extrapolation 3 z_n - 3 z_{n-1} +
+        z_{n-2} of the last three states (z_0 at the first step, the linear
+        2 z_1 - z_0 at the second) and carries the closure tangent, with its
+        secant updates, that the previous step hands on. They are locals of
+        this call, never state of the system.
         """
         n_steps = step_count(T, dt)
         times = [state0.t]
@@ -440,6 +468,7 @@ class ReducedSystem:
         residuals = [0.0]
         backtracks = [0]
         tangents = [0]
+        evaluations = [0]
         state = state0
         implicit = scheme == "implicit-euler"
         kw = {"tol": tol} if implicit else {}
@@ -449,10 +478,12 @@ class ReducedSystem:
                 new, diag = self.step(state, dt, scheme=scheme, **kw)
             except StepError as exc:
                 exc.trajectory = Trajectory(times, states, iters, residuals, backtracks,
-                                            tangents, completed=False)
+                                            tangents, evaluations, completed=False)
                 raise
-            if implicit:  # the next step starts from the linear extrapolation
-                kw.update(start=2.0 * new.z - state.z, T_VV=diag.pop("T_VV"))
+            if implicit:  # the next step starts from the extrapolation of the last states
+                start = (2.0 * new.z - state.z if k == 0
+                         else 3.0 * new.z - 3.0 * state.z + states[-2])
+                kw.update(start=start, T_VV=diag.pop("T_VV"))
             new.diag = diag
             state = new
             times.append(state.t)
@@ -461,9 +492,10 @@ class ReducedSystem:
             residuals.append(diag["residual"])
             backtracks.append(diag["backtracks"])
             tangents.append(diag["tangents"])
+            evaluations.append(diag["evaluations"])
             if on_step is not None:
                 on_step(state)
-        return Trajectory(times, states, iters, residuals, backtracks, tangents)
+        return Trajectory(times, states, iters, residuals, backtracks, tangents, evaluations)
 
     # -- quadrature-level energy rates (read by the energy tests) ----------------
 

@@ -239,6 +239,8 @@ def test_cli_simulate_solver_summary(tmp_path):
     assert 0 < solver["tangents_total"] <= solver["iterations_total"]
     hist = solver["iterations_histogram"]
     assert hist == [iters[1:].count(n) for n in range(max(iters) + 1)]
+    # every step evaluates the closure at its start and at each Newton trial
+    assert solver["evaluations_total"] >= solver["iterations_total"] + len(rows) - 1
     # the phases are disjoint parts of the run's wall time
     phases = summary["phases"]
     assert sorted(phases) == ["integrate_s", "ledger_s", "output_s", "setup_s"]

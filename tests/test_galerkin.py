@@ -123,12 +123,17 @@ def test_step_zero_state(plain16):
     assert diag["residual"] <= 1e-10
 
 
-def test_step_rejects_bad_dt(plain16):
-    sys_ = make_system(plain16)
-    with pytest.raises(ValueError):
-        sys_.step(GalerkinState(0.0, np.zeros(12)), -0.1)
-    with pytest.raises(ValueError):
-        sys_.step(GalerkinState(0.0, np.zeros(12)), 0.1, scheme="leapfrog")
+def test_step_rejects_bad_dt(plain16, preset16):
+    # a NaN or infinite dt is refused before any stepping, with or without
+    # pumps, not met as a NaN state, a failed Newton step or a schedule error
+    for sys_ in (make_system(plain16), preset16.system):
+        state = GalerkinState(0.0, np.zeros(sys_.basis.size))
+        for scheme in ("implicit-euler", "explicit-rk4"):
+            for dt in (-0.1, 0.0, np.nan, np.inf):
+                with pytest.raises(ValueError, match="dt must be positive and finite"):
+                    sys_.step(state, dt, scheme=scheme)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            sys_.step(state, 0.1, scheme="leapfrog")
 
 
 def test_implicit_euler_matches_exponential_in_linear_regime(plain16):
@@ -290,6 +295,58 @@ def _logged_newton(monkeypatch, events):
         return logged_defect, logged_tangent, jacobian
 
     _patch_newton(monkeypatch, logged)
+
+
+def _logged_secant(monkeypatch, log):
+    """Patch implicit_euler_newton to append ("defect", z, d, residual),
+    ("tangent", T) and ("jacobian", T, copy of T) to log, in call order."""
+
+    def logged(defect, tangent, jacobian):
+        def logged_defect(z):
+            out = defect(z)
+            log.append(("defect", z, out[0], out[1]))
+            return out
+
+        def logged_tangent(f):
+            log.append(("tangent", tangent(f)))
+            return log[-1][1]
+
+        def logged_jacobian(z, T_VV):
+            log.append(("jacobian", T_VV, T_VV.copy()))
+            return jacobian(z, T_VV)
+
+        return logged_defect, logged_tangent, logged_jacobian
+
+    _patch_newton(monkeypatch, logged)
+
+
+def _events(log):
+    """The ("defect", residual) and ("tangent", None) events of a secant log."""
+    return [(entry[0], entry[3] if entry[0] == "defect" else None)
+            for entry in log if entry[0] != "jacobian"]
+
+
+def _replay_secant(log, T, dt):
+    """Replay a logged step (or run of steps) without backtracks from the
+    tangent T in use at its start: every jacobian call receives the tangent
+    formed or carried in plus the secant update r s^T / (dt s^T s) of each
+    accepted update since, with s = z+ - z and r = d(z+) (lambda = 1),
+    checked to 1e-14 relative; a trial without decrease is dropped. Every
+    tangent passed is bitwise unchanged at the end. Returns the tangent in
+    use at the end."""
+    z = res = None
+    for entry in log:
+        if entry[0] == "tangent":
+            T = entry[1]
+        elif entry[0] == "jacobian":
+            assert _rel_gap(entry[1], T) <= 1e-14
+            assert np.array_equal(entry[1], entry[2])
+        elif res is None or entry[3] < res:
+            if res is not None:
+                s = entry[1] - z
+                T = T + np.outer(entry[2], s) / (dt * (s @ s))
+            z, res = entry[1], entry[3]
+    return T
 
 
 def test_picard_step_convection_load_count(preset16, monkeypatch):
@@ -462,23 +519,28 @@ def test_carried_tangent_rates(preset16, plateau_step, monkeypatch, scale, case)
     sys_, dt = preset16.system, 0.01
     zm, z, t, T = plateau_step
     carried = scale * T
-    events = []
-    _logged_newton(monkeypatch, events)
+    kept = carried.copy()
+    log = []
+    _logged_secant(monkeypatch, log)
     new, diag = sys_.step(GalerkinState(t, z), dt, start=2 * z - zm, T_VV=carried)
-    updates = _updates(events)
+    assert np.array_equal(carried, kept)  # the carried tangent is never written into
+    # each update's Newton matrix holds the carried or formed tangent plus
+    # the secant updates since; the one in use at the end is handed on
+    end = _replay_secant(log, carried, dt)
+    updates = _updates(_events(log))
     rates = [after / before for before, after, _ in updates]
     for before, after, formed in updates[:-1]:
         assert formed == (after > CHORD_RATE * before)
     if case == "kept":
         assert max(rates) <= CARRY_RATE
-        assert diag["tangents"] == 0 and diag["T_VV"] is carried
+        assert diag["tangents"] == 0 and _rel_gap(diag["T_VV"], end) <= 1e-14
     elif case == "not handed on":
         assert CARRY_RATE < max(rates) <= CHORD_RATE
         assert diag["tangents"] == 0 and diag["T_VV"] is None
     else:
         assert rates[0] > CHORD_RATE and updates[0][2]
         assert diag["tangents"] == 1
-        assert diag["T_VV"] is not None and diag["T_VV"] is not carried
+        assert diag["T_VV"] is not None and _rel_gap(diag["T_VV"], end) <= 1e-14
     assert diag["residual"] <= 1e-10 and diag["backtracks"] == 0
     defect = new.z - z - dt * sys_.rhs(new.z, new.t)
     assert abs(diag["residual"] - np.linalg.norm(defect)) <= 1e-15
@@ -487,12 +549,14 @@ def test_carried_tangent_rates(preset16, plateau_step, monkeypatch, scale, case)
 def test_carried_tangent_without_decrease_is_refreshed(preset16, plateau_step, monkeypatch):
     # the carried tangent's one trial gets a reversed Newton matrix, so it
     # raises the residual: the trial is dropped and the tangent is formed at
-    # the extrapolated start, whose fresh tangent the step then hands on
+    # the extrapolated start; the step hands on that fresh tangent with the
+    # secant updates of the updates after it
     sys_, dt = preset16.system, 0.01
     zm, z, t, T = plateau_step
     start = 2 * z - zm
-    events = []
-    _logged_newton(monkeypatch, events)
+    kept = T.copy()
+    log = []
+    _logged_secant(monkeypatch, log)
     jacobians = []
 
     def reversed_first(defect, tangent, jacobian):
@@ -504,36 +568,28 @@ def test_carried_tangent_without_decrease_is_refreshed(preset16, plateau_step, m
 
     _patch_newton(monkeypatch, reversed_first)
     new, diag = sys_.step(GalerkinState(t, z), dt, start=start, T_VV=T)
+    assert _rel_gap(diag["T_VV"], _replay_secant(log, T, dt)) <= 1e-14
+    events = _events(log)
     kinds = [kind for kind, _ in events]
     res = [value for _, value in events]
     assert kinds[:4] == ["defect", "defect", "tangent", "defect"]
     assert res[1] > res[0] and res[3] < res[0]
-    assert jacobians[0] is T and all(J is diag["T_VV"] for J in jacobians[1:])
+    assert jacobians[0] is T and np.array_equal(T, kept)
     assert diag["tangents"] == 1 and diag["backtracks"] == 0
     assert diag["iterations"] == kinds.count("defect") - 2  # the start's and the dropped trial
-    defect, tangent, _ = sys_.implicit_euler_newton(z, dt, t + dt)
-    assert np.array_equal(diag["T_VV"], tangent(defect(start)[2]))
+    formed = [entry[1] for entry in log if entry[0] == "tangent"]
+    defect, tangent, _ = sys_.implicit_euler_newton(z, dt, t + dt)  # logs on
+    assert np.array_equal(formed[0], tangent(defect(start)[2]))
     assert diag["residual"] <= 1e-10
 
 
 def test_step_after_a_refresh_carries_its_tangent(preset16, monkeypatch):
     # in integrate, a step after one that formed a tangent and handed it on
-    # makes no kernel call: every update uses that tangent
-    sys_ = preset16.system
+    # makes no kernel call: every update uses that tangent with the secant
+    # updates made since it was formed, in its own step and in this one
+    sys_, dt = preset16.system, 0.01
     log, steps = [], []
-
-    def logged(defect, tangent, jacobian):
-        def logged_tangent(f):
-            log.append(("tangent", tangent(f)))
-            return log[-1][1]
-
-        def logged_jacobian(z, T_VV):
-            log.append(("jacobian", T_VV))
-            return jacobian(z, T_VV)
-
-        return defect, logged_tangent, logged_jacobian
-
-    _patch_newton(monkeypatch, logged)
+    _logged_secant(monkeypatch, log)
     kernel, calls = MixedSpace.weighted_strain_stiffness, []
     monkeypatch.setattr(MixedSpace, "weighted_strain_stiffness",
                         lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
@@ -543,15 +599,80 @@ def test_step_after_a_refresh_carries_its_tangent(preset16, monkeypatch):
         log.clear()
         calls.clear()
 
-    traj = sys_.integrate(preset16.state0, T=0.3, dt=0.01, on_step=on_step)
+    traj = sys_.integrate(preset16.state0, T=0.3, dt=dt, on_step=on_step)
     assert [n for _, n in steps] == traj.tangents[1:].tolist()
+    assert traj.backtracks.sum() == 0
     carried = 0
-    for (before, _), (after, n) in zip(steps, steps[1:]):
-        formed = [T for kind, T in before if kind == "tangent"]
-        if formed and n == 0:
-            assert all(T is formed[-1] for kind, T in after if kind == "jacobian")
+    for (before, n_before), (after, n) in zip(steps, steps[1:]):
+        if n_before and n == 0:
+            first = next(entry[1] for entry in before if entry[0] == "jacobian")
+            _replay_secant(after, _replay_secant(before, first, dt), dt)
             carried += 1
     assert carried >= 3
+
+
+def test_secant_update_satisfies_the_secant_condition(preset16, plateau_step, monkeypatch):
+    # a plateau step carrying the tangent at z_old: after each accepted
+    # update z -> z+, the Newton matrix at z with the updated tangent maps
+    # s = z+ - z onto d(z+) - d(z), and the update calls jacobian no more.
+    # s is rounded at the size of z+, so the condition holds to 1e-12 of
+    # ||d(z)|| above the floor eps ||J+|| ||z+||, which the updates after
+    # the first reach (||d|| ~ 1e-7 against ||z|| ~ 1e-2)
+    sys_, dt = preset16.system, 0.01
+    zm, z, t, T = plateau_step
+    _, _, jacobian = sys_.implicit_euler_newton(z, dt, t + dt)
+    log = []
+    _logged_secant(monkeypatch, log)
+    new, diag = sys_.step(GalerkinState(t, z), dt, start=2 * z - zm, T_VV=T)
+    assert diag["tangents"] == 0 and diag["backtracks"] == 0 and diag["T_VV"] is not None
+    defects = [entry[1:3] for entry in log if entry[0] == "defect"]
+    tangents = [entry[1] for entry in log if entry[0] == "jacobian"][1:] + [diag["T_VV"]]
+    assert len(defects) == diag["iterations"] + 1 >= 2
+    assert len(tangents) == diag["iterations"]  # one jacobian call per update
+    for k, ((z0, d0), (z1, d1), T1) in enumerate(zip(defects, defects[1:], tangents)):
+        J1 = jacobian(z0, T1)
+        gap = np.linalg.norm(J1 @ (z1 - z0) - (d1 - d0))
+        floor = 0.0 if k == 0 else np.finfo(float).eps * np.linalg.norm(J1, 2) * np.linalg.norm(z1)
+        assert gap <= 1e-12 * np.linalg.norm(d0) + floor
+
+
+def test_integrate_starts_from_the_quadratic_extrapolation(preset16, monkeypatch):
+    # step 1 starts at z_0, step 2 at 2 z_1 - z_0, and step n + 1 at
+    # 3 z_n - 3 z_{n-1} + z_{n-2}
+    step, starts = ReducedSystem.step, []
+
+    def logged(self, state, dt, **kw):
+        starts.append((state.z.copy(), kw.get("start")))
+        return step(self, state, dt, **kw)
+
+    monkeypatch.setattr(ReducedSystem, "step", logged)
+    traj = preset16.system.integrate(preset16.state0, T=0.1, dt=0.01)
+    z = traj.states
+    assert len(starts) == len(traj) - 1
+    for n, (z_old, start) in enumerate(starts):
+        assert np.array_equal(z_old, z[n])
+        if n == 0:
+            assert start is None  # a step without a start begins at z_old
+        elif n == 1:
+            assert np.array_equal(start, 2 * z[1] - z[0])
+        else:
+            assert np.array_equal(start, 3 * z[n] - 3 * z[n - 1] + z[n - 2])
+
+
+@pytest.mark.parametrize("scheme", ["implicit-euler", "explicit-rk4"])
+def test_evaluations_count_the_closure_calls(preset16, monkeypatch, scheme):
+    # each step's evaluations are its closure evaluations: 4 per RK4 step;
+    # for implicit Euler the start's defect and every trial
+    closure, calls = ReducedSystem._closure, []
+    monkeypatch.setattr(ReducedSystem, "_closure",
+                        lambda *a: calls.append(1) or closure(*a))
+    traj = preset16.system.integrate(preset16.state0, T=0.4, dt=0.01, scheme=scheme)
+    assert traj.evaluations[0] == 0
+    assert traj.evaluations.sum() == len(calls)
+    if scheme == "explicit-rk4":
+        assert np.all(traj.evaluations[1:] == 4)
+    else:
+        assert np.all(traj.evaluations[1:] >= traj.iterations[1:] + 1)
 
 
 def test_newton_without_closure_is_exact(preset16, monkeypatch):
