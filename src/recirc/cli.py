@@ -43,6 +43,17 @@ def _write_csv(path, columns, rows, cfg_hash):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _write_json(path, obj):
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _config_errors(exc):
+    """The {"valid": false, "errors": [...]} report of a ConfigError."""
+    return json.dumps({"valid": False,
+                       "errors": [{"path": p, "message": m} for p, m in exc.issues]},
+                      indent=2)
+
+
 def _say(quiet, *args):
     if not quiet:
         print(*args)
@@ -193,7 +204,7 @@ def cmd_simulate(args):
         "phases": {"setup_s": lap[0], "integrate_s": lap[1], "ledger_s": lap[3],
                    "output_s": lap[2] + lap[4]},
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "summary.json", summary)
     _say(args.quiet, f"simulate: max ||v|| = {summary['max_v_l2']:.6g}, "
          f"artifacts in {out}")
     return 0
@@ -265,7 +276,7 @@ def cmd_eigen(args):
         "korn_constant": scenario.space.korn_constant(),
         "subspace_dimension": subspace_dimension(scenario.space),
     }
-    (out / "eigen_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "eigen_summary.json", summary)
     _say(args.quiet, f"eigen: {basis.size} modes, lambda_1 = {basis.eigenvalues[0]:.6f}, "
          f"gram residual {basis.gram_residual:.2e}, korn constant "
          f"{summary['korn_constant']:.6f}")
@@ -276,9 +287,7 @@ def cmd_validate(args):
     try:
         cfg = _load_config(args)
     except ConfigError as exc:
-        print(json.dumps({"valid": False,
-                          "errors": [{"path": p, "message": m} for p, m in exc.issues]},
-                         indent=2))
+        print(_config_errors(exc))
         return 2
     print(json.dumps({"valid": True, "config_hash": cfg.hash()}, indent=2))
     return 0
@@ -424,9 +433,7 @@ def cmd_contract(args):
         "check_eps": eps_check,
         "check_bound_holds": holds,
     }
-    (out / "contraction_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(out / "contraction_summary.json", summary)
     _say(args.quiet, f"contract: fitted C2 = {rep.fitted_C2:.6g}, "
          f"independent pair bound holds: {holds}")
     return 0 if holds else 1
@@ -474,9 +481,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except ConfigError as exc:
-        print(json.dumps({"valid": False,
-                          "errors": [{"path": p_, "message": m} for p_, m in exc.issues]},
-                         indent=2), file=sys.stderr)
+        print(_config_errors(exc), file=sys.stderr)
         return 2
     except RecircError as exc:
         print(f"error: {exc}", file=sys.stderr)

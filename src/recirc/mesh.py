@@ -4,7 +4,14 @@ The boundary of the tank splits into three disjoint tagged families:
 collector segments (water withdrawn), injector segments (water re-injected)
 and the remaining impermeable wall. Tags are free-form strings; each tag
 carries a kind in {"C", "T", "N"}.
+
+The boundary is one table of aligned arrays over the boundary edges, in
+mesh edge order: edge id, side, arc-coordinate span, length, outward normal
+and tag. Every boundary consumer (tagging, boundary DOFs, flux, boundary
+norm, pump normalization) reads it by masks.
 """
+
+import hashlib
 
 import numpy as np
 
@@ -12,31 +19,16 @@ from .errors import ConflictError, MeshError
 
 SIDES = ("bottom", "right", "top", "left")
 
-# outward unit normal of each side of an axis-aligned rectangle
-_SIDE_NORMAL = {
-    "bottom": np.array([0.0, -1.0]),
-    "right": np.array([1.0, 0.0]),
-    "top": np.array([0.0, 1.0]),
-    "left": np.array([-1.0, 0.0]),
-}
+# outward unit normal of each side of an axis-aligned rectangle, in SIDES order
+_SIDE_NORMALS = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+
+# the two triangles of grid cell (i, j) as corners (a, b, c, d), counterclockwise
+# from (i, j), for even and for odd i + j: the diagonal alternates with parity
+_SPLITS = np.array([[0, 1, 2, 0, 2, 3], [0, 1, 3, 1, 2, 3]])
 
 _SNAP = 1e-9
 
 WALL_TAG = "N"
-
-
-class BoundaryEdge:
-    """One boundary edge: vertex pair, side, tag, outward normal, length."""
-
-    __slots__ = ("vertices", "side", "tag", "normal", "length", "span")
-
-    def __init__(self, vertices, side, normal, length, span):
-        self.vertices = vertices
-        self.side = side
-        self.tag = WALL_TAG
-        self.normal = normal
-        self.length = length
-        self.span = span  # (lo, hi) arc coordinate along the side
 
 
 class TaggedMesh:
@@ -48,8 +40,15 @@ class TaggedMesh:
     cells : (nt, 3) int array, CCW vertex triples
     edges : (ne, 2) int array of sorted vertex pairs
     cell_edges : (nt, 3) int array, edge j opposite local vertex j
-    boundary : list of BoundaryEdge
     tag_kinds : dict tag -> "C" | "T" | "N"
+
+    The boundary table, one row per boundary edge:
+    bnd_edge : (nb,) edge ids
+    bnd_side : (nb,) side index into SIDES
+    bnd_span : (nb, 2) arc coordinates (lo, hi) along the side
+    bnd_length : (nb,) edge lengths
+    bnd_normal : (nb, 2) outward unit normals
+    bnd_tag : (nb,) object array of tags, WALL_TAG until `tag_boundary`
     """
 
     def __init__(self, Lx, Ly, vertices, cells):
@@ -77,35 +76,26 @@ class TaggedMesh:
 
     def _build_boundary(self):
         counts = np.bincount(self.cell_edges.ravel(), minlength=len(self.edges))
-        self.boundary = []
-        for e in np.flatnonzero(counts == 1):
-            v0, v1 = self.edges[e]
-            p0, p1 = self.vertices[v0], self.vertices[v1]
-            mid = 0.5 * (p0 + p1)
-            side = self._side_of(mid)
-            if side is None:
+        edge = np.flatnonzero(counts == 1)
+        ends = self.vertices[self.edges[edge]]  # (nb, 2 ends, 2 coordinates)
+        x, y = 0.5 * (ends[:, 0] + ends[:, 1]).T
+        side = np.select([np.abs(y) <= _SNAP, np.abs(y - self.Ly) <= _SNAP,
+                          np.abs(x) <= _SNAP, np.abs(x - self.Lx) <= _SNAP], [0, 2, 3, 1], -1)
+        length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+        bad = (side < 0) | (length < 1e-14)
+        if bad.any():
+            k = np.argmax(bad)
+            v0, v1 = self.edges[edge[k]]
+            if side[k] < 0:
                 raise MeshError(f"boundary edge {v0}-{v1} not on the rectangle boundary")
-            length = float(np.linalg.norm(p1 - p0))
-            if length < 1e-14:
-                raise MeshError(f"degenerate boundary edge {v0}-{v1}")
-            axis = 0 if side in ("bottom", "top") else 1
-            lo = float(min(p0[axis], p1[axis]))
-            hi = float(max(p0[axis], p1[axis]))
-            self.boundary.append(
-                BoundaryEdge((v0, v1), side, _SIDE_NORMAL[side].copy(), length, (lo, hi))
-            )
-
-    def _side_of(self, point):
-        x, y = point
-        if abs(y) <= _SNAP:
-            return "bottom"
-        if abs(y - self.Ly) <= _SNAP:
-            return "top"
-        if abs(x) <= _SNAP:
-            return "left"
-        if abs(x - self.Lx) <= _SNAP:
-            return "right"
-        return None
+            raise MeshError(f"degenerate boundary edge {v0}-{v1}")
+        self.bnd_edge = edge
+        self.bnd_side = side
+        # x along bottom and top (even sides), y along right and left
+        self.bnd_span = np.sort(ends[np.arange(len(edge)), :, side % 2], axis=1)
+        self.bnd_length = length
+        self.bnd_normal = _SIDE_NORMALS[side]
+        self.bnd_tag = np.full(len(edge), WALL_TAG, dtype=object)
 
     # -- queries -----------------------------------------------------------
 
@@ -124,23 +114,23 @@ class TaggedMesh:
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
     def measure(self, tag):
-        """Boundary measure mu(S) of all edges carrying `tag`."""
-        return sum(b.length for b in self.boundary if b.tag == tag)
-
-    def edges_of_tag(self, tag):
-        return [b for b in self.boundary if b.tag == tag]
+        """Boundary measure mu(S) of all edges carrying `tag`, summed in
+        edge order."""
+        return sum(self.bnd_length[self.bnd_tag == tag].tolist())
 
     def side_length(self, side):
         return self.Lx if side in ("bottom", "top") else self.Ly
 
     def fingerprint(self):
         """Hash of geometry, connectivity and tags; guards basis reuse."""
-        import hashlib
-
         h = hashlib.sha256()
         h.update(self.vertices.tobytes())
         h.update(self.cells.tobytes())
-        h.update(",".join(f"{b.side}:{b.span}:{b.tag}" for b in self.boundary).encode())
+        # each edge as "side:(lo, hi):tag", the span printed as a tuple of Python
+        # floats (an np.float64 prints otherwise); saved bases carry this digest
+        lo, hi = self.bnd_span.T.tolist()
+        h.update(",".join(map("{}:({!r}, {!r}):{}".format, np.array(SIDES)[self.bnd_side],
+                              lo, hi, self.bnd_tag)).encode())
         return h.hexdigest()
 
 
@@ -149,7 +139,8 @@ def build_rect_mesh(Lx, Ly, nx, ny):
 
     Each grid cell is split into two triangles along a diagonal whose
     direction alternates with cell parity, so the mesh carries no global
-    diagonal bias. All boundary edges start as wall ("N").
+    diagonal bias. Grid cell (i, j) gives cells 2 (i ny + j) and the next.
+    All boundary edges start as wall ("N").
     """
     if not (Lx > 0 and Ly > 0):
         raise ValueError(f"tank dimensions must be positive, got Lx={Lx}, Ly={Ly}")
@@ -162,24 +153,10 @@ def build_rect_mesh(Lx, Ly, nx, ny):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    cells = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    k = 0
-    for i in range(nx):
-        for j in range(ny):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            if (i + j) % 2 == 0:
-                cells[k] = (a, b, c)
-                cells[k + 1] = (a, c, d)
-            else:
-                cells[k] = (a, b, d)
-                cells[k + 1] = (b, c, d)
-            k += 2
+    i, j = np.divmod(np.arange(nx * ny, dtype=np.int64), ny)
+    a = i * (ny + 1) + j  # vertex (i, j)
+    corners = np.column_stack([a, a + ny + 1, a + ny + 2, a + 1])
+    cells = np.take_along_axis(corners, _SPLITS[(i + j) % 2], axis=1).reshape(-1, 3)
     return TaggedMesh(Lx, Ly, vertices, cells)
 
 
@@ -200,10 +177,7 @@ def tag_boundary(mesh, segments):
     ValueError : segment off the boundary, misaligned, or badly named
     ConflictError : overlapping segments
     """
-    by_side = {}
-    for b in mesh.boundary:
-        by_side.setdefault(b.side, []).append(b)
-
+    lo, hi = mesh.bnd_span.T
     for side, start, end, tag in segments:
         if side not in SIDES:
             raise ValueError(f"unknown side {side!r}, expected one of {SIDES}")
@@ -219,30 +193,26 @@ def tag_boundary(mesh, segments):
             raise ValueError(
                 f"segment [{start}, {end}] lies outside side {side!r} of length {L}"
             )
-        covered = [
-            b
-            for b in by_side.get(side, [])
-            if b.span[0] >= start - _SNAP and b.span[1] <= end + _SNAP
-        ]
-        if not covered:
+        covered = ((mesh.bnd_side == SIDES.index(side))
+                   & (lo >= start - _SNAP) & (hi <= end + _SNAP))
+        if not covered.any():
             raise ValueError(f"segment [{start}, {end}] on {side!r} matches no mesh edge")
-        lo = min(b.span[0] for b in covered)
-        hi = max(b.span[1] for b in covered)
-        if abs(lo - start) > _SNAP or abs(hi - end) > _SNAP:
+        first, last = float(lo[covered].min()), float(hi[covered].max())
+        if abs(first - start) > _SNAP or abs(last - end) > _SNAP:
             raise ValueError(
                 f"segment [{start}, {end}] on {side!r} does not align with mesh "
-                f"edges (closest covering span [{lo}, {hi}])"
+                f"edges (closest covering span [{first}, {last}])"
             )
-        total = sum(b.length for b in covered)
+        total = mesh.bnd_length[covered].sum()
         if abs(total - (end - start)) > _SNAP * max(1.0, L):
             raise ValueError(
                 f"segment [{start}, {end}] on {side!r} is not contiguous in the mesh"
             )
-        for b in covered:
-            if b.tag != WALL_TAG:
-                raise ConflictError(
-                    f"segment [{start}, {end}] on {side!r} overlaps tag {b.tag!r}"
-                )
-            b.tag = tag
+        taken = mesh.bnd_tag[covered & (mesh.bnd_tag != WALL_TAG)]
+        if len(taken):
+            raise ConflictError(
+                f"segment [{start}, {end}] on {side!r} overlaps tag {taken[0]!r}"
+            )
+        mesh.bnd_tag[covered] = tag
         mesh.tag_kinds[tag] = kind
     return mesh

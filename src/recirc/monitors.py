@@ -119,14 +119,14 @@ def ledger(system, traj):
         y = np.concatenate([g, z])
         zf = system.basis.expand(z)
         eps_w_cu[i] = _cube(space, system.state_fields(zf, g).w_eps_mag)
-        eps_z_cu[i] = _cube(space, sym_norm(*planes(space.strain_samples(zf))))
+        z_l3_cu, eps_z_cu[i] = _cubes(space, zf)
         eps_z_sq[i] = z @ E_VV @ z
         rows["z_l2_sq"][i] = z @ z
         rows["psi1"][i] = y @ E @ y + eps_w_cu[i]
         rows["psi2"][i] = (eps_w_cu[i] ** (2 / 3) + gdot @ E_ZZ @ gdot
                            + cubes(gdot)[1] ** 0.5)
         rows["z_w12_sq"][i] = rows["z_l2_sq"][i] + z @ grad_VV @ z
-        rows["z_w13_cu"][i] = _cube(space, _magnitude(space.eval_values(zf))) + eps_z_cu[i]
+        rows["z_w13_cu"][i] = z_l3_cu + eps_z_cu[i]
         rows["hg_l2_sq"][i], rows["hg_tilde_l2_sq"][i] = hg_sq(t, g, gdot)
         if i > 0:
             dt = times[i] - times[i - 1]
@@ -160,27 +160,25 @@ def _cube(space, mag):
     return space.integrate(mag * mag * mag)
 
 
-def _magnitude(vals):
-    """|u| of value tables (..., 2)."""
-    u0, u1 = vals[..., 0], vals[..., 1]
-    return np.sqrt(u0 * u0 + u1 * u1)
+def _cubes(space, u):
+    """(int |u|^3, int |eps(u)|^3) of a velocity field u, from one value and
+    one strain table."""
+    vals = space.eval_values(u)
+    return (_cube(space, np.sqrt(vals[..., 0] ** 2 + vals[..., 1] ** 2)),
+            _cube(space, sym_norm(*planes(space.strain_samples(u)))))
 
 
 def _lift_cubes(system):
-    """The map r -> (int |u|^3, int |eps(u)|^3) of u = lifting.combine(r),
-    each from one value and one strain table, formed once per distinct rate
-    vector r of one ledger call (keyed by its exact bytes), and (0, 0)
-    without pumps."""
+    """The map r -> `_cubes` of u = lifting.combine(r), formed once per
+    distinct rate vector r of one ledger call (keyed by its exact bytes), and
+    (0, 0) without pumps."""
     space, lifting = system.space, system.lifting
     kept = {}
 
     def cubes(r):
         key = r.tobytes()
         if key not in kept:
-            u = lifting.combine(r)
-            kept[key] = ((_cube(space, _magnitude(space.eval_values(u))),
-                          _cube(space, sym_norm(*planes(space.strain_samples(u)))))
-                         if len(r) else (0.0, 0.0))
+            kept[key] = _cubes(space, lifting.combine(r)) if len(r) else (0.0, 0.0)
         return kept[key]
 
     return cubes

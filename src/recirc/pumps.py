@@ -17,6 +17,11 @@ nodal values vanish at segment endpoints and are rescaled so the *discrete*
 trace integral equals the segment measure; without that rescaling the
 interpolated trace has a spurious net flux at segment junctions and the
 discrete Stokes lift is inconsistent.
+
+A profile reads its segment from the mesh's boundary table under the tag
+mask: measure, side, normal and start, and the discrete integral is one
+masked sum of edge length times the exact shape integrals
+(`space.EDGE_SHAPE_INTEGRALS`) against the nodal values.
 """
 
 from bisect import bisect_left
@@ -24,10 +29,10 @@ from bisect import bisect_left
 import numpy as np
 
 from .errors import CompatibilityError
+from .mesh import SIDES
+from .space import EDGE_SHAPE_INTEGRALS
 
 PROFILE_KINDS = ("flat", "mollified")
-
-_EDGE_SHAPE_INTEGRALS = np.array([1 / 6, 1 / 6, 2 / 3])  # v0, v1, midpoint
 
 
 class PumpProfile:
@@ -85,17 +90,17 @@ def build_profile(space, tag, kind="flat", width=None):
     indicator of the segment.
     """
     mesh = space.mesh
-    edges = mesh.edges_of_tag(tag)
-    if not edges:
+    on = mesh.bnd_tag == tag
+    if not on.any():
         raise ValueError(f"no boundary edges carry tag {tag!r}")
-    mu = sum(b.length for b in edges)
+    mu = mesh.measure(tag)
     if mu <= 0:
         raise ValueError(f"segment {tag!r} has zero measure")
-    sides = {b.side for b in edges}
+    sides = np.unique(mesh.bnd_side[on])
     if len(sides) > 1:
-        raise ValueError(f"segment {tag!r} spans several sides {sides}")
-    side = edges[0].side
-    normal = edges[0].normal
+        raise ValueError(f"segment {tag!r} spans several sides { {SIDES[s] for s in sides} }")
+    first = np.argmax(on)
+    side, normal = SIDES[mesh.bnd_side[first]], mesh.bnd_normal[first]
 
     if kind == "flat":
         closure = lambda s: np.ones_like(np.asarray(s, dtype=float))
@@ -108,8 +113,8 @@ def build_profile(space, tag, kind="flat", width=None):
     else:
         raise ValueError(f"unknown profile kind {kind!r}, expected one of {PROFILE_KINDS}")
 
-    start = min(b.span[0] for b in edges)
-    axis = 0 if side in ("bottom", "top") else 1
+    start = mesh.bnd_span[on, 0].min()
+    axis = mesh.bnd_side[first] % 2  # x along bottom and top, y along right and left
     sdofs = space.tagged_scalar_dofs(tag)
     arcs = space.dof_coords[sdofs, axis] - start
     values = np.asarray(closure(arcs), dtype=float)
@@ -126,14 +131,14 @@ def build_profile(space, tag, kind="flat", width=None):
 
 
 def _discrete_integral(space, tag, sdofs, values):
-    lookup = {d: v for d, v in zip(sdofs, values)}
-    total = 0.0
-    for b, dofs in zip(space.mesh.boundary, space.bnd_edge_dofs):
-        if b.tag != tag:
-            continue
-        nodal = np.array([lookup.get(d, 0.0) for d in dofs])
-        total += b.length * float(_EDGE_SHAPE_INTEGRALS @ nodal)
-    return total
+    """Exact integral over the edges carrying `tag` of the P2 boundary trace
+    with `values` at `sdofs`: per edge its length times one dot of the nodal
+    values with the shape integrals, summed in edge order."""
+    nodal = np.zeros(space.n_scalar)
+    nodal[sdofs] = values
+    on = space.mesh.bnd_tag == tag
+    per_edge = np.vecdot(nodal[space.bnd_edge_dofs[on]], EDGE_SHAPE_INTEGRALS)
+    return sum((space.mesh.bnd_length[on] * per_edge).tolist())
 
 
 def build_psi(injector, collector, space):

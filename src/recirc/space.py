@@ -50,6 +50,14 @@ Norm conventions (kind argument of `norm`):
     H1semi      : (int |grad u|^2)^(1/2)
     W13semi     : (int |eps(u)|^3)^(1/3), the strain-based convention
     L2boundary  : (int_bnd |u|^2)^(1/2)
+
+The boundary reads the mesh's boundary table (`TaggedMesh.bnd_*`) row by
+row: `bnd_edge_dofs` (nb, 3) holds each edge's scalar DOFs (v0, v1,
+midpoint); `boundary_sdofs` and `tagged_scalar_dofs(tag)` are their sorted
+unique values, all or under a tag mask; `flux_vector` is one bincount of
+length * EDGE_SHAPE_INTEGRALS * normal over them, so flux_vector @ u is the
+exact int_bnd u . n; `L2boundary` is one gather and one product with the
+edge Gauss rule.
 """
 
 from functools import cached_property
@@ -80,6 +88,8 @@ SADDLE_LU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 1e-3,
 DISSECTION_LEAF = 16
 QUAD_DEGREE = 6  # the cell quadrature rule's degree of exactness
 _MAX_LEVELS = 32  # 3^33 < 2^63 bounds the order keys
+# exact integrals over [0, 1] of the edge trace shape functions (v0, v1, midpoint)
+EDGE_SHAPE_INTEGRALS = np.array([1 / 6, 1 / 6, 2 / 3])
 
 
 def nested_dissection(xy, pressure):
@@ -214,9 +224,8 @@ class MixedSpace:
 
         self._tabulate()
         self._geometry()
-        self._boundary_dofs()
+        self._boundary()
         self._assemble()
-        self._assemble_boundary()
 
     # -- tabulation and geometry -------------------------------------------
 
@@ -255,20 +264,14 @@ class MixedSpace:
         )
         self.qweights = self.areas[:, None] * self.rule.weights[None, :]
 
-    def _boundary_dofs(self):
-        nv = self.mesh.num_vertices
-        edge_lookup = {tuple(e): i for i, e in enumerate(self.mesh.edges)}
-        self.bnd_edge_dofs = []  # per boundary edge: (v0, v1, mid) scalar dofs
-        bset = set()
-        self.tag_sdofs = {}
-        for b in self.mesh.boundary:
-            v0, v1 = b.vertices
-            eid = edge_lookup[(v0, v1)]
-            dofs = (v0, v1, nv + eid)
-            self.bnd_edge_dofs.append(dofs)
-            bset.update(dofs)
-            self.tag_sdofs.setdefault(b.tag, set()).update(dofs)
-        self.boundary_sdofs = np.array(sorted(bset), dtype=np.int64)
+    def _boundary(self):
+        """Boundary DOFs and the flux vector, from the mesh's boundary table."""
+        mesh = self.mesh
+        # per boundary edge, the scalar DOFs (v0, v1, midpoint)
+        self.bnd_edge_dofs = np.column_stack(
+            [mesh.edges[mesh.bnd_edge], mesh.num_vertices + mesh.bnd_edge]
+        )
+        self.boundary_sdofs = np.unique(self.bnd_edge_dofs)
         mask = np.zeros(self.n_scalar, dtype=bool)
         mask[self.boundary_sdofs] = True
         self.interior_sdofs = np.flatnonzero(~mask)
@@ -278,6 +281,12 @@ class MixedSpace:
         self.interior_vdofs = np.concatenate(
             [self.interior_sdofs, self.n_scalar + self.interior_sdofs]
         )
+        # flux_vector @ u = int_bnd u . n: each edge's length * shape integrals
+        # * normal, accumulated over the edges in order
+        w = (mesh.bnd_length[:, None] * EDGE_SHAPE_INTEGRALS)[:, :, None] * mesh.bnd_normal[:, None]
+        self.flux_vector = np.bincount(
+            (self.bnd_edge_dofs[:, :, None] + [0, self.n_scalar]).ravel(),
+            weights=w.ravel(), minlength=self.n_velocity)
 
     # -- assembly ------------------------------------------------------------
 
@@ -416,20 +425,6 @@ class MixedSpace:
             H = U.transpose(0, 2, 1)[:, None] @ P               # [c, (s, b), y, z]
             T += F.reshape(-1, m).T @ H.reshape(-1, m * m)
         return T.reshape(m, m, m)
-
-    def _assemble_boundary(self):
-        qs = self.edge_quad.points
-        qw = self.edge_quad.weights
-        T = _edge_trace(qs)  # (nq1, 3)
-        ns = self.n_scalar
-
-        flux = np.zeros(self.n_velocity)
-        shape_int = qw @ T  # (3,) integrals of trace shape functions on [0,1]
-        for b, dofs in zip(self.mesh.boundary, self.bnd_edge_dofs):
-            d = np.array(dofs)
-            for comp in range(2):
-                flux[comp * ns + d] += b.length * shape_int * b.normal[comp]
-        self.flux_vector = flux
 
     # -- pinned-pressure saddle systems -----------------------------------------
 
@@ -579,17 +574,13 @@ class MixedSpace:
         return self.integrate(mag2 ** 1.5) ** (1.0 / 3.0)
 
     def _boundary_l2(self, u):
-        ns = self.n_scalar
-        qs = self.edge_quad.points
-        qw = self.edge_quad.weights
-        T = _edge_trace(qs)
-        total = 0.0
-        for b, dofs in zip(self.mesh.boundary, self.bnd_edge_dofs):
-            d = np.array(dofs)
-            for comp in range(2):
-                vals = T @ u[comp * ns + d]
-                total += b.length * float(qw @ vals**2)
-        return np.sqrt(total)
+        # per edge and component, the trace at the Gauss points and its weighted
+        # square: a batched matrix-vector product and np.vecdot take the kernels
+        # of one edge's T @ u_e and w @ t^2, and the sum runs in edge order
+        U = u[self.bnd_edge_dofs[:, None, :] + [[0], [self.n_scalar]]]  # (nb, 2, 3)
+        vals = (_edge_trace(self.edge_quad.points) @ U[..., None])[..., 0]
+        sq = np.vecdot(vals**2, self.edge_quad.weights)
+        return np.sqrt(sum((self.mesh.bnd_length[:, None] * sq).ravel().tolist()))
 
     def strain_samples(self, u):
         """Strain tensors eps(u) at all quadrature points -> (nt, nq, 2, 2):
@@ -638,4 +629,5 @@ class MixedSpace:
         return np.column_stack([u[:nv], u[ns : ns + nv]])
 
     def tagged_scalar_dofs(self, tag):
-        return np.array(sorted(self.tag_sdofs.get(tag, ())), dtype=np.int64)
+        """Sorted scalar DOFs of the boundary edges carrying `tag`."""
+        return np.unique(self.bnd_edge_dofs[self.mesh.bnd_tag == tag])

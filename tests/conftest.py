@@ -147,6 +147,16 @@ def phi_g(pumps, t, space):
     return out
 
 
+def boundary_traces(space, u, s):
+    """Traces (nb, 2, len(s)) of a velocity field u at the fractions s of every
+    boundary edge (rows of the mesh's boundary table), from the quadratic edge
+    shape functions at its scalar DOFs (v0, v1, midpoint)."""
+    from recirc.space import _edge_trace
+
+    U = u[space.bnd_edge_dofs[:, None, :] + np.array([[0], [space.n_scalar]])]
+    return U @ _edge_trace(s).T
+
+
 def net_flux(pumps, t, space):
     """Discrete net boundary flux of phi_g(t) (compatibility check)."""
     return float(space.flux_vector @ phi_g(pumps, t, space))
@@ -207,4 +217,4 @@ def duffy_rule(n):
     y = (v * (1.0 - u)).ravel()
     w = (wu * wv * (1.0 - u)).ravel()
     # weights of TriangleRule sum to 1 = area-normalized; |T_ref| = 1/2
-    return TriangleRule(np.column_stack([x, y]), 2.0 * w, 2 * n - 2)
+    return TriangleRule(np.column_stack([x, y]), 2.0 * w)

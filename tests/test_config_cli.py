@@ -115,19 +115,28 @@ def test_cli_simulate_zero_data(tmp_path, capsys):
 
 
 def test_cli_simulate_deterministic(tmp_path):
-    path, _ = small_config(tmp_path)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--config", str(path), "--output-dir", str(out1),
-                 "--quiet"]) == 0
-    assert main(["simulate", "--config", str(path), "--output-dir", str(out2),
-                 "--quiet"]) == 0
-    assert (out1 / "trajectory.csv").read_text() == (out2 / "trajectory.csv").read_text()
-    assert (out1 / "ledger.csv").read_text() == (out2 / "ledger.csv").read_text()
-    # only the clock readings differ between the summaries
-    s1, s2 = (json.loads((o / "summary.json").read_text()) for o in (out1, out2))
-    for s in (s1, s2):
-        del s["wall_time_s"], s["phases"]
-    assert s1 == s2
+    # two runs of one config write the same bytes: the CSVs and the VTK files
+    # of the small one-pump config and of four_pumps (16x16) cut to T = 0.1
+    four = json.loads(preset_path("four_pumps").read_text())
+    four["time"]["T"] = 0.1
+    four["output"]["every"] = 5
+    (tmp_path / "four.json").write_text(json.dumps(four))
+    for path in (small_config(tmp_path)[0], tmp_path / "four.json"):
+        out1, out2 = tmp_path / path.stem / "a", tmp_path / path.stem / "b"
+        for out in (out1, out2):
+            assert main(["simulate", "--config", str(path), "--output-dir", str(out),
+                         "--quiet"]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert {"trajectory.csv", "ledger.csv", "velocity_00000.vtk"} <= set(names)
+        for name in names:
+            if name != "summary.json":
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        # only the clock readings differ between the summaries
+        s1, s2 = (json.loads((o / "summary.json").read_text()) for o in (out1, out2))
+        for s in (s1, s2):
+            del s["wall_time_s"], s["phases"]
+        assert s1 == s2
 
 
 def test_cli_simulate_progress(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import PartsSource, divfree_samples, duffy_rule, ramp_source
+from conftest import PartsSource, boundary_traces, divfree_samples, duffy_rule, ramp_source
 from recirc import lifting
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import CompatibilityError, SolverError
@@ -82,30 +82,21 @@ def test_orthogonality_against_divfree_fields():
 def _trace_mismatch(space, zeta, profiles):
     """Boundary L2 distance between the lifted trace and the exact closures."""
     from numpy.polynomial.legendre import leggauss
-    from recirc.space import _edge_trace
 
     x, w = leggauss(12)
     s = 0.5 * (x + 1.0)
-    T = _edge_trace(s)
-    ns = space.n_scalar
-    total = 0.0
-    for b, dofs in zip(space.mesh.boundary, space.bnd_edge_dofs):
-        d = np.array(dofs)
-        exact_n = np.zeros_like(s)
-        for prof, sign in profiles:
-            if b.tag == prof.tag:
-                axis = 0 if b.side in ("bottom", "top") else 1
-                lo = min(space.dof_coords[dd, axis] for dd in d[:2])
-                start = prof.arcs.min()  # arcs measured from segment start
-                seg_start = space.dof_coords[prof.sdofs, axis].min()
-                arc = lo - seg_start + s * b.length
-                exact_n = exact_n + sign * prof.eval(arc) / prof.mu
-        disc_n = np.zeros_like(s)
-        for comp in range(2):
-            if abs(b.normal[comp]) > 0.5:
-                disc_n = (T @ zeta[comp * ns + d]) * b.normal[comp]
-        total += b.length * float(0.5 * w @ (disc_n - exact_n) ** 2)
-    return np.sqrt(total)
+    mesh = space.mesh
+    exact_n = np.zeros((len(mesh.bnd_edge), len(s)))
+    for prof, sign in profiles:
+        on = mesh.bnd_tag == prof.tag
+        axis = 0 if prof.side in ("bottom", "top") else 1
+        # the edge's lower end and the segment start from the DOF coordinates
+        lo = space.dof_coords[space.bnd_edge_dofs[on, :2], axis].min(axis=1)
+        seg_start = space.dof_coords[prof.sdofs, axis].min()
+        arc = (lo - seg_start)[:, None] + s * mesh.bnd_length[on, None]
+        exact_n[on] += sign * prof.eval(arc) / prof.mu
+    disc_n = np.einsum("ecq,ec->eq", boundary_traces(space, zeta, s), mesh.bnd_normal)
+    return np.sqrt(mesh.bnd_length @ ((disc_n - exact_n) ** 2 @ (0.5 * w)))
 
 
 def test_trace_interpolation_error_decreases_under_refinement():

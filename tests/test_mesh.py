@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from recirc.errors import ConflictError
-from recirc.mesh import build_rect_mesh, tag_boundary
+from recirc.errors import ConflictError, MeshError
+from recirc.mesh import SIDES, TaggedMesh, build_rect_mesh, tag_boundary
 
 
 def test_single_cell_counts():
@@ -21,10 +21,8 @@ def test_rectangle_area_and_perimeter():
     m = build_rect_mesh(2, 1, 8, 4)
     assert abs(m.cell_areas().sum() - 2.0) <= 1e-12 * 2.0
     # independent perimeter oracle: sum vertex distances of boundary edges
-    total = 0.0
-    for b in m.boundary:
-        p0, p1 = m.vertices[b.vertices[0]], m.vertices[b.vertices[1]]
-        total += np.linalg.norm(p1 - p0)
+    p = m.vertices[m.edges[m.bnd_edge]]
+    total = np.hypot(*(p[:, 1] - p[:, 0]).T).sum()
     assert abs(total - 6.0) <= 1e-12 * 6.0
 
 
@@ -38,24 +36,91 @@ def test_invalid_arguments(bad):
 def test_area_partition_identity(nx, ny, Lx, Ly):
     m = build_rect_mesh(Lx, Ly, nx, ny)
     assert abs(m.cell_areas().sum() - Lx * Ly) <= 1e-12 * Lx * Ly
-    perim = sum(b.length for b in m.boundary)
+    perim = m.bnd_length.sum()
     assert abs(perim - 2 * (Lx + Ly)) <= 1e-12 * (Lx + Ly)
 
 
 def test_normals_are_unit_and_outward():
     m = build_rect_mesh(2, 1, 4, 2)
-    for b in m.boundary:
-        assert abs(np.linalg.norm(b.normal) - 1.0) <= 1e-14
-        mid = 0.5 * (m.vertices[b.vertices[0]] + m.vertices[b.vertices[1]])
-        outside = mid + 1e-3 * b.normal
-        assert not (0 < outside[0] < 2 and 0 < outside[1] < 1)
+    assert np.abs(np.linalg.norm(m.bnd_normal, axis=1) - 1.0).max() <= 1e-14
+    mid = m.vertices[m.edges[m.bnd_edge]].mean(axis=1)
+    x, y = (mid + 1e-3 * m.bnd_normal).T
+    assert not ((0 < x) & (x < 2) & (0 < y) & (y < 1)).any()
+
+
+def test_boundary_table_reads_the_vertices():
+    # each row's span is its end vertices' arc coordinate on its side, whose
+    # other coordinate is the side's own, and its length is the span's width
+    m = build_rect_mesh(2.5, 0.5, 5, 3)
+    ends = m.vertices[m.edges[m.bnd_edge]]  # (nb, 2, 2)
+    assert sorted(m.bnd_edge) == list(m.bnd_edge)
+    for k, side in enumerate(SIDES):
+        rows = m.bnd_side == k
+        axis = 0 if side in ("bottom", "top") else 1
+        fixed = {"bottom": 0.0, "right": 2.5, "top": 0.5, "left": 0.0}[side]
+        assert rows.sum() == (5 if axis == 0 else 3)
+        assert (ends[rows, :, 1 - axis] == fixed).all()
+        assert (m.bnd_span[rows] == np.sort(ends[rows, :, axis], axis=1)).all()
+    assert np.allclose(m.bnd_length, m.bnd_span[:, 1] - m.bnd_span[:, 0], rtol=0, atol=1e-15)
+    assert (m.bnd_tag == "N").all()
+
+
+def _nested_loop_cells(nx, ny):
+    """build_rect_mesh's cells by the grid loop: cell (i, j) gives triangles
+    2 (i ny + j) and the next, its diagonal alternating with i + j."""
+    def vid(i, j):
+        return i * (ny + 1) + j
+
+    cells = np.empty((2 * nx * ny, 3), dtype=np.int64)
+    k = 0
+    for i in range(nx):
+        for j in range(ny):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            if (i + j) % 2 == 0:
+                cells[k], cells[k + 1] = (a, b, c), (a, c, d)
+            else:
+                cells[k], cells[k + 1] = (a, b, d), (b, c, d)
+            k += 2
+    return cells
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (5, 3), (16, 16)])
+def test_cells_match_the_nested_loop(nx, ny):
+    cells = build_rect_mesh(1.0, 1.0, nx, ny).cells
+    assert cells.tobytes() == _nested_loop_cells(nx, ny).tobytes()
+
+
+# EigenBasis.load refuses a basis.npz whose mesh fingerprint differs, so a
+# change of these digests breaks every saved basis
+@pytest.mark.parametrize("dims,segments,digest", [
+    ((1, 1, 4, 4), [("bottom", 0.25, 0.5, "T1"), ("top", 0.5, 0.75, "C1")],
+     "aff561bb9f10b46b8e3ac6bd321fa5c3e3a3a1c4dcc41a2c05f0eea3d8fe744e"),
+    ((2, 1, 8, 4), [("left", 0.25, 0.5, "T1"), ("right", 0.5, 0.75, "C1")],
+     "caaea1ffa6394884110cc77203729dc54fba28f015d1f2eefd63823032567734"),
+])
+def test_fingerprint_pinned(dims, segments, digest):
+    assert tag_boundary(build_rect_mesh(*dims), segments).fingerprint() == digest
+
+
+def test_boundary_edge_off_the_rectangle_rejected():
+    m = build_rect_mesh(1, 1, 2, 2)
+    with pytest.raises(MeshError, match="boundary edge 6-7 not on the rectangle boundary"):
+        TaggedMesh(2.0, 1.0, m.vertices, m.cells)
+
+
+def test_degenerate_boundary_edge_rejected():
+    m = build_rect_mesh(1, 1, 2, 2)
+    vertices = m.vertices.copy()
+    vertices[3] = vertices[0]  # collapse the bottom edge (0, 0)-(0.5, 0)
+    with pytest.raises(MeshError, match="degenerate boundary edge 0-3"):
+        TaggedMesh(1.0, 1.0, vertices, m.cells)
 
 
 def kind_measures(m):
     """Total boundary measure of each tag kind ("C", "T", "N")."""
     kinds = {"C": 0.0, "T": 0.0, "N": 0.0}
-    for b in m.boundary:
-        kinds[m.tag_kinds[b.tag]] += b.length
+    for tag, kind in m.tag_kinds.items():
+        kinds[kind] += m.bnd_length[m.bnd_tag == tag].sum()
     return kinds
 
 
@@ -97,7 +162,7 @@ def test_every_boundary_edge_has_one_tag():
 
 def test_overlapping_segments_conflict():
     m = build_rect_mesh(1, 1, 8, 8)
-    with pytest.raises(ConflictError):
+    with pytest.raises(ConflictError, match="on 'bottom' overlaps tag 'T1'"):
         tag_boundary(m, [("bottom", 0.25, 0.5, "T1"), ("bottom", 0.375, 0.625, "C1")])
 
 

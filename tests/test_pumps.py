@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from conftest import net_flux, phi_g
+from conftest import boundary_traces, net_flux, phi_g
 from recirc.mesh import build_rect_mesh, tag_boundary
 from recirc.pumps import PumpSet, Schedule, build_profile, build_psi
 from recirc.space import MixedSpace
@@ -76,6 +76,13 @@ def test_unknown_kind_and_empty_tag(seg_space):
         build_profile(seg_space, "T1", "gaussian")
     with pytest.raises(ValueError):
         build_profile(seg_space, "T9", "flat")
+
+
+def test_tag_on_two_sides_rejected():
+    m = build_rect_mesh(1, 1, 4, 4)
+    tag_boundary(m, [("bottom", 0.25, 0.5, "T1"), ("left", 0.25, 0.5, "T1")])
+    with pytest.raises(ValueError, match="spans several sides"):
+        build_profile(MixedSpace(m), "T1", "flat")
 
 
 def test_psi_normal_component_value(seg_space):
@@ -187,19 +194,11 @@ def test_phi_g_single_pump_linearity(seg_space):
 
 def _flux_oracle(space, field):
     """Independent boundary-flux quadrature: fine Gauss rule per edge."""
-    from recirc.space import _edge_trace
-
     x, w = leggauss(16)
-    s = 0.5 * (x + 1.0)
-    T = _edge_trace(s)
-    ns = space.n_scalar
-    total = 0.0
-    for b, dofs in zip(space.mesh.boundary, space.bnd_edge_dofs):
-        d = np.array(dofs)
-        for comp in range(2):
-            vals = T @ field[comp * ns + d]
-            total += b.length * b.normal[comp] * float(0.5 * w @ vals)
-    return total
+    mesh = space.mesh
+    trace_n = np.einsum("ecq,ec->eq", boundary_traces(space, field, 0.5 * (x + 1.0)),
+                        mesh.bnd_normal)
+    return float(mesh.bnd_length @ (trace_n @ (0.5 * w)))
 
 
 def test_preset_compatibility_against_flux_oracle(preset16):

@@ -209,6 +209,13 @@ def test_w13_seminorm_shear_field(space8):
     assert abs(space8.norm(v, "W13semi") ** 3 - 2 ** -1.5) <= 1e-12
 
 
+def test_boundary_norm_of_quadratic_field(space8):
+    # u = (x^2, xy) is its own P2 interpolant; int_bnd |u|^2 on the unit square
+    # is 1/5 (bottom) + 1/5 + 1/3 (top) + 0 (left) + 1 + 1/3 (right) = 31/15
+    v = space8.interpolate(lambda x, y: np.column_stack([x * x, x * y]))
+    assert abs(space8.norm(v, "L2boundary") ** 2 - 31 / 15) <= 1e-13
+
+
 def test_unknown_norm_kind(space8):
     with pytest.raises(ValueError):
         space8.norm(np.zeros(space8.n_velocity), "L5")

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     apply_A,
+    boundary_traces,
     closure_pairing_oracle,
     convect,
     duffy_rule,
@@ -305,17 +306,11 @@ def test_convect_constant_advecting_field_oracle():
     # do not vanish on the boundary
     from numpy.polynomial.legendre import leggauss
 
-    from recirc.space import _edge_trace
-
     x1, w1 = leggauss(8)
     s = 0.5 * (x1 + 1.0)
-    T = _edge_trace(s)
-    bnd = 0.0
-    for b, dofs in zip(space.mesh.boundary, space.bnd_edge_dofs):
-        d = np.array(dofs)
-        wn = sum((T @ w[c * ns + d]) * b.normal[c] for c in range(2))
-        ueta = sum((T @ u[c * ns + d]) * (T @ eta[c * ns + d]) for c in range(2))
-        bnd += b.length * float(0.5 * w1 @ (wn * ueta))
+    wn = np.einsum("ecq,ec->eq", boundary_traces(space, w, s), space.mesh.bnd_normal)
+    ueta = np.einsum("ecq,ecq->eq", boundary_traces(space, u, s), boundary_traces(space, eta, s))
+    bnd = float(space.mesh.bnd_length @ ((wn * ueta) @ (0.5 * w1)))
     raw = float(first)
     assert abs(val - (raw - 0.5 * bnd)) <= 1e-12 * max(1.0, abs(raw))
 
