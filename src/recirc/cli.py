@@ -28,7 +28,6 @@ from .mesh import build_rect_mesh
 from .mms import ManufacturedSolution
 from .monitors import contraction, ledger, velocity_l2
 from .space import MixedSpace
-from .turbulence import ClosureParams
 from .vtk import vtk_geometry, write_vtk
 
 
@@ -133,7 +132,7 @@ def cmd_simulate(args):
     h = cfg.hash()
     t0 = time.time()
     marks = [time.perf_counter()]  # phase boundaries
-    scenario = build_scenario(cfg)
+    scenario = build_scenario(cfg).built()
     marks.append(time.perf_counter())
     try:
         traj = _integrate(scenario,
@@ -220,37 +219,20 @@ def cmd_lift(args):
     rows = []
     for k, pump in enumerate(scenario.pumps.pumps, 1):
         z = lb.zetas[k - 1]
-        rows.append(
-            [
-                k,
-                float(lb.residuals[k - 1]),
-                float(space.norm(z, "L2")),
-                float(np.sqrt(space.norm(z, "L2") ** 2 + space.norm(z, "H1semi") ** 2)),
-                float(space.norm(pump.psi, "L2boundary")),
-            ]
-        )
-        write_vtk(
-            out / f"lift_{k}.vtk",
-            scenario.mesh,
-            point_vectors={"zeta": space.vertex_velocity(z)},
-            point_scalars={"pressure": lb.pressures[k - 1][: scenario.mesh.num_vertices]},
-            title=f"recirc {__version__} config={h} lift pump {k}",
-            geometry=geometry,
-        )
+        l2 = space.norm(z, "L2")
+        rows.append([k, float(lb.residuals[k - 1]), float(l2),
+                     float(np.sqrt(l2**2 + space.norm(z, "H1semi") ** 2)),
+                     float(space.norm(pump.psi, "L2boundary"))])
+        write_vtk(out / f"lift_{k}.vtk", scenario.mesh,
+                  point_vectors={"zeta": space.vertex_velocity(z)},
+                  point_scalars={"pressure": lb.pressures[k - 1][: scenario.mesh.num_vertices]},
+                  title=f"recirc {__version__} config={h} lift pump {k}", geometry=geometry)
         for role, prof in (("injector", pump.injector), ("collector", pump.collector)):
             order = np.argsort(prof.arcs)
-            _write_csv(
-                out / f"profile_{k}_{role}.csv",
-                ["arc_length", "value"],
-                [[float(prof.arcs[i]), float(prof.values[i])] for i in order],
-                h,
-            )
-    _write_csv(
-        out / "lifting_report.csv",
-        ["pump", "residual", "zeta_l2", "zeta_h1", "psi_l2_boundary"],
-        rows,
-        h,
-    )
+            _write_csv(out / f"profile_{k}_{role}.csv", ["arc_length", "value"],
+                       [[float(prof.arcs[i]), float(prof.values[i])] for i in order], h)
+    _write_csv(out / "lifting_report.csv",
+               ["pump", "residual", "zeta_l2", "zeta_h1", "psi_l2_boundary"], rows, h)
     _say(args.quiet, f"lift: {len(rows)} pumps, report in {out}")
     return 0
 
@@ -325,7 +307,7 @@ def cmd_study(args):
         bad = [n for n in levels if not 1 <= n <= n_ref]
         if bad:
             raise ConfigError([("--levels", f"mode counts {bad} not in 1..{n_ref} (--reference)")])
-        scenario = build_scenario(cfg, modes=n_ref)
+        scenario = build_scenario(cfg, modes=n_ref).built()
         traj_ref = _integrate(scenario)
 
         def run(n):
@@ -348,7 +330,7 @@ def cmd_study(args):
             raise ConfigError([("--reference", f"expected an integer, got {args.reference!r}")])
         if halvings < 1:
             raise ConfigError([("--reference", f"halving count {halvings} < 1")])
-        scenario = build_scenario(cfg)
+        scenario = build_scenario(cfg).built()  # before the threads read it
         dts = [cfg.time["dt"] / 2**k for k in range(halvings + 1)]
 
         trajs = _fan_out(lambda dt: _integrate(scenario, dt=dt), dts)
@@ -366,7 +348,7 @@ def cmd_study(args):
     bad = [n for n in levels if n < 1]
     if bad:
         raise ConfigError([("--levels", f"mesh sizes {bad} < 1")])
-    params = ClosureParams(cfg.fluid["nu"], cfg.fluid["nu_tur"])
+    params = build_scenario(cfg).params
     mms = ManufacturedSolution(params.nu, params.nu_tur)
 
     def run(n):
@@ -402,7 +384,7 @@ def cmd_contract(args):
         raise ConfigError([("--eps", f"expected a nonzero finite perturbation, got {args.eps}")])
     out = _outdir(args, cfg)
     h = cfg.hash()
-    scenario = build_scenario(cfg)
+    scenario = build_scenario(cfg).built()
     rng = np.random.default_rng(cfg.seed)
     direction = rng.standard_normal(scenario.basis.size)
     direction /= np.linalg.norm(direction)

@@ -4,11 +4,14 @@ A configuration fully determines a run: tank geometry and mesh, fluid
 parameters, pump segments with profiles and schedules, source and initial
 presets, time stepping, mode count, and output policy. `validate` returns a
 RunConfig or raises ConfigError carrying one (json-path, message) pair per
-violation; `build_scenario` turns a RunConfig into live objects.
+violation. `build_scenario` turns a RunConfig into a Scenario: the chain of
+mesh, pump traces, Stokes lifts, eigenbasis and reduced system as stages,
+each built on first read, so `recirc lift` solves no eigenproblem.
 """
 
 import hashlib
 import json
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +77,7 @@ def _is_finite_number(v):
 
 
 def _check_number(issues, obj, path, key, *, positive=False, nonnegative=False,
-                  integer=False, minimum=None):
+                  integer=False):
     where = f"{path}.{key}" if path else key
     if key not in obj:
         issues.append((where, "missing"))
@@ -91,9 +94,6 @@ def _check_number(issues, obj, path, key, *, positive=False, nonnegative=False,
         return None
     if nonnegative and v < 0:
         issues.append((where, f"must be nonnegative, got {v!r}"))
-        return None
-    if minimum is not None and v < minimum:
-        issues.append((where, f"must be >= {minimum}, got {v!r}"))
         return None
     return v
 
@@ -258,65 +258,82 @@ def vortex_field(space, amplitude=1.0):
 
 
 class Scenario:
-    """Live objects assembled from a validated RunConfig."""
+    """The chain of a validated RunConfig on `modes` modes, one stage per
+    attribute, each built on first read. Building is not locked, so a command
+    that fans out over threads calls `built()` first."""
 
-    def __init__(self, config, mesh, space, pumps, params, lifting, basis,
-                 system, state0, source):
-        self.config = config
-        self.mesh = mesh
-        self.space = space
-        self.pumps = pumps
-        self.params = params
-        self.lifting = lifting
-        self.basis = basis
-        self.system = system
-        self.state0 = state0
-        self.source = source
+    STAGES = ("mesh", "space", "pumps", "params", "lifting", "basis", "source", "state0",
+              "system")  # the chain's order
 
+    def __init__(self, config, modes):
+        self.config, self.modes = config, modes
 
-def build_scenario(config, modes=None):
-    """Assemble mesh, pumps, lifting, eigenbasis and the reduced system."""
-    cfg = config if isinstance(config, RunConfig) else validate(config)
-    mesh = build_rect_mesh(
-        cfg.domain["Lx"], cfg.domain["Ly"], cfg.mesh["nx"], cfg.mesh["ny"]
-    )
-    segments = []
-    for i, pump in enumerate(cfg.pumps, 1):
-        inj, col = pump["injector"], pump["collector"]
-        segments.append((inj["side"], inj["start"], inj["end"], f"T{i}"))
-        segments.append((col["side"], col["start"], col["end"], f"C{i}"))
-    tag_boundary(mesh, segments)
-    space = MixedSpace(mesh)
+    def built(self):
+        """Self, with every stage built in the chain's order."""
+        for name in self.STAGES:
+            getattr(self, name)
+        return self
 
-    pump_objs = []
-    for i, pump in enumerate(cfg.pumps, 1):
-        kind = pump["profile"]["kind"]
-        width = pump["profile"].get("width")
-        injector = build_profile(space, f"T{i}", kind, width)
-        collector = build_profile(space, f"C{i}", kind, width)
-        psi = build_psi(injector, collector, space)
-        schedule = Schedule(pump["schedule"])
-        pump_objs.append(Pump(injector, collector, psi, schedule))
-    pumps = PumpSet(pump_objs)
+    @cached_property
+    def mesh(self):
+        cfg = self.config
+        segments = [(seg["side"], seg["start"], seg["end"], f"{tag}{i}")
+                    for i, pump in enumerate(cfg.pumps, 1)
+                    for tag, seg in (("T", pump["injector"]), ("C", pump["collector"]))]
+        mesh = build_rect_mesh(cfg.domain["Lx"], cfg.domain["Ly"], cfg.mesh["nx"], cfg.mesh["ny"])
+        return tag_boundary(mesh, segments)
 
-    params = ClosureParams(cfg.fluid["nu"], cfg.fluid["nu_tur"])
-    lifting = build_lifting(space, pumps, params.nu)
-    n_modes = int(modes if modes is not None else cfg.galerkin["modes"])
-    basis = solve_stokes_eigen(space, n_modes)
+    @cached_property
+    def space(self):
+        return MixedSpace(self.mesh)
 
-    source = None
-    if cfg.source == "manufactured":
-        source = ManufacturedSolution(params.nu, params.nu_tur)
+    @cached_property
+    def pumps(self):
+        pumps = []
+        for i, pump in enumerate(self.config.pumps, 1):
+            kind, width = pump["profile"]["kind"], pump["profile"].get("width")
+            injector, collector = (build_profile(self.space, f"{tag}{i}", kind, width)
+                                   for tag in "TC")
+            psi = build_psi(injector, collector, self.space)
+            pumps.append(Pump(injector, collector, psi, Schedule(pump["schedule"])))
+        return PumpSet(pumps)
 
-    if cfg.initial["preset"] == "zero":
-        state0 = GalerkinState(0.0, np.zeros(n_modes))
-    else:
-        v0 = vortex_field(space, cfg.initial.get("amplitude", 1.0))
+    @cached_property
+    def params(self):
+        return ClosureParams(self.config.fluid["nu"], self.config.fluid["nu_tur"])
+
+    @cached_property
+    def lifting(self):
+        return build_lifting(self.space, self.pumps, self.params.nu)
+
+    @cached_property
+    def basis(self):
+        return solve_stokes_eigen(self.space, self.modes)
+
+    @cached_property
+    def source(self):
+        if self.config.source == "manufactured":
+            return ManufacturedSolution(self.params.nu, self.params.nu_tur)
+        return None
+
+    @cached_property
+    def state0(self):
+        if self.config.initial["preset"] == "zero":
+            return GalerkinState(0.0, np.zeros(self.modes))
+        v0 = vortex_field(self.space, self.config.initial.get("amplitude", 1.0))
         # hand over the basis projection: discretely divergence free by
         # construction, so the strict trace/divergence checks apply to the
         # field actually used
-        state0 = initial_state(basis.expand(basis.project(v0)), basis)
+        return initial_state(self.basis.expand(self.basis.project(v0)), self.basis)
 
-    system = ReducedSystem(space, basis, lifting, pumps, params, source=source)
-    return Scenario(cfg, mesh, space, pumps, params, lifting, basis, system,
-                    state0, source)
+    @cached_property
+    def system(self):
+        return ReducedSystem(self.space, self.basis, self.lifting, self.pumps, self.params,
+                             source=self.source)
+
+
+def build_scenario(config, modes=None):
+    """The Scenario of a config on `modes` modes (the config's by default); it
+    builds no stage."""
+    cfg = config if isinstance(config, RunConfig) else validate(config)
+    return Scenario(cfg, int(modes if modes is not None else cfg.galerkin["modes"]))

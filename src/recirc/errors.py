@@ -9,8 +9,6 @@ class ConfigError(RecircError):
     """Invalid run configuration; carries a list of (path, message) pairs."""
 
     def __init__(self, issues):
-        if isinstance(issues, str):
-            issues = [("", issues)]
         self.issues = list(issues)
         super().__init__("; ".join(f"{p}: {m}" if p else m for p, m in self.issues))
 

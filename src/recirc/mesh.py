@@ -174,7 +174,8 @@ def tag_boundary(mesh, segments):
 
     Raises
     ------
-    ValueError : segment off the boundary, misaligned, or badly named
+    ValueError : segment off the boundary, misaligned, badly named, or
+        reusing a tag already placed
     ConflictError : overlapping segments
     """
     lo, hi = mesh.bnd_span.T
@@ -213,6 +214,8 @@ def tag_boundary(mesh, segments):
             raise ConflictError(
                 f"segment [{start}, {end}] on {side!r} overlaps tag {taken[0]!r}"
             )
+        if (mesh.bnd_tag == tag).any():
+            raise ValueError(f"tag {tag!r} is already placed on another segment")
         mesh.bnd_tag[covered] = tag
         mesh.tag_kinds[tag] = kind
     return mesh

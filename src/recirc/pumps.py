@@ -96,9 +96,6 @@ def build_profile(space, tag, kind="flat", width=None):
     mu = mesh.measure(tag)
     if mu <= 0:
         raise ValueError(f"segment {tag!r} has zero measure")
-    sides = np.unique(mesh.bnd_side[on])
-    if len(sides) > 1:
-        raise ValueError(f"segment {tag!r} spans several sides { {SIDES[s] for s in sides} }")
     first = np.argmax(on)
     side, normal = SIDES[mesh.bnd_side[first]], mesh.bnd_normal[first]
 

@@ -17,8 +17,9 @@ def space8():
 
 @pytest.fixture(scope="session")
 def preset16():
-    """The shipped 4-pump scenario: 16^2 mesh, 20 modes, mollified profiles."""
-    return build_scenario(validate(preset_path("four_pumps")))
+    """The shipped 4-pump scenario: 16^2 mesh, 20 modes, mollified profiles;
+    every stage built here, so no test that patches a kernel builds one."""
+    return build_scenario(validate(preset_path("four_pumps"))).built()
 
 
 class PartsSource(ManufacturedSolution):

@@ -79,10 +79,12 @@ def test_unknown_kind_and_empty_tag(seg_space):
 
 
 def test_tag_on_two_sides_rejected():
+    # tag_boundary is the only writer of tags, so no profile meets a tag on two sides
     m = build_rect_mesh(1, 1, 4, 4)
-    tag_boundary(m, [("bottom", 0.25, 0.5, "T1"), ("left", 0.25, 0.5, "T1")])
-    with pytest.raises(ValueError, match="spans several sides"):
-        build_profile(MixedSpace(m), "T1", "flat")
+    with pytest.raises(ValueError, match="tag 'T1' is already placed"):
+        tag_boundary(m, [("bottom", 0.25, 0.5, "T1"), ("left", 0.25, 0.5, "T1")])
+    with pytest.raises(ValueError, match="tag 'T1' is already placed"):
+        tag_boundary(m, [("right", 0.25, 0.5, "T1")])
 
 
 def test_psi_normal_component_value(seg_space):
