@@ -297,6 +297,9 @@ def cmd_study(args):
     cfg = _load_config(args)
     out = _outdir(args, cfg)
     h = cfg.hash()
+    unread = {"dt": "--levels", "mesh": "--reference"}.get(args.kind)
+    if unread and getattr(args, unread[2:]) is not None:
+        raise ConfigError([(unread, f"study {args.kind} does not read {unread}")])
 
     if args.kind == "modes":
         levels = _parse_int_list(args.levels, "5,10,20,40", "--levels")
@@ -330,8 +333,12 @@ def cmd_study(args):
             raise ConfigError([("--reference", f"expected an integer, got {args.reference!r}")])
         if halvings < 1:
             raise ConfigError([("--reference", f"halving count {halvings} < 1")])
-        scenario = build_scenario(cfg).built()  # before the threads read it
+        try:
+            step_count(cfg.time["T"], cfg.time["dt"] / 2**halvings)
+        except (OverflowError, ValueError) as exc:
+            raise ConfigError([("--reference", f"halving count {halvings}: {exc}")])
         dts = [cfg.time["dt"] / 2**k for k in range(halvings + 1)]
+        scenario = build_scenario(cfg).built()  # before the threads read it
 
         trajs = _fan_out(lambda dt: _integrate(scenario, dt=dt), dts)
         rows = []
@@ -448,7 +455,7 @@ def main(argv=None):
     p.add_argument("kind", choices=("dt", "modes", "mesh"))
     common(p)
     p.add_argument("--levels", default=None,
-                   help="comma list: mode counts or mesh sizes")
+                   help="comma list: mode counts (modes) or mesh sizes (mesh)")
     p.add_argument("--reference", default=None,
                    help="reference mode count (modes) or halving count (dt)")
     p.set_defaults(fn=cmd_study)

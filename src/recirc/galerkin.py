@@ -79,6 +79,9 @@ MAX_HALVINGS = 20  # step-length halvings per Newton update before a step fails
 CHORD_RATE = 0.1  # an accepted update that shrinks the residual less refreshes the tangent
 CARRY_RATE = CHORD_RATE / 2  # a carried tangent contracting less is not carried further
 INITIAL_TOL = 1e-8  # relative trace and divergence an initial velocity may carry
+# The step record: each diag key every stepper returns, and its Trajectory array
+STEP_RECORD = {"iterations": "iterations", "residual": "step_residuals",
+               "backtracks": "backtracks", "tangents": "tangents", "evaluations": "evaluations"}
 
 
 def _check_positive(name, value):
@@ -101,10 +104,9 @@ def step_count(T, dt):
 
 
 class GalerkinState:
-    """Time and reduced coefficient vector; `diag` holds the diagnostics of
-    the step that made the state (iterations, residual, backtracks,
-    tangents, evaluations) when `integrate` hands it to its on_step hook,
-    else None."""
+    """Time and reduced coefficient vector; `diag` holds the step record (the
+    keys of STEP_RECORD) of the step that made the state when `integrate`
+    hands it to its on_step hook, else None."""
 
     __slots__ = ("t", "z", "diag")
 
@@ -128,20 +130,16 @@ class StateFields:
 
 
 class Trajectory:
-    """Uniform-step trajectory of reduced coefficients with step diagnostics:
-    per time level the solver's iterations, final residual, step-length
-    halvings (backtracks), closure-tangent kernel calls (tangents) and
-    closure evaluations (evaluations), 0 at the initial state."""
+    """Uniform-step trajectory of reduced coefficients and its step record:
+    from `diags`, the diag of each step as the on_step hook saw it, one
+    array per key of STEP_RECORD over the time levels, 0 at the initial
+    state."""
 
-    def __init__(self, times, states, iterations, step_residuals, backtracks, tangents,
-                 evaluations, completed=True):
+    def __init__(self, times, states, diags, completed=True):
         self.times = np.asarray(times)
         self.states = np.asarray(states)  # (n_times, N)
-        self.iterations = np.asarray(iterations)
-        self.step_residuals = np.asarray(step_residuals)
-        self.backtracks = np.asarray(backtracks)
-        self.tangents = np.asarray(tangents)
-        self.evaluations = np.asarray(evaluations)
+        for key, name in STEP_RECORD.items():
+            setattr(self, name, np.array([0] + [d[key] for d in diags]))
         self.completed = completed
 
     def __len__(self):
@@ -451,7 +449,7 @@ class ReducedSystem:
                   on_step=None):
         """Step from state0 to T; on failure the partial trajectory is attached.
         After each step, on_step(state) receives the new state with its
-        step's diagnostics as `state.diag`.
+        step's diag as `state.diag`; the Trajectory is built from these.
 
         Implicit Euler carries Newton data from one step to the next, as
         stiff integrators keep their Jacobian (Hairer & Wanner, IV.8): each
@@ -464,11 +462,7 @@ class ReducedSystem:
         n_steps = step_count(T, dt)
         times = [state0.t]
         states = [state0.z.copy()]
-        iters = [0]
-        residuals = [0.0]
-        backtracks = [0]
-        tangents = [0]
-        evaluations = [0]
+        diags = []
         state = state0
         implicit = scheme == "implicit-euler"
         kw = {"tol": tol} if implicit else {}
@@ -477,8 +471,7 @@ class ReducedSystem:
             try:
                 new, diag = self.step(state, dt, scheme=scheme, **kw)
             except StepError as exc:
-                exc.trajectory = Trajectory(times, states, iters, residuals, backtracks,
-                                            tangents, evaluations, completed=False)
+                exc.trajectory = Trajectory(times, states, diags, completed=False)
                 raise
             if implicit:  # the next step starts from the extrapolation of the last states
                 start = (2.0 * new.z - state.z if k == 0
@@ -488,14 +481,10 @@ class ReducedSystem:
             state = new
             times.append(state.t)
             states.append(state.z.copy())
-            iters.append(diag["iterations"])
-            residuals.append(diag["residual"])
-            backtracks.append(diag["backtracks"])
-            tangents.append(diag["tangents"])
-            evaluations.append(diag["evaluations"])
+            diags.append(diag)
             if on_step is not None:
                 on_step(state)
-        return Trajectory(times, states, iters, residuals, backtracks, tangents, evaluations)
+        return Trajectory(times, states, diags)
 
     # -- quadrature-level energy rates (read by the energy tests) ----------------
 

@@ -393,10 +393,15 @@ def test_cli_study_modes_level_above_reference(tmp_path):
     ("dt", "zero", ["--reference", "-1"]),
     ("contract", "zero", ["--eps", "0"]),
     ("contract", "zero", ["--eps", "nan"]),
+    ("dt", "zero", ["--reference", "1100"]),  # 2**1100 overflows a float
+    ("dt", "zero", ["--reference", "1023"]),  # T / finest dt overflows step_count
+    ("dt", "zero", ["--levels", "4"]),  # study dt reads no levels
+    ("mesh", "manufactured", ["--reference", "7"]),  # study mesh reads no reference
 ])
 def test_cli_study_size_that_builds_nothing(tmp_path, monkeypatch, capsys, kind, preset, extra):
-    # a study size that builds nothing, or a contract pair that is not a
-    # perturbation, is a config error raised before anything is built
+    # a study size that builds nothing, a flag the study kind does not read,
+    # or a contract pair that is not a perturbation, is a config error raised
+    # before anything is built
     from recirc import cli
 
     def build(*args, **kw):

@@ -7,7 +7,7 @@ from conftest import (apply_A, assert_no_instance_patches, closure_pairing_oracl
 from recirc.config import build_scenario, preset_path, validate
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import SolverError, StepError
-from recirc.galerkin import GalerkinState, ReducedSystem, initial_state
+from recirc.galerkin import STEP_RECORD, GalerkinState, ReducedSystem, initial_state
 from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
 from recirc.pumps import PumpSet
@@ -247,6 +247,32 @@ def test_step_error_carries_partial_trajectory(plain16):
     assert exc.residual == min(exc.history)
     assert all(b < a for a, b in zip(exc.history, exc.history[1:]))
     assert "t=0.5" in str(exc)
+
+
+def test_step_error_partial_trajectory_keeps_the_step_record(preset16, monkeypatch):
+    # a step failing after two good ones leaves the three levels reached, and
+    # each step array is 0 at the initial state, then the on_step hook's diags
+    sys_, dt = preset16.system, 0.01
+    step = ReducedSystem.step_implicit_euler
+
+    def failing(self, state, dt, **kw):
+        if kw["t_new"] > 2.5 * dt:
+            raise StepError("injected failure", residual=1.0, t=kw["t_new"])
+        return step(self, state, dt, **kw)
+
+    monkeypatch.setattr(ReducedSystem, "step_implicit_euler", failing)
+    seen = []
+    with pytest.raises(StepError) as err:
+        sys_.integrate(preset16.state0, T=0.1, dt=dt,
+                       on_step=lambda state: seen.append(dict(state.diag)))
+    monkeypatch.undo()
+    part = err.value.trajectory
+    assert part.completed is False and len(seen) == 2
+    assert len(part) == len(part.states) == 3 and part.times.tolist() == [0.0, dt, 2 * dt]
+    assert np.array_equal(part.states, sys_.integrate(preset16.state0, T=2 * dt, dt=dt).states)
+    for key, name in STEP_RECORD.items():
+        assert getattr(part, name).tolist() == [0] + [d[key] for d in seen]
+    assert part.iterations[1:].min() >= 1 and part.evaluations[1:].min() >= 2
 
 
 def test_step_error_on_iteration_budget(preset16):

@@ -61,7 +61,7 @@ def test_ledger_entries_match_space_norms(quiet12):
 def test_ledger_requires_two_steps(quiet12):
     from recirc.galerkin import Trajectory
 
-    t = Trajectory([0.0], [np.zeros(10)], [0], [0.0], [0], [0], [0])
+    t = Trajectory([0.0], [np.zeros(10)], [])
     with pytest.raises(ValueError):
         ledger(quiet12, t)
 
