@@ -31,6 +31,10 @@ from .space import MixedSpace
 from .vtk import vtk_geometry, write_vtk
 
 
+# the most steps the finest run of `study dt` may take; every state of a run is kept
+STUDY_MAX_STEPS = 100_000
+
+
 def _fmt(x):
     return f"{x:.17g}"
 
@@ -334,9 +338,12 @@ def cmd_study(args):
         if halvings < 1:
             raise ConfigError([("--reference", f"halving count {halvings} < 1")])
         try:
-            step_count(cfg.time["T"], cfg.time["dt"] / 2**halvings)
+            finest = step_count(cfg.time["T"], cfg.time["dt"] / 2**halvings)
         except (OverflowError, ValueError) as exc:
             raise ConfigError([("--reference", f"halving count {halvings}: {exc}")])
+        if finest > STUDY_MAX_STEPS:
+            raise ConfigError([("--reference", f"halving count {halvings}: the finest run "
+                                f"takes {finest} steps, above the cap of {STUDY_MAX_STEPS}")])
         dts = [cfg.time["dt"] / 2**k for k in range(halvings + 1)]
         scenario = build_scenario(cfg).built()  # before the threads read it
 
@@ -405,7 +412,7 @@ def cmd_contract(args):
     pair_check = run(scenario.state0.z + eps_check * direction)
 
     rep = contraction(scenario.system, base, pair_fit)
-    rep_check = contraction(scenario.system, base, pair_check)
+    rep_check = contraction(scenario.system, base, pair_check, w8=rep.w8)  # one base series
     holds = rep_check.bound_holds(rep.fitted_C2)
 
     rows = [

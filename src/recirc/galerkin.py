@@ -25,25 +25,41 @@ source's part loads. The spaces nest as in Faedo-Galerkin: W = [Z | V_n] is
 a prefix of W, so the tables of the first n modes are leading blocks of
 these, and `truncate(n)` slices them without forming or checking any again.
 Online, a time costs (H_g, xi_k) = S0 + a (S1 + a S2) - P gdot - (R g) g, no
-quadrature at all, and a state costs (C y) y, N (K + N)^2 multiply-adds. The
-Smagorinsky closure is the only term that still reads the mesh. Implicit
-Euler solves each step by a simplified
+quadrature at all, and a state costs (C y) y, N (K + N)^2 multiply-adds.
+
+The Smagorinsky closure is the only term that still reads the mesh, and it
+reads it through one more offline table. A P2 field on an affine triangle
+has an exactly P1 strain, sum_j lambda_j e_j over the barycentric
+coordinates lambda_j and the vertex strains e_j, so each column of W is
+described completely by the planes (e00, e01, e11) at the 3 vertices of
+every cell: the strain table (`MixedSpace.strain_coefficients`,
+(9 nt, K + N), 0.9 MB at 16x16 cells with N = 20 and 6.5 MB at 32x32 with
+N = 40), formed and checked against the strain samples of W 1 once per
+basis, its columns sliced by `truncate`. A state's strain coefficients are
+the table times y; its strain planes at the quadrature points are one GEMM
+with the P1 values (`MixedSpace.strain_planes`); |e| and the stress
+2 nu_tur w_q |e| e are pointwise, with the quadrature weight folded into
+the scalar (`turbulence.closure_scale`); and the closure pairings are one
+GEMM back with the P1 values (`MixedSpace.strain_load`) and one product
+with the table's mode columns. No velocity vector of the mesh is expanded,
+gathered or scattered.
+
+Implicit Euler solves each step by a simplified
 Newton iteration (the chord method of implicit integrators: Hairer &
 Wanner, Solving ODEs II, IV.8; Kelley, Iterative Methods for Linear and
 Nonlinear Equations, SIAM 1995, 5.4). Every iterate's defect is the light
-path of the right-hand side: one `StateFields`, one closure load (the
-weighted stress table of `turbulence.weighted_stress` and one
-`MixedSpace.weighted_load`) and a product with V^T. The Jacobian's
-convection part, a contraction of C, is refreshed at every iterate; its
-closure part is the tangent 2 nu_tur (|e| I + e (x) e / |e|) of the stress
-2 nu_tur |e| e (the pair `turbulence.weighted_stress`, `closure_tangent`,
-which the defect's load and the tangent read): the strain-weighted
-stiffness plus one rank-one term per quadrature point, projected onto the
-modes cell by cell (`MixedSpace.weighted_strain_stiffness`) without
-assembling a mesh-sized matrix. That projection is the heavy half of an
-iteration, and the monotone closure's tangent moves by O(dt) over a step,
-so it is frozen, and `integrate` carries it from step to step, starting
-each step from the quadratic extrapolation of the last three states. Every
+path of the right-hand side: one `StateFields` and the closure pairings
+above. The Jacobian's convection part, a contraction of C, is refreshed at
+every iterate; its closure part is the tangent
+2 nu_tur (|e| I + e (x) e / |e|) of the stress 2 nu_tur |e| e (the weights
+of `turbulence.closure_tangent`): the strain-weighted stiffness plus one
+rank-one term per quadrature point, 9x9 matrices per cell on the strain
+table, reduced to the modes in one GEMM
+(`MixedSpace.weighted_strain_stiffness`) without assembling a mesh-sized
+matrix. That projection is the heavy half of an iteration, and the
+monotone closure's tangent moves by O(dt) over a step, so it is frozen, and
+`integrate` carries it from step to step, starting each step from the
+quadratic extrapolation of the last three states. Every
 accepted update corrects the frozen tangent by Broyden's rank-one secant
 update (Broyden, Math. Comp. 19, 1965), from the two defects the update has
 already evaluated, so the next update's Newton matrix maps the step just
@@ -62,18 +78,18 @@ reads the rates and forms its own Gram matrices and lift tables
 `lifting.LiftData` (zeta_g, its rate, H_g), which no run path reads: they are
 the quadrature oracle of the modal and Gram forms. Every lift field is formed
 from `LiftingBasis.combine`. The steppers, the ledger and `dissipation_rates` read
-a state's closure fields from `state_fields(zf, g)`, one `StateFields` from
-one strain evaluation (`MixedSpace.strain_samples`) of w = zeta_g + z, where
-zf = `basis.expand(z)` is the caller's, so that the ledger expands each state
-once. The system holds no mutable state while it steps: every table, the
-source's included, is formed when it is built.
+a state's closure fields from `state_fields(z, g)`, one `StateFields` from
+the strain table at y = [g; z]. The system holds no mutable state while it
+steps: every table, the source's included, is formed when it is built.
 """
 
 import numpy as np
 
 from .errors import SolverError, StepError
 from .lifting import compute_Hg_load
-from .turbulence import closure_tangent, convection_load, planes, smagorinsky_load, sym_norm
+from .turbulence import closure_scale, closure_tangent, convection_load, sym_norm
+# unused here; imported only so that the benchmark's traced names resolve
+from .turbulence import smagorinsky_load  # noqa: F401
 
 MAX_HALVINGS = 20  # step-length halvings per Newton update before a step fails
 CHORD_RATE = 0.1  # an accepted update that shrinks the residual less refreshes the tangent
@@ -117,16 +133,16 @@ class GalerkinState:
 
 
 class StateFields:
-    """Quadrature-point tables (nt, nq, ...) of one state's closure fields:
-    eps(w) and |eps(w)| (`sym_norm`) from the strain table
-    (`MixedSpace.strain_samples`) of w = zeta_g + z, without quadrature
-    weights, which the closure load folds into its own scalar."""
+    """Quadrature-point tables of one state's closure fields: the strain
+    planes eps(w) (3, nt, nq) of w = zeta_g + z (`MixedSpace.strain_planes`)
+    and |eps(w)| (nt, nq) (`sym_norm` of the planes), without quadrature
+    weights, which the closure folds into its own scalar."""
 
     __slots__ = ("w_eps", "w_eps_mag")
 
     def __init__(self, w_eps):
         self.w_eps = w_eps
-        self.w_eps_mag = sym_norm(*planes(w_eps))
+        self.w_eps_mag = sym_norm(*w_eps)
 
 
 class Trajectory:
@@ -185,6 +201,8 @@ class ReducedSystem:
         self.C = np.ascontiguousarray(C.transpose(2, 0, 1))
         self._check_convection(W)
         self.C[:, :K, :K] = 0.0  # the lift's self-convection is carried by H_g
+        self.strain_coef = space.strain_coefficients(W)  # rows (cell, plane, vertex)
+        self._check_strain(W)
         self.R = np.ascontiguousarray(T[:K, :K, K:].transpose(2, 0, 1))  # ((grad zeta_q) zeta_p, xi_k)
         self.P = V.T @ (space.M @ Z)  # (zeta_p, xi_k)
         if source is not None:
@@ -200,6 +218,7 @@ class ReducedSystem:
         sub.basis = self.basis.truncate(n)
         K = len(self.lifting)
         sub.visc = self.visc[:n, :n]
+        sub.strain_coef = self.strain_coef[:, :K + n]
         sub.C = np.ascontiguousarray(self.C[:n, :K + n, :K + n])
         sub.R = self.R[:n]
         sub.P = self.P[:n]
@@ -224,6 +243,21 @@ class ReducedSystem:
             raise SolverError(
                 f"modal convection tensor is off its quadrature pairing by {gap:.3e} "
                 f"(term scale {scale:.3e}, tolerance 1e-10 relative)"
+            )
+
+    def _check_strain(self, W):
+        """The strain table's planes at y = 1 against the strain samples of
+        w = W 1. Raises SolverError when they differ by more than 1e-12 times
+        the largest strain entry."""
+        y = np.ones(W.shape[1])
+        ref = self.space.strain_samples(W @ y)
+        ref = np.stack([ref[..., 0, 0], ref[..., 0, 1], ref[..., 1, 1]])
+        gap = float(np.abs(self.space.strain_planes(self.strain_coef @ y) - ref).max())
+        scale = float(np.abs(ref).max())
+        if not gap <= 1e-12 * scale:
+            raise SolverError(
+                f"strain table is off the strain samples by {gap:.3e} "
+                f"(strain scale {scale:.3e}, tolerance 1e-12 relative)"
             )
 
     # -- lift data per time and fields per state --------------------------------
@@ -252,10 +286,10 @@ class ReducedSystem:
         zg, _ = self.lift_fields(t)
         return zg + self.basis.expand(z)
 
-    def state_fields(self, zf, g):
-        """StateFields of w = zeta_g + z at the lift rates g, from z's
-        velocity coefficients zf = basis.expand(z)."""
-        return StateFields(self.space.strain_samples(self.lifting.combine(g) + zf))
+    def state_fields(self, z, g):
+        """StateFields of w = zeta_g + z at the lift rates g and the modal
+        coefficients z: the strain table times y = [g; z], then its planes."""
+        return StateFields(self.space.strain_planes(self.strain_coef @ np.concatenate([g, z])))
 
     # -- right-hand side -------------------------------------------------------
 
@@ -269,9 +303,9 @@ class ReducedSystem:
         StateFields of w); (0, None) without the closure."""
         if self.params.nu_tur == 0:
             return np.zeros(self.basis.size), None
-        f = self.state_fields(self.basis.expand(z), g)
-        load = smagorinsky_load(self.space, f.w_eps, self.params, eps_mag=f.w_eps_mag)
-        return self.basis.fields.T @ load, f
+        f = self.state_fields(z, g)
+        S = closure_scale(self.space.qweights, f.w_eps_mag, self.params) * f.w_eps
+        return self.strain_coef[:, len(self.lifting):].T @ self.space.strain_load(S), f
 
     def rhs(self, z, t):
         """dz/dt at (z, t)."""
@@ -297,7 +331,7 @@ class ReducedSystem:
         """
         g, hg = self.lift_modal(t_new)
         K = len(self.lifting)
-        V = self.basis.fields
+        coef_V = self.strain_coef[:, K:]
         base = np.eye(self.basis.size) + dt * self.visc
 
         def defect(z):
@@ -308,7 +342,7 @@ class ReducedSystem:
 
         def tangent(f):
             w, a = closure_tangent(f.w_eps_mag, self.params)
-            return self.space.weighted_strain_stiffness(w, V, rank_one=(a, f.w_eps))
+            return self.space.weighted_strain_stiffness(w, coef_V, rank_one=(a, f.w_eps))
 
         def jacobian(z, T_VV):
             y = np.concatenate([g, z])
@@ -489,12 +523,10 @@ class ReducedSystem:
     # -- quadrature-level energy rates (read by the energy tests) ----------------
 
     def dissipation_rates(self, z, t):
-        """(2 nu ||eps(z)||^2, 2 nu_tur ||eps(zg+z)||^3_L3) at (z, t)."""
-        zf = self.basis.expand(z)
-        f = self.state_fields(zf, self.pumps.rates(t)[0])
-        eps_z = self.space.strain_samples(zf)
-        visc = 2 * self.params.nu * self.space.integrate(
-            np.einsum("cqab,cqab->cq", eps_z, eps_z)
-        )
+        """(2 nu ||eps(z)||^2, 2 nu_tur ||eps(zg+z)||^3_L3) at (z, t), by
+        quadrature of the strain table's planes."""
+        f = self.state_fields(z, self.pumps.rates(t)[0])
+        eps_z = sym_norm(*self.space.strain_planes(self.strain_coef[:, len(self.lifting):] @ z))
+        visc = 2 * self.params.nu * self.space.integrate(eps_z * eps_z)
         smag = 2 * self.params.nu_tur * self.space.integrate(f.w_eps_mag**3)
         return visc, smag

@@ -25,13 +25,15 @@ same form without the g (x) g block. G is the quadrature Gram matrix of phi
 (`_hg_gram`), built one block of fields at a time. Each form is the
 quadrature sum it replaces, regrouped, so it agrees with it to roundoff.
 
-Only the L3 terms read quadrature-point tables. At a save time the ledger
-reads |eps(w)| from `ReducedSystem.state_fields`, the bundle the steppers
-form, and |eps(z)| and |z| from one strain and one value table of the
-expanded state. The lift's L3 terms read one value and one strain table of
-`LiftingBasis.combine(r)` per distinct rate vector r, keyed by its exact
-bytes: g at the midpoints for zeta_g, gdot at the save times and the
-midpoints for its rate. A source enters through G alone, so nothing is keyed
+Only the L3 terms read quadrature-point tables. Every strain comes from
+the system's strain table (`ReducedSystem.strain_coef`), the one the
+steppers read: at a save time the ledger reads |eps(w)| from
+`ReducedSystem.state_fields`, the bundle the steppers form, |eps(z)| from
+the table's mode columns times z, and |z| from one value table of the
+expanded state. The lift's L3 terms read one value table of
+`LiftingBasis.combine(r)` and the table's lift columns times r per distinct
+rate vector r, keyed by its exact bytes: g at the midpoints for zeta_g,
+gdot at the save times and the midpoints for its rate. A source enters through G alone, so nothing is keyed
 by t; without pumps there is no lift table at all. The key is exact, not
 rounded or given a tolerance: equal keys give the same field bit for bit,
 while a tolerant key could merge rates that differ. Only scalars are kept,
@@ -40,7 +42,7 @@ never a table, so memory does not grow with the save count.
 
 import numpy as np
 
-from .turbulence import planes, sym_norm
+from .turbulence import sym_norm
 
 BOUND_SLACK = 1.05  # relative room the contraction bound allows the measured difference
 DENOM_FLOOR = 1e-14  # smallest ||v1 - v2||^2 ||v1||^8_L4 a contraction ratio is taken at
@@ -105,6 +107,7 @@ def ledger(system, traj):
     Z, V = W[:, :K], W[:, K:]
     E = 0.5 * (W.T @ (space.K_eps @ W))  # ||eps(W y)||^2 = y^T E y
     E_ZZ, E_VV = E[:K, :K], E[K:, K:]
+    coef_V = system.strain_coef[:, K:]
     grad_VV = V.T @ (space.K_grad @ V)
     h1_ZZ = Z.T @ ((space.M + space.K_grad) @ Z)
     hg_sq = _hg_form(system)
@@ -117,9 +120,8 @@ def ledger(system, traj):
         g, gdot = system.pumps.rates(t)
         z = traj.states[i]
         y = np.concatenate([g, z])
-        zf = system.basis.expand(z)
-        eps_w_cu[i] = _cube(space, system.state_fields(zf, g).w_eps_mag)
-        z_l3_cu, eps_z_cu[i] = _cubes(space, zf)
+        eps_w_cu[i] = _cube(space, system.state_fields(z, g).w_eps_mag)
+        z_l3_cu, eps_z_cu[i] = _cubes(space, system.basis.expand(z), coef_V @ z)
         eps_z_sq[i] = z @ E_VV @ z
         rows["z_l2_sq"][i] = z @ z
         rows["psi1"][i] = y @ E @ y + eps_w_cu[i]
@@ -160,25 +162,27 @@ def _cube(space, mag):
     return space.integrate(mag * mag * mag)
 
 
-def _cubes(space, u):
-    """(int |u|^3, int |eps(u)|^3) of a velocity field u, from one value and
-    one strain table."""
+def _cubes(space, u, s):
+    """(int |u|^3, int |eps(u)|^3) of a velocity field u with strain
+    coefficients s, from one value table and the planes of s."""
     vals = space.eval_values(u)
     return (_cube(space, np.sqrt(vals[..., 0] ** 2 + vals[..., 1] ** 2)),
-            _cube(space, sym_norm(*planes(space.strain_samples(u)))))
+            _cube(space, sym_norm(*space.strain_planes(s))))
 
 
 def _lift_cubes(system):
-    """The map r -> `_cubes` of u = lifting.combine(r), formed once per
+    """The map r -> `_cubes` of u = lifting.combine(r), whose strain
+    coefficients are the table's lift columns times r, formed once per
     distinct rate vector r of one ledger call (keyed by its exact bytes), and
     (0, 0) without pumps."""
     space, lifting = system.space, system.lifting
+    coef_Z = system.strain_coef[:, :len(lifting)]
     kept = {}
 
     def cubes(r):
         key = r.tobytes()
         if key not in kept:
-            kept[key] = _cubes(space, lifting.combine(r)) if len(r) else (0.0, 0.0)
+            kept[key] = _cubes(space, lifting.combine(r), coef_Z @ r) if len(r) else (0.0, 0.0)
         return kept[key]
 
     return cubes
@@ -328,24 +332,23 @@ class ContractionReport:
         return bool(np.all(self.diff_sq <= bound))
 
 
-def contraction(system, traj1, traj2):
+def contraction(system, traj1, traj2, w8=None):
     """Fit the Gronwall constant from a perturbation pair.
 
     traj1 is the base run whose velocity enters ||v1||^8_{L4}; both runs
     must share the time grid (identical configs except the initial state).
+    w8, the `ContractionReport.w8` of an earlier call on the same base run,
+    is that series, read instead of formed again.
     """
     if len(traj1) != len(traj2) or not np.allclose(traj1.times, traj2.times):
         raise ValueError("contraction requires runs on identical time grids")
     times = traj1.times
     n = len(times)
-    diff_sq = np.zeros(n)
-    w8 = np.zeros(n)
-    space = system.space
-    for i, t in enumerate(times):
-        dz = traj1.states[i] - traj2.states[i]
-        diff_sq[i] = dz @ dz  # the basis is L2-orthonormal
-        v1 = system.velocity(traj1.states[i], t)
-        w8[i] = space.norm(v1, "L4") ** 8
+    # the basis is L2-orthonormal
+    diff_sq = np.array([dz @ dz for dz in traj1.states - traj2.states])
+    if w8 is None:
+        w8 = np.array([system.space.norm(system.velocity(z, t), "L4") ** 8
+                       for t, z in zip(times, traj1.states)])
 
     identical = bool(np.all(diff_sq <= 1e-28))
     ratios = []

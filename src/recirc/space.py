@@ -13,14 +13,26 @@ Assembled operators:
     B      divergence                    (q, div u), pressure rows
 
 Each cell's 12 velocity DOFs are `cell_vdofs` = [cell_dofs, n_scalar +
-cell_dofs]: the six x components, then the six y components. One cell
-kernel, `_strain_cells(w)`, gives the (nt, 12, 12) cell matrices of
-int 2 w eps(phi_i):eps(phi_j) over them, plus an optional rank-one term
-int 2 a (e:eps(phi_i)) (e:eps(phi_j)) that makes it the Smagorinsky
-tangent. K_eps is its assembly at w = 1; `weighted_strain_stiffness(w, U)`
-reduces it to U^T K_w U cell by cell, without forming the global matrix.
-`convection_tensor(W)` likewise reduces the trilinear convection form to
-the columns of W cell by cell.
+cell_dofs]: the six x components, then the six y components. The cell
+kernel `_strain_cells(w)` gives the (nt, 12, 12) cell matrices of
+int 2 w eps(phi_i):eps(phi_j) over them; K_eps is its assembly at w = 1.
+`convection_tensor(W)` reduces the trilinear convection form to the columns
+of W cell by cell.
+
+Per-cell strain coefficients: the gradient of a P2 field is P1 on an affine
+cell, so its strain is exactly sum_j lambda_j e_j, lambda_j the barycentric
+coordinates (the values `P1` at the quadrature points) and e_j the strain
+at vertex j. `strain_coefficients(W)` tabulates the planes (e00, e01, e11)
+at the three vertices of every cell for each column of W, a (9 nt, m)
+table (9 nt m doubles: 0.9 MB at 16x16 cells and m = 24, 6.5 MB at 32x32
+and m = 44). A combination s of its columns gives the strain planes at the
+quadrature points in one GEMM with `P1` (`strain_planes(s)`), and a stress
+given by its planes goes back to the table's rows in one GEMM with `P1`
+(`strain_load(S)`), so a reduced closure reads no velocity vector of the
+mesh. `weighted_strain_stiffness(w, coef, rank_one)` is the closure's
+tangent on such a table: its pointwise form in (e00, e01, e11), one GEMM
+with the products lambda_j lambda_k into (nt, 9, 9) cell matrices, and
+coef^T (A coef).
 
 Quadrature-point fields and loads read the physical gradient table `grad`
 as rows [c, (q, b), l] = d phi_l/d x_b. A field's gradient is one batched
@@ -32,11 +44,10 @@ table in [c, q, b, a] layout, derivative index first, and a body-force
 table, both carrying the quadrature weight already: one batched product of
 the same rows, read transposed, with S, plus N^T f, summed and scattered
 over `cell_vdofs_la` in one bincount. `stress_load_vector(S)` is its
-contraction of qweights * S. Nothing copies `grad`, and the closure reads
-no gradient table of its own: a reduced closure defect is one strain
-product, one weighted stress table and one contraction, and a full-space
-Picard iterate's nonlinear load is one value product, one gradient product,
-two weighted tables and one contraction.
+contraction of qweights * S. Nothing copies `grad`: a full-space Picard
+iterate's nonlinear load is one value product, one gradient product, two
+weighted tables and one contraction. `strain_samples` is also the
+quadrature path the strain table is checked against.
 
 Pinned saddle systems: `pinned_saddle(A)` couples the interior block of a
 velocity operator A with B, pressure DOF 0 pinned; `saddle_matrix(A)`
@@ -90,6 +101,11 @@ QUAD_DEGREE = 6  # the cell quadrature rule's degree of exactness
 _MAX_LEVELS = 32  # 3^33 < 2^63 bounds the order keys
 # exact integrals over [0, 1] of the edge trace shape functions (v0, v1, midpoint)
 EDGE_SHAPE_INTEGRALS = np.array([1 / 6, 1 / 6, 2 / 3])
+# the reference vertices, in the order of the barycentric coordinates `P1`
+_P1_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+# e:f = sum_a PAIRING[a] e_a f_a for symmetric tensors given by their planes
+# (e00, e01, e11)
+_PLANE_PAIRING = np.array([1.0, 2.0, 1.0])
 
 
 def nested_dissection(xy, pressure):
@@ -236,6 +252,8 @@ class MixedSpace:
         self.N_vec = np.einsum("ab,ql->alqb", np.eye(2), self.N).reshape(12, -1)
         self.Nhat_grad = _p2_grads(pts)   # (nq, 6, 2)
         self.P1 = _p1_values(pts)         # (nq, 3)
+        # [q, 3 j + k] = lambda_j lambda_k, the products of the P1 values
+        self.P1_pairs = (self.P1[:, :, None] * self.P1[:, None, :]).reshape(len(pts), 9)
 
     def _jacobians(self):
         """Cell Jacobians J (nt, 2, 2), [c, a, b] = d x_a / d xhat_b, and their
@@ -342,15 +360,9 @@ class MixedSpace:
         np.add.at(mvec, pdofs.ravel(), np.repeat(a / 3.0, 3))
         self.pressure_integral = mvec
 
-    def _strain_cells(self, weight, rank_one=None):
+    def _strain_cells(self, weight):
         """Cell matrices (nt, 12, 12) of int 2 w(x) eps(phi_i):eps(phi_j) over
-        `cell_vdofs`, for quadrature-point weights w (nt, nq) or a scalar.
-
-        rank_one = (a, e), quadrature-point weights a (nt, nq) and symmetric
-        tensors e (nt, nq, 2, 2), adds int 2 a (e:eps(phi_i)) (e:eps(phi_j)).
-        With the weights of `turbulence.closure_tangent` the sum is the
-        tangent of the closure stress at e.
-        """
+        `cell_vdofs`, for quadrature-point weights w (nt, nq) or a scalar."""
         wq = (self.qweights * weight)[:, :, None]
         gx, gy = self.grad[:, :, 0], self.grad[:, :, 1]  # (nt, nq, 6)
         xx = (wq * gx).transpose(0, 2, 1) @ gx
@@ -361,28 +373,87 @@ class MixedSpace:
         cells[:, :6, 6:] = xy
         cells[:, 6:, :6] = xy.transpose(0, 2, 1)
         cells[:, 6:, 6:] = 2 * yy + xx
-        if rank_one is not None:
-            a, e = rank_one
-            r = (e @ self.grad).reshape(gx.shape[:2] + (12,))  # [c, q, i] = e : grad phi_i
-            cells += ((2 * self.qweights * a)[:, :, None] * r).transpose(0, 2, 1) @ r
         return cells
 
-    def weighted_strain_stiffness(self, weight, U, rank_one=None):
-        """U^T K_w U for K_w = int 2 w(x) eps(u):eps(v), with quadrature-point
-        weights w (nt, nq) and columns U (n_velocity, m); `rank_one` adds
-        its term of `_strain_cells`.
+    # -- per-cell strain coefficients ------------------------------------------
 
-        The Newton matrix of the strain-dependent closure: the implicit
-        step passes U = V, the modes, with the closure tangent's weights,
-        and gets the modal tangent V^T K_T V. The `_strain_cells` matrices
-        are reduced cell by cell and summed over the cells in one GEMM; the
-        global K_w is never formed. (A batched (nt, m, m) product summed
-        afterwards would hold nt m^2 doubles, 26 MB at 32x32 cells and
-        m = 40.)
+    def strain_coefficients(self, W):
+        """The strain table (9 nt, m) of the columns of W (n_velocity, m): row
+        9 c + 3 a + j holds plane a of (e00, e01, e11) of eps(u) at vertex j
+        of cell c.
+
+        A P2 field's gradient is P1 on an affine cell, so its strain there is
+        exactly sum_j lambda_j e_j, with lambda_j the barycentric coordinates
+        (the values `P1`) and e_j the vertex strains: nine numbers describe
+        eps(u) on a cell completely. The table is one sparse product of W
+        with the map from cell coefficients to vertex strains, 12 entries per
+        row (the P2 shape gradients at the vertex).
         """
-        m = U.shape[1]
-        Uc = U[self.cell_vdofs]  # (nt, 12, m)
-        return Uc.reshape(-1, m).T @ (self._strain_cells(weight, rank_one) @ Uc).reshape(-1, m)
+        nt = self.mesh.num_cells
+        # [c, j, b, l] = d phi_l / d x_b at vertex j
+        G = np.einsum("cbd,jld->cjbl", self._jacobians()[1], _p2_grads(_P1_NODES))
+        rows = np.zeros((nt, 3, 3, 12))  # [c, a, j, (x DOFs, y DOFs)]
+        rows[:, 0, :, :6] = G[:, :, 0]
+        rows[:, 1, :, :6] = 0.5 * G[:, :, 1]
+        rows[:, 1, :, 6:] = 0.5 * G[:, :, 0]
+        rows[:, 2, :, 6:] = G[:, :, 1]
+        cols = np.broadcast_to(self.cell_vdofs[:, None, None, :], rows.shape)
+        E = sp.csr_matrix((rows.ravel(), cols.ravel(), np.arange(0, rows.size + 1, 12)),
+                          shape=(9 * nt, self.n_velocity))
+        return E @ W
+
+    def strain_planes(self, s):
+        """Strain planes (3, nt, nq), [a, c, q] = plane a of (e00, e01, e11)
+        at point q of cell c, of strain coefficients s (9 nt,) (a combination
+        of the columns of a `strain_coefficients` table): one GEMM of the
+        vertex strains, reordered plane by plane (9 nt numbers), with the
+        values `P1`. Each plane is contiguous."""
+        nt = self.mesh.num_cells
+        return (s.reshape(nt, 3, 3).transpose(1, 0, 2).reshape(-1, 3) @ self.P1.T).reshape(3, nt, -1)
+
+    def strain_load(self, S):
+        """The pairings L (9 nt,) of stress planes S (3, nt, nq), (s00, s01,
+        s11) with the quadrature weight folded in, such that table^T L =
+        sum_(c,q) S:eps(u) over the columns u of a `strain_coefficients`
+        table: one GEMM with the values `P1`, the off-diagonal plane paired
+        twice (s01 e01 + s10 e10), and the (3, nt, 3) result put back in the
+        table's row order (9 nt numbers)."""
+        L = (S.reshape(-1, S.shape[-1]) @ self.P1).reshape(3, -1, 3)
+        L *= _PLANE_PAIRING[:, None, None]
+        return L.transpose(1, 0, 2).ravel()
+
+    def weighted_strain_stiffness(self, weight, coef, rank_one=None):
+        """sum_(c,q) 2 w_q w eps(u):eps(v) over the columns of a strain table
+        coef (9 nt, m) (`strain_coefficients`), for quadrature-point weights w
+        (nt, nq): U^T K_w U for K_w = int 2 w eps(u):eps(v) and coef the
+        table of U. rank_one = (a, e), weights a (nt, nq) and strain planes e
+        (3, nt, nq) (`strain_planes`), adds int 2 a (e:eps(u)) (e:eps(v));
+        with the weights of `turbulence.closure_tangent` the sum is the
+        tangent of the closure stress at e.
+
+        The Newton matrix of the strain-dependent closure: the implicit step
+        passes the modes' table. In the coordinates (e00, e01, e11) the
+        pointwise form is D = 2 w_q (w diag(1, 2, 1) + a h h^T), h = (e00,
+        2 e01, e11). One GEMM of D with the barycentric products
+        lambda_j lambda_k (`P1_pairs`) gives the (nt, 9, 9) cell matrices A,
+        and the result is coef^T (A coef), summed over the cells in one GEMM;
+        no mesh-sized matrix and no gather of velocity coefficients is formed.
+        """
+        nt, nq = self.qweights.shape
+        m = coef.shape[1]
+        wq = 2.0 * self.qweights
+        if rank_one is None:
+            D = np.zeros((3, 3, nt, nq))
+        else:
+            a, e = rank_one
+            h = e * _PLANE_PAIRING[:, None, None]
+            D = ((wq * a) * h)[:, None] * h  # (3, 3, nt, nq): plane, plane, cell, point
+        ww = wq * weight
+        for i in range(3):
+            D[i, i] += _PLANE_PAIRING[i] * ww
+        A = (D.reshape(-1, nq) @ self.P1_pairs).reshape(3, 3, nt, 3, 3)
+        A = A.transpose(2, 0, 3, 1, 4).reshape(nt, 9, 9)  # [c, (a, j), (b, k)]
+        return coef.T @ (A @ coef.reshape(nt, 9, m)).reshape(-1, m)
 
     def convection_tensor(self, W):
         """T[a, y, z] = int ((u_a . grad) u_y) . u_z for the columns u of W

@@ -7,12 +7,15 @@ molecular stress 2 nu e it keeps the weak operator monotone, with constant
 
     2 nu_tur (|e| I + e (x) e / |e|) = 2 (w I + a e (x) e),
 
-with the weights w = nu_tur |e| and a = nu_tur / |e|. `weighted_stress`
-writes the stress, with a quadrature weight folded into its scalar
-2 nu_tur w_q |e| (`closure_stress` is it at weight 1), and `closure_tangent`
-the tangent's weights; neither is written anywhere else. `smagorinsky_load`,
-the full-space nonlinear load and the implicit step's tangent read them.
-For symmetric tables |e| = (e00^2 + 2 e01^2 + e11^2)^(1/2) (`sym_norm`).
+with the weights w = nu_tur |e| and a = nu_tur / |e|. `closure_scale`
+writes the stress's scalar 2 nu_tur w_q |e|, with a quadrature weight
+folded in, and `closure_tangent` the tangent's weights; neither is written
+anywhere else. `weighted_stress` multiplies the scalar into a 2x2 table
+(`closure_stress` is it at weight 1), which `smagorinsky_load` and the
+full-space nonlinear load read; the reduced closure multiplies it into its
+strain planes (e00, e01, e11), and its implicit step reads the tangent's
+weights. For symmetric tensors |e| = (e00^2 + 2 e01^2 + e11^2)^(1/2)
+(`sym_norm`).
 
 Convection is assembled in the skew-symmetric form
 
@@ -84,6 +87,12 @@ def sym_norm(e00, e01, e11):
     return np.sqrt(e00 * e00 + 2.0 * (e01 * e01) + e11 * e11)
 
 
+def closure_scale(weights, mag, params):
+    """The closure stress's scalar 2 nu_tur weights |e|, of which the stress
+    is the product with e."""
+    return 2.0 * params.nu_tur * weights * mag
+
+
 def weighted_stress(weights, closure=None, conv=None):
     """The stress table weights (2 nu_tur |e| e + S_c) (..., 2, 2) in the
     [b, a] layout of `MixedSpace.weighted_load`, for quadrature weights (or
@@ -104,7 +113,7 @@ def weighted_stress(weights, closure=None, conv=None):
     S = [[0.0, 0.0], [0.0, 0.0]]
     if closure is not None:
         (e00, e01, e11), mag, params = closure
-        s = 2.0 * params.nu_tur * weights * mag
+        s = closure_scale(weights, mag, params)
         s01 = s * e01
         S = [[s * e00, s01], [s01, s * e11]]
     if conv is not None:

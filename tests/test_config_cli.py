@@ -368,6 +368,37 @@ def test_cli_contract_small(tmp_path):
     assert (out / "contraction.csv").exists()
 
 
+def test_cli_contract_forms_the_base_l4_series_once(tmp_path, monkeypatch):
+    # the fit and the check pair share the base run's ||v1||^8_L4 series:
+    # one L4 norm per save time, and the check report is the one a second
+    # full evaluation gives, bit for bit
+    from recirc import cli
+    from recirc.monitors import contraction
+    from recirc.space import MixedSpace
+
+    path, cfg = small_config(tmp_path)
+    norm, kinds, reports = MixedSpace.norm, [], []
+    monkeypatch.setattr(MixedSpace, "norm",
+                        lambda self, u, kind: kinds.append(kind) or norm(self, u, kind))
+
+    def kept(system, base, pair, **kw):
+        reports.append((system, base, pair, kw, contraction(system, base, pair, **kw)))
+        return reports[-1][-1]
+
+    monkeypatch.setattr(cli, "contraction", kept)
+    assert main(["contract", "--config", str(path), "--output-dir", str(tmp_path / "ct"),
+                 "--quiet"]) == 0
+    steps = round(cfg["time"]["T"] / cfg["time"]["dt"])
+    assert kinds.count("L4") == steps + 1
+    monkeypatch.undo()
+    (system, base, pair, kw, rep), = reports[1:]
+    assert kw["w8"] is reports[0][-1].w8
+    again = contraction(system, base, pair)
+    for name in ("diff_sq", "w8", "cum_w8"):
+        assert np.array_equal(getattr(rep, name), getattr(again, name)), name
+    assert rep.fitted_C2 == again.fitted_C2
+
+
 def test_build_scenario_vortex_initial(tmp_path):
     path, cfg = small_config(tmp_path, pumps=[],
                              initial={"preset": "vortex", "amplitude": 20.0})
@@ -395,6 +426,8 @@ def test_cli_study_modes_level_above_reference(tmp_path):
     ("contract", "zero", ["--eps", "nan"]),
     ("dt", "zero", ["--reference", "1100"]),  # 2**1100 overflows a float
     ("dt", "zero", ["--reference", "1023"]),  # T / finest dt overflows step_count
+    ("dt", "zero", ["--reference", "10"]),  # 102400 finest steps, above the cap
+    ("dt", "zero", ["--reference", "40"]),  # 2**40 * 100 finest steps
     ("dt", "zero", ["--levels", "4"]),  # study dt reads no levels
     ("mesh", "manufactured", ["--reference", "7"]),  # study mesh reads no reference
 ])

@@ -376,14 +376,17 @@ def _replay_secant(log, T, dt):
 
 
 def test_picard_step_convection_load_count(preset16, monkeypatch):
-    # one closure load and one weighted stress assembly per defect evaluation, z_old's
-    # included, with its strain from strain_samples, not eval_grads, and one
-    # strain kernel per step: the tangent is formed once and frozen;
-    # convection is the modal contraction and H_g comes from offline
-    # tables, so no convection pairing on the mesh
+    # one strain-plane product and one strain-table load per defect
+    # evaluation, z_old's included, and one strain kernel per step: the
+    # tangent is formed once and frozen; the closure reads the strain table,
+    # so no mesh-vector expand, strain sample, gradient or load; convection
+    # is the modal contraction and H_g comes from offline tables, so no
+    # convection pairing on the mesh
     import recirc.galerkin as galerkin
+    from recirc.eigenbasis import EigenBasis
 
-    names = ("convection", "smagorinsky", "strain", "stress", "grads")
+    names = ("convection", "smagorinsky", "strain", "stress", "grads", "planes", "pairings",
+             "samples", "expand")
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -398,8 +401,10 @@ def test_picard_step_convection_load_count(preset16, monkeypatch):
                         counted("smagorinsky", galerkin.smagorinsky_load))
     scn = preset16
     for name, method in (("strain", "weighted_strain_stiffness"), ("stress", "weighted_load"),
-                         ("grads", "eval_grads")):
+                         ("grads", "eval_grads"), ("planes", "strain_planes"),
+                         ("pairings", "strain_load"), ("samples", "strain_samples")):
         monkeypatch.setattr(MixedSpace, method, counted(name, getattr(MixedSpace, method)))
+    monkeypatch.setattr(EigenBasis, "expand", counted("expand", EigenBasis.expand))
     events = []
     _logged_newton(monkeypatch, events)
     dt = 0.01
@@ -412,8 +417,10 @@ def test_picard_step_convection_load_count(preset16, monkeypatch):
         assert diag["iterations"] >= 2
         assert calls["convection"] == 0
         assert calls["strain"] == diag["tangents"] == 1
-        assert calls["smagorinsky"] == defects == diag["iterations"] + diag["backtracks"] + 1
-        assert calls["stress"] == defects and calls["grads"] == 0
+        assert calls["planes"] == defects == diag["iterations"] + diag["backtracks"] + 1
+        assert calls["pairings"] == defects
+        for name in ("smagorinsky", "stress", "grads", "samples", "expand"):
+            assert calls[name] == 0, name
         # the step's residual is the true fixed-point defect
         defect = new.z - state.z - dt * scn.system.rhs(new.z, new.t)
         assert abs(diag["residual"] - np.linalg.norm(defect)) <= 1e-15
@@ -750,7 +757,8 @@ def test_newton_jacobian_matches_central_difference(preset16, nu_tur):
 
 
 def test_closure_tangent_is_twice_the_load(preset16):
-    # the closure is homogeneous of degree 2: 1/2 T(w) w is the closure load
+    # the closure is homogeneous of degree 2: 1/2 T(w) w is the closure load,
+    # here the table's tangent against the load of the strain samples of w
     from recirc.turbulence import closure_tangent, smagorinsky_load
 
     scn = preset16
@@ -759,12 +767,13 @@ def test_closure_tangent_is_twice_the_load(preset16):
     for t in (0.1, 0.6):
         g, _ = sys_.lift_modal(t)
         z = 0.3 * rng.standard_normal(scn.basis.size)
-        f = sys_.state_fields(scn.basis.expand(z), g)
+        f = sys_.state_fields(z, g)
         w, a = closure_tangent(f.w_eps_mag, scn.params)
         U = np.column_stack([V, scn.lifting.combine(g)])
-        T = space.weighted_strain_stiffness(w, U, rank_one=(a, f.w_eps))
+        T = space.weighted_strain_stiffness(w, space.strain_coefficients(U), rank_one=(a, f.w_eps))
         got = 0.5 * (T[:-1] @ np.append(z, 1.0))
-        load = V.T @ smagorinsky_load(space, f.w_eps, scn.params)
+        w_eps = space.strain_samples(scn.lifting.combine(g) + scn.basis.expand(z))
+        load = V.T @ smagorinsky_load(space, w_eps, scn.params)
         assert np.abs(got - load).max() <= 1e-12 * np.abs(load).max()
 
 
@@ -886,10 +895,9 @@ def test_manufactured_source_is_evaluated_only_at_construction(preset16, monkeyp
 
 
 def test_step_fields_match_ledger_tables(preset16):
-    # the steppers' StateFields, from one strain evaluation of w = zeta_g + z,
-    # against the ledger's route, the lift's gradient table plus z's
-    from recirc.galerkin import StateFields
-    from recirc.turbulence import sym_grad
+    # the steppers' StateFields, from the strain table at y = [g; z], against
+    # the quadrature route, the lift's gradient table plus z's
+    from recirc.turbulence import planes, strain_norm, sym_grad
 
     scn = preset16
     sys_, space = scn.system, scn.space
@@ -898,10 +906,9 @@ def test_step_fields_match_ledger_tables(preset16):
         g, gdot = scn.pumps.rates(t)
         assert (np.abs(gdot).max() > 0) == ramp and np.abs(g).max() > 0
         z = 0.3 * rng.standard_normal(scn.basis.size)
-        got = sys_.state_fields(scn.basis.expand(z), g)
-        ref = StateFields(sym_grad(sys_.lift_data(t).zg_grads
-                                   + space.eval_grads(scn.basis.expand(z))))
-        for a, b in ((got.w_eps, ref.w_eps), (got.w_eps_mag, ref.w_eps_mag)):
+        got = sys_.state_fields(z, g)
+        eps = sym_grad(sys_.lift_data(t).zg_grads + space.eval_grads(scn.basis.expand(z)))
+        for a, b in ((got.w_eps, np.stack(planes(eps))), (got.w_eps_mag, strain_norm(eps))):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
@@ -917,6 +924,48 @@ def test_perturbed_convection_tensor_rejected(preset16, monkeypatch):
     monkeypatch.setattr(MixedSpace, "convection_tensor", perturbed)
     with pytest.raises(SolverError, match="convection tensor"):
         ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, scn.params)
+
+
+def test_perturbed_strain_table_rejected(preset16, monkeypatch):
+    scn = preset16
+    exact = MixedSpace.strain_coefficients
+    rng = np.random.default_rng(34)
+
+    def perturbed(space, W):
+        T = exact(space, W)
+        return T + 1e-6 * np.abs(T).max() * rng.standard_normal(T.shape)
+
+    monkeypatch.setattr(MixedSpace, "strain_coefficients", perturbed)
+    with pytest.raises(SolverError, match="strain table"):
+        ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, scn.params)
+
+
+def test_strain_table_matches_strain_samples():
+    # the non-square, non-unit mesh of test_eval_grads_exact_on_quadratic_field
+    # with a pump from the bottom to the left side: the planes of every lift
+    # column, every mode column and a truncated system's columns against the
+    # strain samples of the column's velocity field
+    from recirc.turbulence import planes
+
+    cfg = {
+        "domain": {"Lx": 1.0, "Ly": 2.0}, "mesh": {"nx": 3, "ny": 5},
+        "fluid": {"nu": 0.02, "nu_tur": 0.05},
+        "pumps": [{"injector": {"side": "bottom", "start": 1 / 3, "end": 2 / 3},
+                   "collector": {"side": "left", "start": 0.8, "end": 1.6},
+                   "profile": {"kind": "flat"}, "schedule": [[0.0, 0.0], [1.0, 0.1]]}],
+        "time": {"T": 0.1, "dt": 0.01, "scheme": "implicit-euler"},
+        "galerkin": {"modes": 6}, "output": {"dir": "out", "every": 5}, "seed": 3,
+    }
+    scn = build_scenario(validate(cfg))
+    space, sys_ = scn.space, scn.system
+    assert space.mesh.num_cells == 30 and len(scn.lifting) == 1
+    W = np.column_stack([scn.lifting.zetas.T, scn.basis.fields])
+    for system, n in ((sys_, scn.basis.size), (sys_.truncate(4), 4)):
+        assert system.strain_coef.shape == (9 * space.mesh.num_cells, 1 + n)
+        for k in range(1 + n):
+            got = space.strain_planes(system.strain_coef[:, k])
+            ref = np.stack(planes(space.strain_samples(W[:, k])))
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), (n, k)
 
 
 def _fresh_truncation(scn, n):
@@ -940,6 +989,7 @@ def test_truncate_slices_a_fresh_build(preset, preset16):
         assert sub.basis.size == n and np.array_equal(sub.basis.fields, fresh.basis.fields)
         assert np.array_equal(sub.C, fresh.C) and sub.C.flags.c_contiguous
         assert np.array_equal(sub.R, fresh.R) and sub.R.flags.c_contiguous
+        assert np.array_equal(sub.strain_coef, fresh.strain_coef)
         tables = ("visc", "P", "S") if scn.source is not None else ("visc", "P")
         for name in tables:
             assert _rel_gap(getattr(sub, name), getattr(fresh, name)) <= 1e-14, name
@@ -963,16 +1013,19 @@ def test_truncated_runs_match_a_fresh_build(preset16, scheme):
 
 
 def test_closure_defect_matches_oracle(preset16):
-    # the defect's closure pairings (weighted stress, one weighted load, V^T)
-    # against the old composition at the same StateFields, with pumps
+    # the defect's closure pairings (strain planes of the table, the weighted
+    # stress planes, one table load) against the old composition (the strain
+    # samples of the expanded w, the stress table, a scattered load and V^T),
+    # with pumps
     scn = preset16
     sys_, V = scn.system, scn.basis.fields
     rng = np.random.default_rng(107)
     for t, scale in ((0.1, 0.01), (0.5, 0.2), (0.5, 0.0)):
         z = scale * rng.standard_normal(scn.basis.size)
         g, _ = scn.pumps.rates(t)
-        got, f = sys_._closure(z, g)
-        ref = closure_pairing_oracle(scn.space, V, f.w_eps, scn.params)
+        got, _ = sys_._closure(z, g)
+        w_eps = scn.space.strain_samples(scn.lifting.combine(g) + scn.basis.expand(z))
+        ref = closure_pairing_oracle(scn.space, V, w_eps, scn.params)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import (assert_no_instance_patches, hg_sq, lift_midpoint_integrands,
                       lift_row_terms, lp, ramp_source)
 from recirc.eigenbasis import solve_stokes_eigen
-from recirc.galerkin import GalerkinState, ReducedSystem, StateFields
+from recirc.galerkin import GalerkinState, ReducedSystem
 from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
@@ -236,13 +236,13 @@ def _ledger_oracle(sys_, traj):
         hg, hg_tilde, edzg_l2_sq, edzg_l3_32 = lift_row_terms(space, lift(t))
         zf = sys_.basis.expand(traj.states[i])
         z_grads = space.eval_grads(zf)
-        f = StateFields(space.strain_samples(sys_.lifting.combine(sys_.pumps.rates(t)[0]) + zf))
+        ew = strain_norm(space.strain_samples(sys_.lifting.combine(sys_.pumps.rates(t)[0]) + zf))
         ez = strain_norm(sym_grad(z_grads))
         z_mag = np.linalg.norm(space.eval_values(zf), axis=-1)
-        ew_l3 = lp(space, f.w_eps_mag, 3)
+        ew_l3 = lp(space, ew, 3)
         rows["z_l2_sq"][i] = lp(space, z_mag, 2) ** 2
         ez2[i], ew3[i], ez3[i] = lp(space, ez, 2) ** 2, ew_l3**3, lp(space, ez, 3) ** 3
-        rows["psi1"][i] = lp(space, f.w_eps_mag, 2) ** 2 + ew3[i]
+        rows["psi1"][i] = lp(space, ew, 2) ** 2 + ew3[i]
         rows["psi2"][i] = ew_l3**2 + edzg_l2_sq + edzg_l3_32
         rows["z_w12_sq"][i] = rows["z_l2_sq"][i] + lp(space, strain_norm(z_grads), 2) ** 2
         rows["z_w13_cu"][i] = lp(space, z_mag, 3) ** 3 + ez3[i]
@@ -264,8 +264,7 @@ def _ledger_oracle(sys_, traj):
 
 def _counted_ledger(sys_, traj, monkeypatch):
     """(ledger, the LiftData it built, the lift fields it tabulated): the
-    fields are the `combine` calls beyond the one per save time that
-    `state_fields` makes."""
+    fields are its `combine` calls."""
     import recirc.galerkin as galerkin
     from recirc.lifting import LiftingBasis
 
@@ -276,7 +275,7 @@ def _counted_ledger(sys_, traj, monkeypatch):
                         lambda self, r: combined.append(1) or combine(self, r))
     led = ledger(sys_, traj)
     monkeypatch.undo()
-    return led, len(built), len(combined) - len(traj)
+    return led, len(built), len(combined)
 
 
 # the exponential factor of estimate 2 multiplies its exponent's relative

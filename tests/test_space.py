@@ -8,7 +8,7 @@ from conftest import duffy_rule, grads_oracle, stress_load_oracle
 from recirc.errors import MeshError
 from recirc.mesh import TaggedMesh, build_rect_mesh
 from recirc.space import SADDLE_LU, MixedSpace, _p2_values, nested_dissection
-from recirc.turbulence import sym_grad
+from recirc.turbulence import planes, sym_grad
 
 
 def const_field(space, cx, cy):
@@ -71,7 +71,7 @@ def test_weighted_strain_stiffness_matches_quadrature(space8):
     I = space8.interior_vdofs
     U[I, :3] = rng.standard_normal((len(I), 3))
     U[:, 3] = rng.standard_normal(space8.n_velocity)  # nonzero trace, as zeta_g has
-    S = space8.weighted_strain_stiffness(weight, U)
+    S = space8.weighted_strain_stiffness(weight, space8.strain_coefficients(U))
     ref = _strain_pairings(space8, weight, U)
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -97,7 +97,8 @@ def test_strain_stiffness_rank_one_term_matches_quadrature(space8):
     a = rng.uniform(0.1, 2.0, space8.qweights.shape)
     e = space8.strain_samples(rng.standard_normal(space8.n_velocity))
     U = rng.standard_normal((space8.n_velocity, 4))
-    S = space8.weighted_strain_stiffness(weight, U, rank_one=(a, e))
+    S = space8.weighted_strain_stiffness(weight, space8.strain_coefficients(U),
+                                         rank_one=(a, np.stack(planes(e))))
     E = [np.einsum("cqab,cqab->cq", e, space8.strain_samples(u)) for u in U.T]
     ref = _strain_pairings(space8, weight, U) + np.array(
         [[np.einsum("cq,cq,cq->", 2.0 * space8.qweights * a, ei, ej) for ej in E] for ei in E]
