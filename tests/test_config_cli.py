@@ -427,9 +427,9 @@ def test_cli_study_modes_level_above_reference(tmp_path):
     ("dt", "zero", ["--reference", "1100"]),  # 2**1100 overflows a float
     ("dt", "zero", ["--reference", "1023"]),  # T / finest dt overflows step_count
     ("dt", "zero", ["--reference", "10"]),  # 102400 finest steps, above the cap
+    ("mesh", "manufactured", ["--reference", "7"]),  # study mesh reads no reference
     ("dt", "zero", ["--reference", "40"]),  # 2**40 * 100 finest steps
     ("dt", "zero", ["--levels", "4"]),  # study dt reads no levels
-    ("mesh", "manufactured", ["--reference", "7"]),  # study mesh reads no reference
 ])
 def test_cli_study_size_that_builds_nothing(tmp_path, monkeypatch, capsys, kind, preset, extra):
     # a study size that builds nothing, a flag the study kind does not read,
