@@ -25,14 +25,16 @@ coordinates (the values `P1` at the quadrature points) and e_j the strain
 at vertex j. `strain_coefficients(W)` tabulates the planes (e00, e01, e11)
 at the three vertices of every cell for each column of W, a (9 nt, m)
 table (9 nt m doubles: 0.9 MB at 16x16 cells and m = 24, 6.5 MB at 32x32
-and m = 44). A combination s of its columns gives the strain planes at the
-quadrature points in one GEMM with `P1` (`strain_planes(s)`), and a stress
-given by its planes goes back to the table's rows in one GEMM with `P1`
-(`strain_load(S)`), so a reduced closure reads no velocity vector of the
-mesh. `weighted_strain_stiffness(w, coef, rank_one)` is the closure's
+and m = 44) in plane-major rows 3 nt a + 3 c + j. A combination s of its
+columns, read as (3 nt, 3), gives the strain planes at the quadrature points
+in one GEMM with `P1` (`strain_planes(s)`), and a stress given by its planes,
+read as (3 nt, nq), goes back to the table's rows in one GEMM with `P1`
+(`strain_load(S)`): neither side transposes anything, both can write into
+buffers the caller keeps, and a reduced closure reads no velocity vector of
+the mesh. `weighted_strain_stiffness(w, coef, rank_one)` is the closure's
 tangent on such a table: its pointwise form in (e00, e01, e11), one GEMM
 with the products lambda_j lambda_k into (nt, 9, 9) cell matrices, and
-coef^T (A coef).
+coef^T (A coef) on a cell-major copy of coef.
 
 Quadrature-point fields and loads read the physical gradient table `grad`
 as rows [c, (q, b), l] = d phi_l/d x_b. A field's gradient is one batched
@@ -378,49 +380,56 @@ class MixedSpace:
     # -- per-cell strain coefficients ------------------------------------------
 
     def strain_coefficients(self, W):
-        """The strain table (9 nt, m) of the columns of W (n_velocity, m): row
-        9 c + 3 a + j holds plane a of (e00, e01, e11) of eps(u) at vertex j
-        of cell c.
+        """The strain table (9 nt, m) of the columns of W (n_velocity, m),
+        plane-major: row 3 nt a + 3 c + j holds plane a of (e00, e01, e11) of
+        eps(u) at vertex j of cell c.
 
         A P2 field's gradient is P1 on an affine cell, so its strain there is
         exactly sum_j lambda_j e_j, with lambda_j the barycentric coordinates
         (the values `P1`) and e_j the vertex strains: nine numbers describe
         eps(u) on a cell completely. The table is one sparse product of W
         with the map from cell coefficients to vertex strains, 12 entries per
-        row (the P2 shape gradients at the vertex).
+        row (the P2 shape gradients at the vertex), whose rows are written in
+        the table's order.
         """
         nt = self.mesh.num_cells
         # [c, j, b, l] = d phi_l / d x_b at vertex j
         G = np.einsum("cbd,jld->cjbl", self._jacobians()[1], _p2_grads(_P1_NODES))
-        rows = np.zeros((nt, 3, 3, 12))  # [c, a, j, (x DOFs, y DOFs)]
-        rows[:, 0, :, :6] = G[:, :, 0]
-        rows[:, 1, :, :6] = 0.5 * G[:, :, 1]
-        rows[:, 1, :, 6:] = 0.5 * G[:, :, 0]
-        rows[:, 2, :, 6:] = G[:, :, 1]
-        cols = np.broadcast_to(self.cell_vdofs[:, None, None, :], rows.shape)
+        rows = np.zeros((3, nt, 3, 12))  # [a, c, j, (x DOFs, y DOFs)]
+        rows[0, ..., :6] = G[:, :, 0]
+        rows[1, ..., :6] = 0.5 * G[:, :, 1]
+        rows[1, ..., 6:] = 0.5 * G[:, :, 0]
+        rows[2, ..., 6:] = G[:, :, 1]
+        cols = np.broadcast_to(self.cell_vdofs[None, :, None, :], rows.shape)
         E = sp.csr_matrix((rows.ravel(), cols.ravel(), np.arange(0, rows.size + 1, 12)),
                           shape=(9 * nt, self.n_velocity))
         return E @ W
 
-    def strain_planes(self, s):
+    def strain_planes(self, s, out=None):
         """Strain planes (3, nt, nq), [a, c, q] = plane a of (e00, e01, e11)
         at point q of cell c, of strain coefficients s (9 nt,) (a combination
         of the columns of a `strain_coefficients` table): one GEMM of the
-        vertex strains, reordered plane by plane (9 nt numbers), with the
-        values `P1`. Each plane is contiguous."""
-        nt = self.mesh.num_cells
-        return (s.reshape(nt, 3, 3).transpose(1, 0, 2).reshape(-1, 3) @ self.P1.T).reshape(3, nt, -1)
+        vertex strains, already plane by plane, with the values `P1`, written
+        into out (3, nt, nq) when given."""
+        nt, nq = self.qweights.shape
+        if out is None:
+            out = np.empty((3, nt, nq))
+        np.matmul(s.reshape(3 * nt, 3), self.P1.T, out=out.reshape(3 * nt, nq))
+        return out
 
-    def strain_load(self, S):
+    def strain_load(self, S, out=None):
         """The pairings L (9 nt,) of stress planes S (3, nt, nq), (s00, s01,
         s11) with the quadrature weight folded in, such that table^T L =
         sum_(c,q) S:eps(u) over the columns u of a `strain_coefficients`
-        table: one GEMM with the values `P1`, the off-diagonal plane paired
-        twice (s01 e01 + s10 e10), and the (3, nt, 3) result put back in the
-        table's row order (9 nt numbers)."""
-        L = (S.reshape(-1, S.shape[-1]) @ self.P1).reshape(3, -1, 3)
-        L *= _PLANE_PAIRING[:, None, None]
-        return L.transpose(1, 0, 2).ravel()
+        table: one GEMM with the values `P1`, already in the table's row
+        order, and the off-diagonal plane paired twice (s01 e01 + s10 e10);
+        written into out (9 nt,) when given."""
+        nt = S.shape[1]
+        if out is None:
+            out = np.empty(9 * nt)
+        np.matmul(S.reshape(3 * nt, -1), self.P1, out=out.reshape(3 * nt, 3))
+        out[3 * nt:6 * nt] *= _PLANE_PAIRING[1]
+        return out
 
     def weighted_strain_stiffness(self, weight, coef, rank_one=None):
         """sum_(c,q) 2 w_q w eps(u):eps(v) over the columns of a strain table
@@ -436,8 +445,10 @@ class MixedSpace:
         pointwise form is D = 2 w_q (w diag(1, 2, 1) + a h h^T), h = (e00,
         2 e01, e11). One GEMM of D with the barycentric products
         lambda_j lambda_k (`P1_pairs`) gives the (nt, 9, 9) cell matrices A,
-        and the result is coef^T (A coef), summed over the cells in one GEMM;
-        no mesh-sized matrix and no gather of velocity coefficients is formed.
+        and the result is coef^T (A coef), summed over the cells in one GEMM
+        on a cell-major copy of coef, rows [c, (a, j)]: the one transposition
+        of the table per call. No mesh-sized matrix and no gather of velocity
+        coefficients is formed.
         """
         nt, nq = self.qweights.shape
         m = coef.shape[1]
@@ -453,7 +464,8 @@ class MixedSpace:
             D[i, i] += _PLANE_PAIRING[i] * ww
         A = (D.reshape(-1, nq) @ self.P1_pairs).reshape(3, 3, nt, 3, 3)
         A = A.transpose(2, 0, 3, 1, 4).reshape(nt, 9, 9)  # [c, (a, j), (b, k)]
-        return coef.T @ (A @ coef.reshape(nt, 9, m)).reshape(-1, m)
+        cells = coef.reshape(3, nt, 3, m).transpose(1, 0, 2, 3).reshape(nt, 9, m)
+        return cells.reshape(-1, m).T @ (A @ cells).reshape(-1, m)
 
     def convection_tensor(self, W):
         """T[a, y, z] = int ((u_a . grad) u_y) . u_z for the columns u of W

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from recirc.config import build_scenario, preset_path, validate
@@ -136,6 +137,62 @@ def closure_pairing_oracle(space, V, eps, params):
     """V^T of the closure load of strain tables eps, through the stress table
     and the weight multiplying it: V.T @ smagorinsky_load as it was."""
     return V.T @ stress_load_oracle(space, closure_stress_oracle(eps, params))
+
+
+def cell_major_strain_table(space, W):
+    """The strain table of the columns of W in the cell-major row order it
+    had before the plane-major one: row 9 c + 3 a + j holds plane a of
+    (e00, e01, e11) at vertex j of cell c, from the same sparse product."""
+    from recirc.space import _P1_NODES, _p2_grads
+
+    nt = space.mesh.num_cells
+    G = np.einsum("cbd,jld->cjbl", space._jacobians()[1], _p2_grads(_P1_NODES))
+    rows = np.zeros((nt, 3, 3, 12))  # [c, a, j, (x DOFs, y DOFs)]
+    rows[:, 0, :, :6] = G[:, :, 0]
+    rows[:, 1, :, :6] = 0.5 * G[:, :, 1]
+    rows[:, 1, :, 6:] = 0.5 * G[:, :, 0]
+    rows[:, 2, :, 6:] = G[:, :, 1]
+    cols = np.broadcast_to(space.cell_vdofs[:, None, None, :], rows.shape)
+    E = sp.csr_matrix((rows.ravel(), cols.ravel(), np.arange(0, rows.size + 1, 12)),
+                      shape=(9 * nt, space.n_velocity))
+    return E @ W
+
+
+def cell_major_closure(space, coef, K, y, params):
+    """The closure pairings at y = [g; z] on a cell-major strain table coef,
+    composed as the defect was before the plane-major table: the planes
+    through a transposed copy of s = coef y, fresh |e|, scale and stress
+    tables, and the pairings put back in cell-major order."""
+    nt, nq = space.qweights.shape
+    s = coef @ y
+    e = (s.reshape(nt, 3, 3).transpose(1, 0, 2).reshape(-1, 3) @ space.P1.T).reshape(3, nt, nq)
+    mag = np.sqrt(e[0] * e[0] + 2.0 * (e[1] * e[1]) + e[2] * e[2])
+    S = 2.0 * params.nu_tur * space.qweights * mag * e
+    L = (S.reshape(-1, nq) @ space.P1).reshape(3, -1, 3)
+    L *= np.array([1.0, 2.0, 1.0])[:, None, None]
+    return coef[:, K:].T @ L.transpose(1, 0, 2).ravel()
+
+
+def cell_major_strain_stiffness(space, weight, coef, rank_one=None):
+    """`MixedSpace.weighted_strain_stiffness` on a cell-major strain table
+    coef (`cell_major_strain_table`), as it was before the plane-major one:
+    the table read as (nt, 9, m) in place."""
+    nt, nq = space.qweights.shape
+    m = coef.shape[1]
+    pairing = np.array([1.0, 2.0, 1.0])
+    wq = 2.0 * space.qweights
+    if rank_one is None:
+        D = np.zeros((3, 3, nt, nq))
+    else:
+        a, e = rank_one
+        h = e * pairing[:, None, None]
+        D = ((wq * a) * h)[:, None] * h
+    ww = wq * weight
+    for i in range(3):
+        D[i, i] += pairing[i] * ww
+    A = (D.reshape(-1, nq) @ space.P1_pairs).reshape(3, 3, nt, 3, 3)
+    A = A.transpose(2, 0, 3, 1, 4).reshape(nt, 9, 9)
+    return coef.T @ (A @ coef.reshape(nt, 9, m)).reshape(-1, m)
 
 
 def phi_g(pumps, t, space):

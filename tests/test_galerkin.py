@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import (apply_A, assert_no_instance_patches, closure_pairing_oracle, convect, phi_g,
-                      ramp_source)
+from conftest import (apply_A, assert_no_instance_patches, cell_major_closure,
+                      cell_major_strain_stiffness, cell_major_strain_table, closure_pairing_oracle,
+                      convect, phi_g, ramp_source)
 from recirc.config import build_scenario, preset_path, validate
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import SolverError, StepError
-from recirc.galerkin import STEP_RECORD, GalerkinState, ReducedSystem, initial_state
+from recirc.galerkin import STEP_RECORD, GalerkinState, ReducedSystem, Workspace, initial_state
 from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
 from recirc.pumps import PumpSet
 from recirc.space import MixedSpace
-from recirc.turbulence import ClosureParams
+from recirc.turbulence import ClosureParams, closure_tangent
 
 
 @pytest.fixture(scope="module")
@@ -314,9 +315,9 @@ def _logged_newton(monkeypatch, events):
             events.append(("defect", out[1]))
             return out
 
-        def logged_tangent(f):
+        def logged_tangent(z):
             events.append(("tangent", None))
-            return tangent(f)
+            return tangent(z)
 
         return logged_defect, logged_tangent, jacobian
 
@@ -333,8 +334,8 @@ def _logged_secant(monkeypatch, log):
             log.append(("defect", z, out[0], out[1]))
             return out
 
-        def logged_tangent(f):
-            log.append(("tangent", tangent(f)))
+        def logged_tangent(z):
+            log.append(("tangent", tangent(z)))
             return log[-1][1]
 
         def logged_jacobian(z, T_VV):
@@ -376,9 +377,10 @@ def _replay_secant(log, T, dt):
 
 
 def test_picard_step_convection_load_count(preset16, monkeypatch):
-    # one strain-plane product and one strain-table load per defect
-    # evaluation, z_old's included, and one strain kernel per step: the
-    # tangent is formed once and frozen; the closure reads the strain table,
+    # one strain-table load per defect evaluation, z_old's included, one
+    # strain-plane product per defect and per tangent (a tangent forms its
+    # own StateFields), and one strain kernel per step: the tangent is
+    # formed once and frozen; the closure reads the strain table,
     # so no mesh-vector expand, strain sample, gradient or load; convection
     # is the modal contraction and H_g comes from offline tables, so no
     # convection pairing on the mesh
@@ -417,7 +419,8 @@ def test_picard_step_convection_load_count(preset16, monkeypatch):
         assert diag["iterations"] >= 2
         assert calls["convection"] == 0
         assert calls["strain"] == diag["tangents"] == 1
-        assert calls["planes"] == defects == diag["iterations"] + diag["backtracks"] + 1
+        assert defects == diag["iterations"] + diag["backtracks"] + 1
+        assert calls["planes"] == defects + diag["tangents"]  # a tangent forms its own
         assert calls["pairings"] == defects
         for name in ("smagorinsky", "stress", "grads", "samples", "expand"):
             assert calls[name] == 0, name
@@ -519,7 +522,7 @@ def plateau_step(preset16):
     traj = sys_.integrate(preset16.state0, T=0.25, dt=dt)
     (zm, z), t = traj.states[-2:], traj.times[-1]
     defect, tangent, _ = sys_.implicit_euler_newton(zm, dt, t)
-    return zm, z, t, tangent(defect(z)[2])
+    return zm, z, t, tangent(z)
 
 
 def _updates(events):
@@ -612,7 +615,7 @@ def test_carried_tangent_without_decrease_is_refreshed(preset16, plateau_step, m
     assert diag["iterations"] == kinds.count("defect") - 2  # the start's and the dropped trial
     formed = [entry[1] for entry in log if entry[0] == "tangent"]
     defect, tangent, _ = sys_.implicit_euler_newton(z, dt, t + dt)  # logs on
-    assert np.array_equal(formed[0], tangent(defect(start)[2]))
+    assert np.array_equal(formed[0], tangent(start))
     assert diag["residual"] <= 1e-10
 
 
@@ -747,7 +750,7 @@ def test_newton_jacobian_matches_central_difference(preset16, nu_tur):
         z = 0.5 * rng.standard_normal(scn.basis.size)
         f = defect(z)[2]
         assert (f is None) == (nu_tur == 0)
-        jac = jacobian(z, None if f is None else tangent(f))
+        jac = jacobian(z, None if f is None else tangent(z))
         fd = np.column_stack([
             (defect(z + h * e)[0] - defect(z - h * e)[0]) / (2 * h)
             for e in np.eye(len(z))
@@ -790,7 +793,7 @@ def test_closure_tangent_guard_at_zero_strain(preset16):
     defect, tangent, jacobian = sys_.implicit_euler_newton(z, dt, 0.0)
     with np.errstate(all="raise"):
         d, res, f = defect(z)
-        T_VV = tangent(f)
+        T_VV = tangent(z)
         jac = jacobian(z, T_VV)
     assert np.all(np.isfinite(jac)) and np.isfinite(res)
     assert np.array_equal(T_VV, np.zeros((N, N)))
@@ -940,13 +943,10 @@ def test_perturbed_strain_table_rejected(preset16, monkeypatch):
         ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, scn.params)
 
 
-def test_strain_table_matches_strain_samples():
-    # the non-square, non-unit mesh of test_eval_grads_exact_on_quadratic_field
-    # with a pump from the bottom to the left side: the planes of every lift
-    # column, every mode column and a truncated system's columns against the
-    # strain samples of the column's velocity field
-    from recirc.turbulence import planes
-
+@pytest.fixture(scope="module")
+def rect15():
+    """The non-square, non-unit mesh of test_eval_grads_exact_on_quadratic_field
+    (1.0 x 2.0, 3 x 5 cells) with a pump from the bottom to the left side."""
     cfg = {
         "domain": {"Lx": 1.0, "Ly": 2.0}, "mesh": {"nx": 3, "ny": 5},
         "fluid": {"nu": 0.02, "nu_tur": 0.05},
@@ -956,16 +956,174 @@ def test_strain_table_matches_strain_samples():
         "time": {"T": 0.1, "dt": 0.01, "scheme": "implicit-euler"},
         "galerkin": {"modes": 6}, "output": {"dir": "out", "every": 5}, "seed": 3,
     }
-    scn = build_scenario(validate(cfg))
+    return build_scenario(validate(cfg)).built()
+
+
+def _lift_mode_columns(scn):
+    return np.column_stack([scn.lifting.zetas.T, scn.basis.fields])
+
+
+def test_strain_table_matches_strain_samples(rect15):
+    # the planes of every lift column, every mode column and a truncated
+    # system's columns against the strain samples of the column's velocity
+    # field
+    from recirc.turbulence import planes
+
+    scn = rect15
     space, sys_ = scn.space, scn.system
     assert space.mesh.num_cells == 30 and len(scn.lifting) == 1
-    W = np.column_stack([scn.lifting.zetas.T, scn.basis.fields])
+    W = _lift_mode_columns(scn)
     for system, n in ((sys_, scn.basis.size), (sys_.truncate(4), 4)):
         assert system.strain_coef.shape == (9 * space.mesh.num_cells, 1 + n)
         for k in range(1 + n):
             got = space.strain_planes(system.strain_coef[:, k])
             ref = np.stack(planes(space.strain_samples(W[:, k])))
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), (n, k)
+
+
+def test_strain_table_rows_are_plane_major(rect15):
+    # row 3 nt a + 3 c + j holds plane a at vertex j of cell c: against the
+    # exact strain of an interpolated quadratic field at the cell's vertices,
+    # and, bit for bit, the cell-major table's row 9 c + 3 a + j
+    scn = rect15
+    space = scn.space
+    nt = space.mesh.num_cells
+
+    def u(x, y):
+        return np.column_stack([1 + 2 * x - 3 * y + 0.5 * x * x + 4 * x * y - y * y,
+                                -2 + 5 * x + 7 * y - 3 * x * x + x * y + 2 * y * y])
+
+    table = space.strain_coefficients(space.interpolate(u)[:, None]).reshape(3, nt, 3)
+    x, y = np.moveaxis(space.mesh.vertices[space.mesh.cells], -1, 0)  # (nt, 3) each
+    exact = (2 + x + 4 * y, 0.5 * ((-3 + 4 * x - 2 * y) + (5 - 6 * x + y)), 7 + x + 4 * y)
+    for a in range(3):
+        assert np.abs(table[a] - exact[a]).max() <= 1e-12, a
+    W = _lift_mode_columns(scn)
+    m = W.shape[1]
+    old = cell_major_strain_table(space, W).reshape(nt, 3, 3, m)
+    assert np.array_equal(space.strain_coefficients(W).reshape(3, nt, 3, m),
+                          old.transpose(1, 0, 2, 3))
+
+
+@pytest.mark.parametrize("preset", ["four_pumps", "rect15"])
+def test_closure_matches_the_cell_major_path(preset, preset16, rect15):
+    # the defect's closure pairings, through one workspace reused from state
+    # to state, against the cell-major composition to 1e-13 relative; the
+    # closure tangent bit for bit against the cell-major kernel at the same
+    # StateFields
+    scn = preset16 if preset == "four_pumps" else rect15
+    sys_, space, K = scn.system, scn.space, len(scn.lifting)
+    old = cell_major_strain_table(space, _lift_mode_columns(scn))
+    ws = Workspace(sys_)
+    rng = np.random.default_rng(108)
+    for t, scale in ((0.1, 0.01), (0.5, 0.2), (0.5, 0.0), (0.9, 1.0)):
+        z = scale * rng.standard_normal(scn.basis.size)
+        g, _ = scn.pumps.rates(t)
+        got, f = sys_._closure(z, g, ws)
+        assert f.w_eps is ws.planes and f.w_eps_mag is ws.mag
+        ref = cell_major_closure(space, old, K, np.concatenate([g, z]), scn.params)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), t
+        _, tangent, _ = sys_.implicit_euler_newton(z, 0.01, t)
+        f = sys_.state_fields(z, g)
+        w, a = closure_tangent(f.w_eps_mag, scn.params)
+        assert np.array_equal(tangent(z),
+                              cell_major_strain_stiffness(space, w, old[:, K:], (a, f.w_eps)))
+
+
+def test_rk4_forms_lift_data_once_per_distinct_time(preset16, monkeypatch):
+    # k2 and k3 share t + dt/2, so a step reads the pump rates three times,
+    # and its result is bit for bit the four-rhs composition
+    scn = preset16
+    sys_, dt = scn.system, 0.01
+    rates, calls = type(scn.pumps).rates, []
+    monkeypatch.setattr(type(scn.pumps), "rates", lambda *a: calls.append(1) or rates(*a))
+    z = 0.05 * np.random.default_rng(109).standard_normal(scn.basis.size)
+    for t in (0.1, 0.5):  # on the ramp (gdot != 0) and on the plateau
+        calls.clear()
+        new, _ = sys_.step(GalerkinState(t, z), dt, scheme="explicit-rk4")
+        assert len(calls) == 3
+        monkeypatch.undo()
+        k1 = sys_.rhs(z, t)
+        k2 = sys_.rhs(z + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = sys_.rhs(z + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = sys_.rhs(z + dt * k3, t + dt)
+        assert np.array_equal(new.z, z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        monkeypatch.setattr(type(scn.pumps), "rates", lambda *a: calls.append(1) or rates(*a))
+    calls.clear()
+    traj = sys_.integrate(scn.state0, T=0.1, dt=dt, scheme="explicit-rk4")
+    assert len(calls) == 3 * (len(traj) - 1)
+
+
+def test_concurrent_integrations_match_sequential_runs(preset16):
+    # threads integrate one system at once, two implicit runs at two dt and
+    # an RK4 run, with a short switch interval: each integration steps in
+    # its own workspace, so every trajectory is, bit for bit, that of the
+    # same run made alone
+    import sys
+    import threading
+
+    sys_, state0 = preset16.system, preset16.state0
+    runs = [(0.01, "implicit-euler"), (0.02, "implicit-euler"), (0.01, "explicit-rk4")]
+    ref = [sys_.integrate(state0, T=0.4, dt=dt, scheme=scheme) for dt, scheme in runs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(2):
+            got = [None] * len(runs)
+            start = threading.Barrier(len(runs), timeout=60)
+
+            def run(i):
+                start.wait()
+                got[i] = sys_.integrate(state0, T=0.4, dt=runs[i][0], scheme=runs[i][1])
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(runs))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+                assert not th.is_alive()
+            for a, b in zip(got, ref):
+                assert np.array_equal(a.states, b.states)
+                assert np.array_equal(a.evaluations, b.evaluations)
+                assert np.array_equal(a.tangents, b.tangents)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("scheme", ["implicit-euler", "explicit-rk4"])
+def test_closure_evaluations_allocate_no_mesh_table(preset16, monkeypatch, scheme):
+    # after an integrate call's first closure evaluation (an implicit
+    # defect, an RK4 stage) no evaluation's peak allocation exceeds one
+    # (nt, nq) float table: every mesh-sized array is the call's workspace
+    import tracemalloc
+
+    sys_ = preset16.system
+    peaks = []
+
+    def measured(fn):
+        def wrapper(*args):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+        return wrapper
+
+    if scheme == "implicit-euler":
+        _patch_newton(monkeypatch, lambda defect, tangent, jacobian: (
+            measured(defect), tangent, jacobian))
+    else:
+        monkeypatch.setattr(ReducedSystem, "_rhs", measured(ReducedSystem._rhs))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        traj = sys_.integrate(preset16.state0, T=0.1, dt=0.01, scheme=scheme)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(peaks) == traj.evaluations.sum() > 10
+    assert max(peaks[1:]) <= preset16.space.qweights.nbytes
 
 
 def _fresh_truncation(scn, n):
