@@ -17,6 +17,8 @@ far beyond roundoff. Keeping this matrix and its factorization fixed keeps
 the basis bit for bit.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
@@ -36,6 +38,9 @@ class EigenBasis:
     fields : (n_velocity, N) mode coefficient columns
     gram_residual : max |Xi^T M Xi - I|
     rayleigh_residuals : |x^T K_grad x / x^T M x - lambda| per mode
+
+    The two residuals are formed on first read: only `recirc eigen` and the
+    tests read them, and a run builds and truncates bases without.
     """
 
     def __init__(self, space, eigenvalues, fields):
@@ -44,25 +49,24 @@ class EigenBasis:
         self.eigenvalues = np.asarray(eigenvalues)[order]
         self.fields = np.asarray(fields)[:, order]
         self._orthonormalize()
-        self._diagnose()
 
     @classmethod
     def _of(cls, space, eigenvalues, fields):
         """Basis over sorted, orthonormal modes as given (no re-orthonormalization)."""
         basis = cls.__new__(cls)
         basis.space, basis.eigenvalues, basis.fields = space, eigenvalues, fields
-        basis._diagnose()
         return basis
 
-    def _diagnose(self):
-        """Set the Gram and Rayleigh residuals of the current fields."""
-        space = self.space
-        MV = space.M @ self.fields
-        G = self.fields.T @ MV
-        self.gram_residual = float(np.abs(G - np.eye(self.size)).max())
-        num = np.einsum("ik,ik->k", self.fields, space.K_grad @ self.fields)
-        den = np.einsum("ik,ik->k", self.fields, MV)
-        self.rayleigh_residuals = np.abs(num / den - self.eigenvalues)
+    @cached_property
+    def gram_residual(self):
+        G = self.fields.T @ (self.space.M @ self.fields)
+        return float(np.abs(G - np.eye(self.size)).max())
+
+    @cached_property
+    def rayleigh_residuals(self):
+        num = np.einsum("ik,ik->k", self.fields, self.space.K_grad @ self.fields)
+        den = np.einsum("ik,ik->k", self.fields, self.space.M @ self.fields)
+        return np.abs(num / den - self.eigenvalues)
 
     def _orthonormalize(self):
         # one Cholesky step in the M inner product, V <- V L^-T with

@@ -43,14 +43,8 @@ pointwise, with the quadrature weight folded into the scalar
 (`turbulence.closure_scale`); and the closure pairings are one GEMM back
 with the P1 values (`MixedSpace.strain_load`) and one product with the
 table's mode columns. No velocity vector of the mesh is expanded,
-gathered or scattered, and nothing mesh-sized is allocated: each kernel
-writes into a `Workspace`, the buffers of one closure evaluation.
-`integrate` makes one per call, hands it to every step, defect, tangent
-and RK4 stage of that call, and drops it on return, so the StateFields a
-defect returns hold until the next evaluation of the same call. It is
-never state of the system: `study dt` steps one system from several
-threads, each integration in its own workspace. `rhs`, `step` and
-`state_fields` called alone make their own.
+gathered or scattered. Each evaluation allocates its own tables and shares
+none, so threads may step one system at once (`study dt` does).
 
 Implicit Euler solves each step by a simplified
 Newton iteration (the chord method of implicit integrators: Hairer &
@@ -76,9 +70,8 @@ the current iterate only when a frozen-tangent update finds no decrease, or
 when an accepted update shrinks the residual by less than CHORD_RATE; a
 carried tangent that shrinks it by less than CARRY_RATE serves out its step
 and the next step forms its own at its start. A tangent forms the
-StateFields of its iterate again, one more strain product, since the
-defect's are overwritten by every later trial, and reads a cell-major copy
-of the modes' table columns. Classical RK4 is available
+StateFields of its iterate again, one more strain product, and reads a
+cell-major copy of the modes' table columns. Classical RK4 is available
 for cross-checks; it forms the lift data of its three distinct times
 once each, k2 and k3 sharing t + dt/2. The physical velocity at any time is
 v = zeta_g(t) + sum_k z_k xi_k.
@@ -157,30 +150,6 @@ class StateFields:
         self.w_eps_mag = w_eps_mag
 
 
-class Workspace:
-    """The buffers one closure evaluation writes: y = [g; z], the strain
-    coefficients s (9 nt,), which the pairings overwrite, the planes and
-    |e| of its StateFields, a work table for the squares of |e| and the
-    closure scale, and the stress planes (3, nt, nq).
-
-    `integrate` makes one per call and hands it to every step, defect and
-    right-hand side of that call; `rhs`, `step` and `state_fields` called
-    without one make their own. It never lives on the system, so threads
-    stepping one system at once never share one. What an evaluation returns
-    from it (a StateFields) is overwritten by the next evaluation."""
-
-    __slots__ = ("y", "s", "planes", "mag", "work", "stress")
-
-    def __init__(self, system):
-        nt, nq = system.space.qweights.shape
-        self.y = np.empty(system.strain_coef.shape[1])
-        self.s = np.empty(9 * nt)
-        self.planes = np.empty((3, nt, nq))
-        self.mag = np.empty((nt, nq))
-        self.work = np.empty((nt, nq))
-        self.stress = np.empty((3, nt, nq))
-
-
 class Trajectory:
     """Uniform-step trajectory of reduced coefficients and its step record:
     from `diags`, the diag of each step as the on_step hook saw it, one
@@ -237,7 +206,7 @@ class ReducedSystem:
         self.C = np.ascontiguousarray(C.transpose(2, 0, 1))
         self._check_convection(W)
         self.C[:, :K, :K] = 0.0  # the lift's self-convection is carried by H_g
-        self.strain_coef = space.strain_coefficients(W)  # rows (cell, plane, vertex)
+        self.strain_coef = space.strain_coefficients(W)  # rows (plane, cell, vertex)
         self._check_strain(W)
         self.R = np.ascontiguousarray(T[:K, :K, K:].transpose(2, 0, 1))  # ((grad zeta_q) zeta_p, xi_k)
         self.P = V.T @ (space.M @ Z)  # (zeta_p, xi_k)
@@ -319,18 +288,14 @@ class ReducedSystem:
 
     def velocity(self, z, t):
         """Reconstructed velocity v = zeta_g(t) + sum_k z_k xi_k."""
-        zg, _ = self.lift_fields(t)
-        return zg + self.basis.expand(z)
+        return self.lifting.combine(self.pumps.rates(t)[0]) + self.basis.expand(z)
 
-    def state_fields(self, z, g, ws=None):
+    def state_fields(self, z, g):
         """StateFields of w = zeta_g + z at the lift rates g and the modal
         coefficients z: the strain table times y = [g; z], then its planes
-        and their norms, written into the Workspace ws (a fresh one when
-        None)."""
-        ws = Workspace(self) if ws is None else ws
-        s = np.matmul(self.strain_coef, np.concatenate([g, z], out=ws.y), out=ws.s)
-        planes = self.space.strain_planes(s, out=ws.planes)
-        return StateFields(planes, sym_norm(*planes, out=ws.mag, work=ws.work))
+        and their norms."""
+        planes = self.space.strain_planes(self.strain_coef @ np.concatenate([g, z]))
+        return StateFields(planes, sym_norm(*planes))
 
     # -- right-hand side -------------------------------------------------------
 
@@ -339,23 +304,20 @@ class ReducedSystem:
         y = np.concatenate([g, z])
         return (self.C @ y) @ y
 
-    def _closure(self, z, g, ws=None):
-        """(modal pairings of the Smagorinsky stress at w = zeta_g + z, the
-        StateFields of w); (0, None) without the closure. One pass through
-        the buffers of the Workspace ws (a fresh one when None): the
-        StateFields, the stress planes 2 nu_tur w_q |e| e and their pairings
-        with the table's rows, in place of the strain coefficients."""
+    def _closure(self, z, g):
+        """Modal pairings of the Smagorinsky stress at w = zeta_g + z, 0
+        without the closure: the StateFields of w, the stress planes
+        2 nu_tur w_q |e| e and their pairings with the table's rows."""
         if self.params.nu_tur == 0:
-            return np.zeros(self.basis.size), None
-        ws = Workspace(self) if ws is None else ws
-        f = self.state_fields(z, g, ws)
-        scale = closure_scale(self.space.qweights, f.w_eps_mag, self.params, out=ws.work)
-        L = self.space.strain_load(np.multiply(scale, f.w_eps, out=ws.stress), out=ws.s)
-        return self.strain_coef[:, len(self.lifting):].T @ L, f
+            return np.zeros(self.basis.size)
+        f = self.state_fields(z, g)
+        scale = closure_scale(self.space.qweights, f.w_eps_mag, self.params)
+        L = self.space.strain_load(scale * f.w_eps)
+        return self.strain_coef[:, len(self.lifting):].T @ L
 
-    def _rhs(self, z, g, hg, ws=None):
+    def _rhs(self, z, g, hg):
         """dz/dt at z from the lift data (g, (H_g, xi_k)) of its time."""
-        return hg - self.visc @ z - (self._conv_modal(z, g) + self._closure(z, g, ws)[0])
+        return hg - self.visc @ z - (self._conv_modal(z, g) + self._closure(z, g))
 
     def rhs(self, z, t):
         """dz/dt at (z, t)."""
@@ -363,20 +325,17 @@ class ReducedSystem:
 
     # -- steppers ----------------------------------------------------------------
 
-    def implicit_euler_newton(self, z_old, dt, t_new, ws=None):
+    def implicit_euler_newton(self, z_old, dt, t_new):
         """The functions (defect, tangent, jacobian) of the implicit-Euler
-        step from z_old to t_new, evaluated in the Workspace ws (a fresh one
-        when None).
+        step from z_old to t_new.
 
-        - defect(z) -> (d, ||d||_2, f): d = z - z_old + dt (visc z + (C y) y
+        - defect(z) -> (d, ||d||_2): d = z - z_old + dt (visc z + (C y) y
           + closure(z) - H_g), y = [g; z], with the closure pairings formed
-          as in `rhs` from f, the StateFields of z (None when nu_tur = 0),
-          which live in ws until its next evaluation.
+          as in `rhs`.
         - tangent(z) -> T_VV = V^T K_T V, the closure tangent
           2 nu_tur (|e| I + e (x) e / |e|), e = eps(w), at the iterate z:
-          its own StateFields, formed again in ws, and one
-          `weighted_strain_stiffness` call with the weights of
-          `closure_tangent`.
+          its StateFields and one `weighted_strain_stiffness` call with the
+          weights of `closure_tangent`.
         - jacobian(z, T_VV) -> I + dt (visc + J_conv + T_VV), where
           J_conv[k, j] = sum_b (C[k, K+j, b] + C[k, b, K+j]) y_b is the
           derivative of (C y) y at z; T_VV None leaves the closure out.
@@ -385,16 +344,14 @@ class ReducedSystem:
         K = len(self.lifting)
         coef_V = self.strain_coef[:, K:]
         base = np.eye(self.basis.size) + dt * self.visc
-        ws = Workspace(self) if ws is None else ws
 
         def defect(z):
             y = np.concatenate([g, z])
-            closure, f = self._closure(z, g, ws)
-            d = z - z_old + dt * (self.visc @ z + (self.C @ y) @ y + closure - hg)
-            return d, float(np.linalg.norm(d)), f
+            d = z - z_old + dt * (self.visc @ z + (self.C @ y) @ y + self._closure(z, g) - hg)
+            return d, float(np.linalg.norm(d))
 
         def tangent(z):
-            f = self.state_fields(z, g, ws)
+            f = self.state_fields(z, g)
             w, a = closure_tangent(f.w_eps_mag, self.params)
             return self.space.weighted_strain_stiffness(w, coef_V, rank_one=(a, f.w_eps))
 
@@ -408,7 +365,7 @@ class ReducedSystem:
         return defect, tangent, jacobian
 
     def step_implicit_euler(self, state, dt, tol=1e-10, max_iter=50, t_new=None,
-                            start=None, T_VV=None, ws=None):
+                            start=None, T_VV=None):
         """Solve z+ = z + dt rhs(z+, t+dt) by a simplified Newton iteration on
         the functions of `implicit_euler_newton`.
 
@@ -449,12 +406,12 @@ class ReducedSystem:
         an accepted update costs one defect evaluation; the diag counts the
         start's defect and every trial, dropped or accepted, as
         "evaluations". A failure raises StepError with the time, the
-        iteration count and the residuals of the accepted iterates. Every
-        evaluation writes into the Workspace ws (a fresh one when None).
+        iteration count and the residuals of the accepted iterates.
         """
         if t_new is None:
             t_new = state.t + dt
-        defect, tangent, jacobian = self.implicit_euler_newton(state.z, dt, t_new, ws)
+        defect, tangent, jacobian = self.implicit_euler_newton(state.z, dt, t_new)
+        closure = self.params.nu_tur > 0  # else T_VV stays None: Newton's method
 
         def fail(why):
             raise StepError(
@@ -465,7 +422,7 @@ class ReducedSystem:
             )
 
         z = state.z if start is None else start
-        d, res, f = defect(z)
+        d, res = defect(z)
         history = [res]
         backtracks = tangents = 0
         evaluations = 1
@@ -476,7 +433,7 @@ class ReducedSystem:
         while not res <= tol:
             if len(history) > max_iter:
                 fail(f"did not converge in {max_iter} Newton iterations")
-            if refresh and f is not None:
+            if refresh and closure:
                 T_VV = tangent(z)
                 tangents += 1
                 refresh = stale = renew = False
@@ -488,7 +445,7 @@ class ReducedSystem:
             lam = 1.0
             for halvings in range(MAX_HALVINGS + 1):
                 z_try = z - lam * dz
-                d_try, res_try, f_try = defect(z_try)
+                d_try, res_try = defect(z_try)
                 evaluations += 1
                 if res_try < res or stale:  # a frozen tangent gets one trial
                     break
@@ -506,26 +463,24 @@ class ReducedSystem:
             ss = s @ s
             if stale and ss > 0:  # Broyden: the Newton matrix at z now maps s to d_try - d
                 T_VV = T_VV + np.outer(d_try - (1.0 - lam) * d, s) / (dt * ss)
-            z, d, res, f = z_try, d_try, res_try, f_try
+            z, d, res = z_try, d_try, res_try
             history.append(res)
         diag = {"iterations": len(history) - 1, "residual": res, "backtracks": backtracks,
                 "tangents": tangents, "evaluations": evaluations,
                 "T_VV": None if renew else T_VV}
         return GalerkinState(t_new, z), diag
 
-    def step_rk4(self, state, dt, t_new=None, ws=None):
+    def step_rk4(self, state, dt, t_new=None):
         """Classical RK4: the lift data of each distinct time (t, t + dt/2,
-        t_new) formed once, every stage evaluated in the Workspace ws (a
-        fresh one when None)."""
+        t_new) formed once."""
         t, z = state.t, state.z
         if t_new is None:
             t_new = t + dt
-        ws = Workspace(self) if ws is None else ws
         mid = self.lift_modal(t + 0.5 * dt)
-        k1 = self._rhs(z, *self.lift_modal(t), ws)
-        k2 = self._rhs(z + 0.5 * dt * k1, *mid, ws)
-        k3 = self._rhs(z + 0.5 * dt * k2, *mid, ws)
-        k4 = self._rhs(z + dt * k3, *self.lift_modal(t_new), ws)
+        k1 = self._rhs(z, *self.lift_modal(t))
+        k2 = self._rhs(z + 0.5 * dt * k1, *mid)
+        k3 = self._rhs(z + 0.5 * dt * k2, *mid)
+        k4 = self._rhs(z + dt * k3, *self.lift_modal(t_new))
         z_new = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return GalerkinState(t_new, z_new), {"iterations": 4, "residual": 0.0, "backtracks": 0,
                                              "tangents": 0, "evaluations": 4}
@@ -535,7 +490,7 @@ class ReducedSystem:
         if scheme == "implicit-euler":
             return self.step_implicit_euler(state, dt, **kw)
         if scheme == "explicit-rk4":
-            return self.step_rk4(state, dt, t_new=kw.get("t_new"), ws=kw.get("ws"))
+            return self.step_rk4(state, dt, t_new=kw.get("t_new"))
         raise ValueError(f"unknown scheme {scheme!r}")
 
     def integrate(self, state0, T, dt, scheme="implicit-euler", tol=1e-10,
@@ -550,8 +505,7 @@ class ReducedSystem:
         z_{n-2} of the last three states (z_0 at the first step, the linear
         2 z_1 - z_0 at the second) and carries the closure tangent, with its
         secant updates, that the previous step hands on. They are locals of
-        this call, never state of the system, as is the one Workspace every
-        step of the call evaluates its closure in.
+        this call, never state of the system.
         """
         n_steps = step_count(T, dt)
         times = [state0.t]
@@ -560,7 +514,6 @@ class ReducedSystem:
         state = state0
         implicit = scheme == "implicit-euler"
         kw = {"tol": tol} if implicit else {}
-        kw["ws"] = Workspace(self)
         for k in range(n_steps):
             kw["t_new"] = state0.t + (k + 1) * dt  # exact grid, no accumulation
             try:

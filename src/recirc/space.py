@@ -29,12 +29,11 @@ and m = 44) in plane-major rows 3 nt a + 3 c + j. A combination s of its
 columns, read as (3 nt, 3), gives the strain planes at the quadrature points
 in one GEMM with `P1` (`strain_planes(s)`), and a stress given by its planes,
 read as (3 nt, nq), goes back to the table's rows in one GEMM with `P1`
-(`strain_load(S)`): neither side transposes anything, both can write into
-buffers the caller keeps, and a reduced closure reads no velocity vector of
-the mesh. `weighted_strain_stiffness(w, coef, rank_one)` is the closure's
-tangent on such a table: its pointwise form in (e00, e01, e11), one GEMM
-with the products lambda_j lambda_k into (nt, 9, 9) cell matrices, and
-coef^T (A coef) on a cell-major copy of coef.
+(`strain_load(S)`): neither side transposes anything, and a reduced closure
+reads no velocity vector of the mesh. `weighted_strain_stiffness(w, coef,
+rank_one)` is the closure's tangent on such a table: its pointwise form in
+(e00, e01, e11), one GEMM with the products lambda_j lambda_k into
+(nt, 9, 9) cell matrices, and coef^T (A coef) on a cell-major copy of coef.
 
 Quadrature-point fields and loads read the physical gradient table `grad`
 as rows [c, (q, b), l] = d phi_l/d x_b. A field's gradient is one batched
@@ -405,31 +404,24 @@ class MixedSpace:
                           shape=(9 * nt, self.n_velocity))
         return E @ W
 
-    def strain_planes(self, s, out=None):
+    def strain_planes(self, s):
         """Strain planes (3, nt, nq), [a, c, q] = plane a of (e00, e01, e11)
         at point q of cell c, of strain coefficients s (9 nt,) (a combination
         of the columns of a `strain_coefficients` table): one GEMM of the
-        vertex strains, already plane by plane, with the values `P1`, written
-        into out (3, nt, nq) when given."""
-        nt, nq = self.qweights.shape
-        if out is None:
-            out = np.empty((3, nt, nq))
-        np.matmul(s.reshape(3 * nt, 3), self.P1.T, out=out.reshape(3 * nt, nq))
-        return out
+        vertex strains, already plane by plane, with the values `P1`."""
+        nt = self.mesh.num_cells
+        return (s.reshape(3 * nt, 3) @ self.P1.T).reshape(3, nt, -1)
 
-    def strain_load(self, S, out=None):
+    def strain_load(self, S):
         """The pairings L (9 nt,) of stress planes S (3, nt, nq), (s00, s01,
         s11) with the quadrature weight folded in, such that table^T L =
         sum_(c,q) S:eps(u) over the columns u of a `strain_coefficients`
         table: one GEMM with the values `P1`, already in the table's row
-        order, and the off-diagonal plane paired twice (s01 e01 + s10 e10);
-        written into out (9 nt,) when given."""
+        order, and the off-diagonal plane paired twice (s01 e01 + s10 e10)."""
         nt = S.shape[1]
-        if out is None:
-            out = np.empty(9 * nt)
-        np.matmul(S.reshape(3 * nt, -1), self.P1, out=out.reshape(3 * nt, 3))
-        out[3 * nt:6 * nt] *= _PLANE_PAIRING[1]
-        return out
+        L = (S.reshape(3 * nt, -1) @ self.P1).ravel()
+        L[3 * nt:6 * nt] *= _PLANE_PAIRING[1]
+        return L
 
     def weighted_strain_stiffness(self, weight, coef, rank_one=None):
         """sum_(c,q) 2 w_q w eps(u):eps(v) over the columns of a strain table

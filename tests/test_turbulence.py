@@ -340,8 +340,8 @@ def test_strain_norm_bit_identical_to_axis_reduction():
 def test_sym_norm_matches_axis_reduction():
     # |e| from the three planes of a symmetric table: sqrt(e00^2 + 2 e01^2 +
     # e11^2) adds the squares in another order than the 2x2 reduction, so
-    # the two agree to roundoff, not bit for bit; written into caller
-    # buffers or not, it is bit for bit the expression in that order
+    # the two agree to roundoff, not bit for bit; it is bit for bit the
+    # expression in that order
     rng = np.random.default_rng(89)
     for shape in [(2, 2), (7, 2, 2), (64, 12, 2, 2)]:
         eps = sym_grad(rng.standard_normal(shape) * rng.uniform(1e-3, 1e3, shape))
@@ -349,10 +349,7 @@ def test_sym_norm_matches_axis_reduction():
         assert np.all(np.abs(sym_norm(*planes(eps)) - ref) <= 4 * np.finfo(float).eps * ref)
         e00, e01, e11 = planes(eps)
         exact = np.sqrt(e00 * e00 + 2.0 * (e01 * e01) + e11 * e11)
-        out, work = np.empty(shape[:-2]), np.empty(shape[:-2])
-        assert sym_norm(e00, e01, e11, out=out, work=work) is out
-        for got in (out, sym_norm(e00, e01, e11)):
-            assert np.array_equal(got, exact)
+        assert np.array_equal(sym_norm(e00, e01, e11), exact)
 
 
 @pytest.mark.parametrize("n", [4, 8])
