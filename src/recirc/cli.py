@@ -33,6 +33,9 @@ from .vtk import vtk_geometry, write_vtk
 
 # the most steps the finest run of `study dt` may take; every state of a run is kept
 STUDY_MAX_STEPS = 100_000
+# the variables that set the thread count of numpy's BLAS and of OpenMP
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def _fmt(x):
@@ -48,6 +51,18 @@ def _write_csv(path, columns, rows, cfg_hash):
 
 def _write_json(path, obj):
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _environment():
+    """The numerical environment a summary records: numpy's BLAS library and
+    version, as numpy was built, and the thread variables that are set, as
+    this process reads them; an unset one is left out, since no output
+    holds a null. The BLAS thread count sets the summation order of some
+    products, so it can move the last digits of the outputs."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"blas": {k: blas[k] for k in ("name", "version") if blas.get(k) is not None},
+            "threads": {v: os.environ[v] for v in (*BLAS_THREAD_VARS, "RECIRC_THREADS")
+                        if v in os.environ}}
 
 
 def _config_errors(exc):
@@ -206,6 +221,7 @@ def cmd_simulate(args):
         # VTK files, not summary.json itself
         "phases": {"setup_s": lap[0], "integrate_s": lap[1], "ledger_s": lap[3],
                    "output_s": lap[2] + lap[4]},
+        "environment": _environment(),
     }
     _write_json(out / "summary.json", summary)
     _say(args.quiet, f"simulate: max ||v|| = {summary['max_v_l2']:.6g}, "
@@ -261,6 +277,7 @@ def cmd_eigen(args):
         "max_rayleigh_residual": float(basis.rayleigh_residuals.max()),
         "korn_constant": scenario.space.korn_constant(),
         "subspace_dimension": subspace_dimension(scenario.space),
+        "environment": _environment(),
     }
     _write_json(out / "eigen_summary.json", summary)
     _say(args.quiet, f"eigen: {basis.size} modes, lambda_1 = {basis.eigenvalues[0]:.6f}, "

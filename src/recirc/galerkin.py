@@ -35,16 +35,24 @@ described completely by the planes (e00, e01, e11) at the 3 vertices of
 every cell: the strain table (`MixedSpace.strain_coefficients`,
 (9 nt, K + N), 0.9 MB at 16x16 cells with N = 20 and 6.5 MB at 32x32 with
 N = 40, plane-major rows 3 nt a + 3 c + j), formed and checked against the
-strain samples of W 1 once per basis, its columns sliced by `truncate`. A
-state's strain coefficients are the table times y; its strain planes at
+strain samples of W 1 once per basis. It is stored column-contiguous
+(Fortran order): each column's 9 nt coefficients are contiguous, so both
+products with it run BLAS's long-column GEMV kernels, and the leading
+columns that `truncate` keeps are a contiguous view of it, never a copy.
+A state's strain coefficients are the table times y; its strain planes at
 the quadrature points are one GEMM with the P1 values
-(`MixedSpace.strain_planes`); |e| and the stress 2 nu_tur w_q |e| e are
-pointwise, with the quadrature weight folded into the scalar
-(`turbulence.closure_scale`); and the closure pairings are one GEMM back
-with the P1 values (`MixedSpace.strain_load`) and one product with the
-table's mode columns. No velocity vector of the mesh is expanded,
-gathered or scattered. Each evaluation allocates its own tables and shares
-none, so threads may step one system at once (`study dt` does).
+(`MixedSpace.strain_planes`), and |e| is pointwise (`turbulence.sym_norm`):
+the `StateFields` of the state. A closure evaluation then consumes its
+StateFields: it multiplies |e| in place by the weights 2 nu_tur w_q, which
+the system forms once (`turbulence.closure_scale` at |e| = 1) and shares
+with its truncations, and the planes in place by that scale, so the planes
+become the stress 2 nu_tur w_q |e| e; the closure pairings are one GEMM
+back with the P1 values (`MixedSpace.strain_load`) and one product with
+the table's mode columns. Each product is the one of the out-of-place
+expressions, in the same order, so the in-place steps change no bit. No
+velocity vector of the mesh is expanded, gathered or scattered. Each
+evaluation allocates its own tables and shares none, and the system holds
+no buffer, so threads may step one system at once (`study dt` does).
 
 Implicit Euler solves each step by a simplified
 Newton iteration (the chord method of implicit integrators: Hairer &
@@ -79,21 +87,21 @@ v = zeta_g(t) + sum_k z_k xi_k.
 Time data are split by who reads them. The right-hand side and the steppers
 read the rates g(t) and (H_g, xi_k) from `lift_modal`; the energy ledger
 reads the rates and forms its own Gram matrices and lift tables
-(`recirc.monitors`). `lift_data` gives the quadrature-point tables of
-`lifting.LiftData` (zeta_g, its rate, H_g), which no run path reads: they are
-the quadrature oracle of the modal and Gram forms. Every lift field is formed
-from `LiftingBasis.combine`. The steppers, the ledger and `dissipation_rates` read
-a state's closure fields from `state_fields(z, g)`, one `StateFields` from
-the strain table at y = [g; z]. The system holds no mutable state while it
+(`recirc.monitors`). The quadrature-point tables of `lifting.LiftData`
+(zeta_g, its rate, H_g) are read by no run path: they are the tests'
+quadrature oracle of the modal and Gram forms. Every lift field is formed
+from `LiftingBasis.combine`. The steppers and the ledger read a state's
+closure fields from `state_fields(z, g)`, one `StateFields` from the
+strain table at y = [g; z]. The system holds no mutable state while it
 steps: every table, the source's included, is formed when it is built.
 """
 
 import numpy as np
 
 from .errors import SolverError, StepError
-from .lifting import compute_Hg_load
 from .turbulence import closure_scale, closure_tangent, convection_load, sym_norm
 # unused here; imported only so that the benchmark's traced names resolve
+from .lifting import compute_Hg_load  # noqa: F401
 from .turbulence import smagorinsky_load  # noqa: F401
 
 MAX_HALVINGS = 20  # step-length halvings per Newton update before a step fails
@@ -206,8 +214,9 @@ class ReducedSystem:
         self.C = np.ascontiguousarray(C.transpose(2, 0, 1))
         self._check_convection(W)
         self.C[:, :K, :K] = 0.0  # the lift's self-convection is carried by H_g
-        self.strain_coef = space.strain_coefficients(W)  # rows (plane, cell, vertex)
+        self.strain_coef = space.strain_coefficients(W)  # F order, rows (plane, cell, vertex)
         self._check_strain(W)
+        self.stress_weights = closure_scale(space.qweights, 1.0, params)  # 2 nu_tur w_q
         self.R = np.ascontiguousarray(T[:K, :K, K:].transpose(2, 0, 1))  # ((grad zeta_q) zeta_p, xi_k)
         self.P = V.T @ (space.M @ Z)  # (zeta_p, xi_k)
         if source is not None:
@@ -223,7 +232,8 @@ class ReducedSystem:
         sub.basis = self.basis.truncate(n)
         K = len(self.lifting)
         sub.visc = self.visc[:n, :n]
-        sub.strain_coef = self.strain_coef[:, :K + n]
+        sub.strain_coef = self.strain_coef[:, :K + n]  # a contiguous view
+        sub.stress_weights = self.stress_weights
         sub.C = np.ascontiguousarray(self.C[:n, :K + n, :K + n])
         sub.R = self.R[:n]
         sub.P = self.P[:n]
@@ -276,11 +286,6 @@ class ReducedSystem:
             hg = hg + self.source.combine(self.S, t)
         return g, hg
 
-    def lift_data(self, t):
-        """LiftData at t: the quadrature-point tables of zeta_g and H_g, the
-        quadrature form of the modal H_g and of the ledger's Gram forms."""
-        return compute_Hg_load(self.lifting, self.pumps, self.source, t)
-
     def lift_fields(self, t):
         """(zeta_g(t), d zeta_g/dt(t)) as velocity coefficient vectors."""
         g, gdot = self.pumps.rates(t)
@@ -293,7 +298,8 @@ class ReducedSystem:
     def state_fields(self, z, g):
         """StateFields of w = zeta_g + z at the lift rates g and the modal
         coefficients z: the strain table times y = [g; z], then its planes
-        and their norms."""
+        and their norms. They are the caller's: `_closure` overwrites the
+        ones it forms with its stress."""
         planes = self.space.strain_planes(self.strain_coef @ np.concatenate([g, z]))
         return StateFields(planes, sym_norm(*planes))
 
@@ -306,14 +312,15 @@ class ReducedSystem:
 
     def _closure(self, z, g):
         """Modal pairings of the Smagorinsky stress at w = zeta_g + z, 0
-        without the closure: the StateFields of w, the stress planes
-        2 nu_tur w_q |e| e and their pairings with the table's rows."""
+        without the closure: the StateFields of w, then, in place in them,
+        the scale 2 nu_tur w_q |e| and the stress planes 2 nu_tur w_q |e| e,
+        and their pairings with the table's rows."""
         if self.params.nu_tur == 0:
             return np.zeros(self.basis.size)
         f = self.state_fields(z, g)
-        scale = closure_scale(self.space.qweights, f.w_eps_mag, self.params)
-        L = self.space.strain_load(scale * f.w_eps)
-        return self.strain_coef[:, len(self.lifting):].T @ L
+        f.w_eps_mag *= self.stress_weights
+        f.w_eps *= f.w_eps_mag
+        return self.strain_coef[:, len(self.lifting):].T @ self.space.strain_load(f.w_eps)
 
     def _rhs(self, z, g, hg):
         """dz/dt at z from the lift data (g, (H_g, xi_k)) of its time."""
@@ -533,14 +540,3 @@ class ReducedSystem:
             if on_step is not None:
                 on_step(state)
         return Trajectory(times, states, diags)
-
-    # -- quadrature-level energy rates (read by the energy tests) ----------------
-
-    def dissipation_rates(self, z, t):
-        """(2 nu ||eps(z)||^2, 2 nu_tur ||eps(zg+z)||^3_L3) at (z, t), by
-        quadrature of the strain table's planes."""
-        f = self.state_fields(z, self.pumps.rates(t)[0])
-        eps_z = sym_norm(*self.space.strain_planes(self.strain_coef[:, len(self.lifting):] @ z))
-        visc = 2 * self.params.nu * self.space.integrate(eps_z * eps_z)
-        smag = 2 * self.params.nu_tur * self.space.integrate(f.w_eps_mag**3)
-        return visc, smag

@@ -30,7 +30,9 @@ the system's strain table (`ReducedSystem.strain_coef`), the one the
 steppers read: at a save time the ledger reads |eps(w)| from
 `ReducedSystem.state_fields`, the bundle the steppers form, |eps(z)| from
 the table's mode columns times z, and |z| from one value table of the
-expanded state. The lift's L3 terms read one value table of
+expanded state. The table is column-contiguous, so its mode and lift
+columns are contiguous views and each product with them is one GEMV.
+The lift's L3 terms read one value table of
 `LiftingBasis.combine(r)` and the table's lift columns times r per distinct
 rate vector r, keyed by its exact bytes: g at the midpoints for zeta_g,
 gdot at the save times and the midpoints for its rate. A source enters through G alone, so nothing is keyed

@@ -25,7 +25,8 @@ coordinates (the values `P1` at the quadrature points) and e_j the strain
 at vertex j. `strain_coefficients(W)` tabulates the planes (e00, e01, e11)
 at the three vertices of every cell for each column of W, a (9 nt, m)
 table (9 nt m doubles: 0.9 MB at 16x16 cells and m = 24, 6.5 MB at 32x32
-and m = 44) in plane-major rows 3 nt a + 3 c + j. A combination s of its
+and m = 44) in plane-major rows 3 nt a + 3 c + j, stored column-contiguous
+so that its leading columns are a contiguous view. A combination s of its
 columns, read as (3 nt, 3), gives the strain planes at the quadrature points
 in one GEMM with `P1` (`strain_planes(s)`), and a stress given by its planes,
 read as (3 nt, nq), goes back to the table's rows in one GEMM with `P1`
@@ -381,15 +382,20 @@ class MixedSpace:
     def strain_coefficients(self, W):
         """The strain table (9 nt, m) of the columns of W (n_velocity, m),
         plane-major: row 3 nt a + 3 c + j holds plane a of (e00, e01, e11) of
-        eps(u) at vertex j of cell c.
+        eps(u) at vertex j of cell c. It is column-contiguous (Fortran
+        order): each column's coefficients are contiguous, so products with
+        the table and with its transpose run BLAS's long-column kernels, and
+        a slice of leading columns is again a contiguous table, a view.
 
         A P2 field's gradient is P1 on an affine cell, so its strain there is
         exactly sum_j lambda_j e_j, with lambda_j the barycentric coordinates
         (the values `P1`) and e_j the vertex strains: nine numbers describe
-        eps(u) on a cell completely. The table is one sparse product of W
+        eps(u) on a cell completely. The table is the sparse product of W
         with the map from cell coefficients to vertex strains, 12 entries per
         row (the P2 shape gradients at the vertex), whose rows are written in
-        the table's order.
+        the table's order. It is formed a column at a time straight into the
+        table, with no second table-sized array; each column is the same
+        sum, bit for bit, as in the product of all columns at once.
         """
         nt = self.mesh.num_cells
         # [c, j, b, l] = d phi_l / d x_b at vertex j
@@ -402,13 +408,18 @@ class MixedSpace:
         cols = np.broadcast_to(self.cell_vdofs[None, :, None, :], rows.shape)
         E = sp.csr_matrix((rows.ravel(), cols.ravel(), np.arange(0, rows.size + 1, 12)),
                           shape=(9 * nt, self.n_velocity))
-        return E @ W
+        table = np.empty((9 * nt, W.shape[1]), order="F")
+        for b in range(W.shape[1]):
+            table[:, b] = (E @ W[:, b:b + 1])[:, 0]
+        return table
 
     def strain_planes(self, s):
         """Strain planes (3, nt, nq), [a, c, q] = plane a of (e00, e01, e11)
         at point q of cell c, of strain coefficients s (9 nt,) (a combination
-        of the columns of a `strain_coefficients` table): one GEMM of the
-        vertex strains, already plane by plane, with the values `P1`."""
+        of the columns of a `strain_coefficients` table, table @ y): one GEMM
+        of the vertex strains, already plane by plane, with the values `P1`.
+        The planes are a new C-ordered array, which the caller may
+        overwrite: the reduced closure writes its stress into them."""
         nt = self.mesh.num_cells
         return (s.reshape(3 * nt, 3) @ self.P1.T).reshape(3, nt, -1)
 
@@ -417,7 +428,10 @@ class MixedSpace:
         s11) with the quadrature weight folded in, such that table^T L =
         sum_(c,q) S:eps(u) over the columns u of a `strain_coefficients`
         table: one GEMM with the values `P1`, already in the table's row
-        order, and the off-diagonal plane paired twice (s01 e01 + s10 e10)."""
+        order, and the off-diagonal plane paired twice (s01 e01 + s10 e10).
+        The product table^T L with the column-contiguous table is a GEMV
+        that reads each column once, as a dot product of contiguous
+        vectors."""
         nt = S.shape[1]
         L = (S.reshape(3 * nt, -1) @ self.P1).ravel()
         L[3 * nt:6 * nt] *= _PLANE_PAIRING[1]
@@ -436,10 +450,15 @@ class MixedSpace:
         passes the modes' table. In the coordinates (e00, e01, e11) the
         pointwise form is D = 2 w_q (w diag(1, 2, 1) + a h h^T), h = (e00,
         2 e01, e11). One GEMM of D with the barycentric products
-        lambda_j lambda_k (`P1_pairs`) gives the (nt, 9, 9) cell matrices A,
-        and the result is coef^T (A coef), summed over the cells in one GEMM
-        on a cell-major copy of coef, rows [c, (a, j)]: the one transposition
-        of the table per call. No mesh-sized matrix and no gather of velocity
+        lambda_j lambda_k (`P1_pairs`) gives the products [a, b, c, j, k],
+        read as the (nt, 9, 9) cell matrices A by one take
+        (`_cell_matrix_order`), and the result is coef^T (A coef), summed
+        over the cells in one GEMM on a cell-major copy of coef, rows
+        [c, (a, j)]: the one transposition of the table per call. The copy
+        reads the column-contiguous table 9 nt entries apart along a row,
+        about twice as slow at 32x32 cells as from a row-contiguous table;
+        reading A by a take rather than by a transposed copy wins part of
+        that back. No mesh-sized matrix and no gather of velocity
         coefficients is formed.
         """
         nt, nq = self.qweights.shape
@@ -454,10 +473,20 @@ class MixedSpace:
         ww = wq * weight
         for i in range(3):
             D[i, i] += _PLANE_PAIRING[i] * ww
-        A = (D.reshape(-1, nq) @ self.P1_pairs).reshape(3, 3, nt, 3, 3)
-        A = A.transpose(2, 0, 3, 1, 4).reshape(nt, 9, 9)  # [c, (a, j), (b, k)]
+        A = (D.reshape(-1, nq) @ self.P1_pairs).ravel().take(self._cell_matrix_order)
         cells = coef.reshape(3, nt, 3, m).transpose(1, 0, 2, 3).reshape(nt, 9, m)
-        return cells.reshape(-1, m).T @ (A @ cells).reshape(-1, m)
+        return cells.reshape(-1, m).T @ (A.reshape(nt, 9, 9) @ cells).reshape(-1, m)
+
+    @cached_property
+    def _cell_matrix_order(self):
+        """Flat index that reads the plane-pair products [a, b, c, j, k] of
+        `weighted_strain_stiffness` as its cell matrices [c, (a, j), (b, k)]:
+        one take, about three times faster than the transposed copy, whose
+        innermost run is three entries."""
+        nt = self.mesh.num_cells
+        a, j, b, k = np.ix_(*[np.arange(3)] * 4)
+        cell = (27 * nt * a + 3 * j + 9 * nt * b + k).ravel()  # [a, b, c, j, k] at c = 0
+        return np.add.outer(9 * np.arange(nt), cell).ravel()
 
     def convection_tensor(self, W):
         """T[a, y, z] = int ((u_a . grad) u_y) . u_z for the columns u of W

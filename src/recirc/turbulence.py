@@ -10,12 +10,13 @@ molecular stress 2 nu e it keeps the weak operator monotone, with constant
 with the weights w = nu_tur |e| and a = nu_tur / |e|. `closure_scale`
 writes the stress's scalar 2 nu_tur w_q |e|, with a quadrature weight
 folded in, and `closure_tangent` the tangent's weights; neither is written
-anywhere else. `weighted_stress` multiplies the scalar into a 2x2 table
-(`closure_stress` is it at weight 1), which `smagorinsky_load` and the
-full-space nonlinear load read; the reduced closure multiplies it into its
-strain planes (e00, e01, e11), and its implicit step reads the tangent's
-weights. For symmetric tensors |e| = (e00^2 + 2 e01^2 + e11^2)^(1/2)
-(`sym_norm`).
+anywhere else. `weighted_stress` multiplies the scalar into a 2x2 table,
+which `smagorinsky_load` and the full-space nonlinear load read. The
+reduced closure forms `closure_scale` at |e| = 1 once, the weights
+2 nu_tur w_q, multiplies them into its |e| and the result into its strain
+planes (e00, e01, e11), each in place and bit for bit the scalar's
+product; its implicit step reads the tangent's weights. For symmetric
+tensors |e| = (e00^2 + 2 e01^2 + e11^2)^(1/2) (`sym_norm`).
 
 Convection is assembled in the skew-symmetric form
 
@@ -83,13 +84,29 @@ def planes(eps):
 
 def sym_norm(e00, e01, e11):
     """|e| = (e00^2 + 2 e01^2 + e11^2)^(1/2) of symmetric tensors given by
-    their planes, e10 = e01."""
-    return np.sqrt(e00 * e00 + 2.0 * (e01 * e01) + e11 * e11)
+    their planes, e10 = e01.
+
+    Bit for bit np.sqrt(e00 * e00 + 2.0 * (e01 * e01) + e11 * e11), in that
+    order of operations, on two tables of the planes' shape: the squares
+    and sums are taken in place. Numpy scalars, which take no out=, get
+    the same operations out of place.
+    """
+    mag = e00 * e00
+    t = e01 * e01
+    t *= 2.0
+    mag += t
+    if not isinstance(mag, np.ndarray):
+        return np.sqrt(mag + e11 * e11)
+    mag += np.multiply(e11, e11, out=t)
+    return np.sqrt(mag, out=mag)
 
 
 def closure_scale(weights, mag, params):
     """The closure stress's scalar 2 nu_tur weights |e|, of which the stress
-    is the product with e."""
+    is the product with e. At mag = 1.0 it is the weights 2 nu_tur weights
+    exactly, and their product with |e| is bit for bit the scalar at |e|:
+    the reduced closure forms them once and multiplies |e| by them in
+    place."""
     return 2.0 * params.nu_tur * weights * mag
 
 
@@ -124,12 +141,6 @@ def weighted_stress(weights, closure=None, conv=None):
         for a in range(2):
             out[..., b, a] = S[b][a]
     return out
-
-
-def closure_stress(eps, mag, params):
-    """Smagorinsky stress 2 nu_tur |e| e of strain tables eps (..., 2, 2),
-    with mag their norms: `weighted_stress` at weight 1."""
-    return weighted_stress(1.0, (planes(eps), mag, params))
 
 
 def closure_tangent(mag, params):

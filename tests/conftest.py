@@ -8,7 +8,8 @@ from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
 from recirc.quadrature import TriangleRule
 from recirc.space import MixedSpace
-from recirc.turbulence import closure_stress, convection_load, strain_norm, sym_grad
+from recirc.turbulence import (convection_load, planes, strain_norm, sym_grad, sym_norm,
+                               weighted_stress)
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +66,33 @@ def potential_D(eps, params):
     oracle whose strain derivative the stress must be; vectorized."""
     ee = np.einsum("...ab,...ab->...", eps, eps)
     return params.nu * ee + (2.0 / 3.0) * params.nu_tur * ee**1.5
+
+
+def closure_stress(eps, mag, params):
+    """Smagorinsky stress 2 nu_tur |e| e of strain tables eps (..., 2, 2),
+    with mag their norms: `weighted_stress` at weight 1."""
+    return weighted_stress(1.0, (planes(eps), mag, params))
+
+
+def lift_data(system, t):
+    """LiftData of a ReducedSystem at t, through the name the galerkin module
+    holds, so that a patch of `galerkin.compute_Hg_load` sees it: the
+    quadrature-point tables of zeta_g and H_g, the quadrature form of the
+    modal H_g and of the ledger's Gram forms."""
+    from recirc import galerkin
+
+    return galerkin.compute_Hg_load(system.lifting, system.pumps, system.source, t)
+
+
+def dissipation_rates(system, z, t):
+    """(2 nu ||eps(z)||^2, 2 nu_tur ||eps(zg+z)||^3_L3) of a ReducedSystem at
+    (z, t), by quadrature of its strain table's planes."""
+    space = system.space
+    f = system.state_fields(z, system.pumps.rates(t)[0])
+    eps_z = sym_norm(*space.strain_planes(system.strain_coef[:, len(system.lifting):] @ z))
+    visc = 2 * system.params.nu * space.integrate(eps_z * eps_z)
+    smag = 2 * system.params.nu_tur * space.integrate(f.w_eps_mag**3)
+    return visc, smag
 
 
 def full_stress(eps, params):

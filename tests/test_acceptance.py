@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import divfree_samples, full_stress, net_flux, potential_D
+from conftest import dissipation_rates, divfree_samples, full_stress, net_flux, potential_D
 from recirc.config import build_scenario, preset_path, validate, vortex_field
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.fullspace import FullSpaceSystem
@@ -228,7 +228,7 @@ def test_criterion_09_energy_dissipation():
     worst = 0.0
     for i in range(1, len(traj)):
         zp, zm = traj.states[i], traj.states[i - 1]
-        visc, smag = system.dissipation_rates(zp, traj.times[i])
+        visc, smag = dissipation_rates(system, zp, traj.times[i])
         res = abs(0.5 * zp @ zp - 0.5 * zm @ zm + 0.5 * (zp - zm) @ (zp - zm)
                   + 0.01 * (visc + smag))
         worst = max(worst, res)

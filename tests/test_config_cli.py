@@ -257,6 +257,38 @@ def test_cli_simulate_solver_summary(tmp_path):
     assert sum(phases.values()) <= summary["wall_time_s"] + 1e-3
 
 
+def test_cli_summaries_record_the_numerical_environment(tmp_path, monkeypatch):
+    # summary.json and eigen_summary.json record numpy's BLAS and the thread
+    # variables that are set, as the process reads them; no other key
+    from recirc.cli import BLAS_THREAD_VARS
+
+    assert len(BLAS_THREAD_VARS) == 5
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    monkeypatch.setenv("RECIRC_THREADS", "2")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    path, _ = small_config(tmp_path, pumps=[])
+    keys = {
+        "simulate": ("summary.json", ["C1_empirical", "C2_empirical", "config_hash", "environment",
+                                      "final_v_l2", "final_z_l2", "max_v_l2", "modes", "phases",
+                                      "scheme", "solver", "version", "wall_time_s"]),
+        "eigen": ("eigen_summary.json", ["config_hash", "environment", "gram_residual",
+                                         "korn_constant", "lambda_1", "max_rayleigh_residual",
+                                         "modes", "subspace_dimension"]),
+    }
+    for command, (name, expect) in keys.items():
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--output-dir", str(out), "--quiet"]) == 0
+        summary = json.loads((out / name).read_text())
+        assert sorted(summary) == expect
+        env = summary["environment"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert env["threads"] == {"MKL_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "1",
+                                  "RECIRC_THREADS": "2"}
+
+
 def test_import_cli_leaves_sympy_unloaded(tmp_path):
     # recirc never imports sympy: not on import of any of its modules, not
     # for `study mesh`, not for a manufactured-source `simulate`

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from conftest import (apply_A, assert_no_instance_patches, cell_major_closure,
                       cell_major_strain_stiffness, cell_major_strain_table, closure_pairing_oracle,
-                      convect, phi_g, ramp_source)
+                      convect, dissipation_rates, lift_data, phi_g, ramp_source)
 from recirc.config import build_scenario, preset_path, validate
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import SolverError, StepError
@@ -89,7 +89,7 @@ def test_rhs_energy_rate_identity(plain16):
     for _ in range(5):
         z = 0.5 * rng.standard_normal(12)
         rate = z @ sys_.rhs(z, 0.1)
-        visc, smag = sys_.dissipation_rates(z, 0.1)
+        visc, smag = dissipation_rates(sys_, z, 0.1)
         assert abs(rate + visc + smag) <= 1e-10 * max(1.0, abs(rate))
 
 
@@ -216,7 +216,7 @@ def test_energy_nonincreasing_and_identity(plain16):
     assert np.all(np.diff(E) <= 1e-14)
     for i in range(1, len(traj)):
         zp, zm = traj.states[i], traj.states[i - 1]
-        visc, smag = sys_.dissipation_rates(zp, traj.times[i])
+        visc, smag = dissipation_rates(sys_, zp, traj.times[i])
         res = 0.5 * zp @ zp - 0.5 * zm @ zm + 0.5 * (zp - zm) @ (zp - zm) \
             + 0.01 * (visc + smag)
         assert abs(res) <= 1e-10
@@ -880,7 +880,7 @@ def test_lift_data_modal_hg_matches_quadrature(preset16):
     t = 0.1
     _, hg = sys_.lift_modal(t)
     assert np.abs(scn.pumps.rates(t)[1]).max() > 0.0
-    oracle = scn.basis.fields.T @ scn.space.load_vector(sys_.lift_data(t).h)
+    oracle = scn.basis.fields.T @ scn.space.load_vector(lift_data(sys_, t).h)
     assert np.abs(hg - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
@@ -899,7 +899,7 @@ def test_steppers_form_no_lift_tables(preset16, monkeypatch):
     sys_.step(state, 0.01)
     sys_.step(state, 0.01, scheme="explicit-rk4")
     assert not calls
-    sys_.lift_data(state.t)  # the counter sees the oracle's route
+    lift_data(sys_, state.t)  # the counter sees the oracle's route
     assert len(calls) == 1
 
 
@@ -941,7 +941,7 @@ def test_step_fields_match_ledger_tables(preset16):
         assert (np.abs(gdot).max() > 0) == ramp and np.abs(g).max() > 0
         z = 0.3 * rng.standard_normal(scn.basis.size)
         got = sys_.state_fields(z, g)
-        eps = sym_grad(sys_.lift_data(t).zg_grads + space.eval_grads(scn.basis.expand(z)))
+        eps = sym_grad(lift_data(sys_, t).zg_grads + space.eval_grads(scn.basis.expand(z)))
         for a, b in ((got.w_eps, np.stack(planes(eps))), (got.w_eps_mag, strain_norm(eps))):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -1056,6 +1056,43 @@ def test_closure_matches_the_cell_major_path(preset, preset16, rect15):
         w, a = closure_tangent(f.w_eps_mag, scn.params)
         assert np.array_equal(tangent(z),
                               cell_major_strain_stiffness(space, w, old[:, K:], (a, f.w_eps)))
+
+
+@pytest.mark.parametrize("modes", [20, 12])
+def test_closure_in_place_matches_the_out_of_place_expression(modes, preset16):
+    # the defect forms the stress in place in its own StateFields; on the
+    # same table that is, bit for bit, the composition of the out-of-place
+    # expressions, for the full system and a truncation, on the ramp (gdot
+    # != 0) and on the plateau
+    from recirc.turbulence import closure_scale, sym_norm
+
+    sys_ = preset16.system
+    assert sys_.basis.size == 20
+    if modes < 20:
+        sys_ = sys_.truncate(modes)
+    space, K = sys_.space, len(sys_.lifting)
+    rng = np.random.default_rng(111)
+    for t, ramp in ((0.1, True), (0.05, True), (0.6, False), (0.9, False)):
+        g, gdot = sys_.pumps.rates(t)
+        assert (np.abs(gdot).max() > 0) == ramp
+        z = 0.2 * rng.standard_normal(modes)
+        e = space.strain_planes(sys_.strain_coef @ np.concatenate([g, z]))
+        stress = closure_scale(space.qweights, sym_norm(*e), sys_.params) * e
+        ref = sys_.strain_coef[:, K:].T @ space.strain_load(stress)
+        assert np.array_equal(sys_._closure(z, g), ref), t
+
+
+def test_truncated_strain_table_is_a_contiguous_view(preset16):
+    # the table is column-contiguous, so the leading columns a truncation
+    # keeps are a contiguous view of it, never a copy
+    sys_ = preset16.system
+    assert sys_.strain_coef.flags.f_contiguous
+    for n in (1, 12, sys_.basis.size):
+        sub = sys_.truncate(n)
+        assert sub.strain_coef.shape == (sys_.strain_coef.shape[0], len(sys_.lifting) + n)
+        assert np.shares_memory(sub.strain_coef, sys_.strain_coef)
+        assert sub.strain_coef.flags.f_contiguous
+        assert sub.stress_weights is sys_.stress_weights
 
 
 def test_rk4_forms_lift_data_once_per_distinct_time(preset16, monkeypatch):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import (assert_no_instance_patches, hg_sq, lift_midpoint_integrands,
+from conftest import (assert_no_instance_patches, hg_sq, lift_data, lift_midpoint_integrands,
                       lift_row_terms, lp, ramp_source)
 from recirc.eigenbasis import solve_stokes_eigen
-from recirc.galerkin import GalerkinState, ReducedSystem
+from recirc.galerkin import GalerkinState, ReducedSystem, StateFields
 from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
@@ -371,7 +371,7 @@ def test_hg_gram_form_matches_quadrature(kind, preset16, quiet12):
     for t in (0.0, 0.05, 0.2, 0.5):
         g, gdot = sys_.pumps.rates(t)
         got = form(t, g, gdot)
-        ref = hg_sq(sys_.space, sys_.lift_data(t))
+        ref = hg_sq(sys_.space, lift_data(sys_, t))
         assert ref[0] > 0.0 or (kind == "pumps" and t == 0.0)
         for a, b in zip(got, ref):
             assert abs(a - b) <= 1e-12 * b
@@ -400,12 +400,19 @@ def test_velocity_l2_matches_space_norm(preset16):
 
 def test_ledger_reads_the_steppers_state_fields(preset16, monkeypatch):
     # at every save time the ledger's closure fields of w = zeta_g + z are,
-    # bit for bit, those of the last defect of the step that made the state
+    # bit for bit, those of the last defect of the step that made the state;
+    # a defect writes its stress into the fields it formed, so each is
+    # copied when it is formed
     sys_ = preset16.system
     formed = []
     fields = ReducedSystem.state_fields
-    monkeypatch.setattr(ReducedSystem, "state_fields",
-                        lambda self, z, g: formed.append(fields(self, z, g)) or formed[-1])
+
+    def recorded(self, z, g):
+        f = fields(self, z, g)
+        formed.append(StateFields(f.w_eps.copy(), f.w_eps_mag.copy()))
+        return f
+
+    monkeypatch.setattr(ReducedSystem, "state_fields", recorded)
     steps = []
     traj = sys_.integrate(preset16.state0, T=0.3, dt=0.01,
                           on_step=lambda state: steps.append(formed[-1]))

@@ -5,6 +5,7 @@ from conftest import (
     apply_A,
     boundary_traces,
     closure_pairing_oracle,
+    closure_stress,
     convect,
     duffy_rule,
     full_stress,
@@ -14,7 +15,6 @@ from recirc.mesh import build_rect_mesh
 from recirc.space import MixedSpace, _p2_values, _p2_grads
 from recirc.turbulence import (
     ClosureParams,
-    closure_stress,
     closure_tangent,
     convection_load,
     convection_tables,
