@@ -379,6 +379,9 @@ def cmd_study(args):
     bad = [n for n in levels if n < 1]
     if bad:
         raise ConfigError([("--levels", f"mesh sizes {bad} < 1")])
+    repeated = sorted({n for n in levels if levels.count(n) > 1})
+    if repeated:
+        raise ConfigError([("--levels", f"mesh sizes {repeated} repeated")])
     params = build_scenario(cfg).params
     mms = ManufacturedSolution(params.nu, params.nu_tur)
 
@@ -401,7 +404,9 @@ def cmd_study(args):
     errs = [e for e, _ in results]
     rows = []
     for i, (n, (e, iters)) in enumerate(zip(levels, results)):
-        order = float(np.log2(errs[i - 1] / e)) if i else float("nan")
+        # log(e_prev / e) / log(n / n_prev): log2 of the error ratio when n doubles
+        order = (float(np.log2(errs[i - 1] / e) / np.log2(n / levels[i - 1]))
+                 if i else float("nan"))
         rows.append([n, e, order, iters])
     _write_csv(out / "study_mesh.csv",
                ["mesh", "l2l2_error", "observed_order", "iterations_total"], rows, h)

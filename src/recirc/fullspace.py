@@ -18,11 +18,19 @@ time polynomial F0 + a(t) F1 + a(t)^2 F2. The source forms the three part
 loads once per space, when the system is built, so a step's source load is
 two axpys on them.
 
-A Picard iterate evaluates convection and closure in one pass over the
-quadrature points: the iterate's values and one gradient product, the
-weighted convection body force, the convection and closure stresses written
-plane by plane into one weighted table (the quadrature weight folded into
-the pointwise scalars), and one `MixedSpace.weighted_load` of the two.
+A Picard iterate is one nonlinear load and one saddle solve. The load
+evaluates convection, closure and the shift's part in one pass over
+contiguous (., nt, nq) planes. A P2 field's gradient is P1 on an affine
+cell, so the space's cached sparse `grad_operator` gives the iterate's
+gradient planes at the cell vertices, and one GEMM with `P1` takes them to
+the quadrature points; the values are one gather and one GEMM with `N`.
+Self-convection c(z; z, .) pairs with the symmetric stress -1/2 w_q z (x) z
+plus a body force, so the convection stress, the closure stress
+2 nu_tur w_q |e| e and the shift's -2 shift w_q e add into one symmetric
+stress, which goes back through one GEMM with `P1` and the operator's
+transpose. The step passes its shift to the load, so the right-hand side
+needs no product with K_eps: the shift's K_eps lives in the step factor and
+its lagged part in the load.
 """
 
 import numpy as np
@@ -31,7 +39,7 @@ from scipy.sparse.linalg import splu
 from .errors import SolverError, StepError
 from .galerkin import step_count
 from .space import SADDLE_LU
-from .turbulence import convection_force, strain_norm, sym_norm, weighted_stress
+from .turbulence import closure_scale, strain_norm, sym_norm
 # unused here; imported only so that the benchmark's traced names resolve
 from .turbulence import convection_load, smagorinsky_load  # noqa: F401
 
@@ -81,20 +89,43 @@ class FullSpaceSystem:
             return np.zeros(self.space.n_velocity)
         return self.source.combine(self.source.part_loads(self.space), t)
 
-    def nonlinear_load(self, z):
-        """Dual vector of skew convection c(z; z, .) plus the closure term, in
-        one pass over the quadrature points: the values and one gradient
-        product of z, the weighted body force of `convection_force`, the
-        convection and closure stresses written into one weighted table
-        (`weighted_stress`), and one `weighted_load` of the two."""
+    def nonlinear_load(self, z, shift=0.0):
+        """Dual vector of skew convection c(z; z, .) plus the closure term,
+        minus shift K_eps z, in one pass over the quadrature points; the step
+        passes its shift, `residual_load` none.
+
+        The gradient planes d z_a/d x_b (4, nt, nq) are `grad_operator` D
+        times z and one GEMM with `P1`; the values (2, nt, nq) one gather and
+        one GEMM with `N`. c(z; z, eta) = int f . eta + S_c : grad eta with
+        the body force f = 1/2 (grad z) z and the symmetric stress
+        S_c = -1/2 z (x) z. So S_c, the closure stress 2 nu_tur |e| e and
+        -2 shift e (K_eps z pairs 2 e with eps(eta), and the rule integrates
+        that product of P1 strains exactly) add into one symmetric stress,
+        the quadrature weight folded into their scalars. Its planes go back
+        through one GEMM with `P1` and D^T, and the weighted body force
+        through one GEMM with `N` and one bincount."""
         space, qw = self.space, self.space.qweights
-        u, G = space.eval_values(z), space.eval_grads(z)
-        f, h = convection_force(u, G, qw)
-        closure = None
+        nt, nq = qw.shape
+        D, dofs = space.grad_operator, space.plane_dofs
+        G = ((D @ z).reshape(4 * nt, 3) @ space.P1.T).reshape(2, 2, nt, nq)  # [a, b, c, q]
+        u = (z[dofs].reshape(2 * nt, 6) @ space.N.T).reshape(2, nt, nq)
+        h = u * (0.5 * qw)  # the weighted half velocity
+        f = G[:, 0] * h[0]
+        f += G[:, 1] * h[1]
+        G[0, 1] += G[1, 0]  # e01 from here on
+        G[0, 1] *= 0.5
+        scale = (-2.0 * shift) * qw
         if self.params.nu_tur > 0:
-            eps = (G[..., 0, 0], 0.5 * (G[..., 0, 1] + G[..., 1, 0]), G[..., 1, 1])
-            closure = (eps, sym_norm(*eps), self.params)
-        return space.weighted_load(weighted_stress(qw, closure, conv=(h, u)), f)
+            scale += closure_scale(qw, sym_norm(G[0, 0], G[0, 1], G[1, 1]), self.params)
+        S = np.empty((4, nt, nq))  # planes (s00, s01, s10, s11)
+        for p, a, b in ((0, 0, 0), (1, 0, 1), (3, 1, 1)):
+            np.multiply(scale, G[a, b], out=S[p])
+            S[p] -= h[a] * u[b]
+        S[2] = S[1]
+        L = D.T @ (S.reshape(4 * nt, nq) @ space.P1).ravel()
+        L += np.bincount(dofs.ravel(), weights=(f.reshape(2 * nt, nq) @ space.N).ravel(),
+                         minlength=space.n_velocity)
+        return L
 
     def residual_load(self, z, t):
         """Dual vector of F-load minus all spatial terms; the rhs oracle."""
@@ -116,15 +147,13 @@ class FullSpaceSystem:
     def step(self, z, t_new, dt, shift, tol=PICARD_TOL, max_iter=60):
         space = self.space
         lu = self._factor(dt, shift)
-        L = self.source_load(t_new)
-        base = (space.M @ z) / dt
-        shift_op = shift * space.K_eps
+        rhs = (space.M @ z) / dt + self.source_load(t_new)
         zi = z
         history = []  # increment of each iteration
         for it in range(1, max_iter + 1):
-            rhs_mom = base + L - self.nonlinear_load(zi) + shift_op @ zi
-            z_new, _ = space.saddle_solve(lu, rhs_mom)
-            inc = np.sqrt(float((z_new - zi) @ (space.M @ (z_new - zi))))
+            z_new, _ = space.saddle_solve(lu, rhs - self.nonlinear_load(zi, shift))
+            d = z_new - zi
+            inc = np.sqrt(float(d @ (space.M @ d)))
             history.append(inc)
             zi = z_new
             if inc <= tol:

@@ -46,10 +46,18 @@ table in [c, q, b, a] layout, derivative index first, and a body-force
 table, both carrying the quadrature weight already: one batched product of
 the same rows, read transposed, with S, plus N^T f, summed and scattered
 over `cell_vdofs_la` in one bincount. `stress_load_vector(S)` is its
-contraction of qweights * S. Nothing copies `grad`: a full-space Picard
-iterate's nonlinear load is one value product, one gradient product, two
-weighted tables and one contraction. `strain_samples` is also the
-quadrature path the strain table is checked against.
+contraction of qweights * S. Nothing copies `grad`. `strain_samples` is
+also the quadrature path the strain table is checked against.
+
+Per-cell gradient planes: `grad_operator` is the sparse map (12 nt,
+n_velocity) from velocity coefficients to the gradient planes d u_a/d x_b
+at the three vertices of every cell, rows 3 nt (2 a + b) + 3 c + j, built
+on first use from the vertex shape gradients that also give the strain
+table (`_vertex_grads`). With `plane_dofs`, the cell DOFs as one plane per
+component, a full-space Picard iterate's nonlinear load is the operator's
+product, one gather, GEMMs with `P1` and `N` on contiguous (., nt, nq)
+planes, the operator's transposed product and one bincount: it reads none
+of the quadrature-point tables above.
 
 Pinned saddle systems: `pinned_saddle(A)` couples the interior block of a
 velocity operator A with B, pressure DOF 0 pinned; `saddle_matrix(A)`
@@ -379,6 +387,36 @@ class MixedSpace:
 
     # -- per-cell strain coefficients ------------------------------------------
 
+    def _vertex_grads(self):
+        """The P2 shape gradients at the cell vertices (nt, 3, 2, 6), [c, j,
+        b, l] = d phi_l / d x_b at vertex j of cell c: the rows of the strain
+        table and of the gradient operator."""
+        return np.einsum("cbd,jld->cjbl", self._jacobians()[1], _p2_grads(_P1_NODES))
+
+    @cached_property
+    def grad_operator(self):
+        """The sparse map D (12 nt, n_velocity) from velocity coefficients to
+        the gradient planes d u_a/d x_b at the three vertices of every cell,
+        plane-major: row 3 nt (2 a + b) + 3 c + j, 6 entries (the P2 shape
+        gradients at the vertex, `_vertex_grads`). A P2 field's gradient is
+        P1 on an affine cell, so (D u) read as (4 nt, 3) times `P1`^T is its
+        gradient at the quadrature points exactly, and a stress's planes
+        paired with `P1` go back through D^T. Built on first use and kept:
+        at 32x32 cells 147456 entries, 1.9 MB."""
+        nt = self.mesh.num_cells
+        G = self._vertex_grads().transpose(2, 0, 1, 3)  # [b, c, j, l]
+        data = np.broadcast_to(G, (2,) + G.shape)        # [a, b, c, j, l]
+        cols = np.broadcast_to(self.plane_dofs[:, None, :, None, :], data.shape)
+        return sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(0, data.size + 1, 6)),
+                             shape=(12 * nt, self.n_velocity))
+
+    @cached_property
+    def plane_dofs(self):
+        """`cell_vdofs` in [a, c, l] order (2, nt, 6), contiguous: a gather
+        z[plane_dofs] holds each component's cell coefficients as one plane,
+        and a bincount over it scatters cell loads in that order."""
+        return np.ascontiguousarray(self.cell_vdofs.reshape(-1, 2, 6).transpose(1, 0, 2))
+
     def strain_coefficients(self, W):
         """The strain table (9 nt, m) of the columns of W (n_velocity, m),
         plane-major: row 3 nt a + 3 c + j holds plane a of (e00, e01, e11) of
@@ -398,8 +436,7 @@ class MixedSpace:
         sum, bit for bit, as in the product of all columns at once.
         """
         nt = self.mesh.num_cells
-        # [c, j, b, l] = d phi_l / d x_b at vertex j
-        G = np.einsum("cbd,jld->cjbl", self._jacobians()[1], _p2_grads(_P1_NODES))
+        G = self._vertex_grads()
         rows = np.zeros((3, nt, 3, 12))  # [a, c, j, (x DOFs, y DOFs)]
         rows[0, ..., :6] = G[:, :, 0]
         rows[1, ..., :6] = 0.5 * G[:, :, 1]

@@ -11,11 +11,12 @@ with the weights w = nu_tur |e| and a = nu_tur / |e|. `closure_scale`
 writes the stress's scalar 2 nu_tur w_q |e|, with a quadrature weight
 folded in, and `closure_tangent` the tangent's weights; neither is written
 anywhere else. `weighted_stress` multiplies the scalar into a 2x2 table,
-which `smagorinsky_load` and the full-space nonlinear load read. The
-reduced closure forms `closure_scale` at |e| = 1 once, the weights
-2 nu_tur w_q, multiplies them into its |e| and the result into its strain
-planes (e00, e01, e11), each in place and bit for bit the scalar's
-product; its implicit step reads the tangent's weights. For symmetric
+which `smagorinsky_load` reads; the full-space nonlinear load multiplies it
+into its strain planes. The reduced closure forms `closure_scale` at
+|e| = 1 once, the weights 2 nu_tur w_q, multiplies them into its |e| and
+the result into its strain planes (e00, e01, e11), each in place and bit
+for bit the scalar's product; its implicit step reads the tangent's
+weights. For symmetric
 tensors |e| = (e00^2 + 2 e01^2 + e11^2)^(1/2) (`sym_norm`).
 
 Convection is assembled in the skew-symmetric form
@@ -26,9 +27,7 @@ whose self-pairing c(w; u, u) vanishes at coefficient level, so the discrete
 energy balance reproduces the continuous cancellations even though discrete
 fields are only approximately divergence free. `convection_force` writes
 its body force and the weighted half velocity, from which `weighted_stress`
-writes its stress, for `convection_tables` (weight 1) and for the full-space
-load, whose one weighted stress table holds the convection and the closure
-stress.
+writes its stress, for `convection_tables` (weight 1) and `convection_load`.
 """
 
 import numpy as np
@@ -121,8 +120,9 @@ def weighted_stress(weights, closure=None, conv=None):
     and the values u (..., 2); it adds the convection stress
     S_c[b, a] = -w_b u_a / 2, else S_c = 0.
 
-    This is the one place the closure stress is written. The weight is folded
-    into the closure's scalar 2 nu_tur weights |e|, and each plane of the
+    This is the one place the closure stress is written as a 2x2 table. The
+    weight is folded into the closure's scalar 2 nu_tur weights |e|
+    (`closure_scale`), and each plane of the
     table is written once: no pass multiplies a 2x2 table by the weights or
     broadcasts over the strided 2x2 axes. At weights 1.0 the closure is bit
     for bit 2.0 * nu_tur * |e| * e.

@@ -389,6 +389,28 @@ def test_cli_study_mesh_iterations_column(tmp_path, monkeypatch):
     assert len(totals) == 2 and min(totals) >= 20  # 20 steps of at least one iteration
 
 
+def test_cli_study_mesh_order_on_non_doubling_levels(tmp_path):
+    # observed_order is log(e_prev / e) / log(n / n_prev), so it reads the
+    # manufactured solution's order (2.35-2.67 at these sizes) on levels that
+    # do not double, where the log2 of the error ratio reads 1.05-1.56
+    cfg = json.loads(preset_path("manufactured").read_text())
+    cfg["time"]["T"] = 0.015
+    path = tmp_path / "mms.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "mesh"
+    assert main(["study", "mesh", "--config", str(path), "--output-dir", str(out),
+                 "--levels", "4,6,8,12", "--quiet"]) == 0
+    rows = [line.split(",") for line in (out / "study_mesh.csv").read_text().splitlines()[2:]]
+    n = [int(r[0]) for r in rows]
+    err = [float(r[1]) for r in rows]
+    order = [float(r[2]) for r in rows]
+    assert n == [4, 6, 8, 12] and np.isnan(order[0])
+    for i in range(1, 4):
+        ref = np.log(err[i - 1] / err[i]) / np.log(n[i] / n[i - 1])
+        assert abs(order[i] - ref) <= 1e-12 * ref
+    assert 2.2 <= min(order[1:]) and max(order[1:]) <= 3.0
+
+
 def test_cli_contract_small(tmp_path):
     path, _ = small_config(tmp_path)
     out = tmp_path / "ct"
@@ -462,6 +484,8 @@ def test_cli_study_modes_level_above_reference(tmp_path):
     ("mesh", "manufactured", ["--reference", "7"]),  # study mesh reads no reference
     ("dt", "zero", ["--reference", "40"]),  # 2**40 * 100 finest steps
     ("dt", "zero", ["--levels", "4"]),  # study dt reads no levels
+    ("mesh", "manufactured", ["--levels", "8,8"]),  # the order would be 0 / 0
+    ("mesh", "manufactured", ["--levels", "16,8,16"]),  # a repeated mesh size
 ])
 def test_cli_study_size_that_builds_nothing(tmp_path, monkeypatch, capsys, kind, preset, extra):
     # a study size that builds nothing, a flag the study kind does not read,

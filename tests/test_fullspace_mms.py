@@ -296,16 +296,22 @@ def test_residual_load_matches_reduced_rhs_structure(space8):
 @pytest.mark.parametrize("nu_tur", [0.0, 0.3])
 def test_fused_nonlinear_load_matches_oracle(n, nu_tur):
     # the one-pass load against the old composition (block-product gradient,
-    # convection tables, closure stress, a body-force and a stress load), on
-    # random fields that are neither divergence free nor zero on the wall
-    space = MixedSpace(build_rect_mesh(1, 1, n, n))
+    # convection tables, closure stress, a body-force and a stress load) minus
+    # shift K_eps z, on random fields that are neither divergence free nor
+    # zero on the wall, on the unit square and on a 1.3 x 0.7 tank of
+    # non-square cells ((n + 3) x (n + 1) of them)
     params = ClosureParams(0.05, nu_tur)
-    fs = FullSpaceSystem(space, params)
     rng = np.random.default_rng(n + 97)
-    for scale in (1.0, 1e-4, 30.0):
-        z = scale * rng.standard_normal(space.n_velocity)
-        ref = nonlinear_load_oracle(space, z, params)
-        assert np.abs(fs.nonlinear_load(z) - ref).max() <= 1e-13 * np.abs(ref).max()
+    for mesh in (build_rect_mesh(1, 1, n, n), build_rect_mesh(1.3, 0.7, n + 3, n + 1)):
+        space = MixedSpace(mesh)
+        fs = FullSpaceSystem(space, params)
+        for scale in (1.0, 1e-4, 30.0):
+            z = scale * rng.standard_normal(space.n_velocity)
+            oracle = nonlinear_load_oracle(space, z, params)
+            for shift in (0.0, 0.7, 25.0):
+                ref = oracle - shift * (space.K_eps @ z)
+                got = fs.nonlinear_load(z, shift)
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -324,19 +330,76 @@ def test_closure_shift_is_the_old_expression(n):
 
 
 def test_fused_load_keeps_picard_counts(mms, space8):
-    # 50 manufactured steps on the fused load and on the old composition:
-    # the same Picard count at every step and the same states to roundoff
+    # 50 manufactured steps on the fused load and on the old composition, the
+    # step's shift applied as the matrix product shift K_eps z: the same Picard
+    # count at every step and the same states to roundoff
     params = ClosureParams(mms.nu, mms.nu_tur)
+    shifts = []
+
+    def composed(z, shift=0.0):
+        shifts.append(shift)
+        return nonlinear_load_oracle(space8, z, params) - shift * (space8.K_eps @ z)
+
     runs = []
     for oracle in (False, True):
         fs = FullSpaceSystem(space8, params, source=mms)
         if oracle:
-            fs.nonlinear_load = lambda z: nonlinear_load_oracle(space8, z, params)
+            fs.nonlinear_load = composed
         states = []
         _, iterations = fs.integrate(mms.initial_velocity(space8), T=0.05, dt=1e-3,
                                      observer=lambda t, z: states.append(z))
         runs.append((iterations, np.array(states)))
     (it_fused, fused), (it_oracle, oracle) = runs
+    # the composition ran every iterate of the second run, with the step's shift
+    assert len(shifts) == sum(it_oracle) and min(shifts) > 0.0
     assert len(it_fused) == 50 and it_fused == it_oracle
     assert np.abs(fused - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
+
+def test_full_space_iterate_cost(mms, monkeypatch):
+    # one nonlinear load and one saddle solve per Picard iterate; the load
+    # reads the gradient operator, so no quadrature-point table of the space,
+    # no stress or weighted load and no product with K_eps (the shift is in
+    # the load, and the step factor is formed before the counted step)
+    space = MixedSpace(build_rect_mesh(1, 1, 8, 8))
+    fs = FullSpaceSystem(space, ClosureParams(mms.nu, mms.nu_tur), source=mms)
+    z0 = fs.project_divfree(mms.initial_velocity(space))
+    dt, shift = 1e-3, 1.5 * fs.closure_shift(z0)
+    z1, _ = fs.step(z0, dt, dt, shift)
+
+    names = ("load", "solve", "eval_values", "eval_grads", "weighted_load",
+             "stress_load_vector", "K_eps")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    class CountedProducts:
+        """K_eps with every product counted: with a vector or a scalar."""
+
+        def __init__(self, K):
+            self.K = K
+
+        def __matmul__(self, x):
+            calls["K_eps"] += 1
+            return self.K @ x
+
+        def __mul__(self, c):
+            calls["K_eps"] += 1
+            return self.K * c
+
+        __rmul__ = __mul__
+
+    monkeypatch.setattr(FullSpaceSystem, "nonlinear_load",
+                        counted("load", FullSpaceSystem.nonlinear_load))
+    monkeypatch.setattr(MixedSpace, "saddle_solve", counted("solve", MixedSpace.saddle_solve))
+    for name in names[2:6]:
+        monkeypatch.setattr(MixedSpace, name, counted(name, getattr(MixedSpace, name)))
+    monkeypatch.setattr(space, "K_eps", CountedProducts(space.K_eps))
+    _, it = fs.step(z1, 2 * dt, dt, shift)
+    assert it >= 2
+    assert calls == {"load": it, "solve": it, "eval_values": 0, "eval_grads": 0,
+                     "weighted_load": 0, "stress_load_vector": 0, "K_eps": 0}
