@@ -382,6 +382,9 @@ def cmd_study(args):
     repeated = sorted({n for n in levels if levels.count(n) > 1})
     if repeated:
         raise ConfigError([("--levels", f"mesh sizes {repeated} repeated")])
+    if (cfg.domain["Lx"], cfg.domain["Ly"]) != (1, 1):
+        raise ConfigError([("domain", "study mesh needs the unit square, where its manufactured "
+                            f"solution vanishes on the boundary; got {cfg.domain}")])
     params = build_scenario(cfg).params
     mms = ManufacturedSolution(params.nu, params.nu_tur)
 

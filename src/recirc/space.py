@@ -14,8 +14,8 @@ Assembled operators:
 
 Each cell's 12 velocity DOFs are `cell_vdofs` = [cell_dofs, n_scalar +
 cell_dofs]: the six x components, then the six y components. The cell
-kernel `_strain_cells(w)` gives the (nt, 12, 12) cell matrices of
-int 2 w eps(phi_i):eps(phi_j) over them; K_eps is its assembly at w = 1.
+kernel `_strain_cells()` gives the (nt, 12, 12) cell matrices of
+int 2 eps(phi_i):eps(phi_j) over them; K_eps is their assembly.
 `convection_tensor(W)` reduces the trilinear convection form to the columns
 of W cell by cell.
 
@@ -41,13 +41,13 @@ as rows [c, (q, b), l] = d phi_l/d x_b. A field's gradient is one batched
 product of those rows with the cell coefficients u[cell_vdofs_la], in
 [cell, shape function, component] order: [c, q, b, a] = d u_a/d x_b.
 `strain_samples(u)` symmetrizes it in place, and `eval_grads(u)` is its
-transposed view, [c, q, a, b]. `weighted_load(S, f)` contracts a stress
-table in [c, q, b, a] layout, derivative index first, and a body-force
-table, both carrying the quadrature weight already: one batched product of
-the same rows, read transposed, with S, plus N^T f, summed and scattered
-over `cell_vdofs_la` in one bincount. `stress_load_vector(S)` is its
-contraction of qweights * S. Nothing copies `grad`. `strain_samples` is
-also the quadrature path the strain table is checked against.
+transposed view, [c, q, a, b]. `stress_load_vector(S)`, the one
+quadrature-point stress load, contracts a stress table in [c, q, b, a]
+layout, derivative index first: one batched product of the same rows, read
+transposed, with qweights * S, scattered over `cell_vdofs_la` in one
+bincount; `load_vector(f)` is the body force's. Nothing copies `grad`.
+`strain_samples` is also the quadrature path the strain table is checked
+against.
 
 Per-cell gradient planes: `grad_operator` is the sparse map (12 nt,
 n_velocity) from velocity coefficients to the gradient planes d u_a/d x_b
@@ -349,10 +349,10 @@ class MixedSpace:
         self.M = sp.block_diag([Ms, Ms]).tocsr()
         self.K_grad = sp.block_diag([Ks, Ks]).tocsr()
 
-        # strain stiffness 2 (eps(u), eps(v)): the cell kernel at w = 1
+        # strain stiffness 2 (eps(u), eps(v))
         vdofs = self.cell_vdofs
         self.K_eps = self._coo(np.repeat(vdofs, 12, axis=1), np.tile(vdofs, (1, 12)),
-                               self._strain_cells(1.0), (nu, nu))
+                               self._strain_cells(), (nu, nu))
 
         # divergence (q, div u): pressure rows, velocity columns
         pdofs = self.mesh.cells
@@ -370,10 +370,9 @@ class MixedSpace:
         np.add.at(mvec, pdofs.ravel(), np.repeat(a / 3.0, 3))
         self.pressure_integral = mvec
 
-    def _strain_cells(self, weight):
-        """Cell matrices (nt, 12, 12) of int 2 w(x) eps(phi_i):eps(phi_j) over
-        `cell_vdofs`, for quadrature-point weights w (nt, nq) or a scalar."""
-        wq = (self.qweights * weight)[:, :, None]
+    def _strain_cells(self):
+        """Cell matrices (nt, 12, 12) of int 2 eps(phi_i):eps(phi_j) over `cell_vdofs`."""
+        wq = self.qweights[:, :, None]
         gx, gy = self.grad[:, :, 0], self.grad[:, :, 1]  # (nt, nq, 6)
         xx = (wq * gx).transpose(0, 2, 1) @ gx
         yy = (wq * gy).transpose(0, 2, 1) @ gy
@@ -474,14 +473,15 @@ class MixedSpace:
         L[3 * nt:6 * nt] *= _PLANE_PAIRING[1]
         return L
 
-    def weighted_strain_stiffness(self, weight, coef, rank_one=None):
+    def weighted_strain_stiffness(self, weight, coef, rank_one):
         """sum_(c,q) 2 w_q w eps(u):eps(v) over the columns of a strain table
         coef (9 nt, m) (`strain_coefficients`), for quadrature-point weights w
         (nt, nq): U^T K_w U for K_w = int 2 w eps(u):eps(v) and coef the
-        table of U. rank_one = (a, e), weights a (nt, nq) and strain planes e
-        (3, nt, nq) (`strain_planes`), adds int 2 a (e:eps(u)) (e:eps(v));
-        with the weights of `turbulence.closure_tangent` the sum is the
-        tangent of the closure stress at e.
+        table of U, plus the rank-one term of rank_one = (a, e), weights a
+        (nt, nq) and strain planes e (3, nt, nq) (`strain_planes`):
+        int 2 a (e:eps(u)) (e:eps(v)). With the weights of
+        `turbulence.closure_tangent` the sum is the tangent of the closure
+        stress at e.
 
         The Newton matrix of the strain-dependent closure: the implicit step
         passes the modes' table. In the coordinates (e00, e01, e11) the
@@ -501,12 +501,9 @@ class MixedSpace:
         nt, nq = self.qweights.shape
         m = coef.shape[1]
         wq = 2.0 * self.qweights
-        if rank_one is None:
-            D = np.zeros((3, 3, nt, nq))
-        else:
-            a, e = rank_one
-            h = e * _PLANE_PAIRING[:, None, None]
-            D = ((wq * a) * h)[:, None] * h  # (3, 3, nt, nq): plane, plane, cell, point
+        a, e = rank_one
+        h = e * _PLANE_PAIRING[:, None, None]
+        D = ((wq * a) * h)[:, None] * h  # (3, 3, nt, nq): plane, plane, cell, point
         ww = wq * weight
         for i in range(3):
             D[i, i] += _PLANE_PAIRING[i] * ww
@@ -662,26 +659,16 @@ class MixedSpace:
         """Assemble L_(a,l) = int sum_b S[b, a] d phi_l/d x_b from tensor values
         Svals (nt, nq, 2, 2) in [c, q, b, a] layout, derivative index first:
         the int S^T : grad phi of the usual [a, b] layout. A symmetric S reads
-        the same in both, and then L_i = int S : eps(phi_i). It is
-        `weighted_load` of qweights * S.
-        """
-        return self.weighted_load(self.qweights[:, :, None, None] * Svals)
-
-    def weighted_load(self, S, f=None):
-        """Assemble L_(a,l) = sum_(c,q) [sum_b S[b, a] d phi_l/d x_b + f_a phi_l]
-        from tables that carry the quadrature weight already: a stress S
-        (nt, nq, 2, 2) in the [c, q, b, a] layout of `stress_load_vector` and
-        an optional body force f (nt, nq, 2).
+        the same in both, and then L_i = int S : eps(phi_i).
 
         One batched product of `grad`'s rows [c, (q, b), l], read transposed,
-        with S as (nt, 2 nq, 2) gives the cell loads in [c, l, a] order, and
-        N^T f adds the body force's in the same order; the sum is scattered
-        with `cell_vdofs_la` in one bincount. Neither `grad` nor S is copied.
+        with the weighted table qweights * S as (nt, 2 nq, 2) gives the cell
+        loads in [c, l, a] order, scattered with `cell_vdofs_la` in one
+        bincount. `grad` is not copied.
         """
         nt, nq = self.mesh.num_cells, len(self.rule)
+        S = self.qweights[:, :, None, None] * Svals
         cells = self.grad.reshape(nt, nq * 2, 6).transpose(0, 2, 1) @ S.reshape(nt, nq * 2, 2)
-        if f is not None:
-            cells += self.N.T @ f
         return self._scatter(self.cell_vdofs_la, cells)
 
     def integrate(self, gvals):

@@ -10,9 +10,10 @@ molecular stress 2 nu e it keeps the weak operator monotone, with constant
 with the weights w = nu_tur |e| and a = nu_tur / |e|. `closure_scale`
 writes the stress's scalar 2 nu_tur w_q |e|, with a quadrature weight
 folded in, and `closure_tangent` the tangent's weights; neither is written
-anywhere else. `weighted_stress` multiplies the scalar into a 2x2 table,
-which `smagorinsky_load` reads; the full-space nonlinear load multiplies it
-into its strain planes. The reduced closure forms `closure_scale` at
+anywhere else. `smagorinsky_load` multiplies the scalar at w_q = 1 into the
+strain tables and hands the stress to `MixedSpace.stress_load_vector`, the
+one quadrature-point stress load; the full-space nonlinear load multiplies
+it into its strain planes. The reduced closure forms `closure_scale` at
 |e| = 1 once, the weights 2 nu_tur w_q, multiplies them into its |e| and
 the result into its strain planes (e00, e01, e11), each in place and bit
 for bit the scalar's product; its implicit step reads the tangent's
@@ -25,9 +26,9 @@ Convection is assembled in the skew-symmetric form
 
 whose self-pairing c(w; u, u) vanishes at coefficient level, so the discrete
 energy balance reproduces the continuous cancellations even though discrete
-fields are only approximately divergence free. `convection_force` writes
-its body force and the weighted half velocity, from which `weighted_stress`
-writes its stress, for `convection_tables` (weight 1) and `convection_load`.
+fields are only approximately divergence free. `convection_tables` writes
+its body force and stress, which `convection_load` hands to
+`MixedSpace.load_vector` and `stress_load_vector`.
 """
 
 import numpy as np
@@ -109,40 +110,6 @@ def closure_scale(weights, mag, params):
     return 2.0 * params.nu_tur * weights * mag
 
 
-def weighted_stress(weights, closure=None, conv=None):
-    """The stress table weights (2 nu_tur |e| e + S_c) (..., 2, 2) in the
-    [b, a] layout of `MixedSpace.weighted_load`, for quadrature weights (or
-    1.0 for the bare stress).
-
-    closure = (eps, mag, params): strain planes (e00, e01, e11), their norms
-    |e| and the closure's parameters; None leaves the closure out. conv =
-    (h, u): the weighted half velocity h = (h0, h1) = weights w / 2 as planes
-    and the values u (..., 2); it adds the convection stress
-    S_c[b, a] = -w_b u_a / 2, else S_c = 0.
-
-    This is the one place the closure stress is written as a 2x2 table. The
-    weight is folded into the closure's scalar 2 nu_tur weights |e|
-    (`closure_scale`), and each plane of the
-    table is written once: no pass multiplies a 2x2 table by the weights or
-    broadcasts over the strided 2x2 axes. At weights 1.0 the closure is bit
-    for bit 2.0 * nu_tur * |e| * e.
-    """
-    S = [[0.0, 0.0], [0.0, 0.0]]
-    if closure is not None:
-        (e00, e01, e11), mag, params = closure
-        s = closure_scale(weights, mag, params)
-        s01 = s * e01
-        S = [[s * e00, s01], [s01, s * e11]]
-    if conv is not None:
-        h, u = conv
-        S = [[S[b][a] - h[b] * u[..., a] for a in range(2)] for b in range(2)]
-    out = np.empty(np.shape(S[0][0]) + (2, 2))
-    for b in range(2):
-        for a in range(2):
-            out[..., b, a] = S[b][a]
-    return out
-
-
 def closure_tangent(mag, params):
     """Weights (nu_tur |e|, nu_tur / |e|) of the closure tangent
     2 (w I + a e (x) e) at strain norms mag; a is 0 where |e| = 0."""
@@ -150,32 +117,11 @@ def closure_tangent(mag, params):
     return nu_tur * mag, np.divide(nu_tur, mag, out=np.zeros_like(mag), where=mag > 0)
 
 
-def smagorinsky_load(space, eps_qpt, params, eps_mag=None):
+def smagorinsky_load(space, eps_qpt, params):
     """Dual vector of the closure term: L_i = int 2 nu_tur |eps| eps : eps(phi_i),
-    from the weighted stress table and one `weighted_load`; eps_mag is
-    |eps_qpt| when the caller already has it."""
-    eps = planes(eps_qpt)
-    mag = sym_norm(*eps) if eps_mag is None else eps_mag
-    return space.weighted_load(weighted_stress(space.qweights, (eps, mag, params)))
-
-
-def convection_force(w_vals, u_grads, weights):
-    """(f, h) of the skew convection form c(w; u, .): the body force
-    f = weights (grad u) w / 2 (..., 2) and the weighted half velocity
-    h = weights w / 2 as planes (h0, h1), which `weighted_stress` reads for
-    the convection stress. u_grads is [a, b] = d u_a/d x_b.
-
-    The 2x2 products are written out component by component, several times
-    faster than a batched (2,2) @ (2,1) matmul over the point tables. At
-    weights 1.0 the 1/2 scales w exactly, so f is bit for bit the half of
-    (grad u) w.
-    """
-    hq = 0.5 * weights
-    h = (hq * w_vals[..., 0], hq * w_vals[..., 1])
-    f = np.empty(u_grads.shape[:-1])
-    f[..., 0] = u_grads[..., 0, 0] * h[0] + u_grads[..., 0, 1] * h[1]
-    f[..., 1] = u_grads[..., 1, 0] * h[0] + u_grads[..., 1, 1] * h[1]
-    return f, h
+    the stress load of 2 nu_tur |eps| eps at the strain tables eps_qpt."""
+    scale = closure_scale(1.0, sym_norm(*planes(eps_qpt)), params)
+    return space.stress_load_vector(scale[..., None, None] * eps_qpt)
 
 
 def convection_tables(w_vals, u_vals, u_grads):
@@ -185,12 +131,16 @@ def convection_tables(w_vals, u_vals, u_grads):
         f = 1/2 (grad u) w,   S = -1/2 w (x) u,
 
     S in the [b, a] layout that `stress_load_vector` reads (S^T = -1/2 u (x) w
-    is the stress of the usual [a, b] layout): `convection_force` and
-    `weighted_stress` at weight 1, bit for bit the halves of (grad u) w and
-    w (x) u.
+    is the stress of the usual [a, b] layout), u_grads in [a, b] = d u_a/d x_b:
+    bit for bit the halves of (grad u) w and w (x) u, since 1/2 scales w
+    exactly. f's 2x2 products are written out, several times faster than a
+    batched (2,2) @ (2,1) matmul over the point tables.
     """
-    f, h = convection_force(w_vals, u_grads, 1.0)
-    return f, weighted_stress(1.0, conv=(h, u_vals))
+    h = 0.5 * w_vals
+    f = np.empty(u_grads.shape[:-1])
+    f[..., 0] = u_grads[..., 0, 0] * h[..., 0] + u_grads[..., 0, 1] * h[..., 1]
+    f[..., 1] = u_grads[..., 1, 0] * h[..., 0] + u_grads[..., 1, 1] * h[..., 1]
+    return f, -h[..., :, None] * u_vals[..., None, :]
 
 
 def convection_load(space, w_vals, u_vals, u_grads):

@@ -8,8 +8,7 @@ from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
 from recirc.quadrature import TriangleRule
 from recirc.space import MixedSpace
-from recirc.turbulence import (convection_load, planes, strain_norm, sym_grad, sym_norm,
-                               weighted_stress)
+from recirc.turbulence import convection_load, strain_norm, sym_grad, sym_norm
 
 
 @pytest.fixture(scope="session")
@@ -70,8 +69,8 @@ def potential_D(eps, params):
 
 def closure_stress(eps, mag, params):
     """Smagorinsky stress 2 nu_tur |e| e of strain tables eps (..., 2, 2),
-    with mag their norms: `weighted_stress` at weight 1."""
-    return weighted_stress(1.0, (planes(eps), mag, params))
+    with mag their norms."""
+    return 2.0 * params.nu_tur * mag[..., None, None] * eps
 
 
 def lift_data(system, t):
@@ -201,7 +200,7 @@ def cell_major_closure(space, coef, K, y, params):
     return coef[:, K:].T @ L.transpose(1, 0, 2).ravel()
 
 
-def cell_major_strain_stiffness(space, weight, coef, rank_one=None):
+def cell_major_strain_stiffness(space, weight, coef, rank_one):
     """`MixedSpace.weighted_strain_stiffness` on a cell-major strain table
     coef (`cell_major_strain_table`), as it was before the plane-major one:
     the table read as (nt, 9, m) in place."""
@@ -209,12 +208,9 @@ def cell_major_strain_stiffness(space, weight, coef, rank_one=None):
     m = coef.shape[1]
     pairing = np.array([1.0, 2.0, 1.0])
     wq = 2.0 * space.qweights
-    if rank_one is None:
-        D = np.zeros((3, 3, nt, nq))
-    else:
-        a, e = rank_one
-        h = e * pairing[:, None, None]
-        D = ((wq * a) * h)[:, None] * h
+    a, e = rank_one
+    h = e * pairing[:, None, None]
+    D = ((wq * a) * h)[:, None] * h
     ww = wq * weight
     for i in range(3):
         D[i, i] += pairing[i] * ww

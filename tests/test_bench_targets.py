@@ -2,6 +2,8 @@
 wrap still exists under its name, and what it reads outside the trace is
 still there."""
 
+import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from recirc.errors import StepError
 from recirc.galerkin import ReducedSystem
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+SRC = Path(__file__).resolve().parent.parent / "src" / "recirc"
 
 
 def test_traced_targets_exist(monkeypatch):
@@ -19,6 +22,26 @@ def test_traced_targets_exist(monkeypatch):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in workloads.TARGETS if attr not in vars(owner)]
     assert workloads.TARGETS and not missing
+
+
+def test_trace_only_imports_are_traced(monkeypatch):
+    # a name a module imports only for the trace (`# noqa: F401`) must be a
+    # (module, attribute) target of the trace, so that it goes with its target
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    traced = {(owner, attr) for owner, attr, *_ in workloads.TARGETS}
+    untraced = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text().splitlines()
+        module = "recirc" if path.stem == "__init__" else f"recirc.{path.stem}"
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom) and any(
+                    "noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                owner = importlib.import_module(module)
+                untraced += [f"{path.name}: {alias.asname or alias.name}" for alias in node.names
+                             if (owner, alias.asname or alias.name) not in traced]
+    assert not untraced
 
 
 def test_untraced_reads_exist(monkeypatch, preset16):

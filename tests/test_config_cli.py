@@ -507,6 +507,27 @@ def test_cli_study_size_that_builds_nothing(tmp_path, monkeypatch, capsys, kind,
     assert not any(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("Lx, Ly", [(2.0, 1.0), (1.0, 0.5)])
+def test_cli_study_mesh_off_the_unit_square(tmp_path, monkeypatch, capsys, Lx, Ly):
+    # the manufactured solution vanishes on the boundary of the unit square
+    # only; elsewhere study mesh is a config error naming the domain, raised
+    # before any mesh is built (it used to fail as a stalled full-space step)
+    from recirc import cli
+
+    def build(*args, **kw):
+        raise AssertionError("built before the domain check")
+
+    monkeypatch.setattr(cli, "build_scenario", build)
+    monkeypatch.setattr(cli, "build_rect_mesh", build)
+    path, _ = small_config(tmp_path, domain={"Lx": Lx, "Ly": Ly}, pumps=[])
+    out = tmp_path / "st"
+    code = main(["study", "mesh", "--config", str(path), "--output-dir", str(out),
+                 "--levels", "4,8", "--quiet"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["errors"][0]["path"] == "domain"
+    assert not any(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize("kind, extra", [
     ("dt", ["--reference", "2"]),
     ("modes", ["--levels", "2,4,6", "--reference", "6"]),

@@ -359,7 +359,7 @@ def test_fused_load_keeps_picard_counts(mms, space8):
 def test_full_space_iterate_cost(mms, monkeypatch):
     # one nonlinear load and one saddle solve per Picard iterate; the load
     # reads the gradient operator, so no quadrature-point table of the space,
-    # no stress or weighted load and no product with K_eps (the shift is in
+    # no body-force or stress load and no product with K_eps (the shift is in
     # the load, and the step factor is formed before the counted step)
     space = MixedSpace(build_rect_mesh(1, 1, 8, 8))
     fs = FullSpaceSystem(space, ClosureParams(mms.nu, mms.nu_tur), source=mms)
@@ -367,7 +367,7 @@ def test_full_space_iterate_cost(mms, monkeypatch):
     dt, shift = 1e-3, 1.5 * fs.closure_shift(z0)
     z1, _ = fs.step(z0, dt, dt, shift)
 
-    names = ("load", "solve", "eval_values", "eval_grads", "weighted_load",
+    names = ("load", "solve", "eval_values", "eval_grads", "load_vector",
              "stress_load_vector", "K_eps")
     calls = dict.fromkeys(names, 0)
 
@@ -402,4 +402,4 @@ def test_full_space_iterate_cost(mms, monkeypatch):
     _, it = fs.step(z1, 2 * dt, dt, shift)
     assert it >= 2
     assert calls == {"load": it, "solve": it, "eval_values": 0, "eval_grads": 0,
-                     "weighted_load": 0, "stress_load_vector": 0, "K_eps": 0}
+                     "load_vector": 0, "stress_load_vector": 0, "K_eps": 0}

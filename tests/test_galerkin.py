@@ -435,9 +435,10 @@ def test_picard_step_convection_load_count(preset16, monkeypatch):
     monkeypatch.setattr(galerkin, "smagorinsky_load",
                         counted("smagorinsky", galerkin.smagorinsky_load))
     scn = preset16
-    for name, method in (("strain", "weighted_strain_stiffness"), ("stress", "weighted_load"),
-                         ("grads", "eval_grads"), ("planes", "strain_planes"),
-                         ("pairings", "strain_load"), ("samples", "strain_samples")):
+    for name, method in (("strain", "weighted_strain_stiffness"), ("stress", "stress_load_vector"),
+                         ("stress", "load_vector"), ("grads", "eval_grads"),
+                         ("planes", "strain_planes"), ("pairings", "strain_load"),
+                         ("samples", "strain_samples")):
         monkeypatch.setattr(MixedSpace, method, counted(name, getattr(MixedSpace, method)))
     monkeypatch.setattr(EigenBasis, "expand", counted("expand", EigenBasis.expand))
     events = []

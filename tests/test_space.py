@@ -71,23 +71,23 @@ def test_weighted_strain_stiffness_matches_quadrature(space8):
     I = space8.interior_vdofs
     U[I, :3] = rng.standard_normal((len(I), 3))
     U[:, 3] = rng.standard_normal(space8.n_velocity)  # nonzero trace, as zeta_g has
-    S = space8.weighted_strain_stiffness(weight, space8.strain_coefficients(U))
+    # a zero rank-one term leaves the weighted stiffness alone
+    zero = (np.zeros_like(weight), np.stack(planes(space8.strain_samples(U[:, 3]))))
+    S = space8.weighted_strain_stiffness(weight, space8.strain_coefficients(U), zero)
     ref = _strain_pairings(space8, weight, U)
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_strain_cells_bit_identical_to_block_formula(space8):
-    # the cells are written block by block into one array; K_eps, its
-    # assembly at w = 1, keeps the bits of the np.block formula
-    rng = np.random.default_rng(53)
-    for weight in (1.0, rng.uniform(0.1, 2.0, space8.qweights.shape)):
-        wq = (space8.qweights * weight)[:, :, None]
-        gx, gy = space8.grad[:, :, 0], space8.grad[:, :, 1]
-        xx = (wq * gx).transpose(0, 2, 1) @ gx
-        yy = (wq * gy).transpose(0, 2, 1) @ gy
-        xy = (wq * gy).transpose(0, 2, 1) @ gx
-        ref = np.block([[2 * xx + yy, xy], [xy.transpose(0, 2, 1), 2 * yy + xx]])
-        assert np.array_equal(space8._strain_cells(weight), ref)
+    # the cells are written block by block into one array; K_eps, their
+    # assembly, keeps the bits of the np.block formula
+    wq = space8.qweights[:, :, None]
+    gx, gy = space8.grad[:, :, 0], space8.grad[:, :, 1]
+    xx = (wq * gx).transpose(0, 2, 1) @ gx
+    yy = (wq * gy).transpose(0, 2, 1) @ gy
+    xy = (wq * gy).transpose(0, 2, 1) @ gx
+    ref = np.block([[2 * xx + yy, xy], [xy.transpose(0, 2, 1), 2 * yy + xx]])
+    assert np.array_equal(space8._strain_cells(), ref)
 
 
 def test_strain_stiffness_rank_one_term_matches_quadrature(space8):
@@ -168,18 +168,13 @@ def test_eval_grads_is_the_block_product(dims):
 
 
 @pytest.mark.parametrize("dims", [(1.0, 1.0, 4, 4), (1.0, 2.0, 3, 5)])
-def test_weighted_load_matches_quadrature(dims):
-    # weighted tables (the weight already folded in) against the body-force
-    # load and an einsum stress load of the unweighted tables
+def test_stress_load_matches_quadrature(dims):
+    # the stress load of a random table against an einsum stress load
     space = MixedSpace(build_rect_mesh(*dims))
     rng = np.random.default_rng(79)
-    f = rng.standard_normal(space.qweights.shape + (2,))
     S = rng.standard_normal(space.qweights.shape + (2, 2))
-    qw, ref = space.qweights, stress_load_oracle(space, S)
-    for got, want in ((space.weighted_load(qw[..., None, None] * S), ref),
-                      (space.weighted_load(qw[..., None, None] * S, qw[..., None] * f),
-                       ref + space.load_vector(f))):
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    got, want = space.stress_load_vector(S), stress_load_oracle(space, S)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_degenerate_cell_rejected():

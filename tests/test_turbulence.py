@@ -154,8 +154,8 @@ def space4():
 
 def test_closure_stress_bit_identical_to_the_load_expression(space4):
     # closure_stress keeps the order of operations smagorinsky_load had;
-    # smagorinsky_load folds the quadrature weight into the scalar
-    # 2 nu_tur w_q |e|, which moves it by roundoff from the old expression
+    # smagorinsky_load takes |e| from the three planes (sym_norm), which
+    # moves it by roundoff from the old expression
     p = ClosureParams(nu=0.1, nu_tur=0.37)
     rng = np.random.default_rng(61)
     E = sym_grad(rng.standard_normal(space4.qweights.shape + (2, 2)))
