@@ -122,7 +122,7 @@ class FullSpaceSystem:
             np.multiply(scale, G[a, b], out=S[p])
             S[p] -= h[a] * u[b]
         S[2] = S[1]
-        L = D.T @ (S.reshape(4 * nt, nq) @ space.P1).ravel()
+        L = space.grad_operator_T @ (S.reshape(4 * nt, nq) @ space.P1).ravel()
         L += np.bincount(dofs.ravel(), weights=(f.reshape(2 * nt, nq) @ space.N).ravel(),
                          minlength=space.n_velocity)
         return L

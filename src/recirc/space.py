@@ -12,6 +12,17 @@ Assembled operators:
     K_grad gradient stiffness            (grad u, grad v)
     B      divergence                    (q, div u), pressure rows
 
+Construction tabulates the geometry (`grad`, `qpoints`, `qweights`) and
+assembles what every command reads: M, K_eps, B and `pressure_integral`.
+K_grad is a cached property formed on first read; its readers are the
+eigensolver and its Rayleigh residuals, the energy ledger and
+`korn_constant`, so the lifts and the full-space system never form it.
+`grad` and `qpoints` are explicit two-term sums over the reference axes,
+and B's cell blocks a sum over the quadrature points in order, each bit for
+bit the einsum it replaced; K_grad keeps its einsum (see `K_grad`).
+`grad_operator`, its transpose, `plane_dofs` and the saddle order are also
+built on first use.
+
 Each cell's 12 velocity DOFs are `cell_vdofs` = [cell_dofs, n_scalar +
 cell_dofs]: the six x components, then the six y components. The cell
 kernel `_strain_cells()` gives the (nt, 12, 12) cell matrices of
@@ -56,15 +67,17 @@ on first use from the vertex shape gradients that also give the strain
 table (`_vertex_grads`). With `plane_dofs`, the cell DOFs as one plane per
 component, a full-space Picard iterate's nonlinear load is the operator's
 product, one gather, GEMMs with `P1` and `N` on contiguous (., nt, nq)
-planes, the operator's transposed product and one bincount: it reads none
-of the quadrature-point tables above.
+planes, the product of its cached CSR transpose `grad_operator_T` and one
+bincount: it reads none of the quadrature-point tables above.
 
 Pinned saddle systems: `pinned_saddle(A)` couples the interior block of a
 velocity operator A with B, pressure DOF 0 pinned; `saddle_matrix(A)`
 orders its unknowns by `nested_dissection` of their coordinates, computed
 once per space, for `splu(S, **SADDLE_LU)`, which keeps the order and
-pivots on the diagonal; `saddle_solve` undoes the order, the pin and the
-gauge. Callers never see the interior DOFs, the pin or the order.
+pivots on the diagonal; `saddle_solve` scatters its right-hand side into
+that order and gathers the solution back through the order's cached
+inverse, and forms the pinned, zero-mean pressure. Callers never see the
+interior DOFs, the pin or the order.
 
 Norm conventions (kind argument of `norm`):
     L2, L3, L4  : Lebesgue norms of |u|
@@ -283,13 +296,16 @@ class MixedSpace:
         p = self.mesh.vertices[self.mesh.cells]
         J, invJT = self._jacobians()
         # physical P2 gradients per cell and quadrature point, (nt, nq, 2, 6):
-        # [c, q, b, l] = d phi_l / d x_b, so that (nt, 2 nq, 6) is a free reshape
-        G = np.einsum("cab,qlb->cqla", invJT, self.Nhat_grad)
-        self.grad = np.ascontiguousarray(G.transpose(0, 1, 3, 2))
+        # [c, q, b, l] = d phi_l / d x_b = sum_d invJT[c, b, d] d phi_l / d xhat_d,
+        # so that (nt, 2 nq, 6) is a free reshape; the two terms are added in
+        # the order of the contraction over d, bit for bit its einsum
+        Nhat = self.Nhat_grad
+        self.grad = invJT[:, None, :, 0, None] * Nhat[:, None, :, 0]
+        self.grad += invJT[:, None, :, 1, None] * Nhat[:, None, :, 1]
         # physical quadrature points (nt, nq, 2) and weights (nt, nq)
-        self.qpoints = p[:, None, 0, :] + np.einsum(
-            "cab,qb->cqa", J, self.rule.points
-        )
+        pts = self.rule.points
+        self.qpoints = p[:, None, 0, :] + (J[:, None, :, 0] * pts[:, 0, None]
+                                           + J[:, None, :, 1] * pts[:, 1, None])
         self.qweights = self.areas[:, None] * self.rule.weights[None, :]
 
     def _boundary(self):
@@ -323,45 +339,43 @@ class MixedSpace:
             (data.ravel(), (rows_l.ravel(), cols_m.ravel())), shape=shape
         ).tocsr()
 
+    def _scalar_pattern(self):
+        """Row and column indices (nt, 36) of the 6x6 scalar cell matrices:
+        row index slow, column index fast."""
+        dofs = self.cell_dofs
+        return np.repeat(dofs, 6, axis=1), np.tile(dofs, (1, 6))
+
     def _assemble(self):
         w = self.rule.weights
         a = self.areas
         N, P1 = self.N, self.P1
-        # a copy in the (nt, nq, 6, 2) order keeps K_grad's einsum bit for bit:
-        # the Stokes eigenvalues form degenerate clusters, and a roundoff change
-        # of K_grad rotates the eigenvectors inside them
-        G = np.ascontiguousarray(self.grad.transpose(0, 1, 3, 2))
         dofs = self.cell_dofs
         ns, nu, npr = self.n_scalar, self.n_velocity, self.n_pressure
-
-        rows = np.repeat(dofs, 6, axis=1)           # (nt, 36): l index slow
-        cols = np.tile(dofs, (1, 6))                 # (nt, 36): m index fast
 
         # scalar mass: same reference matrix scaled by area
         Mref = np.einsum("q,ql,qm->lm", w, N, N)
         Ms_data = a[:, None, None] * Mref[None, :, :]
-        Ms = self._coo(rows, cols, Ms_data, (ns, ns))
-
-        # scalar stiffness (grad . grad)
-        Ks_data = np.einsum("q,c,cqlb,cqmb->clm", w, a, G, G)
-        Ks = self._coo(rows, cols, Ks_data, (ns, ns))
-
+        Ms = self._coo(*self._scalar_pattern(), Ms_data, (ns, ns))
         self.M = sp.block_diag([Ms, Ms]).tocsr()
-        self.K_grad = sp.block_diag([Ks, Ks]).tocsr()
 
         # strain stiffness 2 (eps(u), eps(v))
         vdofs = self.cell_vdofs
         self.K_eps = self._coo(np.repeat(vdofs, 12, axis=1), np.tile(vdofs, (1, 12)),
                                self._strain_cells(), (nu, nu))
 
-        # divergence (q, div u): pressure rows, velocity columns
+        # divergence (q, div u): pressure rows, velocity columns. The cell
+        # blocks [c, i, b, j] = sum_q w_q |c| P1_i(q) d phi_j/d x_b, summed
+        # over q in order with the factors multiplied left to right: bit for
+        # bit einsum("q,c,qi,cqj->cij", ...) of each component
+        cells = np.zeros((len(a), 3, 2, 6))
+        for q in range(len(w)):
+            wp = (w[q] * a)[:, None] * P1[q]
+            cells += wp[:, :, None, None] * self.grad[:, q, None, :, :]
         pdofs = self.mesh.cells
         prow = np.repeat(pdofs, 6, axis=1)           # (nt, 18)
         vcol = np.tile(dofs, (1, 3))                 # (nt, 18)
-        Bx = np.einsum("q,c,qi,cqj->cij", w, a, P1, G[..., 0])
-        By = np.einsum("q,c,qi,cqj->cij", w, a, P1, G[..., 1])
-        B = self._coo(prow, vcol, Bx, (npr, nu)) + self._coo(
-            prow, vcol + ns, By, (npr, nu)
+        B = self._coo(prow, vcol, cells[:, :, 0], (npr, nu)) + self._coo(
+            prow, vcol + ns, cells[:, :, 1], (npr, nu)
         )
         self.B = B.tocsr()
 
@@ -369,6 +383,24 @@ class MixedSpace:
         mvec = np.zeros(npr)
         np.add.at(mvec, pdofs.ravel(), np.repeat(a / 3.0, 3))
         self.pressure_integral = mvec
+
+    @cached_property
+    def K_grad(self):
+        """Gradient stiffness (grad u, grad v), (n_velocity, n_velocity) CSR,
+        formed on first read: the eigensolver, its Rayleigh residuals, the
+        energy ledger and `korn_constant` read it; the full-space system and
+        the lifts do not.
+
+        Its einsum runs on a copy of `grad` in the (nt, nq, 6, 2) order, so
+        K_grad keeps its bits: the Stokes eigenvalues form degenerate
+        clusters, and a roundoff change of K_grad rotates the eigenvectors
+        inside them. Explicit sums over q and b, in either order, do not
+        reproduce that einsum's bits."""
+        G = np.ascontiguousarray(self.grad.transpose(0, 1, 3, 2))
+        Ks_data = np.einsum("q,c,cqlb,cqmb->clm", self.rule.weights, self.areas, G, G)
+        ns = self.n_scalar
+        Ks = self._coo(*self._scalar_pattern(), Ks_data, (ns, ns))
+        return sp.block_diag([Ks, Ks]).tocsr()
 
     def _strain_cells(self):
         """Cell matrices (nt, 12, 12) of int 2 eps(phi_i):eps(phi_j) over `cell_vdofs`."""
@@ -408,6 +440,14 @@ class MixedSpace:
         cols = np.broadcast_to(self.plane_dofs[:, None, :, None, :], data.shape)
         return sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(0, data.size + 1, 6)),
                              shape=(12 * nt, self.n_velocity))
+
+    @cached_property
+    def grad_operator_T(self):
+        """`grad_operator`'s transpose as its own CSR matrix, built on first
+        use and kept: its product is bit for bit grad_operator.T @ x (each
+        entry sums the same terms in the same order, from zero) without the
+        CSC view that the transpose makes on every call."""
+        return self.grad_operator.T.tocsr()
 
     @cached_property
     def plane_dofs(self):
@@ -605,18 +645,34 @@ class MixedSpace:
         """
         return self.pinned_saddle(A)[:, self.saddle_order][self.saddle_order]
 
+    @cached_property
+    def _saddle_position(self):
+        """The inverse of `saddle_order`: position[k] is where unknown k of
+        the natural order (interior velocities, then pressures 1..) sits in
+        a `saddle_matrix`'s order."""
+        order = self.saddle_order
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        return position
+
     def saddle_solve(self, lu, f, g=None):
         """(u, p) from the factor `lu` of a `saddle_matrix`, for momentum rows f
         (n_velocity,), whose boundary rows are not read, and divergence rows g
         over all pressure DOFs (zero when None). u is zero on the boundary and
-        p has zero mean."""
+        p has zero mean. f[I] and g[1:] are scattered into the ordered
+        right-hand side through `_saddle_position`, and u and p gathered
+        back through it."""
         I = self.interior_vdofs
-        g = np.zeros(self.n_pressure) if g is None else g
-        x = np.empty(len(self.saddle_order))
-        x[self.saddle_order] = lu.solve(np.concatenate([f[I], g[1:]])[self.saddle_order])
+        at_u, at_p = np.split(self._saddle_position, [len(I)])
+        rhs = np.zeros(len(at_u) + len(at_p))
+        rhs[at_u] = f[I]
+        if g is not None:
+            rhs[at_p] = g[1:]
+        x = lu.solve(rhs)
         u = np.zeros(self.n_velocity)
-        u[I] = x[: len(I)]
-        p = np.insert(x[len(I):], 0, 0.0)
+        u[I] = x[at_u]
+        p = np.zeros(self.n_pressure)
+        p[1:] = x[at_p]
         m = self.pressure_integral
         return u, p - (m @ p) / m.sum()
 
@@ -715,7 +771,7 @@ class MixedSpace:
         the fresh `_grad_product(u)` symmetrized in place, so
         sym_grad(eval_grads(u)) bit for bit. A strain is symmetric, so its
         [b, a] and [a, b] layouts are one table."""
-        return sym_grad(self._grad_product(u), inplace=True)
+        return sym_grad(self._grad_product(u))
 
     # -- interpolation -------------------------------------------------------------
 

@@ -49,21 +49,19 @@ class ClosureParams:
         return f"ClosureParams(nu={self.nu}, nu_tur={self.nu_tur})"
 
 
-def sym_grad(grads, inplace=False):
-    """Strain tables eps = sym grad from gradient tables (..., 2, 2), in
-    either index order; `inplace` overwrites and returns `grads`, else the
-    copy keeps the memory order of `grads`, so that the transposed view
-    `MixedSpace.eval_grads` returns is copied without a transposition.
+def sym_grad(grads):
+    """Strain tables eps = sym grad of gradient tables (..., 2, 2), in either
+    index order, written over `grads`, which is returned: a caller that
+    reads its gradients again passes a copy.
 
     Bit for bit 0.5 (G + G^T): the diagonal is kept, since 0.5 (x + x) = x
     exactly, and the off-diagonal mean is formed once, without a transposed
     sum over the strided 2x2 axes.
     """
-    eps = grads if inplace else grads.copy(order="K")
     off = 0.5 * (grads[..., 0, 1] + grads[..., 1, 0])
-    eps[..., 0, 1] = off
-    eps[..., 1, 0] = off
-    return eps
+    grads[..., 0, 1] = off
+    grads[..., 1, 0] = off
+    return grads
 
 
 def strain_norm(eps):

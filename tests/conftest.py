@@ -113,6 +113,47 @@ def convect(space, w, u, test):
     return convection_load(space, w_vals, u_vals, u_grads) @ test
 
 
+def assembly_oracle(space):
+    """The space's geometry tables and operators by the einsum formulas they
+    were first assembled with: `grad` [c, q, b, l] and `qpoints` from
+    two-operand einsums over the Jacobians, M and K_grad from the scalar
+    mass and gradient einsums, K_eps from the block formula of its cell
+    matrices on that `grad`, and B from one four-operand einsum per
+    component. The space must reproduce them bit for bit."""
+    J, invJT = space._jacobians()
+    w, a, N, P1 = space.rule.weights, space.areas, space.N, space.P1
+    G = np.einsum("cab,qlb->cqla", invJT, space.Nhat_grad)  # [c, q, l, b]
+    grad = np.ascontiguousarray(G.transpose(0, 1, 3, 2))
+    p = space.mesh.vertices[space.mesh.cells]
+    qpoints = p[:, None, 0, :] + np.einsum("cab,qb->cqa", J, space.rule.points)
+
+    def csr(rows, cols, data, shape):
+        return sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+
+    dofs, vdofs = space.cell_dofs, space.cell_vdofs
+    ns, nu, npr = space.n_scalar, space.n_velocity, space.n_pressure
+    rows, cols = np.repeat(dofs, 6, axis=1), np.tile(dofs, (1, 6))
+    Ms = csr(rows, cols, a[:, None, None] * np.einsum("q,ql,qm->lm", w, N, N)[None], (ns, ns))
+    Ks = csr(rows, cols, np.einsum("q,c,cqlb,cqmb->clm", w, a, G, G), (ns, ns))
+    wq = space.qweights[:, :, None]
+    gx, gy = grad[:, :, 0], grad[:, :, 1]
+    xx = (wq * gx).transpose(0, 2, 1) @ gx
+    yy = (wq * gy).transpose(0, 2, 1) @ gy
+    xy = (wq * gy).transpose(0, 2, 1) @ gx
+    cells = np.block([[2 * xx + yy, xy], [xy.transpose(0, 2, 1), 2 * yy + xx]])
+    prow, vcol = np.repeat(space.mesh.cells, 6, axis=1), np.tile(dofs, (1, 3))
+    Bx = np.einsum("q,c,qi,cqj->cij", w, a, P1, G[..., 0])
+    By = np.einsum("q,c,qi,cqj->cij", w, a, P1, G[..., 1])
+    return {
+        "grad": grad,
+        "qpoints": qpoints,
+        "M": sp.block_diag([Ms, Ms]).tocsr(),
+        "K_grad": sp.block_diag([Ks, Ks]).tocsr(),
+        "K_eps": csr(np.repeat(vdofs, 12, axis=1), np.tile(vdofs, (1, 12)), cells, (nu, nu)),
+        "B": (csr(prow, vcol, Bx, (npr, nu)) + csr(prow, vcol + ns, By, (npr, nu))).tocsr(),
+    }
+
+
 def grads_oracle(space, u):
     """Velocity gradients [c, q, a, b] = d u_a/d x_b by a product of `grad`'s
     rows [c, q, (b, l)] with the zero-padded block factor [c, (b', l), (a, b)]
@@ -257,7 +298,7 @@ def hg_sq(space, data):
 def lift_row_terms(space, data):
     """The save-time lift terms of one LiftData by quadrature: ||H_g||^2,
     ||H~_g||^2, ||eps(d zeta_g/dt)||^2_L2 and ||eps(d zeta_g/dt)||^{3/2}_L3."""
-    edzg = strain_norm(sym_grad(data.dzg_grads))
+    edzg = strain_norm(sym_grad(data.dzg_grads.copy()))
     return (*hg_sq(space, data), lp(space, edzg, 2) ** 2, lp(space, edzg, 3) ** 1.5)
 
 
@@ -266,7 +307,7 @@ def lift_midpoint_integrands(space, data):
     ||H_g||^2, ||H~_g||^2, ||zeta_g||^3_L3 + ||eps(zeta_g)||^3_L3,
     ||d zeta_g/dt||^2_H1 and (||d zeta_g/dt||^3_L3 + ||eps(d zeta_g/dt)||^3_L3)^(2/3)."""
     zg_mag, dzg_mag = (np.linalg.norm(v, axis=-1) for v in (data.zg_vals, data.dzg_vals))
-    ezg, edzg = (strain_norm(sym_grad(g)) for g in (data.zg_grads, data.dzg_grads))
+    ezg, edzg = (strain_norm(sym_grad(g.copy())) for g in (data.zg_grads, data.dzg_grads))
     return (
         *hg_sq(space, data),
         lp(space, zg_mag, 3) ** 3 + lp(space, ezg, 3) ** 3,

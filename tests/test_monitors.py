@@ -237,7 +237,7 @@ def _ledger_oracle(sys_, traj):
         zf = sys_.basis.expand(traj.states[i])
         z_grads = space.eval_grads(zf)
         ew = strain_norm(space.strain_samples(sys_.lifting.combine(sys_.pumps.rates(t)[0]) + zf))
-        ez = strain_norm(sym_grad(z_grads))
+        ez = strain_norm(sym_grad(z_grads.copy()))
         z_mag = np.linalg.norm(space.eval_values(zf), axis=-1)
         ew_l3 = lp(space, ew, 3)
         rows["z_l2_sq"][i] = lp(space, z_mag, 2) ** 2

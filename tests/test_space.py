@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
-from conftest import duffy_rule, grads_oracle, stress_load_oracle
+from conftest import assembly_oracle, duffy_rule, grads_oracle, stress_load_oracle
 from recirc.errors import MeshError
 from recirc.mesh import TaggedMesh, build_rect_mesh
 from recirc.space import SADDLE_LU, MixedSpace, _p2_values, nested_dissection
@@ -76,6 +76,22 @@ def test_weighted_strain_stiffness_matches_quadrature(space8):
     S = space8.weighted_strain_stiffness(weight, space8.strain_coefficients(U), zero)
     ref = _strain_pairings(space8, weight, U)
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dims", [(1.0, 1.0, 4, 4), (1.0, 1.0, 16, 16), (1.3, 0.7, 11, 7)])
+def test_assembly_bit_identical_to_the_einsum_oracle(dims):
+    # the geometry tables and B are explicit sums in the einsums' order of
+    # operations, and K_grad keeps its einsum: every table and every sparse
+    # array (data, indices, indptr) is the oracle's, bit for bit
+    space = MixedSpace(build_rect_mesh(*dims))
+    ref = assembly_oracle(space)
+    assert space.grad.flags.c_contiguous
+    for name in ("grad", "qpoints"):
+        assert np.array_equal(getattr(space, name), ref[name]), name
+    for name in ("M", "K_grad", "K_eps", "B"):
+        got = getattr(space, name)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(ref[name], part)), (name, part)
 
 
 def test_strain_cells_bit_identical_to_block_formula(space8):
@@ -151,7 +167,7 @@ def test_strain_and_stress_contractions_match_the_slow_path(dims):
         u = rng.standard_normal(space.n_velocity)
         assert np.array_equal(space.strain_samples(u), sym_grad(space.eval_grads(u)))
         S = rng.standard_normal(space.qweights.shape + (2, 2))
-        for table in (S, sym_grad(S)):
+        for table in (S, sym_grad(S.copy())):
             assert np.array_equal(space.stress_load_vector(table),
                                   _stress_load_by_transposed_copy(space, table))
 

@@ -10,6 +10,7 @@ import pytest
 from recirc import cli, config, galerkin
 from recirc.cli import main
 from recirc.config import Scenario
+from recirc.space import MixedSpace
 
 from test_config_cli import small_config
 
@@ -134,3 +135,55 @@ def test_simulate_builds_every_stage_before_it_integrates(tmp_path, monkeypatch,
     assert _run(["simulate"], path, out) == 0
     assert unbuilt == [[]]
     assert json.loads((out / "summary.json").read_text())["phases"]["setup_s"] > 0
+
+
+def _patch_k_grad(monkeypatch, body):
+    """Replace MixedSpace.K_grad's builder by body(space), still cached."""
+    prop = cached_property(body)
+    prop.__set_name__(MixedSpace, "K_grad")
+    monkeypatch.setattr(MixedSpace, "K_grad", prop)
+
+
+@pytest.mark.parametrize("argv", [["lift"], ["study", "mesh", "--levels", "4,8"]])
+def test_lift_and_study_mesh_form_no_gradient_stiffness(tmp_path, monkeypatch, argv):
+    # only the eigensolver and the ledger read K_grad
+    _patch_k_grad(monkeypatch, _refuse("K_grad"))
+    path, _ = small_config(tmp_path)
+    assert _run(argv, path, tmp_path / "out") == 0
+
+
+def test_simulate_forms_the_gradient_stiffness_once_in_the_basis_stage(tmp_path, monkeypatch,
+                                                                       scenarios):
+    # K_grad is built on first read, by the eigensolver, so its time stays
+    # in set-up; the ledger reads the same matrix
+    formed, stage = [], []
+    build = vars(MixedSpace)["K_grad"].func
+    basis = vars(Scenario)["basis"].func
+
+    def k_grad(space):
+        formed.append(list(stage))
+        return build(space)
+
+    def in_basis(self):
+        stage.append("basis")
+        try:
+            return basis(self)
+        finally:
+            stage.pop()
+
+    _patch_k_grad(monkeypatch, k_grad)
+    prop = cached_property(in_basis)
+    prop.__set_name__(Scenario, "basis")
+    monkeypatch.setattr(Scenario, "basis", prop)
+    seen = []
+    integrate = galerkin.ReducedSystem.integrate
+
+    def checked(self, *args, **kwargs):
+        seen.append(list(formed))
+        return integrate(self, *args, **kwargs)
+
+    monkeypatch.setattr(galerkin.ReducedSystem, "integrate", checked)
+    path, _ = small_config(tmp_path)
+    assert _run(["simulate"], path, tmp_path / "sim") == 0
+    assert seen == [[["basis"]]]
+    assert formed == [["basis"]]

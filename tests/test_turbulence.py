@@ -323,11 +323,17 @@ def test_params_validation():
 
 
 def test_sym_grad_bit_identical_to_transposed_mean():
-    # the diagonal is kept (0.5 (x + x) = x) and the off-diagonal mean commutes
+    # the diagonal is kept (0.5 (x + x) = x) and the off-diagonal mean
+    # commutes; the strain is written over the table passed in, so the
+    # reference is formed from the untouched G
     rng = np.random.default_rng(21)
     for shape in [(2, 2), (7, 12, 2, 2), (3, 5, 6, 2, 2)]:
         G = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
-        assert np.array_equal(sym_grad(G), 0.5 * (G + G.swapaxes(-1, -2)))
+        eps = G.copy()
+        assert sym_grad(eps) is eps
+        assert np.array_equal(eps, 0.5 * (G + G.swapaxes(-1, -2)))
+        view = G.swapaxes(-1, -2).copy().swapaxes(-1, -2)  # the layout eval_grads returns
+        assert np.array_equal(sym_grad(view), eps)
 
 
 def test_strain_norm_bit_identical_to_axis_reduction():
