@@ -137,23 +137,22 @@ def test_simulate_builds_every_stage_before_it_integrates(tmp_path, monkeypatch,
     assert json.loads((out / "summary.json").read_text())["phases"]["setup_s"] > 0
 
 
-def _patch_k_grad(monkeypatch, body):
-    """Replace MixedSpace.K_grad's builder by body(space), still cached."""
+def _patch_cached(monkeypatch, cls, name, body):
+    """Replace the builder of the cached property cls.name by body."""
     prop = cached_property(body)
-    prop.__set_name__(MixedSpace, "K_grad")
-    monkeypatch.setattr(MixedSpace, "K_grad", prop)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
 
 
 @pytest.mark.parametrize("argv", [["lift"], ["study", "mesh", "--levels", "4,8"]])
 def test_lift_and_study_mesh_form_no_gradient_stiffness(tmp_path, monkeypatch, argv):
     # only the eigensolver and the ledger read K_grad
-    _patch_k_grad(monkeypatch, _refuse("K_grad"))
+    _patch_cached(monkeypatch, MixedSpace, "K_grad", _refuse("K_grad"))
     path, _ = small_config(tmp_path)
     assert _run(argv, path, tmp_path / "out") == 0
 
 
-def test_simulate_forms_the_gradient_stiffness_once_in_the_basis_stage(tmp_path, monkeypatch,
-                                                                       scenarios):
+def test_simulate_forms_the_gradient_stiffness_once_in_the_basis_stage(tmp_path, monkeypatch):
     # K_grad is built on first read, by the eigensolver, so its time stays
     # in set-up; the ledger reads the same matrix
     formed, stage = [], []
@@ -171,10 +170,8 @@ def test_simulate_forms_the_gradient_stiffness_once_in_the_basis_stage(tmp_path,
         finally:
             stage.pop()
 
-    _patch_k_grad(monkeypatch, k_grad)
-    prop = cached_property(in_basis)
-    prop.__set_name__(Scenario, "basis")
-    monkeypatch.setattr(Scenario, "basis", prop)
+    _patch_cached(monkeypatch, MixedSpace, "K_grad", k_grad)
+    _patch_cached(monkeypatch, Scenario, "basis", in_basis)
     seen = []
     integrate = galerkin.ReducedSystem.integrate
 
