@@ -401,18 +401,19 @@ def cmd_study(args):
 
         _, iterations = fs.integrate(mms.initial_velocity(space), T=cfg.time["T"],
                                      dt=cfg.time["dt"], observer=observer)
-        return float(np.sqrt(acc["sum"])), sum(iterations)
+        return float(np.sqrt(acc["sum"])), sum(iterations), max(iterations)
 
     results = _fan_out(run, levels)
-    errs = [e for e, _ in results]
+    errs = [e for e, _, _ in results]
     rows = []
-    for i, (n, (e, iters)) in enumerate(zip(levels, results)):
+    for i, (n, (e, iters, iters_max)) in enumerate(zip(levels, results)):
         # log(e_prev / e) / log(n / n_prev): log2 of the error ratio when n doubles
         order = (float(np.log2(errs[i - 1] / e) / np.log2(n / levels[i - 1]))
                  if i else float("nan"))
-        rows.append([n, e, order, iters])
+        rows.append([n, e, order, iters, iters_max])
     _write_csv(out / "study_mesh.csv",
-               ["mesh", "l2l2_error", "observed_order", "iterations_total"], rows, h)
+               ["mesh", "l2l2_error", "observed_order", "iterations_total", "iterations_max"],
+               rows, h)
     _say(args.quiet, "study mesh:", [(r[0], f"{r[1]:.3e}") for r in rows])
     return 0
 

@@ -65,10 +65,11 @@ n_velocity) from velocity coefficients to the gradient planes d u_a/d x_b
 at the three vertices of every cell, rows 3 nt (2 a + b) + 3 c + j, built
 on first use from the vertex shape gradients that also give the strain
 table (`_vertex_grads`). With `plane_dofs`, the cell DOFs as one plane per
-component, a full-space Picard iterate's nonlinear load is the operator's
-product, one gather, GEMMs with `P1` and `N` on contiguous (., nt, nq)
-planes, the product of its cached CSR transpose `grad_operator_T` and one
-bincount: it reads none of the quadrature-point tables above.
+component, a full-space Picard iterate's field bundle and nonlinear load
+are the operator's product, one gather, GEMMs with `P1` and `N` on
+contiguous (., nt, nq) planes, the product of its cached CSR transpose
+`grad_operator_T` and one bincount: they read none of the
+quadrature-point tables above.
 
 Pinned saddle systems: `pinned_saddle(A)` couples the interior block of a
 velocity operator A with B, pressure DOF 0 pinned; `saddle_matrix(A)`

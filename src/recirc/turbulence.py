@@ -12,12 +12,13 @@ writes the stress's scalar 2 nu_tur w_q |e|, with a quadrature weight
 folded in, and `closure_tangent` the tangent's weights; neither is written
 anywhere else. `smagorinsky_load` multiplies the scalar at w_q = 1 into the
 strain tables and hands the stress to `MixedSpace.stress_load_vector`, the
-one quadrature-point stress load; the full-space nonlinear load multiplies
-it into its strain planes. The reduced closure forms `closure_scale` at
-|e| = 1 once, the weights 2 nu_tur w_q, multiplies them into its |e| and
-the result into its strain planes (e00, e01, e11), each in place and bit
-for bit the scalar's product; its implicit step reads the tangent's
-weights. For symmetric
+one quadrature-point stress load. The reduced closure and the full-space
+system each form `closure_scale` at |e| = 1 once, the weights
+2 nu_tur w_q. The reduced closure multiplies them into its |e| and the
+result into its strain planes (e00, e01, e11), each in place and bit for
+bit the scalar's product; its implicit step reads the tangent's weights.
+The full-space nonlinear load multiplies them into its |e| and the result,
+with the Picard shift's part, into its strain planes. For symmetric
 tensors |e| = (e00^2 + 2 e01^2 + e11^2)^(1/2) (`sym_norm`).
 
 Convection is assembled in the skew-symmetric form
@@ -103,8 +104,8 @@ def closure_scale(weights, mag, params):
     """The closure stress's scalar 2 nu_tur weights |e|, of which the stress
     is the product with e. At mag = 1.0 it is the weights 2 nu_tur weights
     exactly, and their product with |e| is bit for bit the scalar at |e|:
-    the reduced closure forms them once and multiplies |e| by them in
-    place."""
+    the reduced closure and the full-space system form them once and
+    multiply |e| by them."""
     return 2.0 * params.nu_tur * weights * mag
 
 

@@ -367,15 +367,17 @@ def test_cli_study_dt(tmp_path):
 
 
 def test_cli_study_mesh_iterations_column(tmp_path, monkeypatch):
-    # the appended column is each level's total of the full-space step counts
+    # the appended columns are each level's total and largest of the
+    # full-space step counts
     from recirc.fullspace import FullSpaceSystem
 
-    totals = []
+    totals, largest = [], []
     integrate = FullSpaceSystem.integrate
 
     def counted(self, *args, **kwargs):
         z, iterations = integrate(self, *args, **kwargs)
         totals.append(sum(iterations))
+        largest.append(max(iterations))
         return z, iterations
 
     monkeypatch.setattr(FullSpaceSystem, "integrate", counted)
@@ -384,9 +386,11 @@ def test_cli_study_mesh_iterations_column(tmp_path, monkeypatch):
     assert main(["study", "mesh", "--config", str(path), "--output-dir", str(out),
                  "--levels", "4,8", "--quiet"]) == 0
     lines = (out / "study_mesh.csv").read_text().splitlines()[1:]
-    assert lines[0] == "mesh,l2l2_error,observed_order,iterations_total"
+    assert lines[0] == "mesh,l2l2_error,observed_order,iterations_total,iterations_max"
     assert [int(line.split(",")[3]) for line in lines[1:]] == totals
     assert len(totals) == 2 and min(totals) >= 20  # 20 steps of at least one iteration
+    assert [int(line.split(",")[4]) for line in lines[1:]] == largest
+    assert min(largest) >= 1 and max(largest) < 60  # no step near the Picard cap
 
 
 def test_cli_study_mesh_order_on_non_doubling_levels(tmp_path):

@@ -257,7 +257,7 @@ def test_step_error_names_time_iterations_and_increments(mms, space8):
     # budget and the increment of each iteration, the last as its residual
     fs = FullSpaceSystem(space8, ClosureParams(mms.nu, mms.nu_tur), source=mms)
     z0 = fs.project_divfree(mms.initial_velocity(space8))
-    dt, shift = 1e-3, 1.5 * fs.closure_shift(z0)
+    dt, shift = 1e-3, 1.5 * fs.closure_shift(fs.state_fields(z0))
     errs = []
     for max_iter in (1, 2):
         with pytest.raises(StepError, match="t=0.001 stalled") as err:
@@ -310,14 +310,15 @@ def test_fused_nonlinear_load_matches_oracle(n, nu_tur):
             oracle = nonlinear_load_oracle(space, z, params)
             for shift in (0.0, 0.7, 25.0):
                 ref = oracle - shift * (space.K_eps @ z)
-                got = fs.nonlinear_load(z, shift)
+                got = fs.nonlinear_load(fs.state_fields(z), shift)
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_closure_shift_is_the_old_expression(n):
-    # 2 nu_tur max|e| from the strain norm alone, bit for bit twice the
-    # largest closure-tangent weight nu_tur |e|
+    # 2 nu_tur max|e| off the bundle's |e| alone, bit for bit twice the
+    # largest closure-tangent weight nu_tur |e|; that |e| against the
+    # quadrature path's strain norm to 1e-13 of its largest value
     space = MixedSpace(build_rect_mesh(1, 1, n, n))
     rng = np.random.default_rng(n)
     for nu_tur in (0.02, 0.37, 3.0):
@@ -325,8 +326,11 @@ def test_closure_shift_is_the_old_expression(n):
         fs = FullSpaceSystem(space, params)
         for scale in (1e-3, 1.0, 40.0):
             z = scale * rng.standard_normal(space.n_velocity)
-            w, _ = closure_tangent(strain_norm(space.strain_samples(z)), params)
-            assert fs.closure_shift(z) == 2.0 * float(w.max())
+            fields = fs.state_fields(z)
+            w, _ = closure_tangent(fields.mag, params)
+            assert fs.closure_shift(fields) == 2.0 * float(w.max())
+            ref = strain_norm(space.strain_samples(z))
+            assert np.abs(fields.mag - ref).max() <= 1e-13 * ref.max()
 
 
 def test_fused_load_keeps_picard_counts(mms, space8):
@@ -336,8 +340,9 @@ def test_fused_load_keeps_picard_counts(mms, space8):
     params = ClosureParams(mms.nu, mms.nu_tur)
     shifts = []
 
-    def composed(z, shift=0.0):
+    def composed(fields, shift=0.0):
         shifts.append(shift)
+        z = fields.z
         return nonlinear_load_oracle(space8, z, params) - shift * (space8.K_eps @ z)
 
     runs = []
@@ -364,7 +369,7 @@ def test_full_space_iterate_cost(mms, monkeypatch):
     space = MixedSpace(build_rect_mesh(1, 1, 8, 8))
     fs = FullSpaceSystem(space, ClosureParams(mms.nu, mms.nu_tur), source=mms)
     z0 = fs.project_divfree(mms.initial_velocity(space))
-    dt, shift = 1e-3, 1.5 * fs.closure_shift(z0)
+    dt, shift = 1e-3, 1.5 * fs.closure_shift(fs.state_fields(z0))
     z1, _ = fs.step(z0, dt, dt, shift)
 
     names = ("load", "solve", "eval_values", "eval_grads", "load_vector",
@@ -403,3 +408,47 @@ def test_full_space_iterate_cost(mms, monkeypatch):
     assert it >= 2
     assert calls == {"load": it, "solve": it, "eval_values": 0, "eval_grads": 0,
                      "load_vector": 0, "stress_load_vector": 0, "K_eps": 0}
+
+
+@pytest.mark.parametrize("nu_tur", [0.02, 0.0])
+def test_integrate_shares_each_accepted_states_fields(mms, space8, monkeypatch, nu_tur):
+    # one bundle per Picard iterate plus the initial state's: each accepted
+    # state's bundle decides the shift check and serves the next step's first
+    # load, and no strain sample of the quadrature path is formed; a step
+    # handed the bundle of z is the bare step from z, and without the closure
+    # the shift stays 0
+    calls = dict.fromkeys(("fields", "load", "strain_samples"), 0)
+    steps = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    step = FullSpaceSystem.step
+
+    def recorded(self, z, t_new, dt, shift, **kw):
+        out = step(self, z, t_new, dt, shift, **kw)
+        steps.append((z, t_new, dt, shift, kw["fields"], out))
+        return out
+
+    monkeypatch.setattr(FullSpaceSystem, "state_fields",
+                        counted("fields", FullSpaceSystem.state_fields))
+    monkeypatch.setattr(FullSpaceSystem, "nonlinear_load",
+                        counted("load", FullSpaceSystem.nonlinear_load))
+    monkeypatch.setattr(MixedSpace, "strain_samples",
+                        counted("strain_samples", MixedSpace.strain_samples))
+    monkeypatch.setattr(FullSpaceSystem, "step", recorded)
+    fs = FullSpaceSystem(space8, ClosureParams(mms.nu, nu_tur), source=mms)
+    _, iterations = fs.integrate(mms.initial_velocity(space8), T=0.005, dt=1e-3)
+    assert len(iterations) == 5 and sum(iterations) > 5
+    assert calls == {"fields": sum(iterations) + 1, "load": sum(iterations),
+                     "strain_samples": 0}
+    shifts = [shift for _, _, _, shift, _, _ in steps]
+    assert (min(shifts) > 0.0) if nu_tur else (shifts == [0.0] * 5)
+    for z, t_new, dt, shift, fields, (z_new, it) in steps:
+        assert fields.z is z and (fields.mag is None) == (nu_tur == 0)
+        for handed in (None, fs.state_fields(z)):
+            z_ref, it_ref = step(fs, z, t_new, dt, shift, fields=handed)
+            assert np.array_equal(z_ref, z_new) and it_ref == it
