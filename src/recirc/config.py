@@ -4,9 +4,11 @@ A configuration fully determines a run: tank geometry and mesh, fluid
 parameters, pump segments with profiles and schedules, source and initial
 presets, time stepping, mode count, and output policy. `validate` returns a
 RunConfig or raises ConfigError carrying one (json-path, message) pair per
-violation. `build_scenario` turns a RunConfig into a Scenario: the chain of
-mesh, pump traces, Stokes lifts, eigenbasis and reduced system as stages,
-each built on first read, so `recirc lift` solves no eigenproblem.
+violation; on pump data it records the ValueError of the rule the run calls
+(`segment_vertices`, `schedule_knots`, `check_width`). `build_scenario`
+turns a RunConfig into a Scenario: the chain of mesh, pump traces, Stokes
+lifts, eigenbasis and reduced system as stages, each built on first read,
+so `recirc lift` solves no eigenproblem.
 """
 
 import hashlib
@@ -20,9 +22,10 @@ from .errors import ConfigError
 from .eigenbasis import solve_stokes_eigen
 from .galerkin import GalerkinState, ReducedSystem, initial_state, step_count
 from .lifting import build_lifting
-from .mesh import SIDES, build_rect_mesh, tag_boundary
+from .mesh import SIDES, build_rect_mesh, segment_vertices, tag_boundary
 from .mms import ManufacturedSolution
-from .pumps import PROFILE_KINDS, Pump, PumpSet, Schedule, build_profile, build_psi
+from .pumps import (PROFILE_KINDS, Pump, PumpSet, Schedule, build_profile, build_psi,
+                    check_width, schedule_knots)
 from .space import MixedSpace
 from .turbulence import ClosureParams
 
@@ -98,7 +101,16 @@ def _check_number(issues, obj, path, key, *, positive=False, nonnegative=False,
     return v
 
 
-def _validate_segment(issues, seg, path, side_lengths):
+def _follows(issues, path, rule, *args):
+    """rule(*args), or None with its ValueError recorded at `path`."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        issues.append((path, str(exc)))
+
+
+def _validate_segment(issues, seg, path, sides):
+    """(side, k0, k1, vertex distance) of a segment on mesh vertices, or None."""
     if not isinstance(seg, dict):
         issues.append((path, "must be an object with side/start/end"))
         return None
@@ -106,15 +118,13 @@ def _validate_segment(issues, seg, path, side_lengths):
     if side not in SIDES:
         issues.append((f"{path}.side", f"must be one of {SIDES}, got {side!r}"))
         return None
-    start = _check_number(issues, seg, path, "start", nonnegative=True)
+    start = _check_number(issues, seg, path, "start")
     end = _check_number(issues, seg, path, "end")
-    if start is None or end is None:
+    if start is None or end is None or sides is None:
         return None
-    L = side_lengths[side]
-    if not (0 <= start < end <= L + 1e-12):
-        issues.append((path, f"segment [{start}, {end}] invalid on side of length {L}"))
-        return None
-    return side, float(start), float(end)
+    L, n = sides[side]
+    ks = _follows(issues, path, segment_vertices, side, start, end, L, n)
+    return None if ks is None else (side, *ks, (ks[1] - ks[0]) * L / n)
 
 
 def validate(config):
@@ -139,8 +149,8 @@ def validate(config):
 
     Lx = _check_number(issues, raw["domain"], "domain", "Lx", positive=True)
     Ly = _check_number(issues, raw["domain"], "domain", "Ly", positive=True)
-    _check_number(issues, raw["mesh"], "mesh", "nx", positive=True, integer=True)
-    _check_number(issues, raw["mesh"], "mesh", "ny", positive=True, integer=True)
+    nx = _check_number(issues, raw["mesh"], "mesh", "nx", positive=True, integer=True)
+    ny = _check_number(issues, raw["mesh"], "mesh", "ny", positive=True, integer=True)
     _check_number(issues, raw["fluid"], "fluid", "nu", positive=True)
     _check_number(issues, raw["fluid"], "fluid", "nu_tur", nonnegative=True)
     T = _check_number(issues, raw["time"], "time", "T", positive=True)
@@ -181,9 +191,9 @@ def validate(config):
     if not isinstance(pumps, list):
         issues.append(("pumps", "must be an array"))
         pumps = []
-    side_lengths = None
-    if Lx and Ly:
-        side_lengths = {"bottom": Lx, "top": Lx, "left": Ly, "right": Ly}
+    sides = None  # side -> (length, cell count)
+    if Lx and Ly and nx and ny:
+        sides = {"bottom": (Lx, nx), "top": (Lx, nx), "left": (Ly, ny), "right": (Ly, ny)}
     claimed = []
     for i, pump in enumerate(pumps):
         p = f"pumps[{i}]"
@@ -195,48 +205,31 @@ def validate(config):
             if role not in pump:
                 issues.append((f"{p}.{role}", "missing"))
                 continue
-            if side_lengths:
-                seg = _validate_segment(issues, pump[role], f"{p}.{role}", side_lengths)
-                if seg:
-                    segs.append(seg)
+            seg = _validate_segment(issues, pump[role], f"{p}.{role}", sides)
+            if seg:
+                segs.append(seg)
         for seg in segs:
-            for other in claimed:
-                if seg[0] == other[0] and seg[1] < other[2] - 1e-12 and other[1] < seg[2] - 1e-12:
-                    issues.append(
-                        (p, f"segment {seg} overlaps another pump segment {other}")
-                    )
+            for other in claimed:  # (side, first vertex, last vertex) overlaps
+                if seg[0] == other[0] and seg[1] < other[2] and other[1] < seg[2]:
+                    issues.append((p, f"segment {seg[:3]} overlaps pump segment {other[:3]}"))
             claimed.append(seg)
         prof = pump.get("profile")
         if not isinstance(prof, dict) or prof.get("kind") not in PROFILE_KINDS:
             issues.append((f"{p}.profile.kind", f"must be one of {PROFILE_KINDS}"))
         elif prof["kind"] == "mollified":
-            w = _check_number(issues, prof, f"{p}.profile", "width", positive=True)
-            if w and segs:
-                mu = min(s[2] - s[1] for s in segs)
-                if not w < mu / 2:
-                    issues.append(
-                        (f"{p}.profile.width", f"must be < mu/2 = {mu / 2}, got {w}")
-                    )
+            w = _check_number(issues, prof, f"{p}.profile", "width")
+            if w is not None:
+                mu = min((s[3] for s in segs), default=float("inf"))
+                _follows(issues, f"{p}.profile.width", check_width, w, mu)
         sched = pump.get("schedule")
-        if not isinstance(sched, list) or len(sched) < 2 or not all(
+        if not isinstance(sched, list) or not all(
             isinstance(s, list) and len(s) == 2 and all(map(_is_finite_number, s)) for s in sched
         ):
-            issues.append((f"{p}.schedule", "must be a list of [t, g] finite-number pairs (>= 2)"))
-        else:
-            ts = [s[0] for s in sched]
-            gs = [s[1] for s in sched]
-            if ts[0] != 0:
-                issues.append((f"{p}.schedule", "must start at t = 0"))
-            if gs[0] != 0:
-                issues.append((f"{p}.schedule", "g(0) must be 0"))
-            if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
-                issues.append((f"{p}.schedule", "times must be strictly increasing"))
-            if any(g < 0 for g in gs):
-                issues.append((f"{p}.schedule", "g must be nonnegative"))
-            if T and ts[-1] < T - 1e-12:
-                issues.append(
-                    (f"{p}.schedule", f"horizon {ts[-1]} does not cover T = {T}")
-                )
+            issues.append((f"{p}.schedule", "must be a list of [t, g] finite-number pairs"))
+            continue
+        knots = _follows(issues, f"{p}.schedule", schedule_knots, sched)
+        if knots is not None and T and knots[0][-1] < T - 1e-12:
+            issues.append((f"{p}.schedule", f"horizon {knots[0][-1]} does not cover T = {T}"))
 
     if issues:
         raise ConfigError(issues)

@@ -160,6 +160,19 @@ def build_rect_mesh(Lx, Ly, nx, ny):
     return TaggedMesh(Lx, Ly, vertices, cells)
 
 
+def segment_vertices(side, start, end, length, n):
+    """Indices k0 < k1 of the vertices k * (length / n) of a side of n equal
+    edges, where `build_rect_mesh` places them, within _SNAP of the ends of
+    [start, end]; ValueError if there are none. Arithmetic only, so
+    `config.validate` checks a config with it without building its mesh."""
+    ks = [round(min(max(s / length, 0.0), 1.0) * n) for s in (start, end)]
+    if ks[0] >= ks[1] or any(abs((length if k == n else k * (length / n)) - s) > _SNAP
+                             for s, k in zip((start, end), ks)):
+        raise ValueError(f"segment [{start}, {end}] on {side!r} does not run between two "
+                         f"mesh vertices k*{length}/{n}, k = 0..{n} (snap {_SNAP})")
+    return tuple(ks)
+
+
 def tag_boundary(mesh, segments):
     """Re-tag boundary segments; returns the mesh (mutated in place).
 
@@ -168,13 +181,13 @@ def tag_boundary(mesh, segments):
     segments : iterable of (side, start, end, tag)
         `side` in {"bottom","right","top","left"}; start/end are arc
         coordinates along that side (x for bottom/top, y for left/right)
-        and must coincide with mesh vertices within 1e-9. `tag` is any
-        non-"N" string; its kind is inferred from the leading character
-        ("C..." collector, "T..." injector).
+        and must pass `segment_vertices` with the side's boundary-edge
+        count. `tag` is any non-"N" string; its kind is inferred from the
+        leading character ("C..." collector, "T..." injector).
 
     Raises
     ------
-    ValueError : segment off the boundary, misaligned, badly named, or
+    ValueError : segment off the boundary or its vertices, badly named, or
         reusing a tag already placed
     ConflictError : overlapping segments
     """
@@ -189,26 +202,9 @@ def tag_boundary(mesh, segments):
             raise ValueError(
                 f"tag {tag!r} must start with 'C' (collector) or 'T' (injector)"
             )
-        L = mesh.side_length(side)
-        if not (-_SNAP <= start < end <= L + _SNAP):
-            raise ValueError(
-                f"segment [{start}, {end}] lies outside side {side!r} of length {L}"
-            )
-        covered = ((mesh.bnd_side == SIDES.index(side))
-                   & (lo >= start - _SNAP) & (hi <= end + _SNAP))
-        if not covered.any():
-            raise ValueError(f"segment [{start}, {end}] on {side!r} matches no mesh edge")
-        first, last = float(lo[covered].min()), float(hi[covered].max())
-        if abs(first - start) > _SNAP or abs(last - end) > _SNAP:
-            raise ValueError(
-                f"segment [{start}, {end}] on {side!r} does not align with mesh "
-                f"edges (closest covering span [{first}, {last}])"
-            )
-        total = mesh.bnd_length[covered].sum()
-        if abs(total - (end - start)) > _SNAP * max(1.0, L):
-            raise ValueError(
-                f"segment [{start}, {end}] on {side!r} is not contiguous in the mesh"
-            )
+        on_side = mesh.bnd_side == SIDES.index(side)
+        segment_vertices(side, start, end, mesh.side_length(side), int(on_side.sum()))
+        covered = on_side & (lo >= start - _SNAP) & (hi <= end + _SNAP)
         taken = mesh.bnd_tag[covered & (mesh.bnd_tag != WALL_TAG)]
         if len(taken):
             raise ConflictError(

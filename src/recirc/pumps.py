@@ -81,6 +81,13 @@ def _mollified_closure(mu, delta):
     return closure
 
 
+def check_width(width, mu):
+    """ValueError unless 0 < width < mu/2, so the mollified ramps leave a
+    plateau; `build_profile` and `config.validate` both call it."""
+    if width is None or not (0 < width < mu / 2):
+        raise ValueError(f"mollified profile needs 0 < width < mu/2 = {mu / 2}, got {width}")
+
+
 def build_profile(space, tag, kind="flat", width=None):
     """Build a pump profile on the segment carrying `tag`.
 
@@ -93,19 +100,14 @@ def build_profile(space, tag, kind="flat", width=None):
     on = mesh.bnd_tag == tag
     if not on.any():
         raise ValueError(f"no boundary edges carry tag {tag!r}")
-    mu = mesh.measure(tag)
-    if mu <= 0:
-        raise ValueError(f"segment {tag!r} has zero measure")
+    mu = mesh.measure(tag)  # positive: TaggedMesh has no degenerate boundary edge
     first = np.argmax(on)
     side, normal = SIDES[mesh.bnd_side[first]], mesh.bnd_normal[first]
 
     if kind == "flat":
         closure = lambda s: np.ones_like(np.asarray(s, dtype=float))
     elif kind == "mollified":
-        if width is None or not (0 < width < mu / 2):
-            raise ValueError(
-                f"mollified profile needs 0 < width < mu/2 = {mu / 2}, got {width}"
-            )
+        check_width(width, mu)
         closure = _mollified_closure(mu, width)
     else:
         raise ValueError(f"unknown profile kind {kind!r}, expected one of {PROFILE_KINDS}")
@@ -160,23 +162,30 @@ def build_psi(injector, collector, space):
     return psi
 
 
+def schedule_knots(samples):
+    """Arrays (ts, gs) of a rate schedule's [t, g] samples, for `Schedule` and
+    `config.validate`; ValueError naming every rule they break: at least two
+    samples, a start at (0, 0) (the pump compatibility condition), strictly
+    increasing times, nonnegative rates."""
+    knots = np.array(samples, dtype=float)
+    if knots.ndim != 2 or knots.shape[1] != 2 or len(knots) < 2:
+        raise ValueError("schedule needs at least two [t, g] samples")
+    ts, gs = knots.T.copy()
+    broken = [message for message, bad in (
+        ("schedule must start at t = 0", ts[0] != 0.0),
+        ("g(0) must be 0 (pump compatibility condition)", gs[0] != 0.0),
+        ("schedule times must be strictly increasing", np.any(np.diff(ts) <= 0)),
+        ("volumetric flow rates must be nonnegative", np.any(gs < 0))) if bad]
+    if broken:
+        raise ValueError("; ".join(broken))
+    return ts, gs
+
+
 class Schedule:
     """Piecewise-linear volumetric flow rate g(t) >= 0 with g(0) = 0."""
 
     def __init__(self, samples):
-        samples = [(float(t), float(g)) for t, g in samples]
-        if len(samples) < 2:
-            raise ValueError("schedule needs at least two samples")
-        ts = np.array([t for t, _ in samples])
-        gs = np.array([g for _, g in samples])
-        if ts[0] != 0.0:
-            raise ValueError("schedule must start at t = 0")
-        if gs[0] != 0.0:
-            raise ValueError("g(0) must be 0 (pump compatibility condition)")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("schedule times must be strictly increasing")
-        if np.any(gs < 0):
-            raise ValueError("volumetric flow rates must be nonnegative")
+        ts, gs = schedule_knots(samples)
         self.ts = ts
         self.gs = gs
         self.T = float(ts[-1])

@@ -117,7 +117,12 @@ NORM_KINDS = ("L2", "L3", "L4", "H1semi", "W13semi", "L2boundary")
 # past a minute and 1.7 GB against 0.35 s at 1e-3. 1e-3, the largest value
 # that kept the fill everywhere, still refuses the tiny diagonal pivots that
 # 0 would accept.
-SADDLE_LU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 1e-3,
+# The custom order stays because SuperLU's own orders fill more. On the 32x32
+# lift saddle matrix (nu K_eps) the L+U fill and factor time on one 2-core
+# Xeon were: nested dissection 1.21 M in 55-67 ms with no row swapped, COLAMD
+# on the unordered matrix 2.26 M in 116-175 ms, and MMD_AT_PLUS_A 12.6 M in
+# 2.7-3.4 s with off-diagonal pivots (180 M and 208 s at 64x64).
+SADDLE_LU ={"permc_spec": "NATURAL", "diag_pivot_thresh": 1e-3,
              "options": {"SymmetricMode": True}}
 # nested dissection stops splitting a group of at most this many unknowns
 DISSECTION_LEAF = 16

@@ -5,7 +5,11 @@ import pytest
 
 from recirc.cli import main
 from recirc.config import build_scenario, preset_path, validate
+from recirc.eigenbasis import subspace_dimension
 from recirc.errors import ConfigError
+from recirc.mesh import build_rect_mesh
+from recirc.pumps import Schedule, check_width, schedule_knots
+from recirc.space import MixedSpace
 
 
 def small_config(tmp_path, **overrides):
@@ -675,3 +679,139 @@ def test_validate_fuzz_never_raises(tmp_path, capsys):
             assert all(isinstance(e["path"], str) and e["message"] for e in out["errors"])
         codes.append(code)
     assert 2 in codes and 0 in codes
+
+
+def test_four_pumps_off_the_8x8_vertices_fails_typed(tmp_path, capsys):
+    # four_pumps' segment ends sit at sixteenths, between the vertices of an
+    # 8x8 mesh: every subcommand exits 2 with the located errors, no traceback
+    cfg = json.loads(preset_path("four_pumps").read_text())
+    cfg["mesh"] = {"nx": 8, "ny": 8}
+    path = tmp_path / "four8.json"
+    path.write_text(json.dumps(cfg))
+    expected = [f"pumps[{i}].{role}" for i in range(4) for role in ("injector", "collector")]
+    for command in ("validate", "lift", "eigen", "simulate"):
+        assert main([command, "--config", str(path), "--output-dir", str(tmp_path / "out"),
+                     "--quiet"]) == 2
+        captured = capsys.readouterr()
+        errors = json.loads(captured.out if command == "validate" else captured.err)["errors"]
+        assert [e["path"] for e in errors] == expected
+        assert all("does not run between two mesh vertices k*1.0/8" in e["message"]
+                   for e in errors)
+
+
+def test_validate_builds_nothing_mesh_sized(monkeypatch):
+    # the segment rule is arithmetic: a 10^7 x 10^7 mesh validates without a mesh
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate built a mesh")
+
+    monkeypatch.setattr("recirc.mesh.TaggedMesh.__init__", refuse)
+    monkeypatch.setattr("numpy.linspace", refuse)
+    cfg = json.loads(preset_path("four_pumps").read_text())
+    cfg["mesh"] = {"nx": 10**7, "ny": 10**7}
+    assert validate(cfg).mesh == {"nx": 10**7, "ny": 10**7}
+    cfg["pumps"][0]["injector"]["end"] = 0.1875 + 3e-8  # 0.3 of a cell off its vertex
+    with pytest.raises(ConfigError) as err:
+        validate(cfg)
+    assert [p for p, _ in err.value.issues] == ["pumps[0].injector"]
+
+
+def test_validate_reads_the_run_rules(tmp_path):
+    # validate records the ValueError messages of the rules that Schedule and
+    # build_profile raise, at the JSON path of the data that breaks them
+    path, cfg = small_config(tmp_path)
+    cfg["pumps"][0]["schedule"] = [[0.1, 1.0], [0.05, -1.0], [0.2, 0.05]]
+    cfg["pumps"][0]["profile"]["width"] = 0.125  # mu/2 of a 0.25 segment
+    with pytest.raises(ConfigError) as err:
+        validate(cfg)
+    issues = dict(err.value.issues)
+    for rule in (schedule_knots, lambda s: Schedule(s)):
+        with pytest.raises(ValueError) as raised:
+            rule(cfg["pumps"][0]["schedule"])
+        assert issues["pumps[0].schedule"] == str(raised.value)
+    assert issues["pumps[0].schedule"].count(";") == 3  # all four rules named
+    with pytest.raises(ValueError) as raised:
+        check_width(0.125, 0.25)
+    assert issues["pumps[0].profile.width"] == str(raised.value)
+
+
+def test_width_rule_reads_the_mesh_measure(tmp_path, capsys):
+    # ends snapped 5e-10 outside the vertices 1/16 and 3/16: the config spans
+    # 0.125 + 1e-9, the mesh 0.125, so a width of 0.0625 + 2e-10 breaks the
+    # rule in the run and must in validate
+    cfg = json.loads(preset_path("four_pumps").read_text())
+    cfg["pumps"] = cfg["pumps"][:1]
+    for role in ("injector", "collector"):
+        cfg["pumps"][0][role].update(start=0.0625 - 5e-10, end=0.1875 + 5e-10)
+    cfg["pumps"][0]["profile"]["width"] = 0.0625 + 2e-10
+    with pytest.raises(ConfigError) as err:
+        validate(cfg)
+    assert [p for p, _ in err.value.issues] == ["pumps[0].profile.width"]
+    cfg["pumps"][0]["profile"]["width"] = 0.0625 - 2e-10
+    scenario = build_scenario(validate(cfg))
+    assert scenario.pumps.pumps[0].injector.mu == 0.125
+
+
+def _segment(rng, side, lengths, counts):
+    """A random segment of `side` and its mesh measure: its ends on the mesh
+    vertices within the snap, or drawn uniformly on 1.1 times the side, off
+    every vertex (measure None)."""
+    L, n = lengths[side], counts[side]
+    if rng.random() < 0.8:
+        k0 = int(rng.integers(n))
+        k1 = int(rng.integers(k0 + 1, n + 1))
+        jitter = rng.choice([0.0, 5e-10, -5e-10], 2)
+        ends = [max(k * L / n + j, 0.0) for k, j in zip((k0, k1), jitter)]
+        return {"side": side, "start": ends[0], "end": ends[1]}, (k1 - k0) * L / n
+    start, end = np.sort(rng.uniform(0.0, 1.1 * L, 2)).tolist()
+    return {"side": side, "start": start, "end": end}, None
+
+
+def test_validated_configs_run_or_fail_typed(tmp_path, capsys):
+    # seeded configs on meshes up to 8^2 (random domains, segment ends on and
+    # off the mesh vertices, mode counts up to the subspace dimension): what
+    # validate accepts exits 0, 1 or 2 from lift and from eigen with no
+    # traceback, and what it rejects names exactly the offending paths
+    rng = np.random.default_rng(20261020)
+    path, base = small_config(tmp_path)
+    codes = {"validate": [], "lift": [], "eigen": []}
+    for case in range(40):
+        cfg = json.loads(json.dumps(base))
+        nx, ny = (int(n) for n in rng.integers(1, 9, 2))
+        Lx, Ly = (round(float(L), 3) for L in rng.uniform(0.5, 2.0, 2))
+        cfg["domain"], cfg["mesh"] = {"Lx": Lx, "Ly": Ly}, {"nx": nx, "ny": ny}
+        lengths = {"bottom": Lx, "top": Lx, "left": Ly, "right": Ly}
+        counts = {"bottom": nx, "top": nx, "left": ny, "right": ny}
+        sides = rng.permutation(["bottom", "right", "top", "left"]).tolist()  # no overlaps
+        cfg["pumps"], expected = [], set()
+        for i in range(int(rng.integers(1, 3))):
+            pump, on_mesh = {"schedule": base["pumps"][0]["schedule"]}, []
+            for role, side in zip(("injector", "collector"), sides[2 * i: 2 * i + 2]):
+                pump[role], mu = _segment(rng, side, lengths, counts)
+                if mu is None:
+                    expected.add(f"pumps[{i}].{role}")
+                else:
+                    on_mesh.append(mu)
+            width = float(rng.uniform(0.05, 0.55)) * min(on_mesh + [1.0])
+            pump["profile"] = {"kind": "mollified", "width": width}
+            if not width < min(on_mesh, default=np.inf) / 2:
+                expected.add(f"pumps[{i}].profile.width")
+            cfg["pumps"].append(pump)
+        # the dimension is -1 on a 1x1 mesh, where every mode count fails typed
+        cap = max(subspace_dimension(MixedSpace(build_rect_mesh(Lx, Ly, nx, ny))), 1)
+        cfg["galerkin"]["modes"] = int(rng.choice([1, cap, rng.integers(1, cap + 1)]))
+        path.write_text(json.dumps(cfg))
+        code = main(["validate", "--config", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        codes["validate"].append(code)
+        if code == 2:
+            assert {e["path"] for e in report["errors"]} == expected, (case, cfg)
+            continue
+        assert code == 0 and not expected, (case, cfg)
+        for command in ("lift", "eigen"):
+            code = main([command, "--config", str(path), "--output-dir", str(tmp_path / "out"),
+                         "--quiet"])
+            capsys.readouterr()
+            assert code in (0, 1, 2), (case, command, cfg)
+            codes[command].append(code)
+    assert {0, 2} <= set(codes["validate"]) and 0 in codes["lift"]
+    assert {0, 1} <= set(codes["eigen"])  # N = dimension fails typed

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from recirc.eigenbasis import EigenBasis, solve_stokes_eigen, subspace_dimension
 from recirc.errors import CapacityError, SolverError
@@ -163,3 +163,45 @@ def test_truncate_range(basis8):
     for n in (0, -1, basis8.size + 1):
         with pytest.raises(ValueError):
             basis8.truncate(n)
+
+
+@pytest.mark.parametrize("n, modes", [(4, 49), (4, 73), (2, 1), (2, 9)])
+def test_arpack_failure_near_capacity_retries_capped(monkeypatch, n, modes):
+    # ARPACK's default Lanczos basis fails (error -9999) from about 2/3 of the
+    # dimension up (74 at 4^2) and at every N at 2x2 (dimension 10); the
+    # retry capped at the dimension converges within criterion 06's bounds
+    calls = []
+
+    def recorded(*args, ncv=None, **kwargs):
+        calls.append(ncv)
+        return eigsh(*args, ncv=ncv, **kwargs)
+
+    monkeypatch.setattr("recirc.eigenbasis.eigsh", recorded)
+    space = MixedSpace(build_rect_mesh(1, 1, n, n))
+    cap = subspace_dimension(space)
+    basis = solve_stokes_eigen(space, modes)
+    assert calls == [None, min(max(2 * modes + 1, 20), cap)]
+    assert basis.size == modes
+    assert basis.gram_residual <= 1e-10
+    assert basis.rayleigh_residuals.max() <= 1e-8
+
+
+def test_mode_count_at_the_dimension_is_a_solver_error():
+    space = MixedSpace(build_rect_mesh(1, 1, 2, 2))
+    with pytest.raises(SolverError, match="N = 10 modes in a subspace of dimension 10"):
+        solve_stokes_eigen(space, 10)
+
+
+def test_second_arpack_failure_is_a_solver_error(monkeypatch):
+    calls = []
+
+    def failing(*args, ncv=None, **kwargs):
+        calls.append(ncv)
+        raise ArpackError(-9999)
+
+    monkeypatch.setattr("recirc.eigenbasis.eigsh", failing)
+    space = MixedSpace(build_rect_mesh(1, 1, 4, 4))
+    with pytest.raises(SolverError, match="N = 12 modes in a subspace of dimension 74, "
+                                          "also with ncv = 25"):
+        solve_stokes_eigen(space, 12)
+    assert calls == [None, 25]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from recirc.errors import ConflictError, MeshError
-from recirc.mesh import SIDES, TaggedMesh, build_rect_mesh, tag_boundary
+from recirc.mesh import SIDES, TaggedMesh, build_rect_mesh, segment_vertices, tag_boundary
 
 
 def test_single_cell_counts():
@@ -182,3 +182,23 @@ def test_snap_tolerance_accepts_near_vertex():
     m = build_rect_mesh(1, 1, 8, 8)
     tag_boundary(m, [("bottom", 0.25 + 1e-10, 0.5 - 1e-10, "T1")])
     assert abs(m.measure("T1") - 0.25) <= 1e-9
+
+
+def test_segment_vertices_is_the_mesh_rule():
+    # the arithmetic rule accepts exactly the segments between two distinct
+    # vertices of build_rect_mesh, and tag_boundary then covers their edges
+    for n in range(1, 9):
+        for L in (0.7, 1.0, 1.3):
+            m = build_rect_mesh(L, 1.0, n, 1)
+            xs = m.vertices[m.vertices[:, 1] == 0, 0]
+            for k0 in range(n):
+                for k1 in range(k0 + 1, n + 1):
+                    start, end = k0 * L / n, k1 * L / n  # not linspace's bits
+                    assert segment_vertices("bottom", start, end, L, n) == (k0, k1)
+                    tagged = tag_boundary(build_rect_mesh(L, 1.0, n, 1),
+                                          [("bottom", start, end, "T1")])
+                    assert tagged.measure("T1") == pytest.approx(xs[k1] - xs[k0], abs=1e-14)
+            for start, end in ((0.5 * L / n, L), (L, L + 0.5e-9), (-2e-9, L), (0.0, L + 2e-9),
+                               (L, 0.0)):  # off a vertex, one vertex, off the side, reversed
+                with pytest.raises(ValueError, match="does not run between two mesh vertices"):
+                    segment_vertices("bottom", start, end, L, n)
