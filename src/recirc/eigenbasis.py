@@ -129,8 +129,11 @@ class EigenBasis:
 
 
 def subspace_dimension(space):
-    """Dimension of the discretely divergence-free boundary-zero subspace."""
-    return len(space.interior_vdofs) - (space.n_pressure - 1)
+    """Dimension of the discretely divergence-free boundary-zero subspace,
+    len(I) - rank(B_I) with rank(B_I) = n_pressure - 1. On a 1x1 mesh B_I
+    has 2 columns and rank 2, so the count 2 - 3 = -1 is clamped at the
+    true dimension 0."""
+    return max(len(space.interior_vdofs) - (space.n_pressure - 1), 0)
 
 
 def solve_stokes_eigen(space, n_modes):

@@ -22,18 +22,18 @@ A Picard iterate is one field bundle, one nonlinear load and one saddle
 solve. The bundle (`state_fields`, a `FullSpaceFields`) holds a
 state's fields on contiguous (., nt, nq) planes, formed in one pass. A P2
 field's gradient is P1 on an affine cell, so the space's cached sparse
-`grad_operator` gives the gradient planes at the cell vertices, and one
-GEMM with `P1` takes them to the quadrature points; the values are one
-gather and one GEMM with `N`; the weighted body force and |e| are
-pointwise in them. Self-convection c(z; z, .) pairs with the symmetric
-stress -1/2 w_q z (x) z plus that body force, so the load adds the
-convection stress, the closure stress 2 nu_tur w_q |e| e and the shift's
--2 shift w_q e into one symmetric stress, written over the bundle's
-gradient planes, which goes back through one GEMM with `P1` and the
-operator's transpose. The step passes its shift to the load, so the
-right-hand side needs no product with K_eps: the shift's K_eps lives in the
-step factor and its lagged part in the load. The weights 1/2 w_q and
-2 nu_tur w_q are formed once per system.
+scalar map `grad_operator`, applied to each velocity component, gives the
+gradient planes at the cell vertices, and one GEMM with `P1` takes them to
+the quadrature points; the values are one gather and one GEMM with `N`;
+the weighted body force and |e| are pointwise in them. Self-convection
+c(z; z, .) pairs with the symmetric stress -1/2 w_q z (x) z plus that body
+force, so the load adds the convection stress, the closure stress
+2 nu_tur w_q |e| e and the shift's -2 shift w_q e into one symmetric
+stress, written over the bundle's gradient planes, which goes back through
+one GEMM with `P1` and the map's transpose, per component. The step
+passes its shift to the load, so the right-hand side needs no product with
+K_eps: the shift's K_eps lives in the step factor and its lagged part in
+the load. The weights 1/2 w_q and 2 nu_tur w_q are formed once per system.
 
 `integrate` forms the bundle of each accepted state once: the closure
 shift 2 nu_tur max |e| is read off it, and it serves the next step's first
@@ -121,16 +121,18 @@ class FullSpaceSystem:
 
     def state_fields(self, z):
         """The FullSpaceFields of z in one pass: the gradient planes
-        `grad_operator` D times z and one GEMM with `P1`, the values one
-        gather and one GEMM with `N`, the weighted body force
+        `grad_operator` Ds times each component of z and one GEMM with `P1`,
+        the values one gather and one GEMM with `N`, the weighted body force
         f = 1/2 w_q (grad z) z from them, then e01 in place of d z_0/d x_1
         and |e| (`sym_norm`) when the closure is on. The bundle is the
         caller's: `nonlinear_load` writes its stress into the gradient
         planes."""
         space = self.space
         nt, nq = space.qweights.shape
-        G = ((space.grad_operator @ z).reshape(4 * nt, 3) @ space.P1.T).reshape(2, 2, nt, nq)
-        u = (z[space.plane_dofs].reshape(2 * nt, 6) @ space.N.T).reshape(2, nt, nq)
+        zs = z.reshape(2, space.n_scalar)
+        G = np.concatenate([space.grad_operator @ za for za in zs])
+        G = (G.reshape(4 * nt, 3) @ space.P1.T).reshape(2, 2, nt, nq)
+        u = (zs.take(space.cell_dofs, axis=1).reshape(2 * nt, 6) @ space.N.T).reshape(2, nt, nq)
         h = u * self.half_weights
         f = G[:, 0] * h[0]
         f += G[:, 1] * h[1]
@@ -151,8 +153,8 @@ class FullSpaceSystem:
         strains exactly) add into one symmetric stress, the quadrature
         weight folded into their scalars, written over the bundle's
         gradient planes. Its planes go back through one GEMM with `P1` and
-        D^T, and the weighted body force through one GEMM with `N` and one
-        bincount. |e| is left as it was."""
+        Ds^T, and the weighted body force through one GEMM with `N` and a
+        bincount over `cell_dofs`, per component. |e| is left as it was."""
         space = self.space
         nt, nq = space.qweights.shape
         G, h, u = fields.grads, fields.half, fields.values
@@ -163,11 +165,12 @@ class FullSpaceSystem:
             G[a, b] *= scale
             G[a, b] -= h[a] * u[b]
         G[1, 0] = G[0, 1]  # planes (s00, s01, s10, s11)
-        L = space.grad_operator_T @ (G.reshape(4 * nt, nq) @ space.P1).ravel()
-        L += np.bincount(space.plane_dofs.ravel(),
-                         weights=(fields.force.reshape(2 * nt, nq) @ space.N).ravel(),
-                         minlength=space.n_velocity)
-        return L
+        S = (G.reshape(4 * nt, nq) @ space.P1).reshape(2, -1)
+        F = (fields.force.reshape(2 * nt, nq) @ space.N).reshape(2, -1)
+        dofs, ns = space.cell_dofs.ravel(), space.n_scalar
+        return np.concatenate([space.grad_operator_T @ Sa
+                               + np.bincount(dofs, weights=Fa, minlength=ns)
+                               for Sa, Fa in zip(S, F)])
 
     def residual_load(self, z, t):
         """Dual vector of F-load minus all spatial terms; the rhs oracle."""

@@ -20,8 +20,8 @@ eigensolver and its Rayleigh residuals, the energy ledger and
 `grad` and `qpoints` are explicit two-term sums over the reference axes,
 and B's cell blocks a sum over the quadrature points in order, each bit for
 bit the einsum it replaced; K_grad keeps its einsum (see `K_grad`).
-`grad_operator`, its transpose, `plane_dofs` and the saddle order are also
-built on first use.
+`grad_operator`, its transpose and the saddle order are also built on
+first use.
 
 Each cell's 12 velocity DOFs are `cell_vdofs` = [cell_dofs, n_scalar +
 cell_dofs]: the six x components, then the six y components. The cell
@@ -60,16 +60,14 @@ bincount; `load_vector(f)` is the body force's. Nothing copies `grad`.
 `strain_samples` is also the quadrature path the strain table is checked
 against.
 
-Per-cell gradient planes: `grad_operator` is the sparse map (12 nt,
-n_velocity) from velocity coefficients to the gradient planes d u_a/d x_b
-at the three vertices of every cell, rows 3 nt (2 a + b) + 3 c + j, built
-on first use from the vertex shape gradients that also give the strain
-table (`_vertex_grads`). With `plane_dofs`, the cell DOFs as one plane per
-component, a full-space Picard iterate's field bundle and nonlinear load
-are the operator's product, one gather, GEMMs with `P1` and `N` on
-contiguous (., nt, nq) planes, the product of its cached CSR transpose
-`grad_operator_T` and one bincount: they read none of the
-quadrature-point tables above.
+Per-cell gradient planes: `grad_operator` is the one sparse map Ds (6 nt,
+n_scalar) from a scalar field's coefficients to its gradient planes
+d u/d x_b at the three vertices of every cell, rows 3 nt b + 3 c + j,
+built on first use. The strain table, and a full-space Picard iterate's
+field bundle and nonlinear load, read it once per velocity component; the
+latter add a gather and a bincount over `cell_dofs`, GEMMs with `P1` and
+`N` on contiguous (., nt, nq) planes and the cached CSR transpose
+`grad_operator_T`: they read none of the quadrature-point tables above.
 
 Pinned saddle systems: `pinned_saddle(A)` couples the interior block of a
 velocity operator A with B, pressure DOF 0 pinned; `saddle_matrix(A)`
@@ -122,8 +120,8 @@ NORM_KINDS = ("L2", "L3", "L4", "H1semi", "W13semi", "L2boundary")
 # Xeon were: nested dissection 1.21 M in 55-67 ms with no row swapped, COLAMD
 # on the unordered matrix 2.26 M in 116-175 ms, and MMD_AT_PLUS_A 12.6 M in
 # 2.7-3.4 s with off-diagonal pivots (180 M and 208 s at 64x64).
-SADDLE_LU ={"permc_spec": "NATURAL", "diag_pivot_thresh": 1e-3,
-             "options": {"SymmetricMode": True}}
+SADDLE_LU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 1e-3,
+              "options": {"SymmetricMode": True}}
 # nested dissection stops splitting a group of at most this many unknowns
 DISSECTION_LEAF = 16
 QUAD_DEGREE = 6  # the cell quadrature rule's degree of exactness
@@ -424,43 +422,32 @@ class MixedSpace:
 
     # -- per-cell strain coefficients ------------------------------------------
 
-    def _vertex_grads(self):
-        """The P2 shape gradients at the cell vertices (nt, 3, 2, 6), [c, j,
-        b, l] = d phi_l / d x_b at vertex j of cell c: the rows of the strain
-        table and of the gradient operator."""
-        return np.einsum("cbd,jld->cjbl", self._jacobians()[1], _p2_grads(_P1_NODES))
-
     @cached_property
     def grad_operator(self):
-        """The sparse map D (12 nt, n_velocity) from velocity coefficients to
-        the gradient planes d u_a/d x_b at the three vertices of every cell,
-        plane-major: row 3 nt (2 a + b) + 3 c + j, 6 entries (the P2 shape
-        gradients at the vertex, `_vertex_grads`). A P2 field's gradient is
-        P1 on an affine cell, so (D u) read as (4 nt, 3) times `P1`^T is its
-        gradient at the quadrature points exactly, and a stress's planes
-        paired with `P1` go back through D^T. Built on first use and kept:
-        at 32x32 cells 147456 entries, 1.9 MB."""
+        """The sparse scalar map Ds (6 nt, n_scalar) from a scalar P2 field's
+        coefficients to its gradient planes d u/d x_b at the vertices of every
+        cell: row 3 nt b + 3 c + j holds the nonzero P2 shape gradients at
+        vertex j of cell c, in `cell_dofs` order (at most 5: the opposite
+        edge's shape function has none there). (Ds u) read as (2 nt, 3) times
+        `P1`^T is u's gradient at the quadrature points exactly; a velocity
+        reads Ds per component. The rows stay unsorted, which fixes each
+        product's order of summation: scipy's abs and sum_duplicates sort
+        them in place, so a caller copies first. Built on first use and kept:
+        at 32x32 cells 40960 entries, 0.54 MB."""
         nt = self.mesh.num_cells
-        G = self._vertex_grads().transpose(2, 0, 1, 3)  # [b, c, j, l]
-        data = np.broadcast_to(G, (2,) + G.shape)        # [a, b, c, j, l]
-        cols = np.broadcast_to(self.plane_dofs[:, None, :, None, :], data.shape)
-        return sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(0, data.size + 1, 6)),
-                             shape=(12 * nt, self.n_velocity))
+        G = np.einsum("cbd,jld->bcjl", self._jacobians()[1], _p2_grads(_P1_NODES))
+        nonzero = G != 0
+        cols = np.broadcast_to(self.cell_dofs[:, None, :], G.shape)[nonzero]
+        starts = np.concatenate([[0], np.cumsum(nonzero.reshape(-1, 6).sum(axis=1))])
+        return sp.csr_matrix((G[nonzero], cols, starts), shape=(6 * nt, self.n_scalar))
 
     @cached_property
     def grad_operator_T(self):
         """`grad_operator`'s transpose as its own CSR matrix, built on first
         use and kept: its product is bit for bit grad_operator.T @ x (each
-        entry sums the same terms in the same order, from zero) without the
-        CSC view that the transpose makes on every call."""
+        entry sums the same terms in the same order, from zero) in about half
+        the time of the CSC view that the transpose makes on every call."""
         return self.grad_operator.T.tocsr()
-
-    @cached_property
-    def plane_dofs(self):
-        """`cell_vdofs` in [a, c, l] order (2, nt, 6), contiguous: a gather
-        z[plane_dofs] holds each component's cell coefficients as one plane,
-        and a bincount over it scatters cell loads in that order."""
-        return np.ascontiguousarray(self.cell_vdofs.reshape(-1, 2, 6).transpose(1, 0, 2))
 
     def strain_coefficients(self, W):
         """The strain table (9 nt, m) of the columns of W (n_velocity, m),
@@ -473,26 +460,21 @@ class MixedSpace:
         A P2 field's gradient is P1 on an affine cell, so its strain there is
         exactly sum_j lambda_j e_j, with lambda_j the barycentric coordinates
         (the values `P1`) and e_j the vertex strains: nine numbers describe
-        eps(u) on a cell completely. The table is the sparse product of W
-        with the map from cell coefficients to vertex strains, 12 entries per
-        row (the P2 shape gradients at the vertex), whose rows are written in
-        the table's order. It is formed a column at a time straight into the
-        table, with no second table-sized array; each column is the same
-        sum, bit for bit, as in the product of all columns at once.
+        eps(u) on a cell completely. The table is formed a column at a time
+        straight into its storage: `grad_operator` applied to the column's
+        two components gives its vertex gradient planes g_ab = d u_a/d x_b,
+        e00 = g00 and e11 = g11, and e01 = 0.5 (g01 + g10), the mean that
+        `sym_grad` forms.
         """
-        nt = self.mesh.num_cells
-        G = self._vertex_grads()
-        rows = np.zeros((3, nt, 3, 12))  # [a, c, j, (x DOFs, y DOFs)]
-        rows[0, ..., :6] = G[:, :, 0]
-        rows[1, ..., :6] = 0.5 * G[:, :, 1]
-        rows[1, ..., 6:] = 0.5 * G[:, :, 0]
-        rows[2, ..., 6:] = G[:, :, 1]
-        cols = np.broadcast_to(self.cell_vdofs[None, :, None, :], rows.shape)
-        E = sp.csr_matrix((rows.ravel(), cols.ravel(), np.arange(0, rows.size + 1, 12)),
-                          shape=(9 * nt, self.n_velocity))
+        nt, ns = self.mesh.num_cells, self.n_scalar
+        n = 3 * nt
         table = np.empty((9 * nt, W.shape[1]), order="F")
-        for b in range(W.shape[1]):
-            table[:, b] = (E @ W[:, b:b + 1])[:, 0]
+        for b, col in enumerate(table.T):
+            gx = self.grad_operator @ W[:ns, b]
+            gy = self.grad_operator @ W[ns:, b]
+            col[:n] = gx[:n]
+            col[n:2 * n] = 0.5 * (gx[n:] + gy[:n])
+            col[2 * n:] = gy[n:]
         return table
 
     def strain_planes(self, s):

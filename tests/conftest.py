@@ -207,23 +207,106 @@ def closure_pairing_oracle(space, V, eps, params):
     return V.T @ stress_load_oracle(space, closure_stress_oracle(eps, params))
 
 
-def cell_major_strain_table(space, W):
-    """The strain table of the columns of W in the cell-major row order it
-    had before the plane-major one: row 9 c + 3 a + j holds plane a of
-    (e00, e01, e11) at vertex j of cell c, from the same sparse product."""
+def vertex_gradients(space):
+    """The P2 shape gradients at the cell vertices (nt, 3, 2, 6), [c, j, b, l]
+    = d phi_l/d x_b at vertex j of cell c, all six stored, zeros included."""
     from recirc.space import _P1_NODES, _p2_grads
 
+    return np.einsum("cbd,jld->cjbl", space._jacobians()[1], _p2_grads(_P1_NODES))
+
+
+def plane_dofs(space):
+    """`cell_vdofs` in [a, c, l] order (2, nt, 6): each velocity component's
+    cell DOFs as one plane."""
+    return space.cell_dofs + np.array([0, space.n_scalar])[:, None, None]
+
+
+def doubled_grad_operator(space):
+    """The gradient operator as it was before the scalar map: D (12 nt,
+    n_velocity) from velocity coefficients to the planes d u_a/d x_b, row
+    3 nt (2 a + b) + 3 c + j, 6 entries over the component's `cell_dofs`,
+    both components' rows carrying the same data."""
     nt = space.mesh.num_cells
-    G = np.einsum("cbd,jld->cjbl", space._jacobians()[1], _p2_grads(_P1_NODES))
-    rows = np.zeros((nt, 3, 3, 12))  # [c, a, j, (x DOFs, y DOFs)]
-    rows[:, 0, :, :6] = G[:, :, 0]
-    rows[:, 1, :, :6] = 0.5 * G[:, :, 1]
-    rows[:, 1, :, 6:] = 0.5 * G[:, :, 0]
-    rows[:, 2, :, 6:] = G[:, :, 1]
-    cols = np.broadcast_to(space.cell_vdofs[:, None, None, :], rows.shape)
+    G = vertex_gradients(space).transpose(2, 0, 1, 3)  # [b, c, j, l]
+    data = np.broadcast_to(G, (2,) + G.shape)          # [a, b, c, j, l]
+    cols = np.broadcast_to(plane_dofs(space)[:, None, :, None, :], data.shape)
+    return sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(0, data.size + 1, 6)),
+                         shape=(12 * nt, space.n_velocity))
+
+
+def doubled_state_fields(fs, z, D):
+    """`FullSpaceSystem.state_fields` as it was on the doubled operator D
+    (`doubled_grad_operator`): one product D z, the values gathered through
+    the cell DOFs as one plane per component."""
+    from recirc.fullspace import FullSpaceFields
+    from recirc.turbulence import sym_norm
+
+    space = fs.space
+    nt, nq = space.qweights.shape
+    G = ((D @ z).reshape(4 * nt, 3) @ space.P1.T).reshape(2, 2, nt, nq)
+    u = (z[plane_dofs(space)].reshape(2 * nt, 6) @ space.N.T).reshape(2, nt, nq)
+    h = u * fs.half_weights
+    f = G[:, 0] * h[0]
+    f += G[:, 1] * h[1]
+    G[0, 1] += G[1, 0]
+    G[0, 1] *= 0.5
+    mag = sym_norm(G[0, 0], G[0, 1], G[1, 1]) if fs.params.nu_tur > 0 else None
+    return FullSpaceFields(z, G, u, h, f, mag)
+
+
+def doubled_nonlinear_load(fs, fields, shift, D):
+    """`FullSpaceSystem.nonlinear_load` as it was on the doubled operator D:
+    one product with D's CSR transpose and one bincount over both
+    components' cell DOFs."""
+    space = fs.space
+    nt, nq = space.qweights.shape
+    G, h, u = fields.grads, fields.half, fields.values
+    scale = (-2.0 * shift) * space.qweights
+    if fields.mag is not None:
+        scale += fs.stress_weights * fields.mag
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        G[a, b] *= scale
+        G[a, b] -= h[a] * u[b]
+    G[1, 0] = G[0, 1]
+    L = D.T.tocsr() @ (G.reshape(4 * nt, nq) @ space.P1).ravel()
+    L += np.bincount(plane_dofs(space).ravel(),
+                     weights=(fields.force.reshape(2 * nt, nq) @ space.N).ravel(),
+                     minlength=space.n_velocity)
+    return L
+
+
+def twelve_entry_strain_table(space, W):
+    """The strain table as it was formed before the scalar map: the sparse
+    product of W with the operator E (9 nt, n_velocity) of 12 entries per
+    row over `cell_vdofs`, half of them stored zeros, e01's row holding
+    0.5 d phi/d x_1 on the x DOFs and 0.5 d phi/d x_0 on the y DOFs."""
+    nt = space.mesh.num_cells
+    G = vertex_gradients(space)
+    rows = np.zeros((3, nt, 3, 12))  # [a, c, j, (x DOFs, y DOFs)]
+    rows[0, ..., :6] = G[:, :, 0]
+    rows[1, ..., :6] = 0.5 * G[:, :, 1]
+    rows[1, ..., 6:] = 0.5 * G[:, :, 0]
+    rows[2, ..., 6:] = G[:, :, 1]
+    cols = np.broadcast_to(space.cell_vdofs[None, :, None, :], rows.shape)
     E = sp.csr_matrix((rows.ravel(), cols.ravel(), np.arange(0, rows.size + 1, 12)),
                       shape=(9 * nt, space.n_velocity))
     return E @ W
+
+
+def cell_major_strain_table(space, W):
+    """The strain table of the columns of W in the cell-major row order it
+    had before the plane-major one: row 9 c + 3 a + j holds plane a of
+    (e00, e01, e11) at vertex j of cell c, from its own 6-entry products of
+    the vertex gradients with each component: e00 = g00, e11 = g11 and
+    e01 = 0.5 (g01 + g10)."""
+    nt, ns = space.mesh.num_cells, space.n_scalar
+    rows = vertex_gradients(space).transpose(0, 2, 1, 3)  # [c, b, j, l]
+    cols = np.broadcast_to(space.cell_dofs[:, None, None, :], rows.shape)
+    D = sp.csr_matrix((rows.ravel(), cols.ravel(), np.arange(0, rows.size + 1, 6)),
+                      shape=(6 * nt, ns))
+    gx, gy = ((D @ Wa).reshape(nt, 2, 3, -1) for Wa in (W[:ns], W[ns:]))
+    e = np.stack([gx[:, 0], 0.5 * (gx[:, 1] + gy[:, 0]), gy[:, 1]], axis=1)
+    return e.reshape(9 * nt, -1)
 
 
 def cell_major_closure(space, coef, K, y, params):

@@ -339,6 +339,16 @@ def test_cli_eigen_artifacts(tmp_path):
     assert (out / "basis.npz").exists()
 
 
+def test_cli_eigen_on_a_1x1_mesh_is_a_capacity_error(tmp_path, capsys):
+    # the divergence-free subspace of a 1x1 mesh is {0}, so even one mode is
+    # a CapacityError (exit 1) that names dimension 0
+    path, _ = small_config(tmp_path, pumps=[], mesh={"nx": 1, "ny": 1}, galerkin={"modes": 1})
+    assert main(["eigen", "--config", str(path), "--output-dir", str(tmp_path / "eig"),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: requested 1 modes but the constrained subspace has dimension 0\n")
+
+
 def test_cli_lift_artifacts(tmp_path):
     path, _ = small_config(tmp_path)
     out = tmp_path / "lift"
@@ -796,7 +806,7 @@ def test_validated_configs_run_or_fail_typed(tmp_path, capsys):
             if not width < min(on_mesh, default=np.inf) / 2:
                 expected.add(f"pumps[{i}].profile.width")
             cfg["pumps"].append(pump)
-        # the dimension is -1 on a 1x1 mesh, where every mode count fails typed
+        # the dimension is 0 on a 1x1 mesh, where every mode count fails typed
         cap = max(subspace_dimension(MixedSpace(build_rect_mesh(Lx, Ly, nx, ny))), 1)
         cfg["galerkin"]["modes"] = int(rng.choice([1, cap, rng.integers(1, cap + 1)]))
         path.write_text(json.dumps(cfg))

@@ -140,6 +140,21 @@ def test_capacity_error():
         solve_stokes_eigen(space, 0)
 
 
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (1, 4), (2, 3),
+                                    (3, 3)])
+def test_subspace_dimension_is_the_rank_count(nx, ny):
+    # the interior velocities less the dense rank of B on them; on a 1x1 mesh
+    # B_I (4 x 2) has rank 2, not n_pressure - 1 = 3, and the subspace is {0}
+    space = MixedSpace(build_rect_mesh(1.0, 1.0, nx, ny))
+    I = space.interior_vdofs
+    rank = np.linalg.matrix_rank(space.B[:, I].toarray())
+    assert subspace_dimension(space) == len(I) - rank
+    if (nx, ny) == (1, 1):
+        assert (len(I), rank) == (2, 2)
+        with pytest.raises(CapacityError, match="dimension 0$"):
+            solve_stokes_eigen(space, 1)
+
+
 def test_save_load_roundtrip(tmp_path, basis8, space8):
     path = tmp_path / "basis.npz"
     basis8.save(path)

@@ -3,7 +3,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import nonlinear_load_oracle
+from conftest import (doubled_grad_operator, doubled_nonlinear_load, doubled_state_fields,
+                      nonlinear_load_oracle)
 from recirc import fullspace
 from recirc.errors import SolverError, StepError
 from recirc.fullspace import FullSpaceSystem
@@ -312,6 +313,28 @@ def test_fused_nonlinear_load_matches_oracle(n, nu_tur):
                 ref = oracle - shift * (space.K_eps @ z)
                 got = fs.nonlinear_load(fs.state_fields(z), shift)
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_scalar_gradient_operator_is_the_doubled_one(n):
+    # the bundle and the load through the scalar map, one velocity component
+    # at a time, bit for bit the compositions through the doubled operator
+    # (both components' rows) and its transpose, with and without the
+    # closure, with and without a shift
+    space = MixedSpace(build_rect_mesh(1, 1, n, n))
+    D = doubled_grad_operator(space)
+    rng = np.random.default_rng(n + 37)
+    for nu_tur in (0.0, 0.3):
+        fs = FullSpaceSystem(space, ClosureParams(0.05, nu_tur))
+        for scale in (1e-3, 1.0, 30.0):
+            z = scale * rng.standard_normal(space.n_velocity)
+            for shift in (0.0, 0.7):
+                got, ref = fs.state_fields(z), doubled_state_fields(fs, z, D)
+                for name in ("grads", "values", "half", "force"):
+                    assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+                assert (got.mag is None and ref.mag is None) or np.array_equal(got.mag, ref.mag)
+                assert np.array_equal(fs.nonlinear_load(got, shift),
+                                      doubled_nonlinear_load(fs, ref, shift, D))
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])

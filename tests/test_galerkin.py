@@ -4,7 +4,8 @@ from scipy.linalg import expm
 
 from conftest import (apply_A, assert_no_instance_patches, cell_major_closure,
                       cell_major_strain_stiffness, cell_major_strain_table, closure_pairing_oracle,
-                      convect, dissipation_rates, lift_data, phi_g, ramp_source)
+                      convect, dissipation_rates, lift_data, phi_g, ramp_source,
+                      twelve_entry_strain_table)
 from recirc.config import build_scenario, preset_path, validate
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import SolverError, StepError
@@ -1035,6 +1036,52 @@ def test_strain_table_rows_are_plane_major(rect15):
     old = cell_major_strain_table(space, W).reshape(nt, 3, 3, m)
     assert np.array_equal(space.strain_coefficients(W).reshape(3, nt, 3, m),
                           old.transpose(1, 0, 2, 3))
+
+
+@pytest.mark.parametrize("preset", ["four_pumps", "rect15"])
+def test_strain_table_is_the_twelve_entry_product(preset, preset16, rect15):
+    # e00 and e11 bit for bit the product with the old 12-entry operator,
+    # whose stored zeros add nothing; e01, now 0.5 (g01 + g10) rather than a
+    # sum of halved terms, within 4e-16 of the magnitude of its terms. (The
+    # terms cancel: on four_pumps the mode columns' e01 moves by up to 1.4e-15
+    # of the column's largest entry, 2.2e-16 of the table's.)
+    scn = preset16 if preset == "four_pumps" else rect15
+    space = scn.space
+    n, ns = 3 * space.mesh.num_cells, space.n_scalar
+    W = _lift_mode_columns(scn)
+    table, old = space.strain_coefficients(W), twelve_entry_strain_table(space, W)
+    assert np.array_equal(table[:n], old[:n]) and np.array_equal(table[2 * n:], old[2 * n:])
+    A = abs(space.grad_operator.copy())  # abs() sorts the indices it reads, in place
+    terms = 0.5 * ((A @ abs(W[:ns]))[n:] + (A @ abs(W[ns:]))[:n])
+    assert np.all(np.abs(table[n:2 * n] - old[n:2 * n]) <= 4e-16 * terms)
+
+
+def test_gradient_operator_is_built_once_per_space(rect15, monkeypatch):
+    # a ReducedSystem's strain table and a FullSpaceSystem's field bundle and
+    # load on one space read the one operator, built on first use, and the
+    # transpose formed from it
+    from functools import cached_property
+
+    from recirc.fullspace import FullSpaceSystem
+
+    built = []
+    make = MixedSpace.grad_operator.func
+
+    def counted(space):
+        built.append(space)
+        return make(space)
+
+    prop = cached_property(counted)
+    prop.__set_name__(MixedSpace, "grad_operator")
+    monkeypatch.setattr(MixedSpace, "grad_operator", prop)
+    scn = build_scenario(rect15.config).built()
+    space = scn.space
+    assert built == [space]
+    fs = FullSpaceSystem(space, scn.params)
+    z = np.random.default_rng(41).standard_normal(space.n_velocity)
+    fs.nonlinear_load(fs.state_fields(z))
+    assert built == [space]
+    assert space.grad_operator_T.nnz == space.grad_operator.nnz
 
 
 @pytest.mark.parametrize("preset", ["four_pumps", "rect15"])

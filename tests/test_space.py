@@ -270,6 +270,27 @@ def test_korn_constant_holds_for_fresh_batch(space8):
     assert abs(val - c_k) <= 1e-8 * c_k
 
 
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_strain_less_gradient_stiffness_is_the_div_div_form(n):
+    # on zero-trace fields 2 ||eps(v)||^2 = ||grad v||^2 + ||div v||^2, so the
+    # interior block of K_eps - K_grad is int div u div v, assembled here from
+    # the shape gradients `grad`: [c, q, (a, l)] = d phi_l/d x_a is the
+    # divergence of shape function l of component a, in `cell_vdofs` order.
+    # Off the interior block the identity needs the trace, and fails.
+    space = MixedSpace(build_rect_mesh(1.0, 1.0, n, n))
+    nt, nu = space.mesh.num_cells, space.n_velocity
+    div = space.grad.reshape(nt, -1, 12)
+    cells = np.einsum("cq,cqi,cqj->cij", space.qweights, div, div)
+    vdofs = space.cell_vdofs
+    K_div = sp.coo_matrix((cells.ravel(), (np.repeat(vdofs, 12, axis=1).ravel(),
+                                           np.tile(vdofs, (1, 12)).ravel())),
+                          shape=(nu, nu)).tocsr()
+    gap = space.K_eps - space.K_grad - K_div
+    I = space.interior_vdofs
+    assert abs(gap[I][:, I]).max() <= 1e-14 * abs(K_div).max()
+    assert abs(gap).max() >= 0.1 * abs(K_div).max()
+
+
 def test_divergence_operator_on_linear_fields(space8):
     v = space8.interpolate(lambda x, y: np.column_stack([x, -y]))
     assert np.abs(space8.B @ v).max() <= 1e-13
