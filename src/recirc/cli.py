@@ -5,7 +5,8 @@ contract. Every output file carries a header comment with the code version
 and the config hash; identical config and seed give bit-identical CSVs on
 the same platform. Exit codes: 0 success, 1 numerical failure, 2 config
 error. RECIRC_THREADS caps the fan-out of the independent runs of every
-study kind.
+study kind; unset or empty it is 1, and a value that is not a positive
+integer is a config error.
 """
 
 import argparse
@@ -89,12 +90,21 @@ def _outdir(args, cfg):
     return out
 
 
-def _fan_out(fn, items):
-    """[fn(x) for x in items], spread over RECIRC_THREADS threads."""
+def _threads():
+    """RECIRC_THREADS as a positive integer, 1 when unset or empty; any other
+    value is a ConfigError."""
+    text = os.environ.get("RECIRC_THREADS", "")
     try:
-        threads = max(1, int(os.environ.get("RECIRC_THREADS", "1")))
+        threads = int(text) if text else 1
     except ValueError:
-        threads = 1
+        threads = 0
+    if threads < 1:
+        raise ConfigError([("RECIRC_THREADS", f"expected a positive integer, got {text!r}")])
+    return threads
+
+
+def _fan_out(fn, items, threads):
+    """[fn(x) for x in items], spread over `threads` threads."""
     if threads == 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -315,6 +325,7 @@ def _parse_int_list(text, default, what):
 
 
 def cmd_study(args):
+    threads = _threads()
     cfg = _load_config(args)
     out = _outdir(args, cfg)
     h = cfg.hash()
@@ -338,7 +349,7 @@ def cmd_study(args):
             return _integrate(scenario, GalerkinState(0.0, scenario.state0.z[:n].copy()),
                               scenario.system.truncate(n))
 
-        trajs = _fan_out(run, levels)
+        trajs = _fan_out(run, levels, threads)
         rows = [
             [n, _l2l2_diff(traj_ref.times, t.states, traj_ref.states)]
             for n, t in zip(levels, trajs)
@@ -364,7 +375,7 @@ def cmd_study(args):
         dts = [cfg.time["dt"] / 2**k for k in range(halvings + 1)]
         scenario = build_scenario(cfg).built()  # before the threads read it
 
-        trajs = _fan_out(lambda dt: _integrate(scenario, dt=dt), dts)
+        trajs = _fan_out(lambda dt: _integrate(scenario, dt=dt), dts, threads)
         rows = []
         for k in range(halvings):
             coarse, fine = trajs[k], trajs[k + 1]
@@ -403,7 +414,7 @@ def cmd_study(args):
                                      dt=cfg.time["dt"], observer=observer)
         return float(np.sqrt(acc["sum"])), sum(iterations), max(iterations)
 
-    results = _fan_out(run, levels)
+    results = _fan_out(run, levels, threads)
     errs = [e for e, _, _ in results]
     rows = []
     for i, (n, (e, iters, iters_max)) in enumerate(zip(levels, results)):

@@ -68,7 +68,11 @@ class TaggedMesh:
             [c[:, [1, 2]], c[:, [2, 0]], c[:, [0, 1]]]
         )  # local edge j opposite vertex j
         pairs = np.sort(pairs, axis=1)
-        self.edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        # the key v0 nv + v1 of a sorted pair orders the pairs as the rows of
+        # np.unique(pairs, axis=0) do, in a tenth of its time
+        nv = len(self.vertices)
+        keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
+        self.edges = np.column_stack(np.divmod(keys, nv))
         nt = len(c)
         self.cell_edges = np.column_stack(
             [inverse[:nt], inverse[nt : 2 * nt], inverse[2 * nt :]]

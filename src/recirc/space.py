@@ -339,31 +339,59 @@ class MixedSpace:
     # -- assembly ------------------------------------------------------------
 
     def _coo(self, rows_l, cols_m, data, shape):
+        """CSR of COO triplets, duplicates summed by scipy's conversion
+        (`coo_tocsr`, then the `csr_sort_indices` and `csr_sum_duplicates`
+        kernels). The index tables come in `_index_dtype`, the dtype the
+        conversion keeps, so it runs on them without a copy.
+
+        No CSR pattern formed once per space is filled instead: the order in
+        which this conversion sums an entry's duplicates is the unstable
+        `std::sort` of `csr_sort_indices`, and a fill in cell order moves
+        K_eps and K_grad in their last bits, which rotates the degenerate
+        Stokes eigenpairs (see `K_grad`)."""
         return sp.coo_matrix(
             (data.ravel(), (rows_l.ravel(), cols_m.ravel())), shape=shape
         ).tocsr()
 
+    @property
+    def _index_dtype(self):
+        """The index dtype scipy gives a CSR matrix of the space: int32 below
+        2^31 unknowns, int64 above."""
+        return sp.get_index_dtype(maxval=self.n_velocity)
+
     def _scalar_pattern(self):
-        """Row and column indices (nt, 36) of the 6x6 scalar cell matrices:
-        row index slow, column index fast."""
-        dofs = self.cell_dofs
+        """Row and column indices (nt, 36) of the 6x6 scalar cell matrices,
+        row index slow, column index fast, in `_index_dtype`."""
+        dofs = self.cell_dofs.astype(self._index_dtype)
         return np.repeat(dofs, 6, axis=1), np.tile(dofs, (1, 6))
+
+    @staticmethod
+    def _doubled(S):
+        """[[S, 0], [0, S]] for a canonical CSR block S, from S's arrays: the
+        arrays, flags and index dtype of sp.block_diag([S, S]).tocsr()."""
+        nnz = np.int64(S.nnz)  # 2 nnz cannot overflow; the constructor picks the dtype
+        D = sp.csr_matrix((np.concatenate([S.data, S.data]),
+                           np.concatenate([S.indices, S.indices + S.shape[1]]),
+                           np.concatenate([S.indptr, S.indptr[1:] + nnz])),
+                          shape=(2 * S.shape[0], 2 * S.shape[1]))
+        D.has_canonical_format = S.has_canonical_format
+        return D
 
     def _assemble(self):
         w = self.rule.weights
         a = self.areas
         N, P1 = self.N, self.P1
-        dofs = self.cell_dofs
         ns, nu, npr = self.n_scalar, self.n_velocity, self.n_pressure
+        idx = self._index_dtype
+        dofs = self.cell_dofs.astype(idx)
 
         # scalar mass: same reference matrix scaled by area
         Mref = np.einsum("q,ql,qm->lm", w, N, N)
         Ms_data = a[:, None, None] * Mref[None, :, :]
-        Ms = self._coo(*self._scalar_pattern(), Ms_data, (ns, ns))
-        self.M = sp.block_diag([Ms, Ms]).tocsr()
+        self.M = self._doubled(self._coo(*self._scalar_pattern(), Ms_data, (ns, ns)))
 
         # strain stiffness 2 (eps(u), eps(v))
-        vdofs = self.cell_vdofs
+        vdofs = self.cell_vdofs.astype(idx)
         self.K_eps = self._coo(np.repeat(vdofs, 12, axis=1), np.tile(vdofs, (1, 12)),
                                self._strain_cells(), (nu, nu))
 
@@ -376,17 +404,17 @@ class MixedSpace:
             wp = (w[q] * a)[:, None] * P1[q]
             cells += wp[:, :, None, None] * self.grad[:, q, None, :, :]
         pdofs = self.mesh.cells
-        prow = np.repeat(pdofs, 6, axis=1)           # (nt, 18)
-        vcol = np.tile(dofs, (1, 3))                 # (nt, 18)
+        prow = np.repeat(pdofs.astype(idx), 6, axis=1)  # (nt, 18)
+        vcol = np.tile(dofs, (1, 3))                    # (nt, 18)
         B = self._coo(prow, vcol, cells[:, :, 0], (npr, nu)) + self._coo(
             prow, vcol + ns, cells[:, :, 1], (npr, nu)
         )
         self.B = B.tocsr()
 
-        # the zero-mean gauge vector: each vertex carries a third of its cells' area
-        mvec = np.zeros(npr)
-        np.add.at(mvec, pdofs.ravel(), np.repeat(a / 3.0, 3))
-        self.pressure_integral = mvec
+        # the zero-mean gauge vector: each vertex carries a third of its
+        # cells' area, summed in cell order
+        self.pressure_integral = np.bincount(pdofs.ravel(), weights=np.repeat(a / 3.0, 3),
+                                             minlength=npr)
 
     @cached_property
     def K_grad(self):
@@ -403,8 +431,7 @@ class MixedSpace:
         G = np.ascontiguousarray(self.grad.transpose(0, 1, 3, 2))
         Ks_data = np.einsum("q,c,cqlb,cqmb->clm", self.rule.weights, self.areas, G, G)
         ns = self.n_scalar
-        Ks = self._coo(*self._scalar_pattern(), Ks_data, (ns, ns))
-        return sp.block_diag([Ks, Ks]).tocsr()
+        return self._doubled(self._coo(*self._scalar_pattern(), Ks_data, (ns, ns)))
 
     def _strain_cells(self):
         """Cell matrices (nt, 12, 12) of int 2 eps(phi_i):eps(phi_j) over `cell_vdofs`."""

@@ -154,6 +154,30 @@ def assembly_oracle(space):
     }
 
 
+# rectangles (Lx, Ly, nx, ny) on which mesh and space set-up are checked
+# against their oracles: square, coarse to fine, and two non-square boxes
+SETUP_MESHES = [(1.0, 1.0, 1, 1), (1.0, 1.0, 4, 4), (1.0, 1.0, 16, 16), (1.0, 1.0, 32, 32),
+                (2.0, 1.0, 8, 3), (1.3, 0.7, 11, 7)]
+
+
+def edges_oracle(mesh):
+    """`edges` and `cell_edges` by the formula they were first built with:
+    np.unique over the rows of the sorted vertex pairs, local edge j of a cell
+    opposite its vertex j."""
+    c = mesh.cells
+    pairs = np.sort(np.vstack([c[:, [1, 2]], c[:, [2, 0]], c[:, [0, 1]]]), axis=1)
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    return edges, inverse.reshape(3, -1).T
+
+
+def pressure_integral_oracle(space):
+    """The zero-mean gauge vector by np.add.at: a third of each cell's area
+    added to its vertices, cell by cell."""
+    m = np.zeros(space.n_pressure)
+    np.add.at(m, space.mesh.cells.ravel(), np.repeat(space.areas / 3.0, 3))
+    return m
+
+
 def grads_oracle(space, u):
     """Velocity gradients [c, q, a, b] = d u_a/d x_b by a product of `grad`'s
     rows [c, q, (b, l)] with the zero-padded block factor [c, (b', l), (a, b)]

@@ -554,13 +554,34 @@ def test_cli_study_mesh_off_the_unit_square(tmp_path, monkeypatch, capsys, Lx, L
 def test_cli_study_independent_of_threads(tmp_path, monkeypatch, kind, extra):
     path, _ = small_config(tmp_path)
     texts = []
-    for threads in ("1", "2"):
+    for threads in ("", "1", "2"):  # an empty value counts as unset
         monkeypatch.setenv("RECIRC_THREADS", threads)
         out = tmp_path / f"t{threads}"
         assert main(["study", kind, "--config", str(path), "--output-dir", str(out),
                      *extra, "--quiet"]) == 0
         texts.append((out / f"study_{kind}.csv").read_bytes())
-    assert texts[0] == texts[1]
+    assert texts[0] == texts[1] == texts[2]
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+def test_cli_study_rejects_a_bad_thread_count(tmp_path, monkeypatch, capsys, threads):
+    # a set RECIRC_THREADS that is not a positive integer is a config error
+    # (exit 2), raised before any stage is built
+    def refused(*args, **kwargs):
+        raise AssertionError("a stage was built")
+
+    path, _ = small_config(tmp_path)
+    monkeypatch.setenv("RECIRC_THREADS", threads)
+    monkeypatch.setattr("recirc.cli.build_scenario", refused)
+    monkeypatch.setattr("recirc.cli.MixedSpace", refused)
+    out = tmp_path / "out"
+    for kind in ("dt", "modes", "mesh"):
+        assert main(["study", kind, "--config", str(path), "--output-dir", str(out),
+                     "--quiet"]) == 2
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert [e["path"] for e in errors] == ["RECIRC_THREADS"]
+        assert repr(threads) in errors[0]["message"]
+    assert not out.exists()
 
 
 def _nonfinite(value):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import SETUP_MESHES, edges_oracle
 from recirc.errors import ConflictError, MeshError
 from recirc.mesh import SIDES, TaggedMesh, build_rect_mesh, segment_vertices, tag_boundary
 
@@ -24,6 +25,17 @@ def test_rectangle_area_and_perimeter():
     p = m.vertices[m.edges[m.bnd_edge]]
     total = np.hypot(*(p[:, 1] - p[:, 0]).T).sum()
     assert abs(total - 6.0) <= 1e-12 * 6.0
+
+
+@pytest.mark.parametrize("dims", SETUP_MESHES)
+def test_edges_match_the_row_unique_oracle(dims):
+    # the edges are numbered by 1-D keys v0 nv + v1 of the sorted pairs: the
+    # same edges, order, cell map and dtypes as np.unique(pairs, axis=0)
+    m = build_rect_mesh(*dims)
+    edges, cell_edges = edges_oracle(m)
+    for got, ref in ((m.edges, edges), (m.cell_edges, cell_edges)):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("bad", [(0, 1, 2, 2), (1, -1, 2, 2), (1, 1, 0, 2), (1, 1, 2.5, 2)])

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
-from conftest import assembly_oracle, duffy_rule, grads_oracle, stress_load_oracle
+from conftest import (SETUP_MESHES, assembly_oracle, duffy_rule, grads_oracle,
+                      pressure_integral_oracle, stress_load_oracle)
 from recirc.errors import MeshError
 from recirc.mesh import TaggedMesh, build_rect_mesh
 from recirc.space import SADDLE_LU, MixedSpace, _p2_values, nested_dissection
@@ -92,6 +93,41 @@ def test_assembly_bit_identical_to_the_einsum_oracle(dims):
         got = getattr(space, name)
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(ref[name], part)), (name, part)
+        # and the index dtype and the flags, so no later scipy call sorts one
+        # and not the other
+        for part in ("indices", "indptr"):
+            assert getattr(got, part).dtype == getattr(ref[name], part).dtype, (name, part)
+        for flag in ("has_sorted_indices", "has_canonical_format"):
+            assert getattr(got, flag) == getattr(ref[name], flag), (name, flag)
+
+
+def test_space_build_makes_four_coo_conversions_and_no_block_diag(monkeypatch):
+    # M, K_eps and B's two components; K_grad's one on its first read. M and
+    # K_grad double their scalar block from its CSR arrays
+    calls = []
+    coo = MixedSpace._coo
+
+    def counted(self, *args):
+        calls.append(args[-1])
+        return coo(self, *args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("sp.block_diag called")
+
+    monkeypatch.setattr(MixedSpace, "_coo", counted)
+    monkeypatch.setattr(sp, "block_diag", refused)
+    space = MixedSpace(build_rect_mesh(1.0, 1.0, 4, 4))
+    assert len(calls) == 4
+    space.K_grad
+    space.K_grad
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("dims", SETUP_MESHES)
+def test_pressure_integral_bit_identical_to_add_at(dims):
+    # one bincount adds the cells' thirds in cell order, as np.add.at does
+    space = MixedSpace(build_rect_mesh(*dims))
+    assert np.array_equal(space.pressure_integral, pressure_integral_oracle(space))
 
 
 def test_strain_cells_bit_identical_to_block_formula(space8):

@@ -109,9 +109,9 @@ def test_study_builds_each_stage_once_before_the_threads(tmp_path, monkeypatch, 
     counts = _counting_stages(monkeypatch)
     fan_out = cli._fan_out
 
-    def checked(fn, items):
+    def checked(fn, items, threads):
         assert _unbuilt(scenarios[0]) == []
-        return fan_out(fn, items)
+        return fan_out(fn, items, threads)
 
     monkeypatch.setattr(cli, "_fan_out", checked)
     monkeypatch.setenv("RECIRC_THREADS", "2")
