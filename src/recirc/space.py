@@ -341,8 +341,9 @@ class MixedSpace:
     def _coo(self, rows_l, cols_m, data, shape):
         """CSR of COO triplets, duplicates summed by scipy's conversion
         (`coo_tocsr`, then the `csr_sort_indices` and `csr_sum_duplicates`
-        kernels). The index tables come in `_index_dtype`, the dtype the
-        conversion keeps, so it runs on them without a copy.
+        kernels). The index tables come in `_index_dtype`, int32 while the
+        space has fewer than 2^31 unknowns: the dtype the conversion keeps,
+        so it runs on them without a copy.
 
         No CSR pattern formed once per space is filled instead: the order in
         which this conversion sums an entry's duplicates is the unstable
@@ -361,7 +362,10 @@ class MixedSpace:
 
     def _scalar_pattern(self):
         """Row and column indices (nt, 36) of the 6x6 scalar cell matrices,
-        row index slow, column index fast, in `_index_dtype`."""
+        row index slow, column index fast, in `_index_dtype` (int32 below
+        2^31 unknowns), for `_coo`. They are formed again for every matrix:
+        no pattern is filled instead, which would change the order in which
+        duplicates are summed (see `_coo`)."""
         dofs = self.cell_dofs.astype(self._index_dtype)
         return np.repeat(dofs, 6, axis=1), np.tile(dofs, (1, 6))
 
