@@ -39,14 +39,24 @@ BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
-def _write_csv(path, columns, rows, cfg_hash):
-    lines = [f"# recirc {__version__} config={cfg_hash}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+def _write_csv(path, table, cfg_hash):
+    """Write `table`, a mapping from column name to a 1-D sequence, as CSV:
+    the line `# recirc <version> config=<hash>`, the header row, then one
+    row per index. A float column prints as %.17g, which reads back to the
+    same double; an integer column prints in decimal. Columns of unequal
+    length or ndim != 1 are a ValueError, any other dtype a TypeError."""
+    columns = [np.asarray(c) for c in table.values()]
+    if any(c.ndim != 1 for c in columns) or len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns {list(table)} are not 1-D of one length: "
+                         f"shapes {[c.shape for c in columns]}")
+    texts = []
+    for name, c in zip(table, columns):
+        if c.dtype.kind not in "fiu":
+            raise TypeError(f"column {name!r} is {c.dtype}, neither float nor integer")
+        texts.append([f"{x:.17g}" for x in c.tolist()] if c.dtype.kind == "f"
+                     else [str(x) for x in c.tolist()])
+    lines = [f"# recirc {__version__} config={cfg_hash}", ",".join(table),
+             *map(",".join, zip(*texts))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -114,18 +124,13 @@ def _fan_out(fn, items, threads):
 def _write_trajectory(path, traj, system, cfg_hash):
     """trajectory.csv; its last column, net_flux, is the discrete net boundary
     flux of zeta_g(t), which the lifts' traces make zero up to roundoff."""
-    n = traj.states.shape[1]
-    cols = (["t"] + [f"z{k + 1}" for k in range(n)]
-            + ["iterations", "residual", "tangents", "net_flux"])
     lift_flux = system.lifting.zetas @ system.space.flux_vector  # (K,)
-    rows = [
-        [float(traj.times[i])]
-        + [float(z) for z in traj.states[i]]
-        + [int(traj.iterations[i]), float(traj.step_residuals[i]), int(traj.tangents[i]),
-           float(lift_flux @ system.pumps.rates(traj.times[i])[0])]
-        for i in range(len(traj))
-    ]
-    _write_csv(path, cols, rows, cfg_hash)
+    _write_csv(path, {"t": traj.times,
+                      **{f"z{k + 1}": z for k, z in enumerate(traj.states.T)},
+                      "iterations": traj.iterations, "residual": traj.step_residuals,
+                      "tangents": traj.tangents,
+                      "net_flux": [lift_flux @ system.pumps.rates(t)[0] for t in traj.times]},
+               cfg_hash)
 
 
 def _integrate(scenario, state0=None, system=None, dt=None, on_step=None):
@@ -178,12 +183,7 @@ def cmd_simulate(args):
 
     led = ledger(scenario.system, traj)
     marks.append(time.perf_counter())
-    cols = ["t"] + list(led.rows.keys())
-    rows = [
-        [float(led.times[i])] + [float(led.rows[k][i]) for k in led.rows]
-        for i in range(len(led.times))
-    ]
-    _write_csv(out / "ledger.csv", cols, rows, h)
+    _write_csv(out / "ledger.csv", {"t": led.times, **led.rows}, h)
 
     every = int(cfg.output["every"])
     space = scenario.space
@@ -246,24 +246,22 @@ def cmd_lift(args):
     scenario = build_scenario(cfg)
     space, lb = scenario.space, scenario.lifting
     geometry = vtk_geometry(scenario.mesh)
-    rows = []
-    for k, pump in enumerate(scenario.pumps.pumps, 1):
-        z = lb.zetas[k - 1]
-        l2 = space.norm(z, "L2")
-        rows.append([k, float(lb.residuals[k - 1]), float(l2),
-                     float(np.sqrt(l2**2 + space.norm(z, "H1semi") ** 2)),
-                     float(space.norm(pump.psi, "L2boundary"))])
+    pumps = scenario.pumps.pumps
+    l2 = [space.norm(z, "L2") for z in lb.zetas]
+    for k, (pump, z) in enumerate(zip(pumps, lb.zetas), 1):
         write_vtk(out / f"lift_{k}.vtk", scenario.mesh,
                   point_vectors={"zeta": space.vertex_velocity(z)},
                   point_scalars={"pressure": lb.pressures[k - 1][: scenario.mesh.num_vertices]},
                   title=f"recirc {__version__} config={h} lift pump {k}", geometry=geometry)
         for role, prof in (("injector", pump.injector), ("collector", pump.collector)):
             order = np.argsort(prof.arcs)
-            _write_csv(out / f"profile_{k}_{role}.csv", ["arc_length", "value"],
-                       [[float(prof.arcs[i]), float(prof.values[i])] for i in order], h)
-    _write_csv(out / "lifting_report.csv",
-               ["pump", "residual", "zeta_l2", "zeta_h1", "psi_l2_boundary"], rows, h)
-    _say(args.quiet, f"lift: {len(rows)} pumps, report in {out}")
+            _write_csv(out / f"profile_{k}_{role}.csv",
+                       {"arc_length": prof.arcs[order], "value": prof.values[order]}, h)
+    _write_csv(out / "lifting_report.csv", {
+        "pump": np.arange(1, len(pumps) + 1), "residual": lb.residuals, "zeta_l2": l2,
+        "zeta_h1": [np.sqrt(a**2 + space.norm(z, "H1semi") ** 2) for a, z in zip(l2, lb.zetas)],
+        "psi_l2_boundary": [space.norm(pump.psi, "L2boundary") for pump in pumps]}, h)
+    _say(args.quiet, f"lift: {len(pumps)} pumps, report in {out}")
     return 0
 
 
@@ -273,11 +271,9 @@ def cmd_eigen(args):
     h = cfg.hash()
     scenario = build_scenario(cfg)
     basis = scenario.basis
-    rows = [
-        [k + 1, float(basis.eigenvalues[k]), float(basis.rayleigh_residuals[k])]
-        for k in range(basis.size)
-    ]
-    _write_csv(out / "eigenvalues.csv", ["mode", "lambda", "rayleigh_residual"], rows, h)
+    _write_csv(out / "eigenvalues.csv",
+               {"mode": np.arange(1, basis.size + 1), "lambda": basis.eigenvalues,
+                "rayleigh_residual": basis.rayleigh_residuals}, h)
     basis.save(out / "basis.npz")
     summary = {
         "config_hash": h,
@@ -318,10 +314,20 @@ def _l2l2_diff(times, states_a, states_b):
 
 
 def _parse_int_list(text, default, what):
+    """The comma list of integers given at flag `what`, or `default` when the
+    flag is not given; any text given, "" included, is parsed."""
     try:
-        return [int(x) for x in (text or default).split(",")]
+        return [int(x) for x in (default if text is None else text).split(",")]
     except ValueError:
         raise ConfigError([(what, f"expected a comma list of integers, got {text!r}")])
+
+
+def _parse_int(text, default, what):
+    """The integer given at flag `what`, or `default` when it is not given."""
+    try:
+        return int(default if text is None else text)
+    except ValueError:
+        raise ConfigError([(what, f"expected an integer, got {text!r}")])
 
 
 def cmd_study(args):
@@ -335,10 +341,7 @@ def cmd_study(args):
 
     if args.kind == "modes":
         levels = _parse_int_list(args.levels, "5,10,20,40", "--levels")
-        try:
-            n_ref = int(args.reference or 80)
-        except ValueError:
-            raise ConfigError([("--reference", f"expected an integer, got {args.reference!r}")])
+        n_ref = _parse_int(args.reference, 80, "--reference")
         bad = [n for n in levels if not 1 <= n <= n_ref]
         if bad:
             raise ConfigError([("--levels", f"mode counts {bad} not in 1..{n_ref} (--reference)")])
@@ -349,20 +352,14 @@ def cmd_study(args):
             return _integrate(scenario, GalerkinState(0.0, scenario.state0.z[:n].copy()),
                               scenario.system.truncate(n))
 
-        trajs = _fan_out(run, levels, threads)
-        rows = [
-            [n, _l2l2_diff(traj_ref.times, t.states, traj_ref.states)]
-            for n, t in zip(levels, trajs)
-        ]
-        _write_csv(out / "study_modes.csv", ["modes", "error_vs_reference"], rows, h)
-        _say(args.quiet, "study modes:", {n: f"{e:.3e}" for n, e in rows})
+        errs = [_l2l2_diff(traj_ref.times, t.states, traj_ref.states)
+                for t in _fan_out(run, levels, threads)]
+        _write_csv(out / "study_modes.csv", {"modes": levels, "error_vs_reference": errs}, h)
+        _say(args.quiet, "study modes:", {n: f"{e:.3e}" for n, e in zip(levels, errs)})
         return 0
 
     if args.kind == "dt":
-        try:
-            halvings = int(args.reference or 3)
-        except ValueError:
-            raise ConfigError([("--reference", f"expected an integer, got {args.reference!r}")])
+        halvings = _parse_int(args.reference, 3, "--reference")
         if halvings < 1:
             raise ConfigError([("--reference", f"halving count {halvings} < 1")])
         try:
@@ -376,13 +373,10 @@ def cmd_study(args):
         scenario = build_scenario(cfg).built()  # before the threads read it
 
         trajs = _fan_out(lambda dt: _integrate(scenario, dt=dt), dts, threads)
-        rows = []
-        for k in range(halvings):
-            coarse, fine = trajs[k], trajs[k + 1]
-            diff = _l2l2_diff(coarse.times, coarse.states, fine.states[::2])
-            rows.append([dts[k], diff])
-        _write_csv(out / "study_dt.csv", ["dt", "diff_to_half_dt"], rows, h)
-        _say(args.quiet, "study dt:", [(r[0], r[1]) for r in rows])
+        diffs = [_l2l2_diff(coarse.times, coarse.states, fine.states[::2])
+                 for coarse, fine in zip(trajs, trajs[1:])]
+        _write_csv(out / "study_dt.csv", {"dt": dts[:-1], "diff_to_half_dt": diffs}, h)
+        _say(args.quiet, "study dt:", list(zip(dts, diffs)))
         return 0
 
     # mesh study: manufactured-solution verification on the full space
@@ -414,18 +408,14 @@ def cmd_study(args):
                                      dt=cfg.time["dt"], observer=observer)
         return float(np.sqrt(acc["sum"])), sum(iterations), max(iterations)
 
-    results = _fan_out(run, levels, threads)
-    errs = [e for e, _, _ in results]
-    rows = []
-    for i, (n, (e, iters, iters_max)) in enumerate(zip(levels, results)):
-        # log(e_prev / e) / log(n / n_prev): log2 of the error ratio when n doubles
-        order = (float(np.log2(errs[i - 1] / e) / np.log2(n / levels[i - 1]))
-                 if i else float("nan"))
-        rows.append([n, e, order, iters, iters_max])
+    errs, iters, iters_max = zip(*_fan_out(run, levels, threads))
+    # log(e_prev / e) / log(n / n_prev): log2 of the error ratio when n doubles
+    order = [np.nan] + [np.log2(e0 / e) / np.log2(n / n0)
+                        for e0, e, n0, n in zip(errs, errs[1:], levels, levels[1:])]
     _write_csv(out / "study_mesh.csv",
-               ["mesh", "l2l2_error", "observed_order", "iterations_total", "iterations_max"],
-               rows, h)
-    _say(args.quiet, "study mesh:", [(r[0], f"{r[1]:.3e}") for r in rows])
+               {"mesh": levels, "l2l2_error": errs, "observed_order": order,
+                "iterations_total": iters, "iterations_max": iters_max}, h)
+    _say(args.quiet, "study mesh:", [(n, f"{e:.3e}") for n, e in zip(levels, errs)])
     return 0
 
 
@@ -452,13 +442,9 @@ def cmd_contract(args):
     rep_check = contraction(scenario.system, base, pair_check, w8=rep.w8)  # one base series
     holds = rep_check.bound_holds(rep.fitted_C2)
 
-    rows = [
-        [float(rep.times[i]), float(rep.diff_sq[i]), float(rep.w8[i]),
-         float(rep.cum_w8[i]), float(rep.adjusted()[i])]
-        for i in range(len(rep.times))
-    ]
     _write_csv(out / "contraction.csv",
-               ["t", "diff_l2_sq", "v1_l4_pow8", "cum_w8", "adjusted"], rows, h)
+               {"t": rep.times, "diff_l2_sq": rep.diff_sq, "v1_l4_pow8": rep.w8,
+                "cum_w8": rep.cum_w8, "adjusted": rep.adjusted()}, h)
     summary = {
         "config_hash": h,
         "fitted_C2": rep.fitted_C2,

@@ -40,7 +40,6 @@ class TaggedMesh:
     cells : (nt, 3) int array, CCW vertex triples
     edges : (ne, 2) int array of sorted vertex pairs
     cell_edges : (nt, 3) int array, edge j opposite local vertex j
-    tag_kinds : dict tag -> "C" | "T" | "N"
 
     The boundary table, one row per boundary edge:
     bnd_edge : (nb,) edge ids
@@ -58,7 +57,6 @@ class TaggedMesh:
         self.cells = cells
         self._build_edges()
         self._build_boundary()
-        self.tag_kinds = {WALL_TAG: "N"}
 
     # -- construction ------------------------------------------------------
 
@@ -217,5 +215,4 @@ def tag_boundary(mesh, segments):
         if (mesh.bnd_tag == tag).any():
             raise ValueError(f"tag {tag!r} is already placed on another segment")
         mesh.bnd_tag[covered] = tag
-        mesh.tag_kinds[tag] = kind
     return mesh

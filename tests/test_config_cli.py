@@ -1,9 +1,14 @@
 import json
+import re
+from fnmatch import fnmatch
+from itertools import takewhile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from recirc.cli import main
+from recirc import __version__
+from recirc.cli import _write_csv, main
 from recirc.config import build_scenario, preset_path, validate
 from recirc.eigenbasis import subspace_dimension
 from recirc.errors import ConfigError
@@ -174,6 +179,81 @@ def _csv_columns(path):
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     cols = lines[0].split(",")
     return {c: [float(r.split(",")[j]) for r in lines[1:]] for j, c in enumerate(cols)}
+
+
+def test_write_csv_floats_round_trip(tmp_path):
+    # %.17g reads back to the same double, sign of zero, subnormals, nan and
+    # inf included, from an array or from a list of Python floats
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200),
+                        [5e-324, -2.5e-310, np.finfo(float).tiny, 0.0, -0.0,
+                         np.nan, np.inf, -np.inf]])
+    _write_csv(tmp_path / "f.csv", {"a": x, "b": x.tolist()}, "h")
+    lines = (tmp_path / "f.csv").read_text().splitlines()
+    assert lines[1] == "a,b" and len(lines) == 2 + len(x)
+    back = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    for column in back.T:
+        assert np.array_equal(column.view(np.int64), x.view(np.int64))
+
+
+def test_write_csv_integers_in_decimal(tmp_path):
+    _write_csv(tmp_path / "i.csv", {"a": [0, -7, 2**62],
+                                     "b": np.array([3, -1, 12], dtype=np.int64)}, "h")
+    assert (tmp_path / "i.csv").read_text().splitlines()[1:] == [
+        "a,b", "0,3", "-7,-1", "4611686018427387904,12"]
+
+
+def test_write_csv_zero_rows_and_header_line(tmp_path):
+    _write_csv(tmp_path / "e.csv", {"t": [], "n": np.array([], dtype=int)}, "abc123")
+    assert (tmp_path / "e.csv").read_text() == f"# recirc {__version__} config=abc123\nt,n\n"
+
+
+@pytest.mark.parametrize("table, error", [
+    ({"a": [1.0, 2.0], "b": [1.0]}, ValueError),  # zip would drop the second row
+    ({"a": np.zeros((2, 2))}, ValueError),
+    ({"a": [1.0, 2.0], "s": ["x", "y"]}, TypeError),
+    ({"o": np.array([1.0, None], dtype=object)}, TypeError),
+])
+def test_write_csv_rejects_a_bad_column(tmp_path, table, error):
+    with pytest.raises(error):
+        _write_csv(tmp_path / "bad.csv", table, "h")
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def _readme_csv_table():
+    """{file pattern: columns} from the README's table of output files; a
+    <name> in a file name is a wildcard."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text.split("| file | command | columns |\n", 1)[1].splitlines()[1:]
+    table = {}
+    for row in takewhile(lambda line: line.startswith("|"), rows):
+        files, _, columns = (cell.strip() for cell in row.strip("|").split("|"))
+        for name in re.findall(r"`([^`]+)`", files):
+            table[re.sub(r"<\w+>", "*", name)] = columns.strip("`").split(",")
+    return table
+
+
+def test_readme_table_lists_every_csv_header(tmp_path):
+    # every CSV each command writes has the header the README's table lists
+    # for it, z1..zN read as the config's modes, and rows of that many fields
+    path, cfg = small_config(tmp_path, time={"T": 0.02, "dt": 0.01, "scheme": "implicit-euler"})
+    modes = [f"z{k}" for k in range(1, cfg["galerkin"]["modes"] + 1)]
+    table = _readme_csv_table()
+    seen = set()
+    for argv in (["simulate"], ["contract"], ["lift"], ["eigen"],
+                 ["study", "dt", "--reference", "2"],
+                 ["study", "modes", "--levels", "2,4", "--reference", "6"],
+                 ["study", "mesh", "--levels", "4"]):
+        out = tmp_path / "-".join(argv[:2])
+        assert main([*argv, "--config", str(path), "--output-dir", str(out), "--quiet"]) == 0
+        for csv in out.glob("*.csv"):
+            (pattern,) = [p for p in table if fnmatch(csv.name, p)]
+            seen.add(pattern)
+            columns = [c for col in table[pattern] for c in (modes if col == "z1..zN" else [col])]
+            lines = csv.read_text().splitlines()
+            assert lines[0].startswith("# recirc ") and lines[1].split(",") == columns, csv.name
+            assert all(len(line.split(",")) == len(columns) for line in lines[2:]), csv.name
+    assert set(table) - seen == {"trajectory_partial.csv"}  # written by a failed step only
 
 
 def test_trajectory_net_flux_is_roundoff(preset16, tmp_path):
@@ -504,6 +584,9 @@ def test_cli_study_modes_level_above_reference(tmp_path):
     ("dt", "zero", ["--levels", "4"]),  # study dt reads no levels
     ("mesh", "manufactured", ["--levels", "8,8"]),  # the order would be 0 / 0
     ("mesh", "manufactured", ["--levels", "16,8,16"]),  # a repeated mesh size
+    ("mesh", "manufactured", ["--levels", ""]),  # an empty value is given, not the default
+    ("modes", "zero", ["--reference", ""]),
+    ("dt", "zero", ["--reference", ""]),
 ])
 def test_cli_study_size_that_builds_nothing(tmp_path, monkeypatch, capsys, kind, preset, extra):
     # a study size that builds nothing, a flag the study kind does not read,

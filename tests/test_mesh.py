@@ -129,10 +129,11 @@ def test_degenerate_boundary_edge_rejected():
 
 
 def kind_measures(m):
-    """Total boundary measure of each tag kind ("C", "T", "N")."""
+    """Total boundary measure of each tag kind ("C", "T", "N"), the kind
+    being the tag's first character, as `tag_boundary` reads it."""
     kinds = {"C": 0.0, "T": 0.0, "N": 0.0}
-    for tag, kind in m.tag_kinds.items():
-        kinds[kind] += m.bnd_length[m.bnd_tag == tag].sum()
+    for tag in np.unique(m.bnd_tag):
+        kinds[tag[0].upper()] += m.bnd_length[m.bnd_tag == tag].sum()
     return kinds
 
 
