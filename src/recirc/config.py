@@ -11,6 +11,7 @@ lifts, eigenbasis and reduced system as stages, each built on first read,
 so `recirc lift` solves no eigenproblem.
 """
 
+import copy
 import hashlib
 import json
 from functools import cached_property
@@ -139,7 +140,7 @@ def validate(config):
             raise ConfigError([("", f"config is not well-formed JSON: {exc}")])
     if not isinstance(config, dict):
         raise ConfigError([("", "config root must be a JSON object")])
-    raw = {**_DEFAULTS, **config}
+    raw = copy.deepcopy({**_DEFAULTS, **config})  # shares no object with the caller or _DEFAULTS
     issues = []
 
     for section in ("domain", "mesh", "fluid", "time", "galerkin"):

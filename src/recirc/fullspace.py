@@ -20,20 +20,18 @@ two axpys on them.
 
 A Picard iterate is one field bundle, one nonlinear load and one saddle
 solve. The bundle (`state_fields`, a `FullSpaceFields`) holds a
-state's fields on contiguous (., nt, nq) planes, formed in one pass. A P2
-field's gradient is P1 on an affine cell, so the space's cached sparse
-scalar map `grad_operator`, applied to each velocity component, gives the
-gradient planes at the cell vertices, and one GEMM with `P1` takes them to
-the quadrature points; the values are one gather and one GEMM with `N`;
-the weighted body force and |e| are pointwise in them. Self-convection
-c(z; z, .) pairs with the symmetric stress -1/2 w_q z (x) z plus that body
-force, so the load adds the convection stress, the closure stress
-2 nu_tur w_q |e| e and the shift's -2 shift w_q e into one symmetric
-stress, written over the bundle's gradient planes, which goes back through
-one GEMM with `P1` and the map's transpose, per component. The step
-passes its shift to the load, so the right-hand side needs no product with
-K_eps: the shift's K_eps lives in the step factor and its lagged part in
-the load. The weights 1/2 w_q and 2 nu_tur w_q are formed once per system.
+state's fields on contiguous (., nt, nq) planes, formed in one pass: the
+space's plane kernels give the gradient planes (`MixedSpace.grad_planes`)
+and the values (`value_planes`), and the weighted body force and |e| are
+pointwise in them. Self-convection c(z; z, .) pairs with the symmetric
+stress -1/2 w_q z (x) z plus that body force, so the load adds the
+convection stress, the closure stress 2 nu_tur w_q |e| e and the shift's
+-2 shift w_q e into one symmetric stress, written over the bundle's
+gradient planes, which goes back through `grad_load`, and the body force
+through `value_load`. The system reads nothing of the space's reference
+element or DOF maps. The step passes its shift to the load, so the
+right-hand side needs no product with K_eps: the shift's K_eps lives in
+the step factor and its lagged part in the load. The weights 1/2 w_q and 2 nu_tur w_q are formed once per system.
 
 `integrate` forms the bundle of each accepted state once: the closure
 shift 2 nu_tur max |e| is read off it, and it serves the next step's first
@@ -120,19 +118,13 @@ class FullSpaceSystem:
         return self.source.combine(self.source.part_loads(self.space), t)
 
     def state_fields(self, z):
-        """The FullSpaceFields of z in one pass: the gradient planes
-        `grad_operator` Ds times each component of z and one GEMM with `P1`,
-        the values one gather and one GEMM with `N`, the weighted body force
-        f = 1/2 w_q (grad z) z from them, then e01 in place of d z_0/d x_1
-        and |e| (`sym_norm`) when the closure is on. The bundle is the
-        caller's: `nonlinear_load` writes its stress into the gradient
-        planes."""
-        space = self.space
-        nt, nq = space.qweights.shape
-        zs = z.reshape(2, space.n_scalar)
-        G = np.concatenate([space.grad_operator @ za for za in zs])
-        G = (G.reshape(4 * nt, 3) @ space.P1.T).reshape(2, 2, nt, nq)
-        u = (zs.take(space.cell_dofs, axis=1).reshape(2 * nt, 6) @ space.N.T).reshape(2, nt, nq)
+        """The FullSpaceFields of z in one pass: the space's gradient planes
+        (`grad_planes`) and value planes (`value_planes`) of z, the weighted
+        body force f = 1/2 w_q (grad z) z from them, then e01 in place of
+        d z_0/d x_1 and |e| (`sym_norm`) when the closure is on. The bundle
+        is the caller's: `nonlinear_load` writes its stress into the
+        gradient planes."""
+        G, u = self.space.grad_planes(z), self.space.value_planes(z)
         h = u * self.half_weights
         f = G[:, 0] * h[0]
         f += G[:, 1] * h[1]
@@ -152,11 +144,10 @@ class FullSpaceSystem:
         pairs 2 e with eps(eta), and the rule integrates that product of P1
         strains exactly) add into one symmetric stress, the quadrature
         weight folded into their scalars, written over the bundle's
-        gradient planes. Its planes go back through one GEMM with `P1` and
-        Ds^T, and the weighted body force through one GEMM with `N` and a
-        bincount over `cell_dofs`, per component. |e| is left as it was."""
+        gradient planes. Its planes go back through the space's
+        `grad_load`, and the weighted body force through its `value_load`.
+        |e| is left as it was."""
         space = self.space
-        nt, nq = space.qweights.shape
         G, h, u = fields.grads, fields.half, fields.values
         scale = (-2.0 * shift) * space.qweights
         if fields.mag is not None:
@@ -165,12 +156,7 @@ class FullSpaceSystem:
             G[a, b] *= scale
             G[a, b] -= h[a] * u[b]
         G[1, 0] = G[0, 1]  # planes (s00, s01, s10, s11)
-        S = (G.reshape(4 * nt, nq) @ space.P1).reshape(2, -1)
-        F = (fields.force.reshape(2 * nt, nq) @ space.N).reshape(2, -1)
-        dofs, ns = space.cell_dofs.ravel(), space.n_scalar
-        return np.concatenate([space.grad_operator_T @ Sa
-                               + np.bincount(dofs, weights=Fa, minlength=ns)
-                               for Sa, Fa in zip(S, F)])
+        return space.grad_load(G) + space.value_load(fields.force)
 
     def residual_load(self, z, t):
         """Dual vector of F-load minus all spatial terms; the rhs oracle."""

@@ -35,7 +35,7 @@ described completely by the planes (e00, e01, e11) at the 3 vertices of
 every cell: the strain table (`MixedSpace.strain_coefficients`,
 (9 nt, K + N), 0.9 MB at 16x16 cells with N = 20 and 6.5 MB at 32x32 with
 N = 40, plane-major rows 3 nt a + 3 c + j), formed through the vertex-
-gradient map the full-space oracle reads (`MixedSpace.grad_operator`) and
+gradient map of the space's plane kernels (`MixedSpace.grad_operator`) and
 checked against the strain samples of W 1 once per basis. It is stored
 column-contiguous (Fortran order): each column's 9 nt coefficients are
 contiguous, so both products with it run BLAS's long-column GEMV kernels,

@@ -31,8 +31,8 @@ The tests check these closed forms against a symbolic derivation.
 `velocity` and `forcing` evaluate them at any (x, y, t). Only this module
 turns the forcing into numbers on a space: one cache per space holds the
 parts at the quadrature points (`parts_table`), their three load vectors
-(`part_loads`) and the vhat table of `velocity_error`, each formed on first
-use, and `combine` evaluates F0 + a (F1 + a F2) on any stack of the parts.
+(`part_loads`) and the vhat planes (2, nt, nq) that `velocity_error`
+compares with the space's value planes, each formed on first use, and `combine` evaluates F0 + a (F1 + a F2) on any stack of the parts.
 The full-space step reads the loads, the reduced system their modal
 projections and the energy ledger the parts table. A subclass with its own
 `forcing_parts` is a source too.
@@ -155,8 +155,9 @@ class ManufacturedSolution:
 
     def velocity_error(self, space, z, t):
         """L2 distance between a discrete field and the exact velocity
-        a(t) vhat at t; vhat is tabulated at the quadrature points once per
-        space."""
-        vhat = self._table(space, "vhat", lambda: space.sample(self._vhat))
-        diff = space.eval_values(z) - self.time_factor(t) * vhat
-        return np.sqrt(space.integrate((diff * diff).sum(axis=-1)))
+        a(t) vhat at t, on the value planes of z; vhat is tabulated at the
+        quadrature points as planes (2, nt, nq) once per space."""
+        vhat = self._table(space, "vhat",
+                           lambda: np.moveaxis(space.sample(self._vhat), -1, 0).copy())
+        diff = space.value_planes(z) - self.time_factor(t) * vhat
+        return np.sqrt(space.integrate((diff * diff).sum(axis=0)))

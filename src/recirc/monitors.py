@@ -29,10 +29,10 @@ Only the L3 terms read quadrature-point tables. Every strain comes from
 the system's strain table (`ReducedSystem.strain_coef`), the one the
 steppers read: at a save time the ledger reads |eps(w)| from
 `ReducedSystem.state_fields`, the bundle the steppers form, |eps(z)| from
-the table's mode columns times z, and |z| from one value table of the
-expanded state. The table is column-contiguous, so its mode and lift
+the table's mode columns times z, and |z| from the value planes of the
+expanded state (`MixedSpace.value_planes`). The table is column-contiguous, so its mode and lift
 columns are contiguous views and each product with them is one GEMV.
-The lift's L3 terms read one value table of
+The lift's L3 terms read the value planes of
 `LiftingBasis.combine(r)` and the table's lift columns times r per distinct
 rate vector r, keyed by its exact bytes: g at the midpoints for zeta_g,
 gdot at the save times and the midpoints for its rate. A source enters through G alone, so nothing is keyed
@@ -166,9 +166,9 @@ def _cube(space, mag):
 
 def _cubes(space, u, s):
     """(int |u|^3, int |eps(u)|^3) of a velocity field u with strain
-    coefficients s, from one value table and the planes of s."""
-    vals = space.eval_values(u)
-    return (_cube(space, np.sqrt(vals[..., 0] ** 2 + vals[..., 1] ** 2)),
+    coefficients s, from its value planes and the strain planes of s."""
+    v = space.value_planes(u)
+    return (_cube(space, np.sqrt(v[0] ** 2 + v[1] ** 2)),
             _cube(space, sym_norm(*space.strain_planes(s))))
 
 
@@ -197,15 +197,14 @@ def _hg_gram(system):
     fields, index K q + p.
 
     The fields are formed a block at a time, the parts, the lifts, and the
-    K fields of each q, as component planes (m, 2, nt, nq), and each pair of
-    blocks gives one block of G. A convection block is formed again for
-    every block it is paired with, so at most two are held at once, never
-    all K^2 fields.
+    K fields of each q, as component planes (m, 2, nt, nq) (the lifts'
+    from `MixedSpace.value_planes`), and each pair of blocks gives one
+    block of G. A convection block is formed again for every block it is
+    paired with, so at most two are held at once, never all K^2 fields.
     """
     space, zetas = system.space, system.lifting.zetas
     K = len(zetas)
-    vals = np.reshape([np.moveaxis(space.eval_values(z), -1, 0) for z in zetas],
-                      (K, 2) + space.qweights.shape)
+    vals = np.reshape([space.value_planes(z) for z in zetas], (K, 2) + space.qweights.shape)
     parts = (vals[:0] if system.source is None
              else np.moveaxis(system.source.parts_table(space), -1, 1))
 

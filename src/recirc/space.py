@@ -47,27 +47,38 @@ rank_one)` is the closure's tangent on such a table: its pointwise form in
 (e00, e01, e11), one GEMM with the products lambda_j lambda_k into
 (nt, 9, 9) cell matrices, and coef^T (A coef) on a cell-major copy of coef.
 
-Quadrature-point fields and loads read the physical gradient table `grad`
-as rows [c, (q, b), l] = d phi_l/d x_b. A field's gradient is one batched
-product of those rows with the cell coefficients u[cell_vdofs_la], in
-[cell, shape function, component] order: [c, q, b, a] = d u_a/d x_b.
-`strain_samples(u)` symmetrizes it in place, and `eval_grads(u)` is its
-transposed view, [c, q, a, b]. `stress_load_vector(S)`, the one
-quadrature-point stress load, contracts a stress table in [c, q, b, a]
-layout, derivative index first: one batched product of the same rows, read
-transposed, with qweights * S, scattered over `cell_vdofs_la` in one
-bincount; `load_vector(f)` is the body force's. Nothing copies `grad`.
-`strain_samples` is also the quadrature path the strain table is checked
-against.
+Quadrature: one fixed rule per cell, the symmetric 12-point rule exact to
+degree 6 (`TRI_POINTS`, `TRI_WEIGHTS`), and one per boundary edge, the
+4-point Gauss-Legendre rule on [0, 1] exact to degree 7 (`EDGE_POINTS`,
+`EDGE_WEIGHTS`); the weights of each sum to 1. This module is the only one
+that reads the reference element (`N`, `P1`, `P1_pairs`, `Nhat_grad`), the
+cell DOF maps and the gradient tables; every other module evaluates fields
+and assembles loads through the kernels below.
 
-Per-cell gradient planes: `grad_operator` is the one sparse map Ds (6 nt,
-n_scalar) from a scalar field's coefficients to its gradient planes
-d u/d x_b at the three vertices of every cell, rows 3 nt b + 3 c + j,
-built on first use. The strain table, and a full-space Picard iterate's
-field bundle and nonlinear load, read it once per velocity component; the
-latter add a gather and a bincount over `cell_dofs`, GEMMs with `P1` and
-`N` on contiguous (., nt, nq) planes and the cached CSR transpose
-`grad_operator_T`: they read none of the quadrature-point tables above.
+Plane kernels, on contiguous (., nt, nq) planes: `value_planes(u)` (2, nt,
+nq) is a gather over `cell_dofs` and one GEMM with `N`, and `value_load(F)`
+its transpose, one GEMM with `N` and one bincount per component;
+`eval_values(u)` is the transposed view of the first and `load_vector(f)`
+the second on the weighted planes. `grad_planes(u)` (2, 2, nt, nq) applies
+`grad_operator` Ds to each component, and one GEMM with `P1` takes the
+vertex planes to the quadrature points; `grad_load(S)` is its transpose,
+one GEMM with `P1` and the cached CSR transpose `grad_operator_T` per
+component. Ds (6 nt, n_scalar), built on first use, maps a scalar field's
+coefficients to its gradient planes d u/d x_b at the three vertices of
+every cell, rows 3 nt b + 3 c + j; the strain table reads it too. A
+full-space Picard iterate reads only these four kernels.
+
+The quadrature path reads the physical gradient table `grad` as rows
+[c, (q, b), l] = d phi_l/d x_b. A field's gradient is one batched product
+of those rows with the cell coefficients u[cell_vdofs_la], in [cell, shape
+function, component] order: [c, q, b, a] = d u_a/d x_b. `strain_samples(u)`
+symmetrizes it in place, and `eval_grads(u)` is its transposed view,
+[c, q, a, b]. `stress_load_vector(S)`, the one quadrature-point stress
+load, contracts a stress table in [c, q, b, a] layout, derivative index
+first: one batched product of the same rows, read transposed, with
+qweights * S, scattered over `cell_vdofs_la` in one bincount. Nothing
+copies `grad`. These three are the independent path that the strain table,
+the convection tensor and the plane kernels are checked against.
 
 Pinned saddle systems: `pinned_saddle(A)` couples the interior block of a
 velocity operator A with B, pressure DOF 0 pinned; `saddle_matrix(A)`
@@ -90,16 +101,16 @@ midpoint); `boundary_sdofs` and `tagged_scalar_dofs(tag)` are their sorted
 unique values, all or under a tag mask; `flux_vector` is one bincount of
 length * EDGE_SHAPE_INTEGRALS * normal over them, so flux_vector @ u is the
 exact int_bnd u . n; `L2boundary` is one gather and one product with the
-edge Gauss rule.
+edge rule.
 """
 
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.polynomial.legendre import leggauss
 
 from .errors import MeshError
-from .quadrature import edge_rule, triangle_rule
 from .turbulence import sym_grad
 
 NORM_KINDS = ("L2", "L3", "L4", "H1semi", "W13semi", "L2boundary")
@@ -124,7 +135,6 @@ SADDLE_LU = {"permc_spec": "NATURAL", "diag_pivot_thresh": 1e-3,
               "options": {"SymmetricMode": True}}
 # nested dissection stops splitting a group of at most this many unknowns
 DISSECTION_LEAF = 16
-QUAD_DEGREE = 6  # the cell quadrature rule's degree of exactness
 _MAX_LEVELS = 32  # 3^33 < 2^63 bounds the order keys
 # exact integrals over [0, 1] of the edge trace shape functions (v0, v1, midpoint)
 EDGE_SHAPE_INTEGRALS = np.array([1 / 6, 1 / 6, 2 / 3])
@@ -133,6 +143,30 @@ _P1_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # e:f = sum_a PAIRING[a] e_a f_a for symmetric tensors given by their planes
 # (e00, e01, e11)
 _PLANE_PAIRING = np.array([1.0, 2.0, 1.0])
+
+
+def _orbit3(a):
+    # the three permutations of (a, b, b), b = (1 - a) / 2
+    b = (1.0 - a) / 2.0
+    return [[a, b, b], [b, a, b], [b, b, a]]
+
+
+def _orbit6(a, b):
+    # the six permutations of (a, b, c), c = 1 - a - b
+    c = 1.0 - a - b
+    return [[a, b, c], [a, c, b], [b, a, c], [b, c, a], [c, a, b], [c, b, a]]
+
+
+# the symmetric 12-point rule on the reference triangle (0,0)-(1,0)-(0,1),
+# exact to degree 6: points (lambda_1, lambda_2) of its barycentric orbits, and
+# weights summing to 1 (scale by the cell area)
+TRI_POINTS = np.array(_orbit3(0.873821971016996) + _orbit3(0.501426509658179)
+                      + _orbit6(0.636502499121399, 0.310352451033785))[:, 1:].copy()
+TRI_WEIGHTS = np.repeat([0.050844906370207, 0.116786275726379, 0.082851075618374], [3, 3, 6])
+# the 4-point Gauss-Legendre rule on [0, 1], exact to degree 7, weights
+# summing to 1 (scale by the edge length)
+_GL_X, _GL_W = leggauss(4)
+EDGE_POINTS, EDGE_WEIGHTS = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 
 
 def nested_dissection(xy, pressure):
@@ -240,8 +274,6 @@ class MixedSpace:
 
     def __init__(self, mesh):
         self.mesh = mesh
-        self.rule = triangle_rule(QUAD_DEGREE)
-        self.edge_quad = edge_rule(7)
 
         areas = mesh.cell_areas()
         if np.any(areas < 1e-14):
@@ -273,14 +305,11 @@ class MixedSpace:
     # -- tabulation and geometry -------------------------------------------
 
     def _tabulate(self):
-        pts = self.rule.points
-        self.N = _p2_values(pts)          # (nq, 6)
-        # vector shape functions over cell_vdofs: [a*6 + l, q*2 + b] = delta_ab N_l(q)
-        self.N_vec = np.einsum("ab,ql->alqb", np.eye(2), self.N).reshape(12, -1)
-        self.Nhat_grad = _p2_grads(pts)   # (nq, 6, 2)
-        self.P1 = _p1_values(pts)         # (nq, 3)
+        self.N = _p2_values(TRI_POINTS)          # (nq, 6)
+        self.Nhat_grad = _p2_grads(TRI_POINTS)   # (nq, 6, 2)
+        self.P1 = _p1_values(TRI_POINTS)         # (nq, 3)
         # [q, 3 j + k] = lambda_j lambda_k, the products of the P1 values
-        self.P1_pairs = (self.P1[:, :, None] * self.P1[:, None, :]).reshape(len(pts), 9)
+        self.P1_pairs = (self.P1[:, :, None] * self.P1[:, None, :]).reshape(-1, 9)
 
     def _jacobians(self):
         """Cell Jacobians J (nt, 2, 2), [c, a, b] = d x_a / d xhat_b, and their
@@ -307,10 +336,10 @@ class MixedSpace:
         self.grad = invJT[:, None, :, 0, None] * Nhat[:, None, :, 0]
         self.grad += invJT[:, None, :, 1, None] * Nhat[:, None, :, 1]
         # physical quadrature points (nt, nq, 2) and weights (nt, nq)
-        pts = self.rule.points
+        pts = TRI_POINTS
         self.qpoints = p[:, None, 0, :] + (J[:, None, :, 0] * pts[:, 0, None]
                                            + J[:, None, :, 1] * pts[:, 1, None])
-        self.qweights = self.areas[:, None] * self.rule.weights[None, :]
+        self.qweights = self.areas[:, None] * TRI_WEIGHTS[None, :]
 
     def _boundary(self):
         """Boundary DOFs and the flux vector, from the mesh's boundary table."""
@@ -382,7 +411,7 @@ class MixedSpace:
         return D
 
     def _assemble(self):
-        w = self.rule.weights
+        w = TRI_WEIGHTS
         a = self.areas
         N, P1 = self.N, self.P1
         ns, nu, npr = self.n_scalar, self.n_velocity, self.n_pressure
@@ -433,7 +462,7 @@ class MixedSpace:
         inside them. Explicit sums over q and b, in either order, do not
         reproduce that einsum's bits."""
         G = np.ascontiguousarray(self.grad.transpose(0, 1, 3, 2))
-        Ks_data = np.einsum("q,c,cqlb,cqmb->clm", self.rule.weights, self.areas, G, G)
+        Ks_data = np.einsum("q,c,cqlb,cqmb->clm", TRI_WEIGHTS, self.areas, G, G)
         ns = self.n_scalar
         return self._doubled(self._coo(*self._scalar_pattern(), Ks_data, (ns, ns)))
 
@@ -606,7 +635,7 @@ class MixedSpace:
         m = W.shape[1]
         nt = self.mesh.num_cells
         coef = self.areas[:, None, None] * self._jacobians()[1].transpose(0, 2, 1)  # [c, b, j]
-        tau = np.einsum("q,qs,qmb,qn->sbmn", self.rule.weights, self.N,
+        tau = np.einsum("q,qs,qmb,qn->sbmn", TRI_WEIGHTS, self.N,
                         self.Nhat_grad, self.N).reshape(72, 6)
         # cell DOFs with rows (shape function, component), so that the tau
         # product leaves (s, b) and (m, i) on separate axes without a copy
@@ -697,9 +726,50 @@ class MixedSpace:
 
     # -- field evaluation ------------------------------------------------------
 
+    def value_planes(self, u):
+        """Velocity values at the quadrature points as component planes
+        (2, nt, nq): the components' cell coefficients gathered over
+        `cell_dofs`, then one GEMM with `N`^T. A new C-ordered array.
+
+        Both plane kernels hand BLAS a C-ordered copy of the transposed
+        table: the same bits as the transposed view, in about 0.6 of its
+        time at 32x32 cells."""
+        nt = len(self.cell_dofs)
+        cells = u.reshape(2, self.n_scalar).take(self.cell_dofs, axis=1)
+        return (cells.reshape(2 * nt, 6) @ self.N.T.copy()).reshape(2, nt, -1)
+
+    def value_load(self, F):
+        """L_(a,l) = sum_(c,q) F[a, c, q] phi_l(q) of body-force planes F (2,
+        nt, nq), the quadrature weight folded in: one GEMM with `N` and one
+        bincount over `cell_dofs` per component."""
+        cells = (F.reshape(-1, F.shape[-1]) @ self.N).reshape(2, -1)
+        dofs = self.cell_dofs.ravel()
+        return np.concatenate([np.bincount(dofs, weights=c, minlength=self.n_scalar)
+                               for c in cells])
+
+    def grad_planes(self, u):
+        """Velocity gradients at the quadrature points as planes (2, 2, nt,
+        nq), [a, b] = d u_a/d x_b: `grad_operator` applied to each component
+        gives the vertex planes, and one GEMM with `P1` takes them to the
+        quadrature points. A new C-ordered array, which the caller may
+        overwrite."""
+        nt = len(self.cell_dofs)
+        G = np.concatenate([self.grad_operator @ ua for ua in u.reshape(2, self.n_scalar)])
+        return (G.reshape(4 * nt, 3) @ self.P1.T.copy()).reshape(2, 2, nt, -1)
+
+    def grad_load(self, S):
+        """L_(a,l) = sum_(c,q,b) S[a, b, c, q] d phi_l/d x_b(q) of stress
+        planes S (2, 2, nt, nq), the quadrature weight folded in: the
+        transpose of `grad_planes`, one GEMM with `P1` and `grad_operator_T`
+        per component."""
+        nt = len(self.cell_dofs)
+        L = (S.reshape(4 * nt, -1) @ self.P1).reshape(2, -1)
+        return np.concatenate([self.grad_operator_T @ La for La in L])
+
     def eval_values(self, u):
-        """Velocity field values at all cell quadrature points -> (nt, nq, 2)."""
-        return (u[self.cell_vdofs] @ self.N_vec).reshape(-1, len(self.rule), 2)
+        """Velocity values at the quadrature points -> (nt, nq, 2): the
+        transposed view of `value_planes(u)`."""
+        return self.value_planes(u).transpose(1, 2, 0)
 
     def eval_grads(self, u):
         """Velocity gradients at quadrature points -> (nt, nq, 2, 2), [a, b] =
@@ -710,7 +780,7 @@ class MixedSpace:
         """The gradient (nt, nq, 2, 2) in [c, q, b, a] order, d u_a/d x_b: one
         batched product of `grad`'s rows [c, (q, b), l] with the cell
         coefficients u[cell_vdofs_la]."""
-        nt, nq = self.mesh.num_cells, len(self.rule)
+        nt, nq = self.qweights.shape
         return (self.grad.reshape(nt, nq * 2, 6) @ u[self.cell_vdofs_la]).reshape(nt, nq, 2, 2)
 
     def sample(self, f, *args):
@@ -720,15 +790,11 @@ class MixedSpace:
         vals = np.asarray(f(xy[..., 0].ravel(), xy[..., 1].ravel(), *args))
         return vals.reshape(xy.shape[:-1] + vals.shape[1:])
 
-    def _scatter(self, dofs, contrib):
-        """Accumulate per-cell contributions to the velocity DOFs `dofs` (a
-        table of the same shape) into a velocity vector."""
-        return np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=self.n_velocity)
-
     def load_vector(self, fvals):
-        """Assemble L_i = int f . phi_i from values fvals (nt, nq, 2)."""
-        wf = self.qweights[:, :, None] * fvals
-        return self._scatter(self.cell_vdofs, wf.transpose(0, 2, 1) @ self.N)
+        """Assemble L_i = int f . phi_i from values fvals (nt, nq, 2): the
+        `value_load` of the weighted planes, formed C-ordered so that its
+        GEMM reads them without a copy."""
+        return self.value_load(np.multiply(self.qweights, np.moveaxis(fvals, -1, 0), order="C"))
 
     def stress_load_vector(self, Svals):
         """Assemble L_(a,l) = int sum_b S[b, a] d phi_l/d x_b from tensor values
@@ -741,10 +807,11 @@ class MixedSpace:
         loads in [c, l, a] order, scattered with `cell_vdofs_la` in one
         bincount. `grad` is not copied.
         """
-        nt, nq = self.mesh.num_cells, len(self.rule)
+        nt, nq = self.qweights.shape
         S = self.qweights[:, :, None, None] * Svals
         cells = self.grad.reshape(nt, nq * 2, 6).transpose(0, 2, 1) @ S.reshape(nt, nq * 2, 2)
-        return self._scatter(self.cell_vdofs_la, cells)
+        return np.bincount(self.cell_vdofs_la.ravel(), weights=cells.ravel(),
+                           minlength=self.n_velocity)
 
     def integrate(self, gvals):
         """Integrate scalar quadrature-point values (nt, nq) over the domain."""
@@ -781,8 +848,8 @@ class MixedSpace:
         # square: a batched matrix-vector product and np.vecdot take the kernels
         # of one edge's T @ u_e and w @ t^2, and the sum runs in edge order
         U = u[self.bnd_edge_dofs[:, None, :] + [[0], [self.n_scalar]]]  # (nb, 2, 3)
-        vals = (_edge_trace(self.edge_quad.points) @ U[..., None])[..., 0]
-        sq = np.vecdot(vals**2, self.edge_quad.weights)
+        vals = (_edge_trace(EDGE_POINTS) @ U[..., None])[..., 0]
+        sq = np.vecdot(vals**2, EDGE_WEIGHTS)
         return np.sqrt(sum((self.mesh.bnd_length[:, None] * sq).ravel().tolist()))
 
     def strain_samples(self, u):

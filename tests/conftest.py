@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,8 +8,7 @@ from numpy.polynomial.legendre import leggauss
 from recirc.config import build_scenario, preset_path, validate
 from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
-from recirc.quadrature import TriangleRule
-from recirc.space import MixedSpace
+from recirc.space import TRI_POINTS, TRI_WEIGHTS, MixedSpace
 from recirc.turbulence import convection_load, strain_norm, sym_grad, sym_norm
 
 
@@ -121,11 +122,11 @@ def assembly_oracle(space):
     matrices on that `grad`, and B from one four-operand einsum per
     component. The space must reproduce them bit for bit."""
     J, invJT = space._jacobians()
-    w, a, N, P1 = space.rule.weights, space.areas, space.N, space.P1
+    w, a, N, P1 = TRI_WEIGHTS, space.areas, space.N, space.P1
     G = np.einsum("cab,qlb->cqla", invJT, space.Nhat_grad)  # [c, q, l, b]
     grad = np.ascontiguousarray(G.transpose(0, 1, 3, 2))
     p = space.mesh.vertices[space.mesh.cells]
-    qpoints = p[:, None, 0, :] + np.einsum("cab,qb->cqa", J, space.rule.points)
+    qpoints = p[:, None, 0, :] + np.einsum("cab,qb->cqa", J, TRI_POINTS)
 
     def csr(rows, cols, data, shape):
         return sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
@@ -183,12 +184,29 @@ def grads_oracle(space, u):
     rows [c, q, (b, l)] with the zero-padded block factor [c, (b', l), (a, b)]
     = u_(a,l) delta_(b b'), the form eval_grads took before it became a view
     of the strain product."""
-    nt, nq = space.mesh.num_cells, len(space.rule)
+    nt, nq = space.qweights.shape
     UT = u[space.cell_vdofs].reshape(nt, 2, 6).transpose(0, 2, 1)  # [c, l, a]
     B = np.zeros((nt, 2, 6, 2, 2))
     B[:, 0, :, :, 0] = UT
     B[:, 1, :, :, 1] = UT
     return (space.grad.reshape(nt, nq, 12) @ B.reshape(nt, 12, 4)).reshape(nt, nq, 2, 2)
+
+
+def n_vec_values(space, u):
+    """Velocity values (nt, nq, 2) as `eval_values` formed them before the
+    value planes: the cell coefficients u[cell_vdofs] times the zero-padded
+    vector shape functions N_vec [6 a + l, 2 q + b] = delta_ab N_l(q)."""
+    N_vec = np.einsum("ab,ql->alqb", np.eye(2), space.N).reshape(12, -1)
+    return (u[space.cell_vdofs] @ N_vec).reshape(-1, len(TRI_WEIGHTS), 2)
+
+
+def batched_body_load(space, fvals):
+    """`load_vector` of values fvals (nt, nq, 2) as it was before the value
+    planes: the weighted values, read as (nt, 2, nq), times `N` in one
+    batched product, scattered over `cell_vdofs` in one bincount."""
+    wf = space.qweights[:, :, None] * fvals
+    return np.bincount(space.cell_vdofs.ravel(), weights=(wf.transpose(0, 2, 1) @ space.N).ravel(),
+                       minlength=space.n_velocity)
 
 
 def convection_tables_oracle(w_vals, u_vals, u_grads):
@@ -446,5 +464,5 @@ def duffy_rule(n):
     x = u.ravel()
     y = (v * (1.0 - u)).ravel()
     w = (wu * wv * (1.0 - u)).ravel()
-    # weights of TriangleRule sum to 1 = area-normalized; |T_ref| = 1/2
-    return TriangleRule(np.column_stack([x, y]), 2.0 * w)
+    # weights normalized to sum to 1, as the space's rule; |T_ref| = 1/2
+    return SimpleNamespace(points=np.column_stack([x, y]), weights=2.0 * w)

@@ -47,6 +47,35 @@ def test_shipped_presets_validate():
         assert cfg.hash()
 
 
+def test_validate_shares_no_object_with_its_input():
+    # validate fills its defaults into a deep copy: the caller's dict is left
+    # as it was, a later edit of it reaches neither the RunConfig nor its
+    # hash, and a defaulted section is the RunConfig's own
+    from recirc.config import _DEFAULTS
+
+    cfg = json.loads(preset_path("four_pumps").read_text())
+    del cfg["time"]["scheme"]
+    cfg["initial"] = {"preset": "vortex"}
+    before = json.dumps(cfg, sort_keys=True)
+    rc = validate(cfg)
+    assert rc.time["scheme"] == "implicit-euler" and rc.initial["amplitude"] == 1.0
+    assert json.dumps(cfg, sort_keys=True) == before
+    h = rc.hash()
+    cfg["time"]["dt"] = -1.0
+    cfg["pumps"][0]["schedule"][1][1] = 9.0
+    assert rc.time["dt"] == 0.01 and rc.pumps[0]["schedule"][1][1] == 0.05
+    assert rc.hash() == h
+
+    defaults = json.dumps(_DEFAULTS, sort_keys=True)
+    bare = validate({k: v for k, v in json.loads(before).items()
+                     if k not in ("output", "initial")})
+    for section in ("output", "initial"):
+        assert getattr(bare, section) == _DEFAULTS[section]
+        assert getattr(bare, section) is not _DEFAULTS[section]
+        getattr(bare, section)["edited"] = True
+    assert json.dumps(_DEFAULTS, sort_keys=True) == defaults
+
+
 def test_schedule_compatibility_error(tmp_path):
     path, cfg = small_config(tmp_path)
     cfg["pumps"][0]["schedule"] = [[0.0, 1.0], [0.2, 1.0]]

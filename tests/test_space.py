@@ -1,15 +1,24 @@
+import ast
+from math import factorial
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
-from conftest import (SETUP_MESHES, assembly_oracle, duffy_rule, grads_oracle,
-                      pressure_integral_oracle, stress_load_oracle)
+from conftest import (SETUP_MESHES, assembly_oracle, batched_body_load, doubled_grad_operator,
+                      doubled_nonlinear_load, doubled_state_fields, duffy_rule, grads_oracle,
+                      n_vec_values, pressure_integral_oracle, stress_load_oracle)
 from recirc.errors import MeshError
+from recirc.fullspace import FullSpaceSystem
 from recirc.mesh import TaggedMesh, build_rect_mesh
-from recirc.space import SADDLE_LU, MixedSpace, _p2_values, nested_dissection
-from recirc.turbulence import planes, sym_grad
+from recirc.space import (EDGE_POINTS, EDGE_WEIGHTS, SADDLE_LU, TRI_POINTS, TRI_WEIGHTS,
+                          MixedSpace, _p2_values, nested_dissection)
+from recirc.turbulence import ClosureParams, planes, sym_grad
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "recirc"
 
 
 def const_field(space, cx, cy):
@@ -185,7 +194,7 @@ def _stress_load_by_transposed_copy(space, S):
     """The stress load of [c, q, b, a] tables S as it was formed before the
     copy-free contraction: the weighted table copied into [c, a, (q, b)] rows,
     times grad's rows [c, (q, b), l], scattered over cell_vdofs."""
-    nt, nq = space.mesh.num_cells, len(space.rule)
+    nt, nq = space.qweights.shape
     WS = space.qweights[:, :, None, None] * S.swapaxes(-1, -2)
     A = WS.transpose(0, 2, 1, 3).reshape(nt, 2, nq * 2)
     return np.bincount(space.cell_vdofs.ravel(),
@@ -228,6 +237,69 @@ def test_stress_load_matches_quadrature(dims):
     S = rng.standard_normal(space.qweights.shape + (2, 2))
     got, want = space.stress_load_vector(S), stress_load_oracle(space, S)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_quadrature_rules_are_exact_to_their_degree():
+    # the 12-point rule integrates x^a y^b, a + b <= 6, over the reference
+    # triangle (area 1/2) to a! b! / (a + b + 2)!, and the edge rule s^k,
+    # k <= 7, over [0, 1] to 1 / (k + 1); both weight sets sum to 1
+    x, y = TRI_POINTS.T
+    for a in range(7):
+        for b in range(7 - a):
+            exact = factorial(a) * factorial(b) / factorial(a + b + 2)
+            got = 0.5 * (TRI_WEIGHTS @ (x**a * y**b))
+            assert abs(got - exact) <= 1e-14 * exact, (a, b)
+    for k in range(8):
+        assert abs(EDGE_WEIGHTS @ EDGE_POINTS**k - 1 / (k + 1)) <= 1e-14 / (k + 1), k
+    assert TRI_POINTS.shape == (12, 2) and EDGE_POINTS.shape == (4,)
+    assert abs(TRI_WEIGHTS.sum() - 1) <= 1e-14 and abs(EDGE_WEIGHTS.sum() - 1) <= 1e-14
+
+
+@pytest.mark.parametrize("dims", SETUP_MESHES)
+def test_plane_kernels_keep_the_old_products(dims):
+    # eval_values, the view of value_planes, bit for bit the zero-padded
+    # N_vec product; load_vector, the value_load of the weighted planes, bit
+    # for bit the batched-product scatter; the full-space bundle and load,
+    # now through the four plane kernels, bit for bit their compositions on
+    # the doubled gradient operator; and grad_planes and grad_load against
+    # the quadrature path's eval_grads and stress_load_vector to roundoff
+    space = MixedSpace(build_rect_mesh(*dims))
+    D = doubled_grad_operator(space)
+    rng = np.random.default_rng(83)
+    for scale in (1e-3, 1.0, 30.0):
+        u = scale * rng.standard_normal(space.n_velocity)
+        assert np.array_equal(space.eval_values(u), n_vec_values(space, u))
+        f = scale * rng.standard_normal(space.qweights.shape + (2,))
+        assert np.array_equal(space.load_vector(f), batched_body_load(space, f))
+
+        G = space.grad_planes(u)
+        ref = space.eval_grads(u)
+        assert np.abs(G - ref.transpose(2, 3, 0, 1)).max() <= 1e-13 * np.abs(ref).max()
+        S = rng.standard_normal((2, 2) + space.qweights.shape)
+        ref = space.stress_load_vector(S.transpose(2, 3, 1, 0))
+        got = space.grad_load(space.qweights * S)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+        for nu_tur in (0.0, 0.3):
+            fs = FullSpaceSystem(space, ClosureParams(0.05, nu_tur))
+            got, ref = fs.state_fields(u), doubled_state_fields(fs, u, D)
+            for name in ("grads", "values", "half", "force", "mag"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+            assert np.array_equal(fs.nonlinear_load(got, 0.7),
+                                  doubled_nonlinear_load(fs, ref, 0.7, D))
+
+
+def test_only_the_space_reads_its_reference_element():
+    # the shape-function tables, cell DOF maps and gradient operators of a
+    # space are read inside space.py alone: every other module goes through
+    # its field kernels
+    private = {"cell_dofs", "cell_vdofs", "cell_vdofs_la", "N", "P1", "P1_pairs", "grad",
+               "Nhat_grad", "grad_operator", "grad_operator_T"}
+    reads = [f"{path.name}:{node.lineno}: .{node.attr}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "space.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in private]
+    assert not reads
 
 
 def test_degenerate_cell_rejected():
