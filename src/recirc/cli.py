@@ -122,14 +122,17 @@ def _fan_out(fn, items, threads):
 
 
 def _write_trajectory(path, traj, system, cfg_hash):
-    """trajectory.csv; its last column, net_flux, is the discrete net boundary
-    flux of zeta_g(t), which the lifts' traces make zero up to roundoff."""
+    """trajectory.csv; net_flux is the discrete net boundary flux of
+    zeta_g(t), which the lifts' traces make zero up to roundoff, and
+    tangent_scale the factor by which the step rescaled its carried closure
+    tangent."""
     lift_flux = system.lifting.zetas @ system.space.flux_vector  # (K,)
     _write_csv(path, {"t": traj.times,
                       **{f"z{k + 1}": z for k, z in enumerate(traj.states.T)},
                       "iterations": traj.iterations, "residual": traj.step_residuals,
                       "tangents": traj.tangents,
-                      "net_flux": [lift_flux @ system.pumps.rates(t)[0] for t in traj.times]},
+                      "net_flux": [lift_flux @ system.pumps.rates(t)[0] for t in traj.times],
+                      "tangent_scale": traj.tangent_scales},
                cfg_hash)
 
 
@@ -232,6 +235,9 @@ def cmd_simulate(args):
         "phases": {"setup_s": lap[0], "integrate_s": lap[1], "ledger_s": lap[3],
                    "output_s": lap[2] + lap[4]},
         "environment": _environment(),
+        **{key: finite(led.data[key]) for key in ("estimate1_lhs", "estimate1_rhs",
+                                                  "estimate2_lhs", "estimate2_exponent",
+                                                  "log10_C2")},
     }
     _write_json(out / "summary.json", summary)
     _say(args.quiet, f"simulate: max ||v|| = {summary['max_v_l2']:.6g}, "

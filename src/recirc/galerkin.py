@@ -75,16 +75,27 @@ quadratic extrapolation of the last three states. Every
 accepted update corrects the frozen tangent by Broyden's rank-one secant
 update (Broyden, Math. Comp. 19, 1965), from the two defects the update has
 already evaluated, so the next update's Newton matrix maps the step just
-taken onto the change of the defect it made. The tangent is formed again at
-the current iterate only when a frozen-tangent update finds no decrease, or
-when an accepted update shrinks the residual by less than CHORD_RATE; a
-carried tangent that shrinks it by less than CARRY_RATE serves out its step
-and the next step forms its own at its start. A tangent forms the
-StateFields of its iterate again, one more strain product, and reads a
-cell-major copy of the modes' table columns. Classical RK4 is available
-for cross-checks; it forms the lift data of its three distinct times
-once each, k2 and k3 sharing t + dt/2. The physical velocity at any time is
-v = zeta_g(t) + sum_k z_k xi_k.
+taken onto the change of the defect it made. The stress 2 nu_tur |e| e is
+positively homogeneous of degree 2 in the strain, so its tangent is of
+degree 1: T(lambda w) = lambda T(w). The carried tangent therefore travels
+with a reference scale s_ref, the closure's total eddy viscosity
+s = sum_(c,q) 2 nu_tur w_q |e| at the iterate it was formed at (the sum of
+the scale table the closure forms anyway, one reduction), and each step
+multiplies it by s / s_ref before its first update, s taken from the
+step's start defect, which becomes its new s_ref. While the pumps ramp up
+the state grows nearly along a ray, and the rescaled tangent stays
+current: four_pumps forms one tangent in 100 steps instead of 6. Where
+the change of state is not radial the secant updates and the refresh rules
+remain the safeguard: the tangent is formed again at the current iterate
+only when a frozen-tangent update finds no decrease, or when an accepted
+update shrinks the residual by less than CHORD_RATE; a carried tangent
+that shrinks it by less than CARRY_RATE serves out its step and the next
+step forms its own at its start. A tangent forms the StateFields of its
+iterate again, one more strain product, and reads a cell-major copy of the
+modes' table columns. Classical RK4 is available for cross-checks; it
+forms the lift data of its three distinct times once each, k2 and k3
+sharing t + dt/2, and `integrate` hands t + dt's on to the next step's
+k1. The physical velocity at any time is v = zeta_g(t) + sum_k z_k xi_k.
 
 Time data are split by who reads them. The right-hand side and the steppers
 read the rates g(t) and (H_g, xi_k) from `lift_modal`; the energy ledger
@@ -112,7 +123,8 @@ CARRY_RATE = CHORD_RATE / 2  # a carried tangent contracting less is not carried
 INITIAL_TOL = 1e-8  # relative trace and divergence an initial velocity may carry
 # The step record: each diag key every stepper returns, and its Trajectory array
 STEP_RECORD = {"iterations": "iterations", "residual": "step_residuals",
-               "backtracks": "backtracks", "tangents": "tangents", "evaluations": "evaluations"}
+               "backtracks": "backtracks", "tangents": "tangents", "evaluations": "evaluations",
+               "tangent_scale": "tangent_scales"}
 
 
 def _check_positive(name, value):
@@ -312,17 +324,35 @@ class ReducedSystem:
         y = np.concatenate([g, z])
         return (self.C @ y) @ y
 
-    def _closure(self, z, g):
+    def _closure(self, z, g, with_scale=False):
         """Modal pairings of the Smagorinsky stress at w = zeta_g + z, 0
         without the closure: the StateFields of w, then, in place in them,
         the scale 2 nu_tur w_q |e| and the stress planes 2 nu_tur w_q |e| e,
-        and their pairings with the table's rows."""
+        and their pairings with the table's rows. with_scale returns
+        (pairings, s), s = sum_(c,q) 2 nu_tur w_q |e| the closure's total
+        eddy viscosity: the sum of the scale table, 0 without the closure."""
         if self.params.nu_tur == 0:
-            return np.zeros(self.basis.size)
+            pairings = np.zeros(self.basis.size)
+            return (pairings, 0.0) if with_scale else pairings
         f = self.state_fields(z, g)
         f.w_eps_mag *= self.stress_weights
         f.w_eps *= f.w_eps_mag
-        return self.strain_coef[:, len(self.lifting):].T @ self.space.strain_load(f.w_eps)
+        pairings = self.strain_coef[:, len(self.lifting):].T @ self.space.strain_load(f.w_eps)
+        return (pairings, float(f.w_eps_mag.sum())) if with_scale else pairings
+
+    def _tangent(self, z, g):
+        """(T_VV, s) at w = zeta_g + z: T_VV = V^T K_T V, the closure tangent
+        2 nu_tur (|e| I + e (x) e / |e|), e = eps(w), from the StateFields
+        of w and one `weighted_strain_stiffness` call with the weights of
+        `closure_tangent`, and s the eddy-viscosity scale of the same
+        StateFields, sum_(c,q) 2 nu_tur w_q |e|, bit for bit the one
+        `_closure` reduces at w. T_VV is homogeneous of degree 1 in w, as
+        s is; the closure pairings are of degree 2."""
+        f = self.state_fields(z, g)
+        w, a = closure_tangent(f.w_eps_mag, self.params)
+        T_VV = self.space.weighted_strain_stiffness(w, self.strain_coef[:, len(self.lifting):],
+                                                    rank_one=(a, f.w_eps))
+        return T_VV, float((self.stress_weights * f.w_eps_mag).sum())
 
     def _rhs(self, z, g, hg):
         """dz/dt at z from the lift data (g, (H_g, xi_k)) of its time."""
@@ -338,31 +368,27 @@ class ReducedSystem:
         """The functions (defect, tangent, jacobian) of the implicit-Euler
         step from z_old to t_new.
 
-        - defect(z) -> (d, ||d||_2): d = z - z_old + dt (visc z + (C y) y
-          + closure(z) - H_g), y = [g; z], with the closure pairings formed
-          as in `rhs`.
-        - tangent(z) -> T_VV = V^T K_T V, the closure tangent
-          2 nu_tur (|e| I + e (x) e / |e|), e = eps(w), at the iterate z:
-          its StateFields and one `weighted_strain_stiffness` call with the
-          weights of `closure_tangent`.
+        - defect(z, with_scale=False) -> (d, ||d||_2): d = z - z_old + dt
+          (visc z + (C y) y + closure(z) - H_g), y = [g; z], with the
+          closure pairings formed as in `rhs`; with_scale appends the
+          closure's eddy-viscosity scale s at z (`_closure`).
+        - tangent(z) -> (T_VV, s), `_tangent` at the iterate z.
         - jacobian(z, T_VV) -> I + dt (visc + J_conv + T_VV), where
           J_conv[k, j] = sum_b (C[k, K+j, b] + C[k, b, K+j]) y_b is the
           derivative of (C y) y at z; T_VV None leaves the closure out.
         """
         g, hg = self.lift_modal(t_new)
         K = len(self.lifting)
-        coef_V = self.strain_coef[:, K:]
         base = np.eye(self.basis.size) + dt * self.visc
 
-        def defect(z):
+        def defect(z, with_scale=False):
             y = np.concatenate([g, z])
-            d = z - z_old + dt * (self.visc @ z + (self.C @ y) @ y + self._closure(z, g) - hg)
-            return d, float(np.linalg.norm(d))
+            pairings, *scale = self._closure(z, g, True) if with_scale else [self._closure(z, g)]
+            d = z - z_old + dt * (self.visc @ z + (self.C @ y) @ y + pairings - hg)
+            return (d, float(np.linalg.norm(d)), *scale)
 
         def tangent(z):
-            f = self.state_fields(z, g)
-            w, a = closure_tangent(f.w_eps_mag, self.params)
-            return self.space.weighted_strain_stiffness(w, coef_V, rank_one=(a, f.w_eps))
+            return self._tangent(z, g)
 
         def jacobian(z, T_VV):
             y = np.concatenate([g, z])
@@ -374,7 +400,7 @@ class ReducedSystem:
         return defect, tangent, jacobian
 
     def step_implicit_euler(self, state, dt, tol=1e-10, max_iter=50, t_new=None,
-                            start=None, T_VV=None):
+                            start=None, T_VV=None, T_scale=None):
         """Solve z+ = z + dt rhs(z+, t+dt) by a simplified Newton iteration on
         the functions of `implicit_euler_newton`.
 
@@ -384,8 +410,18 @@ class ReducedSystem:
         z <- z - lambda J^{-1} d, with J's convection part taken at the
         current iterate and its closure tangent T_VV frozen. T_VV is the
         tangent carried in from an earlier step when one is passed, else it
-        is formed at the first update, at the first iterate. It is formed
-        again at the current iterate in two cases:
+        is formed at the first update, at the first iterate.
+
+        The closure stress 2 nu_tur |e| e is positively homogeneous of
+        degree 2 in the strain, so its tangent is of degree 1: the tangent
+        at lambda w is lambda times the one at w. A carried tangent passed
+        with its reference scale T_scale, the eddy-viscosity scale s =
+        sum 2 nu_tur w_q |e| at which it was formed or last rescaled, is
+        multiplied by s / T_scale before its first use, s taken from the
+        start's defect (one reduction per step, no other defect reduces
+        it); a T_scale of 0 leaves it as it is. Without T_scale the carried
+        tangent is used as passed. T_VV is formed again at the current
+        iterate in two cases:
 
         - an update with a frozen tangent from an earlier iterate or step
           finds no decrease at lambda = 1; that trial is dropped;
@@ -404,14 +440,18 @@ class ReducedSystem:
         lambda = 1 and halves lambda while the residual does not fall (the
         line search of Kelley, ch. 8, with simple decrease), at most
         MAX_HALVINGS times. The diag counts the halvings as "backtracks"
-        and the kernel calls as "tangents", and hands on as "T_VV" the
-        tangent for a next step to carry: the one in use at the end, with
-        its secant updates, or None (the next step forms its own at its
-        first iterate) once an accepted update since it was formed or
-        carried in shrank the residual by less than CHORD_RATE, or by less
-        than CARRY_RATE if it was carried in. Without the closure it is
-        None. The tangent lives in the caller only, so threads sharing the
-        system never share one. A trial's defect is the next iterate's, so
+        and the kernel calls as "tangents", records the factor applied to
+        the carried tangent as "tangent_scale" (1.0 when none was), and
+        hands on as "T_VV" the tangent for a next step to carry: the one in
+        use at the end, with its secant updates, or None (the next step
+        forms its own at its first iterate) once an accepted update since
+        it was formed or carried in shrank the residual by less than
+        CHORD_RATE, or by less than CARRY_RATE if it was carried in.
+        Without the closure it is None. "T_scale" hands on its reference
+        scale: the scale of the iterate it was formed at, or the start's
+        scale it was rescaled to, None when neither. The tangent and its
+        scale live in the caller only, so threads sharing the system never
+        share one. A trial's defect is the next iterate's, so
         an accepted update costs one defect evaluation; the diag counts the
         start's defect and every trial, dropped or accepted, as
         "evaluations". A failure raises StepError with the time, the
@@ -431,7 +471,14 @@ class ReducedSystem:
             )
 
         z = state.z if start is None else start
-        d, res = defect(z)
+        factor = 1.0  # applied to the carried tangent
+        if T_VV is not None and T_scale is not None:
+            d, res, s_new = defect(z, with_scale=True)
+            if T_scale > 0:
+                factor = s_new / T_scale
+            T_VV, T_scale = factor * T_VV, s_new
+        else:
+            d, res = defect(z)
         history = [res]
         backtracks = tangents = 0
         evaluations = 1
@@ -443,7 +490,7 @@ class ReducedSystem:
             if len(history) > max_iter:
                 fail(f"did not converge in {max_iter} Newton iterations")
             if refresh and closure:
-                T_VV = tangent(z)
+                T_VV, T_scale = tangent(z)
                 tangents += 1
                 refresh = stale = renew = False
                 rate = CHORD_RATE
@@ -475,31 +522,34 @@ class ReducedSystem:
             z, d, res = z_try, d_try, res_try
             history.append(res)
         diag = {"iterations": len(history) - 1, "residual": res, "backtracks": backtracks,
-                "tangents": tangents, "evaluations": evaluations,
-                "T_VV": None if renew else T_VV}
+                "tangents": tangents, "evaluations": evaluations, "tangent_scale": factor,
+                "T_VV": None if renew else T_VV, "T_scale": None if renew else T_scale}
         return GalerkinState(t_new, z), diag
 
-    def step_rk4(self, state, dt, t_new=None):
+    def step_rk4(self, state, dt, t_new=None, lift=None):
         """Classical RK4: the lift data of each distinct time (t, t + dt/2,
-        t_new) formed once."""
+        t_new) formed once, those of t passed in as `lift` when the caller
+        has them (`lift_modal(t)`). The diag hands on t_new's as "lift"."""
         t, z = state.t, state.z
         if t_new is None:
             t_new = t + dt
         mid = self.lift_modal(t + 0.5 * dt)
-        k1 = self._rhs(z, *self.lift_modal(t))
+        end = self.lift_modal(t_new)
+        k1 = self._rhs(z, *(self.lift_modal(t) if lift is None else lift))
         k2 = self._rhs(z + 0.5 * dt * k1, *mid)
         k3 = self._rhs(z + 0.5 * dt * k2, *mid)
-        k4 = self._rhs(z + dt * k3, *self.lift_modal(t_new))
+        k4 = self._rhs(z + dt * k3, *end)
         z_new = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return GalerkinState(t_new, z_new), {"iterations": 4, "residual": 0.0, "backtracks": 0,
-                                             "tangents": 0, "evaluations": 4}
+                                             "tangents": 0, "evaluations": 4,
+                                             "tangent_scale": 1.0, "lift": end}
 
     def step(self, state, dt, scheme="implicit-euler", **kw):
         _check_positive("dt", dt)
         if scheme == "implicit-euler":
             return self.step_implicit_euler(state, dt, **kw)
         if scheme == "explicit-rk4":
-            return self.step_rk4(state, dt, t_new=kw.get("t_new"))
+            return self.step_rk4(state, dt, t_new=kw.get("t_new"), lift=kw.get("lift"))
         raise ValueError(f"unknown scheme {scheme!r}")
 
     def integrate(self, state0, T, dt, scheme="implicit-euler", tol=1e-10,
@@ -513,7 +563,9 @@ class ReducedSystem:
         step starts from the quadratic extrapolation 3 z_n - 3 z_{n-1} +
         z_{n-2} of the last three states (z_0 at the first step, the linear
         2 z_1 - z_0 at the second) and carries the closure tangent, with its
-        secant updates, that the previous step hands on. They are locals of
+        secant updates, and its reference scale that the previous step
+        hands on. RK4 carries the lift data of t_{n+1} from step n's k4 to
+        step n + 1's k1, so n steps form 2 n + 1 of them. They are locals of
         this call, never state of the system.
         """
         n_steps = step_count(T, dt)
@@ -533,7 +585,9 @@ class ReducedSystem:
             if implicit:  # the next step starts from the extrapolation of the last states
                 start = (2.0 * new.z - state.z if k == 0
                          else 3.0 * new.z - 3.0 * state.z + states[-2])
-                kw.update(start=start, T_VV=diag.pop("T_VV"))
+                kw.update(start=start, T_VV=diag.pop("T_VV"), T_scale=diag.pop("T_scale"))
+            else:
+                kw["lift"] = diag.pop("lift")
             new.diag = diag
             state = new
             times.append(state.t)

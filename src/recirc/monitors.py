@@ -271,7 +271,9 @@ def _midpoint(times, f):
 
 def _estimates(params, times, rows, data):
     """Add the two estimates' sides and fitted constants to data, which holds
-    the initial-state terms and the data functionals."""
+    the initial-state terms and the data functionals: C1_empirical,
+    C2_empirical with its exponent clamped at 700, and log10_C2, the log of
+    C2 without the clamp."""
     # first estimate: sup-of-z triple against its data functionals
     lhs1 = (
         rows["z_l2_sq"].max()
@@ -306,6 +308,11 @@ def _estimates(params, times, rows, data):
     data["estimate2_rhs"] = rhs2
     data["estimate2_exponent"] = expo  # the Gronwall data factor can be huge
     data["C2_empirical"] = lhs2 / rhs2 if rhs2 > 0 else np.inf
+    # C2 without the clamp: log(1 + e^x) = logaddexp(0, x) never overflows;
+    # -inf at lhs2 = 0, and +inf or nan at base2 = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        data["log10_C2"] = float((np.log(lhs2) - np.log(base2) - np.logaddexp(0.0, expo))
+                                 / np.log(10.0))
 
 
 class ContractionReport:

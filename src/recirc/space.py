@@ -51,9 +51,10 @@ Quadrature: one fixed rule per cell, the symmetric 12-point rule exact to
 degree 6 (`TRI_POINTS`, `TRI_WEIGHTS`), and one per boundary edge, the
 4-point Gauss-Legendre rule on [0, 1] exact to degree 7 (`EDGE_POINTS`,
 `EDGE_WEIGHTS`); the weights of each sum to 1. This module is the only one
-that reads the reference element (`N`, `P1`, `P1_pairs`, `Nhat_grad`), the
-cell DOF maps and the gradient tables; every other module evaluates fields
-and assembles loads through the kernels below.
+that reads the reference element (`N`, `P1`, their transposed copies
+`N_T` and `P1_T`, `P1_pairs`, `Nhat_grad`), the cell DOF maps and the
+gradient tables; every other module evaluates fields and assembles loads
+through the kernels below.
 
 Plane kernels, on contiguous (., nt, nq) planes: `value_planes(u)` (2, nt,
 nq) is a gather over `cell_dofs` and one GEMM with `N`, and `value_load(F)`
@@ -308,6 +309,11 @@ class MixedSpace:
         self.N = _p2_values(TRI_POINTS)          # (nq, 6)
         self.Nhat_grad = _p2_grads(TRI_POINTS)   # (nq, 6, 2)
         self.P1 = _p1_values(TRI_POINTS)         # (nq, 3)
+        # C-ordered copies of the transposed tables, which the plane kernels
+        # hand BLAS: the same bits as the transposed views, in about 0.6 to
+        # 0.7 of their time at 16x16 and 32x32 cells
+        self.N_T = np.ascontiguousarray(self.N.T)    # (6, nq)
+        self.P1_T = np.ascontiguousarray(self.P1.T)  # (3, nq)
         # [q, 3 j + k] = lambda_j lambda_k, the products of the P1 values
         self.P1_pairs = (self.P1[:, :, None] * self.P1[:, None, :]).reshape(-1, 9)
 
@@ -541,11 +547,12 @@ class MixedSpace:
         """Strain planes (3, nt, nq), [a, c, q] = plane a of (e00, e01, e11)
         at point q of cell c, of strain coefficients s (9 nt,) (a combination
         of the columns of a `strain_coefficients` table, table @ y): one GEMM
-        of the vertex strains, already plane by plane, with the values `P1`.
-        The planes are a new C-ordered array, which the caller may
-        overwrite: the reduced closure writes its stress into them."""
+        of the vertex strains, already plane by plane, with the values `P1`
+        (their cached transposed copy `P1_T`). The planes are a new
+        C-ordered array, which the caller may overwrite: the reduced closure
+        writes its stress into them."""
         nt = self.mesh.num_cells
-        return (s.reshape(3 * nt, 3) @ self.P1.T).reshape(3, nt, -1)
+        return (s.reshape(3 * nt, 3) @ self.P1_T).reshape(3, nt, -1)
 
     def strain_load(self, S):
         """The pairings L (9 nt,) of stress planes S (3, nt, nq), (s00, s01,
@@ -729,14 +736,11 @@ class MixedSpace:
     def value_planes(self, u):
         """Velocity values at the quadrature points as component planes
         (2, nt, nq): the components' cell coefficients gathered over
-        `cell_dofs`, then one GEMM with `N`^T. A new C-ordered array.
-
-        Both plane kernels hand BLAS a C-ordered copy of the transposed
-        table: the same bits as the transposed view, in about 0.6 of its
-        time at 32x32 cells."""
+        `cell_dofs`, then one GEMM with `N`^T (its cached copy `N_T`). A new
+        C-ordered array."""
         nt = len(self.cell_dofs)
         cells = u.reshape(2, self.n_scalar).take(self.cell_dofs, axis=1)
-        return (cells.reshape(2 * nt, 6) @ self.N.T.copy()).reshape(2, nt, -1)
+        return (cells.reshape(2 * nt, 6) @ self.N_T).reshape(2, nt, -1)
 
     def value_load(self, F):
         """L_(a,l) = sum_(c,q) F[a, c, q] phi_l(q) of body-force planes F (2,
@@ -755,7 +759,7 @@ class MixedSpace:
         overwrite."""
         nt = len(self.cell_dofs)
         G = np.concatenate([self.grad_operator @ ua for ua in u.reshape(2, self.n_scalar)])
-        return (G.reshape(4 * nt, 3) @ self.P1.T.copy()).reshape(2, 2, nt, -1)
+        return (G.reshape(4 * nt, 3) @ self.P1_T).reshape(2, 2, nt, -1)
 
     def grad_load(self, S):
         """L_(a,l) = sum_(c,q,b) S[a, b, c, q] d phi_l/d x_b(q) of stress

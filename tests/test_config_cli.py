@@ -287,14 +287,16 @@ def test_readme_table_lists_every_csv_header(tmp_path):
 
 def test_trajectory_net_flux_is_roundoff(preset16, tmp_path):
     # the appended net_flux column, flux_vector @ zeta_g(t), is zero up to
-    # roundoff on four_pumps, ramp and plateau
+    # roundoff on four_pumps, ramp and plateau; the tangent_scale column after
+    # it is the step record's
     from recirc.cli import _write_trajectory
 
     sys_ = preset16.system
     traj = sys_.integrate(preset16.state0, T=0.3, dt=0.01)
     _write_trajectory(tmp_path / "t.csv", traj, sys_, "test")
     cols = _csv_columns(tmp_path / "t.csv")
-    assert list(cols)[-1] == "net_flux" and cols["t"] == traj.times.tolist()
+    assert list(cols)[-2:] == ["net_flux", "tangent_scale"] and cols["t"] == traj.times.tolist()
+    assert cols["tangent_scale"] == traj.tangent_scales.tolist()
     g_max = max(np.abs(sys_.pumps.rates(t)[0]).max() for t in traj.times)
     bound = 1e-12 * g_max * np.abs(preset16.space.flux_vector).sum()
     assert g_max > 0.0 and max(np.abs(cols["net_flux"])) <= bound
@@ -332,7 +334,7 @@ def test_cli_partial_trajectory_has_net_flux(tmp_path, monkeypatch):
     assert main(["simulate", "--config", str(path), "--output-dir", str(out),
                  "--quiet"]) == 1
     cols = _csv_columns(out / "trajectory_partial.csv")
-    assert list(cols)[-4:] == ["iterations", "residual", "tangents", "net_flux"]
+    assert list(cols)[-5:] == ["iterations", "residual", "tangents", "net_flux", "tangent_scale"]
     assert len(cols["t"]) == len(cols["net_flux"]) == 4  # t = 0 and three steps
 
 
@@ -347,7 +349,7 @@ def test_cli_simulate_solver_summary(tmp_path):
     lines = [ln for ln in (out / "trajectory.csv").read_text().splitlines()
              if not ln.startswith("#")]
     cols = lines[0].split(",")
-    assert cols[-4:] == ["iterations", "residual", "tangents", "net_flux"]
+    assert cols[-5:] == ["iterations", "residual", "tangents", "net_flux", "tangent_scale"]
     rows = [dict(zip(cols, ln.split(","))) for ln in lines[1:]]
     iters = [int(r["iterations"]) for r in rows]
     assert solver["tangents_total"] == sum(int(r["tangents"]) for r in rows)
@@ -370,6 +372,21 @@ def test_cli_simulate_solver_summary(tmp_path):
     assert sum(phases.values()) <= summary["wall_time_s"] + 1e-3
 
 
+def test_cli_summary_states_the_estimates(tmp_path):
+    # summary.json adds the estimates' sides, the Gronwall exponent x and
+    # log10_C2, C2 without the clamp at x = 700; below the clamp it is the
+    # log10 of C2_empirical, and C1_empirical is the ratio of the sides
+    path, _ = small_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output-dir", str(out),
+                 "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["C1_empirical"] == summary["estimate1_lhs"] / summary["estimate1_rhs"]
+    assert 0.0 < summary["estimate2_exponent"] < 700.0
+    log10_C2 = np.log10(summary["C2_empirical"])
+    assert abs(summary["log10_C2"] - log10_C2) <= 1e-13 * abs(log10_C2)
+
+
 def test_cli_summaries_record_the_numerical_environment(tmp_path, monkeypatch):
     # summary.json and eigen_summary.json record numpy's BLAS and the thread
     # variables that are set, as the process reads them; no other key
@@ -385,8 +402,10 @@ def test_cli_summaries_record_the_numerical_environment(tmp_path, monkeypatch):
     path, _ = small_config(tmp_path, pumps=[])
     keys = {
         "simulate": ("summary.json", ["C1_empirical", "C2_empirical", "config_hash", "environment",
-                                      "final_v_l2", "final_z_l2", "max_v_l2", "modes", "phases",
-                                      "scheme", "solver", "version", "wall_time_s"]),
+                                      "estimate1_lhs", "estimate1_rhs", "estimate2_exponent",
+                                      "estimate2_lhs", "final_v_l2", "final_z_l2", "log10_C2",
+                                      "max_v_l2", "modes", "phases", "scheme", "solver",
+                                      "version", "wall_time_s"]),
         "eigen": ("eigen_summary.json", ["config_hash", "environment", "gram_residual",
                                          "korn_constant", "lambda_1", "max_rayleigh_residual",
                                          "modes", "subspace_dimension"]),

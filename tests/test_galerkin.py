@@ -344,8 +344,8 @@ def _logged_newton(monkeypatch, events):
     ("tangent", None) to events, in the order the step calls them."""
 
     def logged(defect, tangent, jacobian):
-        def logged_defect(z):
-            out = defect(z)
+        def logged_defect(z, *args, **kw):
+            out = defect(z, *args, **kw)
             events.append(("defect", out[1]))
             return out
 
@@ -360,17 +360,17 @@ def _logged_newton(monkeypatch, events):
 
 def _logged_secant(monkeypatch, log):
     """Patch implicit_euler_newton to append ("defect", z, d, residual),
-    ("tangent", T) and ("jacobian", T, copy of T) to log, in call order."""
+    ("tangent", T, s) and ("jacobian", T, copy of T) to log, in call order."""
 
     def logged(defect, tangent, jacobian):
-        def logged_defect(z):
-            out = defect(z)
+        def logged_defect(z, *args, **kw):
+            out = defect(z, *args, **kw)
             log.append(("defect", z, out[0], out[1]))
             return out
 
         def logged_tangent(z):
-            log.append(("tangent", tangent(z)))
-            return log[-1][1]
+            log.append(("tangent", *tangent(z)))
+            return log[-1][1:]
 
         def logged_jacobian(z, T_VV):
             log.append(("jacobian", T_VV, T_VV.copy()))
@@ -389,10 +389,10 @@ def _events(log):
 
 def _replay_secant(log, T, dt):
     """Replay a logged step (or run of steps) without backtracks from the
-    tangent T in use at its start: every jacobian call receives the tangent
-    formed or carried in plus the secant update r s^T / (dt s^T s) of each
-    accepted update since, with s = z+ - z and r = d(z+) (lambda = 1),
-    checked to 1e-14 relative; a trial without decrease is dropped. Every
+    tangent T in use at its start: every jacobian call receives, bit for
+    bit, the tangent formed or carried in plus the secant update
+    r s^T / (dt s^T s) of each accepted update since, with s = z+ - z and
+    r = d(z+) (lambda = 1); a trial without decrease is dropped. Every
     tangent passed is bitwise unchanged at the end. Returns the tangent in
     use at the end."""
     z = res = None
@@ -400,7 +400,7 @@ def _replay_secant(log, T, dt):
         if entry[0] == "tangent":
             T = entry[1]
         elif entry[0] == "jacobian":
-            assert _rel_gap(entry[1], T) <= 1e-14
+            assert np.array_equal(entry[1], T)
             assert np.array_equal(entry[1], entry[2])
         elif res is None or entry[3] < res:
             if res is not None:
@@ -557,7 +557,7 @@ def plateau_step(preset16):
     traj = sys_.integrate(preset16.state0, T=0.25, dt=dt)
     (zm, z), t = traj.states[-2:], traj.times[-1]
     defect, tangent, _ = sys_.implicit_euler_newton(zm, dt, t)
-    return zm, z, t, tangent(z)
+    return zm, z, t, tangent(z)[0]
 
 
 def _updates(events):
@@ -650,14 +650,17 @@ def test_carried_tangent_without_decrease_is_refreshed(preset16, plateau_step, m
     assert diag["iterations"] == kinds.count("defect") - 2  # the start's and the dropped trial
     formed = [entry[1] for entry in log if entry[0] == "tangent"]
     defect, tangent, _ = sys_.implicit_euler_newton(z, dt, t + dt)  # logs on
-    assert np.array_equal(formed[0], tangent(start))
+    assert np.array_equal(formed[0], tangent(start)[0])
     assert diag["residual"] <= 1e-10
 
 
 def test_step_after_a_refresh_carries_its_tangent(preset16, monkeypatch):
-    # in integrate, a step after one that formed a tangent and handed it on
-    # makes no kernel call: every update uses that tangent with the secant
-    # updates made since it was formed, in its own step and in this one
+    # in integrate, a step that forms no tangent makes no kernel call: every
+    # update uses the tangent formed or carried in, times the scale factor
+    # s / s_ref applied at its start, plus the secant updates made since,
+    # bit for bit. s is the eddy-viscosity scale at the step's start and
+    # s_ref that of the iterate the tangent was formed at, or of the start
+    # it was last rescaled at; the chain runs through the whole T = 0.3 run
     sys_, dt = preset16.system, 0.01
     log, steps = [], []
     _logged_secant(monkeypatch, log)
@@ -666,20 +669,124 @@ def test_step_after_a_refresh_carries_its_tangent(preset16, monkeypatch):
                         lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
 
     def on_step(state):
-        steps.append((list(log), len(calls)))
+        steps.append((list(log), len(calls), state.t, state.diag["tangent_scale"]))
         log.clear()
         calls.clear()
 
     traj = sys_.integrate(preset16.state0, T=0.3, dt=dt, on_step=on_step)
-    assert [n for _, n in steps] == traj.tangents[1:].tolist()
+    assert [n for _, n, _, _ in steps] == traj.tangents[1:].tolist()
+    assert traj.tangent_scales[1:].tolist() == [factor for *_, factor in steps]
     assert traj.backtracks.sum() == 0
+    T = s_ref = None
     carried = 0
-    for (before, n_before), (after, n) in zip(steps, steps[1:]):
-        if n_before and n == 0:
-            first = next(entry[1] for entry in before if entry[0] == "jacobian")
-            _replay_secant(after, _replay_secant(before, first, dt), dt)
-            carried += 1
-    assert carried >= 3
+    for entries, n, t, factor in steps:
+        if T is None:  # the first step forms its tangent at z_old
+            assert entries[1][0] == "tangent" and factor == 1.0
+        else:
+            start = entries[0][1]
+            s_new = sys_._closure(start, sys_.lift_modal(t)[0], with_scale=True)[1]
+            assert factor == s_new / s_ref
+            T, s_ref = factor * T, s_new
+        T = _replay_secant(entries, T, dt)
+        formed = [entry[2] for entry in entries if entry[0] == "tangent"]
+        s_ref = formed[-1] if formed else s_ref
+        carried += n == 0
+    assert carried >= 25 and traj.tangents.sum() <= 2
+
+
+@pytest.mark.parametrize("preset", ["four_pumps", "rect15"])
+def test_closure_homogeneity_is_bit_exact(preset, preset16, rect15):
+    # the stress 2 nu_tur |e| e is homogeneous of degree 2 in w, so its
+    # tangent and the eddy-viscosity scale are of degree 1: scaling (z, g)
+    # by a power of 2 scales every product and sum exactly, so at lambda in
+    # {1/2, 2, 4} the tangent and the scale are lambda times, and the closure
+    # pairings lambda^2 times, their values at (z, g), bit for bit; on the
+    # ramp and on four_pumps' plateau (rect15's one schedule ramps over its
+    # whole horizon, so its second time is the ramp's end, t = 1)
+    scn = preset16 if preset == "four_pumps" else rect15
+    sys_ = scn.system
+    rng = np.random.default_rng(110)
+    for t in (0.1, 0.5 if preset == "four_pumps" else 1.0):
+        g, _ = sys_.lift_modal(t)
+        z = 0.05 * rng.standard_normal(scn.basis.size)
+        T, s = sys_._tangent(z, g)
+        pairings = sys_._closure(z, g)
+        assert s > 0 and np.abs(T).max() > 0 and np.abs(pairings).max() > 0
+        for lam in (0.5, 2.0, 4.0):
+            T_lam, s_lam = sys_._tangent(lam * z, lam * g)
+            assert np.array_equal(T_lam, lam * T) and s_lam == lam * s, (t, lam)
+            assert np.array_equal(sys_._closure(lam * z, lam * g), lam**2 * pairings), (t, lam)
+
+
+def test_eddy_viscosity_scale_is_the_integral(preset16):
+    # s, the sum of the closure's scale table, is int 2 nu_tur |e(w)| by the
+    # space's quadrature, to 1e-14 relative; the defect's and the tangent's
+    # reductions of it agree bit for bit
+    scn = preset16
+    sys_, space = scn.system, scn.space
+    rng = np.random.default_rng(111)
+    for t in (0.1, 0.5):
+        g, _ = sys_.lift_modal(t)
+        z = 0.05 * rng.standard_normal(scn.basis.size)
+        _, s = sys_._closure(z, g, with_scale=True)
+        mag = sys_.state_fields(z, g).w_eps_mag
+        ref = space.integrate(2.0 * scn.params.nu_tur * mag)
+        assert abs(s - ref) <= 1e-14 * ref
+        assert s == sys_._tangent(z, g)[1]
+        defect, _, _ = sys_.implicit_euler_newton(z, 0.01, t)
+        assert defect(z, with_scale=True)[2] == s
+
+
+def _rescale_case(name):
+    """The configs the rescaled tangent was measured on: four_pumps at 16^2
+    (T = 1), the pumps32 benchmark's config (32^2, 40 modes, T = 0.3), a
+    vortex of amplitude 30 without pumps and four_pumps with four distinct
+    schedules and a vortex of amplitude 5 (both 16^2, T = 1)."""
+    import json
+
+    cfg = json.loads(preset_path("four_pumps").read_text())
+    if name == "pumps32":
+        cfg.update(mesh={"nx": 32, "ny": 32}, galerkin={"modes": 40})
+        cfg["time"]["T"] = 0.3
+    elif name == "vortex30":
+        cfg.update(pumps=[], initial={"preset": "vortex", "amplitude": 30.0})
+    elif name == "distinct":
+        schedules = ([[0.0, 0.0], [0.2, 0.05], [1.0, 0.05]],
+                     [[0.0, 0.0], [0.4, 0.08], [1.0, 0.08]],
+                     [[0.0, 0.0], [0.1, 0.03], [0.6, 0.03], [1.0, 0.0]],
+                     [[0.0, 0.0], [0.3, 0.06], [0.7, 0.02], [1.0, 0.02]])
+        for pump, schedule in zip(cfg["pumps"], schedules):
+            pump["schedule"] = schedule
+        cfg["initial"] = {"preset": "vortex", "amplitude": 5.0}
+    return build_scenario(validate(cfg)).built()
+
+
+# name: (tangents at most, evaluations at most, and the tangents and
+# evaluations of the stepper that carried its tangent without the rescale).
+# On the distinct schedules the rescale costs 2.9% more evaluations: there
+# the state does not change along a ray, and the tangent carried since the
+# ramp finishes fewer late steps in two updates than one formed later.
+RESCALE_COUNTS = {"four_pumps": (2, 1.02, 6, 298), "pumps32": (2, 1.02, 7, 133),
+                  "vortex30": (2, 1.02, 5, 320), "distinct": (3, 1.03, 6, 411)}
+
+
+@pytest.mark.parametrize("name", list(RESCALE_COUNTS))
+def test_rescaled_tangent_is_formed_once_per_run(name):
+    # carried along the closure's homogeneity, the tangent lasts the run:
+    # at most 2 (3) tangents where the unscaled carry formed 5 to 7, every
+    # step at the 1e-10 tolerance without a backtrack, and few more defect
+    # evaluations, so that a run's closure work, a tangent counted as the
+    # 6 to 7 defects it costs, falls. About 2.5 s, most of it pumps32's set-up
+    most, rise, tangents, evaluations = RESCALE_COUNTS[name]
+    scn = _rescale_case(name)
+    cfg = scn.config
+    traj = scn.system.integrate(scn.state0, T=cfg.time["T"], dt=cfg.time["dt"])
+    assert traj.completed and traj.step_residuals.max() <= 1e-10
+    assert traj.backtracks.sum() == 0
+    assert traj.tangents.sum() <= most
+    assert traj.evaluations.sum() <= rise * evaluations
+    assert traj.evaluations.sum() + 6 * traj.tangents.sum() < evaluations + 6 * tangents
+    assert np.all(traj.tangent_scales[1:] > 0)
 
 
 def test_secant_update_satisfies_the_secant_condition(preset16, plateau_step, monkeypatch):
@@ -783,7 +890,7 @@ def test_newton_jacobian_matches_central_difference(preset16, nu_tur):
         defect, tangent, jacobian = sys_.implicit_euler_newton(
             rng.standard_normal(scn.basis.size), dt, t)
         z = 0.5 * rng.standard_normal(scn.basis.size)
-        jac = jacobian(z, tangent(z) if nu_tur > 0 else None)
+        jac = jacobian(z, tangent(z)[0] if nu_tur > 0 else None)
         fd = np.column_stack([
             (defect(z + h * e)[0] - defect(z - h * e)[0]) / (2 * h)
             for e in np.eye(len(z))
@@ -826,10 +933,10 @@ def test_closure_tangent_guard_at_zero_strain(preset16):
     defect, tangent, jacobian = sys_.implicit_euler_newton(z, dt, 0.0)
     with np.errstate(all="raise"):
         d, res = defect(z)
-        T_VV = tangent(z)
+        T_VV, s = tangent(z)
         jac = jacobian(z, T_VV)
     assert np.all(np.isfinite(jac)) and np.isfinite(res)
-    assert np.array_equal(T_VV, np.zeros((N, N)))
+    assert np.array_equal(T_VV, np.zeros((N, N))) and s == 0.0
     assert np.array_equal(jac, np.eye(N) + dt * sys_.visc)
 
 
@@ -1102,7 +1209,7 @@ def test_closure_matches_the_cell_major_path(preset, preset16, rect15):
         _, tangent, _ = sys_.implicit_euler_newton(z, 0.01, t)
         f = sys_.state_fields(z, g)
         w, a = closure_tangent(f.w_eps_mag, scn.params)
-        assert np.array_equal(tangent(z),
+        assert np.array_equal(tangent(z)[0],
                               cell_major_strain_stiffness(space, w, old[:, K:], (a, f.w_eps)))
 
 
@@ -1144,8 +1251,9 @@ def test_truncated_strain_table_is_a_contiguous_view(preset16):
 
 
 def test_rk4_forms_lift_data_once_per_distinct_time(preset16, monkeypatch):
-    # k2 and k3 share t + dt/2, so a step reads the pump rates three times,
-    # and its result is bit for bit the four-rhs composition
+    # k2 and k3 share t + dt/2, so a bare step reads the pump rates three
+    # times, and its result is bit for bit the four-rhs composition; an
+    # integration reads them 2 n + 1 times and steps as the bare steps do
     scn = preset16
     sys_, dt = scn.system, 0.01
     rates, calls = type(scn.pumps).rates, []
@@ -1164,7 +1272,13 @@ def test_rk4_forms_lift_data_once_per_distinct_time(preset16, monkeypatch):
         monkeypatch.setattr(type(scn.pumps), "rates", lambda *a: calls.append(1) or rates(*a))
     calls.clear()
     traj = sys_.integrate(scn.state0, T=0.1, dt=dt, scheme="explicit-rk4")
-    assert len(calls) == 3 * (len(traj) - 1)
+    # integrate hands t_{n+1}'s lift data from step n's k4 to step n + 1's k1
+    assert len(calls) == 2 * (len(traj) - 1) + 1
+    monkeypatch.undo()
+    state = scn.state0
+    for k in range(1, len(traj)):
+        state, _ = sys_.step(state, dt, scheme="explicit-rk4", t_new=k * dt)
+        assert np.array_equal(traj.states[k], state.z)
 
 
 def test_concurrent_integrations_match_sequential_runs(preset16):

@@ -262,6 +262,26 @@ def _ledger_oracle(sys_, traj):
     return rows, data
 
 
+def test_log10_C2_is_not_clamped():
+    # past the clamp at x = 700 C2_empirical is set by the clamp, while
+    # log10_C2 = log10(lhs2 / (base2 (1 + e^x))) follows x; below it the two
+    # agree, to roundoff
+    params = ClosureParams(0.01, 0.1)
+    times = np.array([0.0, 0.5, 1.0])
+    rows = {key: np.array([1.0, 2.0, 3.0])
+            for key in ("z_l2_sq", "z_w12_sq", "z_w13_cu", "dzdt_l2_sq")}
+    base2 = 0.01 + (2.0 / 3.0) * 0.1 + 1.0
+    for x in (300.0, 6333.0):
+        data = {"v0_l2_sq": x, "zg_l3w13_cu": 0.0, "hg_l2l2_sq": 0.0, "dzg_l2h1_sq": 0.0,
+                "dzg_l2w13_cu": 0.0, "eps_v0_l2_sq": 1.0, "eps_v0_l3_cu": 1.0,
+                "hg_tilde_l2l2_sq": 1.0}
+        _estimates(params, times, rows, data)
+        expect = np.log10(data["estimate2_lhs"] / base2) - x / np.log(10.0)  # log(1 + e^x) = x
+        assert abs(data["log10_C2"] - expect) <= 1e-14 * abs(expect)
+        clamped = np.log10(data["C2_empirical"])
+        assert (abs(clamped - expect) <= 1e-13 * abs(expect)) == (x < 700.0)
+
+
 def _counted_ledger(sys_, traj, monkeypatch):
     """(ledger, the LiftData it built, the lift fields it tabulated): the
     fields are its `combine` calls."""

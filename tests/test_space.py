@@ -289,12 +289,34 @@ def test_plane_kernels_keep_the_old_products(dims):
                                   doubled_nonlinear_load(fs, ref, 0.7, D))
 
 
+@pytest.mark.parametrize("dims", SETUP_MESHES)
+def test_plane_kernels_read_cached_transposed_copies(dims):
+    # strain_planes, value_planes and grad_planes multiply by C-ordered
+    # copies of the transposed tables P1^T and N^T, formed once with the
+    # space: bit for bit the products with the transposed views
+    space = MixedSpace(build_rect_mesh(*dims))
+    nt, n = space.mesh.num_cells, space.n_scalar
+    assert space.P1_T.flags.c_contiguous and np.array_equal(space.P1_T, space.P1.T)
+    assert space.N_T.flags.c_contiguous and np.array_equal(space.N_T, space.N.T)
+    rng = np.random.default_rng(112)
+    for scale in (1e-3, 1.0, 30.0):
+        s = scale * rng.standard_normal(9 * nt)
+        ref = (s.reshape(3 * nt, 3) @ space.P1.T).reshape(3, nt, -1)
+        assert np.array_equal(space.strain_planes(s), ref)
+        u = scale * rng.standard_normal(space.n_velocity)
+        cells = u.reshape(2, n).take(space.cell_dofs, axis=1).reshape(2 * nt, 6)
+        assert np.array_equal(space.value_planes(u), (cells @ space.N.T).reshape(2, nt, -1))
+        G = np.concatenate([space.grad_operator @ ua for ua in u.reshape(2, n)])
+        ref = (G.reshape(4 * nt, 3) @ space.P1.T).reshape(2, 2, nt, -1)
+        assert np.array_equal(space.grad_planes(u), ref)
+
+
 def test_only_the_space_reads_its_reference_element():
     # the shape-function tables, cell DOF maps and gradient operators of a
     # space are read inside space.py alone: every other module goes through
     # its field kernels
-    private = {"cell_dofs", "cell_vdofs", "cell_vdofs_la", "N", "P1", "P1_pairs", "grad",
-               "Nhat_grad", "grad_operator", "grad_operator_T"}
+    private = {"cell_dofs", "cell_vdofs", "cell_vdofs_la", "N", "N_T", "P1", "P1_T", "P1_pairs",
+               "grad", "Nhat_grad", "grad_operator", "grad_operator_T"}
     reads = [f"{path.name}:{node.lineno}: .{node.attr}"
              for path in sorted(SRC.glob("*.py")) if path.name != "space.py"
              for node in ast.walk(ast.parse(path.read_text()))
