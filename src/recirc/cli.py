@@ -123,16 +123,18 @@ def _fan_out(fn, items, threads):
 
 def _write_trajectory(path, traj, system, cfg_hash):
     """trajectory.csv; net_flux is the discrete net boundary flux of
-    zeta_g(t), which the lifts' traces make zero up to roundoff, and
+    zeta_g(t), which the lifts' traces make zero up to roundoff,
     tangent_scale the factor by which the step rescaled its carried closure
-    tangent."""
+    tangent and start_order the order of the extrapolation the step's Newton
+    iteration started from."""
     lift_flux = system.lifting.zetas @ system.space.flux_vector  # (K,)
     _write_csv(path, {"t": traj.times,
                       **{f"z{k + 1}": z for k, z in enumerate(traj.states.T)},
                       "iterations": traj.iterations, "residual": traj.step_residuals,
                       "tangents": traj.tangents,
                       "net_flux": [lift_flux @ system.pumps.rates(t)[0] for t in traj.times],
-                      "tangent_scale": traj.tangent_scales},
+                      "tangent_scale": traj.tangent_scales,
+                      "start_order": traj.start_orders},
                cfg_hash)
 
 
@@ -157,8 +159,10 @@ def _progress(cfg):
 
     def on_step(state):
         done[0] += 1
-        print(f"step {done[0]}/{n} t={state.t:.6g} iterations={state.diag['iterations']} "
-              f"residual={state.diag['residual']:.3e}", file=sys.stderr)
+        diag = state.diag
+        print(f"step {done[0]}/{n} t={state.t:.6g} iterations={diag['iterations']} "
+              f"residual={diag['residual']:.3e} evaluations={diag['evaluations']} "
+              f"start_order={diag['start_order']}", file=sys.stderr)
 
     return on_step
 
@@ -229,6 +233,8 @@ def cmd_simulate(args):
             # [n] = the number of steps that took n iterations
             "iterations_histogram": np.bincount(traj.iterations[1:]).tolist(),
             "evaluations_total": int(traj.evaluations.sum()),
+            # [p] = the number of steps that started from the order-p extrapolation
+            "start_order_histogram": np.bincount(traj.start_orders[1:]).tolist(),
         },
         # wall time per phase; output is the CSVs, the velocity norms and the
         # VTK files, not summary.json itself

@@ -70,8 +70,13 @@ table, reduced to the modes in one GEMM
 (`MixedSpace.weighted_strain_stiffness`) without assembling a mesh-sized
 matrix. That projection is the heavy half of an iteration, and the
 monotone closure's tangent moves by O(dt) over a step, so it is frozen, and
-`integrate` carries it from step to step, starting each step from the
-quadratic extrapolation of the last three states. Every
+`integrate` carries it from step to step. It starts each step from an
+extrapolation of the last states whose order the last step's prediction
+error sets (the variable-order predictor of Shampine & Gordon, Computer
+Solution of Ordinary Differential Equations, 1975): of the orders
+p < MAX_START_ORDER that the states before z_{n+1} allow, the one whose
+extrapolation missed z_{n+1} least, one order higher when that was the
+highest tried (`start_order`). Every
 accepted update corrects the frozen tangent by Broyden's rank-one secant
 update (Broyden, Math. Comp. 19, 1965), from the two defects the update has
 already evaluated, so the next update's Newton matrix maps the step just
@@ -109,6 +114,8 @@ strain table at y = [g; z]. The system holds no mutable state while it
 steps: every table, the source's included, is formed when it is built.
 """
 
+from math import comb
+
 import numpy as np
 
 from .errors import SolverError, StepError
@@ -121,10 +128,16 @@ MAX_HALVINGS = 20  # step-length halvings per Newton update before a step fails
 CHORD_RATE = 0.1  # an accepted update that shrinks the residual less refreshes the tangent
 CARRY_RATE = CHORD_RATE / 2  # a carried tangent contracting less is not carried further
 INITIAL_TOL = 1e-8  # relative trace and divergence an initial velocity may carry
-# The step record: each diag key every stepper returns, and its Trajectory array
+MAX_START_ORDER = 6  # P: the orders tried on the last step are 0 .. P - 1, a start's at most P
+# EXTRAPOLATION[p, j] = (-1)^j C(p + 1, j + 1): row p extrapolates the next
+# state at order p from the last p + 1, newest first (row 2: 3, -3, 1)
+EXTRAPOLATION = np.array([[(-1) ** j * comb(p + 1, j + 1) for j in range(MAX_START_ORDER + 1)]
+                          for p in range(MAX_START_ORDER + 1)], dtype=float)
+# The step record: each diag key of a step that `integrate` hands on, and its
+# Trajectory array
 STEP_RECORD = {"iterations": "iterations", "residual": "step_residuals",
                "backtracks": "backtracks", "tangents": "tangents", "evaluations": "evaluations",
-               "tangent_scale": "tangent_scales"}
+               "tangent_scale": "tangent_scales", "start_order": "start_orders"}
 
 
 def _check_positive(name, value):
@@ -144,6 +157,19 @@ def step_count(T, dt):
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
     return n_steps
+
+
+def start_order(recent):
+    """The order of the next implicit step's start from the last states
+    `recent` (m + 1 >= 2 of them, newest first: z_{n+1}, z_n, ...), m =
+    min(len(recent) - 1, MAX_START_ORDER): the order p < m whose
+    extrapolation from z_n, z_{n-1}, ... missed z_{n+1} least in the 2-norm,
+    the lowest on a tie, and one order higher when that p is m - 1, the
+    highest tried."""
+    m = min(len(recent) - 1, MAX_START_ORDER)
+    miss = np.linalg.norm(EXTRAPOLATION[:m, :m] @ recent[1:m + 1] - recent[0], axis=1)
+    p = int(np.argmin(miss))
+    return p + (p == m - 1)
 
 
 class GalerkinState:
@@ -545,12 +571,13 @@ class ReducedSystem:
                                              "tangent_scale": 1.0, "lift": end}
 
     def step(self, state, dt, scheme="implicit-euler", **kw):
+        """One step of `scheme` with its stepper's keywords; a keyword the
+        scheme's stepper does not read is a TypeError."""
         _check_positive("dt", dt)
-        if scheme == "implicit-euler":
-            return self.step_implicit_euler(state, dt, **kw)
-        if scheme == "explicit-rk4":
-            return self.step_rk4(state, dt, t_new=kw.get("t_new"), lift=kw.get("lift"))
-        raise ValueError(f"unknown scheme {scheme!r}")
+        steppers = {"implicit-euler": self.step_implicit_euler, "explicit-rk4": self.step_rk4}
+        if scheme not in steppers:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        return steppers[scheme](state, dt, **kw)
 
     def integrate(self, state0, T, dt, scheme="implicit-euler", tol=1e-10,
                   on_step=None):
@@ -559,12 +586,19 @@ class ReducedSystem:
         step's diag as `state.diag`; the Trajectory is built from these.
 
         Implicit Euler carries Newton data from one step to the next, as
-        stiff integrators keep their Jacobian (Hairer & Wanner, IV.8): each
-        step starts from the quadratic extrapolation 3 z_n - 3 z_{n-1} +
-        z_{n-2} of the last three states (z_0 at the first step, the linear
-        2 z_1 - z_0 at the second) and carries the closure tangent, with its
-        secant updates, and its reference scale that the previous step
-        hands on. RK4 carries the lift data of t_{n+1} from step n's k4 to
+        stiff integrators keep their Jacobian (Hairer & Wanner, IV.8). The
+        first step starts at z_0. Once step n + 1 is accepted, the order-p
+        extrapolations pi_p = sum_{j=0..p} (-1)^j C(p + 1, j + 1) z_{n-j}
+        (the rows of EXTRAPOLATION) of z_{n+1} from the states before it,
+        p < min(n + 1, MAX_START_ORDER), choose the order of step n + 2's
+        start (`start_order`): the p whose pi_p missed z_{n+1} least in the
+        2-norm, the lowest on a tie, and p + 1 when p was the highest
+        tried. Step n + 2 starts from that order's extrapolation through
+        z_{n+1}, so step 2 starts at 2 z_1 - z_0. Each step also carries
+        the closure tangent, with its secant updates, and its reference
+        scale that the previous step hands on. The diag gains
+        "start_order", the order of the step's start: 0 for a start at
+        z_n and for RK4. RK4 carries the lift data of t_{n+1} from step n's k4 to
         step n + 1's k1, so n steps form 2 n + 1 of them. They are locals of
         this call, never state of the system.
         """
@@ -575,6 +609,7 @@ class ReducedSystem:
         state = state0
         implicit = scheme == "implicit-euler"
         kw = {"tol": tol} if implicit else {}
+        order = 0  # of this step's start
         for k in range(n_steps):
             kw["t_new"] = state0.t + (k + 1) * dt  # exact grid, no accumulation
             try:
@@ -582,17 +617,19 @@ class ReducedSystem:
             except StepError as exc:
                 exc.trajectory = Trajectory(times, states, diags, completed=False)
                 raise
-            if implicit:  # the next step starts from the extrapolation of the last states
-                start = (2.0 * new.z - state.z if k == 0
-                         else 3.0 * new.z - 3.0 * state.z + states[-2])
-                kw.update(start=start, T_VV=diag.pop("T_VV"), T_scale=diag.pop("T_scale"))
-            else:
-                kw["lift"] = diag.pop("lift")
+            diag["start_order"] = order
             new.diag = diag
             state = new
             times.append(state.t)
             states.append(state.z.copy())
             diags.append(diag)
+            if implicit:  # the next step starts from the extrapolation of the last states
+                recent = np.array(states[:-MAX_START_ORDER - 2:-1])  # the last P + 1, newest first
+                order = start_order(recent)
+                kw.update(start=EXTRAPOLATION[order, :order + 1] @ recent[:order + 1],
+                          T_VV=diag.pop("T_VV"), T_scale=diag.pop("T_scale"))
+            else:
+                kw["lift"] = diag.pop("lift")
             if on_step is not None:
                 on_step(state)
         return Trajectory(times, states, diags)

@@ -52,11 +52,20 @@ def _stokes_lu(space, A):
         raise SolverError(f"Stokes saddle factorization failed: {exc}") from exc
 
 
-def solve_stokes_lift(space, psi, nu, lu=None):
+def stokes_operator(space, nu):
+    """(A, A_B, lu) that every lift on one space at one nu shares: the
+    velocity stiffness A = nu K_eps, its boundary columns A_B and the LU of
+    the pinned saddle matrix of A."""
+    A = (nu * space.K_eps).tocsr()
+    return A, A[:, space.boundary_vdofs], _stokes_lu(space, A)
+
+
+def solve_stokes_lift(space, psi, nu, operator=None):
     """Solve the Stokes lift for one trace field; returns (zeta, p, residual).
 
-    The pressure p has zero mean. Raises CompatibilityError if the trace has
-    net discrete flux above 1e-8.
+    `operator` is `stokes_operator(space, nu)` when the caller has it, else
+    it is formed here. The pressure p has zero mean. Raises
+    CompatibilityError if the trace has net discrete flux above 1e-8.
     """
     net = float(space.flux_vector @ psi)
     scale = max(1.0, float(np.abs(psi).max()))
@@ -64,12 +73,10 @@ def solve_stokes_lift(space, psi, nu, lu=None):
         raise CompatibilityError(
             f"trace field has net boundary flux {net:.3e}; Stokes lift unsolvable"
         )
+    A, A_B, lu = stokes_operator(space, nu) if operator is None else operator
     Bd = space.boundary_vdofs
-    A = (nu * space.K_eps).tocsr()
     psi_B = psi[Bd]
-    if lu is None:
-        lu = _stokes_lu(space, A)
-    zeta, p = space.saddle_solve(lu, -(A[:, Bd] @ psi_B), -(space.B[:, Bd] @ psi_B))
+    zeta, p = space.saddle_solve(lu, -(A_B @ psi_B), -(space.B[:, Bd] @ psi_B))
     zeta[Bd] = psi_B
 
     res_mom = (A @ zeta + space.B.T @ p)[space.interior_vdofs]
@@ -81,11 +88,11 @@ def solve_stokes_lift(space, psi, nu, lu=None):
 
 
 def build_lifting(space, pumps, nu):
-    """Lift every pump trace of a PumpSet; one factorization, K solves."""
-    lu = _stokes_lu(space, (nu * space.K_eps).tocsr()) if len(pumps) else None
+    """Lift every pump trace of a PumpSet; one operator and factorization, K solves."""
+    operator = stokes_operator(space, nu) if len(pumps) else None
     zetas, pressures, residuals = [], [], []
     for pump in pumps.pumps:
-        z, p, r = solve_stokes_lift(space, pump.psi, nu, lu=lu)
+        z, p, r = solve_stokes_lift(space, pump.psi, nu, operator=operator)
         zetas.append(z)
         pressures.append(p)
         residuals.append(r)

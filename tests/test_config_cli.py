@@ -192,6 +192,8 @@ def test_cli_simulate_progress(tmp_path, capsys):
             assert err[0].startswith(f"step 1/{steps} t=0.01 iterations=")
             assert err[-1].startswith(f"step {steps}/{steps} t=0.2 iterations=")
             assert all("residual=" in line for line in err)
+            assert err[0].endswith(" start_order=0") and err[1].endswith(" start_order=1")
+            assert all(re.search(r" evaluations=\d+ start_order=\d$", line) for line in err)
         else:
             assert err == []
     plain = outs[()]
@@ -287,16 +289,18 @@ def test_readme_table_lists_every_csv_header(tmp_path):
 
 def test_trajectory_net_flux_is_roundoff(preset16, tmp_path):
     # the appended net_flux column, flux_vector @ zeta_g(t), is zero up to
-    # roundoff on four_pumps, ramp and plateau; the tangent_scale column after
-    # it is the step record's
+    # roundoff on four_pumps, ramp and plateau; the tangent_scale and
+    # start_order columns after it are the step record's
     from recirc.cli import _write_trajectory
 
     sys_ = preset16.system
     traj = sys_.integrate(preset16.state0, T=0.3, dt=0.01)
     _write_trajectory(tmp_path / "t.csv", traj, sys_, "test")
     cols = _csv_columns(tmp_path / "t.csv")
-    assert list(cols)[-2:] == ["net_flux", "tangent_scale"] and cols["t"] == traj.times.tolist()
+    assert list(cols)[-3:] == ["net_flux", "tangent_scale", "start_order"]
+    assert cols["t"] == traj.times.tolist()
     assert cols["tangent_scale"] == traj.tangent_scales.tolist()
+    assert cols["start_order"] == traj.start_orders.tolist()
     g_max = max(np.abs(sys_.pumps.rates(t)[0]).max() for t in traj.times)
     bound = 1e-12 * g_max * np.abs(preset16.space.flux_vector).sum()
     assert g_max > 0.0 and max(np.abs(cols["net_flux"])) <= bound
@@ -334,7 +338,8 @@ def test_cli_partial_trajectory_has_net_flux(tmp_path, monkeypatch):
     assert main(["simulate", "--config", str(path), "--output-dir", str(out),
                  "--quiet"]) == 1
     cols = _csv_columns(out / "trajectory_partial.csv")
-    assert list(cols)[-5:] == ["iterations", "residual", "tangents", "net_flux", "tangent_scale"]
+    assert list(cols)[-6:] == ["iterations", "residual", "tangents", "net_flux", "tangent_scale",
+                               "start_order"]
     assert len(cols["t"]) == len(cols["net_flux"]) == 4  # t = 0 and three steps
 
 
@@ -349,7 +354,8 @@ def test_cli_simulate_solver_summary(tmp_path):
     lines = [ln for ln in (out / "trajectory.csv").read_text().splitlines()
              if not ln.startswith("#")]
     cols = lines[0].split(",")
-    assert cols[-5:] == ["iterations", "residual", "tangents", "net_flux", "tangent_scale"]
+    assert cols[-6:] == ["iterations", "residual", "tangents", "net_flux", "tangent_scale",
+                         "start_order"]
     rows = [dict(zip(cols, ln.split(","))) for ln in lines[1:]]
     iters = [int(r["iterations"]) for r in rows]
     assert solver["tangents_total"] == sum(int(r["tangents"]) for r in rows)
@@ -365,6 +371,12 @@ def test_cli_simulate_solver_summary(tmp_path):
     assert hist == [iters[1:].count(n) for n in range(max(iters) + 1)]
     # every step evaluates the closure at its start and at each Newton trial
     assert solver["evaluations_total"] >= solver["iterations_total"] + len(rows) - 1
+    # [p] counts the steps that started from the order-p extrapolation:
+    # the first at z_0, the second at the linear 2 z_1 - z_0
+    orders = [int(r["start_order"]) for r in rows]
+    assert orders[:3] == [0, 0, 1]
+    assert solver["start_order_histogram"] == [orders[1:].count(p)
+                                               for p in range(max(orders) + 1)]
     # the phases are disjoint parts of the run's wall time
     phases = summary["phases"]
     assert sorted(phases) == ["integrate_s", "ledger_s", "output_s", "setup_s"]

@@ -138,6 +138,24 @@ def test_step_rejects_bad_dt(plain16, preset16):
             sys_.step(state, 0.1, scheme="leapfrog")
 
 
+def test_step_rejects_keywords_its_scheme_does_not_read(preset16):
+    # RK4 reads t_new and lift, implicit Euler its Newton keywords: each
+    # scheme refuses the other's instead of dropping them, and the keywords
+    # both read still pass
+    sys_ = preset16.system
+    state = GalerkinState(0.0, np.zeros(sys_.basis.size))
+    newton = {"tol": 1e-3, "start": np.ones(sys_.basis.size), "T_VV": np.eye(sys_.basis.size),
+              "T_scale": 1.0, "max_iter": 1}
+    for key, value in newton.items():
+        with pytest.raises(TypeError, match=key):
+            sys_.step(state, 0.01, scheme="explicit-rk4", **{key: value})
+    with pytest.raises(TypeError, match="lift"):
+        sys_.step(state, 0.01, lift=sys_.lift_modal(0.0))
+    rk4, _ = sys_.step(state, 0.01, scheme="explicit-rk4", t_new=0.01, lift=sys_.lift_modal(0.0))
+    assert np.array_equal(rk4.z, sys_.step(state, 0.01, scheme="explicit-rk4")[0].z)
+    assert sys_.step(state, 0.01, t_new=0.01)[1]["residual"] <= 1e-10
+
+
 def test_implicit_euler_matches_exponential_in_linear_regime(plain16):
     # closed-form oracle: dz/dt = -nu E z  =>  z(t) = expm(-nu E t) z0
     space, basis, _, _ = plain16
@@ -738,10 +756,12 @@ def test_eddy_viscosity_scale_is_the_integral(preset16):
 
 
 def _rescale_case(name):
-    """The configs the rescaled tangent was measured on: four_pumps at 16^2
-    (T = 1), the pumps32 benchmark's config (32^2, 40 modes, T = 0.3), a
-    vortex of amplitude 30 without pumps and four_pumps with four distinct
-    schedules and a vortex of amplitude 5 (both 16^2, T = 1)."""
+    """The configs the rescaled tangent and the chosen start were measured
+    on: four_pumps at 16^2 (T = 1), the pumps32 benchmark's config (32^2,
+    40 modes, T = 0.3), vortices of amplitude 30 and 100 without pumps,
+    four_pumps with four distinct schedules and a vortex of amplitude 5, and
+    four_pumps ramping to 0.3 and back in 0.05 over a vortex of amplitude
+    10 (all but pumps32 16^2, T = 1)."""
     import json
 
     cfg = json.loads(preset_path("four_pumps").read_text())
@@ -750,6 +770,12 @@ def _rescale_case(name):
         cfg["time"]["T"] = 0.3
     elif name == "vortex30":
         cfg.update(pumps=[], initial={"preset": "vortex", "amplitude": 30.0})
+    elif name == "vortex100":
+        cfg.update(pumps=[], initial={"preset": "vortex", "amplitude": 100.0})
+    elif name == "spikes":
+        for pump in cfg["pumps"]:
+            pump["schedule"] = [[0.0, 0.0], [0.05, 0.3], [0.5, 0.3], [0.55, 0.0], [1.0, 0.0]]
+        cfg["initial"] = {"preset": "vortex", "amplitude": 10.0}
     elif name == "distinct":
         schedules = ([[0.0, 0.0], [0.2, 0.05], [1.0, 0.05]],
                      [[0.0, 0.0], [0.4, 0.08], [1.0, 0.08]],
@@ -762,29 +788,33 @@ def _rescale_case(name):
 
 
 # name: (tangents at most, evaluations at most, and the tangents and
-# evaluations of the stepper that carried its tangent without the rescale).
-# On the distinct schedules the rescale costs 2.9% more evaluations: there
-# the state does not change along a ray, and the tangent carried since the
-# ramp finishes fewer late steps in two updates than one formed later.
-RESCALE_COUNTS = {"four_pumps": (2, 1.02, 6, 298), "pumps32": (2, 1.02, 7, 133),
-                  "vortex30": (2, 1.02, 5, 320), "distinct": (3, 1.03, 6, 411)}
+# evaluations of the stepper that carried its tangent without the rescale
+# and started each step from the quadratic extrapolation). With the start
+# order chosen by the last step's miss every config takes fewer evaluations
+# than that stepper: 235, 122, 223 and 395 against 298, 133, 320 and 411.
+# Roundoff alone moves a count by about 2% (the quadratic start formed as a
+# product with EXTRAPOLATION takes 302 on four_pumps, 3 z_n - 3 z_{n-1} +
+# z_{n-2} took 296), so the bounds sit 2.5-5% above today's counts.
+RESCALE_COUNTS = {"four_pumps": (2, 245, 6, 298), "pumps32": (2, 125, 7, 133),
+                  "vortex30": (2, 235, 5, 320), "distinct": (3, 410, 6, 411)}
 
 
 @pytest.mark.parametrize("name", list(RESCALE_COUNTS))
 def test_rescaled_tangent_is_formed_once_per_run(name):
     # carried along the closure's homogeneity, the tangent lasts the run:
     # at most 2 (3) tangents where the unscaled carry formed 5 to 7, every
-    # step at the 1e-10 tolerance without a backtrack, and few more defect
-    # evaluations, so that a run's closure work, a tangent counted as the
-    # 6 to 7 defects it costs, falls. About 2.5 s, most of it pumps32's set-up
-    most, rise, tangents, evaluations = RESCALE_COUNTS[name]
+    # step at the 1e-10 tolerance without a backtrack, and fewer defect
+    # evaluations than the unscaled carry from the quadratic start, so that
+    # a run's closure work, a tangent counted as the 6 to 7 defects it
+    # costs, falls. About 2.5 s, most of it pumps32's set-up
+    most, at_most, tangents, evaluations = RESCALE_COUNTS[name]
     scn = _rescale_case(name)
     cfg = scn.config
     traj = scn.system.integrate(scn.state0, T=cfg.time["T"], dt=cfg.time["dt"])
     assert traj.completed and traj.step_residuals.max() <= 1e-10
     assert traj.backtracks.sum() == 0
     assert traj.tangents.sum() <= most
-    assert traj.evaluations.sum() <= rise * evaluations
+    assert traj.evaluations.sum() <= at_most < evaluations
     assert traj.evaluations.sum() + 6 * traj.tangents.sum() < evaluations + 6 * tangents
     assert np.all(traj.tangent_scales[1:] > 0)
 
@@ -814,9 +844,16 @@ def test_secant_update_satisfies_the_secant_condition(preset16, plateau_step, mo
         assert gap <= 1e-12 * np.linalg.norm(d0) + floor
 
 
-def test_integrate_starts_from_the_quadratic_extrapolation(preset16, monkeypatch):
-    # step 1 starts at z_0, step 2 at 2 z_1 - z_0, and step n + 1 at
-    # 3 z_n - 3 z_{n-1} + z_{n-2}
+def test_integrate_starts_from_the_chosen_extrapolation(preset16, monkeypatch):
+    # step 1 starts at z_0 and step 2 at 2 z_1 - z_0, bit for bit; after
+    # step n + 1, the order-p extrapolations sum_j (-1)^j C(p + 1, j + 1)
+    # z_{n-j} of z_{n+1}, p < min(n + 1, 6), choose step n + 2's start: the
+    # order that missed least, the lowest on a tie, one higher when it is
+    # the highest tried, extrapolated through z_{n+1}. The replay forms its
+    # own coefficients and misses; its start is the same product, so equal
+    # bit for bit. The step record's start_order is the order replayed
+    from math import comb
+
     step, starts = ReducedSystem.step, []
 
     def logged(self, state, dt, **kw):
@@ -824,17 +861,44 @@ def test_integrate_starts_from_the_quadratic_extrapolation(preset16, monkeypatch
         return step(self, state, dt, **kw)
 
     monkeypatch.setattr(ReducedSystem, "step", logged)
-    traj = preset16.system.integrate(preset16.state0, T=0.1, dt=0.01)
+    traj = preset16.system.integrate(preset16.state0, T=0.4, dt=0.01)
     z = traj.states
     assert len(starts) == len(traj) - 1
+    coef = np.array([[(-1) ** j * comb(p + 1, j + 1) for j in range(7)] for p in range(7)],
+                    dtype=float)
+    orders = [0]
     for n, (z_old, start) in enumerate(starts):
         assert np.array_equal(z_old, z[n])
         if n == 0:
             assert start is None  # a step without a start begins at z_old
-        elif n == 1:
-            assert np.array_equal(start, 2 * z[1] - z[0])
-        else:
-            assert np.array_equal(start, 3 * z[n] - 3 * z[n - 1] + z[n - 2])
+            continue
+        recent = np.array(z[n::-1][:7])  # z_n, z_{n-1}, ..., newest first
+        misses = [np.linalg.norm(sum(coef[p, j] * recent[1 + j] for j in range(p + 1)) - recent[0])
+                  for p in range(min(n, 6))]
+        best = misses.index(min(misses))
+        order = best + 1 if best == len(misses) - 1 else best
+        orders.append(order)
+        assert np.array_equal(start, coef[order, :order + 1] @ recent[:order + 1]), n
+        if n == 1:
+            assert order == 1 and np.array_equal(start, 2 * z[1] - z[0])
+    assert traj.start_orders[1:].tolist() == orders
+    assert max(orders) == 6 and 0 < orders.count(6) < len(orders)
+
+
+@pytest.mark.parametrize("name", ["vortex100", "spikes"])
+def test_chosen_start_survives_stress_configs(name):
+    # a no-pump vortex of amplitude 100, and four_pumps ramping to 0.3 and
+    # back in 0.05 over a vortex of amplitude 10 (16^2, T = 1): every step
+    # ends at 1e-10 without a backtrack, in no more closure evaluations
+    # than the fixed quadratic start 3 z_n - 3 z_{n-1} + z_{n-2} took (277
+    # and 377; this start takes 240 and 339)
+    quadratic = {"vortex100": 277, "spikes": 377}[name]
+    scn = _rescale_case(name)
+    cfg = scn.config
+    traj = scn.system.integrate(scn.state0, T=cfg.time["T"], dt=cfg.time["dt"])
+    assert traj.completed and traj.step_residuals.max() <= 1e-10
+    assert traj.backtracks.sum() == 0
+    assert traj.evaluations.sum() <= quadratic
 
 
 @pytest.mark.parametrize("scheme", ["implicit-euler", "explicit-rk4"])

@@ -56,6 +56,21 @@ def test_incompatible_trace_rejected():
         solve_stokes_lift(space, bad, nu=0.01)
 
 
+def test_lifts_share_one_operator(preset16, monkeypatch):
+    # build_lifting forms nu K_eps, its boundary columns and their factor
+    # once for all four pumps; each lift is the standalone solve's bit for bit
+    space, pumps, nu = preset16.space, preset16.pumps, preset16.params.nu
+    operator, calls = lifting.stokes_operator, []
+    monkeypatch.setattr(lifting, "stokes_operator", lambda *a: calls.append(1) or operator(*a))
+    lb = build_lifting(space, pumps, nu)
+    assert len(pumps) == 4 and len(calls) == 1
+    for k, pump in enumerate(pumps.pumps):
+        zeta, p, res = solve_stokes_lift(space, pump.psi, nu)
+        assert np.array_equal(zeta, lb.zetas[k]) and np.array_equal(p, lb.pressures[k])
+        assert res == lb.residuals[k]
+    assert len(calls) == 5
+
+
 def test_divergence_and_trace_invariants():
     space = pumped_space(16)
     pumps = one_pump(space)
