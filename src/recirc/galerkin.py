@@ -93,14 +93,16 @@ current: four_pumps forms one tangent in 100 steps instead of 6. Where
 the change of state is not radial the secant updates and the refresh rules
 remain the safeguard: the tangent is formed again at the current iterate
 only when a frozen-tangent update finds no decrease, or when an accepted
-update shrinks the residual by less than CHORD_RATE; a carried tangent
-that shrinks it by less than CARRY_RATE serves out its step and the next
-step forms its own at its start. A tangent forms the StateFields of its
-iterate again, one more strain product, and reads a cell-major copy of the
-modes' table columns. Classical RK4 is available for cross-checks; it
-forms the lift data of its three distinct times once each, k2 and k3
-sharing t + dt/2, and `integrate` hands t + dt's on to the next step's
-k1. The physical velocity at any time is v = zeta_g(t) + sum_k z_k xi_k.
+update shrinks the residual by less than CHORD_RATE. A step always hands
+on the tangent it ends with, its secant updates included, as the pair
+(T_VV, s_ref). A tangent forms the StateFields of its iterate again, one
+more strain product, and reads a cell-major copy of the modes' table
+columns. Classical RK4 is available for cross-checks; it forms the lift
+data of its three distinct times once each, k2 and k3 sharing t + dt/2,
+and hands t + dt's on to the next step's k1. Both steppers read what the
+step before hands on through one keyword, `carry`, and hand on their own
+as the diag's "carry". The physical velocity at any time is
+v = zeta_g(t) + sum_k z_k xi_k.
 
 Time data are split by who reads them. The right-hand side and the steppers
 read the rates g(t) and (H_g, xi_k) from `lift_modal`; the energy ledger
@@ -126,7 +128,6 @@ from .turbulence import smagorinsky_load  # noqa: F401
 
 MAX_HALVINGS = 20  # step-length halvings per Newton update before a step fails
 CHORD_RATE = 0.1  # an accepted update that shrinks the residual less refreshes the tangent
-CARRY_RATE = CHORD_RATE / 2  # a carried tangent contracting less is not carried further
 INITIAL_TOL = 1e-8  # relative trace and divergence an initial velocity may carry
 MAX_START_ORDER = 6  # P: the orders tried on the last step are 0 .. P - 1, a start's at most P
 # EXTRAPOLATION[p, j] = (-1)^j C(p + 1, j + 1): row p extrapolates the next
@@ -426,7 +427,7 @@ class ReducedSystem:
         return defect, tangent, jacobian
 
     def step_implicit_euler(self, state, dt, tol=1e-10, max_iter=50, t_new=None,
-                            start=None, T_VV=None, T_scale=None):
+                            start=None, carry=None):
         """Solve z+ = z + dt rhs(z+, t+dt) by a simplified Newton iteration on
         the functions of `implicit_euler_newton`.
 
@@ -435,19 +436,20 @@ class ReducedSystem:
         result; the defect is always taken against z_old. An update is
         z <- z - lambda J^{-1} d, with J's convection part taken at the
         current iterate and its closure tangent T_VV frozen. T_VV is the
-        tangent carried in from an earlier step when one is passed, else it
-        is formed at the first update, at the first iterate.
+        tangent carried in from an earlier step when `carry` = (T_VV, s_ref)
+        is passed, else it is formed at the first update, at the first
+        iterate.
 
         The closure stress 2 nu_tur |e| e is positively homogeneous of
         degree 2 in the strain, so its tangent is of degree 1: the tangent
-        at lambda w is lambda times the one at w. A carried tangent passed
-        with its reference scale T_scale, the eddy-viscosity scale s =
-        sum 2 nu_tur w_q |e| at which it was formed or last rescaled, is
-        multiplied by s / T_scale before its first use, s taken from the
+        at lambda w is lambda times the one at w. A carried tangent travels
+        with its reference scale s_ref, the eddy-viscosity scale s =
+        sum 2 nu_tur w_q |e| at which it was formed or last rescaled, and
+        is multiplied by s / s_ref before its first use, s taken from the
         start's defect (one reduction per step, no other defect reduces
-        it); a T_scale of 0 leaves it as it is. Without T_scale the carried
-        tangent is used as passed. T_VV is formed again at the current
-        iterate in two cases:
+        it); an s_ref of 0 (a tangent formed where the strain vanishes)
+        leaves it as it is. T_VV is formed again at the current iterate in
+        two cases:
 
         - an update with a frozen tangent from an earlier iterate or step
           finds no decrease at lambda = 1; that trial is dropped;
@@ -468,20 +470,17 @@ class ReducedSystem:
         MAX_HALVINGS times. The diag counts the halvings as "backtracks"
         and the kernel calls as "tangents", records the factor applied to
         the carried tangent as "tangent_scale" (1.0 when none was), and
-        hands on as "T_VV" the tangent for a next step to carry: the one in
-        use at the end, with its secant updates, or None (the next step
-        forms its own at its first iterate) once an accepted update since
-        it was formed or carried in shrank the residual by less than
-        CHORD_RATE, or by less than CARRY_RATE if it was carried in.
-        Without the closure it is None. "T_scale" hands on its reference
-        scale: the scale of the iterate it was formed at, or the start's
-        scale it was rescaled to, None when neither. The tangent and its
-        scale live in the caller only, so threads sharing the system never
-        share one. A trial's defect is the next iterate's, so
-        an accepted update costs one defect evaluation; the diag counts the
-        start's defect and every trial, dropped or accepted, as
-        "evaluations". A failure raises StepError with the time, the
-        iteration count and the residuals of the accepted iterates.
+        hands on as "carry" the pair (T_VV, s_ref) for a next step to
+        carry: the tangent in use at the end, with its secant updates, and
+        the scale of the iterate it was formed at, or the start's scale it
+        was rescaled to; None when the step neither carried a tangent in
+        nor formed one. The pair lives in the caller only, so threads
+        sharing the system never share one. A trial's defect is the next
+        iterate's, so an accepted update costs one defect evaluation; the
+        diag counts the start's defect and every trial, dropped or
+        accepted, as "evaluations". A failure raises StepError with the
+        time, the iteration count and the residuals of the accepted
+        iterates.
         """
         if t_new is None:
             t_new = state.t + dt
@@ -498,28 +497,27 @@ class ReducedSystem:
 
         z = state.z if start is None else start
         factor = 1.0  # applied to the carried tangent
-        if T_VV is not None and T_scale is not None:
-            d, res, s_new = defect(z, with_scale=True)
-            if T_scale > 0:
-                factor = s_new / T_scale
-            T_VV, T_scale = factor * T_VV, s_new
-        else:
+        if carry is None:
+            T_VV = None
             d, res = defect(z)
+        else:
+            T_VV, s_ref = carry
+            d, res, s_new = defect(z, with_scale=True)
+            if s_ref > 0:
+                factor = s_new / s_ref
+            T_VV, s_ref = factor * T_VV, s_new
         history = [res]
         backtracks = tangents = 0
         evaluations = 1
         refresh = T_VV is None  # form T_VV at the next update
         stale = not refresh  # T_VV was formed at an earlier iterate or step
-        rate = CARRY_RATE  # the least contraction with which T_VV is handed on
-        renew = False  # hand on None: the next step forms its own tangent
         while not res <= tol:
             if len(history) > max_iter:
                 fail(f"did not converge in {max_iter} Newton iterations")
             if refresh and closure:
-                T_VV, T_scale = tangent(z)
+                T_VV, s_ref = tangent(z)
                 tangents += 1
-                refresh = stale = renew = False
-                rate = CHORD_RATE
+                refresh = stale = False
             try:
                 dz = np.linalg.solve(jacobian(z, T_VV), d)
             except np.linalg.LinAlgError:
@@ -539,7 +537,6 @@ class ReducedSystem:
                 continue
             backtracks += halvings
             refresh = res_try > CHORD_RATE * res
-            renew = renew or res_try > rate * res
             stale = T_VV is not None
             s = z_try - z
             ss = s @ s
@@ -549,26 +546,26 @@ class ReducedSystem:
             history.append(res)
         diag = {"iterations": len(history) - 1, "residual": res, "backtracks": backtracks,
                 "tangents": tangents, "evaluations": evaluations, "tangent_scale": factor,
-                "T_VV": None if renew else T_VV, "T_scale": None if renew else T_scale}
+                "carry": None if T_VV is None else (T_VV, s_ref)}
         return GalerkinState(t_new, z), diag
 
-    def step_rk4(self, state, dt, t_new=None, lift=None):
+    def step_rk4(self, state, dt, t_new=None, carry=None):
         """Classical RK4: the lift data of each distinct time (t, t + dt/2,
-        t_new) formed once, those of t passed in as `lift` when the caller
-        has them (`lift_modal(t)`). The diag hands on t_new's as "lift"."""
+        t_new) formed once, those of t passed in as `carry` when the caller
+        has them (`lift_modal(t)`). The diag hands on t_new's as "carry"."""
         t, z = state.t, state.z
         if t_new is None:
             t_new = t + dt
         mid = self.lift_modal(t + 0.5 * dt)
         end = self.lift_modal(t_new)
-        k1 = self._rhs(z, *(self.lift_modal(t) if lift is None else lift))
+        k1 = self._rhs(z, *(self.lift_modal(t) if carry is None else carry))
         k2 = self._rhs(z + 0.5 * dt * k1, *mid)
         k3 = self._rhs(z + 0.5 * dt * k2, *mid)
         k4 = self._rhs(z + dt * k3, *end)
         z_new = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return GalerkinState(t_new, z_new), {"iterations": 4, "residual": 0.0, "backtracks": 0,
                                              "tangents": 0, "evaluations": 4,
-                                             "tangent_scale": 1.0, "lift": end}
+                                             "tangent_scale": 1.0, "carry": end}
 
     def step(self, state, dt, scheme="implicit-euler", **kw):
         """One step of `scheme` with its stepper's keywords; a keyword the
@@ -594,13 +591,14 @@ class ReducedSystem:
         start (`start_order`): the p whose pi_p missed z_{n+1} least in the
         2-norm, the lowest on a tie, and p + 1 when p was the highest
         tried. Step n + 2 starts from that order's extrapolation through
-        z_{n+1}, so step 2 starts at 2 z_1 - z_0. Each step also carries
-        the closure tangent, with its secant updates, and its reference
-        scale that the previous step hands on. The diag gains
+        z_{n+1}, so step 2 starts at 2 z_1 - z_0. The diag gains
         "start_order", the order of the step's start: 0 for a start at
-        z_n and for RK4. RK4 carries the lift data of t_{n+1} from step n's k4 to
-        step n + 1's k1, so n steps form 2 n + 1 of them. They are locals of
-        this call, never state of the system.
+        z_n and for RK4. Each step is passed as `carry` what the step
+        before hands on as its diag's "carry", which is popped from the
+        diag: implicit Euler's closure tangent, with its secant updates,
+        and its reference scale; RK4's lift data of t_{n+1}, from step n's
+        k4 to step n + 1's k1, so n steps form 2 n + 1 of them. They are
+        locals of this call, never state of the system.
         """
         n_steps = step_count(T, dt)
         times = [state0.t]
@@ -623,13 +621,11 @@ class ReducedSystem:
             times.append(state.t)
             states.append(state.z.copy())
             diags.append(diag)
+            kw["carry"] = diag.pop("carry")
             if implicit:  # the next step starts from the extrapolation of the last states
                 recent = np.array(states[:-MAX_START_ORDER - 2:-1])  # the last P + 1, newest first
                 order = start_order(recent)
-                kw.update(start=EXTRAPOLATION[order, :order + 1] @ recent[:order + 1],
-                          T_VV=diag.pop("T_VV"), T_scale=diag.pop("T_scale"))
-            else:
-                kw["lift"] = diag.pop("lift")
+                kw["start"] = EXTRAPOLATION[order, :order + 1] @ recent[:order + 1]
             if on_step is not None:
                 on_step(state)
         return Trajectory(times, states, diags)

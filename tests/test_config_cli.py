@@ -287,6 +287,27 @@ def test_readme_table_lists_every_csv_header(tmp_path):
     assert set(table) - seen == {"trajectory_partial.csv"}  # written by a failed step only
 
 
+def test_readme_constant_names_exist():
+    # every backticked ALL-CAPS name of three or more characters in the
+    # README is an attribute of a recirc module or a thread variable the CLI
+    # reads, so a constant that is gone cannot stay documented; the shorter
+    # ones (B, C, M, N, T, L2..L4) are the README's symbols
+    import importlib
+    import pkgutil
+
+    import recirc
+    from recirc.cli import BLAS_THREAD_VARS
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = set(re.findall(r"`([A-Z][A-Z0-9_]{2,})`", text))
+    modules = [importlib.import_module(f"recirc.{info.name}")
+               for info in pkgutil.iter_modules(recirc.__path__)]
+    known = {name for module in modules for name in vars(module)}
+    known |= {*BLAS_THREAD_VARS, "RECIRC_THREADS"}
+    assert "CHORD_RATE" in names and "RECIRC_THREADS" in names
+    assert names <= known, sorted(names - known)
+
+
 def test_trajectory_net_flux_is_roundoff(preset16, tmp_path):
     # the appended net_flux column, flux_vector @ zeta_g(t), is zero up to
     # roundoff on four_pumps, ramp and plateau; the tangent_scale and

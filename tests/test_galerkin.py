@@ -139,21 +139,32 @@ def test_step_rejects_bad_dt(plain16, preset16):
 
 
 def test_step_rejects_keywords_its_scheme_does_not_read(preset16):
-    # RK4 reads t_new and lift, implicit Euler its Newton keywords: each
-    # scheme refuses the other's instead of dropping them, and the keywords
-    # both read still pass
+    # RK4 reads t_new and carry, implicit Euler those and its Newton
+    # keywords: RK4 refuses the Newton keywords instead of dropping them,
+    # neither scheme reads T_VV, T_scale or lift, which carry replaced, and
+    # the keywords both read still pass, each scheme stepping from the
+    # carry it hands on
     sys_ = preset16.system
-    state = GalerkinState(0.0, np.zeros(sys_.basis.size))
-    newton = {"tol": 1e-3, "start": np.ones(sys_.basis.size), "T_VV": np.eye(sys_.basis.size),
-              "T_scale": 1.0, "max_iter": 1}
+    n = sys_.basis.size
+    state = GalerkinState(0.0, np.zeros(n))
+    newton = {"tol": 1e-3, "start": np.ones(n), "max_iter": 1}
     for key, value in newton.items():
         with pytest.raises(TypeError, match=key):
             sys_.step(state, 0.01, scheme="explicit-rk4", **{key: value})
-    with pytest.raises(TypeError, match="lift"):
-        sys_.step(state, 0.01, lift=sys_.lift_modal(0.0))
-    rk4, _ = sys_.step(state, 0.01, scheme="explicit-rk4", t_new=0.01, lift=sys_.lift_modal(0.0))
+    replaced = {"T_VV": np.eye(n), "T_scale": 1.0, "lift": sys_.lift_modal(0.0)}
+    for scheme in ("implicit-euler", "explicit-rk4"):
+        for key, value in replaced.items():
+            with pytest.raises(TypeError, match=key):
+                sys_.step(state, 0.01, scheme=scheme, **{key: value})
+    rk4, diag = sys_.step(state, 0.01, scheme="explicit-rk4", t_new=0.01,
+                          carry=sys_.lift_modal(0.0))
     assert np.array_equal(rk4.z, sys_.step(state, 0.01, scheme="explicit-rk4")[0].z)
-    assert sys_.step(state, 0.01, t_new=0.01)[1]["residual"] <= 1e-10
+    assert all(np.array_equal(a, b) for a, b in zip(diag["carry"], sys_.lift_modal(0.01)))
+    new, diag = sys_.step(state, 0.01, t_new=0.01)
+    assert diag["residual"] <= 1e-10
+    T_VV, s_ref = diag["carry"]
+    assert T_VV.shape == (n, n) and s_ref >= 0.0
+    assert sys_.step(new, 0.01, carry=diag["carry"])[1]["residual"] <= 1e-10
 
 
 def test_implicit_euler_matches_exponential_in_linear_regime(plain16):
@@ -569,13 +580,14 @@ def test_integrate_agrees_with_fresh_steps(preset16):
 
 @pytest.fixture(scope="module")
 def plateau_step(preset16):
-    """(z_{n-1}, z_n, t_n, T) on the four_pumps plateau, T the closure
-    tangent at z_n of the step that ends there."""
+    """(z_{n-1}, z_n, t_n, (T, s)) on the four_pumps plateau, T the closure
+    tangent at z_n of the step that ends there and s its eddy-viscosity
+    scale: the pair a step carries."""
     sys_, dt = preset16.system, 0.01
     traj = sys_.integrate(preset16.state0, T=0.25, dt=dt)
     (zm, z), t = traj.states[-2:], traj.times[-1]
     defect, tangent, _ = sys_.implicit_euler_newton(zm, dt, t)
-    return zm, z, t, tangent(z)[0]
+    return zm, z, t, tangent(z)
 
 
 def _updates(events):
@@ -595,41 +607,47 @@ def _updates(events):
     return updates
 
 
-@pytest.mark.parametrize("scale, case", [(1.0, "kept"), (1.25, "not handed on"),
+@pytest.mark.parametrize("scale, case", [(1.0, "kept"), (1.25, "kept though slow"),
                                          (2.0, "formed")])
 def test_carried_tangent_rates(preset16, plateau_step, monkeypatch, scale, case):
     # a plateau step from the extrapolated start, carrying scale times the
-    # tangent at z_old: a carried tangent that shrinks the residual by at
-    # least CARRY_RATE per update is handed on as it is; by less than
-    # CARRY_RATE but at least CHORD_RATE, it serves out the step and is not
-    # handed on; by less than CHORD_RATE, it is formed at the next iterate
-    from recirc.galerkin import CARRY_RATE, CHORD_RATE
+    # tangent at z_old with that tangent's scale: a carried tangent whose
+    # updates shrink the residual by a factor CHORD_RATE or better is kept,
+    # at 1.0 by CHORD_RATE / 2 or better, at 1.25 by less (the band in which
+    # a carried tangent was once not handed on); one whose update shrinks it
+    # by less than CHORD_RATE is formed at the next iterate. Either way the
+    # step hands on the tangent in use at the end, with its secant updates,
+    # and the scale of the iterate it was formed at or of the start it was
+    # rescaled at
+    from recirc.galerkin import CHORD_RATE
 
     sys_, dt = preset16.system, 0.01
-    zm, z, t, T = plateau_step
+    zm, z, t, (T, s) = plateau_step
     carried = scale * T
     kept = carried.copy()
     log = []
     _logged_secant(monkeypatch, log)
-    new, diag = sys_.step(GalerkinState(t, z), dt, start=2 * z - zm, T_VV=carried)
+    new, diag = sys_.step(GalerkinState(t, z), dt, start=2 * z - zm, carry=(carried, s))
     assert np.array_equal(carried, kept)  # the carried tangent is never written into
-    # each update's Newton matrix holds the carried or formed tangent plus
-    # the secant updates since; the one in use at the end is handed on
-    end = _replay_secant(log, carried, dt)
+    # each update's Newton matrix holds the rescaled carried or the formed
+    # tangent plus the secant updates since; the one in use at the end is
+    # handed on
+    end = _replay_secant(log, diag["tangent_scale"] * carried, dt)
     updates = _updates(_events(log))
     rates = [after / before for before, after, _ in updates]
     for before, after, formed in updates[:-1]:
         assert formed == (after > CHORD_RATE * before)
-    if case == "kept":
-        assert max(rates) <= CARRY_RATE
-        assert diag["tangents"] == 0 and _rel_gap(diag["T_VV"], end) <= 1e-14
-    elif case == "not handed on":
-        assert CARRY_RATE < max(rates) <= CHORD_RATE
-        assert diag["tangents"] == 0 and diag["T_VV"] is None
-    else:
+    s_start = sys_._closure(2 * z - zm, sys_.lift_modal(t + dt)[0], with_scale=True)[1]
+    formed = [entry[2] for entry in log if entry[0] == "tangent"]
+    if case == "formed":
         assert rates[0] > CHORD_RATE and updates[0][2]
-        assert diag["tangents"] == 1
-        assert diag["T_VV"] is not None and _rel_gap(diag["T_VV"], end) <= 1e-14
+        assert diag["tangents"] == 1 and diag["carry"][1] == formed[0]
+    else:
+        assert max(rates) <= CHORD_RATE
+        assert (max(rates) <= CHORD_RATE / 2) == (case == "kept")
+        assert diag["tangents"] == 0 and diag["carry"][1] == s_start
+    assert diag["tangent_scale"] == s_start / s
+    assert _rel_gap(diag["carry"][0], end) <= 1e-14
     assert diag["residual"] <= 1e-10 and diag["backtracks"] == 0
     defect = new.z - z - dt * sys_.rhs(new.z, new.t)
     assert abs(diag["residual"] - np.linalg.norm(defect)) <= 1e-15
@@ -639,9 +657,9 @@ def test_carried_tangent_without_decrease_is_refreshed(preset16, plateau_step, m
     # the carried tangent's one trial gets a reversed Newton matrix, so it
     # raises the residual: the trial is dropped and the tangent is formed at
     # the extrapolated start; the step hands on that fresh tangent with the
-    # secant updates of the updates after it
+    # secant updates of the updates after it, and its scale
     sys_, dt = preset16.system, 0.01
-    zm, z, t, T = plateau_step
+    zm, z, t, (T, s) = plateau_step
     start = 2 * z - zm
     kept = T.copy()
     log = []
@@ -656,19 +674,21 @@ def test_carried_tangent_without_decrease_is_refreshed(preset16, plateau_step, m
         return defect, tangent, jac
 
     _patch_newton(monkeypatch, reversed_first)
-    new, diag = sys_.step(GalerkinState(t, z), dt, start=start, T_VV=T)
-    assert _rel_gap(diag["T_VV"], _replay_secant(log, T, dt)) <= 1e-14
+    new, diag = sys_.step(GalerkinState(t, z), dt, start=start, carry=(T, s))
+    rescaled = diag["tangent_scale"] * T
+    assert _rel_gap(diag["carry"][0], _replay_secant(log, rescaled, dt)) <= 1e-14
     events = _events(log)
     kinds = [kind for kind, _ in events]
     res = [value for _, value in events]
     assert kinds[:4] == ["defect", "defect", "tangent", "defect"]
     assert res[1] > res[0] and res[3] < res[0]
-    assert jacobians[0] is T and np.array_equal(T, kept)
+    assert np.array_equal(jacobians[0], rescaled) and np.array_equal(T, kept)
     assert diag["tangents"] == 1 and diag["backtracks"] == 0
     assert diag["iterations"] == kinds.count("defect") - 2  # the start's and the dropped trial
-    formed = [entry[1] for entry in log if entry[0] == "tangent"]
+    formed = [entry[1:] for entry in log if entry[0] == "tangent"]
     defect, tangent, _ = sys_.implicit_euler_newton(z, dt, t + dt)  # logs on
-    assert np.array_equal(formed[0], tangent(start)[0])
+    T_start, s_start = tangent(start)
+    assert np.array_equal(formed[0][0], T_start) and diag["carry"][1] == formed[0][1] == s_start
     assert diag["residual"] <= 1e-10
 
 
@@ -755,6 +775,30 @@ def test_eddy_viscosity_scale_is_the_integral(preset16):
         assert defect(z, with_scale=True)[2] == s
 
 
+def test_zero_reference_scale_carries_the_tangent_as_it_is(monkeypatch):
+    # the manufactured preset starts at z = 0 without pumps, where the
+    # strain and so the eddy-viscosity scale vanish: step 1 forms its
+    # tangent there and hands it on with s_ref = 0, step 2 carries it
+    # without a rescale (factor exactly 1.0) and hands on its start's scale,
+    # and later steps rescale; every step ends at the tolerance
+    scn = build_scenario(validate(preset_path("manufactured"))).built()
+    dt = scn.config.time["dt"]
+    step, carries = ReducedSystem.step, []
+
+    def logged(self, state, dt, **kw):
+        carries.append(kw.get("carry"))
+        return step(self, state, dt, **kw)
+
+    monkeypatch.setattr(ReducedSystem, "step", logged)
+    traj = scn.system.integrate(scn.state0, T=6 * dt, dt=dt)
+    assert not scn.state0.z.any() and len(scn.pumps) == 0
+    assert carries[0] is None and carries[1][1] == 0.0 and carries[2][1] > 0
+    assert traj.tangents[1] == 1 and traj.tangents[2:].sum() == 0
+    assert traj.tangent_scales[1] == 1.0 and traj.tangent_scales[2] == 1.0
+    assert np.any(traj.tangent_scales[3:] != 1.0)
+    assert np.all(np.isfinite(traj.states)) and np.all(traj.step_residuals <= 1e-10)
+
+
 def _rescale_case(name):
     """The configs the rescaled tangent and the chosen start were measured
     on: four_pumps at 16^2 (T = 1), the pumps32 benchmark's config (32^2,
@@ -791,10 +835,12 @@ def _rescale_case(name):
 # evaluations of the stepper that carried its tangent without the rescale
 # and started each step from the quadratic extrapolation). With the start
 # order chosen by the last step's miss every config takes fewer evaluations
-# than that stepper: 235, 122, 223 and 395 against 298, 133, 320 and 411.
+# than that stepper: 235, 122, 223 and 408 against 298, 133, 320 and 411.
 # Roundoff alone moves a count by about 2% (the quadratic start formed as a
 # product with EXTRAPOLATION takes 302 on four_pumps, 3 z_n - 3 z_{n-1} +
-# z_{n-2} took 296), so the bounds sit 2.5-5% above today's counts.
+# z_{n-2} took 296), so the bounds sit 2.5-5% above today's counts, but
+# distinct's only about 0.5%: handing on every tangent took it from 395 to
+# 408 with one tangent instead of two.
 RESCALE_COUNTS = {"four_pumps": (2, 245, 6, 298), "pumps32": (2, 125, 7, 133),
                   "vortex30": (2, 235, 5, 320), "distinct": (3, 410, 6, 411)}
 
@@ -827,14 +873,14 @@ def test_secant_update_satisfies_the_secant_condition(preset16, plateau_step, mo
     # ||d(z)|| above the floor eps ||J+|| ||z+||, which the updates after
     # the first reach (||d|| ~ 1e-7 against ||z|| ~ 1e-2)
     sys_, dt = preset16.system, 0.01
-    zm, z, t, T = plateau_step
+    zm, z, t, carry = plateau_step
     _, _, jacobian = sys_.implicit_euler_newton(z, dt, t + dt)
     log = []
     _logged_secant(monkeypatch, log)
-    new, diag = sys_.step(GalerkinState(t, z), dt, start=2 * z - zm, T_VV=T)
-    assert diag["tangents"] == 0 and diag["backtracks"] == 0 and diag["T_VV"] is not None
+    new, diag = sys_.step(GalerkinState(t, z), dt, start=2 * z - zm, carry=carry)
+    assert diag["tangents"] == 0 and diag["backtracks"] == 0 and diag["carry"] is not None
     defects = [entry[1:3] for entry in log if entry[0] == "defect"]
-    tangents = [entry[1] for entry in log if entry[0] == "jacobian"][1:] + [diag["T_VV"]]
+    tangents = [entry[1] for entry in log if entry[0] == "jacobian"][1:] + [diag["carry"][0]]
     assert len(defects) == diag["iterations"] + 1 >= 2
     assert len(tangents) == diag["iterations"]  # one jacobian call per update
     for k, ((z0, d0), (z1, d1), T1) in enumerate(zip(defects, defects[1:], tangents)):
@@ -1337,6 +1383,15 @@ def test_rk4_forms_lift_data_once_per_distinct_time(preset16, monkeypatch):
     calls.clear()
     traj = sys_.integrate(scn.state0, T=0.1, dt=dt, scheme="explicit-rk4")
     # integrate hands t_{n+1}'s lift data from step n's k4 to step n + 1's k1
+    assert len(calls) == 2 * (len(traj) - 1) + 1
+    # so do bare steps, each passed as carry the diag's "carry" of the one
+    # before: they read the rates as often and step as integrate does
+    calls.clear()
+    state, carry = scn.state0, None
+    for k in range(1, len(traj)):
+        state, diag = sys_.step(state, dt, scheme="explicit-rk4", t_new=k * dt, carry=carry)
+        carry = diag["carry"]
+        assert np.array_equal(traj.states[k], state.z)
     assert len(calls) == 2 * (len(traj) - 1) + 1
     monkeypatch.undo()
     state = scn.state0
