@@ -84,10 +84,10 @@ taken onto the change of the defect it made. The stress 2 nu_tur |e| e is
 positively homogeneous of degree 2 in the strain, so its tangent is of
 degree 1: T(lambda w) = lambda T(w). The carried tangent therefore travels
 with a reference scale s_ref, the closure's total eddy viscosity
-s = sum_(c,q) 2 nu_tur w_q |e| at the iterate it was formed at (the sum of
-the scale table the closure forms anyway, one reduction), and each step
-multiplies it by s / s_ref before its first update, s taken from the
-step's start defect, which becomes its new s_ref. While the pumps ramp up
+s = sum_(c,q) 2 nu_tur w_q |e| at the iterate it was formed at: the sum
+of the scale table each defect hands back, reduced only where the carry
+reads it. Each step rescales it by s / s_ref before its first update, s
+from its start's defect, which becomes its new s_ref. While the pumps ramp up
 the state grows nearly along a ray, and the rescaled tangent stays
 current: four_pumps forms one tangent in 100 steps instead of 6. Where
 the change of state is not radial the secant updates and the refresh rules
@@ -149,12 +149,14 @@ def _check_positive(name, value):
 
 def step_count(T, dt):
     """The number of steps of length dt to T; ValueError unless dt and T are
-    positive and finite and T is an integer multiple of dt."""
+    positive and finite and T is a positive integer multiple of dt."""
     _check_positive("dt", dt)
     _check_positive("T", T)
     if not np.isfinite(T / dt):
         raise ValueError(f"T = {T} takes too many steps of dt = {dt}")
     n_steps = int(round(T / dt))
+    if n_steps == 0:
+        raise ValueError(f"T = {T} takes no step of dt = {dt}")
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
     return n_steps
@@ -351,39 +353,34 @@ class ReducedSystem:
         y = np.concatenate([g, z])
         return (self.C @ y) @ y
 
-    def _closure(self, z, g, with_scale=False):
-        """Modal pairings of the Smagorinsky stress at w = zeta_g + z, 0
-        without the closure: the StateFields of w, then, in place in them,
-        the scale 2 nu_tur w_q |e| and the stress planes 2 nu_tur w_q |e| e,
-        and their pairings with the table's rows. with_scale returns
-        (pairings, s), s = sum_(c,q) 2 nu_tur w_q |e| the closure's total
-        eddy viscosity: the sum of the scale table, 0 without the closure."""
+    def _closure(self, z, g):
+        """(pairings, scale) of the Smagorinsky stress at w = zeta_g + z: the
+        StateFields of w, then, in place in them, the scale table
+        2 nu_tur w_q |e| (nt, nq), whose sum is the total eddy viscosity s,
+        the stress planes 2 nu_tur w_q |e| e, and their pairings with the
+        table's rows. Without the closure: zero pairings, an empty table."""
         if self.params.nu_tur == 0:
-            pairings = np.zeros(self.basis.size)
-            return (pairings, 0.0) if with_scale else pairings
+            return np.zeros(self.basis.size), np.zeros((0, 0))
         f = self.state_fields(z, g)
         f.w_eps_mag *= self.stress_weights
         f.w_eps *= f.w_eps_mag
         pairings = self.strain_coef[:, len(self.lifting):].T @ self.space.strain_load(f.w_eps)
-        return (pairings, float(f.w_eps_mag.sum())) if with_scale else pairings
+        return pairings, f.w_eps_mag
 
     def _tangent(self, z, g):
-        """(T_VV, s) at w = zeta_g + z: T_VV = V^T K_T V, the closure tangent
+        """T_VV = V^T K_T V at w = zeta_g + z, the closure tangent
         2 nu_tur (|e| I + e (x) e / |e|), e = eps(w), from the StateFields
         of w and one `weighted_strain_stiffness` call with the weights of
-        `closure_tangent`, and s the eddy-viscosity scale of the same
-        StateFields, sum_(c,q) 2 nu_tur w_q |e|, bit for bit the one
-        `_closure` reduces at w. T_VV is homogeneous of degree 1 in w, as
-        s is; the closure pairings are of degree 2."""
+        `closure_tangent`. It is homogeneous of degree 1 in w, as the scale
+        table is; the closure pairings are of degree 2."""
         f = self.state_fields(z, g)
         w, a = closure_tangent(f.w_eps_mag, self.params)
-        T_VV = self.space.weighted_strain_stiffness(w, self.strain_coef[:, len(self.lifting):],
+        return self.space.weighted_strain_stiffness(w, self.strain_coef[:, len(self.lifting):],
                                                     rank_one=(a, f.w_eps))
-        return T_VV, float((self.stress_weights * f.w_eps_mag).sum())
 
     def _rhs(self, z, g, hg):
         """dz/dt at z from the lift data (g, (H_g, xi_k)) of its time."""
-        return hg - self.visc @ z - (self._conv_modal(z, g) + self._closure(z, g))
+        return hg - self.visc @ z - (self._conv_modal(z, g) + self._closure(z, g)[0])
 
     def rhs(self, z, t):
         """dz/dt at (z, t)."""
@@ -395,11 +392,11 @@ class ReducedSystem:
         """The functions (defect, tangent, jacobian) of the implicit-Euler
         step from z_old to t_new.
 
-        - defect(z, with_scale=False) -> (d, ||d||_2): d = z - z_old + dt
+        - defect(z) -> (d, ||d||_2, scale): d = z - z_old + dt
           (visc z + (C y) y + closure(z) - H_g), y = [g; z], with the
-          closure pairings formed as in `rhs`; with_scale appends the
-          closure's eddy-viscosity scale s at z (`_closure`).
-        - tangent(z) -> (T_VV, s), `_tangent` at the iterate z.
+          closure pairings formed as in `rhs`, and the closure's scale
+          table at z (`_closure`).
+        - tangent(z) -> T_VV, `_tangent` at the iterate z.
         - jacobian(z, T_VV) -> I + dt (visc + J_conv + T_VV), where
           J_conv[k, j] = sum_b (C[k, K+j, b] + C[k, b, K+j]) y_b is the
           derivative of (C y) y at z; T_VV None leaves the closure out.
@@ -408,11 +405,11 @@ class ReducedSystem:
         K = len(self.lifting)
         base = np.eye(self.basis.size) + dt * self.visc
 
-        def defect(z, with_scale=False):
+        def defect(z):
             y = np.concatenate([g, z])
-            pairings, *scale = self._closure(z, g, True) if with_scale else [self._closure(z, g)]
+            pairings, scale = self._closure(z, g)
             d = z - z_old + dt * (self.visc @ z + (self.C @ y) @ y + pairings - hg)
-            return (d, float(np.linalg.norm(d)), *scale)
+            return d, float(np.linalg.norm(d)), scale
 
         def tangent(z):
             return self._tangent(z, g)
@@ -445,11 +442,11 @@ class ReducedSystem:
         at lambda w is lambda times the one at w. A carried tangent travels
         with its reference scale s_ref, the eddy-viscosity scale s =
         sum 2 nu_tur w_q |e| at which it was formed or last rescaled, and
-        is multiplied by s / s_ref before its first use, s taken from the
-        start's defect (one reduction per step, no other defect reduces
-        it); an s_ref of 0 (a tangent formed where the strain vanishes)
-        leaves it as it is. T_VV is formed again at the current iterate in
-        two cases:
+        is multiplied by s / s_ref before its first use, s the sum of the
+        start defect's scale table; an s_ref of 0 (a tangent formed where
+        the strain vanishes) leaves it as it is. T_VV is formed again at
+        the current iterate, with the sum of the scale table of that
+        iterate's defect as its s_ref, in two cases:
 
         - an update with a frozen tangent from an earlier iterate or step
           finds no decrease at lambda = 1; that trial is dropped;
@@ -496,13 +493,12 @@ class ReducedSystem:
             )
 
         z = state.z if start is None else start
+        d, res, scale = defect(z)
         factor = 1.0  # applied to the carried tangent
-        if carry is None:
-            T_VV = None
-            d, res = defect(z)
-        else:
+        T_VV = None
+        if carry is not None:
             T_VV, s_ref = carry
-            d, res, s_new = defect(z, with_scale=True)
+            s_new = float(scale.sum())
             if s_ref > 0:
                 factor = s_new / s_ref
             T_VV, s_ref = factor * T_VV, s_new
@@ -515,7 +511,7 @@ class ReducedSystem:
             if len(history) > max_iter:
                 fail(f"did not converge in {max_iter} Newton iterations")
             if refresh and closure:
-                T_VV, s_ref = tangent(z)
+                T_VV, s_ref = tangent(z), float(scale.sum())
                 tangents += 1
                 refresh = stale = False
             try:
@@ -525,7 +521,7 @@ class ReducedSystem:
             lam = 1.0
             for halvings in range(MAX_HALVINGS + 1):
                 z_try = z - lam * dz
-                d_try, res_try = defect(z_try)
+                d_try, res_try, scale_try = defect(z_try)
                 evaluations += 1
                 if res_try < res or stale:  # a frozen tangent gets one trial
                     break
@@ -542,7 +538,7 @@ class ReducedSystem:
             ss = s @ s
             if stale and ss > 0:  # Broyden: the Newton matrix at z now maps s to d_try - d
                 T_VV = T_VV + np.outer(d_try - (1.0 - lam) * d, s) / (dt * ss)
-            z, d, res = z_try, d_try, res_try
+            z, d, res, scale = z_try, d_try, res_try, scale_try
             history.append(res)
         diag = {"iterations": len(history) - 1, "residual": res, "backtracks": backtracks,
                 "tangents": tangents, "evaluations": evaluations, "tangent_scale": factor,

@@ -894,6 +894,25 @@ def test_four_pumps_off_the_8x8_vertices_fails_typed(tmp_path, capsys):
                    for e in errors)
 
 
+def test_horizon_shorter_than_half_a_step_fails_typed(tmp_path, capsys):
+    # T = 1e-10 rounds to zero steps of dt = 0.01: every subcommand exits 2
+    # with the error located at time and writes nothing (simulate used to
+    # die in the ledger with a ValueError, contract and study dt to exit 0
+    # after no step)
+    cfg = json.loads(preset_path("four_pumps").read_text())
+    cfg["time"]["T"] = 1e-10
+    path, out = tmp_path / "short.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    for command in (["validate"], ["lift"], ["eigen"], ["simulate"], ["contract"],
+                    ["study", "dt"]):
+        assert main([*command, "--config", str(path), "--output-dir", str(out),
+                     "--quiet"]) == 2
+        captured = capsys.readouterr()
+        errors = json.loads(captured.out if command == ["validate"] else captured.err)["errors"]
+        assert errors == [{"path": "time", "message": "T = 1e-10 takes no step of dt = 0.01"}]
+        assert not out.exists()
+
+
 def test_validate_builds_nothing_mesh_sized(monkeypatch):
     # the segment rule is arithmetic: a 10^7 x 10^7 mesh validates without a mesh
     def refuse(*args, **kwargs):

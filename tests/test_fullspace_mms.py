@@ -173,6 +173,7 @@ def test_integrate_rejects_T_off_the_step_grid(mms, space8):
     (1.0, -0.1, "dt must be positive"), (1.0, 0.0, "dt must be positive"),
     (1.0, np.nan, "dt must be positive"), (-1.0, 0.1, "T must be positive"),
     (np.inf, 0.1, "T must be positive"), (1.0, 5e-324, "too many steps"),
+    (1e-10, 0.01, "T = 1e-10 takes no step of dt = 0.01"),
 ])
 def test_integrate_rejects_nonpositive_or_nonfinite_step(mms, space8, T, dt, match):
     fs = FullSpaceSystem(space8, ClosureParams(mms.nu, mms.nu_tur), source=mms)

@@ -216,10 +216,12 @@ def test_integrate_grid_mismatch_rejected(plain16):
     (1.0, np.nan, "dt must be positive"), (1.0, np.inf, "dt must be positive"),
     (-1.0, 0.1, "T must be positive"), (0.0, 0.1, "T must be positive"),
     (np.inf, 0.1, "T must be positive"), (1.0, 5e-324, "too many steps"),
+    (1e-10, 0.01, "T = 1e-10 takes no step of dt = 0.01"),
 ])
 def test_integrate_rejects_nonpositive_or_nonfinite_step(plain16, T, dt, match):
-    # a negative dt used to return after no step, dt = 0 to divide by zero and
-    # dt = 5e-324 to overflow the step count
+    # a negative dt used to return after no step, dt = 0 to divide by zero,
+    # dt = 5e-324 to overflow the step count and T < dt / 2 to round to zero
+    # steps
     sys_ = make_system(plain16)
     with pytest.raises(ValueError, match=match):
         sys_.integrate(GalerkinState(0.0, np.zeros(12)), T=T, dt=dt)
@@ -373,8 +375,8 @@ def _logged_newton(monkeypatch, events):
     ("tangent", None) to events, in the order the step calls them."""
 
     def logged(defect, tangent, jacobian):
-        def logged_defect(z, *args, **kw):
-            out = defect(z, *args, **kw)
+        def logged_defect(z):
+            out = defect(z)
             events.append(("defect", out[1]))
             return out
 
@@ -389,17 +391,17 @@ def _logged_newton(monkeypatch, events):
 
 def _logged_secant(monkeypatch, log):
     """Patch implicit_euler_newton to append ("defect", z, d, residual),
-    ("tangent", T, s) and ("jacobian", T, copy of T) to log, in call order."""
+    ("tangent", T, z) and ("jacobian", T, copy of T) to log, in call order."""
 
     def logged(defect, tangent, jacobian):
-        def logged_defect(z, *args, **kw):
-            out = defect(z, *args, **kw)
+        def logged_defect(z):
+            out = defect(z)
             log.append(("defect", z, out[0], out[1]))
             return out
 
         def logged_tangent(z):
-            log.append(("tangent", *tangent(z)))
-            return log[-1][1:]
+            log.append(("tangent", tangent(z), z))
+            return log[-1][1]
 
         def logged_jacobian(z, T_VV):
             log.append(("jacobian", T_VV, T_VV.copy()))
@@ -408,6 +410,12 @@ def _logged_secant(monkeypatch, log):
         return logged_defect, logged_tangent, logged_jacobian
 
     _patch_newton(monkeypatch, logged)
+
+
+def _scale(sys_, z, t):
+    """The eddy-viscosity scale s at the iterate z of a step to t: the sum of
+    the closure's scale table there."""
+    return float(sys_._closure(z, sys_.lift_modal(t)[0])[1].sum())
 
 
 def _events(log):
@@ -587,7 +595,7 @@ def plateau_step(preset16):
     traj = sys_.integrate(preset16.state0, T=0.25, dt=dt)
     (zm, z), t = traj.states[-2:], traj.times[-1]
     defect, tangent, _ = sys_.implicit_euler_newton(zm, dt, t)
-    return zm, z, t, tangent(z)
+    return zm, z, t, (tangent(z), _scale(sys_, z, t))
 
 
 def _updates(events):
@@ -637,8 +645,8 @@ def test_carried_tangent_rates(preset16, plateau_step, monkeypatch, scale, case)
     rates = [after / before for before, after, _ in updates]
     for before, after, formed in updates[:-1]:
         assert formed == (after > CHORD_RATE * before)
-    s_start = sys_._closure(2 * z - zm, sys_.lift_modal(t + dt)[0], with_scale=True)[1]
-    formed = [entry[2] for entry in log if entry[0] == "tangent"]
+    s_start = _scale(sys_, 2 * z - zm, t + dt)
+    formed = [_scale(sys_, entry[2], t + dt) for entry in log if entry[0] == "tangent"]
     if case == "formed":
         assert rates[0] > CHORD_RATE and updates[0][2]
         assert diag["tangents"] == 1 and diag["carry"][1] == formed[0]
@@ -657,7 +665,8 @@ def test_carried_tangent_without_decrease_is_refreshed(preset16, plateau_step, m
     # the carried tangent's one trial gets a reversed Newton matrix, so it
     # raises the residual: the trial is dropped and the tangent is formed at
     # the extrapolated start; the step hands on that fresh tangent with the
-    # secant updates of the updates after it, and its scale
+    # secant updates of the updates after it, and the sum of the closure's
+    # scale table at the start, bit for bit
     sys_, dt = preset16.system, 0.01
     zm, z, t, (T, s) = plateau_step
     start = 2 * z - zm
@@ -686,9 +695,10 @@ def test_carried_tangent_without_decrease_is_refreshed(preset16, plateau_step, m
     assert diag["tangents"] == 1 and diag["backtracks"] == 0
     assert diag["iterations"] == kinds.count("defect") - 2  # the start's and the dropped trial
     formed = [entry[1:] for entry in log if entry[0] == "tangent"]
+    assert np.array_equal(formed[0][1], start)
     defect, tangent, _ = sys_.implicit_euler_newton(z, dt, t + dt)  # logs on
-    T_start, s_start = tangent(start)
-    assert np.array_equal(formed[0][0], T_start) and diag["carry"][1] == formed[0][1] == s_start
+    assert np.array_equal(formed[0][0], tangent(start))
+    assert diag["carry"][1] == _scale(sys_, start, t + dt)
     assert diag["residual"] <= 1e-10
 
 
@@ -722,11 +732,11 @@ def test_step_after_a_refresh_carries_its_tangent(preset16, monkeypatch):
             assert entries[1][0] == "tangent" and factor == 1.0
         else:
             start = entries[0][1]
-            s_new = sys_._closure(start, sys_.lift_modal(t)[0], with_scale=True)[1]
+            s_new = _scale(sys_, start, t)
             assert factor == s_new / s_ref
             T, s_ref = factor * T, s_new
         T = _replay_secant(entries, T, dt)
-        formed = [entry[2] for entry in entries if entry[0] == "tangent"]
+        formed = [_scale(sys_, entry[2], t) for entry in entries if entry[0] == "tangent"]
         s_ref = formed[-1] if formed else s_ref
         carried += n == 0
     assert carried >= 25 and traj.tangents.sum() <= 2
@@ -735,44 +745,48 @@ def test_step_after_a_refresh_carries_its_tangent(preset16, monkeypatch):
 @pytest.mark.parametrize("preset", ["four_pumps", "rect15"])
 def test_closure_homogeneity_is_bit_exact(preset, preset16, rect15):
     # the stress 2 nu_tur |e| e is homogeneous of degree 2 in w, so its
-    # tangent and the eddy-viscosity scale are of degree 1: scaling (z, g)
-    # by a power of 2 scales every product and sum exactly, so at lambda in
-    # {1/2, 2, 4} the tangent and the scale are lambda times, and the closure
-    # pairings lambda^2 times, their values at (z, g), bit for bit; on the
-    # ramp and on four_pumps' plateau (rect15's one schedule ramps over its
-    # whole horizon, so its second time is the ramp's end, t = 1)
+    # tangent and the eddy-viscosity scale table are of degree 1: scaling
+    # (z, g) by a power of 2 scales every product and sum exactly, so at
+    # lambda in {1/2, 2, 4} the tangent, the scale table and its sum are
+    # lambda times, and the closure pairings lambda^2 times, their values at
+    # (z, g), bit for bit; on the ramp and on four_pumps' plateau (rect15's
+    # one schedule ramps over its whole horizon, so its second time is the
+    # ramp's end, t = 1)
     scn = preset16 if preset == "four_pumps" else rect15
     sys_ = scn.system
     rng = np.random.default_rng(110)
     for t in (0.1, 0.5 if preset == "four_pumps" else 1.0):
         g, _ = sys_.lift_modal(t)
         z = 0.05 * rng.standard_normal(scn.basis.size)
-        T, s = sys_._tangent(z, g)
-        pairings = sys_._closure(z, g)
+        T = sys_._tangent(z, g)
+        pairings, scale = sys_._closure(z, g)
+        s = float(scale.sum())
         assert s > 0 and np.abs(T).max() > 0 and np.abs(pairings).max() > 0
         for lam in (0.5, 2.0, 4.0):
-            T_lam, s_lam = sys_._tangent(lam * z, lam * g)
-            assert np.array_equal(T_lam, lam * T) and s_lam == lam * s, (t, lam)
-            assert np.array_equal(sys_._closure(lam * z, lam * g), lam**2 * pairings), (t, lam)
+            assert np.array_equal(sys_._tangent(lam * z, lam * g), lam * T), (t, lam)
+            pairings_lam, scale_lam = sys_._closure(lam * z, lam * g)
+            assert np.array_equal(pairings_lam, lam**2 * pairings), (t, lam)
+            assert np.array_equal(scale_lam, lam * scale), (t, lam)
+            assert float(scale_lam.sum()) == lam * s, (t, lam)
 
 
 def test_eddy_viscosity_scale_is_the_integral(preset16):
     # s, the sum of the closure's scale table, is int 2 nu_tur |e(w)| by the
-    # space's quadrature, to 1e-14 relative; the defect's and the tangent's
-    # reductions of it agree bit for bit
+    # space's quadrature, to 1e-14 relative; the defect hands back the
+    # closure's table, bit for bit
     scn = preset16
     sys_, space = scn.system, scn.space
     rng = np.random.default_rng(111)
     for t in (0.1, 0.5):
         g, _ = sys_.lift_modal(t)
         z = 0.05 * rng.standard_normal(scn.basis.size)
-        _, s = sys_._closure(z, g, with_scale=True)
+        _, scale = sys_._closure(z, g)
+        s = float(scale.sum())
         mag = sys_.state_fields(z, g).w_eps_mag
         ref = space.integrate(2.0 * scn.params.nu_tur * mag)
-        assert abs(s - ref) <= 1e-14 * ref
-        assert s == sys_._tangent(z, g)[1]
+        assert scale.shape == mag.shape and abs(s - ref) <= 1e-14 * ref
         defect, _, _ = sys_.implicit_euler_newton(z, 0.01, t)
-        assert defect(z, with_scale=True)[2] == s
+        assert np.array_equal(defect(z)[2], scale)
 
 
 def test_zero_reference_scale_carries_the_tangent_as_it_is(monkeypatch):
@@ -964,8 +978,9 @@ def test_evaluations_count_the_closure_calls(preset16, monkeypatch, scheme):
 
 
 def test_newton_without_closure_is_exact(preset16, monkeypatch):
-    # nu_tur = 0: no kernel call, and every update is Newton's
-    # z - J(z)^-1 d(z) with the Jacobian at the current iterate
+    # nu_tur = 0: the closure's pairings are 0 and its scale table sums to
+    # 0.0, no kernel call, and every update is Newton's z - J(z)^-1 d(z)
+    # with the Jacobian at the current iterate
     scn = preset16
     sys_ = ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps,
                          ClosureParams(scn.params.nu, 0.0))
@@ -979,6 +994,8 @@ def test_newton_without_closure_is_exact(preset16, monkeypatch):
         lambda z: points.append(z) or defect(z), tangent, jacobian))
     state = GalerkinState(0.3, 0.5 * np.random.default_rng(44).standard_normal(scn.basis.size))
     dt = 0.05
+    pairings, scale = sys_._closure(state.z, sys_.lift_modal(state.t + dt)[0])
+    assert np.array_equal(pairings, np.zeros(scn.basis.size)) and float(scale.sum()) == 0.0
     _, diag = sys_.step(state, dt, tol=1e-13)
     assert diag["tangents"] == 0 and not calls
     assert diag["iterations"] >= 2 and diag["backtracks"] == 0
@@ -1000,7 +1017,7 @@ def test_newton_jacobian_matches_central_difference(preset16, nu_tur):
         defect, tangent, jacobian = sys_.implicit_euler_newton(
             rng.standard_normal(scn.basis.size), dt, t)
         z = 0.5 * rng.standard_normal(scn.basis.size)
-        jac = jacobian(z, tangent(z)[0] if nu_tur > 0 else None)
+        jac = jacobian(z, tangent(z) if nu_tur > 0 else None)
         fd = np.column_stack([
             (defect(z + h * e)[0] - defect(z - h * e)[0]) / (2 * h)
             for e in np.eye(len(z))
@@ -1042,11 +1059,11 @@ def test_closure_tangent_guard_at_zero_strain(preset16):
     z = np.zeros(N)
     defect, tangent, jacobian = sys_.implicit_euler_newton(z, dt, 0.0)
     with np.errstate(all="raise"):
-        d, res = defect(z)
-        T_VV, s = tangent(z)
+        d, res, scale = defect(z)
+        T_VV = tangent(z)
         jac = jacobian(z, T_VV)
     assert np.all(np.isfinite(jac)) and np.isfinite(res)
-    assert np.array_equal(T_VV, np.zeros((N, N))) and s == 0.0
+    assert np.array_equal(T_VV, np.zeros((N, N))) and float(scale.sum()) == 0.0
     assert np.array_equal(jac, np.eye(N) + dt * sys_.visc)
 
 
@@ -1313,22 +1330,22 @@ def test_closure_matches_the_cell_major_path(preset, preset16, rect15):
     for t, scale in ((0.1, 0.01), (0.5, 0.2), (0.5, 0.0), (0.9, 1.0)):
         z = scale * rng.standard_normal(scn.basis.size)
         g, _ = scn.pumps.rates(t)
-        got = sys_._closure(z, g)
+        got = sys_._closure(z, g)[0]
         ref = cell_major_closure(space, old, K, np.concatenate([g, z]), scn.params)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), t
         _, tangent, _ = sys_.implicit_euler_newton(z, 0.01, t)
         f = sys_.state_fields(z, g)
         w, a = closure_tangent(f.w_eps_mag, scn.params)
-        assert np.array_equal(tangent(z)[0],
+        assert np.array_equal(tangent(z),
                               cell_major_strain_stiffness(space, w, old[:, K:], (a, f.w_eps)))
 
 
 @pytest.mark.parametrize("modes", [20, 12])
 def test_closure_in_place_matches_the_out_of_place_expression(modes, preset16):
-    # the defect forms the stress in place in its own StateFields; on the
-    # same table that is, bit for bit, the composition of the out-of-place
-    # expressions, for the full system and a truncation, on the ramp (gdot
-    # != 0) and on the plateau
+    # the defect forms the scale table and the stress in place in its own
+    # StateFields; on the same table they are, bit for bit, the composition
+    # of the out-of-place expressions, for the full system and a
+    # truncation, on the ramp (gdot != 0) and on the plateau
     from recirc.turbulence import closure_scale, sym_norm
 
     sys_ = preset16.system
@@ -1342,9 +1359,10 @@ def test_closure_in_place_matches_the_out_of_place_expression(modes, preset16):
         assert (np.abs(gdot).max() > 0) == ramp
         z = 0.2 * rng.standard_normal(modes)
         e = space.strain_planes(sys_.strain_coef @ np.concatenate([g, z]))
-        stress = closure_scale(space.qweights, sym_norm(*e), sys_.params) * e
-        ref = sys_.strain_coef[:, K:].T @ space.strain_load(stress)
-        assert np.array_equal(sys_._closure(z, g), ref), t
+        scale = closure_scale(space.qweights, sym_norm(*e), sys_.params)
+        ref = sys_.strain_coef[:, K:].T @ space.strain_load(scale * e)
+        pairings, got = sys_._closure(z, g)
+        assert np.array_equal(pairings, ref) and np.array_equal(got, scale), t
 
 
 def test_truncated_strain_table_is_a_contiguous_view(preset16):
@@ -1491,7 +1509,7 @@ def test_closure_defect_matches_oracle(preset16):
     for t, scale in ((0.1, 0.01), (0.5, 0.2), (0.5, 0.0)):
         z = scale * rng.standard_normal(scn.basis.size)
         g, _ = scn.pumps.rates(t)
-        got = sys_._closure(z, g)
+        got = sys_._closure(z, g)[0]
         w_eps = scn.space.strain_samples(scn.lifting.combine(g) + scn.basis.expand(z))
         ref = closure_pairing_oracle(scn.space, V, w_eps, scn.params)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
