@@ -4,9 +4,7 @@ Subcommands: validate, simulate, lift, eigen, study {dt,modes,mesh},
 contract. Every output file carries a header comment with the code version
 and the config hash; identical config and seed give bit-identical CSVs on
 the same platform. Exit codes: 0 success, 1 numerical failure, 2 config
-error. RECIRC_THREADS caps the fan-out of the independent runs of every
-study kind; unset or empty it is 1, and a value that is not a positive
-integer is a config error.
+error.
 """
 
 import argparse
@@ -14,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +69,7 @@ def _environment():
     products, so it can move the last digits of the outputs."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"blas": {k: blas[k] for k in ("name", "version") if blas.get(k) is not None},
-            "threads": {v: os.environ[v] for v in (*BLAS_THREAD_VARS, "RECIRC_THREADS")
-                        if v in os.environ}}
+            "threads": {v: os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ}}
 
 
 def _config_errors(exc):
@@ -98,27 +94,6 @@ def _outdir(args, cfg):
     out = Path(args.output_dir or cfg.output["dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _threads():
-    """RECIRC_THREADS as a positive integer, 1 when unset or empty; any other
-    value is a ConfigError."""
-    text = os.environ.get("RECIRC_THREADS", "")
-    try:
-        threads = int(text) if text else 1
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError([("RECIRC_THREADS", f"expected a positive integer, got {text!r}")])
-    return threads
-
-
-def _fan_out(fn, items, threads):
-    """[fn(x) for x in items], spread over `threads` threads."""
-    if threads == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_trajectory(path, traj, system, cfg_hash):
@@ -343,9 +318,7 @@ def _parse_int(text, default, what):
 
 
 def cmd_study(args):
-    threads = _threads()
     cfg = _load_config(args)
-    out = _outdir(args, cfg)
     h = cfg.hash()
     unread = {"dt": "--levels", "mesh": "--reference"}.get(args.kind)
     if unread and getattr(args, unread[2:]) is not None:
@@ -357,15 +330,14 @@ def cmd_study(args):
         bad = [n for n in levels if not 1 <= n <= n_ref]
         if bad:
             raise ConfigError([("--levels", f"mode counts {bad} not in 1..{n_ref} (--reference)")])
-        scenario = build_scenario(cfg, modes=n_ref).built()
+        out = _outdir(args, cfg)
+        scenario = build_scenario(cfg, modes=n_ref)
         traj_ref = _integrate(scenario)
-
-        def run(n):
-            return _integrate(scenario, GalerkinState(0.0, scenario.state0.z[:n].copy()),
+        errs = []
+        for n in levels:
+            traj = _integrate(scenario, GalerkinState(0.0, scenario.state0.z[:n].copy()),
                               scenario.system.truncate(n))
-
-        errs = [_l2l2_diff(traj_ref.times, t.states, traj_ref.states)
-                for t in _fan_out(run, levels, threads)]
+            errs.append(_l2l2_diff(traj_ref.times, traj.states, traj_ref.states))
         _write_csv(out / "study_modes.csv", {"modes": levels, "error_vs_reference": errs}, h)
         _say(args.quiet, "study modes:", {n: f"{e:.3e}" for n, e in zip(levels, errs)})
         return 0
@@ -381,10 +353,10 @@ def cmd_study(args):
         if finest > STUDY_MAX_STEPS:
             raise ConfigError([("--reference", f"halving count {halvings}: the finest run "
                                 f"takes {finest} steps, above the cap of {STUDY_MAX_STEPS}")])
+        out = _outdir(args, cfg)
         dts = [cfg.time["dt"] / 2**k for k in range(halvings + 1)]
-        scenario = build_scenario(cfg).built()  # before the threads read it
-
-        trajs = _fan_out(lambda dt: _integrate(scenario, dt=dt), dts, threads)
+        scenario = build_scenario(cfg)
+        trajs = [_integrate(scenario, dt=dt) for dt in dts]
         diffs = [_l2l2_diff(coarse.times, coarse.states, fine.states[::2])
                  for coarse, fine in zip(trajs, trajs[1:])]
         _write_csv(out / "study_dt.csv", {"dt": dts[:-1], "diff_to_half_dt": diffs}, h)
@@ -402,6 +374,7 @@ def cmd_study(args):
     if (cfg.domain["Lx"], cfg.domain["Ly"]) != (1, 1):
         raise ConfigError([("domain", "study mesh needs the unit square, where its manufactured "
                             f"solution vanishes on the boundary; got {cfg.domain}")])
+    out = _outdir(args, cfg)
     params = build_scenario(cfg).params
     mms = ManufacturedSolution(params.nu, params.nu_tur)
 
@@ -420,7 +393,7 @@ def cmd_study(args):
                                      dt=cfg.time["dt"], observer=observer)
         return float(np.sqrt(acc["sum"])), sum(iterations), max(iterations)
 
-    errs, iters, iters_max = zip(*_fan_out(run, levels, threads))
+    errs, iters, iters_max = zip(*[run(n) for n in levels])
     # log(e_prev / e) / log(n / n_prev): log2 of the error ratio when n doubles
     order = [np.nan] + [np.log2(e0 / e) / np.log2(n / n0)
                         for e0, e, n0, n in zip(errs, errs[1:], levels, levels[1:])]

@@ -253,8 +253,8 @@ def vortex_field(space, amplitude=1.0):
 
 class Scenario:
     """The chain of a validated RunConfig on `modes` modes, one stage per
-    attribute, each built on first read. Building is not locked, so a command
-    that fans out over threads calls `built()` first."""
+    attribute, each built on first read; `built()` builds them all, so a
+    command can time the whole build apart from its runs."""
 
     STAGES = ("mesh", "space", "pumps", "params", "lifting", "basis", "source", "state0",
               "system")  # the chain's order

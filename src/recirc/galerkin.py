@@ -53,8 +53,8 @@ back with the P1 values (`MixedSpace.strain_load`) and one product with
 the table's mode columns. Each product is the one of the out-of-place
 expressions, in the same order, so the in-place steps change no bit. No
 velocity vector of the mesh is expanded, gathered or scattered. Each
-evaluation allocates its own tables and shares none, and the system holds
-no buffer, so threads may step one system at once (`study dt` does).
+evaluation allocates its own tables, and no run changes the system, so
+runs may share one system one after another (`study dt` does).
 
 Implicit Euler solves each step by a simplified
 Newton iteration (the chord method of implicit integrators: Hairer &
@@ -268,7 +268,8 @@ class ReducedSystem:
     def truncate(self, n):
         """The system on the first n modes, 1 <= n <= size, from the leading
         blocks of this one's tables; it shares the space, lifting, pumps,
-        params and source, and threads may truncate one system at once."""
+        params and source, and no state that a run changes, so runs may share
+        one system and its truncations one after another."""
         sub = ReducedSystem.__new__(ReducedSystem)
         sub.space, sub.lifting, sub.pumps = self.space, self.lifting, self.pumps
         sub.params, sub.source = self.params, self.source
@@ -471,10 +472,10 @@ class ReducedSystem:
         carry: the tangent in use at the end, with its secant updates, and
         the scale of the iterate it was formed at, or the start's scale it
         was rescaled to; None when the step neither carried a tangent in
-        nor formed one. The pair lives in the caller only, so threads
-        sharing the system never share one. A trial's defect is the next
-        iterate's, so an accepted update costs one defect evaluation; the
-        diag counts the start's defect and every trial, dropped or
+        nor formed one. The pair lives in the caller only, so a run leaves
+        the system as it found it for the next run. A trial's defect is the
+        next iterate's, so an accepted update costs one defect evaluation;
+        the diag counts the start's defect and every trial, dropped or
         accepted, as "evaluations". A failure raises StepError with the
         time, the iteration count and the residuals of the accepted
         iterates.

@@ -1418,40 +1418,26 @@ def test_rk4_forms_lift_data_once_per_distinct_time(preset16, monkeypatch):
         assert np.array_equal(traj.states[k], state.z)
 
 
-def test_concurrent_integrations_match_sequential_runs(preset16):
-    # threads integrate one system at once, two implicit runs at two dt and
-    # an RK4 run, with a short switch interval: no closure evaluation shares
-    # a table with another, so every trajectory is, bit for bit, that of the
-    # same run made alone
-    import sys
-    import threading
-
-    sys_, state0 = preset16.system, preset16.state0
+def test_runs_share_one_system_one_after_another(preset16):
+    # a run leaves the system as it found it: two implicit runs at two dt and
+    # an RK4 run give, bit for bit, the same trajectories in one order, in the
+    # reverse order and on a fresh system built from the same stages
+    scn = preset16
     runs = [(0.01, "implicit-euler"), (0.02, "implicit-euler"), (0.01, "explicit-rk4")]
-    ref = [sys_.integrate(state0, T=0.4, dt=dt, scheme=scheme) for dt, scheme in runs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for _ in range(2):
-            got = [None] * len(runs)
-            start = threading.Barrier(len(runs), timeout=60)
+    fresh = ReducedSystem(scn.space, scn.basis, scn.lifting, scn.pumps, scn.params,
+                          source=scn.source)
 
-            def run(i):
-                start.wait()
-                got[i] = sys_.integrate(state0, T=0.4, dt=runs[i][0], scheme=runs[i][1])
+    def integrate(sys_, order):
+        return {i: sys_.integrate(scn.state0, T=0.4, dt=runs[i][0], scheme=runs[i][1])
+                for i in order}
 
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(runs))]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120)
-                assert not th.is_alive()
-            for a, b in zip(got, ref):
-                assert np.array_equal(a.states, b.states)
-                assert np.array_equal(a.evaluations, b.evaluations)
-                assert np.array_equal(a.tangents, b.tangents)
-    finally:
-        sys.setswitchinterval(interval)
+    ref = integrate(scn.system, range(len(runs)))
+    for got in (integrate(scn.system, reversed(range(len(runs)))),
+                integrate(fresh, range(len(runs)))):
+        for i, a in got.items():
+            assert np.array_equal(a.states, ref[i].states)
+            assert np.array_equal(a.evaluations, ref[i].evaluations)
+            assert np.array_equal(a.tangents, ref[i].tangents)
 
 
 def _fresh_truncation(scn, n):

@@ -1,5 +1,6 @@
 """A scenario's stages are built on first read: each command builds the stages
-it reads, and a command that fans out over threads builds them all first."""
+it reads, a study's runs share one scenario, and simulate builds every stage
+before it integrates."""
 
 import json
 from collections import Counter
@@ -103,18 +104,9 @@ def _counting_stages(monkeypatch):
     ("dt", ["--reference", "2"]),
     ("modes", ["--levels", "2,4", "--reference", "6"]),
 ])
-def test_study_builds_each_stage_once_before_the_threads(tmp_path, monkeypatch, scenarios,
-                                                         kind, extra):
-    # building a stage is not locked, so no thread may be the first to read one
+def test_study_builds_each_stage_once(tmp_path, monkeypatch, kind, extra):
+    # the runs of a study, one after another, share one scenario
     counts = _counting_stages(monkeypatch)
-    fan_out = cli._fan_out
-
-    def checked(fn, items, threads):
-        assert _unbuilt(scenarios[0]) == []
-        return fan_out(fn, items, threads)
-
-    monkeypatch.setattr(cli, "_fan_out", checked)
-    monkeypatch.setenv("RECIRC_THREADS", "2")
     path, _ = small_config(tmp_path)
     assert _run(["study", kind, *extra], path, tmp_path / "st") == 0
     assert counts == dict.fromkeys(Scenario.STAGES, 1)
