@@ -91,8 +91,14 @@ def _load_config(args):
 
 
 def _outdir(args, cfg):
+    """The output directory, made if missing; a path that cannot be a
+    directory is a ConfigError at the flag or key that named it."""
     out = Path(args.output_dir or cfg.output["dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([("--output-dir" if args.output_dir else "output.dir",
+                            f"cannot make output directory: {exc}")]) from exc
     return out
 
 
@@ -411,7 +417,7 @@ def cmd_contract(args):
     out = _outdir(args, cfg)
     h = cfg.hash()
     scenario = build_scenario(cfg).built()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(int(cfg.seed))
     direction = rng.standard_normal(scenario.basis.size)
     direction /= np.linalg.norm(direction)
 

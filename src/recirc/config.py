@@ -180,8 +180,8 @@ def validate(config):
     if not isinstance(out, dict):
         issues.append(("output", "must be an object"))
         raw["output"] = out = dict(_DEFAULTS["output"])
-    out.setdefault("dir", "out")
-    out.setdefault("every", 10)
+    for key, value in _DEFAULTS["output"].items():
+        out.setdefault(key, value)
     if not isinstance(out["dir"], str):
         issues.append(("output.dir", f"must be a string, got {out['dir']!r}"))
     _check_number(issues, out, "output", "every", positive=True, integer=True)
@@ -314,7 +314,7 @@ class Scenario:
     def state0(self):
         if self.config.initial["preset"] == "zero":
             return GalerkinState(0.0, np.zeros(self.modes))
-        v0 = vortex_field(self.space, self.config.initial.get("amplitude", 1.0))
+        v0 = vortex_field(self.space, self.config.initial["amplitude"])
         # hand over the basis projection: discretely divergence free by
         # construction, so the strict trace/divergence checks apply to the
         # field actually used

@@ -140,8 +140,8 @@ def solve_stokes_eigen(space, n_modes):
     """First n_modes Stokes eigenpairs on the constrained subspace.
 
     Raises CapacityError for more modes than the subspace dimension, and
-    SolverError when ARPACK fails with its default and with a capped Lanczos
-    basis, or when n_modes equals the dimension (ARPACK needs ncv > n_modes).
+    SolverError when ARPACK fails or when n_modes equals the dimension
+    (ARPACK needs ncv > n_modes).
     """
     cap = subspace_dimension(space)
     if n_modes < 1:
@@ -149,6 +149,15 @@ def solve_stokes_eigen(space, n_modes):
     if n_modes > cap:
         raise CapacityError(
             f"requested {n_modes} modes but the constrained subspace has dimension {cap}"
+        )
+    # ARPACK's default Lanczos basis, capped at the dimension on which the
+    # shift-invert operator acts (uncapped, it fails from about 2/3 of it up);
+    # below the cap this is the default call, bit for bit
+    ncv = min(max(2 * n_modes + 1, 20), cap)
+    if ncv <= n_modes:  # eigsh needs ncv > N
+        raise SolverError(
+            f"Stokes eigensolver cannot find N = {n_modes} modes in a subspace of "
+            f"dimension {cap}: ARPACK needs N < {cap}"
         )
     I = space.interior_vdofs
     M_II = space.M.tocsr()[I][:, I]
@@ -160,28 +169,14 @@ def solve_stokes_eigen(space, n_modes):
     # deterministic Lanczos start: reruns give the same rotation within
     # degenerate eigenvalue clusters, keeping outputs bit-reproducible
     start = np.sin(np.arange(1, A.shape[0] + 1, dtype=float))
-    solve = lambda ncv=None: eigsh(A, k=n_modes, M=Msad, sigma=0.0, which="LM",
-                                   tol=EIGEN_TOL, v0=start, ncv=ncv)
     try:
-        vals, vecs = solve()
-    except ArpackError:
-        # ARPACK's default ncv = max(2N + 1, 20) can exceed the dimension on
-        # which the shift-invert operator acts (error -9999 from about 2/3 of
-        # it up); retry with the Lanczos basis capped there, only after a
-        # failure, so every basis that converges by default keeps its bits
-        ncv = min(max(2 * n_modes + 1, 20), cap)
-        if ncv <= n_modes:  # eigsh needs ncv > N
-            raise SolverError(
-                f"Stokes eigensolver cannot find N = {n_modes} modes in a subspace of "
-                f"dimension {cap}: ARPACK needs N < {cap}"
-            ) from None
-        try:
-            vals, vecs = solve(ncv)
-        except ArpackError as exc:
-            raise SolverError(
-                f"Stokes eigensolver failed for N = {n_modes} modes in a subspace of "
-                f"dimension {cap}, also with ncv = {ncv}: {exc}"
-            ) from exc
+        vals, vecs = eigsh(A, k=n_modes, M=Msad, sigma=0.0, which="LM", tol=EIGEN_TOL,
+                           v0=start, ncv=ncv)
+    except ArpackError as exc:
+        raise SolverError(
+            f"Stokes eigensolver failed for N = {n_modes} modes in a subspace of "
+            f"dimension {cap} with ncv = {ncv}: {exc}"
+        ) from exc
     fields = np.zeros((space.n_velocity, n_modes))
     fields[I] = vecs[: len(I)]
     basis = EigenBasis(space, vals, fields)

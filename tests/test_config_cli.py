@@ -1016,3 +1016,57 @@ def test_validated_configs_run_or_fail_typed(tmp_path, capsys):
             codes[command].append(code)
     assert {0, 2} <= set(codes["validate"]) and 0 in codes["lift"]
     assert {0, 1} <= set(codes["eigen"])  # N = dimension fails typed
+
+
+@pytest.mark.parametrize("where", ["--output-dir", "output.dir"])
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["lift"],
+    ["eigen"],
+    ["study", "dt", "--reference", "2"],
+    ["contract"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_cli_output_path_that_is_a_file_exits_2(tmp_path, capsys, argv, where):
+    # an output path naming an existing file is a config error at the flag,
+    # or at output.dir when no flag is given, and the file is left as it was
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me\n")
+    if where == "output.dir":
+        path, _ = small_config(tmp_path, output={"dir": str(blocker), "every": 5})
+        flags = []
+    else:
+        path, _ = small_config(tmp_path)
+        flags = ["--output-dir", str(blocker)]
+    assert main([*argv, "--config", str(path), *flags, "--quiet"]) == 2
+    errors = json.loads(capsys.readouterr().err)["errors"]
+    assert [e["path"] for e in errors] == [where]
+    assert blocker.read_text() == "keep me\n"
+
+
+def test_cli_contract_whole_number_float_seed(tmp_path):
+    # validate accepts 7.0 as an integer seed; the run reads it as 7, while
+    # the config (and so its hash) keeps the value as written
+    rows = []
+    for seed in (7, 7.0):
+        path, _ = small_config(tmp_path, seed=seed)
+        out = tmp_path / f"ct_{seed!r}"
+        assert main(["contract", "--config", str(path), "--output-dir", str(out),
+                     "--quiet"]) == 0
+        rows.append((out / "contraction.csv").read_text().split("\n", 1)[1])
+    assert rows[0] == rows[1]
+    assert repr(validate(path).seed) == "7.0"
+
+
+@pytest.mark.parametrize("output, expected, items", [
+    (None, "ad310dc2a468", [("dir", "out"), ("every", 10)]),
+    ({"every": 5}, "a3f7cb941d15", [("every", 5), ("dir", "out")]),
+])
+def test_config_defaults_keep_raw_and_hash(output, expected, items):
+    # each default is written once (in _DEFAULTS); filling it keeps the
+    # canonical dict, its key order and the config hash of earlier versions
+    cfg = json.loads(preset_path("four_pumps").read_text())
+    if output is not None:
+        cfg["output"] = output
+    rc = validate(cfg)
+    assert rc.hash() == expected
+    assert list(rc.raw["output"].items()) == items

@@ -180,34 +180,54 @@ def test_truncate_range(basis8):
             basis8.truncate(n)
 
 
-@pytest.mark.parametrize("n, modes", [(4, 49), (4, 73), (2, 1), (2, 9)])
-def test_arpack_failure_near_capacity_retries_capped(monkeypatch, n, modes):
-    # ARPACK's default Lanczos basis fails (error -9999) from about 2/3 of the
-    # dimension up (74 at 4^2) and at every N at 2x2 (dimension 10); the
-    # retry capped at the dimension converges within criterion 06's bounds
-    calls = []
-
+def _recording_eigsh(calls):
+    """eigsh that records the ncv of each call."""
     def recorded(*args, ncv=None, **kwargs):
         calls.append(ncv)
         return eigsh(*args, ncv=ncv, **kwargs)
+    return recorded
 
-    monkeypatch.setattr("recirc.eigenbasis.eigsh", recorded)
+
+@pytest.mark.parametrize("n, modes", [(4, 49), (4, 73), (2, 1), (2, 9), (16, 20)])
+def test_eigsh_is_called_once_with_the_capped_default_basis(monkeypatch, n, modes):
+    # ARPACK's default Lanczos basis fails (error -9999) from about 2/3 of the
+    # dimension up (74 at 4^2) and at every N at 2x2 (dimension 10); capped at
+    # the dimension it converges within criterion 06's bounds in one call. At
+    # 16^2 (dimension 1634) the capped basis is the default, 2N + 1
+    calls = []
+    monkeypatch.setattr("recirc.eigenbasis.eigsh", _recording_eigsh(calls))
     space = MixedSpace(build_rect_mesh(1, 1, n, n))
     cap = subspace_dimension(space)
     basis = solve_stokes_eigen(space, modes)
-    assert calls == [None, min(max(2 * modes + 1, 20), cap)]
+    assert calls == [min(max(2 * modes + 1, 20), cap)]
     assert basis.size == modes
     assert basis.gram_residual <= 1e-10
     assert basis.rayleigh_residuals.max() <= 1e-8
 
 
-def test_mode_count_at_the_dimension_is_a_solver_error():
+def test_capped_basis_below_the_dimension_is_the_default_call(monkeypatch, space8, basis8):
+    # where max(2N + 1, 20) is below the dimension, sizing the Lanczos basis
+    # changes no bit of the basis against ARPACK's default call
+    def default(*args, ncv=None, **kwargs):
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr("recirc.eigenbasis.eigsh", default)
+    ref = solve_stokes_eigen(space8, basis8.size)
+    assert np.array_equal(basis8.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(basis8.fields, ref.fields)
+
+
+def test_mode_count_at_the_dimension_is_a_solver_error(monkeypatch):
+    # refused before ARPACK runs: no eigsh call
+    calls = []
+    monkeypatch.setattr("recirc.eigenbasis.eigsh", _recording_eigsh(calls))
     space = MixedSpace(build_rect_mesh(1, 1, 2, 2))
     with pytest.raises(SolverError, match="N = 10 modes in a subspace of dimension 10"):
         solve_stokes_eigen(space, 10)
+    assert calls == []
 
 
-def test_second_arpack_failure_is_a_solver_error(monkeypatch):
+def test_one_arpack_failure_is_a_solver_error(monkeypatch):
     calls = []
 
     def failing(*args, ncv=None, **kwargs):
@@ -216,7 +236,7 @@ def test_second_arpack_failure_is_a_solver_error(monkeypatch):
 
     monkeypatch.setattr("recirc.eigenbasis.eigsh", failing)
     space = MixedSpace(build_rect_mesh(1, 1, 4, 4))
-    with pytest.raises(SolverError, match="N = 12 modes in a subspace of dimension 74, "
-                                          "also with ncv = 25"):
+    with pytest.raises(SolverError, match="N = 12 modes in a subspace of dimension 74 "
+                                          "with ncv = 25"):
         solve_stokes_eigen(space, 12)
-    assert calls == [None, 25]
+    assert calls == [25]
