@@ -24,7 +24,7 @@ from .fullspace import FullSpaceSystem
 from .galerkin import GalerkinState, step_count
 from .mesh import build_rect_mesh
 from .mms import ManufacturedSolution
-from .monitors import contraction, ledger, velocity_l2
+from .monitors import contraction, ledger
 from .space import MixedSpace
 from .vtk import vtk_geometry, write_vtk
 
@@ -175,7 +175,6 @@ def cmd_simulate(args):
 
     every = int(cfg.output["every"])
     space = scenario.space
-    v_norms = velocity_l2(scenario.system, traj)
     geometry = vtk_geometry(scenario.mesh)
     for i in range(len(traj)):
         if i % every == 0 or i == len(traj) - 1:
@@ -199,8 +198,8 @@ def cmd_simulate(args):
         "config_hash": h,
         "modes": scenario.basis.size,
         "scheme": cfg.time["scheme"],
-        "final_v_l2": float(v_norms[-1]),
-        "max_v_l2": float(v_norms.max()),
+        "final_v_l2": float(led.v_l2[-1]),
+        "max_v_l2": float(led.v_l2.max()),
         "final_z_l2": float(np.linalg.norm(traj.states[-1])),
         "C1_empirical": finite(led.data["C1_empirical"]),
         "C2_empirical": finite(led.data["C2_empirical"]),
@@ -217,8 +216,8 @@ def cmd_simulate(args):
             # [p] = the number of steps that started from the order-p extrapolation
             "start_order_histogram": np.bincount(traj.start_orders[1:]).tolist(),
         },
-        # wall time per phase; output is the CSVs, the velocity norms and the
-        # VTK files, not summary.json itself
+        # wall time per phase; output is the CSVs and the VTK files, not
+        # summary.json itself
         "phases": {"setup_s": lap[0], "integrate_s": lap[1], "ledger_s": lap[3],
                    "output_s": lap[2] + lap[4]},
         "environment": _environment(),
@@ -429,8 +428,7 @@ def cmd_contract(args):
     pair_fit = run(scenario.state0.z + eps_fit * direction)
     pair_check = run(scenario.state0.z + eps_check * direction)
 
-    rep = contraction(scenario.system, base, pair_fit)
-    rep_check = contraction(scenario.system, base, pair_check, w8=rep.w8)  # one base series
+    rep, rep_check = contraction(scenario.system, base, pair_fit, pair_check)
     holds = rep_check.bound_holds(rep.fitted_C2)
 
     _write_csv(out / "contraction.csv",

@@ -27,6 +27,8 @@ from scipy.sparse.linalg import ArpackError, eigsh
 from .errors import CapacityError, SolverError
 
 EIGEN_TOL = 1e-9  # ARPACK's relative eigenvalue tolerance
+# largest |x^T K_grad x / x^T M x - lambda| / lambda a returned mode may have
+RAYLEIGH_RTOL = 1e-8
 
 
 class EigenBasis:
@@ -39,8 +41,10 @@ class EigenBasis:
     gram_residual : max |Xi^T M Xi - I|
     rayleigh_residuals : |x^T K_grad x / x^T M x - lambda| per mode
 
-    The two residuals are formed on first read: only `recirc eigen` and the
-    tests read them, and a run builds and truncates bases without.
+    The two residuals are formed on first read. `solve_stokes_eigen` reads
+    the Rayleigh residuals of every basis it returns, and `recirc eigen`
+    writes that same cached array; the Gram residual is read by `recirc
+    eigen` and the tests alone, and a truncated basis forms neither.
     """
 
     def __init__(self, space, eigenvalues, fields):
@@ -140,8 +144,11 @@ def solve_stokes_eigen(space, n_modes):
     """First n_modes Stokes eigenpairs on the constrained subspace.
 
     Raises CapacityError for more modes than the subspace dimension, and
-    SolverError when ARPACK fails or when n_modes equals the dimension
-    (ARPACK needs ncv > n_modes).
+    SolverError when ARPACK fails, when n_modes equals the dimension
+    (ARPACK needs ncv > n_modes), or when a returned mode's Rayleigh
+    quotient misses its eigenvalue by more than RAYLEIGH_RTOL relative:
+    next to the dimension ARPACK can return a mode of the singular pencil
+    without an error.
     """
     cap = subspace_dimension(space)
     if n_modes < 1:
@@ -184,4 +191,10 @@ def solve_stokes_eigen(space, n_modes):
         raise SolverError(
             f"nonpositive Stokes eigenvalue {basis.eigenvalues.min():.3e}"
         )
+    rel = basis.rayleigh_residuals / basis.eigenvalues
+    k = int(np.argmax(rel))
+    if not rel[k] <= RAYLEIGH_RTOL:
+        raise SolverError(f"Stokes eigensolver returned mode {k + 1} of N = {n_modes} with lambda "
+                          f"= {basis.eigenvalues[k]:.6e} and Rayleigh residual "
+                          f"{basis.rayleigh_residuals[k]:.3e}, {rel[k]:.1e} relative")
     return basis

@@ -54,17 +54,16 @@ PICARD_TOL = 1e-10  # M-norm coefficient increment at which a step's Picard iter
 
 
 class FullSpaceFields:
-    """One state's fields at the quadrature points, in contiguous planes
-    over (nt, nq): the state z itself; the gradient planes `grads`
-    (2, 2, nt, nq), [a, b] = d z_a/d x_b except that [0, 1] holds e01; the
-    values (2, nt, nq) and the `half` values 1/2 w_q z; the weighted body
-    force `force` 1/2 w_q (grad z) z (2, nt, nq); and |e| (nt, nq) without
-    quadrature weights, None without the closure."""
+    """One state z's fields at the quadrature points, in contiguous planes
+    over (nt, nq): the gradient planes `grads` (2, 2, nt, nq), [a, b] =
+    d z_a/d x_b except that [0, 1] holds e01; the values (2, nt, nq) and the
+    `half` values 1/2 w_q z; the weighted body force `force` 1/2 w_q
+    (grad z) z (2, nt, nq); and |e| (nt, nq) without quadrature weights,
+    None without the closure."""
 
-    __slots__ = ("z", "grads", "values", "half", "force", "mag")
+    __slots__ = ("grads", "values", "half", "force", "mag")
 
-    def __init__(self, z, grads, values, half, force, mag):
-        self.z = z
+    def __init__(self, grads, values, half, force, mag):
         self.grads = grads
         self.values = values
         self.half = half
@@ -131,7 +130,7 @@ class FullSpaceSystem:
         G[0, 1] += G[1, 0]  # e01 from here on
         G[0, 1] *= 0.5
         mag = sym_norm(G[0, 0], G[0, 1], G[1, 1]) if self.params.nu_tur > 0 else None
-        return FullSpaceFields(z, G, u, h, f, mag)
+        return FullSpaceFields(G, u, h, f, mag)
 
     def nonlinear_load(self, fields, shift=0.0):
         """Dual vector of skew convection c(z; z, .) plus the closure term,

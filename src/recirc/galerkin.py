@@ -33,8 +33,7 @@ has an exactly P1 strain, sum_j lambda_j e_j over the barycentric
 coordinates lambda_j and the vertex strains e_j, so each column of W is
 described completely by the planes (e00, e01, e11) at the 3 vertices of
 every cell: the strain table (`MixedSpace.strain_coefficients`,
-(9 nt, K + N), 0.9 MB at 16x16 cells with N = 20 and 6.5 MB at 32x32 with
-N = 40, plane-major rows 3 nt a + 3 c + j), formed through the vertex-
+(9 nt, K + N), plane-major rows 3 nt a + 3 c + j), formed through the vertex-
 gradient map of the space's plane kernels (`MixedSpace.grad_operator`) and
 checked against the strain samples of W 1 once per basis. It is stored
 column-contiguous (Fortran order): each column's 9 nt coefficients are
@@ -89,15 +88,14 @@ of the scale table each defect hands back, reduced only where the carry
 reads it. Each step rescales it by s / s_ref before its first update, s
 from its start's defect, which becomes its new s_ref. While the pumps ramp up
 the state grows nearly along a ray, and the rescaled tangent stays
-current: four_pumps forms one tangent in 100 steps instead of 6. Where
-the change of state is not radial the secant updates and the refresh rules
-remain the safeguard: the tangent is formed again at the current iterate
-only when a frozen-tangent update finds no decrease, or when an accepted
-update shrinks the residual by less than CHORD_RATE. A step always hands
-on the tangent it ends with, its secant updates included, as the pair
-(T_VV, s_ref). A tangent forms the StateFields of its iterate again, one
-more strain product, and reads a cell-major copy of the modes' table
-columns. Classical RK4 is available for cross-checks; it forms the lift
+current. Where the change of state is not radial the secant updates and
+the refresh rules remain the safeguard: the tangent is formed again at the
+current iterate only when a frozen-tangent update finds no decrease, or
+when an accepted update shrinks the residual by less than CHORD_RATE. A
+step always hands on the tangent it ends with, its secant updates
+included, as the pair (T_VV, s_ref). A tangent forms the StateFields
+of its iterate again, one more strain product, and reads a cell-major
+copy of the modes' table columns. Classical RK4 is available for cross-checks; it forms the lift
 data of its three distinct times once each, k2 and k3 sharing t + dt/2,
 and hands t + dt's on to the next step's k1. Both steppers read what the
 step before hands on through one keyword, `carry`, and hand on their own

@@ -60,12 +60,11 @@ def stokes_operator(space, nu):
     return A, A[:, space.boundary_vdofs], _stokes_lu(space, A)
 
 
-def solve_stokes_lift(space, psi, nu, operator=None):
-    """Solve the Stokes lift for one trace field; returns (zeta, p, residual).
-
-    `operator` is `stokes_operator(space, nu)` when the caller has it, else
-    it is formed here. The pressure p has zero mean. Raises
-    CompatibilityError if the trace has net discrete flux above 1e-8.
+def solve_stokes_lift(space, psi, operator):
+    """Solve the Stokes lift for one trace field on `operator`, the
+    `stokes_operator(space, nu)` that carries nu; returns (zeta, p,
+    residual). The pressure p has zero mean. Raises CompatibilityError if
+    the trace has net discrete flux above 1e-8.
     """
     net = float(space.flux_vector @ psi)
     scale = max(1.0, float(np.abs(psi).max()))
@@ -73,7 +72,7 @@ def solve_stokes_lift(space, psi, nu, operator=None):
         raise CompatibilityError(
             f"trace field has net boundary flux {net:.3e}; Stokes lift unsolvable"
         )
-    A, A_B, lu = stokes_operator(space, nu) if operator is None else operator
+    A, A_B, lu = operator
     Bd = space.boundary_vdofs
     psi_B = psi[Bd]
     zeta, p = space.saddle_solve(lu, -(A_B @ psi_B), -(space.B[:, Bd] @ psi_B))
@@ -92,7 +91,7 @@ def build_lifting(space, pumps, nu):
     operator = stokes_operator(space, nu) if len(pumps) else None
     zetas, pressures, residuals = [], [], []
     for pump in pumps.pumps:
-        z, p, r = solve_stokes_lift(space, pump.psi, nu, operator=operator)
+        z, p, r = solve_stokes_lift(space, pump.psi, operator)
         zetas.append(z)
         pressures.append(p)
         residuals.append(r)

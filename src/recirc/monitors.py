@@ -13,7 +13,7 @@ of quadratic outputs (Rozza, Huynh & Patera, ARCME 15, 2008). On the columns
 W = [Z | V] of lifts and modes, with y = [g; z] and the Gram matrices that
 one `ledger` call forms once,
 
-    ||z||^2 = z . z (the basis is L2-orthonormal),
+    ||z||^2 = z . z (the basis is L2-orthonormal),  ||v||^2 = y^T (W^T M W) y,
     ||eps(sum y_a u_a)||^2 = y^T E y,  E = W^T K_eps W / 2,
     ||grad z||^2 = z^T (V^T K_grad V) z,  ||d zeta_g/dt||^2_H1 = gdot^T Z^T (M + K_grad) Z gdot,
     ||H_g||^2 = c^T G c,  H_g = sum_i c_i(t) phi_i,
@@ -58,6 +58,7 @@ class EnergyLedger:
     times : (n,) save grid
     rows : dict of (n,) arrays, keys listed in COLUMNS
     data : dict of scalar data functionals and fitted constants
+    v_l2 : (n,) ||v||_{L2} of v = zeta_g + V z, the Gram form y^T (W^T M W) y
     """
 
     COLUMNS = (
@@ -74,25 +75,11 @@ class EnergyLedger:
         "z_w13_cu",           # ||z||^3_{L3} + ||eps(z)||^3_{L3}
     )
 
-    def __init__(self, times, rows, data):
+    def __init__(self, times, rows, data, v_l2):
         self.times = times
         self.rows = rows
         self.data = data
-
-
-def _lift_mode_columns(system):
-    """W = [Z | V]: the lifts' and the modes' velocity coefficient columns."""
-    return np.column_stack([system.lifting.zetas.T, system.basis.fields])
-
-
-def velocity_l2(system, traj):
-    """||v||_L2 of v = zeta_g + V z at every save time, from the Gram form
-    y^T (W^T M W) y with y = [g; z]."""
-    W = _lift_mode_columns(system)
-    gram = W.T @ (system.space.M @ W)
-    y = np.array([np.concatenate([system.pumps.rates(t)[0], z])
-                  for t, z in zip(traj.times, traj.states)])
-    return np.sqrt(np.einsum("ia,ab,ib->i", y, gram, y))
+        self.v_l2 = v_l2
 
 
 def ledger(system, traj):
@@ -105,7 +92,7 @@ def ledger(system, traj):
     rows = {k: np.zeros(n) for k in EnergyLedger.COLUMNS}
 
     K = len(system.lifting)
-    W = _lift_mode_columns(system)
+    W = np.column_stack([system.lifting.zetas.T, system.basis.fields])  # [Z | V]
     Z, V = W[:, :K], W[:, K:]
     E = 0.5 * (W.T @ (space.K_eps @ W))  # ||eps(W y)||^2 = y^T E y
     E_ZZ, E_VV = E[:K, :K], E[K:, K:]
@@ -118,10 +105,11 @@ def ledger(system, traj):
     eps_z_sq = np.zeros(n)
     eps_w_cu = np.zeros(n)
     eps_z_cu = np.zeros(n)
+    Y = np.zeros((n, W.shape[1]))  # y = [g; z] per save time
     for i, t in enumerate(times):
         g, gdot = system.pumps.rates(t)
         z = traj.states[i]
-        y = np.concatenate([g, z])
+        y = Y[i] = np.concatenate([g, z])
         eps_w_cu[i] = _cube(space, system.state_fields(z, g).w_eps_mag)
         z_l3_cu, eps_z_cu[i] = _cubes(space, system.basis.expand(z), coef_V @ z)
         eps_z_sq[i] = z @ E_VV @ z
@@ -156,7 +144,8 @@ def ledger(system, traj):
     data.update(zip(keys, _midpoint(times, integrands)))
     data["dzg_l2w13_cu"] **= 1.5
     _estimates(system.params, times, rows, data)
-    return EnergyLedger(times, rows, data)
+    v_l2 = np.sqrt(np.einsum("ia,ab,ib->i", Y, W.T @ (space.M @ W), Y))
+    return EnergyLedger(times, rows, data, v_l2)
 
 
 def _cube(space, mag):
@@ -316,16 +305,21 @@ def _estimates(params, times, rows, data):
 
 
 class ContractionReport:
-    """Gronwall diagnostics for a pair of runs differing in z0 only."""
+    """Gronwall diagnostics for a pair of runs differing in z0 only. The
+    fitted C2 is the largest growth rate of ||v1 - v2||^2 per unit of
+    ||v1 - v2||^2 ||v1||^8_{L4}, over the steps where that product exceeds
+    DENOM_FLOOR, and 0 when no rate is positive."""
 
-    def __init__(self, times, diff_sq, w8, fitted_C2, identical):
+    def __init__(self, times, diff_sq, w8):
         self.times = times
         self.diff_sq = diff_sq          # ||v1 - v2||^2_{L2} per time
         self.w8 = w8                    # ||v1||^8_{L4} per time
-        self.fitted_C2 = fitted_C2
-        self.identical = identical
-        # left-Riemann cumulative of w8 makes the adjusted norm telescope
+        self.identical = bool(np.all(diff_sq <= 1e-28))
         dt = np.diff(times)
+        denom = diff_sq[:-1] * w8[:-1]
+        kept = denom > DENOM_FLOOR
+        self.fitted_C2 = (np.diff(diff_sq)[kept] / dt[kept] / denom[kept]).max(initial=0.0)
+        # left-Riemann cumulative of w8 makes the adjusted norm telescope
         self.cum_w8 = np.concatenate([[0.0], np.cumsum(dt * w8[:-1])])
 
     def adjusted(self):
@@ -340,31 +334,18 @@ class ContractionReport:
         return bool(np.all(self.diff_sq <= bound))
 
 
-def contraction(system, traj1, traj2, w8=None):
-    """Fit the Gronwall constant from a perturbation pair.
+def contraction(system, base, *pairs):
+    """Fit the Gronwall constant from each perturbation pair (base, pair):
+    one ContractionReport per pair.
 
-    traj1 is the base run whose velocity enters ||v1||^8_{L4}; both runs
-    must share the time grid (identical configs except the initial state).
-    w8, the `ContractionReport.w8` of an earlier call on the same base run,
-    is that series, read instead of formed again.
+    base is the run whose velocity enters ||v1||^8_{L4}; its series is
+    formed once and every report holds it. Every pair must share base's
+    time grid (identical configs except the initial state).
     """
-    if len(traj1) != len(traj2) or not np.allclose(traj1.times, traj2.times):
+    if any(len(base) != len(pair) or not np.allclose(base.times, pair.times) for pair in pairs):
         raise ValueError("contraction requires runs on identical time grids")
-    times = traj1.times
-    n = len(times)
+    w8 = np.array([system.space.norm(system.velocity(z, t), "L4") ** 8
+                   for t, z in zip(base.times, base.states)])
     # the basis is L2-orthonormal
-    diff_sq = np.array([dz @ dz for dz in traj1.states - traj2.states])
-    if w8 is None:
-        w8 = np.array([system.space.norm(system.velocity(z, t), "L4") ** 8
-                       for t, z in zip(times, traj1.states)])
-
-    identical = bool(np.all(diff_sq <= 1e-28))
-    ratios = []
-    for i in range(n - 1):
-        dt = times[i + 1] - times[i]
-        denom = diff_sq[i] * w8[i]
-        if denom > DENOM_FLOOR:
-            ratios.append((diff_sq[i + 1] - diff_sq[i]) / dt / denom)
-    fitted = max(max(ratios, default=0.0), 0.0)
-    return ContractionReport(times, diff_sq, w8, fitted, identical)
-
+    return [ContractionReport(base.times, np.array([dz @ dz for dz in base.states - pair.states]),
+                              w8) for pair in pairs]

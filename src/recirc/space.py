@@ -35,9 +35,8 @@ cell, so its strain is exactly sum_j lambda_j e_j, lambda_j the barycentric
 coordinates (the values `P1` at the quadrature points) and e_j the strain
 at vertex j. `strain_coefficients(W)` tabulates the planes (e00, e01, e11)
 at the three vertices of every cell for each column of W, a (9 nt, m)
-table (9 nt m doubles: 0.9 MB at 16x16 cells and m = 24, 6.5 MB at 32x32
-and m = 44) in plane-major rows 3 nt a + 3 c + j, stored column-contiguous
-so that its leading columns are a contiguous view. A combination s of its
+table in plane-major rows 3 nt a + 3 c + j, stored column-contiguous so
+that its leading columns are a contiguous view. A combination s of its
 columns, read as (3 nt, 3), gives the strain planes at the quadrature points
 in one GEMM with `P1` (`strain_planes(s)`), and a stress given by its planes,
 read as (3 nt, nq), goes back to the table's rows in one GEMM with `P1`
@@ -110,6 +109,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
+from scipy.sparse.linalg import eigsh
 
 from .errors import MeshError
 from .turbulence import sym_grad
@@ -498,8 +498,8 @@ class MixedSpace:
         `P1`^T is u's gradient at the quadrature points exactly; a velocity
         reads Ds per component. The rows stay unsorted, which fixes each
         product's order of summation: scipy's abs and sum_duplicates sort
-        them in place, so a caller copies first. Built on first use and kept:
-        at 32x32 cells 40960 entries, 0.54 MB."""
+        them in place, so a caller copies first. Built on first use and
+        kept."""
         nt = self.mesh.num_cells
         G = np.einsum("cbd,jld->bcjl", self._jacobians()[1], _p2_grads(_P1_NODES))
         nonzero = G != 0
@@ -511,8 +511,8 @@ class MixedSpace:
     def grad_operator_T(self):
         """`grad_operator`'s transpose as its own CSR matrix, built on first
         use and kept: its product is bit for bit grad_operator.T @ x (each
-        entry sums the same terms in the same order, from zero) in about half
-        the time of the CSC view that the transpose makes on every call."""
+        entry sums the same terms in the same order, from zero), without the
+        CSC view that the transpose makes on every call."""
         return self.grad_operator.T.tocsr()
 
     def strain_coefficients(self, W):
@@ -586,12 +586,9 @@ class MixedSpace:
         read as the (nt, 9, 9) cell matrices A by one take
         (`_cell_matrix_order`), and the result is coef^T (A coef), summed
         over the cells in one GEMM on a cell-major copy of coef, rows
-        [c, (a, j)]: the one transposition of the table per call. The copy
-        reads the column-contiguous table 9 nt entries apart along a row,
-        about twice as slow at 32x32 cells as from a row-contiguous table;
-        reading A by a take rather than by a transposed copy wins part of
-        that back. No mesh-sized matrix and no gather of velocity
-        coefficients is formed.
+        [c, (a, j)]: the one transposition of the table per call. No
+        mesh-sized matrix and no gather of velocity coefficients is
+        formed.
         """
         nt, nq = self.qweights.shape
         m = coef.shape[1]
@@ -610,8 +607,8 @@ class MixedSpace:
     def _cell_matrix_order(self):
         """Flat index that reads the plane-pair products [a, b, c, j, k] of
         `weighted_strain_stiffness` as its cell matrices [c, (a, j), (b, k)]:
-        one take, about three times faster than the transposed copy, whose
-        innermost run is three entries."""
+        one take, in place of a transposed copy, whose innermost run is
+        three entries."""
         nt = self.mesh.num_cells
         a, j, b, k = np.ix_(*[np.arange(3)] * 4)
         cell = (27 * nt * a + 3 * j + 9 * nt * b + k).ravel()  # [a, b, c, j, k] at c = 0
@@ -632,12 +629,11 @@ class MixedSpace:
             T                 = sum_c F_c^T H_c.
 
         The last sum is one GEMM per chunk of cells, with inner dimension
-        12 x (cells in the chunk): 12 m^3 multiply-adds per cell, 2.1e9 on
-        the 2048 cells of a 32x32 mesh at m = 44. H_c costs 144 m^2 per cell in (m, 12) x
-        (12, m) products, and F_c and the tau product O(m). Every
-        intermediate is formed for 16 cells at a time; the largest, H, holds
-        192 m^2 doubles (3 MB at m = 44), so the build leaves the peak memory
-        of a run alone. Nothing is stored on the space.
+        12 x (cells in the chunk): 12 m^3 multiply-adds per cell. H_c costs
+        144 m^2 per cell in (m, 12) x (12, m) products, and F_c and the tau
+        product O(m). Every intermediate is formed for 16 cells at a time;
+        the largest, H, holds 192 m^2 doubles, so the build leaves the peak
+        memory of a run alone. Nothing is stored on the space.
         """
         m = W.shape[1]
         nt = self.mesh.num_cells
@@ -690,13 +686,11 @@ class MixedSpace:
         with `splu(S, **SADDLE_LU)` and solve with `saddle_solve`.
 
         In the nested-dissection order, velocities before pressures, SuperLU
-        takes every pivot on the diagonal (its row permutation is the
-        identity from 2x2 to 32x32 cells) and so keeps the order, and the
+        takes every pivot on the diagonal and so keeps the order, and the
         L+U fill is less than COLAMD's on the unordered matrix (lift
-        nu K_eps, step M/dt + c K_eps, mass M): at 32x32 cells 2.3-3.3 M ->
-        1.1-1.2 M entries, at 64x64 15-22 M -> 5.8-6.3 M. The pivot
-        threshold of `SADDLE_LU`, 1e-3, is the largest measured one that
-        keeps the order; its comment gives the measurements.
+        nu K_eps, step M/dt + c K_eps, mass M). The pivot threshold of
+        `SADDLE_LU`, 1e-3, is the largest measured one that keeps the order;
+        its comment gives the measurements.
         """
         return self.pinned_saddle(A)[:, self.saddle_order][self.saddle_order]
 
@@ -880,21 +874,16 @@ class MixedSpace:
     def korn_constant(self):
         """Mesh-level constant c_K with (grad v, grad v) <= c_K 2(eps v, eps v)
         for all boundary-zero fields: the largest generalized eigenvalue of
-        (K_grad, K_eps) on the interior DOFs. Cached after the first call.
-        """
-        if not hasattr(self, "_korn"):
-            from scipy.sparse.linalg import eigsh
-
-            I = self.interior_vdofs
-            Kg = self.K_grad.tocsr()[I][:, I]
-            Ke = self.K_eps.tocsr()[I][:, I].tocsc()
-            # the top of the pencil clusters at 1, so give Lanczos a generic
-            # deterministic start and a roomy subspace
-            start = np.random.default_rng(12345).standard_normal(len(I))
-            val = eigsh(Kg, k=1, M=Ke, which="LA", return_eigenvectors=False,
-                        v0=start, ncv=min(len(I), 60), maxiter=10000, tol=1e-10)
-            self._korn = float(val[0])
-        return self._korn
+        (K_grad, K_eps) on the interior DOFs."""
+        I = self.interior_vdofs
+        Kg = self.K_grad.tocsr()[I][:, I]
+        Ke = self.K_eps.tocsr()[I][:, I].tocsc()
+        # the top of the pencil clusters at 1, so give Lanczos a generic
+        # deterministic start and a roomy subspace
+        start = np.random.default_rng(12345).standard_normal(len(I))
+        val = eigsh(Kg, k=1, M=Ke, which="LA", return_eigenvectors=False,
+                    v0=start, ncv=min(len(I), 60), maxiter=10000, tol=1e-10)
+        return float(val[0])
 
     def vertex_velocity(self, u):
         """Velocity at mesh vertices -> (nv, 2), for VTK output."""

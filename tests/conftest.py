@@ -293,7 +293,7 @@ def doubled_state_fields(fs, z, D):
     G[0, 1] += G[1, 0]
     G[0, 1] *= 0.5
     mag = sym_norm(G[0, 0], G[0, 1], G[1, 1]) if fs.params.nu_tur > 0 else None
-    return FullSpaceFields(z, G, u, h, f, mag)
+    return FullSpaceFields(G, u, h, f, mag)
 
 
 def doubled_nonlinear_load(fs, fields, shift, D):

@@ -252,8 +252,7 @@ def test_criterion_10_uniqueness_contraction():
         GalerkinState(0.0, scn.state0.z + 1e-3 * d), T=1.0, dt=0.01)
     pert4 = scn.system.integrate(
         GalerkinState(0.0, scn.state0.z + 1e-4 * d), T=1.0, dt=0.01)
-    rep = contraction(scn.system, base, pert3)
-    rep4 = contraction(scn.system, base, pert4)
+    rep, rep4 = contraction(scn.system, base, pert3, pert4)
     fit_ok = np.isfinite(rep.fitted_C2) and rep.fitted_C2 >= 0.0
     adj = rep.adjusted()
     fit_ok &= bool(np.all(np.diff(adj) <= 1e-12 * max(1.0, adj.max())))
@@ -272,7 +271,7 @@ def test_criterion_10_uniqueness_contraction():
     run1 = sys0.integrate(GalerkinState(0.0, z0.copy()), T=1.0, dt=0.01)
     run2 = sys0.integrate(GalerkinState(0.0, z0 + 1e-3 * d[: basis0.size]),
                           T=1.0, dt=0.01)
-    rep0 = contraction(sys0, run1, run2)
+    rep0, = contraction(sys0, run1, run2)
     zero_ok = bool(np.all(np.diff(rep0.diff_sq) <= 1e-16))
     report(10, "uniqueness contraction", fit_ok and bound_ok and zero_ok,
            f"fitted C2 = {rep.fitted_C2:.3g}, independent-pair bound holds = "

@@ -511,6 +511,17 @@ def test_cli_eigen_on_a_1x1_mesh_is_a_capacity_error(tmp_path, capsys):
         "error: requested 1 modes but the constrained subspace has dimension 0\n")
 
 
+def test_cli_eigen_basis_off_its_rayleigh_quotients_exits_1(tmp_path, capsys):
+    # at 8^2 (dimension 370) ARPACK returns N = 368 with a last mode of the
+    # singular pencil: the Rayleigh gate makes it a SolverError, and eigen
+    # writes neither the eigenvalues nor the basis
+    path, _ = small_config(tmp_path, galerkin={"modes": 368})
+    out = tmp_path / "eig"
+    assert main(["eigen", "--config", str(path), "--output-dir", str(out), "--quiet"]) == 1
+    assert "mode 368 of N = 368" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_cli_lift_artifacts(tmp_path):
     path, _ = small_config(tmp_path)
     out = tmp_path / "lift"
@@ -603,21 +614,21 @@ def test_cli_contract_small(tmp_path):
 
 
 def test_cli_contract_forms_the_base_l4_series_once(tmp_path, monkeypatch):
-    # the fit and the check pair share the base run's ||v1||^8_L4 series:
-    # one L4 norm per save time, and the check report is the one a second
-    # full evaluation gives, bit for bit
+    # one contraction call serves the fit and the check pair: one L4 norm per
+    # save time, both reports hold the one ||v1||^8_L4 array, and each report
+    # is the one a single-pair call gives, bit for bit
     from recirc import cli
     from recirc.monitors import contraction
     from recirc.space import MixedSpace
 
     path, cfg = small_config(tmp_path)
-    norm, kinds, reports = MixedSpace.norm, [], []
+    norm, kinds, calls = MixedSpace.norm, [], []
     monkeypatch.setattr(MixedSpace, "norm",
                         lambda self, u, kind: kinds.append(kind) or norm(self, u, kind))
 
-    def kept(system, base, pair, **kw):
-        reports.append((system, base, pair, kw, contraction(system, base, pair, **kw)))
-        return reports[-1][-1]
+    def kept(system, base, *pairs):
+        calls.append((system, base, pairs, contraction(system, base, *pairs)))
+        return calls[-1][-1]
 
     monkeypatch.setattr(cli, "contraction", kept)
     assert main(["contract", "--config", str(path), "--output-dir", str(tmp_path / "ct"),
@@ -625,12 +636,14 @@ def test_cli_contract_forms_the_base_l4_series_once(tmp_path, monkeypatch):
     steps = round(cfg["time"]["T"] / cfg["time"]["dt"])
     assert kinds.count("L4") == steps + 1
     monkeypatch.undo()
-    (system, base, pair, kw, rep), = reports[1:]
-    assert kw["w8"] is reports[0][-1].w8
-    again = contraction(system, base, pair)
-    for name in ("diff_sq", "w8", "cum_w8"):
-        assert np.array_equal(getattr(rep, name), getattr(again, name)), name
-    assert rep.fitted_C2 == again.fitted_C2
+    (system, base, pairs, reports), = calls
+    assert len(pairs) == len(reports) == 2
+    assert reports[0].w8 is reports[1].w8
+    for pair, rep in zip(pairs, reports):
+        again, = contraction(system, base, pair)
+        for name in ("diff_sq", "w8", "cum_w8"):
+            assert np.array_equal(getattr(rep, name), getattr(again, name)), name
+        assert (rep.fitted_C2, rep.identical) == (again.fitted_C2, again.identical)
 
 
 def test_build_scenario_vortex_initial(tmp_path):

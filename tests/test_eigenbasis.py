@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, eigsh
 
-from recirc.eigenbasis import EigenBasis, solve_stokes_eigen, subspace_dimension
+from recirc.eigenbasis import (RAYLEIGH_RTOL, EigenBasis, solve_stokes_eigen,
+                               subspace_dimension)
 from recirc.errors import CapacityError, SolverError
 from recirc.mesh import build_rect_mesh
 from recirc.space import MixedSpace
@@ -240,3 +241,18 @@ def test_one_arpack_failure_is_a_solver_error(monkeypatch):
                                           "with ncv = 25"):
         solve_stokes_eigen(space, 12)
     assert calls == [25]
+
+
+@pytest.mark.parametrize("modes", [367, 368, 369])
+def test_basis_off_its_rayleigh_quotients_is_a_solver_error(space8, modes):
+    # at 8^2 (dimension 370) ARPACK returns N = 368 and 369 without an error,
+    # their last eigenvalue (about 2.98e15) a mode of the singular pencil with
+    # a Rayleigh residual of the same size; N = 367 is a true basis
+    assert subspace_dimension(space8) == 370
+    if modes == 367:
+        basis = solve_stokes_eigen(space8, modes)
+        assert (basis.rayleigh_residuals / basis.eigenvalues).max() <= RAYLEIGH_RTOL
+    else:
+        with pytest.raises(SolverError, match=f"mode {modes} of N = {modes} with lambda = "
+                                              r"2\.98\d*e\+15"):
+            solve_stokes_eigen(space8, modes)

@@ -362,18 +362,25 @@ def test_fused_load_keeps_picard_counts(mms, space8):
     # step's shift applied as the matrix product shift K_eps z: the same Picard
     # count at every step and the same states to roundoff
     params = ClosureParams(mms.nu, mms.nu_tur)
-    shifts = []
+    # made: id of a bundle -> (the bundle, its state); holding the bundle
+    # keeps its id from being reused
+    shifts, made = [], {}
+
+    def fields_of(z):
+        fields = FullSpaceSystem.state_fields(fs, z)
+        made[id(fields)] = (fields, z)
+        return fields
 
     def composed(fields, shift=0.0):
         shifts.append(shift)
-        z = fields.z
+        z = made[id(fields)][1]
         return nonlinear_load_oracle(space8, z, params) - shift * (space8.K_eps @ z)
 
     runs = []
     for oracle in (False, True):
         fs = FullSpaceSystem(space8, params, source=mms)
         if oracle:
-            fs.nonlinear_load = composed
+            fs.state_fields, fs.nonlinear_load = fields_of, composed
         states = []
         _, iterations = fs.integrate(mms.initial_velocity(space8), T=0.05, dt=1e-3,
                                      observer=lambda t, z: states.append(z))
@@ -472,7 +479,12 @@ def test_integrate_shares_each_accepted_states_fields(mms, space8, monkeypatch, 
     shifts = [shift for _, _, _, shift, _, _ in steps]
     assert (min(shifts) > 0.0) if nu_tur else (shifts == [0.0] * 5)
     for z, t_new, dt, shift, fields, (z_new, it) in steps:
-        assert fields.z is z and (fields.mag is None) == (nu_tur == 0)
-        for handed in (None, fs.state_fields(z)):
+        # the handed bundle is z's: the load wrote its stress into the
+        # gradient planes only, so its values, body force and |e| are z's
+        ref = fs.state_fields(z)
+        for name in ("values", "half", "force", "mag"):
+            assert np.array_equal(getattr(fields, name), getattr(ref, name)), name
+        assert (fields.mag is None) == (nu_tur == 0)
+        for handed in (None, ref):
             z_ref, it_ref = step(fs, z, t_new, dt, shift, fields=handed)
             assert np.array_equal(z_ref, z_new) and it_ref == it

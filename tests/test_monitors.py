@@ -8,8 +8,7 @@ from recirc.galerkin import GalerkinState, ReducedSystem, StateFields
 from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
-from recirc.monitors import (EnergyLedger, _estimates, _hg_form, _midpoint, contraction, ledger,
-                             velocity_l2)
+from recirc.monitors import EnergyLedger, _estimates, _hg_form, _midpoint, contraction, ledger
 from recirc.pumps import PumpSet
 from recirc.space import MixedSpace
 from recirc.turbulence import ClosureParams, strain_norm, sym_grad
@@ -70,7 +69,7 @@ def test_identical_runs_flagged(quiet12):
     rng = np.random.default_rng(6)
     z0 = 0.2 * rng.standard_normal(10)
     traj = quiet12.integrate(GalerkinState(0.0, z0.copy()), T=0.1, dt=0.02)
-    rep = contraction(quiet12, traj, traj)
+    rep, = contraction(quiet12, traj, traj)
     assert rep.identical
     assert np.all(rep.diff_sq == 0.0)
     assert rep.fitted_C2 == 0.0
@@ -85,7 +84,7 @@ def test_zero_data_difference_nonincreasing(quiet12):
         GalerkinState(0.0, z0 + 1e-3 * rng.standard_normal(10)), T=0.2, dt=0.02,
         tol=1e-12,
     )
-    rep = contraction(quiet12, t1, t2)
+    rep, = contraction(quiet12, t1, t2)
     # the modal |dz|^2 is the mesh L2 norm of the expanded difference
     for i in (0, 5, 10):
         dz = quiet12.basis.expand(t1.states[i] - t2.states[i])
@@ -145,7 +144,7 @@ def test_adjusted_norm_monotone_under_fitted_constant(preset16):
     pert = scn.system.integrate(
         GalerkinState(0.0, scn.state0.z + 1e-3 * d), T=0.3, dt=0.01
     )
-    rep = contraction(scn.system, base, pert)
+    rep, = contraction(scn.system, base, pert)
     adj = rep.adjusted()
     assert np.all(np.diff(adj) <= 1e-12 * max(adj.max(), 1e-30))
 
@@ -407,12 +406,12 @@ def test_ledger_gram_terms_match_quadrature(kind, preset16, quiet12):
     _assert_matches_oracle(ledger(sys_, traj), sys_, traj)
 
 
-def test_velocity_l2_matches_space_norm(preset16):
-    # the Gram form y^T (W^T M W) y against the quadrature norm of the
-    # reconstructed velocity, on the ramp and on the plateau
+def test_ledger_v_l2_matches_space_norm(preset16):
+    # the ledger's Gram form y^T (W^T M W) y against the quadrature norm of
+    # the reconstructed velocity, on the ramp and on the plateau
     sys_ = preset16.system
     traj = sys_.integrate(preset16.state0, T=0.3, dt=0.01)
-    got = velocity_l2(sys_, traj)
+    got = ledger(sys_, traj).v_l2
     for i in (0, 5, 20, 30):
         ref = sys_.space.norm(sys_.velocity(traj.states[i], traj.times[i]), "L2")
         assert abs(got[i] - ref) <= 1e-12 * ref

@@ -223,9 +223,9 @@ def test_left_right_pump_pair():
     ns = space.n_scalar
     # the trace points along x on both vertical sides
     assert np.abs(psi[ns:]).max() == 0.0
-    from recirc.lifting import solve_stokes_lift
+    from recirc.lifting import solve_stokes_lift, stokes_operator
 
-    zeta, p, res = solve_stokes_lift(space, psi, nu=0.01)
+    zeta, p, res = solve_stokes_lift(space, psi, stokes_operator(space, 0.01))
     assert res <= 1e-8
     assert np.linalg.norm(space.B @ zeta) <= 1e-8
 
