@@ -217,9 +217,9 @@ def cmd_simulate(args):
             "start_order_histogram": np.bincount(traj.start_orders[1:]).tolist(),
         },
         # wall time per phase; output is the CSVs and the VTK files, not
-        # summary.json itself
+        # summary.json itself; process CPU time per set-up stage
         "phases": {"setup_s": lap[0], "integrate_s": lap[1], "ledger_s": lap[3],
-                   "output_s": lap[2] + lap[4]},
+                   "output_s": lap[2] + lap[4], "setup_stages": scenario.stage_s},
         "environment": _environment(),
         **{key: finite(led.data[key]) for key in ("estimate1_lhs", "estimate1_rhs",
                                                   "estimate2_lhs", "estimate2_exponent",

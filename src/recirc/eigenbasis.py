@@ -145,10 +145,11 @@ def solve_stokes_eigen(space, n_modes):
 
     Raises CapacityError for more modes than the subspace dimension, and
     SolverError when ARPACK fails, when n_modes equals the dimension
-    (ARPACK needs ncv > n_modes), or when a returned mode's Rayleigh
-    quotient misses its eigenvalue by more than RAYLEIGH_RTOL relative:
-    next to the dimension ARPACK can return a mode of the singular pencil
-    without an error.
+    (ARPACK needs ncv > n_modes), or when a returned mode's eigenvalue is
+    nonpositive or its Rayleigh quotient misses its eigenvalue by more than
+    RAYLEIGH_RTOL relative: next to the dimension ARPACK can return a mode
+    of the singular pencil without an error. Both messages name the mode,
+    N and the eigenvalue.
     """
     cap = subspace_dimension(space)
     if n_modes < 1:
@@ -187,10 +188,11 @@ def solve_stokes_eigen(space, n_modes):
     fields = np.zeros((space.n_velocity, n_modes))
     fields[I] = vecs[: len(I)]
     basis = EigenBasis(space, vals, fields)
-    if np.any(basis.eigenvalues <= 0):
-        raise SolverError(
-            f"nonpositive Stokes eigenvalue {basis.eigenvalues.min():.3e}"
-        )
+    k = int(np.argmin(basis.eigenvalues))
+    if not basis.eigenvalues[k] > 0:
+        raise SolverError(f"Stokes eigensolver returned mode {k + 1} of N = {n_modes} with "
+                          f"nonpositive lambda = {basis.eigenvalues[k]:.6e} in a subspace of "
+                          f"dimension {cap}")
     rel = basis.rayleigh_residuals / basis.eigenvalues
     k = int(np.argmax(rel))
     if not rel[k] <= RAYLEIGH_RTOL:

@@ -8,6 +8,11 @@ integrals are trapezoid sums on the trajectory save grid; pure lift-data
 integrals use interval midpoints because the pump rates jump at schedule
 knots. The time derivative of z is a backward difference on that grid.
 
+The ledger works on the whole save grid at once. The rates g and gdot at
+the save times and at the midpoints are arrays (n, K), the states are the
+trajectory's (n, N) array, and every term is one array expression over
+them, except the one term that reads the steppers' own bundle (below).
+
 Every L2 term is a quadratic form in coefficients, the offline/online split
 of quadratic outputs (Rozza, Huynh & Patera, ARCME 15, 2008). On the columns
 W = [Z | V] of lifts and modes, with y = [g; z] and the Gram matrices that
@@ -22,32 +27,41 @@ over the fixed fields phi = [F0, F1, F2, zeta_k, (grad zeta_q) zeta_p] (the
 source's parts only when it exists) with c(t) = [1, a, a^2, -gdot, -g (x) g],
 a = a(t) the source's time factor; ||H~_g||^2 = ||F - d zeta_g/dt||^2 is the
 same form without the g (x) g block. G is the quadrature Gram matrix of phi
-(`_hg_gram`), built one block of fields at a time. Each form is the
-quadrature sum it replaces, regrouped, so it agrees with it to roundoff.
+(`_hg_gram`), built one block of fields at a time. Each form is evaluated
+on all rows at once, X -> rowwise x^T A x, and is the quadrature sum it
+replaces, regrouped, so it agrees with it to roundoff.
 
 Only the L3 terms read quadrature-point tables. Every strain comes from
 the system's strain table (`ReducedSystem.strain_coef`), the one the
-steppers read: at a save time the ledger reads |eps(w)| from
-`ReducedSystem.state_fields`, the bundle the steppers form, |eps(z)| from
-the table's mode columns times z, and |z| from the value planes of the
-expanded state (`MixedSpace.value_planes`). The table is column-contiguous, so its mode and lift
-columns are contiguous views and each product with them is one GEMV.
-The lift's L3 terms read the value planes of
-`LiftingBasis.combine(r)` and the table's lift columns times r per distinct
-rate vector r, keyed by its exact bytes: g at the midpoints for zeta_g,
-gdot at the save times and the midpoints for its rate. A source enters through G alone, so nothing is keyed
-by t; without pumps there is no lift table at all. The key is exact, not
-rounded or given a tolerance: equal keys give the same field bit for bit,
-while a tolerant key could merge rates that differ. Only scalars are kept,
-never a table, so memory does not grow with the save count.
+steppers read.
+- Per save time: |eps(w)|, w = zeta_g + z, from `ReducedSystem.state_fields`,
+  the bundle the steppers form, so the ledger's closure fields are theirs
+  bit for bit.
+- Per chunk of at most CHUNK save times: |z| and |eps(z)|, from one product
+  of the chunk's states with the basis and one with the table's mode
+  columns, then the stacked `MixedSpace.value_planes`, `strain_planes` and
+  `integrate`. A chunk's tables are a few (m, ., nt, nq) arrays with
+  m <= CHUNK = 4, so memory does not grow with the save count.
+- Per rate direction: the lift's L3 terms at g (the midpoints) and gdot
+  (the save times and the midpoints). Both cubes are homogeneous of degree
+  3, so for a rate vector r with s its entry of largest magnitude,
+  int |u(r)|^3 = |s|^3 int |u(r / s)|^3, and likewise for eps. The value
+  planes of `LiftingBasis.combine(d)` and the table's lift columns times d
+  are tabulated once per direction d = r / s, keyed by its exact values
+  (-0 read as 0, so r and -r share one), in chunks as the states are; a
+  zero rate gives (0, 0). The key is exact, not rounded or given a
+  tolerance: equal keys give the same field bit for bit, while a tolerant
+  key could merge rates that differ. Pumps on one schedule share one
+  direction, so four_pumps tabulates one field. A source enters through G
+  alone, so nothing is keyed by t; without pumps there is no lift table at
+  all.
 """
 
 import numpy as np
 
-from .turbulence import sym_norm
-
 BOUND_SLACK = 1.05  # relative room the contraction bound allows the measured difference
 DENOM_FLOOR = 1e-14  # smallest ||v1 - v2||^2 ||v1||^8_L4 a contraction ratio is taken at
+CHUNK = 4  # save times (or rate directions) per stacked field evaluation
 
 
 class EnergyLedger:
@@ -87,96 +101,118 @@ def ledger(system, traj):
     if len(traj) < 2:
         raise ValueError("ledger needs a trajectory with at least two saved steps")
     space = system.space
-    times = traj.times
-    n = len(times)
-    rows = {k: np.zeros(n) for k in EnergyLedger.COLUMNS}
+    times, Zs = traj.times, traj.states
+    mids = 0.5 * (times[1:] + times[:-1])
+    G, Gdot = _rates(system.pumps, times)
+    Gm, Gdotm = _rates(system.pumps, mids)
+    Y = np.hstack([G, Zs])  # y = [g; z] per save time
 
-    K = len(system.lifting)
-    W = np.column_stack([system.lifting.zetas.T, system.basis.fields])  # [Z | V]
-    Z, V = W[:, :K], W[:, K:]
+    K, V = len(system.lifting), system.basis.fields
+    W = np.column_stack([system.lifting.zetas.T, V])  # [Z | V]
     E = 0.5 * (W.T @ (space.K_eps @ W))  # ||eps(W y)||^2 = y^T E y
-    E_ZZ, E_VV = E[:K, :K], E[K:, K:]
-    coef_V = system.strain_coef[:, K:]
-    grad_VV = V.T @ (space.K_grad @ V)
-    h1_ZZ = Z.T @ ((space.M + space.K_grad) @ Z)
+    mass, grad = (W.T @ (A @ W) for A in (space.M, space.K_grad))  # ||W y||^2, ||grad W y||^2
     hg_sq = _hg_form(system)
-    cubes = _lift_cubes(system)
 
-    eps_z_sq = np.zeros(n)
-    eps_w_cu = np.zeros(n)
-    eps_z_cu = np.zeros(n)
-    Y = np.zeros((n, W.shape[1]))  # y = [g; z] per save time
-    for i, t in enumerate(times):
-        g, gdot = system.pumps.rates(t)
-        z = traj.states[i]
-        y = Y[i] = np.concatenate([g, z])
-        eps_w_cu[i] = _cube(space, system.state_fields(z, g).w_eps_mag)
-        z_l3_cu, eps_z_cu[i] = _cubes(space, system.basis.expand(z), coef_V @ z)
-        eps_z_sq[i] = z @ E_VV @ z
-        rows["z_l2_sq"][i] = z @ z
-        rows["psi1"][i] = y @ E @ y + eps_w_cu[i]
-        rows["psi2"][i] = (eps_w_cu[i] ** (2 / 3) + gdot @ E_ZZ @ gdot
-                           + cubes(gdot)[1] ** 0.5)
-        rows["z_w12_sq"][i] = rows["z_l2_sq"][i] + z @ grad_VV @ z
-        rows["z_w13_cu"][i] = z_l3_cu + eps_z_cu[i]
-        rows["hg_l2_sq"][i], rows["hg_tilde_l2_sq"][i] = hg_sq(t, g, gdot)
-        if i > 0:
-            dt = times[i] - times[i - 1]
-            dz = (traj.states[i] - traj.states[i - 1]) / dt
-            rows["dzdt_l2_sq"][i] = dz @ dz  # the basis is L2-orthonormal
+    eps_w_cu = np.array([_cube(space, system.state_fields(z, g).w_eps_mag)
+                         for z, g in zip(Zs, G)])
+    z_l3_cu, eps_z_cu = _chunked(
+        lambda Zc: _cubes(space, Zc @ V.T, Zc @ system.strain_coef[:, K:].T), Zs)
+    # the lift's cubes at gdot (save times), g (midpoints) and gdot (midpoints)
+    n = len(times)
+    dzg_cu, zg_cu_mid, dzg_cu_mid = np.split(
+        _lift_cubes(system, np.vstack([Gdot, Gm, Gdotm])), [n, 2 * n - 1], axis=1)
+    eps_z_sq = _quad(Zs, E[K:, K:])
+    z_l2_sq = _quad(Zs)  # the basis is L2-orthonormal
+    rows = {
+        "z_l2_sq": z_l2_sq,
+        "dzdt_l2_sq": np.concatenate([[0.0], _quad(np.diff(Zs, axis=0)
+                                                   / np.diff(times)[:, None])]),
+        "int_eps_z_l2_sq": _running_trapezoid(times, eps_z_sq),
+        "int_eps_w_l3_cu": _running_trapezoid(times, eps_w_cu),
+        "int_eps_z_l3_cu": _running_trapezoid(times, eps_z_cu),
+        "psi1": _quad(Y, E) + eps_w_cu,
+        "psi2": eps_w_cu ** (2 / 3) + _quad(Gdot, E[:K, :K]) + dzg_cu[1] ** 0.5,
+        **dict(zip(("hg_l2_sq", "hg_tilde_l2_sq"), hg_sq(times, G, Gdot))),
+        "z_w12_sq": z_l2_sq + _quad(Zs, grad[K:, K:]),
+        "z_w13_cu": z_l3_cu + eps_z_cu,
+    }
 
-    rows["int_eps_z_l2_sq"] = _running_trapezoid(times, eps_z_sq)
-    rows["int_eps_w_l3_cu"] = _running_trapezoid(times, eps_w_cu)
-    rows["int_eps_z_l3_cu"] = _running_trapezoid(times, eps_z_cu)
-
-    def integrands(t):
-        """The data functionals' integrands at an interval midpoint t:
-        ||H_g||^2, ||H~_g||^2, ||zeta_g||^3_L3 + ||eps(zeta_g)||^3_L3,
-        ||d zeta_g/dt||^2_H1 and (||d zeta_g/dt||^3_L3 + ||eps(d zeta_g/dt)||^3_L3)^(2/3)."""
-        g, gdot = system.pumps.rates(t)
-        return (*hg_sq(t, g, gdot), sum(cubes(g)), gdot @ h1_ZZ @ gdot,
-                sum(cubes(gdot)) ** (2 / 3))
-
+    # the data functionals' integrands at the interval midpoints: ||H_g||^2,
+    # ||H~_g||^2, ||zeta_g||^3_L3 + ||eps(zeta_g)||^3_L3, ||d zeta_g/dt||^2_H1
+    # and (||d zeta_g/dt||^3_L3 + ||eps(d zeta_g/dt)||^3_L3)^(2/3)
+    integrands = (*hg_sq(mids, Gm, Gdotm), zg_cu_mid.sum(axis=0),
+                  _quad(Gdotm, mass[:K, :K] + grad[:K, :K]),
+                  dzg_cu_mid.sum(axis=0) ** (2 / 3))
     # g(0) = 0, so v(0) = z(0) and its data terms are the first row's
-    data = {"v0_l2_sq": rows["z_l2_sq"][0], "eps_v0_l2_sq": eps_z_sq[0],
-            "eps_v0_l3_cu": eps_z_cu[0]}
+    data = {"v0_l2_sq": z_l2_sq[0], "eps_v0_l2_sq": eps_z_sq[0], "eps_v0_l3_cu": eps_z_cu[0]}
     keys = ("hg_l2l2_sq", "hg_tilde_l2l2_sq", "zg_l3w13_cu", "dzg_l2h1_sq", "dzg_l2w13_cu")
-    data.update(zip(keys, _midpoint(times, integrands)))
+    data.update((key, float(np.sum(np.diff(times) * f))) for key, f in zip(keys, integrands))
     data["dzg_l2w13_cu"] **= 1.5
     _estimates(system.params, times, rows, data)
-    v_l2 = np.sqrt(np.einsum("ia,ab,ib->i", Y, W.T @ (space.M @ W), Y))
+    v_l2 = np.sqrt(np.einsum("ia,ab,ib->i", Y, mass, Y))
     return EnergyLedger(times, rows, data, v_l2)
 
 
+def _rates(pumps, times):
+    """(g, gdot) at each of times, two (n, K) arrays."""
+    rates = np.array([pumps.rates(t) for t in times]).reshape(len(times), 2, len(pumps))
+    return rates[:, 0], rates[:, 1]
+
+
+def _quad(X, A=None):
+    """x^T A x for every row x of X, x . x without A."""
+    return np.einsum("ia,ia->i", X if A is None else X @ A, X)
+
+
+def _chunked(f, rows):
+    """f over the rows in chunks of at most CHUNK, its (k, m) results
+    joined along the last axis."""
+    return np.concatenate([f(rows[i:i + CHUNK]) for i in range(0, len(rows), CHUNK)], axis=-1)
+
+
 def _cube(space, mag):
-    """int mag^3 by cell quadrature of samples mag (nt, nq)."""
-    return space.integrate(mag * mag * mag)
+    """int mag^3 by cell quadrature of samples mag (..., nt, nq)."""
+    cube = mag * mag
+    cube *= mag
+    return space.integrate(cube)
 
 
 def _cubes(space, u, s):
-    """(int |u|^3, int |eps(u)|^3) of a velocity field u with strain
-    coefficients s, from its value planes and the strain planes of s."""
+    """(int |u|^3, int |eps(u)|^3), a (2, m) array, of a stack of velocity
+    fields u (m, n_velocity) with strain coefficients s (m, 9 nt), from
+    their stacked value planes and strain planes, squared in place: q sqrt(q)
+    of q = |u|^2 and of q = |e|^2 = e00^2 + 2 e01^2 + e11^2."""
     v = space.value_planes(u)
-    return (_cube(space, np.sqrt(v[0] ** 2 + v[1] ** 2)),
-            _cube(space, sym_norm(*space.strain_planes(s))))
+    e = space.strain_planes(s)
+    v *= v
+    e *= e
+    e[:, 1] *= 2.0  # e01 counts twice in |e|^2
+    out = []
+    for q in (v[:, 0] + v[:, 1], e[:, 0] + e[:, 1] + e[:, 2]):
+        cube = np.sqrt(q)
+        cube *= q
+        out.append(space.integrate(cube))
+    return np.array(out)
 
 
-def _lift_cubes(system):
-    """The map r -> `_cubes` of u = lifting.combine(r), whose strain
-    coefficients are the table's lift columns times r, formed once per
-    distinct rate vector r of one ledger call (keyed by its exact bytes), and
-    (0, 0) without pumps."""
-    space, lifting = system.space, system.lifting
-    coef_Z = system.strain_coef[:, :len(lifting)]
-    kept = {}
-
-    def cubes(r):
-        key = r.tobytes()
-        if key not in kept:
-            kept[key] = _cubes(space, lifting.combine(r), coef_Z @ r) if len(r) else (0.0, 0.0)
-        return kept[key]
-
-    return cubes
+def _lift_cubes(system, R):
+    """`_cubes` of u = lifting.combine(r) for every row r of R (m, K), a (2,
+    m) array: each distinct direction d = r / s, s the entry of r of largest
+    magnitude, is tabulated once and scaled by |s|^3; a zero row (and every
+    row without pumps) gives (0, 0)."""
+    out = np.zeros((2, len(R)))
+    if R.shape[1] == 0:
+        return out
+    s = R[np.arange(len(R)), np.abs(R).argmax(axis=1)]
+    moving = s != 0
+    D = R[moving] / s[moving, None] + 0.0  # + 0.0 turns -0 into 0: r and -r share a key
+    dirs, index = np.unique(D, axis=0, return_inverse=True)
+    if len(dirs):
+        coef_Z = system.strain_coef[:, :R.shape[1]]
+        tables = _chunked(lambda Dc: _cubes(system.space, system.lifting.combine(Dc),
+                                            Dc @ coef_Z.T), dirs)
+        out[:, moving] = tables[:, index.ravel()] * np.abs(s[moving]) ** 3
+    return out
 
 
 def _hg_gram(system):
@@ -187,53 +223,61 @@ def _hg_gram(system):
 
     The fields are formed a block at a time, the parts, the lifts, and the
     K fields of each q, as component planes (m, 2, nt, nq) (the lifts'
-    from `MixedSpace.value_planes`), and each pair of blocks gives one
-    block of G. A convection block is formed again for every block it is
-    paired with, so at most two are held at once, never all K^2 fields.
+    from `MixedSpace.value_planes`) that carry the square root of the
+    quadrature weight, so that each pair of blocks gives one block of G as
+    one product. Each lift's gradient is formed once and kept; a
+    convection block is formed from it again for every block it is paired
+    with, so at most two are held at once, never all K^2 fields.
     """
     space, zetas = system.space, system.lifting.zetas
     K = len(zetas)
-    vals = np.reshape([space.value_planes(z) for z in zetas], (K, 2) + space.qweights.shape)
+    root_w = np.sqrt(space.qweights)
+    vals = space.value_planes(zetas)  # (K, 2, nt, nq)
+    vals *= root_w
+    # [a, c] = d zeta_q,a / d x_c, kept as contiguous planes (2, 2, nt, nq)
+    grads = [np.moveaxis(space.eval_grads(z), (-2, -1), (0, 1)).copy() for z in zetas]
     parts = (vals[:0] if system.source is None
-             else np.moveaxis(system.source.parts_table(space), -1, 1))
+             else root_w * np.moveaxis(system.source.parts_table(space), -1, 1))
 
     def block(b):
         if b == 0:
             return parts
         if b == 1:
             return vals
-        grads = space.eval_grads(zetas[b - 2])  # [a, c] = d zeta_q,a / d x_c
-        conv = np.empty_like(vals)
-        for a in range(2):
-            conv[:, a] = grads[..., a, 0] * vals[:, 0] + grads[..., a, 1] * vals[:, 1]
+        grad = grads[b - 2]
+        conv = grad[:, 0] * vals[:, :1]  # [p, a]
+        for p in range(K):  # a temporary of one field, not of the block
+            conv[p] += grad[:, 1] * vals[p, 1]
         return conv
 
     ends = np.cumsum([0, len(parts), K] + [K] * K)
     spans = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
     G = np.zeros((ends[-1], ends[-1]))
+    size = 2 * space.qweights.size  # one field's component planes, flat
     for i, si in enumerate(spans):
-        a = block(i)
-        wa = space.qweights * a
+        a = block(i).reshape(-1, size)
         for j in range(i, len(spans)):
             sj = spans[j]
-            G[si, sj] = np.tensordot(wa, a if j == i else block(j), ([1, 2, 3],) * 2)
+            G[si, sj] = a @ (a if j == i else block(j).reshape(-1, size)).T
             G[sj, si] = G[si, sj].T
     return G
 
 
 def _hg_form(system):
-    """The map (t, g, gdot) -> (||H_g||^2, ||H~_g||^2) at rates (g, gdot) =
-    pumps.rates(t), as the quadratic forms c^T G c of `_hg_gram` with
-    c = [1, a, a^2, -gdot, -g (x) g] (a from the source's own `combine`), and
-    with the g (x) g block left out."""
+    """The map (times, g, gdot) -> (||H_g||^2, ||H~_g||^2) at rows of rates
+    (g, gdot) (n, K) = pumps.rates(t) per time, two (n,) arrays: the
+    quadratic forms c^T G c of `_hg_gram` with c = [1, a, a^2, -gdot,
+    -g (x) g] (a from the source's own `combine`) per row, and with the
+    g (x) g block left out."""
     G = _hg_gram(system)
     source = system.source
     m = len(G) - len(system.lifting) ** 2  # the parts and the lifts
 
-    def form(t, g, gdot):
-        c = np.concatenate([[] if source is None else source.combine(np.eye(3), t),
-                            -gdot, -np.outer(g, g).ravel()])
-        return c @ G @ c, c[:m] @ G[:m, :m] @ c[:m]
+    def form(times, g, gdot):
+        a = (np.zeros((len(times), 0)) if source is None
+             else np.array([source.combine(np.eye(3), t) for t in times]))
+        C = np.hstack([a, -gdot, -(g[:, :, None] * g[:, None, :]).reshape(len(g), -1)])
+        return _quad(C, G), _quad(C[:, :m], G[:m, :m])
 
     return form
 
@@ -247,15 +291,6 @@ def _running_trapezoid(times, vals):
 
 def _trapezoid(times, vals):
     return float(np.trapezoid(vals, times))
-
-
-def _midpoint(times, f):
-    """Interval-midpoint quadrature of a scalar- or tuple-valued f; robust to
-    the piecewise-constant pump rates, whose jumps sit on save-grid nodes."""
-    dt = np.diff(times)
-    mids = 0.5 * (times[1:] + times[:-1])
-    vals = np.array([f(t) for t in mids], order="F").T  # contiguous per component
-    return np.sum(dt * vals, axis=-1).tolist()
 
 
 def _estimates(params, times, rows, data):
@@ -339,13 +374,20 @@ def contraction(system, base, *pairs):
     one ContractionReport per pair.
 
     base is the run whose velocity enters ||v1||^8_{L4}; its series is
-    formed once and every report holds it. Every pair must share base's
+    formed once, in chunks of at most CHUNK save times as the ledger's z
+    terms are, and every report holds it. Every pair must share base's
     time grid (identical configs except the initial state).
     """
     if any(len(base) != len(pair) or not np.allclose(base.times, pair.times) for pair in pairs):
         raise ValueError("contraction requires runs on identical time grids")
-    w8 = np.array([system.space.norm(system.velocity(z, t), "L4") ** 8
-                   for t, z in zip(base.times, base.states)])
+    space, K, V = system.space, len(system.lifting), system.basis.fields
+
+    def l4_pow8(Y):
+        """||v||^8_L4 = (int |v|^4)^2 of v = zeta_g + V z per row y = [g; z]."""
+        v = space.value_planes(system.lifting.combine(Y[:, :K]) + Y[:, K:] @ V.T)
+        return space.integrate((v[:, 0] ** 2 + v[:, 1] ** 2) ** 2) ** 2
+
+    w8 = _chunked(l4_pow8, np.hstack([_rates(system.pumps, base.times)[0], base.states]))
     # the basis is L2-orthonormal
     return [ContractionReport(base.times, np.array([dz @ dz for dz in base.states - pair.states]),
                               w8) for pair in pairs]

@@ -58,6 +58,8 @@ through the kernels below.
 Plane kernels, on contiguous (., nt, nq) planes: `value_planes(u)` (2, nt,
 nq) is a gather over `cell_dofs` and one GEMM with `N`, and `value_load(F)`
 its transpose, one GEMM with `N` and one bincount per component;
+`value_planes`, `strain_planes` and `integrate` also take a stack of fields
+on a leading axis, one gather and one GEMM for the whole stack;
 `eval_values(u)` is the transposed view of the first and `load_vector(f)`
 the second on the weighted planes. `grad_planes(u)` (2, 2, nt, nq) applies
 `grad_operator` Ds to each component, and one GEMM with `P1` takes the
@@ -548,11 +550,11 @@ class MixedSpace:
         at point q of cell c, of strain coefficients s (9 nt,) (a combination
         of the columns of a `strain_coefficients` table, table @ y): one GEMM
         of the vertex strains, already plane by plane, with the values `P1`
-        (their cached transposed copy `P1_T`). The planes are a new
-        C-ordered array, which the caller may overwrite: the reduced closure
-        writes its stress into them."""
-        nt = self.mesh.num_cells
-        return (s.reshape(3 * nt, 3) @ self.P1_T).reshape(3, nt, -1)
+        (their cached transposed copy `P1_T`). A stack s (m, 9 nt) gives
+        (m, 3, nt, nq) from one GEMM. The planes are a new C-ordered array,
+        which the caller may overwrite: the reduced closure writes its
+        stress into them."""
+        return (s.reshape(-1, 3) @ self.P1_T).reshape(s.shape[:-1] + (3,) + self.qweights.shape)
 
     def strain_load(self, S):
         """The pairings L (9 nt,) of stress planes S (3, nt, nq), (s00, s01,
@@ -730,11 +732,11 @@ class MixedSpace:
     def value_planes(self, u):
         """Velocity values at the quadrature points as component planes
         (2, nt, nq): the components' cell coefficients gathered over
-        `cell_dofs`, then one GEMM with `N`^T (its cached copy `N_T`). A new
-        C-ordered array."""
-        nt = len(self.cell_dofs)
-        cells = u.reshape(2, self.n_scalar).take(self.cell_dofs, axis=1)
-        return (cells.reshape(2 * nt, 6) @ self.N_T).reshape(2, nt, -1)
+        `cell_dofs`, then one GEMM with `N`^T (its cached copy `N_T`). A
+        stack u (m, n_velocity) gives (m, 2, nt, nq) from one gather and one
+        GEMM. A new C-ordered array."""
+        cells = u.reshape(-1, self.n_scalar).take(self.cell_dofs, axis=1)
+        return (cells.reshape(-1, 6) @ self.N_T).reshape(u.shape[:-1] + (2,) + self.qweights.shape)
 
     def value_load(self, F):
         """L_(a,l) = sum_(c,q) F[a, c, q] phi_l(q) of body-force planes F (2,
@@ -812,8 +814,11 @@ class MixedSpace:
                            minlength=self.n_velocity)
 
     def integrate(self, gvals):
-        """Integrate scalar quadrature-point values (nt, nq) over the domain."""
-        return float(np.einsum("cq,cq->", self.qweights, gvals))
+        """Integrate scalar quadrature-point values (nt, nq) over the domain,
+        a float; a stack (m, nt, nq) gives the m integrals, each bit for bit
+        its slice's."""
+        vals = np.einsum("cq,...cq->...", self.qweights, gvals)
+        return float(vals) if vals.ndim == 0 else vals
 
     # -- norms ------------------------------------------------------------------
 

@@ -9,11 +9,9 @@ def vtk_geometry(mesh):
     nv = mesh.num_vertices
     nt = mesh.num_cells
     lines = [f"POINTS {nv} double"]
-    for p in mesh.vertices:
-        lines.append(f"{p[0]:.17g} {p[1]:.17g} 0")
+    lines.extend(f"{x:.17g} {y:.17g} 0" for x, y in mesh.vertices.tolist())
     lines.append(f"CELLS {nt} {4 * nt}")
-    for c in mesh.cells:
-        lines.append(f"3 {c[0]} {c[1]} {c[2]}")
+    lines.extend(f"3 {a} {b} {c}" for a, b, c in mesh.cells.tolist())
     lines.append(f"CELL_TYPES {nt}")
     lines.extend(["5"] * nt)  # VTK_TRIANGLE
     return "\n".join(lines)
@@ -21,7 +19,9 @@ def vtk_geometry(mesh):
 
 def write_vtk(path, mesh, point_vectors=None, point_scalars=None, title="recirc",
               geometry=None):
-    """Write an unstructured-grid VTK file.
+    """Write an unstructured-grid VTK file. Every number is formatted from
+    the plain Python floats and ints of `tolist()`, which print as numpy's
+    scalars do, but faster.
 
     Parameters
     ----------
@@ -44,15 +44,11 @@ def write_vtk(path, mesh, point_vectors=None, point_scalars=None, title="recirc"
     if point_vectors or point_scalars:
         lines.append(f"POINT_DATA {nv}")
     for name, vec in point_vectors.items():
-        vec = np.asarray(vec)
         lines.append(f"VECTORS {name} double")
-        for v in vec:
-            lines.append(f"{v[0]:.17g} {v[1]:.17g} 0")
+        lines.extend(f"{x:.17g} {y:.17g} 0" for x, y in np.asarray(vec)[:, :2].tolist())
     for name, scal in point_scalars.items():
-        scal = np.asarray(scal)
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        for s in scal:
-            lines.append(f"{s:.17g}")
+        lines.extend(f"{s:.17g}" for s in np.asarray(scal).tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +36,36 @@ class PartsSource(ManufacturedSolution):
 
     def forcing_parts(self, x, y):
         return np.stack(self.parts(x, y), axis=-2)
+
+
+def rescale_case(name):
+    """The configs the rescaled tangent and the chosen start were measured
+    on: four_pumps at 16^2 (T = 1), the pumps32 benchmark's config (32^2,
+    40 modes, T = 0.3), vortices of amplitude 30 and 100 without pumps,
+    four_pumps with four distinct schedules and a vortex of amplitude 5, and
+    four_pumps ramping to 0.3 and back in 0.05 over a vortex of amplitude
+    10 (all but pumps32 16^2, T = 1)."""
+    cfg = json.loads(preset_path("four_pumps").read_text())
+    if name == "pumps32":
+        cfg.update(mesh={"nx": 32, "ny": 32}, galerkin={"modes": 40})
+        cfg["time"]["T"] = 0.3
+    elif name == "vortex30":
+        cfg.update(pumps=[], initial={"preset": "vortex", "amplitude": 30.0})
+    elif name == "vortex100":
+        cfg.update(pumps=[], initial={"preset": "vortex", "amplitude": 100.0})
+    elif name == "spikes":
+        for pump in cfg["pumps"]:
+            pump["schedule"] = [[0.0, 0.0], [0.05, 0.3], [0.5, 0.3], [0.55, 0.0], [1.0, 0.0]]
+        cfg["initial"] = {"preset": "vortex", "amplitude": 10.0}
+    elif name == "distinct":
+        schedules = ([[0.0, 0.0], [0.2, 0.05], [1.0, 0.05]],
+                     [[0.0, 0.0], [0.4, 0.08], [1.0, 0.08]],
+                     [[0.0, 0.0], [0.1, 0.03], [0.6, 0.03], [1.0, 0.0]],
+                     [[0.0, 0.0], [0.3, 0.06], [0.7, 0.02], [1.0, 0.02]])
+        for pump, schedule in zip(cfg["pumps"], schedules):
+            pump["schedule"] = schedule
+        cfg["initial"] = {"preset": "vortex", "amplitude": 5.0}
+    return build_scenario(validate(cfg)).built()
 
 
 def ramp_source():

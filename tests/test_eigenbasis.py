@@ -256,3 +256,13 @@ def test_basis_off_its_rayleigh_quotients_is_a_solver_error(space8, modes):
         with pytest.raises(SolverError, match=f"mode {modes} of N = {modes} with lambda = "
                                               r"2\.98\d*e\+15"):
             solve_stokes_eigen(space8, modes)
+
+
+def test_nonpositive_eigenvalue_names_its_mode():
+    # at 7^2 (dimension 275) ARPACK returns N = 272 with a first eigenvalue
+    # of about -4.76e15, the singular pencil's mode with the other sign
+    space = MixedSpace(build_rect_mesh(1, 1, 7, 7))
+    assert subspace_dimension(space) == 275
+    with pytest.raises(SolverError, match=r"mode 1 of N = 272 with nonpositive lambda = "
+                                          r"-4\.7\d*e\+15 in a subspace of dimension 275"):
+        solve_stokes_eigen(space, 272)

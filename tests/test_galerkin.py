@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from conftest import (apply_A, assert_no_instance_patches, cell_major_closure,
                       cell_major_strain_stiffness, cell_major_strain_table, closure_pairing_oracle,
-                      convect, dissipation_rates, lift_data, phi_g, ramp_source,
+                      convect, dissipation_rates, lift_data, phi_g, ramp_source, rescale_case,
                       twelve_entry_strain_table)
 from recirc.config import build_scenario, preset_path, validate
 from recirc.eigenbasis import solve_stokes_eigen
@@ -813,38 +813,6 @@ def test_zero_reference_scale_carries_the_tangent_as_it_is(monkeypatch):
     assert np.all(np.isfinite(traj.states)) and np.all(traj.step_residuals <= 1e-10)
 
 
-def _rescale_case(name):
-    """The configs the rescaled tangent and the chosen start were measured
-    on: four_pumps at 16^2 (T = 1), the pumps32 benchmark's config (32^2,
-    40 modes, T = 0.3), vortices of amplitude 30 and 100 without pumps,
-    four_pumps with four distinct schedules and a vortex of amplitude 5, and
-    four_pumps ramping to 0.3 and back in 0.05 over a vortex of amplitude
-    10 (all but pumps32 16^2, T = 1)."""
-    import json
-
-    cfg = json.loads(preset_path("four_pumps").read_text())
-    if name == "pumps32":
-        cfg.update(mesh={"nx": 32, "ny": 32}, galerkin={"modes": 40})
-        cfg["time"]["T"] = 0.3
-    elif name == "vortex30":
-        cfg.update(pumps=[], initial={"preset": "vortex", "amplitude": 30.0})
-    elif name == "vortex100":
-        cfg.update(pumps=[], initial={"preset": "vortex", "amplitude": 100.0})
-    elif name == "spikes":
-        for pump in cfg["pumps"]:
-            pump["schedule"] = [[0.0, 0.0], [0.05, 0.3], [0.5, 0.3], [0.55, 0.0], [1.0, 0.0]]
-        cfg["initial"] = {"preset": "vortex", "amplitude": 10.0}
-    elif name == "distinct":
-        schedules = ([[0.0, 0.0], [0.2, 0.05], [1.0, 0.05]],
-                     [[0.0, 0.0], [0.4, 0.08], [1.0, 0.08]],
-                     [[0.0, 0.0], [0.1, 0.03], [0.6, 0.03], [1.0, 0.0]],
-                     [[0.0, 0.0], [0.3, 0.06], [0.7, 0.02], [1.0, 0.02]])
-        for pump, schedule in zip(cfg["pumps"], schedules):
-            pump["schedule"] = schedule
-        cfg["initial"] = {"preset": "vortex", "amplitude": 5.0}
-    return build_scenario(validate(cfg)).built()
-
-
 # name: (tangents at most, evaluations at most, and the tangents and
 # evaluations of the stepper that carried its tangent without the rescale
 # and started each step from the quadratic extrapolation). With the start
@@ -868,7 +836,7 @@ def test_rescaled_tangent_is_formed_once_per_run(name):
     # a run's closure work, a tangent counted as the 6 to 7 defects it
     # costs, falls. About 2.5 s, most of it pumps32's set-up
     most, at_most, tangents, evaluations = RESCALE_COUNTS[name]
-    scn = _rescale_case(name)
+    scn = rescale_case(name)
     cfg = scn.config
     traj = scn.system.integrate(scn.state0, T=cfg.time["T"], dt=cfg.time["dt"])
     assert traj.completed and traj.step_residuals.max() <= 1e-10
@@ -953,7 +921,7 @@ def test_chosen_start_survives_stress_configs(name):
     # than the fixed quadratic start 3 z_n - 3 z_{n-1} + z_{n-2} took (277
     # and 377; this start takes 240 and 339)
     quadratic = {"vortex100": 277, "spikes": 377}[name]
-    scn = _rescale_case(name)
+    scn = rescale_case(name)
     cfg = scn.config
     traj = scn.system.integrate(scn.state0, T=cfg.time["T"], dt=cfg.time["dt"])
     assert traj.completed and traj.step_residuals.max() <= 1e-10

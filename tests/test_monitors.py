@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import (assert_no_instance_patches, hg_sq, lift_data, lift_midpoint_integrands,
-                      lift_row_terms, lp, ramp_source)
+                      lift_row_terms, lp, ramp_source, rescale_case)
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.galerkin import GalerkinState, ReducedSystem, StateFields
 from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
-from recirc.monitors import EnergyLedger, _estimates, _hg_form, _midpoint, contraction, ledger
+from recirc.monitors import EnergyLedger, _estimates, _hg_form, contraction, ledger
 from recirc.pumps import PumpSet
 from recirc.space import MixedSpace
 from recirc.turbulence import ClosureParams, strain_norm, sym_grad
@@ -110,6 +110,13 @@ def test_hg_norms_zero_case(quiet12):
     data = ledger(quiet12, traj).data
     assert data["hg_l2l2_sq"] == 0.0
     assert data["hg_tilde_l2l2_sq"] == 0.0
+
+
+def _midpoint(times, f):
+    """Interval-midpoint quadrature of a tuple-valued f, a list."""
+    dt = np.diff(times)
+    vals = np.array([f(t) for t in 0.5 * (times[1:] + times[:-1])]).T
+    return np.sum(dt * vals, axis=-1).tolist()
 
 
 def _hg_norms(sys_, t):
@@ -283,7 +290,7 @@ def test_log10_C2_is_not_clamped():
 
 def _counted_ledger(sys_, traj, monkeypatch):
     """(ledger, the LiftData it built, the lift fields it tabulated): the
-    fields are its `combine` calls."""
+    fields are the rows of its `combine` calls."""
     import recirc.galerkin as galerkin
     from recirc.lifting import LiftingBasis
 
@@ -291,10 +298,10 @@ def _counted_ledger(sys_, traj, monkeypatch):
     build, combine = galerkin.compute_Hg_load, LiftingBasis.combine
     monkeypatch.setattr(galerkin, "compute_Hg_load", lambda *a: built.append(1) or build(*a))
     monkeypatch.setattr(LiftingBasis, "combine",
-                        lambda self, r: combined.append(1) or combine(self, r))
+                        lambda self, r: combined.append(len(np.atleast_2d(r))) or combine(self, r))
     led = ledger(sys_, traj)
     monkeypatch.undo()
-    return led, len(built), len(combined)
+    return led, len(built), sum(combined)
 
 
 # the exponential factor of estimate 2 multiplies its exponent's relative
@@ -319,25 +326,31 @@ def _assert_matches_oracle(led, sys_, traj):
 
 def _lift_keys(pumps, times):
     """(the distinct g at the interval midpoints, the distinct gdot at the
-    save times and midpoints), as exact bytes."""
+    save times and midpoints, the distinct directions r / s of all their
+    nonzero rates r, s the entry of r of largest magnitude), as exact
+    bytes, -0 read as 0."""
     mids = 0.5 * (times[1:] + times[:-1])
-    g_keys = {pumps.rates(t)[0].tobytes() for t in mids}
-    gdot_keys = {pumps.rates(t)[1].tobytes() for t in (*times, *mids)}
-    return g_keys, gdot_keys
+    gs = [pumps.rates(t)[0] for t in mids]
+    gdots = [pumps.rates(t)[1] for t in (*times, *mids)]
+    directions = {(r / s + 0.0).tobytes() for r in (*gs, *gdots)
+                  for s in [r[np.argmax(np.abs(r))]] if s != 0}
+    return {r.tobytes() for r in gs}, {r.tobytes() for r in gdots}, directions
 
 
 def test_ledger_one_lift_evaluation_per_rate_state(preset16, monkeypatch):
     # four_pumps ramps its rates up to t = 0.2 and holds them to T = 1: the
     # 100 midpoints have 21 distinct g and the 201 save times and midpoints
-    # 2 distinct gdot, and the ledger tabulates one lift field for each,
-    # builds no LiftData, and matches the oracle with one LiftData per time
+    # 2 distinct gdot, one of them zero; every pump runs one schedule, so
+    # every nonzero rate has one direction, and the ledger tabulates one
+    # lift field, builds no LiftData, and matches the oracle with one
+    # LiftData per time
     sys_ = preset16.system
     traj = sys_.integrate(preset16.state0, T=1.0, dt=0.01)
-    g_keys, gdot_keys = _lift_keys(sys_.pumps, traj.times)
-    assert len(g_keys) == 21 and len(gdot_keys) == 2
+    g_keys, gdot_keys, directions = _lift_keys(sys_.pumps, traj.times)
+    assert len(g_keys) == 21 and len(gdot_keys) == 2 and len(directions) == 1
     led, built, tables = _counted_ledger(sys_, traj, monkeypatch)
     assert built == 0
-    assert tables == len(g_keys) + len(gdot_keys)
+    assert tables == len(directions)
     _assert_matches_oracle(led, sys_, traj)
 
 
@@ -352,12 +365,27 @@ def test_ledger_with_source_evaluates_every_time(preset16, monkeypatch):
     traj = sys_.integrate(scn.state0, T=0.3, dt=0.02)
     times = traj.times
     assert sys_.pumps.rates(times[-1])[0].tobytes() == sys_.pumps.rates(times[-2])[0].tobytes()
-    g_keys, gdot_keys = _lift_keys(sys_.pumps, times)
-    assert len(g_keys) == 11 and len(gdot_keys) == 2
+    g_keys, gdot_keys, directions = _lift_keys(sys_.pumps, times)
+    assert len(g_keys) == 11 and len(gdot_keys) == 2 and len(directions) == 1
     led, built, tables = _counted_ledger(sys_, traj, monkeypatch)
     assert built == 0
-    assert tables == len(g_keys) + len(gdot_keys) < 2 * len(times) - 1
+    assert tables == len(directions)
     assert led.data["hg_l2l2_sq"] > 0.0
+    _assert_matches_oracle(led, sys_, traj)
+
+
+@pytest.mark.parametrize("name", ["distinct", "spikes"])
+def test_ledger_matches_oracle_across_rate_directions(name, monkeypatch):
+    # four distinct schedules give several rate directions, one table each;
+    # spikes ramps down with gdot = -r where it ramped up with r, and the
+    # two share one table, scaled by |s|^3
+    scn = rescale_case(name)
+    sys_ = scn.system
+    traj = sys_.integrate(scn.state0, T=1.0, dt=0.01)
+    _, _, directions = _lift_keys(sys_.pumps, traj.times)
+    assert (len(directions) > 1) == (name == "distinct")
+    led, built, tables = _counted_ledger(sys_, traj, monkeypatch)
+    assert built == 0 and tables == len(directions)
     _assert_matches_oracle(led, sys_, traj)
 
 
@@ -386,13 +414,13 @@ def test_hg_gram_form_matches_quadrature(kind, preset16, quiet12):
     # on the ramp, at its end knot and on the plateau
     sys_ = _gram_system(kind, preset16, quiet12)
     assert (len(sys_.lifting) == 0) == (kind == "no_pumps")
-    form = _hg_form(sys_)
-    for t in (0.0, 0.05, 0.2, 0.5):
-        g, gdot = sys_.pumps.rates(t)
-        got = form(t, g, gdot)
+    times = np.array([0.0, 0.05, 0.2, 0.5])
+    rates = [sys_.pumps.rates(t) for t in times]
+    got = _hg_form(sys_)(times, *(np.array(r).reshape(len(times), -1) for r in zip(*rates)))
+    for i, t in enumerate(times):
         ref = hg_sq(sys_.space, lift_data(sys_, t))
         assert ref[0] > 0.0 or (kind == "pumps" and t == 0.0)
-        for a, b in zip(got, ref):
+        for a, b in zip((got[0][i], got[1][i]), ref):
             assert abs(a - b) <= 1e-12 * b
 
 

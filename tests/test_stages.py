@@ -129,6 +129,18 @@ def test_simulate_builds_every_stage_before_it_integrates(tmp_path, monkeypatch,
     assert json.loads((out / "summary.json").read_text())["phases"]["setup_s"] > 0
 
 
+def test_simulate_states_the_cpu_time_of_each_stage(tmp_path):
+    # summary.json's phases split set-up into the process CPU time of each
+    # Scenario stage, the eigen solve's among them
+    path, _ = small_config(tmp_path)
+    out = tmp_path / "sim"
+    assert _run(["simulate"], path, out) == 0
+    stages = json.loads((out / "summary.json").read_text())["phases"]["setup_stages"]
+    assert sorted(stages) == sorted(Scenario.STAGES)
+    assert all(v >= 0.0 for v in stages.values())
+    assert stages["basis"] > 0.0
+
+
 def _patch_cached(monkeypatch, cls, name, body):
     """Replace the builder of the cached property cls.name by body."""
     prop = cached_property(body)
