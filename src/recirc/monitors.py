@@ -376,9 +376,9 @@ def contraction(system, base, *pairs):
     base is the run whose velocity enters ||v1||^8_{L4}; its series is
     formed once, in chunks of at most CHUNK save times as the ledger's z
     terms are, and every report holds it. Every pair must share base's
-    time grid (identical configs except the initial state).
+    time grid, bit for bit (identical configs except the initial state).
     """
-    if any(len(base) != len(pair) or not np.allclose(base.times, pair.times) for pair in pairs):
+    if not all(np.array_equal(base.times, pair.times) for pair in pairs):
         raise ValueError("contraction requires runs on identical time grids")
     space, K, V = system.space, len(system.lifting), system.basis.fields
 

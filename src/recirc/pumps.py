@@ -198,18 +198,21 @@ class Schedule:
     def eval(self, t):
         """(g(t), dg/dt(t)); the derivative takes the left limit at knots.
 
-        Times within 1e-9 of a knot snap to it, so a time step landing on a
-        knot sees the same one-sided derivative regardless of how its time
-        accumulated in floating point. g is np.interp's value, bit for bit:
-        the knot value at a knot, else slope * (t - t_j) + g_j.
+        Times within 1e-9 max(1, T) of a knot snap to it, so a time step
+        landing on a knot sees the same one-sided derivative regardless of
+        how its time accumulated in floating point; the same tolerance past
+        the last knot, the one `galerkin.step_count` allows a run's end,
+        lands on it. g is np.interp's value, bit for bit: the knot value at
+        a knot, else slope * (t - t_j) + g_j.
         """
-        if not (0.0 <= t <= self.T + 1e-12):
+        snap = 1e-9 * max(1.0, self.T)
+        if not (0.0 <= t <= self.T + snap):
             raise ValueError(f"t = {t} outside the schedule horizon [0, {self.T}]")
         t = min(float(t), self.T)
         ts = self._knots
         i = bisect_left(ts, t)  # ts[i - 1] < t <= ts[i]
         near = i - 1 if i > 0 and t - ts[i - 1] <= ts[i] - t else i  # the first on a tie
-        if abs(ts[near] - t) <= 1e-9 * max(1.0, self.T):
+        if abs(ts[near] - t) <= snap:
             t, i = ts[near], near
         if ts[i] == t:
             g = self._values[i]

@@ -74,7 +74,7 @@ The quadrature path reads the physical gradient table `grad` as rows
 [c, (q, b), l] = d phi_l/d x_b. A field's gradient is one batched product
 of those rows with the cell coefficients u[cell_vdofs_la], in [cell, shape
 function, component] order: [c, q, b, a] = d u_a/d x_b. `strain_samples(u)`
-symmetrizes it in place, and `eval_grads(u)` is its transposed view,
+is its `sym_grad`, and `eval_grads(u)` its transposed view,
 [c, q, a, b]. `stress_load_vector(S)`, the one quadrature-point stress
 load, contracts a stress table in [c, q, b, a] layout, derivative index
 first: one batched product of the same rows, read transposed, with
@@ -585,12 +585,11 @@ class MixedSpace:
         pointwise form is D = 2 w_q (w diag(1, 2, 1) + a h h^T), h = (e00,
         2 e01, e11). One GEMM of D with the barycentric products
         lambda_j lambda_k (`P1_pairs`) gives the products [a, b, c, j, k],
-        read as the (nt, 9, 9) cell matrices A by one take
-        (`_cell_matrix_order`), and the result is coef^T (A coef), summed
-        over the cells in one GEMM on a cell-major copy of coef, rows
-        [c, (a, j)]: the one transposition of the table per call. No
-        mesh-sized matrix and no gather of velocity coefficients is
-        formed.
+        read as the (nt, 9, 9) cell matrices A [c, (a, j), (b, k)] by one
+        transposed copy, and the result is coef^T (A coef), summed over the
+        cells in one GEMM on a cell-major copy of coef, rows [c, (a, j)]:
+        the one transposition of the table per call. No mesh-sized matrix
+        and no gather of velocity coefficients is formed.
         """
         nt, nq = self.qweights.shape
         m = coef.shape[1]
@@ -601,20 +600,9 @@ class MixedSpace:
         ww = wq * weight
         for i in range(3):
             D[i, i] += _PLANE_PAIRING[i] * ww
-        A = (D.reshape(-1, nq) @ self.P1_pairs).ravel().take(self._cell_matrix_order)
+        A = (D.reshape(-1, nq) @ self.P1_pairs).reshape(3, 3, nt, 3, 3).transpose(2, 0, 3, 1, 4)
         cells = coef.reshape(3, nt, 3, m).transpose(1, 0, 2, 3).reshape(nt, 9, m)
         return cells.reshape(-1, m).T @ (A.reshape(nt, 9, 9) @ cells).reshape(-1, m)
-
-    @cached_property
-    def _cell_matrix_order(self):
-        """Flat index that reads the plane-pair products [a, b, c, j, k] of
-        `weighted_strain_stiffness` as its cell matrices [c, (a, j), (b, k)]:
-        one take, in place of a transposed copy, whose innermost run is
-        three entries."""
-        nt = self.mesh.num_cells
-        a, j, b, k = np.ix_(*[np.arange(3)] * 4)
-        cell = (27 * nt * a + 3 * j + 9 * nt * b + k).ravel()  # [a, b, c, j, k] at c = 0
-        return np.add.outer(9 * np.arange(nt), cell).ravel()
 
     def convection_tensor(self, W):
         """T[a, y, z] = int ((u_a . grad) u_y) . u_z for the columns u of W
@@ -857,9 +845,9 @@ class MixedSpace:
 
     def strain_samples(self, u):
         """Strain tensors eps(u) at all quadrature points -> (nt, nq, 2, 2):
-        the fresh `_grad_product(u)` symmetrized in place, so
-        sym_grad(eval_grads(u)) bit for bit. A strain is symmetric, so its
-        [b, a] and [a, b] layouts are one table."""
+        `sym_grad` of `_grad_product(u)`, so sym_grad(eval_grads(u)) bit for
+        bit. A strain is symmetric, so its [b, a] and [a, b] layouts are one
+        table."""
         return sym_grad(self._grad_product(u))
 
     # -- interpolation -------------------------------------------------------------

@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dissipation_rates, divfree_samples, full_stress, net_flux, potential_D
+from conftest import (dissipation_rates, divfree_samples, full_stress, net_flux, potential_D,
+                      strain_norm)
 from recirc.config import build_scenario, preset_path, validate, vortex_field
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.fullspace import FullSpaceSystem
@@ -22,7 +23,7 @@ from recirc.mms import ManufacturedSolution
 from recirc.monitors import contraction, ledger
 from recirc.pumps import PumpSet
 from recirc.space import MixedSpace
-from recirc.turbulence import ClosureParams, strain_norm
+from recirc.turbulence import ClosureParams
 
 
 def report(num, name, ok, detail, elapsed, budget):

@@ -544,6 +544,18 @@ def test_cli_study_modes_monotone(tmp_path):
     assert all(e2 <= e1 + 1e-14 for e1, e2 in zip(errs, errs[1:]))
 
 
+def test_run_end_within_step_count_tolerance_of_the_horizon(tmp_path):
+    # step_count accepts T = n dt to 1e-9 max(1, T), so the last step lands
+    # 1e-10 past the schedule's last knot: every command that validates the
+    # config also runs it, the end time landing on that knot
+    path, _ = small_config(tmp_path, time={"T": 0.2, "dt": 0.02 + 1e-11,
+                                           "scheme": "implicit-euler"})
+    for argv in (["validate"], ["simulate"], ["contract"], ["study", "dt", "--reference", "1"]):
+        out = tmp_path / "-".join(argv)
+        assert main([*argv, "--config", str(path), "--output-dir", str(out), "--quiet"]) == 0, argv
+    assert Schedule([[0.0, 0.0], [0.2, 0.05]]).eval(10 * (0.02 + 1e-11)) == (0.05, 0.25)
+
+
 def test_cli_study_dt(tmp_path):
     path, _ = small_config(tmp_path)
     out = tmp_path / "sd"

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import (doubled_grad_operator, doubled_nonlinear_load, doubled_state_fields,
-                      nonlinear_load_oracle)
+                      nonlinear_load_oracle, strain_norm)
 from recirc import fullspace
 from recirc.errors import SolverError, StepError
 from recirc.fullspace import FullSpaceSystem
 from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
 from recirc.space import MixedSpace
-from recirc.turbulence import ClosureParams, closure_tangent, strain_norm
+from recirc.turbulence import ClosureParams, closure_tangent
 
 
 @pytest.fixture(scope="module")

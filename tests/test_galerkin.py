@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from conftest import (apply_A, assert_no_instance_patches, cell_major_closure,
                       cell_major_strain_stiffness, cell_major_strain_table, closure_pairing_oracle,
                       convect, dissipation_rates, lift_data, phi_g, ramp_source, rescale_case,
-                      twelve_entry_strain_table)
+                      strain_norm, twelve_entry_strain_table)
 from recirc.config import build_scenario, preset_path, validate
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.errors import SolverError, StepError
@@ -1135,7 +1135,7 @@ def test_manufactured_source_is_evaluated_only_at_construction(preset16, monkeyp
 def test_step_fields_match_ledger_tables(preset16):
     # the steppers' StateFields, from the strain table at y = [g; z], against
     # the quadrature route, the lift's gradient table plus z's
-    from recirc.turbulence import planes, strain_norm, sym_grad
+    from recirc.turbulence import planes, sym_grad
 
     scn = preset16
     sys_, space = scn.system, scn.space

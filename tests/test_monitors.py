@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (assert_no_instance_patches, hg_sq, lift_data, lift_midpoint_integrands,
-                      lift_row_terms, lp, ramp_source, rescale_case)
+                      lift_row_terms, lp, ramp_source, rescale_case, strain_norm)
 from recirc.eigenbasis import solve_stokes_eigen
 from recirc.galerkin import GalerkinState, ReducedSystem, StateFields
 from recirc.lifting import build_lifting, compute_Hg_load
@@ -11,7 +11,7 @@ from recirc.mms import ManufacturedSolution
 from recirc.monitors import EnergyLedger, _estimates, _hg_form, contraction, ledger
 from recirc.pumps import PumpSet
 from recirc.space import MixedSpace
-from recirc.turbulence import ClosureParams, strain_norm, sym_grad
+from recirc.turbulence import ClosureParams, sym_grad
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +101,17 @@ def test_contraction_grid_mismatch_rejected(quiet12):
     z0 = np.zeros(10)
     t1 = quiet12.integrate(GalerkinState(0.0, z0.copy()), T=0.1, dt=0.02)
     t2 = quiet12.integrate(GalerkinState(0.0, z0.copy()), T=0.1, dt=0.01)
+    with pytest.raises(ValueError):
+        contraction(quiet12, t1, t2)
+
+
+def test_contraction_grid_must_match_exactly(quiet12):
+    # times within np.allclose's rtol of the base's are still another grid
+    from recirc.galerkin import Trajectory
+
+    t1 = quiet12.integrate(GalerkinState(0.0, np.zeros(10)), T=0.1, dt=0.02)
+    t2 = Trajectory(t1.times * (1 + 1e-7), t1.states, [])
+    assert np.allclose(t1.times, t2.times) and not np.array_equal(t1.times, t2.times)
     with pytest.raises(ValueError):
         contraction(quiet12, t1, t2)
 
@@ -243,7 +254,7 @@ def _ledger_oracle(sys_, traj):
         zf = sys_.basis.expand(traj.states[i])
         z_grads = space.eval_grads(zf)
         ew = strain_norm(space.strain_samples(sys_.lifting.combine(sys_.pumps.rates(t)[0]) + zf))
-        ez = strain_norm(sym_grad(z_grads.copy()))
+        ez = strain_norm(sym_grad(z_grads))
         z_mag = np.linalg.norm(space.eval_values(zf), axis=-1)
         ew_l3 = lp(space, ew, 3)
         rows["z_l2_sq"][i] = lp(space, z_mag, 2) ** 2

@@ -74,17 +74,26 @@ def test_strain_stiffness_matches_quadrature(space8):
     assert abs(u @ space8.K_eps @ v - ref) <= 1e-12 * abs(ref)
 
 
-def test_weighted_strain_stiffness_matches_quadrature(space8):
+# the tangent kernel reads its cell matrices by a transposed copy with the
+# cell axis in the middle: checked on a square mesh and on 11 x 7 cells of a
+# 1.3 x 0.7 domain, where the mesh's two sides differ
+TANGENT_MESHES = [pytest.param((1.0, 1.0, 8, 8), id="8x8"),
+                  pytest.param((1.3, 0.7, 11, 7), id="11x7")]
+
+
+@pytest.mark.parametrize("dims", TANGENT_MESHES)
+def test_weighted_strain_stiffness_matches_quadrature(dims):
+    space = MixedSpace(build_rect_mesh(*dims))
     rng = np.random.default_rng(29)
-    weight = rng.uniform(0.1, 2.0, space8.qweights.shape)
-    U = np.zeros((space8.n_velocity, 4))
-    I = space8.interior_vdofs
+    weight = rng.uniform(0.1, 2.0, space.qweights.shape)
+    U = np.zeros((space.n_velocity, 4))
+    I = space.interior_vdofs
     U[I, :3] = rng.standard_normal((len(I), 3))
-    U[:, 3] = rng.standard_normal(space8.n_velocity)  # nonzero trace, as zeta_g has
+    U[:, 3] = rng.standard_normal(space.n_velocity)  # nonzero trace, as zeta_g has
     # a zero rank-one term leaves the weighted stiffness alone
-    zero = (np.zeros_like(weight), np.stack(planes(space8.strain_samples(U[:, 3]))))
-    S = space8.weighted_strain_stiffness(weight, space8.strain_coefficients(U), zero)
-    ref = _strain_pairings(space8, weight, U)
+    zero = (np.zeros_like(weight), np.stack(planes(space.strain_samples(U[:, 3]))))
+    S = space.weighted_strain_stiffness(weight, space.strain_coefficients(U), zero)
+    ref = _strain_pairings(space, weight, U)
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -152,18 +161,20 @@ def test_strain_cells_bit_identical_to_block_formula(space8):
     assert np.array_equal(space8._strain_cells(), ref)
 
 
-def test_strain_stiffness_rank_one_term_matches_quadrature(space8):
+@pytest.mark.parametrize("dims", TANGENT_MESHES)
+def test_strain_stiffness_rank_one_term_matches_quadrature(dims):
     # int 2 w eps(u):eps(v) + 2 a (e:eps(u)) (e:eps(v)), column by column
+    space = MixedSpace(build_rect_mesh(*dims))
     rng = np.random.default_rng(59)
-    weight = rng.uniform(0.1, 2.0, space8.qweights.shape)
-    a = rng.uniform(0.1, 2.0, space8.qweights.shape)
-    e = space8.strain_samples(rng.standard_normal(space8.n_velocity))
-    U = rng.standard_normal((space8.n_velocity, 4))
-    S = space8.weighted_strain_stiffness(weight, space8.strain_coefficients(U),
-                                         rank_one=(a, np.stack(planes(e))))
-    E = [np.einsum("cqab,cqab->cq", e, space8.strain_samples(u)) for u in U.T]
-    ref = _strain_pairings(space8, weight, U) + np.array(
-        [[np.einsum("cq,cq,cq->", 2.0 * space8.qweights * a, ei, ej) for ej in E] for ei in E]
+    weight = rng.uniform(0.1, 2.0, space.qweights.shape)
+    a = rng.uniform(0.1, 2.0, space.qweights.shape)
+    e = space.strain_samples(rng.standard_normal(space.n_velocity))
+    U = rng.standard_normal((space.n_velocity, 4))
+    S = space.weighted_strain_stiffness(weight, space.strain_coefficients(U),
+                                        rank_one=(a, np.stack(planes(e))))
+    E = [np.einsum("cqab,cqab->cq", e, space.strain_samples(u)) for u in U.T]
+    ref = _strain_pairings(space, weight, U) + np.array(
+        [[np.einsum("cq,cq,cq->", 2.0 * space.qweights * a, ei, ej) for ej in E] for ei in E]
     )
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -213,7 +224,7 @@ def test_strain_and_stress_contractions_match_the_slow_path(dims):
         u = rng.standard_normal(space.n_velocity)
         assert np.array_equal(space.strain_samples(u), sym_grad(space.eval_grads(u)))
         S = rng.standard_normal(space.qweights.shape + (2, 2))
-        for table in (S, sym_grad(S.copy())):
+        for table in (S, sym_grad(S)):
             assert np.array_equal(space.stress_load_vector(table),
                                   _stress_load_by_transposed_copy(space, table))
 
