@@ -4,7 +4,7 @@ Subcommands: validate, simulate, lift, eigen, study {dt,modes,mesh},
 contract. Every output file carries a header comment with the code version
 and the config hash; identical config and seed give bit-identical CSVs on
 the same platform. Exit codes: 0 success, 1 numerical failure, 2 config
-error.
+error, an output directory or file that cannot be written among them.
 """
 
 import argparse
@@ -97,9 +97,23 @@ def _outdir(args, cfg):
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError([("--output-dir" if args.output_dir else "output.dir",
-                            f"cannot make output directory: {exc}")]) from exc
+        raise ConfigError([(_outdir_key(args), f"cannot make output directory: {exc}")]) from exc
     return out
+
+
+def _outdir_key(args):
+    return "--output-dir" if args.output_dir else "output.dir"
+
+
+def _save(args, path, write, *data, **options):
+    """write(path, *data, **options), one output file; an OSError is a
+    ConfigError that names the file, at the flag or key that named the
+    output directory."""
+    try:
+        write(path, *data, **options)
+    except OSError as exc:
+        raise ConfigError([(_outdir_key(args),
+                            f"cannot write {path}: {exc.strerror or exc}")]) from exc
 
 
 def _write_trajectory(path, traj, system, cfg_hash):
@@ -161,17 +175,17 @@ def cmd_simulate(args):
                           on_step=_progress(cfg) if args.progress and not args.quiet else None)
     except StepError as exc:
         if exc.trajectory is not None:
-            _write_trajectory(out / "trajectory_partial.csv", exc.trajectory, scenario.system,
-                              h)
+            _save(args, out / "trajectory_partial.csv", _write_trajectory, exc.trajectory,
+                  scenario.system, h)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     marks.append(time.perf_counter())
-    _write_trajectory(out / "trajectory.csv", traj, scenario.system, h)
+    _save(args, out / "trajectory.csv", _write_trajectory, traj, scenario.system, h)
     marks.append(time.perf_counter())
 
     led = ledger(scenario.system, traj)
     marks.append(time.perf_counter())
-    _write_csv(out / "ledger.csv", {"t": led.times, **led.rows}, h)
+    _save(args, out / "ledger.csv", _write_csv, {"t": led.times, **led.rows}, h)
 
     every = int(cfg.output["every"])
     space = scenario.space
@@ -179,8 +193,8 @@ def cmd_simulate(args):
     for i in range(len(traj)):
         if i % every == 0 or i == len(traj) - 1:
             v = scenario.system.velocity(traj.states[i], traj.times[i])
-            write_vtk(
-                out / f"velocity_{i:05d}.vtk",
+            _save(
+                args, out / f"velocity_{i:05d}.vtk", write_vtk,
                 scenario.mesh,
                 point_vectors={"velocity": space.vertex_velocity(v)},
                 title=f"recirc {__version__} config={h} t={traj.times[i]:.6g}",
@@ -225,7 +239,7 @@ def cmd_simulate(args):
                                                   "estimate2_lhs", "estimate2_exponent",
                                                   "log10_C2")},
     }
-    _write_json(out / "summary.json", summary)
+    _save(args, out / "summary.json", _write_json, summary)
     _say(args.quiet, f"simulate: max ||v|| = {summary['max_v_l2']:.6g}, "
          f"artifacts in {out}")
     return 0
@@ -241,15 +255,15 @@ def cmd_lift(args):
     pumps = scenario.pumps.pumps
     l2 = [space.norm(z, "L2") for z in lb.zetas]
     for k, (pump, z) in enumerate(zip(pumps, lb.zetas), 1):
-        write_vtk(out / f"lift_{k}.vtk", scenario.mesh,
-                  point_vectors={"zeta": space.vertex_velocity(z)},
-                  point_scalars={"pressure": lb.pressures[k - 1][: scenario.mesh.num_vertices]},
-                  title=f"recirc {__version__} config={h} lift pump {k}", geometry=geometry)
+        _save(args, out / f"lift_{k}.vtk", write_vtk, scenario.mesh,
+              point_vectors={"zeta": space.vertex_velocity(z)},
+              point_scalars={"pressure": lb.pressures[k - 1][: scenario.mesh.num_vertices]},
+              title=f"recirc {__version__} config={h} lift pump {k}", geometry=geometry)
         for role, prof in (("injector", pump.injector), ("collector", pump.collector)):
             order = np.argsort(prof.arcs)
-            _write_csv(out / f"profile_{k}_{role}.csv",
-                       {"arc_length": prof.arcs[order], "value": prof.values[order]}, h)
-    _write_csv(out / "lifting_report.csv", {
+            _save(args, out / f"profile_{k}_{role}.csv", _write_csv,
+                  {"arc_length": prof.arcs[order], "value": prof.values[order]}, h)
+    _save(args, out / "lifting_report.csv", _write_csv, {
         "pump": np.arange(1, len(pumps) + 1), "residual": lb.residuals, "zeta_l2": l2,
         "zeta_h1": [np.sqrt(a**2 + space.norm(z, "H1semi") ** 2) for a, z in zip(l2, lb.zetas)],
         "psi_l2_boundary": [space.norm(pump.psi, "L2boundary") for pump in pumps]}, h)
@@ -263,10 +277,10 @@ def cmd_eigen(args):
     h = cfg.hash()
     scenario = build_scenario(cfg)
     basis = scenario.basis
-    _write_csv(out / "eigenvalues.csv",
-               {"mode": np.arange(1, basis.size + 1), "lambda": basis.eigenvalues,
-                "rayleigh_residual": basis.rayleigh_residuals}, h)
-    basis.save(out / "basis.npz")
+    _save(args, out / "eigenvalues.csv", _write_csv,
+          {"mode": np.arange(1, basis.size + 1), "lambda": basis.eigenvalues,
+           "rayleigh_residual": basis.rayleigh_residuals}, h)
+    _save(args, out / "basis.npz", basis.save)
     summary = {
         "config_hash": h,
         "modes": basis.size,
@@ -277,7 +291,7 @@ def cmd_eigen(args):
         "subspace_dimension": subspace_dimension(scenario.space),
         "environment": _environment(),
     }
-    _write_json(out / "eigen_summary.json", summary)
+    _save(args, out / "eigen_summary.json", _write_json, summary)
     _say(args.quiet, f"eigen: {basis.size} modes, lambda_1 = {basis.eigenvalues[0]:.6f}, "
          f"gram residual {basis.gram_residual:.2e}, korn constant "
          f"{summary['korn_constant']:.6f}")
@@ -343,7 +357,8 @@ def cmd_study(args):
             traj = _integrate(scenario, GalerkinState(0.0, scenario.state0.z[:n].copy()),
                               scenario.system.truncate(n))
             errs.append(_l2l2_diff(traj_ref.times, traj.states, traj_ref.states))
-        _write_csv(out / "study_modes.csv", {"modes": levels, "error_vs_reference": errs}, h)
+        _save(args, out / "study_modes.csv", _write_csv,
+              {"modes": levels, "error_vs_reference": errs}, h)
         _say(args.quiet, "study modes:", {n: f"{e:.3e}" for n, e in zip(levels, errs)})
         return 0
 
@@ -364,7 +379,8 @@ def cmd_study(args):
         trajs = [_integrate(scenario, dt=dt) for dt in dts]
         diffs = [_l2l2_diff(coarse.times, coarse.states, fine.states[::2])
                  for coarse, fine in zip(trajs, trajs[1:])]
-        _write_csv(out / "study_dt.csv", {"dt": dts[:-1], "diff_to_half_dt": diffs}, h)
+        _save(args, out / "study_dt.csv", _write_csv,
+              {"dt": dts[:-1], "diff_to_half_dt": diffs}, h)
         _say(args.quiet, "study dt:", list(zip(dts, diffs)))
         return 0
 
@@ -402,9 +418,9 @@ def cmd_study(args):
     # log(e_prev / e) / log(n / n_prev): log2 of the error ratio when n doubles
     order = [np.nan] + [np.log2(e0 / e) / np.log2(n / n0)
                         for e0, e, n0, n in zip(errs, errs[1:], levels, levels[1:])]
-    _write_csv(out / "study_mesh.csv",
-               {"mesh": levels, "l2l2_error": errs, "observed_order": order,
-                "iterations_total": iters, "iterations_max": iters_max}, h)
+    _save(args, out / "study_mesh.csv", _write_csv,
+          {"mesh": levels, "l2l2_error": errs, "observed_order": order,
+           "iterations_total": iters, "iterations_max": iters_max}, h)
     _say(args.quiet, "study mesh:", [(n, f"{e:.3e}") for n, e in zip(levels, errs)])
     return 0
 
@@ -431,9 +447,9 @@ def cmd_contract(args):
     rep, rep_check = contraction(scenario.system, base, pair_fit, pair_check)
     holds = rep_check.bound_holds(rep.fitted_C2)
 
-    _write_csv(out / "contraction.csv",
-               {"t": rep.times, "diff_l2_sq": rep.diff_sq, "v1_l4_pow8": rep.w8,
-                "cum_w8": rep.cum_w8, "adjusted": rep.adjusted()}, h)
+    _save(args, out / "contraction.csv", _write_csv,
+          {"t": rep.times, "diff_l2_sq": rep.diff_sq, "v1_l4_pow8": rep.w8,
+           "cum_w8": rep.cum_w8, "adjusted": rep.adjusted()}, h)
     summary = {
         "config_hash": h,
         "fitted_C2": rep.fitted_C2,
@@ -441,7 +457,7 @@ def cmd_contract(args):
         "check_eps": eps_check,
         "check_bound_holds": holds,
     }
-    _write_json(out / "contraction_summary.json", summary)
+    _save(args, out / "contraction_summary.json", _write_json, summary)
     _say(args.quiet, f"contract: fitted C2 = {rep.fitted_C2:.6g}, "
          f"independent pair bound holds: {holds}")
     return 0 if holds else 1

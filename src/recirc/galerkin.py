@@ -119,7 +119,7 @@ from math import comb
 import numpy as np
 
 from .errors import SolverError, StepError
-from .turbulence import closure_scale, closure_tangent, convection_load, sym_norm
+from .turbulence import closure_scale, closure_tangent, convection_load, planes, sym_norm
 # unused here; imported only so that the benchmark's traced names resolve
 from .lifting import compute_Hg_load  # noqa: F401
 from .turbulence import smagorinsky_load  # noqa: F401
@@ -307,8 +307,7 @@ class ReducedSystem:
         w = W 1. Raises SolverError when they differ by more than 1e-12 times
         the largest strain entry."""
         y = np.ones(W.shape[1])
-        ref = self.space.strain_samples(W @ y)
-        ref = np.stack([ref[..., 0, 0], ref[..., 0, 1], ref[..., 1, 1]])
+        ref = np.stack(planes(self.space.strain_samples(W @ y)))
         gap = float(np.abs(self.space.strain_planes(self.strain_coef @ y) - ref).max())
         scale = float(np.abs(ref).max())
         if not gap <= 1e-12 * scale:

@@ -27,9 +27,9 @@ over the fixed fields phi = [F0, F1, F2, zeta_k, (grad zeta_q) zeta_p] (the
 source's parts only when it exists) with c(t) = [1, a, a^2, -gdot, -g (x) g],
 a = a(t) the source's time factor; ||H~_g||^2 = ||F - d zeta_g/dt||^2 is the
 same form without the g (x) g block. G is the quadrature Gram matrix of phi
-(`_hg_gram`), built one block of fields at a time. Each form is evaluated
-on all rows at once, X -> rowwise x^T A x, and is the quadrature sum it
-replaces, regrouped, so it agrees with it to roundoff.
+(`_hg_gram`), summed over chunks of cells with each field formed once. Each
+form is evaluated on all rows at once, X -> rowwise x^T A x, and is the
+quadrature sum it replaces, regrouped, so it agrees with it to roundoff.
 
 Only the L3 terms read quadrature-point tables. Every strain comes from
 the system's strain table (`ReducedSystem.strain_coef`), the one the
@@ -221,45 +221,35 @@ def _hg_gram(system):
     table (none without a source), the K lifts, and the K^2 lift convection
     fields, index K q + p.
 
-    The fields are formed a block at a time, the parts, the lifts, and the
-    K fields of each q, as component planes (m, 2, nt, nq) (the lifts'
-    from `MixedSpace.value_planes`) that carry the square root of the
-    quadrature weight, so that each pair of blocks gives one block of G as
-    one product. Each lift's gradient is formed once and kept; a
-    convection block is formed from it again for every block it is paired
-    with, so at most two are held at once, never all K^2 fields.
+    The parts and the lifts' value planes (from one
+    `MixedSpace.value_planes`) carry the square root of the quadrature
+    weight, and each lift's gradient planes come from
+    `MixedSpace.grad_planes`. G is summed over chunks of cells: per chunk,
+    all K^2 convection fields are formed in one expression, each once,
+    stacked with the parts and the lifts as A (fields, 2 x cells x nq), and
+    A A^T is added to G. A chunk's fields are a few small arrays, so the
+    K^2 fields are never held on the whole mesh.
     """
     space, zetas = system.space, system.lifting.zetas
     K = len(zetas)
     root_w = np.sqrt(space.qweights)
     vals = space.value_planes(zetas)  # (K, 2, nt, nq)
     vals *= root_w
-    # [a, c] = d zeta_q,a / d x_c, kept as contiguous planes (2, 2, nt, nq)
-    grads = [np.moveaxis(space.eval_grads(z), (-2, -1), (0, 1)).copy() for z in zetas]
+    grads = np.empty((K, 2, 2) + root_w.shape)  # [q, a, c] = d zeta_q,a / d x_c
+    for q, z in enumerate(zetas):
+        grads[q] = space.grad_planes(z)
     parts = (vals[:0] if system.source is None
              else root_w * np.moveaxis(system.source.parts_table(space), -1, 1))
-
-    def block(b):
-        if b == 0:
-            return parts
-        if b == 1:
-            return vals
-        grad = grads[b - 2]
-        conv = grad[:, 0] * vals[:, :1]  # [p, a]
-        for p in range(K):  # a temporary of one field, not of the block
-            conv[p] += grad[:, 1] * vals[p, 1]
-        return conv
-
-    ends = np.cumsum([0, len(parts), K] + [K] * K)
-    spans = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
-    G = np.zeros((ends[-1], ends[-1]))
-    size = 2 * space.qweights.size  # one field's component planes, flat
-    for i, si in enumerate(spans):
-        a = block(i).reshape(-1, size)
-        for j in range(i, len(spans)):
-            sj = spans[j]
-            G[si, sj] = a @ (a if j == i else block(j).reshape(-1, size)).T
-            G[sj, si] = G[si, sj].T
+    n = len(parts) + K + K * K
+    G = np.zeros((n, n))
+    chunk = 32
+    for c0 in range(0, len(root_w), chunk):
+        cells = slice(c0, c0 + chunk)
+        v, g = vals[:, :, cells], grads[:, :, :, cells]
+        conv = (g[:, None] * v[None, :, None]).sum(axis=3)  # [q, p, a]
+        A = np.concatenate([parts[:, :, cells], v, conv.reshape((K * K,) + v.shape[1:])])
+        A = A.reshape(n, 2 * root_w[cells].size)  # not (n, -1): n may be 0
+        G += A @ A.T
     return G
 
 

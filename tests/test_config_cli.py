@@ -1073,6 +1073,50 @@ def test_cli_output_path_that_is_a_file_exits_2(tmp_path, capsys, argv, where):
     assert blocker.read_text() == "keep me\n"
 
 
+@pytest.mark.parametrize("where", ["--output-dir", "output.dir"])
+@pytest.mark.parametrize("argv, name", [
+    (["simulate"], "trajectory.csv"),
+    (["simulate"], "summary.json"),
+    (["simulate"], "velocity_00005.vtk"),
+    (["eigen"], "basis.npz"),
+], ids=lambda x: x if isinstance(x, str) else x[0])
+def test_cli_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, argv, name, where):
+    # a directory in the place of an output file is a config error at the
+    # flag, or at output.dir without it, that names the file; the directory
+    # is left as it was
+    out = tmp_path / "out"
+    (out / name / "inner").mkdir(parents=True)
+    if where == "output.dir":
+        path, _ = small_config(tmp_path, output={"dir": str(out), "every": 5})
+        flags = []
+    else:
+        path, _ = small_config(tmp_path)
+        flags = ["--output-dir", str(out)]
+    assert main([*argv, "--config", str(path), *flags, "--quiet"]) == 2
+    errors = json.loads(capsys.readouterr().err)["errors"]
+    assert [e["path"] for e in errors] == [where]
+    assert str(out / name) in errors[0]["message"]
+    assert [p.name for p in (out / name).iterdir()] == ["inner"]
+
+
+def test_cli_rk4_step_record(tmp_path, capsys):
+    # every RK4 step takes 4 closure evaluations, as 4 iterations, with no
+    # residual, no tangent and no tangent rescale: trajectory.csv's columns
+    # and the --progress lines
+    path, cfg = small_config(tmp_path, time={"T": 0.2, "dt": 0.01, "scheme": "explicit-rk4"})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--output-dir", str(out), "--progress"]) == 0
+    steps = round(cfg["time"]["T"] / cfg["time"]["dt"])
+    cols = _csv_columns(out / "trajectory.csv")
+    assert len(cols["t"]) == steps + 1
+    expect = {"tangent_scale": 1.0, "iterations": 4.0, "tangents": 0.0, "residual": 0.0}
+    for key, value in expect.items():
+        assert cols[key][1:] == [value] * steps, key
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == steps
+    assert all(" iterations=4 residual=0.000e+00 evaluations=4 " in line for line in err)
+
+
 def test_cli_contract_whole_number_float_seed(tmp_path):
     # validate accepts 7.0 as an integer seed; the run reads it as 7, while
     # the config (and so its hash) keeps the value as written

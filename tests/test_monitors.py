@@ -8,7 +8,7 @@ from recirc.galerkin import GalerkinState, ReducedSystem, StateFields
 from recirc.lifting import build_lifting, compute_Hg_load
 from recirc.mesh import build_rect_mesh
 from recirc.mms import ManufacturedSolution
-from recirc.monitors import EnergyLedger, _estimates, _hg_form, contraction, ledger
+from recirc.monitors import EnergyLedger, _estimates, _hg_form, _hg_gram, contraction, ledger
 from recirc.pumps import PumpSet
 from recirc.space import MixedSpace
 from recirc.turbulence import ClosureParams, sym_grad
@@ -279,6 +279,33 @@ def _ledger_oracle(sys_, traj):
     return rows, data
 
 
+def test_estimate_sides_are_their_written_terms(preset16):
+    # both estimates' sides, the Gronwall exponent and the fitted constants,
+    # written out from the ledger's rows and data functionals, on four_pumps
+    sys_ = preset16.system
+    traj = sys_.integrate(preset16.state0, T=0.3, dt=0.01)
+    led = ledger(sys_, traj)
+    r, d, nu, nu_tur = led.rows, led.data, sys_.params.nu, sys_.params.nu_tur
+
+    def integral(key):
+        return np.trapezoid(r[key], traj.times)
+
+    lhs1 = r["z_l2_sq"].max() + integral("z_w12_sq") + integral("z_w13_cu")
+    rhs1 = d["v0_l2_sq"] + d["zg_l3w13_cu"] + d["hg_l2l2_sq"]
+    lhs2 = integral("dzdt_l2_sq") + r["z_w12_sq"].max() + r["z_w13_cu"].max()
+    base2 = nu * d["eps_v0_l2_sq"] + (2 / 3) * nu_tur * d["eps_v0_l3_cu"] + d["hg_tilde_l2l2_sq"]
+    expo = rhs1 + d["dzg_l2h1_sq"] + d["dzg_l2w13_cu"]
+    assert expo < 700.0  # the clamp is not reached
+    rhs2 = base2 * (1.0 + np.exp(expo))
+    expect = {"estimate1_lhs": lhs1, "estimate1_rhs": rhs1, "C1_empirical": lhs1 / rhs1,
+              "estimate2_lhs": lhs2, "estimate2_rhs": rhs2, "estimate2_exponent": expo,
+              "C2_empirical": lhs2 / rhs2, "log10_C2": np.log10(lhs2 / rhs2)}
+    for key, value in expect.items():
+        assert value != 0.0 and abs(d[key] - value) <= 1e-12 * abs(value), key
+    for key in ("z_w12_sq", "z_w13_cu", "dzdt_l2_sq"):
+        assert integral(key) > 1e-6 * lhs1, key  # every term weighs in its sum
+
+
 def test_log10_C2_is_not_clamped():
     # past the clamp at x = 700 C2_empirical is set by the clamp, while
     # log10_C2 = log10(lhs2 / (base2 (1 + e^x))) follows x; below it the two
@@ -433,6 +460,49 @@ def test_hg_gram_form_matches_quadrature(kind, preset16, quiet12):
         assert ref[0] > 0.0 or (kind == "pumps" and t == 0.0)
         for a, b in zip((got[0][i], got[1][i]), ref):
             assert abs(a - b) <= 1e-12 * b
+
+
+def _gram_oracle(sys_):
+    """The Gram matrix of the fields [F0, F1, F2, zeta_k, (grad zeta_q)
+    zeta_p], all held at once, from `eval_values` and `eval_grads`, one
+    sum over all quadrature points per entry."""
+    space, zetas, source = sys_.space, sys_.lifting.zetas, sys_.source
+    nt, nq = space.qweights.shape
+    K = len(zetas)
+    vals = np.array([space.eval_values(z) for z in zetas]).reshape(K, nt, nq, 2)
+    grads = np.array([space.eval_grads(z) for z in zetas]).reshape(K, nt, nq, 2, 2)
+    conv = np.einsum("qcxab,pcxb->qpcxa", grads, vals).reshape(K * K, nt, nq, 2)
+    parts = np.zeros((0, nt, nq, 2)) if source is None else source.parts_table(space)
+    phi = np.concatenate([parts, vals, conv]).reshape(-1, nt, nq * 2)
+    weighted = np.repeat(space.qweights, 2, axis=1) * phi
+    # numpy's pairwise summation along the contiguous axis
+    return np.array([(weighted * f).reshape(len(phi), -1).sum(axis=1)
+                     for f in phi]).reshape(len(phi), len(phi))
+
+
+@pytest.mark.parametrize("kind", [*GRAM_KINDS, "zero"])
+def test_hg_gram_forms_each_field_once(kind, preset16, quiet12, monkeypatch):
+    # one value_planes call for the K lifts, one grad_planes call per lift
+    # and no eval_grads; G is exactly symmetric and is the Gram matrix of
+    # the fields held at once to 1e-14 of its largest entry, with and
+    # without pumps and sources, and empty without either
+    sys_ = quiet12 if kind == "zero" else _gram_system(kind, preset16, quiet12)
+    K = len(sys_.lifting)
+    ref = _gram_oracle(sys_)
+    calls = {name: 0 for name in ("value_planes", "grad_planes", "eval_grads")}
+    for name in calls:
+        def counted(self, u, _name=name, _f=getattr(MixedSpace, name)):
+            calls[_name] += 1
+            return _f(self, u)
+        monkeypatch.setattr(MixedSpace, name, counted)
+    G = _hg_gram(sys_)
+    monkeypatch.undo()
+    assert calls == {"value_planes": 1, "grad_planes": K, "eval_grads": 0}
+    m = 0 if sys_.source is None else 3
+    assert G.shape == ref.shape == (m + K + K * K,) * 2
+    assert np.array_equal(G, G.T)
+    if G.size:
+        assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("kind", GRAM_KINDS)
