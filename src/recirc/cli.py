@@ -90,30 +90,55 @@ def _load_config(args):
     return validate(args.config)
 
 
+class _Output:
+    """A command's output directory: its `path`, the flag or key that named
+    it (`key`) and the config hash that its files carry. A file that cannot
+    be written is a ConfigError at `key` that names the file. The writers
+    are looked up when a file is written, so a wrapped writer is the one
+    called."""
+
+    def __init__(self, path, key, cfg_hash):
+        self.path, self.key, self.hash = path, key, cfg_hash
+
+    def check(self, names):
+        """A ConfigError unless each file of `names` is missing or a writable
+        regular file: the outputs a run will write, checked before it runs."""
+        paths = [self.path / name for name in names]
+        bad = [p for p in paths if p.exists() and not (p.is_file() and os.access(p, os.W_OK))]
+        if bad:
+            raise ConfigError([(self.key, f"cannot write {path}: not a writable regular file")
+                               for path in bad])
+
+    def save(self, name, write, *data, **options):
+        """write(path, *data, **options) for the file `name`."""
+        path = self.path / name
+        try:
+            write(path, *data, **options)
+        except OSError as exc:
+            raise ConfigError([(self.key, f"cannot write {path}: {exc.strerror or exc}")]) from exc
+
+    def csv(self, name, table):
+        self.save(name, _write_csv, table, self.hash)
+
+    def trajectory(self, name, traj, system):
+        self.save(name, _write_trajectory, traj, system, self.hash)
+
+    def vtk(self, name, mesh, caption, **fields):
+        """A VTK file titled with the version, the config hash and `caption`."""
+        self.save(name, write_vtk, mesh,
+                  title=f"recirc {__version__} config={self.hash} {caption}", **fields)
+
+
 def _outdir(args, cfg):
-    """The output directory, made if missing; a path that cannot be a
-    directory is a ConfigError at the flag or key that named it."""
-    out = Path(args.output_dir or cfg.output["dir"])
+    """The command's _Output, its directory made if missing; a path that
+    cannot be a directory is a ConfigError at the flag or key that named it."""
+    out = _Output(Path(args.output_dir or cfg.output["dir"]),
+                  "--output-dir" if args.output_dir else "output.dir", cfg.hash())
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        out.path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError([(_outdir_key(args), f"cannot make output directory: {exc}")]) from exc
+        raise ConfigError([(out.key, f"cannot make output directory: {exc}")]) from exc
     return out
-
-
-def _outdir_key(args):
-    return "--output-dir" if args.output_dir else "output.dir"
-
-
-def _save(args, path, write, *data, **options):
-    """write(path, *data, **options), one output file; an OSError is a
-    ConfigError that names the file, at the flag or key that named the
-    output directory."""
-    try:
-        write(path, *data, **options)
-    except OSError as exc:
-        raise ConfigError([(_outdir_key(args),
-                            f"cannot write {path}: {exc.strerror or exc}")]) from exc
 
 
 def _write_trajectory(path, traj, system, cfg_hash):
@@ -147,9 +172,8 @@ def _integrate(scenario, state0=None, system=None, dt=None, on_step=None):
     )
 
 
-def _progress(cfg):
-    """An on_step hook printing one line per step to stderr."""
-    n = step_count(cfg.time["T"], cfg.time["dt"])
+def _progress(n):
+    """An on_step hook printing one line per step of n to stderr."""
     done = [0]
 
     def on_step(state):
@@ -165,41 +189,36 @@ def _progress(cfg):
 def cmd_simulate(args):
     cfg = _load_config(args)
     out = _outdir(args, cfg)
-    h = cfg.hash()
+    n, every = step_count(cfg.time["T"], cfg.time["dt"]), int(cfg.output["every"])
+    # the saved velocity frames: every `every`-th state and the last
+    frames = {i: f"velocity_{i:05d}.vtk" for i in range(n + 1) if i % every == 0 or i == n}
+    out.check(["trajectory.csv", "ledger.csv", "summary.json", *frames.values()])
     t0 = time.time()
     marks = [time.perf_counter()]  # phase boundaries
     scenario = build_scenario(cfg).built()
     marks.append(time.perf_counter())
     try:
         traj = _integrate(scenario,
-                          on_step=_progress(cfg) if args.progress and not args.quiet else None)
+                          on_step=_progress(n) if args.progress and not args.quiet else None)
     except StepError as exc:
         if exc.trajectory is not None:
-            _save(args, out / "trajectory_partial.csv", _write_trajectory, exc.trajectory,
-                  scenario.system, h)
+            out.trajectory("trajectory_partial.csv", exc.trajectory, scenario.system)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     marks.append(time.perf_counter())
-    _save(args, out / "trajectory.csv", _write_trajectory, traj, scenario.system, h)
+    out.trajectory("trajectory.csv", traj, scenario.system)
     marks.append(time.perf_counter())
 
     led = ledger(scenario.system, traj)
     marks.append(time.perf_counter())
-    _save(args, out / "ledger.csv", _write_csv, {"t": led.times, **led.rows}, h)
+    out.csv("ledger.csv", {"t": led.times, **led.rows})
 
-    every = int(cfg.output["every"])
     space = scenario.space
     geometry = vtk_geometry(scenario.mesh)
-    for i in range(len(traj)):
-        if i % every == 0 or i == len(traj) - 1:
-            v = scenario.system.velocity(traj.states[i], traj.times[i])
-            _save(
-                args, out / f"velocity_{i:05d}.vtk", write_vtk,
-                scenario.mesh,
-                point_vectors={"velocity": space.vertex_velocity(v)},
-                title=f"recirc {__version__} config={h} t={traj.times[i]:.6g}",
-                geometry=geometry,
-            )
+    for i, name in frames.items():
+        v = scenario.system.velocity(traj.states[i], traj.times[i])
+        out.vtk(name, scenario.mesh, f"t={traj.times[i]:.6g}",
+                point_vectors={"velocity": space.vertex_velocity(v)}, geometry=geometry)
     marks.append(time.perf_counter())
     lap = np.diff(marks).tolist()
 
@@ -209,7 +228,7 @@ def cmd_simulate(args):
 
     summary = {
         "version": __version__,
-        "config_hash": h,
+        "config_hash": out.hash,
         "modes": scenario.basis.size,
         "scheme": cfg.time["scheme"],
         "final_v_l2": float(led.v_l2[-1]),
@@ -239,50 +258,47 @@ def cmd_simulate(args):
                                                   "estimate2_lhs", "estimate2_exponent",
                                                   "log10_C2")},
     }
-    _save(args, out / "summary.json", _write_json, summary)
+    out.save("summary.json", _write_json, summary)
     _say(args.quiet, f"simulate: max ||v|| = {summary['max_v_l2']:.6g}, "
-         f"artifacts in {out}")
+         f"artifacts in {out.path}")
     return 0
 
 
 def cmd_lift(args):
     cfg = _load_config(args)
     out = _outdir(args, cfg)
-    h = cfg.hash()
     scenario = build_scenario(cfg)
     space, lb = scenario.space, scenario.lifting
     geometry = vtk_geometry(scenario.mesh)
     pumps = scenario.pumps.pumps
     l2 = [space.norm(z, "L2") for z in lb.zetas]
     for k, (pump, z) in enumerate(zip(pumps, lb.zetas), 1):
-        _save(args, out / f"lift_{k}.vtk", write_vtk, scenario.mesh,
-              point_vectors={"zeta": space.vertex_velocity(z)},
-              point_scalars={"pressure": lb.pressures[k - 1][: scenario.mesh.num_vertices]},
-              title=f"recirc {__version__} config={h} lift pump {k}", geometry=geometry)
+        out.vtk(f"lift_{k}.vtk", scenario.mesh, f"lift pump {k}",
+                point_vectors={"zeta": space.vertex_velocity(z)},
+                point_scalars={"pressure": lb.pressures[k - 1][: scenario.mesh.num_vertices]},
+                geometry=geometry)
         for role, prof in (("injector", pump.injector), ("collector", pump.collector)):
             order = np.argsort(prof.arcs)
-            _save(args, out / f"profile_{k}_{role}.csv", _write_csv,
-                  {"arc_length": prof.arcs[order], "value": prof.values[order]}, h)
-    _save(args, out / "lifting_report.csv", _write_csv, {
+            out.csv(f"profile_{k}_{role}.csv",
+                    {"arc_length": prof.arcs[order], "value": prof.values[order]})
+    out.csv("lifting_report.csv", {
         "pump": np.arange(1, len(pumps) + 1), "residual": lb.residuals, "zeta_l2": l2,
         "zeta_h1": [np.sqrt(a**2 + space.norm(z, "H1semi") ** 2) for a, z in zip(l2, lb.zetas)],
-        "psi_l2_boundary": [space.norm(pump.psi, "L2boundary") for pump in pumps]}, h)
-    _say(args.quiet, f"lift: {len(pumps)} pumps, report in {out}")
+        "psi_l2_boundary": [space.norm(pump.psi, "L2boundary") for pump in pumps]})
+    _say(args.quiet, f"lift: {len(pumps)} pumps, report in {out.path}")
     return 0
 
 
 def cmd_eigen(args):
     cfg = _load_config(args)
     out = _outdir(args, cfg)
-    h = cfg.hash()
     scenario = build_scenario(cfg)
     basis = scenario.basis
-    _save(args, out / "eigenvalues.csv", _write_csv,
-          {"mode": np.arange(1, basis.size + 1), "lambda": basis.eigenvalues,
-           "rayleigh_residual": basis.rayleigh_residuals}, h)
-    _save(args, out / "basis.npz", basis.save)
+    out.csv("eigenvalues.csv", {"mode": np.arange(1, basis.size + 1), "lambda": basis.eigenvalues,
+                                "rayleigh_residual": basis.rayleigh_residuals})
+    out.save("basis.npz", basis.save)
     summary = {
-        "config_hash": h,
+        "config_hash": out.hash,
         "modes": basis.size,
         "lambda_1": float(basis.eigenvalues[0]),
         "gram_residual": float(basis.gram_residual),
@@ -291,7 +307,7 @@ def cmd_eigen(args):
         "subspace_dimension": subspace_dimension(scenario.space),
         "environment": _environment(),
     }
-    _save(args, out / "eigen_summary.json", _write_json, summary)
+    out.save("eigen_summary.json", _write_json, summary)
     _say(args.quiet, f"eigen: {basis.size} modes, lambda_1 = {basis.eigenvalues[0]:.6f}, "
          f"gram residual {basis.gram_residual:.2e}, korn constant "
          f"{summary['korn_constant']:.6f}")
@@ -338,7 +354,6 @@ def _parse_int(text, default, what):
 
 def cmd_study(args):
     cfg = _load_config(args)
-    h = cfg.hash()
     unread = {"dt": "--levels", "mesh": "--reference"}.get(args.kind)
     if unread and getattr(args, unread[2:]) is not None:
         raise ConfigError([(unread, f"study {args.kind} does not read {unread}")])
@@ -357,8 +372,7 @@ def cmd_study(args):
             traj = _integrate(scenario, GalerkinState(0.0, scenario.state0.z[:n].copy()),
                               scenario.system.truncate(n))
             errs.append(_l2l2_diff(traj_ref.times, traj.states, traj_ref.states))
-        _save(args, out / "study_modes.csv", _write_csv,
-              {"modes": levels, "error_vs_reference": errs}, h)
+        out.csv("study_modes.csv", {"modes": levels, "error_vs_reference": errs})
         _say(args.quiet, "study modes:", {n: f"{e:.3e}" for n, e in zip(levels, errs)})
         return 0
 
@@ -379,8 +393,7 @@ def cmd_study(args):
         trajs = [_integrate(scenario, dt=dt) for dt in dts]
         diffs = [_l2l2_diff(coarse.times, coarse.states, fine.states[::2])
                  for coarse, fine in zip(trajs, trajs[1:])]
-        _save(args, out / "study_dt.csv", _write_csv,
-              {"dt": dts[:-1], "diff_to_half_dt": diffs}, h)
+        out.csv("study_dt.csv", {"dt": dts[:-1], "diff_to_half_dt": diffs})
         _say(args.quiet, "study dt:", list(zip(dts, diffs)))
         return 0
 
@@ -402,25 +415,18 @@ def cmd_study(args):
     def run(n):
         space = MixedSpace(build_rect_mesh(cfg.domain["Lx"], cfg.domain["Ly"], n, n))
         fs = FullSpaceSystem(space, params, source=mms)
-        acc = {"sum": 0.0, "prev": None}
-
-        def observer(t, z):
-            e2 = mms.velocity_error(space, z, t) ** 2
-            if acc["prev"] is not None:
-                acc["sum"] += 0.5 * (acc["prev"] + e2) * cfg.time["dt"]
-            acc["prev"] = e2
-
-        _, iterations = fs.integrate(mms.initial_velocity(space), T=cfg.time["T"],
-                                     dt=cfg.time["dt"], observer=observer)
-        return float(np.sqrt(acc["sum"])), sum(iterations), max(iterations)
+        e2 = []  # the squared L2 error at each step's time
+        _, iterations = fs.integrate(
+            mms.initial_velocity(space), T=cfg.time["T"], dt=cfg.time["dt"],
+            observer=lambda t, z: e2.append(mms.velocity_error(space, z, t) ** 2))
+        return float(np.sqrt(np.trapezoid(e2, dx=cfg.time["dt"]))), sum(iterations), max(iterations)
 
     errs, iters, iters_max = zip(*[run(n) for n in levels])
     # log(e_prev / e) / log(n / n_prev): log2 of the error ratio when n doubles
     order = [np.nan] + [np.log2(e0 / e) / np.log2(n / n0)
                         for e0, e, n0, n in zip(errs, errs[1:], levels, levels[1:])]
-    _save(args, out / "study_mesh.csv", _write_csv,
-          {"mesh": levels, "l2l2_error": errs, "observed_order": order,
-           "iterations_total": iters, "iterations_max": iters_max}, h)
+    out.csv("study_mesh.csv", {"mesh": levels, "l2l2_error": errs, "observed_order": order,
+                               "iterations_total": iters, "iterations_max": iters_max})
     _say(args.quiet, "study mesh:", [(n, f"{e:.3e}") for n, e in zip(levels, errs)])
     return 0
 
@@ -430,7 +436,6 @@ def cmd_contract(args):
     if not (np.isfinite(args.eps) and args.eps != 0):
         raise ConfigError([("--eps", f"expected a nonzero finite perturbation, got {args.eps}")])
     out = _outdir(args, cfg)
-    h = cfg.hash()
     scenario = build_scenario(cfg).built()
     rng = np.random.default_rng(int(cfg.seed))
     direction = rng.standard_normal(scenario.basis.size)
@@ -447,17 +452,16 @@ def cmd_contract(args):
     rep, rep_check = contraction(scenario.system, base, pair_fit, pair_check)
     holds = rep_check.bound_holds(rep.fitted_C2)
 
-    _save(args, out / "contraction.csv", _write_csv,
-          {"t": rep.times, "diff_l2_sq": rep.diff_sq, "v1_l4_pow8": rep.w8,
-           "cum_w8": rep.cum_w8, "adjusted": rep.adjusted()}, h)
+    out.csv("contraction.csv", {"t": rep.times, "diff_l2_sq": rep.diff_sq, "v1_l4_pow8": rep.w8,
+                                "cum_w8": rep.cum_w8, "adjusted": rep.adjusted()})
     summary = {
-        "config_hash": h,
+        "config_hash": out.hash,
         "fitted_C2": rep.fitted_C2,
         "identical_pair": rep.identical,
         "check_eps": eps_check,
         "check_bound_holds": holds,
     }
-    _save(args, out / "contraction_summary.json", _write_json, summary)
+    out.save("contraction_summary.json", _write_json, summary)
     _say(args.quiet, f"contract: fitted C2 = {rep.fitted_C2:.6g}, "
          f"independent pair bound holds: {holds}")
     return 0 if holds else 1

@@ -119,6 +119,7 @@ from math import comb
 import numpy as np
 
 from .errors import SolverError, StepError
+from .pumps import time_tolerance
 from .turbulence import closure_scale, closure_tangent, convection_load, planes, sym_norm
 # unused here; imported only so that the benchmark's traced names resolve
 from .lifting import compute_Hg_load  # noqa: F401
@@ -147,7 +148,8 @@ def _check_positive(name, value):
 
 def step_count(T, dt):
     """The number of steps of length dt to T; ValueError unless dt and T are
-    positive and finite and T is a positive integer multiple of dt."""
+    positive and finite and T is a positive integer multiple of dt, to
+    within `pumps.time_tolerance(T)`."""
     _check_positive("dt", dt)
     _check_positive("T", T)
     if not np.isfinite(T / dt):
@@ -155,7 +157,7 @@ def step_count(T, dt):
     n_steps = int(round(T / dt))
     if n_steps == 0:
         raise ValueError(f"T = {T} takes no step of dt = {dt}")
-    if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+    if abs(n_steps * dt - T) > time_tolerance(T):
         raise ValueError(f"T = {T} is not an integer multiple of dt = {dt}")
     return n_steps
 
@@ -392,8 +394,8 @@ class ReducedSystem:
 
         - defect(z) -> (d, ||d||_2, scale): d = z - z_old + dt
           (visc z + (C y) y + closure(z) - H_g), y = [g; z], with the
-          closure pairings formed as in `rhs`, and the closure's scale
-          table at z (`_closure`).
+          convection and closure pairings formed as in `rhs`, and the
+          closure's scale table at z (`_closure`).
         - tangent(z) -> T_VV, `_tangent` at the iterate z.
         - jacobian(z, T_VV) -> I + dt (visc + J_conv + T_VV), where
           J_conv[k, j] = sum_b (C[k, K+j, b] + C[k, b, K+j]) y_b is the
@@ -404,9 +406,8 @@ class ReducedSystem:
         base = np.eye(self.basis.size) + dt * self.visc
 
         def defect(z):
-            y = np.concatenate([g, z])
             pairings, scale = self._closure(z, g)
-            d = z - z_old + dt * (self.visc @ z + (self.C @ y) @ y + pairings - hg)
+            d = z - z_old + dt * (self.visc @ z + self._conv_modal(z, g) + pairings - hg)
             return d, float(np.linalg.norm(d)), scale
 
         def tangent(z):

@@ -352,9 +352,10 @@ class ContractionReport:
         return np.exp(-self.fitted_C2 * self.cum_w8) * self.diff_sq
 
     def bound_holds(self, C2):
-        """Check ||v(t)||^2 <= BOUND_SLACK ||v(0)||^2 exp(C2 int ||v1||^8)."""
+        """Check ||v(t)||^2 <= BOUND_SLACK ||v(0)||^2 exp(C2 int ||v1||^8);
+        a pair that starts together holds it when it is `identical`."""
         if self.diff_sq[0] == 0.0:
-            return bool(np.all(self.diff_sq <= 1e-28))
+            return self.identical
         bound = BOUND_SLACK * self.diff_sq[0] * np.exp(C2 * self.cum_w8)
         return bool(np.all(self.diff_sq <= bound))
 

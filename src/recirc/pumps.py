@@ -35,6 +35,13 @@ from .space import EDGE_SHAPE_INTEGRALS
 PROFILE_KINDS = ("flat", "mollified")
 
 
+def time_tolerance(T):
+    """1e-9 max(1, T): how near a time on [0, T] may come to a knot, or to
+    T, and count as it. `Schedule.eval` snaps a time that near a knot to
+    it, and `galerkin.step_count` accepts n dt that near T as T."""
+    return 1e-9 * max(1.0, T)
+
+
 class PumpProfile:
     """Scalar boundary profile on one tagged segment.
 
@@ -189,6 +196,7 @@ class Schedule:
         self.ts = ts
         self.gs = gs
         self.T = float(ts[-1])
+        self._snap = time_tolerance(self.T)
         # Python floats for `eval`, which runs at every stage time: on a few
         # knots numpy's per-call overhead outweighs the arithmetic
         self._knots = ts.tolist()
@@ -198,21 +206,20 @@ class Schedule:
     def eval(self, t):
         """(g(t), dg/dt(t)); the derivative takes the left limit at knots.
 
-        Times within 1e-9 max(1, T) of a knot snap to it, so a time step
-        landing on a knot sees the same one-sided derivative regardless of
-        how its time accumulated in floating point; the same tolerance past
-        the last knot, the one `galerkin.step_count` allows a run's end,
-        lands on it. g is np.interp's value, bit for bit: the knot value at
-        a knot, else slope * (t - t_j) + g_j.
+        Times within `time_tolerance(T)` of a knot snap to it, so a time
+        step landing on a knot sees the same one-sided derivative
+        regardless of how its time accumulated in floating point; the same
+        tolerance past the last knot, the one `galerkin.step_count` allows
+        a run's end, lands on it. g is np.interp's value, bit for bit: the
+        knot value at a knot, else slope * (t - t_j) + g_j.
         """
-        snap = 1e-9 * max(1.0, self.T)
-        if not (0.0 <= t <= self.T + snap):
+        if not (0.0 <= t <= self.T + self._snap):
             raise ValueError(f"t = {t} outside the schedule horizon [0, {self.T}]")
         t = min(float(t), self.T)
         ts = self._knots
         i = bisect_left(ts, t)  # ts[i - 1] < t <= ts[i]
         near = i - 1 if i > 0 and t - ts[i - 1] <= ts[i] - t else i  # the first on a tie
-        if abs(ts[near] - t) <= snap:
+        if abs(ts[near] - t) <= self._snap:
             t, i = ts[near], near
         if ts[i] == t:
             g = self._values[i]

@@ -1076,14 +1076,30 @@ def test_cli_output_path_that_is_a_file_exits_2(tmp_path, capsys, argv, where):
 @pytest.mark.parametrize("where", ["--output-dir", "output.dir"])
 @pytest.mark.parametrize("argv, name", [
     (["simulate"], "trajectory.csv"),
+    (["simulate"], "ledger.csv"),
     (["simulate"], "summary.json"),
     (["simulate"], "velocity_00005.vtk"),
+    (["simulate"], "velocity_00020.vtk"),
     (["eigen"], "basis.npz"),
 ], ids=lambda x: x if isinstance(x, str) else x[0])
-def test_cli_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, argv, name, where):
+def test_cli_output_file_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, argv,
+                                                         name, where):
     # a directory in the place of an output file is a config error at the
     # flag, or at output.dir without it, that names the file; the directory
-    # is left as it was
+    # is left as it was. simulate checks its fixed outputs, the frames that
+    # T / dt = 20 steps and output.every = 5 save among them, before it
+    # builds any stage, so it writes nothing
+    from recirc import cli
+    from recirc.config import Scenario
+
+    made = []
+    build = cli.build_scenario
+
+    def recorded(*args, **kwargs):
+        made.append(build(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "build_scenario", recorded)
     out = tmp_path / "out"
     (out / name / "inner").mkdir(parents=True)
     if where == "output.dir":
@@ -1097,6 +1113,9 @@ def test_cli_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, argv, 
     assert [e["path"] for e in errors] == [where]
     assert str(out / name) in errors[0]["message"]
     assert [p.name for p in (out / name).iterdir()] == ["inner"]
+    if argv == ["simulate"]:
+        assert all(stage not in vars(scn) for scn in made for stage in Scenario.STAGES)
+        assert [p.name for p in out.iterdir()] == [name]
 
 
 def test_cli_rk4_step_record(tmp_path, capsys):

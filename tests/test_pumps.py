@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from conftest import boundary_traces, net_flux, phi_g
+from recirc.galerkin import step_count
 from recirc.mesh import build_rect_mesh, tag_boundary
 from recirc.pumps import PumpSet, Schedule, build_profile, build_psi
 from recirc.space import MixedSpace
@@ -174,6 +175,21 @@ def test_schedule_validation():
     s = Schedule([(0, 0), (1, 1)])
     with pytest.raises(ValueError):
         s.eval(1.5)
+
+
+@pytest.mark.parametrize("T", [0.5, 4.0])
+def test_step_count_and_schedule_share_the_time_tolerance(T):
+    # a run's end may overshoot T, and a schedule time its last knot, by the
+    # one tolerance 1e-9 max(1, T): both accept 0.9 of it and both refuse
+    # twice that
+    s = Schedule([(0.0, 0.0), (T, 1.0)])
+    over, n = 0.9e-9 * max(1.0, T), 8
+    assert step_count(T, (T + over) / n) == n
+    assert s.eval(T + over) == s.eval(T)
+    with pytest.raises(ValueError, match="not an integer multiple"):
+        step_count(T, (T + 2 * over) / n)
+    with pytest.raises(ValueError, match="outside the schedule horizon"):
+        s.eval(T + 2 * over)
 
 
 def test_phi_g_zero_rates(preset16):
